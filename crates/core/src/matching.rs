@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How strictly parameters must correspond for two modules to be compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -918,7 +918,10 @@ impl<'a> MatchSession<'a> {
 
     /// Number of memoized `(module, value_offset)` generation results.
     pub fn cached_reports(&self) -> usize {
-        self.cache.lock().expect("no poisoning").len()
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Snapshot of the session's cache behavior. Counting is per-session,
@@ -947,7 +950,12 @@ impl<'a> MatchSession<'a> {
     /// offset (ablations vary the offset to probe value sensitivity).
     pub fn report_at(&self, module: &dyn BlackBox, value_offset: usize) -> CachedGeneration {
         let key = (module.descriptor().id.clone(), value_offset);
-        if let Some(hit) = self.cache.lock().expect("no poisoning").get(&key) {
+        if let Some(hit) = self
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             self.hits.fetch_add(1, Ordering::Relaxed);
             match_counters().hits.add(1);
             return Arc::clone(hit);
@@ -974,7 +982,7 @@ impl<'a> MatchSession<'a> {
         let displaced = self
             .cache
             .lock()
-            .expect("no poisoning")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(key, Arc::clone(&report));
         self.memoized_bytes.fetch_add(bytes, Ordering::Relaxed);
         if let Some(prev) = displaced {

@@ -200,8 +200,7 @@ proptest! {
         )
         .unwrap();
         assert_reports_identical("faulted+retried", &report, &oracle);
-        let stats = cache.stats();
-        prop_assert_eq!(stats.memoized_transients, 0, "no transient was memoized");
+        prop_assert_eq!(cache.memoized_transients(), 0, "no transient was memoized");
         if faulty.stats().injected_faults > 0 {
             prop_assert!(retrier.stats().retries > 0, "faults imply retries");
         }
@@ -330,7 +329,7 @@ fn flap_schedule_converges_to_the_fault_free_reports() {
         "the outage was retried through"
     );
     assert_eq!(retrier.stats().budget_denied, 0, "budget was not exceeded");
-    assert_eq!(cache.stats().memoized_transients, 0);
+    assert_eq!(cache.memoized_transients(), 0);
 
     // --- Matching: flapping candidate vs fault-free oracle ----------------
     let candidate = digest_module("flap:candidate", 77, 20);
@@ -342,5 +341,5 @@ fn flap_schedule_converges_to_the_fault_free_reports() {
     let session = MatchSession::new(&ontology, &pool, retry_config.clone());
     let verdict = session.compare(&target, &faulted_candidate).unwrap();
     assert_eq!(verdict, oracle_verdict, "flap must not change the verdict");
-    assert_eq!(session.invocation_stats().memoized_transients, 0);
+    assert_eq!(session.invocation_cache().memoized_transients(), 0);
 }

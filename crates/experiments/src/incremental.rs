@@ -15,13 +15,14 @@
 //!    answered from memory even inside a regeneration.
 //! 2. **Blocking** — an incrementally maintained [`FingerprintIndex`]
 //!    (single-slot `insert`/`remove`, no rebuilds).
-//! 3. **Verdicts** — the sparse matrix of compared pairs, keyed by tracked
-//!    slot. A regenerated module whose examples changed re-matches its
-//!    *rows* only (`(m, peer)`): under strict mapping a verdict reads the
-//!    target's examples and the candidate's behavior, never the candidate's
-//!    own examples, so columns `(peer, m)` carry forward untouched. A
-//!    module whose *fingerprint* changed migrates buckets: its old pairs
-//!    are dropped and its new bucket's rows and columns are computed fresh.
+//! 3. **Verdicts** — the sparse matrix of compared pairs, one row per
+//!    tracked slot holding `(candidate, outcome)` sorted by candidate. A
+//!    regenerated module whose examples changed re-matches its *row* only
+//!    (`(m, peer)`): under strict mapping a verdict reads the target's
+//!    examples and the candidate's behavior, never the candidate's own
+//!    examples, so columns `(peer, m)` carry forward untouched. A module
+//!    whose *fingerprint* changed migrates buckets: its old pairs are
+//!    dropped and its new bucket's rows and columns are computed fresh.
 //!
 //! Withdrawn modules are left stale on purpose: their reports and
 //! signatures are frozen at withdrawal (the catalog keeps descriptors but
@@ -70,11 +71,14 @@ pub struct IncrementalPipeline {
     /// `gen_sigs[i]` equals the signature recomputed against present state.
     gen_sigs: Vec<u64>,
     /// Stored outcomes of every comparable ordered pair among available
-    /// slots. The `MatchReport` wrapper is reconstructed on demand: target
-    /// and candidate ids are the key, and the `examples` count is derived
-    /// from the target's current report, which by construction matches the
-    /// report in force when the outcome was computed.
-    verdicts: BTreeMap<(usize, usize), MatchOutcome>,
+    /// slots: `verdicts[t]` is target `t`'s row of `(candidate, outcome)`,
+    /// sorted by candidate. Comparability is symmetric, so `c` is in row
+    /// `t` exactly when `t` is in row `c`. The `MatchReport` wrapper is
+    /// reconstructed on demand: target and candidate ids are the key, and
+    /// the `examples` count is derived from the target's current report,
+    /// which by construction matches the report in force when the outcome
+    /// was computed.
+    verdicts: Vec<Vec<(usize, MatchOutcome)>>,
     cache: InvocationCache,
     /// Carried-forward substitute per withdrawn module, captured from its
     /// last-known row verdicts at withdrawal time.
@@ -125,7 +129,8 @@ impl IncrementalPipeline {
                 .map(|id| universe.catalog.get(id).map(|m| m.descriptor())),
             &universe.ontology,
         );
-        let available = vec![true; ids.len()];
+        let ids_len = ids.len();
+        let available = vec![true; ids_len];
         let mut engine = IncrementalPipeline {
             universe,
             pool,
@@ -137,13 +142,19 @@ impl IncrementalPipeline {
             index,
             reports,
             gen_sigs,
-            verdicts: BTreeMap::new(),
+            verdicts: Vec::with_capacity(ids_len),
             cache,
             substitutes: BTreeMap::new(),
         };
-        for (t, c) in engine.index.comparable_pairs() {
-            let outcome = engine.pair_outcome(t, c, &retrier);
-            engine.verdicts.insert((t, c), outcome);
+        // Bucket member lists are kept ascending, so each row is born sorted
+        // and allocated at its exact size.
+        for t in 0..ids_len {
+            let peers = engine.index.peers(t);
+            let mut row = Vec::with_capacity(peers.len().saturating_sub(1));
+            for &c in peers.iter().filter(|&&c| c != t) {
+                row.push((c, engine.pair_outcome(t, c, &retrier)));
+            }
+            engine.verdicts.push(row);
         }
         engine
     }
@@ -347,19 +358,19 @@ impl IncrementalPipeline {
         // stored pair; migrated and restored slots then recompute rows and
         // columns against their current bucket, while examples-changed
         // slots recompute rows only (strict-mapping verdicts never read the
-        // candidate's examples).
-        let mut vacated: BTreeSet<usize> = to_withdrawn.iter().copied().collect();
-        vacated.extend(fp_changed.iter().copied());
-        if !vacated.is_empty() {
-            let stale: Vec<(usize, usize)> = self
-                .verdicts
-                .keys()
-                .filter(|(t, c)| vacated.contains(t) || vacated.contains(c))
-                .copied()
-                .collect();
-            stats.dropped_pairs = stale.len();
-            for key in stale {
-                self.verdicts.remove(&key);
+        // candidate's examples). A vacated slot's row names every peer
+        // whose row holds it, so the drop touches only those rows; when two
+        // vacated slots share a bucket, the second finds the first's row
+        // already empty and the pair is counted once.
+        for &i in to_withdrawn.iter().chain(&fp_changed) {
+            let row = std::mem::take(&mut self.verdicts[i]);
+            stats.dropped_pairs += row.len();
+            for (c, _) in row {
+                let peer_row = &mut self.verdicts[c];
+                if let Ok(pos) = peer_row.binary_search_by_key(&i, |&(p, _)| p) {
+                    peer_row.remove(pos);
+                    stats.dropped_pairs += 1;
+                }
             }
         }
         let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -384,15 +395,19 @@ impl IncrementalPipeline {
             .iter()
             .map(|&(t, c)| ((t, c), self.pair_outcome(t, c, &retrier)))
             .collect();
-        for (key, outcome) in computed {
-            self.verdicts.insert(key, outcome);
+        for ((t, c), outcome) in computed {
+            let row = &mut self.verdicts[t];
+            match row.binary_search_by_key(&c, |&(p, _)| p) {
+                Ok(pos) => row[pos].1 = outcome,
+                Err(pos) => row.insert(pos, (c, outcome)),
+            }
         }
 
         stats.regenerated_modules = regen.len();
         stats.examples_changed = examples_changed.len();
         stats.fingerprints_changed = fp_changed.len();
         stats.recomputed_pairs = pairs.len();
-        stats.carried_forward = self.verdicts.len() - pairs.len();
+        stats.carried_forward = self.verdicts.iter().map(Vec::len).sum::<usize>() - pairs.len();
         for i in 0..self.ids.len() {
             if self.available[i] {
                 stats.cells_total += self.deps.cells(i);
@@ -450,7 +465,7 @@ impl IncrementalPipeline {
         let id = self.ids[i].clone();
         let mut best: Option<(ModuleId, MatchVerdict)> = None;
         let mut compared = 0usize;
-        for ((_, c), outcome) in self.verdicts.range((i, 0)..=(i, usize::MAX)) {
+        for (c, outcome) in &self.verdicts[i] {
             if let MatchOutcome::Verdict(v) = outcome {
                 compared += 1;
                 best = pick_better_substitute(best, (self.ids[*c].clone(), *v));
@@ -519,10 +534,11 @@ impl IncrementalPipeline {
                     continue;
                 }
                 let outcome = if self.index.is_comparable(t, c) {
-                    self.verdicts
-                        .get(&(t, c))
-                        .expect("comparable pairs are maintained")
-                        .clone()
+                    let row = &self.verdicts[t];
+                    let pos = row
+                        .binary_search_by_key(&c, |&(p, _)| p)
+                        .expect("comparable pairs are maintained");
+                    row[pos].1.clone()
                 } else {
                     match self.reports[t].as_ref() {
                         Err(e) => MatchOutcome::Incomparable(e.to_string()),
@@ -633,7 +649,7 @@ impl IncrementalPipeline {
         }
         let mut compared = 0usize;
         let mut ranked: Vec<(ModuleId, MatchVerdict)> = Vec::new();
-        for ((_, c), outcome) in self.verdicts.range((i, 0)..=(i, usize::MAX)) {
+        for (c, outcome) in &self.verdicts[i] {
             if let MatchOutcome::Verdict(v) = outcome {
                 compared += 1;
                 if v.is_usable() {

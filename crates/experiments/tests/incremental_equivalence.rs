@@ -10,8 +10,8 @@ use dex_core::{GenerationConfig, MatchReport};
 use dex_experiments::parallel::{generate_fleet, match_pairs_blocked, BatchConfig};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
-    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleKind, Parameter,
-    Retrier, RetryPolicy, SharedModule,
+    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind,
+    Parameter, Retrier, RetryPolicy, SharedModule,
 };
 use dex_pool::{build_synthetic_pool, AnnotatedInstance, InstancePool};
 use dex_universe::Universe;
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dex_core::delta::Delta;
+use dex_core::delta::{Delta, DeltaReport};
 
 /// Text-valued concepts the synthetic pool realizes; inputs and deltas are
 /// drawn from these.
@@ -187,9 +187,86 @@ fn replay_cold(universe: &mut Universe, pool: &mut InstancePool, deltas: &[Delta
     }
 }
 
+/// What the brute-force pair accounting reads of one tracked slot, through
+/// the engine's public API: availability, fingerprint bucket key (`None`
+/// while withdrawn), and the generation outcome a verdict can read.
+struct SlotView {
+    available: bool,
+    bucket: Option<u64>,
+    outcome: Result<String, String>,
+}
+
+fn snapshot(engine: &IncrementalPipeline) -> BTreeMap<ModuleId, SlotView> {
+    engine
+        .tracked_ids()
+        .iter()
+        .map(|id| {
+            let (available, outcome) = engine.annotation(id).expect("tracked");
+            let view = SlotView {
+                available,
+                bucket: engine.bucket_key(id),
+                outcome: match outcome {
+                    Ok(report) => Ok(format!("{:?}", report.examples)),
+                    Err(e) => Err(e.to_string()),
+                },
+            };
+            (id.clone(), view)
+        })
+        .collect()
+}
+
+/// The stored verdict pairs a snapshot implies: every ordered pair of
+/// distinct available slots sharing a fingerprint bucket.
+fn stored_pairs(view: &BTreeMap<ModuleId, SlotView>) -> Vec<(&ModuleId, &ModuleId)> {
+    let mut pairs = Vec::new();
+    for (t, tv) in view {
+        for (c, cv) in view {
+            if t != c && tv.bucket.is_some() && tv.bucket == cv.bucket {
+                pairs.push((t, c));
+            }
+        }
+    }
+    pairs
+}
+
+/// Pins the batch's pair accounting to a brute-force count over the stored
+/// pairs before and after it. A slot is vacated when it leaves its bucket
+/// (withdrawn, or its fingerprint changed) and rejoins when it enters one
+/// (restored, or migrated); a slot whose examples changed recomputes its row.
+fn check_pair_accounting(
+    report: &DeltaReport,
+    before: &BTreeMap<ModuleId, SlotView>,
+    after: &BTreeMap<ModuleId, SlotView>,
+) {
+    let vacated =
+        |id: &ModuleId| before[id].bucket.is_some() && before[id].bucket != after[id].bucket;
+    let rejoining =
+        |id: &ModuleId| after[id].bucket.is_some() && before[id].bucket != after[id].bucket;
+    let changed = |id: &ModuleId| {
+        before[id].available && after[id].available && before[id].outcome != after[id].outcome
+    };
+    let dropped = stored_pairs(before)
+        .into_iter()
+        .filter(|&(t, c)| vacated(t) || vacated(c))
+        .count();
+    let stored_after = stored_pairs(after);
+    let recomputed = stored_after
+        .iter()
+        .filter(|&&(t, c)| rejoining(t) || rejoining(c) || changed(t))
+        .count();
+    assert_eq!(report.dropped_pairs, dropped, "dropped_pairs");
+    assert_eq!(report.recomputed_pairs, recomputed, "recomputed_pairs");
+    assert_eq!(
+        report.carried_forward,
+        stored_after.len() - recomputed,
+        "carried_forward"
+    );
+}
+
 /// Drives one full case: bootstrap the engine, apply the op words in
 /// batches, and after every batch compare reports and matrix against a
-/// cold full run over the identically-replayed state.
+/// cold full run over the identically-replayed state, and the batch's pair
+/// accounting against a brute-force count.
 fn check_equivalence(
     shape_salt: u64,
     behavior_salt: u64,
@@ -216,9 +293,11 @@ fn check_equivalence(
         .collect();
     let mut applied = 0usize;
     for batch in deltas.chunks(batch_len.max(1)) {
+        let before = snapshot(&engine);
         let report = engine.apply(batch);
         assert_eq!(report.events, batch.len());
         applied += batch.len();
+        check_pair_accounting(&report, &before, &snapshot(&engine));
 
         // Cold oracle over the identically-replayed state.
         let (mut cold_u, mut cold_p) = mini_world(shape_salt, behavior_salt, reject_pct, faults);

@@ -23,11 +23,12 @@ use crate::invoke::InvocationError;
 use crate::module::ModuleId;
 use dex_values::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The memoized result of one invocation: the module's outputs, or the error
 /// that prevented normal termination.
@@ -36,31 +37,100 @@ pub type InvocationOutcome = Result<Vec<Value>, InvocationError>;
 /// Cache key: module identity plus the exact input value vector. The hash is
 /// precomputed once (vectors can hold large flat-file texts) and reused by
 /// both shard selection and the shard's `HashMap`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct CacheKey {
     module: ModuleId,
     inputs: Vec<Value>,
     precomputed_hash: u64,
 }
 
-impl CacheKey {
-    fn new(module: &ModuleId, inputs: &[Value]) -> CacheKey {
+/// A key borrowed from the caller: what a lookup hashes and compares
+/// without cloning the module id or the input vector.
+#[derive(Clone, Copy)]
+struct BorrowedKey<'a> {
+    module: &'a ModuleId,
+    inputs: &'a [Value],
+    precomputed_hash: u64,
+}
+
+impl<'a> BorrowedKey<'a> {
+    fn new(module: &'a ModuleId, inputs: &'a [Value]) -> BorrowedKey<'a> {
         let mut hasher = DefaultHasher::new();
         module.hash(&mut hasher);
         inputs.hash(&mut hasher);
-        CacheKey {
-            module: module.clone(),
-            inputs: inputs.to_vec(),
+        BorrowedKey {
+            module,
+            inputs,
             precomputed_hash: hasher.finish(),
+        }
+    }
+
+    /// The owned key, built once per miss.
+    fn to_key(self) -> CacheKey {
+        CacheKey {
+            module: self.module.clone(),
+            inputs: self.inputs.to_vec(),
+            precomputed_hash: self.precomputed_hash,
         }
     }
 }
 
-impl Hash for CacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.precomputed_hash);
+/// The view both key forms share, so the shard map (keyed by owned
+/// [`CacheKey`]s) can be probed with a [`BorrowedKey`] through
+/// `Borrow<dyn KeyView>`.
+trait KeyView {
+    fn parts(&self) -> (&ModuleId, &[Value], u64);
+}
+
+impl KeyView for CacheKey {
+    fn parts(&self) -> (&ModuleId, &[Value], u64) {
+        (&self.module, &self.inputs, self.precomputed_hash)
     }
 }
+
+impl KeyView for BorrowedKey<'_> {
+    fn parts(&self) -> (&ModuleId, &[Value], u64) {
+        (self.module, self.inputs, self.precomputed_hash)
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.parts().2);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let (module, inputs, hash) = self.parts();
+        let (other_module, other_inputs, other_hash) = other.parts();
+        hash == other_hash && module == other_module && inputs == other_inputs
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+// `Hash` and `Eq` on the owned key must agree with the view's, as
+// `Borrow` requires.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn KeyView) == (other as &dyn KeyView)
+    }
+}
+
+impl Eq for CacheKey {}
 
 /// One entry: a `OnceLock` cell so the first arrival invokes and every
 /// concurrent arrival blocks on the same initialization instead of invoking
@@ -68,11 +138,21 @@ impl Hash for CacheKey {
 type CacheCell = Arc<OnceLock<Arc<InvocationOutcome>>>;
 
 /// One lock-sharded slice of the key space. FIFO insertion order is kept per
-/// shard so a capacity bound can evict the oldest entries.
+/// shard only when a capacity bound is set, so the bound can evict the
+/// oldest entries; an unbounded cache leaves `fifo` empty.
 #[derive(Default)]
 struct Shard {
     map: HashMap<CacheKey, CacheCell>,
     fifo: VecDeque<CacheKey>,
+}
+
+/// Locks a shard, riding through poisoning. Module invocations, the code
+/// that can panic, run outside the lock, and every step of an update under
+/// it leaves the shard valid: the worst a panic between steps leaves is a
+/// FIFO key without an entry (eviction skips those) or an entry the FIFO
+/// no longer names (it is never evicted).
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Snapshot of an [`InvocationCache`]'s behavior, serializable into run
@@ -94,13 +174,6 @@ pub struct InvocationCacheStats {
     pub transients: u64,
     /// Entries currently held across all shards.
     pub entries: usize,
-    /// Initialized entries currently holding a transient error — the
-    /// invariant is that this is always `0` *at every instant*, not just at
-    /// quiescence: transient entries are forgotten before their cell is
-    /// published, so even a `stats()` racing with the failing invocation
-    /// cannot observe one. Reported so callers (and the stress tests) can
-    /// assert it mid-run.
-    pub memoized_transients: usize,
 }
 
 impl InvocationCacheStats {
@@ -204,7 +277,7 @@ impl InvocationCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard(&self, key: &BorrowedKey<'_>) -> &Mutex<Shard> {
         &self.shards[(key.precomputed_hash as usize) & (Self::SHARDS - 1)]
     }
 
@@ -215,18 +288,22 @@ impl InvocationCache {
     /// The invocation itself runs *outside* the shard lock — only the cell
     /// lookup/insert is locked — so a slow remote module never blocks cache
     /// traffic for other keys, and concurrent misses on different keys
-    /// proceed in parallel.
+    /// proceed in parallel. A hit hashes the borrowed `(module, inputs)` once
+    /// and clones nothing but the cell's `Arc`.
     pub fn invoke(&self, module: &dyn BlackBox, inputs: &[Value]) -> Arc<InvocationOutcome> {
-        let key = CacheKey::new(&module.descriptor().id, inputs);
+        let key = BorrowedKey::new(&module.descriptor().id, inputs);
         let telemetry_on = dex_telemetry::is_enabled();
         let (cell, fresh) = {
-            let mut shard = self.shard(&key).lock().expect("no poisoning");
-            match shard.map.entry(key.clone()) {
-                Entry::Occupied(occupied) => (Arc::clone(occupied.get()), false),
-                Entry::Vacant(vacant) => {
+            let mut shard = lock(self.shard(&key));
+            match shard.map.get(&key as &dyn KeyView) {
+                Some(cell) => (Arc::clone(cell), false),
+                None => {
                     let cell: CacheCell = Arc::new(OnceLock::new());
-                    vacant.insert(Arc::clone(&cell));
-                    shard.fifo.push_back(key);
+                    let owned = key.to_key();
+                    if self.per_shard_capacity.is_some() {
+                        shard.fifo.push_back(owned.clone());
+                    }
+                    shard.map.insert(owned, Arc::clone(&cell));
                     if let Some(cap) = self.per_shard_capacity {
                         // One pass over the FIFO at most: entries whose
                         // invocation is still in flight are rotated to the
@@ -299,7 +376,7 @@ impl InvocationCache {
                 // observe a memoized transient — the waiters blocked on
                 // this cell still receive the outcome, but the map never
                 // holds an initialized transient entry.
-                self.forget_transient(module, inputs, &cell);
+                self.forget_transient(&key, &cell);
             }
             outcome
         }));
@@ -327,36 +404,36 @@ impl InvocationCache {
         outcome
     }
 
-    /// Removes the entry for `(module, inputs)` if it still holds `cell` —
-    /// a newer cell (inserted after an earlier forget, or after eviction)
-    /// must not be clobbered by a stale transient outcome.
-    fn forget_transient(&self, module: &dyn BlackBox, inputs: &[Value], cell: &CacheCell) {
-        let key = CacheKey::new(&module.descriptor().id, inputs);
-        let mut shard = self.shard(&key).lock().expect("no poisoning");
+    /// Removes the entry for `key` if it still holds `cell` — a newer cell
+    /// (inserted after an earlier forget, or after eviction) must not be
+    /// clobbered by a stale transient outcome.
+    fn forget_transient(&self, key: &BorrowedKey<'_>, cell: &CacheCell) {
+        let view = key as &dyn KeyView;
+        let mut shard = lock(self.shard(key));
         if shard
             .map
-            .get(&key)
+            .get(view)
             .is_some_and(|current| Arc::ptr_eq(current, cell))
         {
-            shard.map.remove(&key);
-            shard.fifo.retain(|k| k != &key);
+            shard.map.remove(view);
+            shard.fifo.retain(|k| k as &dyn KeyView != view);
         }
     }
 
     /// The memoized outcome for `(module, inputs)`, if present and
     /// initialized — never invokes.
     pub fn peek(&self, module: &ModuleId, inputs: &[Value]) -> Option<Arc<InvocationOutcome>> {
-        let key = CacheKey::new(module, inputs);
-        let shard = self.shard(&key).lock().expect("no poisoning");
-        shard.map.get(&key).and_then(|cell| cell.get().cloned())
+        let key = BorrowedKey::new(module, inputs);
+        let shard = lock(self.shard(&key));
+        shard
+            .map
+            .get(&key as &dyn KeyView)
+            .and_then(|cell| cell.get().cloned())
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("no poisoning").map.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -367,35 +444,43 @@ impl InvocationCache {
     /// Drops every entry; counters are kept (they describe lifetime traffic).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut shard = shard.lock().expect("no poisoning");
+            let mut shard = lock(shard);
             shard.map.clear();
             shard.fifo.clear();
         }
     }
 
-    /// Snapshot of the cache's lifetime behavior.
+    /// Snapshot of the cache's lifetime behavior: the counters plus one
+    /// `map.len()` per shard, so its cost does not grow with the entries.
     pub fn stats(&self) -> InvocationCacheStats {
-        let mut entries = 0;
-        let mut memoized_transients = 0;
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("no poisoning");
-            entries += shard.map.len();
-            memoized_transients += shard
-                .map
-                .values()
-                .filter(|cell| {
-                    matches!(cell.get().map(|o| o.as_ref()), Some(Err(e)) if e.is_transient())
-                })
-                .count();
-        }
         InvocationCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             transients: self.transients.load(Ordering::Relaxed),
-            entries,
-            memoized_transients,
+            entries: self.len(),
         }
+    }
+
+    /// Audit sweep: initialized entries currently holding a transient
+    /// error. The invariant is that this is `0` *at every instant*, not just
+    /// at quiescence — transient entries are forgotten before their cell is
+    /// published, so even a sweep racing with the failing invocation cannot
+    /// observe one. It visits every entry under the shard locks, so it is
+    /// for tests and audits, not for hot paths.
+    pub fn memoized_transients(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                lock(shard)
+                    .map
+                    .values()
+                    .filter(|cell| {
+                        matches!(cell.get().map(|o| o.as_ref()), Some(Err(e)) if e.is_transient())
+                    })
+                    .count()
+            })
+            .sum()
     }
 
     /// Publishes this cache's stats as `dex.invoke.cache.*` gauges so they
@@ -627,7 +712,7 @@ mod tests {
         assert_eq!(invoked.load(Ordering::Relaxed), 3);
         let stats = cache.stats();
         assert_eq!(stats.transients, 3);
-        assert_eq!(stats.memoized_transients, 0, "invariant: never stored");
+        assert_eq!(cache.memoized_transients(), 0, "invariant: never stored");
         assert_eq!(stats.entries, 0);
 
         // Recovery: once the outage lifts, the success is memoized again.
@@ -636,7 +721,7 @@ mod tests {
         assert_eq!(ok.as_ref().as_ref().unwrap(), &vec![Value::text("X")]);
         cache.invoke(&module, &[Value::text("x")]);
         assert_eq!(invoked.load(Ordering::Relaxed), 4, "second lookup hit");
-        assert_eq!(cache.stats().memoized_transients, 0);
+        assert_eq!(cache.memoized_transients(), 0);
     }
 
     #[test]
@@ -654,5 +739,96 @@ mod tests {
         let _ = cache.invoke(&module, &[Value::text("k")]);
         assert_eq!(invoked.load(Ordering::Relaxed), 2, "outage + one success");
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn only_a_bounded_cache_keeps_a_fifo() {
+        let (module, _) = counted_upper();
+        let unbounded = InvocationCache::new();
+        for i in 0..40 {
+            unbounded.invoke(&module, &[Value::text(format!("v{i}"))]);
+        }
+        assert_eq!(unbounded.len(), 40);
+        assert!(unbounded.shards.iter().all(|s| lock(s).fifo.is_empty()));
+
+        // One entry per shard: the second key landing in a shard evicts the
+        // first, which the FIFO names, while the newest key stays.
+        let bounded = InvocationCache::with_capacity(InvocationCache::SHARDS);
+        let keys: Vec<Vec<Value>> = (0..40)
+            .map(|i| vec![Value::text(format!("v{i}"))])
+            .collect();
+        for key in &keys {
+            bounded.invoke(&module, key);
+        }
+        let stats = bounded.stats();
+        assert_eq!(stats.evictions as usize, 40 - stats.entries);
+        for shard in bounded.shards.iter() {
+            let shard = lock(shard);
+            assert_eq!(shard.fifo.len(), shard.map.len());
+            assert!(shard.fifo.iter().all(|k| shard.map.contains_key(k)));
+        }
+        let id = &module.descriptor().id;
+        let mut newest_per_shard = std::collections::HashMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            let shard =
+                BorrowedKey::new(id, key).precomputed_hash as usize & (InvocationCache::SHARDS - 1);
+            newest_per_shard.insert(shard, i);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            let newest = newest_per_shard.values().any(|&n| n == i);
+            assert_eq!(bounded.peek(id, key).is_some(), newest, "key {i}");
+        }
+    }
+
+    #[test]
+    fn equal_inputs_under_different_modules_stay_distinct() {
+        let (upper, upper_calls) = counted_upper();
+        let (flagged, flagged_calls, _) = flagged_module();
+        let cache = InvocationCache::new();
+        let inputs = [Value::text("same")];
+        cache.invoke(&upper, &inputs);
+        let other = cache.invoke(&flagged, &inputs);
+        assert_eq!(other.as_ref().as_ref().unwrap(), &vec![Value::text("SAME")]);
+        cache.invoke(&upper, &inputs);
+        cache.invoke(&flagged, &inputs);
+        assert_eq!(upper_calls.load(Ordering::Relaxed), 1);
+        assert_eq!(flagged_calls.load(Ordering::Relaxed), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
+        let unknown = ModuleId::from("op:unknown");
+        assert!(cache.peek(&upper.descriptor().id, &inputs).is_some());
+        assert!(cache.peek(&flagged.descriptor().id, &inputs).is_some());
+        assert!(cache.peek(&unknown, &inputs).is_none());
+    }
+
+    #[test]
+    fn poisoned_shards_still_answer() {
+        let cache = InvocationCache::new();
+        let (module, invoked) = counted_upper();
+        cache.invoke(&module, &[Value::text("before")]);
+        for shard in cache.shards.iter() {
+            let poisoner = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let _guard = shard.lock().unwrap();
+                        panic!("poison the shard");
+                    })
+                    .join()
+            });
+            assert!(poisoner.is_err());
+            assert!(shard.is_poisoned());
+        }
+        let id = &module.descriptor().id;
+        assert!(cache.peek(id, &[Value::text("before")]).is_some());
+        let after = cache.invoke(&module, &[Value::text("after")]);
+        assert_eq!(
+            after.as_ref().as_ref().unwrap(),
+            &vec![Value::text("AFTER")]
+        );
+        cache.invoke(&module, &[Value::text("before")]);
+        assert_eq!(invoked.load(Ordering::Relaxed), 2);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+        assert_eq!(cache.memoized_transients(), 0);
     }
 }

@@ -28,7 +28,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A half-open interval `[from_tick, until_tick)` of the wrapped module's
 /// simulated clock during which every invocation fails `Unavailable` — a
@@ -278,7 +278,7 @@ impl BlackBox for FaultyModule {
         let key = self.fault_key(inputs);
         let planned = self.planned_burst(key);
         if planned > 0 {
-            let mut burst = self.burst.lock().expect("no poisoning");
+            let mut burst = self.burst.lock().unwrap_or_else(PoisonError::into_inner);
             let fired = burst.entry(key).or_insert(0);
             if *fired < planned {
                 *fired += 1;

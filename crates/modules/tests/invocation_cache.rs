@@ -144,8 +144,8 @@ fn parallel_executor_is_exactly_once_across_duplicate_heavy_input() {
 /// The batched blocked executor's access pattern (ISSUE 6): workers claim
 /// *chunks* of a worklist off an atomic cursor, keys repeat across chunks,
 /// and every key faults transiently on its first attempt. While the run is
-/// in flight, a sampler thread polls `stats()` continuously — the
-/// `memoized_transients == 0` invariant must hold at every instant, not
+/// in flight, a sampler thread sweeps `memoized_transients()` continuously —
+/// the `memoized_transients() == 0` invariant must hold at every instant, not
 /// just at quiescence (transient entries are forgotten *before* their cell
 /// publishes), and the hit/miss/transient ledger must balance exactly.
 #[test]
@@ -216,7 +216,7 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
                 }
             });
         }
-        // The sampler: hammers stats() for the whole run, asserting the
+        // The sampler: hammers the audit sweep for the whole run, asserting the
         // invariant the old code violated in the window between cell
         // publication and the post-hoc forget.
         let cache = &cache;
@@ -226,9 +226,9 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
             barrier.wait();
             let mut samples = 0usize;
             while !done.load(Ordering::Relaxed) {
-                let stats = cache.stats();
                 assert_eq!(
-                    stats.memoized_transients, 0,
+                    cache.memoized_transients(),
+                    0,
                     "observed a memoized transient mid-run after {samples} clean samples"
                 );
                 samples += 1;
@@ -252,7 +252,7 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
         assert_eq!(*count, 2, "key {key} invoked {count} times");
     }
     let stats = cache.stats();
-    assert_eq!(stats.memoized_transients, 0);
+    assert_eq!(cache.memoized_transients(), 0);
     assert_eq!(stats.entries, KEYS, "only successes are memoized");
     assert_eq!(
         stats.misses as usize,
@@ -446,7 +446,7 @@ fn withdrawn_then_restored_module_recovers_through_the_cache() {
     );
     let stats = cache.stats();
     assert_eq!(stats.transients, 2, "both outage lookups passed through");
-    assert_eq!(stats.memoized_transients, 0);
+    assert_eq!(cache.memoized_transients(), 0);
     assert_eq!(counts.lock().unwrap()["during-outage"], 1, "one real run");
 }
 
@@ -515,7 +515,8 @@ fn racing_retriers_share_exactly_one_eventual_success() {
     );
     let stats = cache.stats();
     assert_eq!(
-        stats.memoized_transients, 0,
+        cache.memoized_transients(),
+        0,
         "no cell seeded with a transient"
     );
     assert!(

@@ -306,7 +306,12 @@ impl InstancePool {
     /// (in insertion order, the order [`realizations_of`] iterates) and
     /// returns it; `None` — and no change — when the concept has fewer
     /// occurrences. The single-instance mutation behind the incremental
-    /// layer's `Delta::PoolRemove` event; rebuilds the index.
+    /// layer's `Delta::PoolRemove` event.
+    ///
+    /// The index is updated in place: the concept's bucket entry names the
+    /// instance's position, that entry is removed, and every stored position
+    /// above it shifts down by one — no shape is recomputed and no name is
+    /// re-hashed.
     ///
     /// [`realizations_of`]: InstancePool::realizations_of
     pub fn remove_realization(
@@ -314,16 +319,20 @@ impl InstancePool {
         concept: &str,
         occurrence: usize,
     ) -> Option<AnnotatedInstance> {
-        let pos = self
-            .instances
-            .iter()
-            .enumerate()
-            .filter(|(_, inst)| inst.concept == concept)
-            .nth(occurrence)
-            .map(|(pos, _)| pos)?;
-        let removed = self.instances.remove(pos);
-        self.rebuild_index();
-        Some(removed)
+        let &slot = self.index.slot_by_name.get(concept)?;
+        let entries = &mut self.index.buckets[slot].entries;
+        if occurrence >= entries.len() {
+            return None;
+        }
+        let (pos, _) = entries.remove(occurrence);
+        for bucket in &mut self.index.buckets {
+            for (idx, _) in &mut bucket.entries {
+                if *idx > pos {
+                    *idx -= 1;
+                }
+            }
+        }
+        Some(self.instances.remove(pos))
     }
 }
 
@@ -621,6 +630,27 @@ mod tests {
             assert_eq!(total, p.len(), "index covers every instance");
         };
 
+        // The index as a value: each non-empty bucket's concept with its
+        // positions and cached shapes, in name order.
+        let index_of = |p: &InstancePool| -> Vec<(String, String)> {
+            let mut rows: Vec<(String, String)> = p
+                .index
+                .slot_by_name
+                .iter()
+                .filter(|(_, &slot)| !p.index.buckets[slot].entries.is_empty())
+                .map(|(name, &slot)| (name.clone(), format!("{:?}", p.index.buckets[slot].entries)))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let assert_matches_rebuild = |p: &InstancePool| {
+            assert_consistent(p);
+            let mut rebuilt = p.clone();
+            rebuilt.rebuild_index();
+            assert_eq!(index_of(p), index_of(&rebuilt));
+            assert_eq!(p.covered_concepts(), rebuilt.covered_concepts());
+        };
+
         let mut p = pool();
         assert_consistent(&p);
         p.retain(|i| i.concept != "DNA");
@@ -628,5 +658,40 @@ mod tests {
         let back = InstancePool::from_json(&p.to_json().unwrap()).unwrap();
         assert_consistent(&back);
         assert_eq!(back.covered_concepts(), p.covered_concepts());
+
+        // Seeded remove/add sequences: the in-place index maintenance of
+        // `remove_realization` and `add` must leave exactly the index a
+        // rebuild produces, including buckets emptied and refilled.
+        let concepts = ["DNA", "Protein", "Sequence", "Accession", "RNA"];
+        for seed in 0..8u64 {
+            let mut p = pool();
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            for step in 0..40 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let concept = concepts[(state >> 8) as usize % concepts.len()];
+                if state % 3 == 0 {
+                    let value = if state % 2 == 0 {
+                        Value::text(format!("V{step}"))
+                    } else {
+                        Value::Integer(step)
+                    };
+                    p.add(AnnotatedInstance::synthetic(value, concept));
+                } else {
+                    let occurrence = (state >> 16) as usize % 3;
+                    let expected = p
+                        .iter()
+                        .filter(|i| i.concept == concept)
+                        .nth(occurrence)
+                        .map(|i| i.value.clone());
+                    let before = p.len();
+                    let removed = p.remove_realization(concept, occurrence);
+                    assert_eq!(removed.map(|i| i.value), expected, "step {step}");
+                    assert_eq!(p.len(), before - usize::from(expected.is_some()));
+                }
+                assert_matches_rebuild(&p);
+            }
+        }
     }
 }

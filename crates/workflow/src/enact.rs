@@ -402,7 +402,7 @@ mod tests {
         let stats = retrier.stats();
         assert!(stats.retries >= 2, "both injected faults were retried");
         assert_eq!(
-            cache.stats().memoized_transients,
+            cache.memoized_transients(),
             0,
             "transient outcomes never persist in the memo"
         );
