@@ -9,8 +9,9 @@
 //! being measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dex_core::{compare_modules, GenerationConfig};
-use dex_experiments::parallel::match_pairs_parallel;
+use dex_core::{compare_modules, GenerationConfig, MatchSession};
+use dex_experiments::parallel::match_pairs;
+use dex_experiments::{BatchConfig, PairOutput};
 use dex_modules::ModuleId;
 use dex_ontology::{ConceptId, Ontology};
 use dex_pool::build_synthetic_pool;
@@ -163,7 +164,13 @@ fn bench_matching_by_catalog(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("cached_parallel", n), &n, |b, _| {
-            b.iter(|| match_pairs_parallel(&universe, &ids, &pool, &config, 8).len())
+            b.iter(|| {
+                let session = MatchSession::new(&universe.ontology, &pool, config.clone());
+                let batch = BatchConfig::with_threads(8);
+                match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch)
+                    .reports
+                    .len()
+            })
         });
     }
     group.finish();

@@ -1,9 +1,8 @@
-//! Emits `BENCH_blocking.json`: the fingerprint-blocking + batched-executor
-//! numbers of ISSUE 6 — all-pairs vs blocked matching, serial vs
-//! batched-parallel vs the per-pair channel executor it replaced, and the
-//! pair-pruning ratio — at paper scale (252 modules, the catalog size of
-//! Belhajjame et al.'s EDBT 2014 evaluation) and at 2.5k / 25k synthetic
-//! registry scale.
+//! Emits `BENCH_blocking.json`: fingerprint-blocked all-pairs matching —
+//! the exhaustive all-pairs sweep against the blocked sweep at one thread
+//! and at the host's thread count, and the pair-pruning ratio — at paper
+//! scale (252 modules, the catalog size of Belhajjame et al.'s EDBT 2014
+//! evaluation) and at 2.5k / 25k synthetic registry scale.
 //!
 //! Usage:
 //!   cargo run --release -p dex-bench --bin bench_blocking [--ci] [OUT.json]
@@ -13,33 +12,25 @@
 //! `BENCH_blocking.json` in the working directory.
 //!
 //! Methodology (DESIGN.md §12):
-//! - Every timed configuration gets a warm-up run first, and serial/batched
-//!   runs alternate A/B with the minimum reported — mass allocation in one
-//!   run otherwise bleeds into the next run's wall clock through the
-//!   allocator, which on this workload can inflate a timing by 10x.
+//! - Every timed configuration gets a warm-up run first, and the two
+//!   configurations of a row alternate A/B with the minimum reported — mass
+//!   allocation in one run otherwise bleeds into the next run's wall clock
+//!   through the allocator, which on this workload can inflate a timing by
+//!   10x. Every timed sweep starts from a fresh `MatchSession`.
 //! - The all-pairs baseline tallies verdicts without materializing the
 //!   dense matrix (at 2.5k that matrix holds 6.25M reports, and building
 //!   then dropping it poisons every timing that follows). Its tallies must
 //!   equal the blocked summary's — the bench doubles as an equivalence
 //!   check at a scale the proptest suite cannot afford.
-//! - `perpair_parallel_ms` reproduces the executor this PR replaced:
-//!   per-pair atomic claiming, one mpsc send per report, dense collection.
-//!   That is the `cached_parallel` that *lost* to `cached_serial` at every
-//!   catalog size in the pre-PR BENCH_matching.json.
-//! - `blocked_serial_ms` times the *unprepared* summary path forced onto
-//!   one thread — the executor as it shipped before the prepared rework:
-//!   two catalog lookups and a session memo-lock acquisition (with a
-//!   `ModuleId` key clone) on every pair. `blocked_parallel_ms` times the
-//!   prepared executor at the host's thread count: handles resolved once
-//!   per id, each target's report parked in a lock-free cell, workers
-//!   running only the candidate replay. The columns measure *different
-//!   code* by construction (the `serial_path`/`parallel_path` fields say
-//!   which), so `parallel_speedup` is a real end-to-end win even on a
-//!   single-core host — lock/hash/clone traffic removed from the hot loop —
-//!   and on multi-core hosts additionally reflects thread fan-out, which
-//!   the old global-memo-lock path serialized away (the
-//!   `blocked_parallel_ms == blocked_serial_ms` collapse this PR fixes).
-//!   At 25k the bench asserts `parallel_speedup >= 1.0`.
+//! - `blocked_serial_ms` and `blocked_parallel_ms` time the same summary
+//!   sweep at one thread and at `threads`, the host's available
+//!   parallelism. `parallel_speedup` is their ratio, and `null` on a
+//!   one-thread host, where both columns run the serial path. With more
+//!   than one thread the bench asserts `parallel_speedup >= 1.0` at 25k.
+//! - The crossover sweep times slices of the 2.5k registry with the
+//!   executor forced serial and forced batched (at least two workers).
+//!   `measured_crossover_pairs` is the smallest compared-pair count where
+//!   batched won, or `null` where it never did.
 //!
 //! The synthetic registries amplify the shipped 252-module universe: one
 //! base module per fingerprint bucket (up to 64 distinct interface shapes)
@@ -48,43 +39,21 @@
 //! disjoint verdicts instead of collapsing into one class.
 
 use dex_bench::amplified_universe;
-use dex_core::{
-    FingerprintIndex, GenerationConfig, MatchOutcome, MatchReport, MatchSession, MatchVerdict,
-};
-use dex_experiments::parallel::{
-    match_pairs_blocked, match_pairs_blocked_summary, match_pairs_blocked_summary_unprepared,
-    match_pairs_exhaustive,
-};
-use dex_experiments::BatchConfig;
+use dex_core::{GenerationConfig, MatchOutcome, MatchSession, MatchVerdict};
+use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive};
+use dex_experiments::{BatchConfig, BlockedMatch, PairOutput};
 use dex_modules::ModuleId;
 use dex_pool::{build_synthetic_pool, InstancePool};
 use dex_universe::Universe;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1_000.0
 }
 
-/// Measured cost of standing up and tearing down `workers` scoped threads —
-/// the fixed overhead the batched executor pays before any pair is matched.
-/// Minimum over many reps: spawn cost has a heavy scheduling tail, and the
-/// crossover model wants the floor, not the tail.
-fn spawn_overhead_ms(workers: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..200 {
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| std::hint::black_box(0u64));
-            }
-        });
-        best = best.min(ms(start));
-    }
-    best
+fn fmt_opt(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| format!("{v:.2}"))
 }
 
 /// `(equivalent, overlapping, disjoint, incomparable)` slot of an outcome.
@@ -105,59 +74,59 @@ fn allpairs_tally(
     ids: &[ModuleId],
     pool: &InstancePool,
     config: &GenerationConfig,
-) -> [usize; 4] {
+) -> (usize, usize, usize, usize) {
     let session = MatchSession::new(&universe.ontology, pool, config.clone());
     let mut tally = [0usize; 4];
-    for t in 0..ids.len() {
-        for c in 0..ids.len() {
+    for (t, target) in ids.iter().enumerate() {
+        let target = universe.catalog.get(target).expect("available");
+        let report = session.report_for(target.as_ref());
+        for (c, candidate) in ids.iter().enumerate() {
             if t == c {
                 continue;
             }
-            let target = universe.catalog.get(&ids[t]).expect("available");
-            let candidate = universe.catalog.get(&ids[c]).expect("available");
-            let report = session.compare_report(target.as_ref(), candidate.as_ref());
+            let candidate = universe.catalog.get(candidate).expect("available");
+            let report = session.compare_report(target.as_ref(), &report, candidate.as_ref());
             tally[verdict_slot(&report.outcome)] += 1;
         }
     }
-    tally
+    (tally[0], tally[1], tally[2], tally[3])
 }
 
-/// The executor this PR replaced, reproduced faithfully for comparison:
-/// workers claim ONE pair per atomic fetch and ship every report over an
-/// mpsc channel to a dense `BTreeMap` collector. Run over the same blocked
-/// pair list so the difference is pure executor overhead.
-fn perpair_channel(
+/// Times a summary sweep over `ids` under two batch configurations: one
+/// warm-up run under the first, then `rounds` rounds alternating which
+/// configuration goes first — whatever position-dependent cost a round
+/// carries (page cache, frequency ramp) lands on both sides equally —
+/// keeping each one's minimum. Every run must tally the same verdicts.
+fn time_alternating(
     universe: &Universe,
     ids: &[ModuleId],
-    pairs: &[(usize, usize)],
     pool: &InstancePool,
     config: &GenerationConfig,
-    threads: usize,
-) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
-    let session = MatchSession::new(&universe.ontology, pool, config.clone());
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<((ModuleId, ModuleId), MatchReport)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let tx = tx.clone();
-            let session = &session;
-            let cursor = &cursor;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= pairs.len() {
-                    break;
-                }
-                let (t, c) = pairs[i];
-                let key = (ids[t].clone(), ids[c].clone());
-                let target = universe.catalog.get(&ids[t]).expect("available");
-                let candidate = universe.catalog.get(&ids[c]).expect("available");
-                let report = session.compare_report(target.as_ref(), candidate.as_ref());
-                tx.send((key, report)).expect("collector alive");
-            });
+    batches: [&BatchConfig; 2],
+    rounds: usize,
+) -> (BlockedMatch, [f64; 2]) {
+    let sweep = |batch: &BatchConfig| {
+        let session = MatchSession::new(&universe.ontology, pool, config.clone());
+        match_pairs(&session, universe, ids, PairOutput::Summary, batch)
+    };
+    let warm = sweep(batches[0]);
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..rounds {
+        for leg in 0..2 {
+            let k = (round + leg) % 2;
+            let start = Instant::now();
+            let run = sweep(batches[k]);
+            best[k] = best[k].min(ms(start));
+            assert_eq!(
+                warm.tallies(),
+                run.tallies(),
+                "sweep over {} modules unstable under {:?}",
+                ids.len(),
+                batches[k]
+            );
         }
-        drop(tx);
-        rx.into_iter().collect()
-    })
+    }
+    (warm, best)
 }
 
 fn main() {
@@ -186,10 +155,9 @@ fn main() {
 
     // --- Catalog-scale sweep ---------------------------------------------
     // 252 = the paper's catalog (natural shape diversity); 2.5k and 25k =
-    // amplified registries. The all-pairs baseline and the per-pair
-    // executor column are only feasible through 2.5k (6.25M mapping
-    // attempts / 95k channel sends); at 25k (625M ordered pairs) only the
-    // blocked summary paths run, which is rather the point of this PR.
+    // amplified registries. The all-pairs baseline is only feasible through
+    // 2.5k (6.25M mapping attempts); at 25k (625M ordered pairs) only the
+    // blocked summary sweeps run.
     let config = GenerationConfig::default();
     let sizes: &[usize] = if ci {
         &[252, 2_500]
@@ -206,121 +174,57 @@ fn main() {
         let pool = build_synthetic_pool(&universe.ontology, 3, 42);
         let ids = universe.available_ids();
         assert_eq!(ids.len(), n);
-        let index = FingerprintIndex::build(
-            ids.iter()
-                .map(|id| universe.catalog.get(id).map(|m| m.descriptor())),
-            &universe.ontology,
-        );
-        let pairs = index.comparable_pairs();
 
-        let serial = BatchConfig {
-            threads: 1,
-            serial_cutoff: BatchConfig::SERIAL_CUTOFF_PAIRS,
-            chunk: BatchConfig::CHUNK_PAIRS,
-        };
-        let batched = BatchConfig::with_threads(threads);
-
-        // Warm-up, then alternate the unprepared-serial baseline and the
-        // prepared batched executor, keeping each one's minimum.
-        let warm = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &serial);
         let rounds = if n <= 2_500 { 3 } else { 2 };
-        let mut blocked_serial_ms = f64::INFINITY;
-        let mut blocked_parallel_ms = f64::INFINITY;
-        let mut summary = warm;
-        for round in 0..rounds {
-            // Alternate which executor goes first each round: whatever
-            // position-dependent cost a round carries (page cache, frequency
-            // ramp) lands on both sides equally.
-            for leg in 0..2 {
-                if (round + leg) % 2 == 0 {
-                    let start = Instant::now();
-                    let s = match_pairs_blocked_summary_unprepared(
-                        &universe, &ids, &pool, &config, &serial,
-                    );
-                    blocked_serial_ms = blocked_serial_ms.min(ms(start));
-                    assert_eq!(warm.tallies(), s.tallies(), "serial sweep unstable at {n}");
-                } else {
-                    let start = Instant::now();
-                    let p = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &batched);
-                    blocked_parallel_ms = blocked_parallel_ms.min(ms(start));
-                    assert_eq!(
-                        warm.tallies(),
-                        p.tallies(),
-                        "serial and batched disagree at {n}"
-                    );
-                    summary = p;
-                }
-            }
-        }
-
-        // The replaced executor, over the same compared pairs.
-        let perpair_parallel_ms = if n <= 2_500 {
-            let _ = perpair_channel(&universe, &ids, &pairs, &pool, &config, threads);
-            let mut best = f64::INFINITY;
-            for _ in 0..2 {
-                let start = Instant::now();
-                let dense = perpair_channel(&universe, &ids, &pairs, &pool, &config, threads);
-                best = best.min(ms(start));
-                assert_eq!(dense.len(), pairs.len());
-            }
-            Some(best)
-        } else {
-            None
-        };
+        let (summary, [blocked_serial_ms, blocked_parallel_ms]) = time_alternating(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            [
+                &BatchConfig::with_threads(1),
+                &BatchConfig::with_threads(threads),
+            ],
+            rounds,
+        );
 
         // The all-pairs baseline, last in the row so its long serial sweep
-        // cannot bleed into the executor timings. Its verdict tally must
+        // cannot bleed into the blocked timings. Its verdict tally must
         // agree with the blocked summary exactly.
-        let allpairs_serial_ms = if n <= 2_500 {
+        let allpairs_serial_ms = (n <= 2_500).then(|| {
             let start = Instant::now();
             let tally = allpairs_tally(&universe, &ids, &pool, &config);
             let elapsed = ms(start);
             assert_eq!(
-                (tally[0], tally[1], tally[2], tally[3]),
+                tally,
                 summary.tallies(),
                 "blocked summary diverged from the exhaustive sweep at {n}"
             );
-            Some(elapsed)
-        } else {
-            None
-        };
+            elapsed
+        });
 
-        let stats = summary.stats;
-        // The two columns time *different code paths* by construction —
-        // the unprepared pre-rework executor pinned to one thread vs the
-        // prepared executor at the host's thread count — so the ratio is a
-        // real end-to-end speedup, not pooled-identical-code noise (the old
-        // report pooled the samples exactly because both columns used to
-        // resolve to the same code on this host).
-        let parallel_speedup = blocked_serial_ms / blocked_parallel_ms.max(1e-9);
-        // The 25k regression pin (ISSUE 7, tightened by ISSUE 9): the
-        // prepared executor must never lose to the unprepared serial
-        // baseline at the largest scale — and with per-pair lock/lookup
-        // traffic gone it is expected to genuinely win (> 1.0).
-        if n == 25_000 {
+        // With one thread both columns run the serial path, so their ratio
+        // would only measure noise.
+        let parallel_speedup =
+            (threads > 1).then(|| blocked_serial_ms / blocked_parallel_ms.max(1e-9));
+        if let (25_000, Some(speedup)) = (n, parallel_speedup) {
             assert!(
-                parallel_speedup >= 1.0,
-                "parallel regression at 25k: speedup {parallel_speedup:.3} < 1.0 \
-                 (serial {blocked_serial_ms:.1}ms vs batched {blocked_parallel_ms:.1}ms)"
+                speedup >= 1.0,
+                "parallel regression at 25k: speedup {speedup:.3} < 1.0 \
+                 (1 thread {blocked_serial_ms:.1}ms vs {threads} threads \
+                 {blocked_parallel_ms:.1}ms)"
             );
         }
+        let stats = summary.stats;
         let comma = if row + 1 < sizes.len() { "," } else { "" };
-        let fmt_opt = |v: Option<f64>| {
-            v.map(|v| format!("{v:.2}"))
-                .unwrap_or_else(|| "null".to_string())
-        };
         writeln!(
             json,
             "    {{\"modules\": {n}, \"pairs_total\": {}, \"pairs_compared\": {}, \
              \"pairs_pruned\": {}, \"prune_ratio\": {:.4}, \"buckets\": {}, \
              \"largest_bucket\": {}, \"allpairs_serial_ms\": {}, \
              \"blocked_serial_ms\": {blocked_serial_ms:.2}, \
-             \"serial_path\": \"unprepared_1_thread\", \
              \"blocked_parallel_ms\": {blocked_parallel_ms:.2}, \
-             \"parallel_path\": \"prepared_{threads}_threads\", \
-             \"perpair_parallel_ms\": {}, \
-             \"parallel_speedup\": {:.2}, \
-             \"batched_vs_perpair_speedup\": {}, \
+             \"parallel_speedup\": {}, \
              \"verdicts\": {{\"equivalent\": {}, \"overlapping\": {}, \"disjoint\": {}, \
              \"incomparable\": {}}}}}{comma}",
             stats.pairs_total,
@@ -330,9 +234,7 @@ fn main() {
             stats.buckets,
             stats.largest_bucket,
             fmt_opt(allpairs_serial_ms),
-            fmt_opt(perpair_parallel_ms),
-            parallel_speedup,
-            fmt_opt(perpair_parallel_ms.map(|v| v / blocked_parallel_ms.max(1e-9))),
+            fmt_opt(parallel_speedup),
             summary.equivalent,
             summary.overlapping,
             summary.disjoint,
@@ -342,13 +244,11 @@ fn main() {
     }
     writeln!(json, "  ],").unwrap();
 
-    // --- Serial/parallel crossover sweep ---------------------------------
+    // --- Serial/batched crossover sweep ----------------------------------
     // Slices of the 2.5k registry with growing compared-pair counts, each
-    // timed with the executor forced serial and forced batched (at least
-    // two workers, so the spawn path actually runs). The smallest
-    // compared-pair count where batched wins is the measured crossover
-    // behind `BatchConfig::SERIAL_CUTOFF_PAIRS`; on a single-core host no
-    // such count exists and the sweep reports `null`.
+    // timed with the executor forced serial and forced batched. The
+    // smallest compared-pair count where batched wins is the measured
+    // crossover behind `BatchConfig::SERIAL_CUTOFF_PAIRS`.
     let universe = amplified_universe(2_500);
     let pool = build_synthetic_pool(&universe.ontology, 3, 42);
     let all_ids = universe.available_ids();
@@ -363,7 +263,6 @@ fn main() {
     writeln!(json, "  \"crossover_threads\": {crossover_threads},").unwrap();
     writeln!(json, "  \"crossover\": [").unwrap();
     let mut crossover_pairs: Option<usize> = None;
-    let mut best_perpair: Option<(usize, f64)> = None;
     for (row, &m) in slice_sizes.iter().enumerate() {
         let ids: Vec<ModuleId> = all_ids.iter().take(m).cloned().collect();
         let forced_serial = BatchConfig {
@@ -376,46 +275,17 @@ fn main() {
             serial_cutoff: 0,
             chunk: BatchConfig::CHUNK_PAIRS,
         };
-        // Warm the generation memo out of the timings with a throwaway run,
-        // then alternate the executors and keep each one's minimum.
-        let warm = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &forced_serial);
-        let mut serial_ms = f64::INFINITY;
-        let mut batched_ms = f64::INFINITY;
-        for round in 0..2 {
-            for leg in 0..2 {
-                if (round + leg) % 2 == 0 {
-                    let start = Instant::now();
-                    let serial = match_pairs_blocked_summary(
-                        &universe,
-                        &ids,
-                        &pool,
-                        &config,
-                        &forced_serial,
-                    );
-                    serial_ms = serial_ms.min(ms(start));
-                    assert_eq!(warm.tallies(), serial.tallies());
-                } else {
-                    let start = Instant::now();
-                    let batched = match_pairs_blocked_summary(
-                        &universe,
-                        &ids,
-                        &pool,
-                        &config,
-                        &forced_batched,
-                    );
-                    batched_ms = batched_ms.min(ms(start));
-                    assert_eq!(warm.tallies(), batched.tallies());
-                }
-            }
-        }
+        let (warm, [serial_ms, batched_ms]) = time_alternating(
+            &universe,
+            &ids,
+            &pool,
+            &config,
+            [&forced_serial, &forced_batched],
+            2,
+        );
         let pairs = warm.stats.pairs_compared;
         if pairs > 0 && batched_ms < serial_ms && crossover_pairs.is_none() {
             crossover_pairs = Some(pairs);
-        }
-        // Warm per-pair cost from the largest sweep row: the denominator of
-        // the overhead-model fallback below.
-        if pairs > 0 && best_perpair.is_none_or(|(p, _)| pairs > p) {
-            best_perpair = Some((pairs, serial_ms / pairs as f64));
         }
         let comma = if row + 1 < slice_sizes.len() { "," } else { "" };
         writeln!(
@@ -426,47 +296,12 @@ fn main() {
         .unwrap();
     }
     writeln!(json, "  ],").unwrap();
-
-    // --- Crossover derivation (ISSUE 7 satellite) -------------------------
-    // `measured_crossover_pairs` must be NON-NULL: either the first sweep
-    // size where batched actually beat serial ("observed"), or — when no
-    // such size exists, the unavoidable outcome on a single-core host where
-    // extra workers add overhead and no parallelism — a spawn-overhead
-    // model ("overhead_model"): batched pays a fixed measured spawn/join
-    // cost and, with `w` workers, removes a `1 - 1/w` fraction of the
-    // serial work, so it breaks even at
-    //   spawn_ms / (per_pair_ms * (1 - 1/w))
-    // compared pairs. If neither derivation is computable the bench FAILS
-    // rather than emitting null.
-    let spawn_ms = spawn_overhead_ms(crossover_threads);
-    let (derived_crossover, crossover_basis) = match crossover_pairs {
-        Some(observed) => (observed, "observed"),
-        None => {
-            let Some((_, per_pair_ms)) = best_perpair.filter(|&(_, t)| t > 0.0) else {
-                eprintln!("bench_blocking: no crossover observed and no per-pair cost measured");
-                std::process::exit(1);
-            };
-            let workers = crossover_threads as f64;
-            let modeled = spawn_ms / (per_pair_ms * (1.0 - 1.0 / workers));
-            if !modeled.is_finite() {
-                eprintln!("bench_blocking: overhead model not computable");
-                std::process::exit(1);
-            }
-            (modeled.ceil() as usize, "overhead_model")
-        }
-    };
-    // Regression pin: the shipped cutoff must sit at or above the derived
-    // crossover — a constant below it would fan out in a measured-loss
-    // region on this host.
-    assert!(
-        BatchConfig::SERIAL_CUTOFF_PAIRS >= derived_crossover,
-        "stale serial cutoff: shipped {} < derived crossover {} ({crossover_basis})",
-        BatchConfig::SERIAL_CUTOFF_PAIRS,
-        derived_crossover
-    );
-    writeln!(json, "  \"spawn_overhead_ms\": {spawn_ms:.4},").unwrap();
-    writeln!(json, "  \"measured_crossover_pairs\": {derived_crossover},").unwrap();
-    writeln!(json, "  \"crossover_basis\": \"{crossover_basis}\",").unwrap();
+    writeln!(
+        json,
+        "  \"measured_crossover_pairs\": {},",
+        crossover_pairs.map_or_else(|| "null".to_string(), |p| p.to_string())
+    )
+    .unwrap();
     writeln!(
         json,
         "  \"serial_cutoff_pairs\": {}",
@@ -481,12 +316,13 @@ fn main() {
     let universe = dex_universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 3, 42);
     let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(9).collect();
-    let oracle = match_pairs_exhaustive(&universe, &ids, &pool, &config);
-    let blocked = match_pairs_blocked(
+    let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
+    let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
+    let blocked = match_pairs(
+        &session(),
         &universe,
         &ids,
-        &pool,
-        &config,
+        PairOutput::Dense,
         &BatchConfig::with_threads(threads),
     );
     assert_eq!(oracle, blocked.reports, "dense blocked matrix diverged");

@@ -34,9 +34,9 @@
 
 use dex_bench::amplified_universe;
 use dex_core::delta::{Delta, DeltaReport};
-use dex_core::GenerationConfig;
-use dex_experiments::parallel::{generate_fleet, match_pairs_blocked, match_pairs_blocked_summary};
-use dex_experiments::{BatchConfig, IncrementalPipeline};
+use dex_core::{GenerationConfig, MatchSession};
+use dex_experiments::parallel::{generate_fleet, match_pairs};
+use dex_experiments::{BatchConfig, IncrementalPipeline, PairOutput};
 use dex_modules::Retrier;
 use dex_pool::{build_synthetic_pool, AnnotatedInstance};
 use dex_values::Value;
@@ -126,7 +126,8 @@ fn main() {
             let start = Instant::now();
             let retrier = Retrier::new(config.retry);
             let fleet = generate_fleet(&universe, &pool, &config, threads, &retrier, true);
-            let summary = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &batch);
+            let session = MatchSession::new(&universe.ontology, &pool, config.clone());
+            let summary = match_pairs(&session, &universe, &ids, PairOutput::Summary, &batch);
             cold_full_ms = cold_full_ms.min(ms(start));
             assert!(!fleet.reports.is_empty());
             assert!(summary.stats.pairs_total > 0);
@@ -227,7 +228,9 @@ fn main() {
         // a cold dense run over the engine's final state.
         if n == 252 {
             let ids = engine.universe().available_ids();
-            let cold = match_pairs_blocked(engine.universe(), &ids, engine.pool(), &config, &batch);
+            let session =
+                MatchSession::new(&engine.universe().ontology, engine.pool(), config.clone());
+            let cold = match_pairs(&session, engine.universe(), &ids, PairOutput::Dense, &batch);
             assert_eq!(
                 engine.matrix(),
                 cold.reports,

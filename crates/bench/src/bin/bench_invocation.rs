@@ -19,7 +19,7 @@ use dex_core::{
     generate_examples_sequential, match_against_examples, GenerationConfig, GenerationReport,
     MappingMode, MatchSession,
 };
-use dex_modules::{BlackBox, InvocationError, ModuleDescriptor, ModuleId, SharedModule};
+use dex_modules::{BlackBox, InvocationError, ModuleDescriptor, ModuleId, Retrier, SharedModule};
 use dex_pool::build_synthetic_pool;
 use dex_values::Value;
 use std::collections::{BTreeMap, HashMap};
@@ -150,6 +150,7 @@ fn main() {
     // --- Cached: the planner pipeline ------------------------------------
     let mut cached_times = Vec::with_capacity(REPS);
     let mut cached_invocations = 0;
+    let no_retries = Retrier::none();
     let mut stats = dex_modules::InvocationCacheStats::default();
     for _ in 0..REPS {
         counter.store(0, Ordering::Relaxed);
@@ -165,13 +166,14 @@ fn main() {
                     if t == c {
                         continue;
                     }
-                    let _ = dex_core::match_against_examples_cached(
+                    let _ = dex_core::match_against_examples_retrying(
                         target.descriptor(),
                         &report.examples,
                         candidate,
                         &universe.ontology,
                         MappingMode::Strict,
                         session.invocation_cache(),
+                        &no_retries,
                     );
                 }
             }

@@ -8,7 +8,8 @@
 //! debug-mode numbers are labeled as such in the `profile` field.
 
 use dex_core::{compare_modules, GenerationConfig, MatchSession};
-use dex_experiments::parallel::match_pairs_parallel;
+use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive};
+use dex_experiments::{BatchConfig, PairOutput};
 use dex_modules::ModuleId;
 use dex_ontology::{ConceptId, Ontology};
 use dex_pool::build_synthetic_pool;
@@ -154,24 +155,18 @@ fn main() {
 
         let session = MatchSession::new(&universe.ontology, &pool, config.clone());
         let start = Instant::now();
-        for t in &ids {
-            for c in &ids {
-                if t == c {
-                    continue;
-                }
-                let target = universe.catalog.get(t).unwrap();
-                let candidate = universe.catalog.get(c).unwrap();
-                let _ = session.compare_report(target.as_ref(), candidate.as_ref());
-            }
-        }
+        let cached = match_pairs_exhaustive(&session, &universe, &ids);
         let cached_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        assert_eq!(cached.len(), serial_pairs);
 
         // The deployment configuration: one worker per hardware thread.
         // Below the crossover (or on a single-core host) the batched
         // executor runs the sweep on the calling thread by design.
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
         let start = Instant::now();
-        let matrix = match_pairs_parallel(&universe, &ids, &pool, &config, threads);
+        let session = MatchSession::new(&universe.ontology, &pool, config.clone());
+        let batch = BatchConfig::with_threads(threads);
+        let matrix = match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch).reports;
         let parallel_ms = start.elapsed().as_secs_f64() * 1_000.0;
         assert_eq!(matrix.len(), serial_pairs);
 

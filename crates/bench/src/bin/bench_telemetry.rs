@@ -13,9 +13,10 @@
 //! stay under [`DISABLED_SPAN_BUDGET_NS`] per call. Breaching either budget
 //! exits nonzero so CI treats instrumentation creep as a regression.
 
-use dex_core::GenerationConfig;
-use dex_experiments::parallel::{generate_all_parallel, match_pairs_parallel};
-use dex_modules::ModuleId;
+use dex_core::{GenerationConfig, MatchSession};
+use dex_experiments::parallel::{generate_fleet, match_pairs};
+use dex_experiments::{BatchConfig, PairOutput};
+use dex_modules::{ModuleId, Retrier};
 use dex_pool::build_synthetic_pool;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -104,16 +105,24 @@ fn main() {
     };
 
     let (gen_off, gen_on) = section(
-        "generate_all_parallel",
+        "generate_fleet",
         Box::new(|| {
-            std::hint::black_box(generate_all_parallel(&universe, &pool, &config, threads));
+            let retrier = Retrier::new(config.retry);
+            std::hint::black_box(generate_fleet(
+                &universe, &pool, &config, threads, &retrier, true,
+            ));
         }),
     );
     let (match_off, match_on) = section(
-        "match_pairs_parallel",
+        "match_pairs",
         Box::new(|| {
-            std::hint::black_box(match_pairs_parallel(
-                &universe, &match_ids, &pool, &config, threads,
+            let session = MatchSession::new(&universe.ontology, &pool, config.clone());
+            std::hint::black_box(match_pairs(
+                &session,
+                &universe,
+                &match_ids,
+                PairOutput::Dense,
+                &BatchConfig::with_threads(threads),
             ));
         }),
     );

@@ -16,7 +16,7 @@
 //!    combination, then attempt 1 for the still-unresolved ones, … — so each
 //!    wave's *distinct* vectors can fan out over scoped threads
 //!    ([`GenerationConfig::invoke_threads`]) and route through a shared
-//!    [`InvocationCache`] ([`generate_examples_cached`]);
+//!    [`InvocationCache`] ([`generate_examples_retrying`]);
 //! 4. assembles the report from the memoized outcomes in combination order,
 //!    so the result is byte-identical to the sequential reference path
 //!    ([`generate_examples_sequential`]) regardless of thread count or cache
@@ -357,29 +357,21 @@ pub fn generate_examples(
     pool: &InstancePool,
     config: &GenerationConfig,
 ) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, None, None)
+    let retrier = Retrier::new(config.retry);
+    generate_with(module, ontology, pool, config, None, &retrier)
 }
 
-/// [`generate_examples`] through a shared [`InvocationCache`]: every distinct
-/// `(module, input vector)` across all callers of the cache — other
-/// generations, other value offsets, matcher replays, repair verification —
-/// is invoked at most once process-wide. The report is byte-identical to the
-/// uncached path; only the number of *actual* module invocations drops.
-pub fn generate_examples_cached(
-    module: &dyn BlackBox,
-    ontology: &Ontology,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    cache: &InvocationCache,
-) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, Some(cache), None)
-}
-
-/// [`generate_examples_cached`] with an explicit, shared [`Retrier`]: every
-/// transient invocation failure is re-attempted under the retrier's policy
-/// (and against its run-wide budget) before an attempt is recorded as
-/// failed. Callers that share one retrier across many generations — the
-/// experiment fleet, a `MatchSession` — get run-global retry accounting.
+/// [`generate_examples`] through a shared [`InvocationCache`] and
+/// [`Retrier`]. Every distinct `(module, input vector)` across all callers
+/// of the cache — other generations, other value offsets, matcher replays,
+/// repair verification — is invoked at most once process-wide; the report
+/// is byte-identical to the uncached path, only the number of *actual*
+/// module invocations drops. Every transient invocation failure is
+/// re-attempted under the retrier's policy (and against its run-wide
+/// budget) before an attempt is recorded as failed. Callers that share one
+/// retrier across many generations — the experiment fleet, a
+/// `MatchSession` — get run-global retry accounting; a caller with no
+/// retrier of its own passes `Retrier::new(config.retry)`.
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,
     ontology: &Ontology,
@@ -388,7 +380,7 @@ pub fn generate_examples_retrying(
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, Some(cache), Some(retrier))
+    generate_with(module, ontology, pool, config, Some(cache), retrier)
 }
 
 fn generate_with(
@@ -397,7 +389,7 @@ fn generate_with(
     pool: &InstancePool,
     config: &GenerationConfig,
     cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
+    retrier: &Retrier,
 ) -> Result<GenerationReport, GenerationError> {
     let _timer = {
         static MODULE_NS: std::sync::OnceLock<dex_telemetry::Histo> = std::sync::OnceLock::new();
@@ -420,16 +412,6 @@ fn generate_with(
     let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
     let mut planned = plan_invocations(&plan, &resolved, ontology);
 
-    // One invocation wave per planned attempt; transient-retry policy comes
-    // either from the caller's shared retrier or from the config.
-    let local_retrier;
-    let retrier = match retrier {
-        Some(shared) => shared,
-        None => {
-            local_retrier = Retrier::new(config.retry);
-            &local_retrier
-        }
-    };
     let mut transient_failures = 0usize;
 
     // Execute in retry waves: wave `a` invokes each still-unresolved
@@ -940,15 +922,18 @@ mod tests {
         let m = seq_kind_module();
         let cache = InvocationCache::new();
         let config = GenerationConfig::default();
+        let retrier = Retrier::new(config.retry);
         let plain = generate_examples(&m, &onto, &pool, &config).unwrap();
-        let cached = generate_examples_cached(&m, &onto, &pool, &config, &cache).unwrap();
+        let cached =
+            generate_examples_retrying(&m, &onto, &pool, &config, &cache, &retrier).unwrap();
         assert_eq!(plain.examples, cached.examples);
         assert_eq!(plain.invocations, cached.invocations);
         let first = cache.stats();
         assert_eq!(first.hits, 0);
         assert_eq!(first.misses as usize, plain.invocations);
         // Regenerating is answered entirely from the cache.
-        let again = generate_examples_cached(&m, &onto, &pool, &config, &cache).unwrap();
+        let again =
+            generate_examples_retrying(&m, &onto, &pool, &config, &cache, &retrier).unwrap();
         assert_eq!(plain.examples, again.examples);
         let second = cache.stats();
         assert_eq!(second.misses, first.misses, "no new module invocations");

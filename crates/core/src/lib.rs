@@ -90,14 +90,14 @@ pub use display::to_markdown;
 pub use error::GenerationError;
 pub use example::{Binding, DataExample, ExampleSet};
 pub use generate::{
-    generate_examples, generate_examples_cached, generate_examples_retrying,
-    generate_examples_sequential, generation_signature, GenerationConfig, GenerationReport,
+    generate_examples, generate_examples_retrying, generate_examples_sequential,
+    generation_signature, GenerationConfig, GenerationReport,
 };
 pub use inverse::{cover_output_partitions, InverseCoverageReport};
 pub use matching::{
-    compare_modules, match_against_examples, match_against_examples_cached,
-    match_against_examples_retrying, BlockingStats, CacheStats, CachedGeneration, FingerprintIndex,
-    MappingMode, MatchOutcome, MatchReport, MatchSession, MatchVerdict, PartitionFingerprint,
+    compare_modules, match_against_examples, match_against_examples_retrying, BlockingStats,
+    CacheStats, CachedGeneration, FingerprintIndex, MappingMode, MatchOutcome, MatchReport,
+    MatchSession, MatchVerdict, PartitionFingerprint,
 };
 pub use metrics::{completeness, conciseness, BehaviorOracle, ModuleScore};
 pub use partition::{input_partition_plan, partitions_for, PartitionPlan};

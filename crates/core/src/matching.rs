@@ -192,38 +192,26 @@ pub fn match_against_examples(
     ontology: &Ontology,
     mode: MappingMode,
 ) -> Result<MatchVerdict, GenerationError> {
-    match_with(target, examples, candidate, ontology, mode, None, None)
-}
-
-/// [`match_against_examples`] through a shared [`InvocationCache`]: each
-/// distinct candidate input vector is invoked at most once across every
-/// replay (and generation) sharing the cache. Same verdicts, fewer
-/// invocations — the replay vectors of an aligned comparison are exactly the
-/// vectors generation already fed the candidate.
-pub fn match_against_examples_cached(
-    target: &ModuleDescriptor,
-    examples: &ExampleSet,
-    candidate: &dyn BlackBox,
-    ontology: &Ontology,
-    mode: MappingMode,
-    cache: &InvocationCache,
-) -> Result<MatchVerdict, GenerationError> {
     match_with(
         target,
         examples,
         candidate,
         ontology,
         mode,
-        Some(cache),
         None,
+        &Retrier::none(),
     )
 }
 
-/// [`match_against_examples_cached`] with an explicit, shared [`Retrier`]:
-/// a replay invocation that fails *transiently* is re-attempted under the
-/// retrier's policy before it is scored as a behavioral disagreement —
-/// a flaky candidate must not look behaviorally different from a healthy
-/// one. Permanent errors still count as disagreements immediately.
+/// [`match_against_examples`] through a shared [`InvocationCache`] and
+/// [`Retrier`]. Each distinct candidate input vector is invoked at most once
+/// across every replay (and generation) sharing the cache — the replay
+/// vectors of an aligned comparison are exactly the vectors generation
+/// already fed the candidate. A replay invocation that fails *transiently*
+/// is re-attempted under the retrier's policy before it is scored as a
+/// behavioral disagreement — a flaky candidate must not look behaviorally
+/// different from a healthy one. Permanent errors still count as
+/// disagreements immediately; pass [`Retrier::none`] for no retries.
 pub fn match_against_examples_retrying(
     target: &ModuleDescriptor,
     examples: &ExampleSet,
@@ -240,7 +228,7 @@ pub fn match_against_examples_retrying(
         ontology,
         mode,
         Some(cache),
-        Some(retrier),
+        retrier,
     )
 }
 
@@ -251,7 +239,7 @@ fn match_with(
     ontology: &Ontology,
     mode: MappingMode,
     cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
+    retrier: &Retrier,
 ) -> Result<MatchVerdict, GenerationError> {
     let mapping = map_parameters(target, candidate.descriptor(), ontology, mode)?;
     if examples.is_empty() {
@@ -261,14 +249,6 @@ fn match_with(
     }
     let mut compared = 0usize;
     let mut agreeing = 0usize;
-    let local_retrier;
-    let retrier = match retrier {
-        Some(shared) => shared,
-        None => {
-            local_retrier = Retrier::none();
-            &local_retrier
-        }
-    };
     for example in examples.iter() {
         compared += 1;
         // Build the candidate's input vector.
@@ -342,6 +322,47 @@ pub enum MatchOutcome {
     /// The pair admits no honest verdict; the string is the
     /// [`GenerationError`] rendering.
     Incomparable(String),
+}
+
+impl From<Result<MatchVerdict, GenerationError>> for MatchOutcome {
+    fn from(result: Result<MatchVerdict, GenerationError>) -> MatchOutcome {
+        match result {
+            Ok(verdict) => MatchOutcome::Verdict(verdict),
+            Err(e) => MatchOutcome::Incomparable(e.to_string()),
+        }
+    }
+}
+
+/// The outcome of one ordered pair: the single rule every all-pairs path
+/// (session sweeps, fingerprint-pruned pairs, the incremental engine)
+/// reduces a pair to. The target's generation error comes first, then the
+/// strict parameter-mapping error, then the aligned replay verdict.
+///
+/// The mapping is checked before any candidate invocation, so a pair whose
+/// [`PartitionFingerprint`]s are incompatible costs no invocation here —
+/// which is what lets blocking materialize pruned pairs through this same
+/// function. Records no telemetry.
+pub fn pair_outcome(
+    target: &ModuleDescriptor,
+    generation: &Result<GenerationReport, GenerationError>,
+    candidate: &dyn BlackBox,
+    ontology: &Ontology,
+    cache: &InvocationCache,
+    retrier: &Retrier,
+) -> MatchOutcome {
+    match generation {
+        Err(e) => MatchOutcome::Incomparable(e.to_string()),
+        Ok(report) => match_against_examples_retrying(
+            target,
+            &report.examples,
+            candidate,
+            ontology,
+            MappingMode::Strict,
+            cache,
+            retrier,
+        )
+        .into(),
+    }
 }
 
 /// One entry of an all-pairs matching run.
@@ -764,8 +785,8 @@ impl Iterator for PairIter<'_> {
 
 /// A memoized generation result, shared between all readers of a session.
 /// Public so executors can resolve a target's report once and hand it to
-/// [`MatchSession::compare_report_prepared`] for every candidate, keeping
-/// the per-pair hot path free of the session's memo lock.
+/// [`MatchSession::compare_report`] for every candidate, keeping the
+/// per-pair hot path free of the session's memo lock.
 pub type CachedGeneration = Arc<Result<GenerationReport, GenerationError>>;
 
 /// A snapshot of a [`MatchSession`]'s memoization behavior — the cache used
@@ -805,7 +826,6 @@ struct MatchCounters {
     overlapping: dex_telemetry::Counter,
     disjoint: dex_telemetry::Counter,
     incomparable: dex_telemetry::Counter,
-    pruned: dex_telemetry::Counter,
 }
 
 fn match_counters() -> &'static MatchCounters {
@@ -818,7 +838,6 @@ fn match_counters() -> &'static MatchCounters {
         overlapping: dex_telemetry::counter("dex.match.verdict.overlapping"),
         disjoint: dex_telemetry::counter("dex.match.verdict.disjoint"),
         incomparable: dex_telemetry::counter("dex.match.verdict.incomparable"),
-        pruned: dex_telemetry::counter("dex.match.pairs_pruned"),
     })
 }
 
@@ -993,42 +1012,19 @@ impl<'a> MatchSession<'a> {
         report
     }
 
-    /// [`compare_modules`] through the cache: the target's examples are
-    /// generated at most once per value offset across the whole session.
-    pub fn compare(
-        &self,
-        target: &dyn BlackBox,
-        candidate: &dyn BlackBox,
-    ) -> Result<MatchVerdict, GenerationError> {
-        match self.report_for(target).as_ref() {
-            Ok(report) => match_against_examples_retrying(
-                target.descriptor(),
-                &report.examples,
-                candidate,
-                self.ontology,
-                MappingMode::Strict,
-                &self.invocations,
-                &self.retrier,
-            ),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// Like [`compare`](MatchSession::compare), but always yields a
-    /// [`MatchReport`] — incomparability becomes data instead of an error,
-    /// which is what an all-pairs sweep wants.
-    pub fn compare_report(&self, target: &dyn BlackBox, candidate: &dyn BlackBox) -> MatchReport {
-        let report = self.report_for(target);
-        self.compare_report_prepared(target, &report, candidate)
-    }
-
-    /// [`compare_report`](MatchSession::compare_report) with the target's
-    /// memoized report already in hand. The per-pair cost drops to the
-    /// candidate replay itself: no memo-lock acquisition, no key clone, no
-    /// second `report_for` — which is what lets an all-pairs executor resolve
-    /// each target's report once per bucket and then fan candidates out
-    /// across threads without serializing on the session cache.
-    pub fn compare_report_prepared(
+    /// Compares `candidate` against `target`'s memoized generation `report`
+    /// (from [`report_for`](MatchSession::report_for) or
+    /// [`report_at`](MatchSession::report_at)) by [`pair_outcome`], always
+    /// yielding a [`MatchReport`] — incomparability becomes data instead of
+    /// an error, which is what an all-pairs sweep wants.
+    ///
+    /// Taking the report rather than looking it up keeps the per-pair cost
+    /// at the candidate replay itself: no memo-lock acquisition and no key
+    /// clone, which is what lets an all-pairs executor resolve each target's
+    /// report once and fan candidates out across threads without
+    /// serializing on the session cache. Counts the pair and its verdict in
+    /// the `dex.match.*` telemetry.
+    pub fn compare_report(
         &self,
         target: &dyn BlackBox,
         report: &CachedGeneration,
@@ -1040,23 +1036,17 @@ impl<'a> MatchSession<'a> {
                 .get_or_init(|| dex_telemetry::histogram("dex.match.pair_ns"))
                 .start()
         };
-        let (examples, outcome) = match report.as_ref() {
-            Ok(report) => {
-                let outcome = match match_against_examples_retrying(
-                    target.descriptor(),
-                    &report.examples,
-                    candidate,
-                    self.ontology,
-                    MappingMode::Strict,
-                    &self.invocations,
-                    &self.retrier,
-                ) {
-                    Ok(verdict) => MatchOutcome::Verdict(verdict),
-                    Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                };
-                (report.examples.len(), outcome)
-            }
-            Err(e) => (0, MatchOutcome::Incomparable(e.to_string())),
+        let outcome = pair_outcome(
+            target.descriptor(),
+            report,
+            candidate,
+            self.ontology,
+            &self.invocations,
+            &self.retrier,
+        );
+        let examples = match report.as_ref() {
+            Ok(report) => report.examples.len(),
+            Err(_) => 0,
         };
         if dex_telemetry::is_enabled() {
             let counters = match_counters();
@@ -1068,70 +1058,6 @@ impl<'a> MatchSession<'a> {
                 MatchOutcome::Incomparable(_) => &counters.incomparable,
             };
             verdict.add(1);
-        }
-        MatchReport {
-            target: target.descriptor().id.clone(),
-            candidate: candidate.descriptor().id.clone(),
-            outcome,
-            examples,
-        }
-    }
-
-    /// The [`MatchReport`] for a pair whose [`PartitionFingerprint`]s are
-    /// *incompatible*, produced **without a single candidate invocation**:
-    /// incompatible fingerprints prove `map_parameters` must fail, so the
-    /// outcome is the mapping error (or the target's generation error, which
-    /// takes precedence in [`compare`](MatchSession::compare) too).
-    ///
-    /// Byte-identical to what [`compare_report`](MatchSession::compare_report)
-    /// would return for the same pair — the equivalence property suite in
-    /// `tests/properties.rs` pins this. If a caller hands in a pair whose
-    /// parameters *do* map (a blocking-layer bug, or a deliberate misuse),
-    /// this falls back to the full comparison rather than fabricating an
-    /// incomparability.
-    pub fn pruned_report(&self, target: &dyn BlackBox, candidate: &dyn BlackBox) -> MatchReport {
-        let report = self.report_for(target);
-        self.pruned_report_prepared(target, &report, candidate)
-    }
-
-    /// [`pruned_report`](MatchSession::pruned_report) with the target's
-    /// memoized report already in hand — the lock-free counterpart used by
-    /// the prepared executor.
-    pub fn pruned_report_prepared(
-        &self,
-        target: &dyn BlackBox,
-        report: &CachedGeneration,
-        candidate: &dyn BlackBox,
-    ) -> MatchReport {
-        let examples = match report.as_ref() {
-            Ok(report) => report.examples.len(),
-            Err(_) => 0,
-        };
-        let outcome = match report.as_ref() {
-            Err(e) => MatchOutcome::Incomparable(e.to_string()),
-            Ok(_) => match map_parameters(
-                target.descriptor(),
-                candidate.descriptor(),
-                self.ontology,
-                MappingMode::Strict,
-            ) {
-                Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                Ok(_) => {
-                    debug_assert!(
-                        false,
-                        "pruned_report on a mappable pair: {} vs {}",
-                        target.descriptor().id,
-                        candidate.descriptor().id
-                    );
-                    return self.compare_report_prepared(target, report, candidate);
-                }
-            },
-        };
-        if dex_telemetry::is_enabled() {
-            let counters = match_counters();
-            counters.pairs.add(1);
-            counters.incomparable.add(1);
-            counters.pruned.add(1);
         }
         MatchReport {
             target: target.descriptor().id.clone(),
@@ -1359,6 +1285,20 @@ mod tests {
         (module, count)
     }
 
+    /// One session comparison with the target's report resolved through
+    /// the session memo.
+    fn session_outcome(s: &MatchSession, t: &dyn BlackBox, c: &dyn BlackBox) -> MatchOutcome {
+        s.compare_report(t, &s.report_for(t), c).outcome
+    }
+
+    /// [`session_outcome`] for a pair that must be comparable.
+    fn session_verdict(s: &MatchSession, t: &dyn BlackBox, c: &dyn BlackBox) -> MatchVerdict {
+        match session_outcome(s, t, c) {
+            MatchOutcome::Verdict(v) => v,
+            MatchOutcome::Incomparable(e) => panic!("incomparable: {e}"),
+        }
+    }
+
     #[test]
     fn session_memoizes_target_generation() {
         let (onto, pool) = fixture();
@@ -1375,7 +1315,7 @@ mod tests {
             .collect();
         let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
         for c in &candidates {
-            session.compare(&target, c).unwrap();
+            session_verdict(&session, &target, c);
         }
         // One generation pass for four comparisons: 4 partitions invoked once.
         assert_eq!(invocations.load(std::sync::atomic::Ordering::Relaxed), 4);
@@ -1401,7 +1341,7 @@ mod tests {
         let gen_c = candidate_count.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!((gen_t, gen_c), (4, 4));
 
-        let v = session.compare(&target, &candidate).unwrap();
+        let v = session_verdict(&session, &target, &candidate);
         assert_eq!(v, MatchVerdict::Equivalent { compared: 4 });
         // The replay performed zero fresh invocations: all four vectors were
         // already in the session's invocation cache.
@@ -1413,7 +1353,7 @@ mod tests {
         assert_eq!(stats.misses, 8, "two generations of four vectors");
         assert!(stats.hits >= 4, "replay answered from the memo");
         // Repeating the comparison costs nothing at all.
-        session.compare(&target, &candidate).unwrap();
+        assert_eq!(session_verdict(&session, &target, &candidate), v);
         assert_eq!(
             candidate_count.load(std::sync::atomic::Ordering::Relaxed),
             gen_c
@@ -1445,7 +1385,7 @@ mod tests {
             })
             .collect();
         for c in &candidates {
-            session.compare(&target, c).unwrap();
+            session_verdict(&session, &target, c);
         }
         let stats = session.cache_stats();
         assert_eq!(stats.misses, 1, "one generation for three comparisons");
@@ -1477,9 +1417,9 @@ mod tests {
         for t in &modules {
             for c in &modules {
                 let direct = compare_modules(t, c, &onto, &pool, &config);
-                let cached = session.compare(t, c);
+                let cached = session_outcome(&session, t, c);
                 assert_eq!(
-                    direct,
+                    MatchOutcome::from(direct),
                     cached,
                     "{:?} vs {:?}",
                     t.descriptor().id,
@@ -1495,12 +1435,13 @@ mod tests {
         let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
         let a = seq_echo("a", "BiologicalSequence", "BiologicalSequence", false);
         let b = seq_echo("b", "ProteinSequence", "ProteinSequence", false);
-        let report = session.compare_report(&a, &b);
+        let a_report = session.report_for(&a);
+        let report = session.compare_report(&a, &a_report, &b);
         assert_eq!(report.target, dex_modules::ModuleId::from("a"));
         assert_eq!(report.candidate, dex_modules::ModuleId::from("b"));
         assert!(matches!(report.outcome, MatchOutcome::Incomparable(_)));
         assert_eq!(report.examples, 4);
-        let same = session.compare_report(&a, &a);
+        let same = session.compare_report(&a, &a_report, &a);
         assert!(matches!(
             same.outcome,
             MatchOutcome::Verdict(MatchVerdict::Equivalent { compared: 4 })
@@ -1780,42 +1721,47 @@ mod tests {
         assert!(!index.is_comparable(0, 2), "no descriptor, no comparison");
     }
 
-    /// `pruned_report` must be indistinguishable from `compare_report` on
-    /// every fingerprint-incompatible pair — same outcome string, same
-    /// example count — while replaying nothing.
+    /// Blocking's invariant: `compare_report` on a fingerprint-incompatible
+    /// pair fails the strict mapping before replaying anything, so it never
+    /// invokes the candidate — which is what lets pruned pairs be
+    /// materialized through the same `pair_outcome` as compared ones.
     #[test]
-    fn pruned_report_is_byte_identical_to_compare_report() {
+    fn incompatible_pairs_compare_without_invoking_the_candidate() {
         let (onto, pool) = fixture();
         let a = seq_echo("a", "BiologicalSequence", "BiologicalSequence", false);
         let b = seq_echo("b", "ProteinSequence", "ProteinSequence", false);
         let (c, c_count) = counted_echo("c", "DNASequence");
-        let full_session = MatchSession::new(&onto, &pool, GenerationConfig::default());
-        let pruned_session = MatchSession::new(&onto, &pool, GenerationConfig::default());
+        let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
         let modules: [&dyn BlackBox; 3] = [&a, &b, &c];
-        for t in &modules {
-            for cand in &modules {
+        // Generate every target up front, so only replays could move the
+        // count below.
+        for m in modules {
+            session.report_for(m);
+        }
+        let generated = c_count.load(std::sync::atomic::Ordering::Relaxed);
+        let mut incompatible = 0;
+        for t in modules {
+            let report = session.report_for(t);
+            for cand in modules {
                 let ft = PartitionFingerprint::of(t.descriptor(), &onto);
                 let fc = PartitionFingerprint::of(cand.descriptor(), &onto);
                 if ft.compatible(&fc) {
                     continue;
                 }
-                let full = full_session.compare_report(*t, *cand);
-                let candidate_invocations_before =
-                    c_count.load(std::sync::atomic::Ordering::Relaxed);
-                let pruned = pruned_session.pruned_report(*t, *cand);
-                assert_eq!(full, pruned);
-                if !std::ptr::eq(*cand as *const dyn BlackBox, &c as &dyn BlackBox) {
-                    continue;
-                }
-                // Candidate "c" was generated once (as a target) but its
-                // pruned replays must never have invoked it again.
-                assert_eq!(
-                    c_count.load(std::sync::atomic::Ordering::Relaxed),
-                    candidate_invocations_before,
-                    "pruned replay invoked the candidate"
+                incompatible += 1;
+                let outcome = session.compare_report(t, &report, cand).outcome;
+                assert!(
+                    matches!(outcome, MatchOutcome::Incomparable(_)),
+                    "{outcome:?}"
                 );
             }
         }
+        assert_eq!(incompatible, 6, "every cross pair of three interfaces");
+        assert_eq!(
+            c_count.load(std::sync::atomic::Ordering::Relaxed),
+            generated,
+            "an incompatible pair invoked the candidate"
+        );
     }
 
     #[test]

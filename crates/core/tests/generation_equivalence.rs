@@ -8,8 +8,8 @@
 //! invoked, never what the generation report says.
 
 use dex_core::{
-    generate_examples, generate_examples_cached, generate_examples_retrying,
-    generate_examples_sequential, GenerationConfig, GenerationReport,
+    generate_examples, generate_examples_retrying, generate_examples_sequential, GenerationConfig,
+    GenerationReport,
 };
 use dex_modules::{
     FaultPlan, FaultyModule, FnModule, InvocationCache, InvocationError, ModuleDescriptor,
@@ -127,13 +127,16 @@ proptest! {
 
         // Cached execution on a cold cache…
         let cache = InvocationCache::new();
-        let cold = generate_examples_cached(&module, &ontology, &pool, &config, &cache).unwrap();
+        let retrier = Retrier::new(config.retry);
+        let cold = generate_examples_retrying(&module, &ontology, &pool, &config, &cache, &retrier)
+            .unwrap();
         assert_reports_identical("cached/cold", &cold, &oracle);
 
         // …and again on the now-warm cache: zero fresh module invocations,
         // still the identical report.
         let misses_before = cache.stats().misses;
-        let warm = generate_examples_cached(&module, &ontology, &pool, &config, &cache).unwrap();
+        let warm = generate_examples_retrying(&module, &ontology, &pool, &config, &cache, &retrier)
+            .unwrap();
         assert_reports_identical("cached/warm", &warm, &oracle);
         prop_assert_eq!(
             cache.stats().misses, misses_before,
@@ -150,7 +153,8 @@ proptest! {
         let shifted_oracle =
             generate_examples_sequential(&module, &ontology, &pool, &shifted).unwrap();
         let shifted_cached =
-            generate_examples_cached(&module, &ontology, &pool, &shifted, &cache).unwrap();
+            generate_examples_retrying(&module, &ontology, &pool, &shifted, &cache, &retrier)
+                .unwrap();
         assert_reports_identical("cached/shifted", &shifted_cached, &shifted_oracle);
     }
 
@@ -233,9 +237,11 @@ proptest! {
         let config = GenerationConfig::default();
         let oracle = generate_examples_sequential(&module, &ontology, &pool, &config).unwrap();
         let cache = InvocationCache::with_capacity(capacity);
+        let retrier = Retrier::new(config.retry);
         for round in 0..3 {
             let report =
-                generate_examples_cached(&module, &ontology, &pool, &config, &cache).unwrap();
+                generate_examples_retrying(&module, &ontology, &pool, &config, &cache, &retrier)
+                    .unwrap();
             assert_reports_identical(&format!("bounded round {round}"), &report, &oracle);
         }
     }
@@ -283,7 +289,7 @@ fn digest_module(id: &str, salt: u64, reject_pct: u64) -> FnModule {
 /// cache holds zero memoized transient outcomes.
 #[test]
 fn flap_schedule_converges_to_the_fault_free_reports() {
-    use dex_core::{compare_modules, MatchSession};
+    use dex_core::{compare_modules, MatchOutcome, MatchSession};
 
     let ontology = mygrid::ontology();
     let pool = build_synthetic_pool(&ontology, 3, 42);
@@ -339,7 +345,13 @@ fn flap_schedule_converges_to_the_fault_free_reports() {
         flap(2),
     );
     let session = MatchSession::new(&ontology, &pool, retry_config.clone());
-    let verdict = session.compare(&target, &faulted_candidate).unwrap();
-    assert_eq!(verdict, oracle_verdict, "flap must not change the verdict");
+    let verdict = session
+        .compare_report(&target, &session.report_for(&target), &faulted_candidate)
+        .outcome;
+    assert_eq!(
+        verdict,
+        MatchOutcome::Verdict(oracle_verdict),
+        "flap must not change the verdict"
+    );
     assert_eq!(session.invocation_cache().memoized_transients(), 0);
 }

@@ -179,10 +179,10 @@ pub struct StatsReply {
     pub queue_capacity: usize,
     /// Requests admitted and not yet answered.
     pub in_flight: usize,
-    /// Matrix passes taken by the substitute-lookup batcher.
+    /// Fingerprint-bucket groups the substitute-lookup batcher answered.
     pub batch_passes: u64,
-    /// Substitute lookups that shared a pass with an earlier lookup of the
-    /// same fingerprint bucket.
+    /// Substitute lookups batched behind an earlier lookup of the same
+    /// fingerprint bucket (each still runs its own row scan).
     pub coalesced_lookups: u64,
     /// `ApplyDelta` batches absorbed.
     pub deltas_applied: u64,

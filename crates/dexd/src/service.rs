@@ -28,9 +28,10 @@
 //! whose `Drop` releases the slot, so a worker panic or a vanished client
 //! cannot leak admission capacity. Worker threads drain the queue;
 //! a `FindSubstitutes` at the head pulls every other queued substitute
-//! lookup into one batch, grouped by fingerprint bucket, so lookups that
-//! would each scan the same bucket share a single matrix pass under a
-//! single read acquisition.
+//! lookup into one batch answered under a single read acquisition. The
+//! batch is grouped by fingerprint bucket for the `batch_passes` /
+//! `coalesced_lookups` accounting only: each lookup still scans its own
+//! verdict row.
 //!
 //! Handlers run inside `catch_unwind`: a panic becomes a
 //! [`Response::Error`] (counted in [`StatsReply::handler_panics`]), the
@@ -376,8 +377,8 @@ impl Dexd {
     }
 
     /// Answers a batch of substitute lookups under one read acquisition,
-    /// grouped by fingerprint bucket: lookups sharing a bucket share one
-    /// matrix pass.
+    /// grouped by fingerprint bucket. Each lookup runs its own row scan;
+    /// a group counts as one batch pass and its other lookups as coalesced.
     fn handle_substitutes_batch(&self, batch: Vec<Job>) {
         let _span = dex_telemetry::span("dexd.substitutes_batch");
         let pipeline = self.read_pipeline();

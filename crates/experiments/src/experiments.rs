@@ -2,9 +2,11 @@
 //! one table/figure, paper numbers alongside measured ones.
 
 use crate::format::{heading, table};
-use crate::{Context, FaultConfig};
+use crate::parallel::match_pairs;
+use crate::{BatchConfig, Context, FaultConfig, PairOutput};
 use dex_core::coverage::measure_coverage;
 use dex_core::metrics::score;
+use dex_core::MatchSession;
 use dex_pool::build_synthetic_pool;
 use dex_repair::{
     build_corpus_with, generate_repository, repair_repository_with, run_matching_study_with,
@@ -251,12 +253,10 @@ pub fn matching_summary(ctx: &Context) -> String {
         .into_iter()
         .step_by(16)
         .collect();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
     let mut verdicts: BTreeMap<String, usize> = BTreeMap::new();
-    let matrix =
-        crate::parallel::match_pairs_parallel(&ctx.universe, &ids, &ctx.pool, &ctx.config, threads);
+    let session = MatchSession::new(&ctx.universe.ontology, &ctx.pool, ctx.config.clone());
+    let batch = BatchConfig::default();
+    let matrix = match_pairs(&session, &ctx.universe, &ids, PairOutput::Dense, &batch).reports;
     for report in matrix.values() {
         let label = match &report.outcome {
             dex_core::MatchOutcome::Verdict(v) => format!("{v:?}").to_lowercase(),

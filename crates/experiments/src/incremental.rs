@@ -36,11 +36,10 @@
 //! substitute search answered with zero replay invocations.
 
 use dex_core::delta::{Delta, DeltaReport, DependencyIndex};
-use dex_core::matching::map_parameters;
+use dex_core::matching::pair_outcome;
 use dex_core::{
-    generate_examples_retrying, generation_signature, match_against_examples_retrying,
-    FingerprintIndex, GenerationConfig, GenerationError, GenerationReport, MappingMode,
-    MatchOutcome, MatchReport, MatchVerdict,
+    generate_examples_retrying, generation_signature, CachedGeneration, FingerprintIndex,
+    GenerationConfig, GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
 use dex_modules::{InvocationCache, ModuleId, Retrier};
 use dex_pool::InstancePool;
@@ -48,8 +47,6 @@ use dex_repair::{pick_better_substitute, LegacyMatch, MatchingStudy};
 use dex_universe::Universe;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-type SharedGeneration = Arc<Result<GenerationReport, GenerationError>>;
 
 /// Live, incrementally maintained pipeline state over one universe.
 pub struct IncrementalPipeline {
@@ -65,7 +62,7 @@ pub struct IncrementalPipeline {
     available: Vec<bool>,
     deps: DependencyIndex,
     index: FingerprintIndex,
-    reports: Vec<SharedGeneration>,
+    reports: Vec<CachedGeneration>,
     /// Invariant: `gen_sigs[i]` is the generation signature at the moment
     /// `reports[i]` was generated — so `reports[i]` is current exactly when
     /// `gen_sigs[i]` equals the signature recomputed against present state.
@@ -319,7 +316,7 @@ impl IncrementalPipeline {
                 regen.insert(i);
             }
         }
-        let regenerated: Vec<(usize, u64, SharedGeneration)> = regen
+        let regenerated: Vec<(usize, u64, CachedGeneration)> = regen
             .iter()
             .map(|&i| {
                 let module = self
@@ -427,36 +424,23 @@ impl IncrementalPipeline {
         );
     }
 
-    /// One pair's outcome, byte-identical to `MatchSession::compare_report`
-    /// semantics: the target's generation error takes precedence, then the
-    /// strict aligned-example comparison (whose own mapping/emptiness error
-    /// precedence lives inside `match_against_examples_retrying`).
+    /// One pair's outcome by [`pair_outcome`], over the engine's stored
+    /// target report and warm invocation cache.
     fn pair_outcome(&self, t: usize, c: usize, retrier: &Retrier) -> MatchOutcome {
-        let target = self
-            .universe
-            .catalog
-            .get(&self.ids[t])
-            .expect("compared pairs are available");
-        let candidate = self
-            .universe
-            .catalog
-            .get(&self.ids[c])
-            .expect("compared pairs are available");
-        match self.reports[t].as_ref() {
-            Err(e) => MatchOutcome::Incomparable(e.to_string()),
-            Ok(report) => match match_against_examples_retrying(
-                target.descriptor(),
-                &report.examples,
-                candidate.as_ref(),
-                &self.universe.ontology,
-                MappingMode::Strict,
-                &self.cache,
-                retrier,
-            ) {
-                Ok(verdict) => MatchOutcome::Verdict(verdict),
-                Err(e) => MatchOutcome::Incomparable(e.to_string()),
-            },
-        }
+        let module = |i: usize| {
+            self.universe
+                .catalog
+                .get(&self.ids[i])
+                .expect("matched pairs are available")
+        };
+        pair_outcome(
+            module(t).descriptor(),
+            &self.reports[t],
+            module(c).as_ref(),
+            &self.universe.ontology,
+            &self.cache,
+            retrier,
+        )
     }
 
     /// Ranks slot `i`'s current row verdicts into a carried-forward
@@ -517,12 +501,13 @@ impl IncrementalPipeline {
     }
 
     /// Materializes the dense matching matrix over the currently available
-    /// modules — byte-identical to `match_pairs_blocked` over the present
+    /// modules — byte-identical to a dense `match_pairs` over the present
     /// state. Compared pairs come from the maintained verdict store;
-    /// fingerprint-pruned pairs are synthesized invocation-free with the
-    /// same error precedence as `MatchSession::pruned_report`.
+    /// fingerprint-pruned pairs go through [`pair_outcome`], which fails
+    /// their strict mapping before invoking anything.
     pub fn matrix(&self) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
         let slots: Vec<usize> = (0..self.ids.len()).filter(|&i| self.available[i]).collect();
+        let retrier = Retrier::new(self.config.retry);
         let mut out = BTreeMap::new();
         for &t in &slots {
             let examples = match self.reports[t].as_ref() {
@@ -540,29 +525,7 @@ impl IncrementalPipeline {
                         .expect("comparable pairs are maintained");
                     row[pos].1.clone()
                 } else {
-                    match self.reports[t].as_ref() {
-                        Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                        Ok(_) => {
-                            let mapping = map_parameters(
-                                self.universe
-                                    .catalog
-                                    .descriptor(&self.ids[t])
-                                    .expect("available module has a descriptor"),
-                                self.universe
-                                    .catalog
-                                    .descriptor(&self.ids[c])
-                                    .expect("available module has a descriptor"),
-                                &self.universe.ontology,
-                                MappingMode::Strict,
-                            );
-                            match mapping {
-                                Err(e) => MatchOutcome::Incomparable(e.to_string()),
-                                Ok(_) => unreachable!(
-                                    "incompatible fingerprints admit no strict mapping"
-                                ),
-                            }
-                        }
-                    }
+                    self.pair_outcome(t, c, &retrier)
                 };
                 out.insert(
                     (self.ids[t].clone(), self.ids[c].clone()),
@@ -619,10 +582,11 @@ impl IncrementalPipeline {
         Some((self.available[i], &*self.reports[i]))
     }
 
-    /// The fingerprint bucket key of an available tracked module — the
-    /// coalescing key `dexd` groups substitute lookups under, so lookups
-    /// sharing a bucket are answered in one matrix pass. `None` for
-    /// withdrawn or untracked modules.
+    /// The fingerprint bucket key of an available tracked module — the key
+    /// `dexd` groups a batch of substitute lookups under. Each lookup in a
+    /// group still scans its own verdict row; the group shares only the
+    /// batch's single read-lock acquisition. `None` for withdrawn or
+    /// untracked modules.
     pub fn bucket_key(&self, id: &ModuleId) -> Option<u64> {
         let &i = self.slot_of.get(id)?;
         if !self.available[i] {
@@ -711,7 +675,7 @@ impl SubstituteAnswer {
 
 /// Whether two generation outcomes differ in anything a strict-mapping
 /// verdict can read: the example set, or the rendered generation error.
-fn generation_outcome_differs(old: &SharedGeneration, new: &SharedGeneration) -> bool {
+fn generation_outcome_differs(old: &CachedGeneration, new: &CachedGeneration) -> bool {
     match (old.as_ref(), new.as_ref()) {
         (Ok(a), Ok(b)) => a.examples != b.examples,
         (Err(a), Err(b)) => a.to_string() != b.to_string(),

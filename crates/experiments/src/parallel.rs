@@ -6,6 +6,7 @@
 //! Results are returned in deterministic (sorted key) order regardless of
 //! scheduling.
 
+use dex_core::matching::pair_outcome;
 use dex_core::{
     generate_examples_retrying, BlockingStats, CachedGeneration, FingerprintIndex,
     GenerationConfig, GenerationReport, MatchOutcome, MatchReport, MatchSession, MatchVerdict,
@@ -36,24 +37,11 @@ pub struct GenerationFleet {
 /// collection is lock-free — no per-slot mutex, no channel, no allocation
 /// beyond the output itself.
 ///
-/// Panics if generation fails for any module, like the serial experiment
-/// context does — the shipped universe is expected to be fully generable.
-/// [`generate_fleet`] is the graceful variant.
-pub fn generate_all_parallel(
-    universe: &Universe,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    threads: usize,
-) -> BTreeMap<ModuleId, GenerationReport> {
-    let retrier = Retrier::new(config.retry);
-    generate_fleet(universe, pool, config, threads, &retrier, true).reports
-}
-
-/// [`generate_all_parallel`] with explicit fault handling: transiently
-/// failing invocations are retried through the shared `retrier`, and a
-/// module whose generation still fails is *recorded and skipped* (the paper
-/// pipeline keeps annotating the modules it can reach) — unless `fail_fast`
-/// is set, which restores the panic-on-first-failure contract.
+/// Transiently failing invocations are retried through the shared
+/// `retrier`, and a module whose generation still fails is *recorded and
+/// skipped* (the paper pipeline keeps annotating the modules it can reach)
+/// — unless `fail_fast` is set, which panics on the first failure, for
+/// callers that expect the universe to be fully generable.
 pub fn generate_fleet(
     universe: &Universe,
     pool: &InstancePool,
@@ -142,10 +130,7 @@ pub fn generate_fleet(
 
 /// Tuning for the batched blocked matching executor.
 ///
-/// The constants encode a crossover *measured* by
-/// `crates/bench/src/bin/bench_blocking.rs` (methodology in DESIGN.md §12):
-/// below [`BatchConfig::SERIAL_CUTOFF_PAIRS`] compared pairs, thread spawn
-/// and claim traffic cost more than the comparisons themselves, so the
+/// At or below [`BatchConfig::SERIAL_CUTOFF_PAIRS`] compared pairs the
 /// executor runs on the calling thread; above it, workers claim
 /// [`BatchConfig::CHUNK_PAIRS`] pairs per atomic `fetch_add` and buffer
 /// results in worker-local vectors (no channel, no per-pair
@@ -162,23 +147,13 @@ pub struct BatchConfig {
 }
 
 impl BatchConfig {
-    /// Compared-pair count below which fan-out cannot pay for itself: a
-    /// sub-512-pair sweep finishes in well under a millisecond warm, which
-    /// is the same order as spawning and joining the workers, so the guard
-    /// keeps those batches on the calling thread. `bench_blocking`'s
-    /// crossover sweep re-measures this per host and records a **non-null**
-    /// `measured_crossover_pairs` in BENCH_blocking.json: the first sweep
-    /// size where batched actually beat serial when one exists, otherwise a
-    /// spawn-overhead model (`crossover_basis: "overhead_model"`) — measured
-    /// scope-spawn/join cost divided by the warm per-pair cost, scaled by
-    /// the fraction of work the extra workers take over. On a single-core
-    /// host an observed crossover is physically impossible (the batched
-    /// path degenerates to the `threads == 1` serial fallback), which is
-    /// exactly when the model applies. The bench asserts this shipped
-    /// constant is at or above the derived value, so the serial guard can
-    /// only ever err on the safe (serial) side; the per-pair channel
-    /// executor this replaced lost at every size, see the
-    /// `perpair_parallel_ms` column.
+    /// Compared-pair count at or below which the sweep stays on the calling
+    /// thread. On a 1-core host batched never beat serial at any swept size
+    /// up to 8,448 compared pairs. No multi-core crossover has been
+    /// measured either: on a shared 2-vCPU host the two stay within 1% of
+    /// each other from 768 to 3,584 pairs, and serial wins again at 8,448.
+    /// `bench_blocking` records the first swept size where batched wins as
+    /// `measured_crossover_pairs` (`null` when none does).
     pub const SERIAL_CUTOFF_PAIRS: usize = 512;
     /// Claim granularity: 64 pairs ≈ tens of microseconds of warm-cache
     /// work per claim, three orders of magnitude over the atomic itself.
@@ -201,23 +176,27 @@ impl Default for BatchConfig {
     }
 }
 
-/// A dense blocked matching run: the full `n·(n−1)` report matrix plus the
-/// blocking ledger explaining how little of it required invocation.
-#[derive(Debug, Clone)]
-pub struct BlockedMatchMatrix {
-    /// Every ordered pair's report, keyed `(target, candidate)` — including
-    /// pruned and unavailable pairs, so the matrix is indistinguishable from
-    /// an exhaustive sweep.
-    pub reports: BTreeMap<(ModuleId, ModuleId), MatchReport>,
-    /// How the sweep was spent: compared vs pruned vs unavailable.
-    pub stats: BlockingStats,
+/// What an all-pairs sweep materializes besides its tallies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairOutput {
+    /// Every ordered pair's [`MatchReport`] — pruned and unavailable pairs
+    /// included, so the matrix is indistinguishable from an exhaustive
+    /// sweep.
+    Dense,
+    /// Verdict tallies only: constant memory in the pair count, the only
+    /// feasible mode at 25k modules, where the dense matrix would hold 625M
+    /// reports.
+    Summary,
 }
 
-/// Verdict tallies of a blocked matching run without materializing the
-/// `n·(n−1)` report matrix — the only feasible mode at 25k modules, where
-/// the dense matrix would hold 625M reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockedMatchSummary {
+/// One blocked all-pairs run: verdict tallies and the blocking ledger
+/// explaining how little of the sweep required invocation, plus the report
+/// matrix under [`PairOutput::Dense`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BlockedMatch {
+    /// Every ordered pair's report, keyed `(target, candidate)`, under
+    /// [`PairOutput::Dense`]; empty under [`PairOutput::Summary`].
+    pub reports: BTreeMap<(ModuleId, ModuleId), MatchReport>,
     /// Pairs judged equivalent.
     pub equivalent: usize,
     /// Pairs judged overlapping.
@@ -232,7 +211,7 @@ pub struct BlockedMatchSummary {
     pub stats: BlockingStats,
 }
 
-impl BlockedMatchSummary {
+impl BlockedMatch {
     /// `(equivalent, overlapping, disjoint, incomparable)` as one tuple.
     pub fn tallies(&self) -> (usize, usize, usize, usize) {
         (
@@ -352,18 +331,12 @@ fn unavailable_report(universe: &Universe, ids: &[ModuleId], t: usize, c: usize)
     }
 }
 
-/// Per-id state resolved once per sweep for the prepared executor.
-///
-/// The old step closures paid two catalog `BTreeMap` lookups and two
-/// memo-lock acquisitions (each cloning the target's `ModuleId` `String`
-/// for the key) on *every* pair. On a multi-core run all workers serialize
-/// on that one session mutex — the `blocked_parallel_ms == blocked_serial_ms`
-/// collapse — and even serially the lock+hash+clone traffic is a large
-/// constant share of the ~µs warm per-pair cost. Resolving the catalog
-/// handle once per id and parking each target's memoized report in a
-/// `OnceLock` cell makes the per-pair hot path lock-free after the cell's
-/// first touch: workers read a shared `&CachedGeneration` and run only the
-/// candidate replay.
+/// Per-id state resolved once per sweep: each id's catalog handle, and a
+/// `OnceLock` cell parking each target's memoized report. After a cell's
+/// first touch the per-pair hot path takes no lock, looks up no catalog
+/// entry and clones no key — workers read a shared `&CachedGeneration` and
+/// run only the candidate replay instead of serializing on the session's
+/// memo mutex.
 struct PreparedIds<'u> {
     handles: Vec<Option<&'u SharedModule>>,
     reports: Vec<OnceLock<CachedGeneration>>,
@@ -391,162 +364,113 @@ impl<'u> PreparedIds<'u> {
     }
 }
 
-fn publish_session_telemetry(session: &MatchSession) {
+/// Blocked all-pairs matching over every ordered pair of distinct modules
+/// in `ids`, through `session`: a warm session reuses every memoized
+/// report, a cold caller passes a fresh one.
+///
+/// Fingerprint blocking prunes provably incomparable pairs without
+/// invocation; the surviving pairs run [`MatchSession::compare_report`] on
+/// the batched chunk executor (on the calling thread at or below
+/// `batch.serial_cutoff`). Pruned and unavailable pairs are incomparable by
+/// construction, so both outputs tally them — and count them in the
+/// `dex.match.*` telemetry — arithmetically: `dex.match.pairs` grows by
+/// `stats.pairs_total` either way. [`PairOutput::Dense`] also materializes
+/// them, pruned pairs through [`pair_outcome`] (invocation-free: their
+/// strict mapping fails first), so the matrix is byte-identical to
+/// [`match_pairs_exhaustive`]'s.
+pub fn match_pairs(
+    session: &MatchSession,
+    universe: &Universe,
+    ids: &[ModuleId],
+    output: PairOutput,
+    batch: &BatchConfig,
+) -> BlockedMatch {
+    let _span = dex_telemetry::span("parallel.match_pairs");
+    let (index, pairs, stats) = blocked_plan(universe, ids);
+    let prepared = PreparedIds::resolve(universe, ids);
+    let dense = output == PairOutput::Dense;
+    let partials = run_batched(
+        &pairs,
+        batch,
+        <([usize; 4], Vec<(usize, MatchReport)>)>::default,
+        |(tally, reports), i, (t, c)| {
+            let report = session.compare_report(
+                prepared.handle(t).as_ref(),
+                prepared.target_report(session, t),
+                prepared.handle(c).as_ref(),
+            );
+            tally[verdict_slot(&report.outcome)] += 1;
+            if dense {
+                reports.push((i, report));
+            }
+        },
+    );
+    let skipped = stats.pairs_pruned + stats.pairs_unavailable;
+    let mut out = BlockedMatch {
+        incomparable: skipped,
+        stats,
+        ..BlockedMatch::default()
+    };
+    for ([eq, ov, dj, inc], reports) in partials {
+        out.equivalent += eq;
+        out.overlapping += ov;
+        out.disjoint += dj;
+        out.incomparable += inc;
+        for (i, report) in reports {
+            let (t, c) = pairs[i];
+            out.reports.insert((ids[t].clone(), ids[c].clone()), report);
+        }
+    }
+    if dense {
+        // Pruned and unavailable pairs carry no invocation work, so they are
+        // materialized on the calling thread.
+        let retrier = Retrier::new(session.config().retry);
+        for t in 0..ids.len() {
+            for c in 0..ids.len() {
+                if t == c || index.is_comparable(t, c) {
+                    continue;
+                }
+                let report = match (prepared.handles[t], prepared.handles[c]) {
+                    (Some(target), Some(candidate)) => {
+                        let generation = prepared.target_report(session, t);
+                        MatchReport {
+                            target: ids[t].clone(),
+                            candidate: ids[c].clone(),
+                            outcome: pair_outcome(
+                                target.descriptor(),
+                                generation,
+                                candidate.as_ref(),
+                                &universe.ontology,
+                                session.invocation_cache(),
+                                &retrier,
+                            ),
+                            examples: match generation.as_ref() {
+                                Ok(report) => report.examples.len(),
+                                Err(_) => 0,
+                            },
+                        }
+                    }
+                    _ => unavailable_report(universe, ids, t, c),
+                };
+                out.reports.insert((ids[t].clone(), ids[c].clone()), report);
+            }
+        }
+    }
     if dex_telemetry::is_enabled() {
-        let stats = session.cache_stats();
-        dex_telemetry::gauge_set("dex.match.cache_entries", stats.entries as i64);
+        dex_telemetry::counter_add("dex.match.pairs", skipped as u64);
+        dex_telemetry::counter_add("dex.match.verdict.incomparable", skipped as u64);
+        dex_telemetry::counter_add("dex.match.pairs_pruned", stats.pairs_pruned as u64);
+        let cache = session.cache_stats();
+        dex_telemetry::gauge_set("dex.match.cache_entries", cache.entries as i64);
         dex_telemetry::gauge_set(
             "dex.match.cache_bytes",
-            stats.memoized_bytes_estimate as i64,
+            cache.memoized_bytes_estimate as i64,
         );
         // Invocation-level cache effectiveness (hits/misses/entries) for the
         // whole all-pairs run — the matrix shares one memo across threads.
         session.invocation_cache().publish_telemetry();
     }
-}
-
-/// Blocked all-pairs matching over an existing [`MatchSession`] — the
-/// warm-cache entry point: callers that already generated examples through
-/// `session` reuse every memoized report.
-///
-/// Fingerprint-compatible pairs run the full memoized aligned-example
-/// comparison through the batched executor; pairs pruned by fingerprints
-/// are synthesized serially via [`MatchSession::pruned_report`] (provably
-/// identical, invocation-free) so the returned matrix is byte-identical to
-/// an exhaustive sweep.
-pub fn match_pairs_blocked_in(
-    session: &MatchSession,
-    universe: &Universe,
-    ids: &[ModuleId],
-    batch: &BatchConfig,
-) -> BlockedMatchMatrix {
-    let _span = dex_telemetry::span("parallel.match_pairs");
-    let (index, pairs, stats) = blocked_plan(universe, ids);
-    let prepared = PreparedIds::resolve(universe, ids);
-    let compared = run_batched(
-        &pairs,
-        batch,
-        Vec::new,
-        |acc: &mut Vec<(usize, MatchReport)>, i, (t, c)| {
-            let report = prepared.target_report(session, t);
-            acc.push((
-                i,
-                session.compare_report_prepared(
-                    prepared.handle(t).as_ref(),
-                    report,
-                    prepared.handle(c).as_ref(),
-                ),
-            ));
-        },
-    );
-    let mut reports = BTreeMap::new();
-    for (i, report) in compared.into_iter().flatten() {
-        let (t, c) = pairs[i];
-        reports.insert((ids[t].clone(), ids[c].clone()), report);
-    }
-    // Pruned and unavailable pairs carry no invocation work, so they are
-    // synthesized on the calling thread.
-    for t in 0..ids.len() {
-        for c in 0..ids.len() {
-            if t == c || index.is_comparable(t, c) {
-                continue;
-            }
-            let report = match (prepared.handles[t], prepared.handles[c]) {
-                (Some(target), Some(candidate)) => {
-                    let cell = prepared.target_report(session, t);
-                    session.pruned_report_prepared(target.as_ref(), cell, candidate.as_ref())
-                }
-                _ => unavailable_report(universe, ids, t, c),
-            };
-            reports.insert((ids[t].clone(), ids[c].clone()), report);
-        }
-    }
-    BlockedMatchMatrix { reports, stats }
-}
-
-/// [`match_pairs_blocked_in`] with a fresh cold-cache session.
-pub fn match_pairs_blocked(
-    universe: &Universe,
-    ids: &[ModuleId],
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    batch: &BatchConfig,
-) -> BlockedMatchMatrix {
-    let session = MatchSession::new(&universe.ontology, pool, config.clone());
-    let matrix = match_pairs_blocked_in(&session, universe, ids, batch);
-    publish_session_telemetry(&session);
-    matrix
-}
-
-/// Blocked all-pairs matching that tallies verdicts instead of
-/// materializing reports — constant memory in the pair count, which is what
-/// makes the 25k-module sweep (625M ordered pairs) feasible at all. The
-/// tallies equal what an exhaustive dense sweep would count: pruned and
-/// unavailable pairs are incomparable by construction and are accounted
-/// arithmetically.
-pub fn match_pairs_blocked_summary(
-    universe: &Universe,
-    ids: &[ModuleId],
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    batch: &BatchConfig,
-) -> BlockedMatchSummary {
-    let _span = dex_telemetry::span("parallel.match_pairs_summary");
-    let (_index, pairs, stats) = blocked_plan(universe, ids);
-    let session = MatchSession::new(&universe.ontology, pool, config.clone());
-    let prepared = PreparedIds::resolve(universe, ids);
-    let tallies = run_batched(
-        &pairs,
-        batch,
-        <[usize; 4]>::default,
-        |acc: &mut [usize; 4], _i, (t, c)| {
-            let report = prepared.target_report(&session, t);
-            let report = session.compare_report_prepared(
-                prepared.handle(t).as_ref(),
-                report,
-                prepared.handle(c).as_ref(),
-            );
-            acc[verdict_slot(&report.outcome)] += 1;
-        },
-    );
-    finish_summary(tallies, stats, &session)
-}
-
-/// The pre-PR summary path, kept callable as `bench_blocking`'s baseline
-/// column (the same precedent as the retired per-pair channel executor's
-/// `perpair_parallel_ms`): per-pair catalog lookups and a session memo-lock
-/// acquisition on every pair, no pre-resolved handles, no report cells.
-/// Byte-identical tallies to [`match_pairs_blocked_summary`]; only the
-/// constant per-pair overhead — and its cross-thread serialization on the
-/// memo lock — differs.
-pub fn match_pairs_blocked_summary_unprepared(
-    universe: &Universe,
-    ids: &[ModuleId],
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    batch: &BatchConfig,
-) -> BlockedMatchSummary {
-    let _span = dex_telemetry::span("parallel.match_pairs_summary");
-    let (_index, pairs, stats) = blocked_plan(universe, ids);
-    let session = MatchSession::new(&universe.ontology, pool, config.clone());
-    let tallies = run_batched(
-        &pairs,
-        batch,
-        <[usize; 4]>::default,
-        |acc: &mut [usize; 4], _i, (t, c)| {
-            let target = universe
-                .catalog
-                .get(&ids[t])
-                .expect("planned pair available");
-            let candidate = universe
-                .catalog
-                .get(&ids[c])
-                .expect("planned pair available");
-            let report = session.compare_report(target.as_ref(), candidate.as_ref());
-            acc[verdict_slot(&report.outcome)] += 1;
-        },
-    );
-    finish_summary(tallies, stats, &session)
+    out
 }
 
 fn verdict_slot(outcome: &MatchOutcome) -> usize {
@@ -558,51 +482,11 @@ fn verdict_slot(outcome: &MatchOutcome) -> usize {
     }
 }
 
-fn finish_summary(
-    tallies: Vec<[usize; 4]>,
-    stats: BlockingStats,
-    session: &MatchSession,
-) -> BlockedMatchSummary {
-    let mut summary = BlockedMatchSummary {
-        stats,
-        ..BlockedMatchSummary::default()
-    };
-    for [eq, ov, dj, inc] in tallies {
-        summary.equivalent += eq;
-        summary.overlapping += ov;
-        summary.disjoint += dj;
-        summary.incomparable += inc;
-    }
-    summary.incomparable += stats.pairs_pruned + stats.pairs_unavailable;
-    if dex_telemetry::is_enabled() {
-        // Mirror what the dense path's pruned_report calls would have
-        // counted, without synthesizing the reports.
-        let skipped = (stats.pairs_pruned + stats.pairs_unavailable) as u64;
-        dex_telemetry::counter_add("dex.match.pairs", skipped);
-        dex_telemetry::counter_add("dex.match.verdict.incomparable", skipped);
-        dex_telemetry::counter_add("dex.match.pairs_pruned", stats.pairs_pruned as u64);
-    }
-    publish_session_telemetry(session);
-    summary
-}
-
 /// The exhaustive all-pairs oracle: every ordered pair runs the full
-/// comparison serially through one shared session, no blocking, no
-/// batching. This is the semantics the blocked paths must reproduce
-/// byte-for-byte; the equivalence proptests in `tests/properties.rs` hold
-/// them to it.
+/// comparison serially through `session`, no blocking, no batching. This
+/// is the semantics [`match_pairs`] must reproduce byte-for-byte; the
+/// equivalence proptests in `tests/properties.rs` hold it to it.
 pub fn match_pairs_exhaustive(
-    universe: &Universe,
-    ids: &[ModuleId],
-    pool: &InstancePool,
-    config: &GenerationConfig,
-) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
-    let session = MatchSession::new(&universe.ontology, pool, config.clone());
-    match_pairs_exhaustive_in(&session, universe, ids)
-}
-
-/// [`match_pairs_exhaustive`] over an existing (possibly warm) session.
-pub fn match_pairs_exhaustive_in(
     session: &MatchSession,
     universe: &Universe,
     ids: &[ModuleId],
@@ -614,9 +498,11 @@ pub fn match_pairs_exhaustive_in(
                 continue;
             }
             let report = match (universe.catalog.get(&ids[t]), universe.catalog.get(&ids[c])) {
-                (Some(target), Some(candidate)) => {
-                    session.compare_report(target.as_ref(), candidate.as_ref())
-                }
+                (Some(target), Some(candidate)) => session.compare_report(
+                    target.as_ref(),
+                    &session.report_for(target.as_ref()),
+                    candidate.as_ref(),
+                ),
                 _ => unavailable_report(universe, ids, t, c),
             };
             reports.insert((ids[t].clone(), ids[c].clone()), report);
@@ -625,48 +511,41 @@ pub fn match_pairs_exhaustive_in(
     reports
 }
 
-/// Matches every ordered pair of distinct modules in `ids` against each
-/// other — blocked and batched: fingerprint blocking prunes provably
-/// incomparable pairs without invocation, and the surviving pairs run on
-/// the batched chunk executor over `threads` workers (serially below the
-/// measured crossover, where fan-out used to *lose* to the serial sweep).
-///
-/// Target-side example generation goes through one shared [`MatchSession`],
-/// so each module is generated once for the whole run instead of once per
-/// pair. The returned matrix is byte-identical to the exhaustive oracle's.
-pub fn match_pairs_parallel(
-    universe: &Universe,
-    ids: &[ModuleId],
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    threads: usize,
-) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
-    match_pairs_blocked(
-        universe,
-        ids,
-        pool,
-        config,
-        &BatchConfig::with_threads(threads),
-    )
-    .reports
-}
-
-/// [`match_pairs_parallel`] over every available module of the universe: the
-/// registry-wide all-pairs matching matrix.
-pub fn match_all_parallel(
-    universe: &Universe,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-    threads: usize,
-) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
-    match_pairs_parallel(universe, &universe.available_ids(), pool, config, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dex_core::{compare_modules, generate_examples, MatchOutcome};
     use dex_pool::build_synthetic_pool;
+
+    /// Every available module's report through a fail-fast fleet.
+    fn fleet(
+        universe: &Universe,
+        pool: &InstancePool,
+        threads: usize,
+    ) -> BTreeMap<ModuleId, GenerationReport> {
+        let config = GenerationConfig::default();
+        generate_fleet(
+            universe,
+            pool,
+            &config,
+            threads,
+            &Retrier::new(config.retry),
+            true,
+        )
+        .reports
+    }
+
+    /// `match_pairs` through a fresh session under the default config.
+    fn sweep(
+        universe: &Universe,
+        ids: &[ModuleId],
+        pool: &InstancePool,
+        output: PairOutput,
+        batch: &BatchConfig,
+    ) -> BlockedMatch {
+        let session = MatchSession::new(&universe.ontology, pool, GenerationConfig::default());
+        match_pairs(&session, universe, ids, output, batch)
+    }
 
     #[test]
     fn parallel_equals_serial() {
@@ -674,7 +553,7 @@ mod tests {
         let pool = build_synthetic_pool(&universe.ontology, 4, 42);
         let config = GenerationConfig::default();
 
-        let parallel = generate_all_parallel(&universe, &pool, &config, 8);
+        let parallel = fleet(&universe, &pool, 8);
         assert_eq!(parallel.len(), 252);
         // Spot-check against serial generation for a sample of modules.
         for id in universe.available_ids().into_iter().step_by(17) {
@@ -689,8 +568,7 @@ mod tests {
     fn single_thread_also_works() {
         let universe = dex_universe::build();
         let pool = build_synthetic_pool(&universe.ontology, 2, 1);
-        let config = GenerationConfig::default();
-        let reports = generate_all_parallel(&universe, &pool, &config, 1);
+        let reports = fleet(&universe, &pool, 1);
         assert_eq!(reports.len(), 252);
     }
 
@@ -701,7 +579,7 @@ mod tests {
         let config = GenerationConfig::default();
         let victim = universe.available_ids()[0].clone();
 
-        let baseline = generate_all_parallel(&universe, &pool, &config, 4);
+        let baseline = fleet(&universe, &pool, 4);
         universe.catalog.withdraw(&victim);
         let retrier = Retrier::new(dex_modules::RetryPolicy::transient(2));
         let fleet = generate_fleet(&universe, &pool, &config, 4, &retrier, false);
@@ -718,7 +596,8 @@ mod tests {
         // The matching sweep likewise records the withdrawn module as
         // incomparable instead of panicking.
         let ids = vec![victim.clone(), fleet.reports.keys().next().unwrap().clone()];
-        let matrix = match_pairs_parallel(&universe, &ids, &pool, &config, 2);
+        let batch = BatchConfig::with_threads(2);
+        let matrix = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch).reports;
         assert_eq!(matrix.len(), 2);
         for report in matrix.values() {
             match &report.outcome {
@@ -739,7 +618,8 @@ mod tests {
         // still crosses all five categories.
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(11).collect();
 
-        let matrix = match_pairs_parallel(&universe, &ids, &pool, &config, 8);
+        let batch = BatchConfig::with_threads(8);
+        let matrix = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch).reports;
         assert_eq!(matrix.len(), ids.len() * (ids.len() - 1));
 
         for ((t, c), report) in &matrix {
@@ -773,7 +653,6 @@ mod tests {
     fn batched_executor_identical_to_serial_across_the_cutoff() {
         let universe = dex_universe::build();
         let pool = build_synthetic_pool(&universe.ontology, 3, 19);
-        let config = GenerationConfig::default();
         // Two catalog sizes: one whose compared-pair count sits below any
         // plausible cutoff, one above the claim chunk size.
         for step in [31usize, 7] {
@@ -788,8 +667,8 @@ mod tests {
                 serial_cutoff: 0,
                 chunk: 3, // tiny chunk: maximum claim churn
             };
-            let serial = match_pairs_blocked(&universe, &ids, &pool, &config, &forced_serial);
-            let batched = match_pairs_blocked(&universe, &ids, &pool, &config, &forced_batched);
+            let serial = sweep(&universe, &ids, &pool, PairOutput::Dense, &forced_serial);
+            let batched = sweep(&universe, &ids, &pool, PairOutput::Dense, &forced_batched);
             assert_eq!(serial.reports, batched.reports, "step {step}");
             assert_eq!(serial.stats, batched.stats, "step {step}");
         }
@@ -801,14 +680,10 @@ mod tests {
         let pool = build_synthetic_pool(&universe.ontology, 4, 42);
         let config = GenerationConfig::default();
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(13).collect();
-        let oracle = match_pairs_exhaustive(&universe, &ids, &pool, &config);
-        let blocked = match_pairs_blocked(
-            &universe,
-            &ids,
-            &pool,
-            &config,
-            &BatchConfig::with_threads(4),
-        );
+        let session = MatchSession::new(&universe.ontology, &pool, config);
+        let oracle = match_pairs_exhaustive(&session, &universe, &ids);
+        let batch = BatchConfig::with_threads(4);
+        let blocked = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch);
         assert_eq!(oracle, blocked.reports);
         let s = blocked.stats;
         assert_eq!(s.pairs_total, ids.len() * (ids.len() - 1));
@@ -820,26 +695,17 @@ mod tests {
         assert!(s.buckets > 1);
     }
 
+    /// Both outputs tally the same sweep identically — unavailable pairs
+    /// of a withdrawn id included — and only the dense one materializes.
     #[test]
     fn summary_tallies_agree_with_the_dense_matrix() {
-        let universe = dex_universe::build();
+        let mut universe = dex_universe::build();
         let pool = build_synthetic_pool(&universe.ontology, 3, 11);
-        let config = GenerationConfig::default();
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(17).collect();
-        let dense = match_pairs_blocked(
-            &universe,
-            &ids,
-            &pool,
-            &config,
-            &BatchConfig::with_threads(4),
-        );
-        let summary = match_pairs_blocked_summary(
-            &universe,
-            &ids,
-            &pool,
-            &config,
-            &BatchConfig::with_threads(4),
-        );
+        universe.catalog.withdraw(&ids[0]);
+        let batch = BatchConfig::with_threads(4);
+        let dense = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch);
+        let summary = sweep(&universe, &ids, &pool, PairOutput::Summary, &batch);
         let mut want = (0usize, 0usize, 0usize, 0usize);
         for report in dense.reports.values() {
             match &report.outcome {
@@ -849,33 +715,22 @@ mod tests {
                 MatchOutcome::Incomparable(_) => want.3 += 1,
             }
         }
+        assert_eq!(dense.tallies(), want);
         assert_eq!(summary.tallies(), want);
         assert_eq!(summary.stats, dense.stats);
-    }
-
-    #[test]
-    fn unprepared_baseline_agrees_with_the_prepared_summary() {
-        let universe = dex_universe::build();
-        let pool = build_synthetic_pool(&universe.ontology, 3, 13);
-        let config = GenerationConfig::default();
-        let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(19).collect();
-        for batch in [BatchConfig::with_threads(1), BatchConfig::with_threads(4)] {
-            let prepared = match_pairs_blocked_summary(&universe, &ids, &pool, &config, &batch);
-            let baseline =
-                match_pairs_blocked_summary_unprepared(&universe, &ids, &pool, &config, &batch);
-            assert_eq!(prepared.tallies(), baseline.tallies());
-            assert_eq!(prepared.stats, baseline.stats);
-        }
+        assert_eq!(summary.stats.pairs_unavailable, 2 * (ids.len() - 1));
+        assert!(summary.reports.is_empty());
     }
 
     #[test]
     fn all_pairs_is_deterministic_across_thread_counts() {
         let universe = dex_universe::build();
         let pool = build_synthetic_pool(&universe.ontology, 3, 7);
-        let config = GenerationConfig::default();
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(23).collect();
-        let one = match_pairs_parallel(&universe, &ids, &pool, &config, 1);
-        let many = match_pairs_parallel(&universe, &ids, &pool, &config, 8);
-        assert_eq!(one, many);
+        let dense = |threads| {
+            let batch = BatchConfig::with_threads(threads);
+            sweep(&universe, &ids, &pool, PairOutput::Dense, &batch)
+        };
+        assert_eq!(dense(1), dense(8));
     }
 }

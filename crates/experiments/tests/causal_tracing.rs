@@ -3,8 +3,8 @@
 //! sweep span — across chunk boundaries — instead of dangling as orphan
 //! roots.
 
-use dex_core::GenerationConfig;
-use dex_experiments::parallel::{match_pairs_blocked, BatchConfig};
+use dex_core::{GenerationConfig, MatchSession};
+use dex_experiments::parallel::{match_pairs, BatchConfig, PairOutput};
 use dex_pool::build_synthetic_pool;
 use dex_telemetry::SpanRecord;
 
@@ -43,9 +43,10 @@ fn worker_spans_attach_under_sweep_across_chunk_boundaries() {
         serial_cutoff: 0,
         chunk: 1,
     };
+    let session = MatchSession::new(&universe.ontology, &pool, config);
     let matrix = {
         let _sweep = dex_telemetry::span("test.sweep");
-        match_pairs_blocked(&universe, &ids, &pool, &config, &batch)
+        match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch)
     };
     assert!(
         matrix.stats.pairs_compared > batch.threads,

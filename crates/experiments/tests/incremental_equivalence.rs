@@ -6,8 +6,8 @@
 //! property pins the same equivalence with seeded transient faults
 //! injected into every module, riding on the retry layer to converge.
 
-use dex_core::{GenerationConfig, MatchReport};
-use dex_experiments::parallel::{generate_fleet, match_pairs_blocked, BatchConfig};
+use dex_core::{GenerationConfig, MatchReport, MatchSession};
+use dex_experiments::parallel::{generate_fleet, match_pairs, BatchConfig, PairOutput};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
     FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind,
@@ -317,8 +317,10 @@ fn check_equivalence(
         );
 
         let ids = cold_u.available_ids();
+        let session = MatchSession::new(&cold_u.ontology, &cold_p, config.clone());
+        let batch = BatchConfig::default();
         let cold: BTreeMap<_, MatchReport> =
-            match_pairs_blocked(&cold_u, &ids, &cold_p, &config, &BatchConfig::default()).reports;
+            match_pairs(&session, &cold_u, &ids, PairOutput::Dense, &batch).reports;
         assert_eq!(
             engine.matrix(),
             cold,

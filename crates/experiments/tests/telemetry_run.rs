@@ -30,9 +30,13 @@ fn pipeline_slice_populates_run_report() {
     let session = MatchSession::new(&universe.ontology, &pool, config);
     let target = universe.catalog.get(&ids[0]).unwrap();
     let candidate = universe.catalog.get(&ids[1]).unwrap();
-    session.compare_report(target.as_ref(), candidate.as_ref());
-    session.compare_report(target.as_ref(), candidate.as_ref());
-    session.compare_report(candidate.as_ref(), target.as_ref());
+    for (t, c) in [
+        (target, candidate),
+        (target, candidate),
+        (candidate, target),
+    ] {
+        session.compare_report(t.as_ref(), &session.report_for(t.as_ref()), c.as_ref());
+    }
 
     let report = dex_telemetry::collect("telemetry_run");
     dex_telemetry::disable();

@@ -112,11 +112,8 @@ mod blocked_matching {
     use data_examples::core::GenerationConfig;
     use data_examples::modules::ModuleId;
     use data_examples::pool::build_synthetic_pool;
-    use dex_experiments::parallel::{
-        match_pairs_blocked, match_pairs_blocked_in, match_pairs_blocked_summary,
-        match_pairs_exhaustive,
-    };
-    use dex_experiments::{BatchConfig, FaultConfig};
+    use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive};
+    use dex_experiments::{BatchConfig, FaultConfig, PairOutput};
     use proptest::prelude::*;
 
     proptest! {
@@ -162,7 +159,8 @@ mod blocked_matching {
                 fault.apply(&mut universe.catalog);
                 config.retry = fault.retry;
             }
-            let oracle = match_pairs_exhaustive(&universe, &ids, &pool, &config);
+            let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
+            let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
             let batch = BatchConfig {
                 threads: if mode == 0 { 1 } else { threads },
                 // Forced past the crossover guard so every case exercises
@@ -173,14 +171,14 @@ mod blocked_matching {
             if mode == 2 {
                 // Warm cache: one session swept twice; both sweeps must
                 // reproduce the oracle (the second entirely from memo).
-                let session = MatchSession::new(&universe.ontology, &pool, config.clone());
-                let cold = match_pairs_blocked_in(&session, &universe, &ids, &batch);
-                let warm = match_pairs_blocked_in(&session, &universe, &ids, &batch);
+                let session = session();
+                let cold = match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch);
+                let warm = match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch);
                 prop_assert_eq!(&oracle, &cold.reports);
                 prop_assert_eq!(&oracle, &warm.reports);
                 prop_assert_eq!(cold.stats, warm.stats);
             } else {
-                let blocked = match_pairs_blocked(&universe, &ids, &pool, &config, &batch);
+                let blocked = match_pairs(&session(), &universe, &ids, PairOutput::Dense, &batch);
                 prop_assert_eq!(&oracle, &blocked.reports);
                 let s = blocked.stats;
                 prop_assert_eq!(s.pairs_total, ids.len() * (ids.len() - 1));
@@ -209,12 +207,13 @@ mod blocked_matching {
                 universe.available_ids().into_iter().step_by(step).collect();
             let pool = build_synthetic_pool(&universe.ontology, 3, pool_seed);
             let config = GenerationConfig::default();
-            let oracle = match_pairs_exhaustive(&universe, &ids, &pool, &config);
-            let summary = match_pairs_blocked_summary(
+            let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
+            let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
+            let summary = match_pairs(
+                &session(),
                 &universe,
                 &ids,
-                &pool,
-                &config,
+                PairOutput::Summary,
                 &BatchConfig { threads, serial_cutoff: 64, chunk: 8 },
             );
             let mut want = (0usize, 0usize, 0usize, 0usize);
