@@ -4,9 +4,9 @@
 //! all-pairs example replay — the §6 matching pipeline).
 //!
 //! The "uncached" baseline reproduces the pre-planner pipeline: per-offset
-//! memoized generation via the sequential reference path, with every replay
-//! invoking the candidate afresh. The "cached" run is today's pipeline: one
-//! [`MatchSession`] whose generations and replays share an
+//! memoized generation through `generate_examples` with no cache, with every
+//! replay invoking the candidate afresh. The "cached" run is today's
+//! pipeline: one [`MatchSession`] whose generations and replays share an
 //! [`InvocationCache`].
 //!
 //! Exits nonzero if the cache records zero hits on this workload — that
@@ -16,8 +16,8 @@
 //! Usage: `cargo run --release -p dex-bench --bin bench_invocation [OUT.json]`
 
 use dex_core::{
-    generate_examples_sequential, match_against_examples, GenerationConfig, GenerationReport,
-    MappingMode, MatchSession,
+    generate_examples, match_against_examples, GenerationConfig, GenerationReport, MappingMode,
+    MatchSession,
 };
 use dex_modules::{BlackBox, InvocationError, ModuleDescriptor, ModuleId, Retrier, SharedModule};
 use dex_pool::build_synthetic_pool;
@@ -108,8 +108,8 @@ fn main() {
 
     // --- Baseline: pre-planner pipeline ----------------------------------
     // Generation memoized per (module, offset) — the old MatchSession did
-    // that much — but produced by the sequential loop, and every replay
-    // re-invokes the candidate.
+    // that much — but produced without a cache, and every replay re-invokes
+    // the candidate.
     let mut uncached_times = Vec::with_capacity(REPS);
     let mut uncached_invocations = 0;
     for _ in 0..REPS {
@@ -122,9 +122,8 @@ fn main() {
                 ..config.clone()
             };
             for (i, module) in modules.iter().enumerate() {
-                let report =
-                    generate_examples_sequential(module, &universe.ontology, &pool, &config)
-                        .unwrap_or_else(|e| panic!("{}: {e}", ids[i]));
+                let report = generate_examples(module, &universe.ontology, &pool, &config)
+                    .unwrap_or_else(|e| panic!("{}: {e}", ids[i]));
                 reports.insert((offset, i), report);
             }
             for (t, target) in modules.iter().enumerate() {

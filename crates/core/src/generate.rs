@@ -1,9 +1,9 @@
 //! The data-example generation heuristic (paper §3.2): partition → select →
-//! invoke → construct — reorganized as **plan, execute, assemble**.
+//! invoke → construct — organized as **resolve, plan, execute**.
 //!
 //! Module invocation is the dominant cost of the paper's setting (remote,
-//! metered SOAP/REST services), so the generator no longer interleaves pool
-//! lookups and invocations combination by combination. Instead it:
+//! metered SOAP/REST services), so the generator does not interleave pool
+//! lookups with invocations. Instead it:
 //!
 //! 1. resolves every `(input, partition)`'s candidate values **once**
 //!    ([`resolve_candidates`] — the pool is probed per partition, not per
@@ -12,26 +12,19 @@
 //!    attempts whose value vector is identical to an earlier attempt of the
 //!    same combination (shallow pools used to make retries re-invoke the
 //!    exact same inputs — pure waste);
-//! 3. executes the planned invocations in retry waves — attempt 0 for every
-//!    combination, then attempt 1 for the still-unresolved ones, … — so each
-//!    wave's *distinct* vectors can fan out over scoped threads
-//!    ([`GenerationConfig::invoke_threads`]) and route through a shared
-//!    [`InvocationCache`] ([`generate_examples_retrying`]);
-//! 4. assembles the report from the memoized outcomes in combination order,
-//!    so the result is byte-identical to the sequential reference path
-//!    ([`generate_examples_sequential`]) regardless of thread count or cache
-//!    state.
+//! 3. executes the plan combination by combination, each attempt through
+//!    [`Retrier::invoke`] — directly, or through a shared
+//!    [`InvocationCache`] ([`generate_examples_retrying`]) — and keeps the
+//!    first attempt that terminates normally. The report is the same with
+//!    or without a cache, and whatever the cache already holds.
 
 use crate::error::GenerationError;
 use crate::example::{Binding, DataExample, ExampleSet};
 use crate::partition::{input_partition_plan, PartitionPlan};
-use dex_modules::{
-    invoke_all_retrying, BlackBox, InvocationCache, InvocationOutcome, Retrier, RetryPolicy,
-};
+use dex_modules::{BlackBox, InvocationCache, Retrier, RetryPolicy};
 use dex_ontology::Ontology;
 use dex_pool::InstancePool;
 use dex_values::Value;
-use std::sync::Arc;
 
 /// Tuning knobs for the generator.
 #[derive(Debug, Clone)]
@@ -50,11 +43,6 @@ pub struct GenerationConfig {
     /// modules to obtain *aligned* examples (§6: "we choose the same values
     /// for both i and i′").
     pub value_offset: usize,
-    /// Opt-in invocation parallelism: each retry wave's distinct invocations
-    /// fan out over up to this many scoped threads (`BlackBox` is
-    /// `Send + Sync`). `0` and `1` mean sequential execution. The report is
-    /// identical for every thread count — only wall-clock changes.
-    pub invoke_threads: usize,
     /// How to retry *transient* invocation failures (`Unavailable`/`Fault`)
     /// within one planned attempt. Distinct from
     /// [`retries_per_combination`](GenerationConfig::retries_per_combination),
@@ -70,7 +58,6 @@ impl Default for GenerationConfig {
             max_combinations: 4096,
             retries_per_combination: 3,
             value_offset: 0,
-            invoke_threads: 1,
             retry: RetryPolicy::none(),
         }
     }
@@ -272,18 +259,6 @@ struct PlannedCombo<'p> {
     /// Deduplicated attempt vectors, in attempt order. Empty when some input
     /// partition has no realization (the combination can never be fed).
     attempts: Vec<Vec<&'p Value>>,
-    /// Next unconsumed entry of `attempts`.
-    next: usize,
-    /// Planned attempts consumed so far (the report's `invocations` share).
-    consumed: usize,
-    /// The winning attempt's outcome, once one terminates normally.
-    success: Option<(Vec<&'p Value>, Arc<InvocationOutcome>)>,
-}
-
-impl<'p> PlannedCombo<'p> {
-    fn is_unresolved(&self) -> bool {
-        self.success.is_none() && self.next < self.attempts.len()
-    }
 }
 
 /// The whole generation's invocation plan: every `(combination, attempt)`
@@ -291,9 +266,7 @@ impl<'p> PlannedCombo<'p> {
 fn plan_invocations<'p>(
     plan: &PartitionPlan,
     resolved: &'p [Vec<ResolvedPartition<'p>>],
-    ontology: &Ontology,
 ) -> Vec<PlannedCombo<'p>> {
-    let _ = ontology;
     let mut combos = Vec::new();
     for combo in plan.combinations() {
         let concept_names: Vec<String> = combo
@@ -332,9 +305,6 @@ fn plan_invocations<'p>(
             combo,
             concept_names,
             attempts,
-            next: 0,
-            consumed: 0,
-            success: None,
         });
     }
     combos
@@ -349,8 +319,8 @@ fn plan_invocations<'p>(
 /// 4. keep combinations that terminate normally as data examples.
 ///
 /// Deterministic: same module, ontology, pool and config always produce the
-/// same report — including under [`GenerationConfig::invoke_threads`]
-/// parallelism, and byte-identical to [`generate_examples_sequential`].
+/// same report. This uncached path is also the reference the cached path
+/// ([`generate_examples_retrying`]) is property-tested against.
 pub fn generate_examples(
     module: &dyn BlackBox,
     ontology: &Ontology,
@@ -410,49 +380,7 @@ fn generate_with(
     }
 
     let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
-    let mut planned = plan_invocations(&plan, &resolved, ontology);
-
-    let mut transient_failures = 0usize;
-
-    // Execute in retry waves: wave `a` invokes each still-unresolved
-    // combination's next planned vector. This invokes exactly the vectors
-    // the sequential path would (attempts past the first success are never
-    // materialized), while giving each wave a batch that can fan out over
-    // threads and a shared cache.
-    for _wave in 0..=config.retries_per_combination {
-        let pending: Vec<usize> = planned
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_unresolved())
-            .map(|(idx, _)| idx)
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        let vectors: Vec<Vec<Value>> = pending
-            .iter()
-            .map(|&idx| {
-                planned[idx].attempts[planned[idx].next]
-                    .iter()
-                    .map(|&v| v.clone())
-                    .collect()
-            })
-            .collect();
-        let outcomes = invoke_all_retrying(module, &vectors, cache, retrier, config.invoke_threads);
-        for (&idx, outcome) in pending.iter().zip(outcomes) {
-            let combo = &mut planned[idx];
-            combo.consumed += 1;
-            if outcome.is_ok() {
-                let winning = combo.attempts[combo.next].clone();
-                combo.success = Some((winning, outcome));
-            } else {
-                if matches!(outcome.as_ref(), Err(e) if e.is_transient()) {
-                    transient_failures += 1;
-                }
-                combo.next += 1;
-            }
-        }
-    }
+    let planned = plan_invocations(&plan, &resolved);
 
     // Telemetry-only coverage tracking, kept on the combination indices so
     // reporting needs no ontology lookups after the loop. `covered_flags`
@@ -469,140 +397,49 @@ fn generate_with(
         covered_flags = vec![false; offset];
     }
 
-    // Assemble in combination order — identical to the sequential loop.
-    let mut examples = ExampleSet::new(descriptor.id.clone());
-    let mut failed: Vec<Vec<String>> = Vec::new();
-    let mut invocations = 0usize;
-    for combo in planned {
-        invocations += combo.consumed;
-        match combo.success {
-            Some((picks, outcome)) => {
-                if telemetry_on {
-                    for (i, &pi) in combo.combo.iter().enumerate() {
-                        covered_flags[input_offsets[i] + pi] = true;
-                    }
-                }
-                let outputs = outcome.as_ref().as_ref().expect("successful outcome");
-                let inputs = descriptor
-                    .inputs
-                    .iter()
-                    .zip(picks)
-                    .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
-                    .collect();
-                let outputs = descriptor
-                    .outputs
-                    .iter()
-                    .zip(outputs)
-                    .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
-                    .collect();
-                examples
-                    .examples
-                    .push(DataExample::new(inputs, outputs, combo.concept_names));
-            }
-            None => failed.push(combo.concept_names),
-        }
-    }
-
-    let report = GenerationReport {
-        examples,
-        plan,
-        unvalued_partitions: unvalued,
-        failed_combinations: failed,
-        invocations,
-        transient_failures,
-    };
-    record_generation_telemetry(&report, telemetry_on, &covered_flags);
-    Ok(report)
-}
-
-/// The legacy combination-by-combination execution order, kept as the
-/// reference implementation: no waves, no cache, no cross-combination
-/// batching — each combination's planned attempts are invoked inline until
-/// one terminates normally.
-///
-/// The planned/cached paths are property-tested to produce byte-identical
-/// reports to this function (see `tests/generation_equivalence.rs`); it is
-/// also the uncached baseline `bench_invocation` measures against.
-pub fn generate_examples_sequential(
-    module: &dyn BlackBox,
-    ontology: &Ontology,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-) -> Result<GenerationReport, GenerationError> {
-    let descriptor = module.descriptor();
-    let plan = input_partition_plan(descriptor, ontology)?;
-    let combos = plan.combination_count();
-    if combos > config.max_combinations {
-        return Err(GenerationError::TooManyCombinations {
-            combinations: combos,
-            cap: config.max_combinations,
-        });
-    }
-
-    let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
-    let planned = plan_invocations(&plan, &resolved, ontology);
-
-    let telemetry_on = dex_telemetry::is_enabled();
-    let mut input_offsets: Vec<usize> = Vec::new();
-    let mut covered_flags: Vec<bool> = Vec::new();
-    if telemetry_on {
-        let mut offset = 0;
-        for parts in &plan.per_input {
-            input_offsets.push(offset);
-            offset += parts.len();
-        }
-        covered_flags = vec![false; offset];
-    }
-
+    // Each combination's planned attempts are invoked in order until one
+    // terminates normally; a combination with no success is recorded failed.
     let mut examples = ExampleSet::new(descriptor.id.clone());
     let mut failed: Vec<Vec<String>> = Vec::new();
     let mut invocations = 0usize;
     let mut transient_failures = 0usize;
     'combos: for combo in planned {
-        if combo.attempts.is_empty() {
-            failed.push(combo.concept_names);
-            continue 'combos;
-        }
-        let last = combo.attempts.len() - 1;
-        for (attempt, picks) in combo.attempts.iter().enumerate() {
+        for picks in &combo.attempts {
             let values: Vec<Value> = picks.iter().map(|&v| v.clone()).collect();
             invocations += 1;
-            match module.invoke(&values) {
-                Ok(outputs) => {
-                    if telemetry_on {
-                        for (i, &pi) in combo.combo.iter().enumerate() {
-                            covered_flags[input_offsets[i] + pi] = true;
-                        }
-                    }
-                    let inputs = descriptor
-                        .inputs
-                        .iter()
-                        .zip(values)
-                        .map(|(p, v)| Binding::new(p.name.clone(), v))
-                        .collect();
-                    let outputs = descriptor
-                        .outputs
-                        .iter()
-                        .zip(outputs)
-                        .map(|(p, v)| Binding::new(p.name.clone(), v))
-                        .collect();
-                    examples
-                        .examples
-                        .push(DataExample::new(inputs, outputs, combo.concept_names));
-                    continue 'combos;
-                }
+            let outcome = retrier.invoke(module, &values, cache);
+            let outputs = match outcome.as_ref() {
+                Ok(outputs) => outputs,
                 Err(e) => {
                     if e.is_transient() {
                         transient_failures += 1;
                     }
-                    if attempt < last {
-                        continue;
-                    }
-                    failed.push(combo.concept_names);
-                    continue 'combos;
+                    continue;
+                }
+            };
+            if telemetry_on {
+                for (i, &pi) in combo.combo.iter().enumerate() {
+                    covered_flags[input_offsets[i] + pi] = true;
                 }
             }
+            let inputs = descriptor
+                .inputs
+                .iter()
+                .zip(values)
+                .map(|(p, v)| Binding::new(p.name.clone(), v))
+                .collect();
+            let outputs = descriptor
+                .outputs
+                .iter()
+                .zip(outputs)
+                .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
+                .collect();
+            examples
+                .examples
+                .push(DataExample::new(inputs, outputs, combo.concept_names));
+            continue 'combos;
         }
+        failed.push(combo.concept_names);
     }
 
     let report = GenerationReport {
@@ -843,9 +680,6 @@ mod tests {
             valued_combos,
             "the module saw exactly one invocation"
         );
-        // The sequential reference path agrees.
-        let sequential = generate_examples_sequential(&m, &onto, &pool, &config).unwrap();
-        assert_eq!(sequential.invocations, report.invocations);
     }
 
     #[test]
@@ -894,26 +728,6 @@ mod tests {
             a.examples.examples[0].inputs[0].value,
             b.examples.examples[0].inputs[0].value
         );
-    }
-
-    #[test]
-    fn parallel_invocation_produces_identical_reports() {
-        let (onto, pool) = fixture();
-        let m = seq_kind_module();
-        let serial = generate_examples(&m, &onto, &pool, &GenerationConfig::default()).unwrap();
-        let parallel = generate_examples(
-            &m,
-            &onto,
-            &pool,
-            &GenerationConfig {
-                invoke_threads: 8,
-                ..GenerationConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.examples, parallel.examples);
-        assert_eq!(serial.failed_combinations, parallel.failed_combinations);
-        assert_eq!(serial.invocations, parallel.invocations);
     }
 
     #[test]

@@ -265,16 +265,10 @@ fn match_with(
         };
         // A failed invocation on inputs the target handled is a behavioral
         // disagreement on that example.
-        let agreed = match cache {
-            Some(cache) => match retrier.invoke_cached(cache, candidate, &inputs).as_ref() {
-                Ok(outputs) => all_equal(outputs),
-                Err(_) => false,
-            },
-            None => match retrier.invoke(candidate, &inputs) {
-                Ok(outputs) => all_equal(&outputs),
-                Err(_) => false,
-            },
-        };
+        let agreed = matches!(
+            retrier.invoke(candidate, &inputs, cache).as_ref(),
+            Ok(outputs) if all_equal(outputs)
+        );
         if agreed {
             agreeing += 1;
         }

@@ -1,24 +1,21 @@
-//! Property tests: the planned/cached/parallel generation paths produce
-//! reports identical to the legacy sequential reference path
-//! (`generate_examples_sequential`) across random module behaviors, pool
-//! depths/seeds, value offsets, and retry budgets.
+//! Property tests: the cached generation path produces reports identical to
+//! the uncached one (`generate_examples`, the oracle) across random module
+//! behaviors, pool depths/seeds, value offsets, and retry budgets.
 //!
-//! This is the determinism contract of the invocation planner: caching and
-//! parallelism may only change *how many times* a module is actually
-//! invoked, never what the generation report says.
+//! This is the determinism contract of the invocation planner: caching may
+//! only change *how many times* a module is actually invoked, never what the
+//! generation report says.
 
-use dex_core::{
-    generate_examples, generate_examples_retrying, generate_examples_sequential, GenerationConfig,
-    GenerationReport,
-};
+use dex_core::{generate_examples, generate_examples_retrying, GenerationConfig, GenerationReport};
 use dex_modules::{
-    FaultPlan, FaultyModule, FnModule, InvocationCache, InvocationError, ModuleDescriptor,
-    ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
+    BlackBox, FaultPlan, FaultyModule, FnModule, InvocationCache, InvocationError,
+    ModuleDescriptor, ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
 };
 use dex_ontology::mygrid;
 use dex_pool::build_synthetic_pool;
 use dex_values::{StructuralType, Value};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Text-valued concepts of the mygrid ontology the synthetic pool can
@@ -69,6 +66,38 @@ fn arb_module(inputs: &[usize], salt: u64, reject_pct: u64) -> FnModule {
     )
 }
 
+/// Wraps a module, counting every invocation that actually reaches it
+/// (cache hits never get here).
+struct Counted<M> {
+    inner: M,
+    invocations: AtomicU64,
+}
+
+impl<M: BlackBox> Counted<M> {
+    fn new(inner: M) -> Counted<M> {
+        Counted {
+            inner,
+            invocations: AtomicU64::new(0),
+        }
+    }
+
+    /// Calls that reached the module since the last `take`.
+    fn take(&self) -> u64 {
+        self.invocations.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl<M: BlackBox> BlackBox for Counted<M> {
+    fn descriptor(&self) -> &ModuleDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn invoke(&self, inputs: &[Value]) -> Result<Vec<Value>, InvocationError> {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
+        self.inner.invoke(inputs)
+    }
+}
+
 fn assert_reports_identical(label: &str, a: &GenerationReport, b: &GenerationReport) {
     assert_eq!(a.examples, b.examples, "{label}: examples differ");
     assert_eq!(
@@ -91,7 +120,7 @@ fn assert_reports_identical(label: &str, a: &GenerationReport, b: &GenerationRep
 
 proptest! {
     #[test]
-    fn planned_cached_and_parallel_paths_match_the_sequential_oracle(
+    fn cached_paths_match_the_uncached_oracle(
         inputs in proptest::collection::vec(0usize..CONCEPTS.len(), 1..3),
         salt in any::<u64>(),
         reject_pct in 0u64..101,
@@ -102,35 +131,32 @@ proptest! {
     ) {
         let ontology = mygrid::ontology();
         let pool = build_synthetic_pool(&ontology, depth, pool_seed);
-        let module = arb_module(&inputs, salt, reject_pct);
+        let module = Counted::new(arb_module(&inputs, salt, reject_pct));
         let config = GenerationConfig {
             value_offset,
             retries_per_combination: retries,
             ..GenerationConfig::default()
         };
 
-        let oracle = generate_examples_sequential(&module, &ontology, &pool, &config).unwrap();
+        // The report's logical invocation count is the number of calls that
+        // reached the module on the uncached path.
+        let oracle = generate_examples(&module, &ontology, &pool, &config).unwrap();
+        prop_assert_eq!(
+            module.take(), oracle.invocations as u64,
+            "the uncached oracle must invoke the module once per counted attempt"
+        );
 
-        // Planned (wave) execution, single-threaded.
-        let planned = generate_examples(&module, &ontology, &pool, &config).unwrap();
-        assert_reports_identical("planned", &planned, &oracle);
-
-        // Planned execution with the opt-in parallel executor.
-        let threaded = generate_examples(
-            &module,
-            &ontology,
-            &pool,
-            &GenerationConfig { invoke_threads: 4, ..config.clone() },
-        )
-        .unwrap();
-        assert_reports_identical("threaded", &threaded, &oracle);
-
-        // Cached execution on a cold cache…
+        // Cached execution on a cold cache: every miss, and only a miss,
+        // reaches the module.
         let cache = InvocationCache::new();
         let retrier = Retrier::new(config.retry);
         let cold = generate_examples_retrying(&module, &ontology, &pool, &config, &cache, &retrier)
             .unwrap();
         assert_reports_identical("cached/cold", &cold, &oracle);
+        prop_assert_eq!(
+            module.take(), cache.stats().misses,
+            "a cold cache invokes the module exactly once per miss"
+        );
 
         // …and again on the now-warm cache: zero fresh module invocations,
         // still the identical report.
@@ -143,15 +169,13 @@ proptest! {
             "warm regeneration must not invoke the module"
         );
 
-        // Cached + parallel at a different offset shares whatever vectors the
-        // offsets have in common and still matches its own oracle.
+        // Cached at a different offset shares whatever vectors the offsets
+        // have in common and still matches its own oracle.
         let shifted = GenerationConfig {
             value_offset: value_offset + 1,
-            invoke_threads: 4,
             ..config.clone()
         };
-        let shifted_oracle =
-            generate_examples_sequential(&module, &ontology, &pool, &shifted).unwrap();
+        let shifted_oracle = generate_examples(&module, &ontology, &pool, &shifted).unwrap();
         let shifted_cached =
             generate_examples_retrying(&module, &ontology, &pool, &shifted, &cache, &retrier)
                 .unwrap();
@@ -160,7 +184,7 @@ proptest! {
 
     /// Fault tolerance contract: a module population injected with bounded
     /// transient fault bursts, generated through cache + retry, produces a
-    /// report *byte-identical* to the fault-free sequential oracle — and the
+    /// report *byte-identical* to the fault-free uncached oracle — and the
     /// cache never memoizes a transient outcome along the way.
     #[test]
     fn faulted_retried_generation_matches_the_fault_free_oracle(
@@ -178,7 +202,7 @@ proptest! {
             ..GenerationConfig::default()
         };
         let plain = arb_module(&inputs, salt, reject_pct);
-        let oracle = generate_examples_sequential(&plain, &ontology, &pool, &config).unwrap();
+        let oracle = generate_examples(&plain, &ontology, &pool, &config).unwrap();
 
         // Same behavior, wrapped in seeded fault injection: bursts of up to
         // 2 consecutive transient faults per key, under a policy granting 3
@@ -235,7 +259,7 @@ proptest! {
         let pool = build_synthetic_pool(&ontology, 3, 99);
         let module = arb_module(&[0, 4], salt, reject_pct);
         let config = GenerationConfig::default();
-        let oracle = generate_examples_sequential(&module, &ontology, &pool, &config).unwrap();
+        let oracle = generate_examples(&module, &ontology, &pool, &config).unwrap();
         let cache = InvocationCache::with_capacity(capacity);
         let retrier = Retrier::new(config.retry);
         for round in 0..3 {
@@ -285,7 +309,7 @@ fn digest_module(id: &str, salt: u64, reject_pct: u64) -> FnModule {
 /// Acceptance scenario for the fault-tolerance subsystem: under a seeded
 /// flap schedule (provider withdraws, then restores — `Unavailable` inside
 /// the window), the cached pipeline's example *and* matching reports are
-/// byte-identical to the fault-free sequential oracle, and the invocation
+/// byte-identical to the fault-free uncached oracle, and the invocation
 /// cache holds zero memoized transient outcomes.
 #[test]
 fn flap_schedule_converges_to_the_fault_free_reports() {
@@ -309,7 +333,7 @@ fn flap_schedule_converges_to_the_fault_free_reports() {
 
     // --- Generation: faulted target vs fault-free oracle -----------------
     let target = digest_module("flap:target", 77, 20);
-    let oracle = generate_examples_sequential(&target, &ontology, &pool, &no_retry).unwrap();
+    let oracle = generate_examples(&target, &ontology, &pool, &no_retry).unwrap();
     let faulted_target = FaultyModule::new(
         Arc::new(digest_module("flap:target", 77, 20)) as SharedModule,
         flap(1),

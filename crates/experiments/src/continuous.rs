@@ -32,14 +32,14 @@
 use crate::incremental::IncrementalPipeline;
 use dex_core::delta::{Delta, DeltaReport};
 use dex_core::GenerationConfig;
-use dex_modules::{ModuleId, RetryPolicy};
+use dex_modules::{ModuleId, Retrier, RetryPolicy};
 use dex_pool::build_text_pool;
 use dex_provenance::{HarvestSink, ProvenanceCorpus};
 use dex_repair::{generate_repository, repair_repository_with, RepositoryPlan, WorkflowRepository};
 use dex_telemetry::{HistogramSnapshot, BUCKET_BOUNDS_NS};
 use dex_universe::scale::{build_scaled, FamilyInfo, ScalePlan};
 use dex_values::classify::classify_concept;
-use dex_workflow::{enact_cached, EnactmentTrace};
+use dex_workflow::{enact_retrying, EnactmentTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -280,12 +280,14 @@ impl ContinuousState {
         let harvested = {
             let catalog = &pipeline.universe().catalog;
             let mut sink = HarvestSink::new("scaled-harvest", catalog, classify_concept);
+            let no_retries = Retrier::none();
             for stored in &repo.workflows {
-                let trace = enact_cached(
+                let trace = enact_retrying(
                     &stored.workflow,
                     catalog,
                     &stored.sample_inputs,
                     pipeline.invocation_cache(),
+                    &no_retries,
                 )
                 .unwrap_or_else(|e| panic!("pre-decay enactment of {}: {e}", stored.workflow.id));
                 sink.absorb(&trace);

@@ -499,40 +499,6 @@ impl InvocationCache {
     }
 }
 
-/// Fans distinct invocations of one module out over `threads` scoped
-/// threads, all sharing `cache`. `vectors` may contain duplicates — the
-/// cache's exactly-once cell guarantees each distinct vector is invoked a
-/// single time no matter how the scheduler interleaves the workers.
-///
-/// Returns one outcome per input vector, in input order (deterministic
-/// regardless of scheduling). `threads <= 1` degrades to the plain
-/// sequential loop with no thread spawned.
-pub fn invoke_all_cached(
-    module: &dyn BlackBox,
-    vectors: &[Vec<Value>],
-    cache: &InvocationCache,
-    threads: usize,
-) -> Vec<Arc<InvocationOutcome>> {
-    let threads = threads.max(1).min(vectors.len());
-    if threads <= 1 {
-        return vectors.iter().map(|v| cache.invoke(module, v)).collect();
-    }
-    let mut results: Vec<Option<Arc<InvocationOutcome>>> = vec![None; vectors.len()];
-    let chunk = vectors.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        // Input and output chunks are paired *before* spawning — each worker
-        // owns a disjoint &mut result chunk and exactly its input range.
-        for (vec_chunk, out_chunk) in vectors.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (vector, slot) in vec_chunk.iter().zip(out_chunk) {
-                    *slot = Some(cache.invoke(module, vector));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("filled")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,27 +606,6 @@ mod tests {
         assert!(cache.is_empty());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 0));
-    }
-
-    #[test]
-    fn invoke_all_parallel_matches_sequential_order() {
-        let (module, invoked) = counted_upper();
-        let cache = InvocationCache::new();
-        let vectors: Vec<Vec<Value>> = (0..50)
-            .map(|i| vec![Value::text(format!("t{}", i % 7))])
-            .collect();
-        let results = invoke_all_cached(&module, &vectors, &cache, 8);
-        assert_eq!(results.len(), vectors.len());
-        for (vector, outcome) in vectors.iter().zip(&results) {
-            let expected = vector[0].as_text().unwrap().to_uppercase();
-            assert_eq!(
-                outcome.as_ref().as_ref().unwrap(),
-                &vec![Value::text(expected)]
-            );
-        }
-        // 7 distinct vectors → exactly 7 invocations despite 50 requests
-        // across 8 threads.
-        assert_eq!(invoked.load(Ordering::Relaxed), 7);
     }
 
     /// A module that fails `Unavailable` while the flag is raised — the

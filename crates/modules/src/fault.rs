@@ -415,8 +415,8 @@ mod tests {
             max_backoff_ticks: 8,
             retry_budget: None,
         });
-        let out = retrier.invoke(&faulty, &[Value::text("x")]);
-        assert_eq!(out.unwrap(), vec![Value::text("X")]);
+        let out = retrier.invoke(&faulty, &[Value::text("x")], None);
+        assert_eq!(out.as_ref(), &Ok(vec![Value::text("X")]));
         assert!(retrier.stats().retries >= 1);
     }
 

@@ -45,10 +45,10 @@ pub mod param;
 pub mod retry;
 
 pub use blackbox::{BlackBox, FnModule, SharedModule};
-pub use cache::{invoke_all_cached, InvocationCache, InvocationCacheStats, InvocationOutcome};
+pub use cache::{InvocationCache, InvocationCacheStats, InvocationOutcome};
 pub use catalog::ModuleCatalog;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, FaultyModule, FlapWindow};
 pub use invoke::InvocationError;
 pub use module::{ModuleDescriptor, ModuleId, ModuleKind};
 pub use param::Parameter;
-pub use retry::{invoke_all_retrying, Retrier, RetryPolicy, RetryStats};
+pub use retry::{Retrier, RetryPolicy, RetryStats};

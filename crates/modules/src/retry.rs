@@ -3,8 +3,8 @@
 //! Remote services fail transiently all the time; the paper's pipeline only
 //! keeps combinations that "terminate normally", so a transient
 //! `Unavailable`/`Fault` must not be confused with a deterministic rejection.
-//! A [`Retrier`] wraps the invocation call sites (direct or through an
-//! [`InvocationCache`]) and re-attempts *transient* errors only, with
+//! A [`Retrier`] is the one invocation path (direct or through an
+//! [`InvocationCache`]); it re-attempts *transient* errors only, with
 //! exponential backoff counted in simulated ticks — no wall clock, so
 //! retried runs stay byte-for-byte reproducible. Backoff ticks are delivered
 //! to the module via [`BlackBox::advance_ticks`], which lets deterministic
@@ -80,7 +80,9 @@ impl Default for RetryPolicy {
 /// reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryStats {
-    /// Invocation attempts made through the retrier (first tries included).
+    /// Invocation attempts made through the retrier: first tries included,
+    /// and an attempt answered by a cache hit counts like one that reached
+    /// the module.
     pub attempts: u64,
     /// Attempts beyond the first for some input vector.
     pub retries: u64,
@@ -275,45 +277,21 @@ impl Retrier {
         }
     }
 
-    /// Invokes `module` directly, retrying transient failures per the
-    /// policy. The final outcome (success, permanent error, or the transient
-    /// error that survived every attempt) is returned.
-    pub fn invoke(&self, module: &dyn BlackBox, inputs: &[Value]) -> InvocationOutcome {
-        let mut retry_idx = 0u32;
-        let mut invoke_span = None;
-        loop {
-            let outcome = {
-                let _attempt = invoke_span
-                    .as_ref()
-                    .map(|_| dex_telemetry::span("retry.attempt"));
-                module.invoke(inputs)
-            };
-            match self.plan_retry(&outcome, retry_idx) {
-                Some(ticks) => {
-                    self.note_retry(module, &mut invoke_span, retry_idx, ticks);
-                    module.advance_ticks(ticks);
-                    retry_idx += 1;
-                }
-                None => {
-                    if retry_idx > 0 {
-                        self.note_exhausted(module, &outcome);
-                    }
-                    return outcome;
-                }
-            }
-        }
-    }
-
-    /// Invokes `module` through `cache`, retrying transient failures.
+    /// Invokes `module` on `inputs`, retrying transient failures per the
+    /// policy: the one retry loop every pipeline invocation goes through.
     ///
-    /// The cache never memoizes transients (see
-    /// [`InvocationCache::invoke`]), so each retry reaches the module; a
-    /// success or permanent error is memoized as usual and ends the loop.
-    pub fn invoke_cached(
+    /// With a `cache`, each attempt is a [`InvocationCache::invoke`] lookup.
+    /// The cache never memoizes transients, so each retry reaches the
+    /// module; a success or permanent error is memoized as usual and ends
+    /// the loop. Without one, each attempt invokes the module directly. The
+    /// final outcome (success, permanent error, or the transient error that
+    /// survived every attempt) is returned. A caller with no retry policy
+    /// passes [`Retrier::none`].
+    pub fn invoke(
         &self,
-        cache: &InvocationCache,
         module: &dyn BlackBox,
         inputs: &[Value],
+        cache: Option<&InvocationCache>,
     ) -> Arc<InvocationOutcome> {
         let mut retry_idx = 0u32;
         let mut invoke_span = None;
@@ -322,7 +300,10 @@ impl Retrier {
                 let _attempt = invoke_span
                     .as_ref()
                     .map(|_| dex_telemetry::span("retry.attempt"));
-                cache.invoke(module, inputs)
+                match cache {
+                    Some(cache) => cache.invoke(module, inputs),
+                    None => Arc::new(module.invoke(inputs)),
+                }
             };
             match self.plan_retry(&outcome, retry_idx) {
                 Some(ticks) => {
@@ -339,44 +320,6 @@ impl Retrier {
             }
         }
     }
-}
-
-/// Fans invocations of one module out over `threads` scoped threads, each
-/// routed through `retrier` and (when given) `cache`. The retrying
-/// counterpart of [`crate::invoke_all_cached`]: one outcome per input
-/// vector, in input order, duplicates invoked at most once when cached.
-pub fn invoke_all_retrying(
-    module: &dyn BlackBox,
-    vectors: &[Vec<Value>],
-    cache: Option<&InvocationCache>,
-    retrier: &Retrier,
-    threads: usize,
-) -> Vec<Arc<InvocationOutcome>> {
-    let one = |vector: &Vec<Value>| match cache {
-        Some(cache) => retrier.invoke_cached(cache, module, vector),
-        None => Arc::new(retrier.invoke(module, vector)),
-    };
-    let threads = threads.max(1).min(vectors.len());
-    if threads <= 1 {
-        return vectors.iter().map(one).collect();
-    }
-    let mut results: Vec<Option<Arc<InvocationOutcome>>> = vec![None; vectors.len()];
-    let chunk = vectors.len().div_ceil(threads);
-    let ctx = dex_telemetry::current_context();
-    std::thread::scope(|scope| {
-        // Input and output chunks are paired *before* spawning — each worker
-        // owns a disjoint &mut result chunk and exactly its input range.
-        for (vec_chunk, out_chunk) in vectors.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let one = &one;
-            scope.spawn(move || {
-                let _worker = ctx.span("invoke.wave_worker");
-                for (vector, slot) in vec_chunk.iter().zip(out_chunk) {
-                    *slot = Some(one(vector));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("filled")).collect()
 }
 
 #[cfg(test)]
@@ -419,8 +362,8 @@ mod tests {
     fn transient_failures_are_retried_to_success() {
         let (module, calls) = flaky_upper(2);
         let retrier = Retrier::new(RetryPolicy::transient(4));
-        let out = retrier.invoke(&module, &[Value::text("ok")]);
-        assert_eq!(out.unwrap(), vec![Value::text("OK")]);
+        let out = retrier.invoke(&module, &[Value::text("ok")], None);
+        assert_eq!(out.as_ref(), &Ok(vec![Value::text("OK")]));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         let stats = retrier.stats();
         assert_eq!(stats.attempts, 3);
@@ -449,8 +392,11 @@ mod tests {
             },
         );
         let retrier = Retrier::new(RetryPolicy::transient(5));
-        let out = retrier.invoke(&module, &[Value::text("x")]);
-        assert!(matches!(out, Err(InvocationError::Rejected { .. })));
+        let out = retrier.invoke(&module, &[Value::text("x")], None);
+        assert!(matches!(
+            out.as_ref(),
+            Err(InvocationError::Rejected { .. })
+        ));
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(retrier.stats().retries, 0);
     }
@@ -459,8 +405,8 @@ mod tests {
     fn exhaustion_returns_the_transient_error() {
         let (module, calls) = flaky_upper(usize::MAX);
         let retrier = Retrier::new(RetryPolicy::transient(3));
-        let out = retrier.invoke(&module, &[Value::text("x")]);
-        assert!(matches!(out, Err(InvocationError::Fault { .. })));
+        let out = retrier.invoke(&module, &[Value::text("x")], None);
+        assert!(matches!(out.as_ref(), Err(InvocationError::Fault { .. })));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         let stats = retrier.stats();
         assert_eq!(stats.exhausted, 1);
@@ -472,7 +418,7 @@ mod tests {
         let (module, _) = flaky_upper(usize::MAX);
         let retrier = Retrier::new(RetryPolicy::transient(10).with_budget(3));
         for i in 0..4 {
-            let _ = retrier.invoke(&module, &[Value::text(format!("v{i}"))]);
+            let _ = retrier.invoke(&module, &[Value::text(format!("v{i}"))], None);
         }
         let stats = retrier.stats();
         assert_eq!(stats.retries, 3, "budget granted exactly 3 retries");
@@ -483,7 +429,7 @@ mod tests {
     fn none_policy_is_single_attempt() {
         let (module, calls) = flaky_upper(usize::MAX);
         let retrier = Retrier::none();
-        let out = retrier.invoke(&module, &[Value::text("x")]);
+        let out = retrier.invoke(&module, &[Value::text("x")], None);
         assert!(out.is_err());
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert!(!retrier.policy().retries_enabled());

@@ -5,8 +5,8 @@
 //! memoized outcome.
 
 use dex_modules::{
-    invoke_all_cached, BlackBox, FnModule, InvocationCache, InvocationError, ModuleCatalog,
-    ModuleDescriptor, ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
+    BlackBox, FnModule, InvocationCache, InvocationError, ModuleCatalog, ModuleDescriptor,
+    ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
 };
 use dex_values::{StructuralType, Value};
 use std::collections::HashMap;
@@ -119,28 +119,6 @@ fn racing_readers_share_the_winners_outcome() {
     }
 }
 
-#[test]
-fn parallel_executor_is_exactly_once_across_duplicate_heavy_input() {
-    let (module, counts) = counting_module(std::time::Duration::ZERO);
-    let cache = InvocationCache::new();
-    // 96 requests over 8 distinct vectors, fanned over 6 threads.
-    let vectors: Vec<Vec<Value>> = (0..96)
-        .map(|i| vec![Value::text(format!("d{}", i % 8))])
-        .collect();
-    let outcomes = invoke_all_cached(&module, &vectors, &cache, 6);
-    assert_eq!(outcomes.len(), vectors.len());
-    for (vector, outcome) in vectors.iter().zip(&outcomes) {
-        let expected = vector[0].as_text().unwrap().to_uppercase();
-        assert_eq!(
-            outcome.as_ref().as_ref().unwrap(),
-            &vec![Value::text(expected)]
-        );
-    }
-    let counts = counts.lock().unwrap();
-    assert_eq!(counts.len(), 8);
-    assert!(counts.values().all(|&c| c == 1), "{counts:?}");
-}
-
 /// The batched blocked executor's access pattern (ISSUE 6): workers claim
 /// *chunks* of a worklist off an atomic cursor, keys repeat across chunks,
 /// and every key faults transiently on its first attempt. While the run is
@@ -206,7 +184,7 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
                         break;
                     }
                     for vector in &worklist[start..(start + CHUNK).min(worklist.len())] {
-                        let outcome = retrier.invoke_cached(cache, module, vector);
+                        let outcome = retrier.invoke(module, vector, Some(cache));
                         let text = vector[0].as_text().unwrap();
                         assert_eq!(
                             outcome.as_ref().as_ref().unwrap(),
@@ -494,7 +472,7 @@ fn racing_retriers_share_exactly_one_eventual_success() {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     barrier.wait();
-                    retrier.invoke_cached(cache, module, input)
+                    retrier.invoke(module, input, Some(cache))
                 })
             })
             .collect();

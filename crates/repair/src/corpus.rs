@@ -68,22 +68,83 @@ pub fn build_corpus_with(
     fail_fast: bool,
 ) -> (ProvenanceCorpus, CorpusBuildReport) {
     let mut corpus = ProvenanceCorpus::new("simulated-taverna");
-    let mut report = CorpusBuildReport::default();
-    let retrier = Retrier::new(retry);
-
     // Repository workflows are stamped out from shared templates over shared
     // pool values, so their step invocations repeat heavily; one memo across
     // all enactments skips the duplicates without changing any trace.
     let invocations = InvocationCache::new();
+    let report = walk_corpus(
+        universe,
+        repository,
+        pool,
+        retry,
+        &invocations,
+        fail_fast,
+        |trace| corpus.add(trace),
+    );
+    (corpus, report)
+}
+
+/// Streams the corpus build straight into a harvested pool: every workflow
+/// is enacted and its trace absorbed into a [`HarvestSink`] immediately, so
+/// at no point does more than the one in-flight trace exist. Memory is
+/// bounded by distinct harvested data, not by enactment volume — this is
+/// what lets a 100k-module repository build its pool without materializing
+/// a [`ProvenanceCorpus`] first.
+///
+/// The trace *sources* are exactly those of [`build_corpus_with`] in the
+/// tolerant (non-`fail_fast`) mode — the two share one walk — and the
+/// annotation rules are those of [`dex_provenance::harvest_pool`], so the
+/// resulting pool is byte-identical to
+/// `harvest_pool(&build_corpus_with(..).0, ..)` (pinned by
+/// `tests/streaming_harvest.rs`). `invocations` is caller-owned so a warm
+/// cache can be shared across the build and everything downstream of it.
+pub fn stream_harvested_pool(
+    universe: &Universe,
+    repository: &WorkflowRepository,
+    pool: &InstancePool,
+    classifier: ValueClassifier,
+    retry: RetryPolicy,
+    invocations: &InvocationCache,
+) -> (InstancePool, CorpusBuildReport) {
+    let _span = dex_telemetry::span("corpus.stream_harvest");
+    let mut sink = HarvestSink::new("harvest-simulated-taverna", &universe.catalog, classifier);
+    let report = walk_corpus(
+        universe,
+        repository,
+        pool,
+        retry,
+        invocations,
+        false,
+        |trace| sink.absorb(&trace),
+    );
+    (sink.finish(), report)
+}
+
+/// The one corpus walk: repository enactments first (through `invocations`),
+/// then the legacy archive invocations, each trace handed to `sink` as it
+/// lands. Failures that survive the retrier are skipped and accounted, or
+/// panic under `fail_fast`.
+fn walk_corpus(
+    universe: &Universe,
+    repository: &WorkflowRepository,
+    pool: &InstancePool,
+    retry: RetryPolicy,
+    invocations: &InvocationCache,
+    fail_fast: bool,
+    mut sink: impl FnMut(EnactmentTrace),
+) -> CorpusBuildReport {
+    let mut report = CorpusBuildReport::default();
+    let retrier = Retrier::new(retry);
+
     for stored in &repository.workflows {
         match enact_retrying(
             &stored.workflow,
             &universe.catalog,
             &stored.sample_inputs,
-            &invocations,
+            invocations,
             &retrier,
         ) {
-            Ok(trace) => corpus.add(trace),
+            Ok(trace) => sink(trace),
             Err(e) if fail_fast => {
                 panic!(
                     "pre-decay enactment of {} must succeed: {e}",
@@ -112,8 +173,8 @@ pub fn build_corpus_with(
                     .push((legacy.clone(), "module unavailable".to_string()));
                 continue;
             };
-            match retrier.invoke(module.as_ref(), &inputs) {
-                Ok(outputs) => corpus.add(EnactmentTrace {
+            match retrier.invoke(module.as_ref(), &inputs, None).as_ref() {
+                Ok(outputs) => sink(EnactmentTrace {
                     workflow: format!("ispider:{legacy}:{k}"),
                     inputs: inputs.clone(),
                     steps: vec![StepRecord {
@@ -123,7 +184,7 @@ pub fn build_corpus_with(
                         inputs,
                         outputs: outputs.clone(),
                     }],
-                    outputs,
+                    outputs: outputs.clone(),
                 }),
                 // Archive invocations were always best-effort (a rejected
                 // input simply yields no trace), so permanent rejections are
@@ -143,95 +204,7 @@ pub fn build_corpus_with(
     }
 
     report.retry = retrier.stats();
-    (corpus, report)
-}
-
-/// Streams the corpus build straight into a harvested pool: every workflow
-/// is enacted and its trace absorbed into a [`HarvestSink`] immediately, so
-/// at no point does more than the one in-flight trace exist. Memory is
-/// bounded by distinct harvested data, not by enactment volume — this is
-/// what lets a 100k-module repository build its pool without materializing
-/// a [`ProvenanceCorpus`] first.
-///
-/// The trace *sources* are exactly those of [`build_corpus_with`] in the
-/// tolerant (non-`fail_fast`) mode — repository enactments first, then the
-/// legacy archive invocations — and the annotation rules are those of
-/// [`dex_provenance::harvest_pool`], so the resulting pool is byte-identical
-/// to `harvest_pool(&build_corpus_with(..).0, ..)` (pinned by property
-/// tests below). `invocations` is caller-owned so a warm cache can be
-/// shared across the build and everything downstream of it.
-pub fn stream_harvested_pool(
-    universe: &Universe,
-    repository: &WorkflowRepository,
-    pool: &InstancePool,
-    classifier: ValueClassifier,
-    retry: RetryPolicy,
-    invocations: &InvocationCache,
-) -> (InstancePool, CorpusBuildReport) {
-    let _span = dex_telemetry::span("corpus.stream_harvest");
-    let mut sink = HarvestSink::new("harvest-simulated-taverna", &universe.catalog, classifier);
-    let mut report = CorpusBuildReport::default();
-    let retrier = Retrier::new(retry);
-
-    for stored in &repository.workflows {
-        match enact_retrying(
-            &stored.workflow,
-            &universe.catalog,
-            &stored.sample_inputs,
-            invocations,
-            &retrier,
-        ) {
-            Ok(trace) => sink.absorb(&trace),
-            Err(e) => {
-                if dex_telemetry::is_enabled() {
-                    dex_telemetry::counter_add("dex.corpus.enact_failures", 1);
-                }
-                report
-                    .failed_enactments
-                    .push((stored.workflow.id.clone(), e.to_string()));
-            }
-        }
-    }
-
-    for legacy in &universe.legacy {
-        for (k, inputs) in archive_inputs(universe, pool, legacy)
-            .into_iter()
-            .enumerate()
-        {
-            let Some(module) = universe.catalog.get(legacy) else {
-                report
-                    .failed_archive_invocations
-                    .push((legacy.clone(), "module unavailable".to_string()));
-                continue;
-            };
-            match retrier.invoke(module.as_ref(), &inputs) {
-                Ok(outputs) => sink.absorb(&EnactmentTrace {
-                    workflow: format!("ispider:{legacy}:{k}"),
-                    inputs: inputs.clone(),
-                    steps: vec![StepRecord {
-                        step: 0,
-                        step_name: "invoke".to_string(),
-                        module: legacy.clone(),
-                        inputs,
-                        outputs: outputs.clone(),
-                    }],
-                    outputs,
-                }),
-                Err(e) if e.is_transient() => {
-                    if dex_telemetry::is_enabled() {
-                        dex_telemetry::counter_add("dex.corpus.archive_failures", 1);
-                    }
-                    report
-                        .failed_archive_invocations
-                        .push((legacy.clone(), e.to_string()));
-                }
-                Err(_) => continue,
-            }
-        }
-    }
-
-    report.retry = retrier.stats();
-    (sink.finish(), report)
+    report
 }
 
 /// Picks archive inputs for one legacy module: up to six distinct pool

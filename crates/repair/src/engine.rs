@@ -248,7 +248,7 @@ fn verify_substitution(
                 inputs[c_idx] = record.inputs[t_idx].clone();
             }
             match retrier
-                .invoke_cached(invocations, candidate.as_ref(), &inputs)
+                .invoke(candidate.as_ref(), &inputs, Some(invocations))
                 .as_ref()
             {
                 Ok(outputs) => {

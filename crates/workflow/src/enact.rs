@@ -75,29 +75,20 @@ pub fn enact(
     catalog: &ModuleCatalog,
     inputs: &[Value],
 ) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, None, None)
+    enact_with(workflow, catalog, inputs, None, &Retrier::none())
 }
 
-/// [`enact`] through a shared [`InvocationCache`]: step invocations whose
-/// `(module, input vector)` was already executed — by an earlier enactment
-/// sharing the cache, or by example generation — are answered from the memo.
-/// The trace is identical to an uncached enactment; bulk re-enactment (e.g.
-/// building a provenance corpus over a repository whose workflows share
-/// modules and pool values) skips the repeated work.
-pub fn enact_cached(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    inputs: &[Value],
-    cache: &InvocationCache,
-) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, Some(cache), None)
-}
-
-/// [`enact_cached`] with an explicit, shared [`Retrier`]: a step invocation
-/// that fails *transiently* is re-attempted under the retrier's policy
-/// before the enactment is abandoned. The availability gate still applies —
+/// [`enact`] through a shared [`InvocationCache`] and [`Retrier`]. Step
+/// invocations whose `(module, input vector)` was already executed — by an
+/// earlier enactment sharing the cache, or by example generation — are
+/// answered from the memo, so bulk re-enactment (e.g. building a provenance
+/// corpus over a repository whose workflows share modules and pool values)
+/// skips the repeated work; the trace is identical to an uncached
+/// enactment. A step invocation that fails *transiently* is re-attempted
+/// under the retrier's policy before the enactment is abandoned; pass
+/// [`Retrier::none`] for no retries. The availability gate still applies —
 /// a step whose module the catalog reports withdrawn fails
-/// [`EnactError::ModuleUnavailable`] without an invocation, retried or not.
+/// [`EnactError::ModuleUnavailable`] without an invocation, cached or not.
 pub fn enact_retrying(
     workflow: &Workflow,
     catalog: &ModuleCatalog,
@@ -105,7 +96,7 @@ pub fn enact_retrying(
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, Some(cache), Some(retrier))
+    enact_with(workflow, catalog, inputs, Some(cache), retrier)
 }
 
 fn enact_with(
@@ -113,7 +104,7 @@ fn enact_with(
     catalog: &ModuleCatalog,
     inputs: &[Value],
     cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
+    retrier: &Retrier,
 ) -> Result<EnactmentTrace, EnactError> {
     let _span = dex_telemetry::span("workflow.enact");
     let result = enact_inner(workflow, catalog, inputs, cache, retrier);
@@ -142,7 +133,7 @@ fn enact_inner(
     catalog: &ModuleCatalog,
     inputs: &[Value],
     cache: Option<&InvocationCache>,
-    retrier: Option<&Retrier>,
+    retrier: &Retrier,
 ) -> Result<EnactmentTrace, EnactError> {
     if inputs.len() != workflow.inputs.len() {
         return Err(EnactError::Structure(format!(
@@ -186,20 +177,15 @@ fn enact_inner(
             }
             values[link.target_input] = resolve(&link.source, &step_outputs)?;
         }
-        let invoked = match (cache, retrier) {
-            (Some(cache), Some(retrier)) => retrier
-                .invoke_cached(cache, module.as_ref(), &values)
-                .as_ref()
-                .clone(),
-            (Some(cache), None) => cache.invoke(module.as_ref(), &values).as_ref().clone(),
-            (None, Some(retrier)) => retrier.invoke(module.as_ref(), &values),
-            (None, None) => module.invoke(&values),
-        };
-        let outputs = invoked.map_err(|error| EnactError::Invocation {
-            step: i,
-            module: step.module.clone(),
-            error,
-        })?;
+        let outputs = retrier
+            .invoke(module.as_ref(), &values, cache)
+            .as_ref()
+            .clone()
+            .map_err(|error| EnactError::Invocation {
+                step: i,
+                module: step.module.clone(),
+                error,
+            })?;
         records.push(StepRecord {
             step: i,
             step_name: step.name.clone(),
@@ -341,13 +327,14 @@ mod tests {
         // that has since been withdrawn from the catalog.
         let mut c = catalog();
         let cache = InvocationCache::default();
+        let none = Retrier::none();
         let wf = pipeline();
-        let ok = enact_cached(&wf, &c, &[Value::text("ab")], &cache).unwrap();
+        let ok = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &none).unwrap();
         assert_eq!(ok.outputs, vec![Value::text("abab!")]);
         assert!(cache.stats().entries > 0, "first enactment seeds the cache");
 
         c.withdraw(&"double".into());
-        let err = enact_cached(&wf, &c, &[Value::text("ab")], &cache).unwrap_err();
+        let err = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &none).unwrap_err();
         assert_eq!(
             err,
             EnactError::ModuleUnavailable {
@@ -357,7 +344,7 @@ mod tests {
         );
 
         c.restore(&"double".into());
-        let again = enact_cached(&wf, &c, &[Value::text("ab")], &cache).unwrap();
+        let again = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &none).unwrap();
         assert_eq!(again, ok, "restoration re-enables the memoized trace");
     }
 

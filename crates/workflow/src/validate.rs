@@ -1,6 +1,6 @@
 //! Workflow well-formedness and link-compatibility checking.
 
-use crate::enact::{enact_cached, enact_retrying, EnactError, EnactmentTrace};
+use crate::enact::{enact_retrying, EnactError, EnactmentTrace};
 use crate::model::{Source, Workflow};
 use dex_modules::{InvocationCache, ModuleCatalog, Retrier};
 use dex_ontology::Ontology;
@@ -126,24 +126,7 @@ pub fn validate_with_enactment(
     cache: &InvocationCache,
 ) -> Result<EnactmentTrace, DynamicValidationError> {
     validate(workflow, catalog, ontology).map_err(DynamicValidationError::Static)?;
-    enact_cached(workflow, catalog, sample_inputs, cache).map_err(DynamicValidationError::Enactment)
-}
-
-/// [`validate_with_enactment`] with an explicit [`Retrier`]: the dry run
-/// re-attempts transiently failing step invocations under the retrier's
-/// policy, so a momentary service outage does not condemn a structurally
-/// sound workflow. Permanent failures (arity, rejected input…) still fail
-/// the validation on the first attempt.
-pub fn validate_with_enactment_retrying(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    ontology: &Ontology,
-    sample_inputs: &[Value],
-    cache: &InvocationCache,
-    retrier: &Retrier,
-) -> Result<EnactmentTrace, DynamicValidationError> {
-    validate(workflow, catalog, ontology).map_err(DynamicValidationError::Static)?;
-    enact_retrying(workflow, catalog, sample_inputs, cache, retrier)
+    enact_retrying(workflow, catalog, sample_inputs, cache, &Retrier::none())
         .map_err(DynamicValidationError::Enactment)
 }
 
