@@ -7,7 +7,7 @@
 //! memoized generation through `generate_examples` with no cache, with every
 //! replay invoking the candidate afresh. The "cached" run is today's
 //! pipeline: one [`MatchSession`] whose generations and replays share an
-//! [`InvocationCache`].
+//! [`dex_modules::InvocationCache`].
 //!
 //! Exits nonzero if the cache records zero hits on this workload — that
 //! would mean the planner's sharing is broken, and CI treats it as a

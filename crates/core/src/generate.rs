@@ -6,7 +6,7 @@
 //! lookups with invocations. Instead it:
 //!
 //! 1. resolves every `(input, partition)`'s candidate values **once**
-//!    ([`resolve_candidates`] — the pool is probed per partition, not per
+//!    (`resolve_candidates` — the pool is probed per partition, not per
 //!    combination per attempt);
 //! 2. plans each combination's attempt vectors up front, dropping retry
 //!    attempts whose value vector is identical to an earlier attempt of the
@@ -182,7 +182,7 @@ fn resolve_candidates<'p>(
 /// A stable digest of everything generation reads from the ontology and the
 /// pool for one module: the partition plan (concept names per input, in
 /// plan order) and every resolved pool pick per `(input, partition,
-/// attempt)` — i.e. the full output of [`resolve_candidates`], computed by
+/// attempt)` — i.e. the full output of `resolve_candidates`, computed by
 /// the very same code path.
 ///
 /// Because the report of [`generate_examples`] is a pure function of

@@ -96,8 +96,8 @@ pub use generate::{
 pub use inverse::{cover_output_partitions, InverseCoverageReport};
 pub use matching::{
     compare_modules, match_against_examples, match_against_examples_retrying, BlockingStats,
-    CacheStats, CachedGeneration, FingerprintIndex, MappingMode, MatchOutcome, MatchReport,
-    MatchSession, MatchVerdict, PartitionFingerprint,
+    CachedGeneration, FingerprintIndex, MappingMode, MatchOutcome, MatchReport, MatchSession,
+    MatchVerdict, PartitionFingerprint,
 };
 pub use metrics::{completeness, conciseness, BehaviorOracle, ModuleScore};
 pub use partition::{input_partition_plan, partitions_for, PartitionPlan};

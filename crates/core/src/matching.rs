@@ -15,8 +15,7 @@ use dex_values::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// How strictly parameters must correspond for two modules to be compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -287,8 +286,8 @@ fn match_with(
 /// both i and i′") and replaying them against the candidate.
 ///
 /// For repeated comparisons over the same ontology/pool/config, build one
-/// [`MatchSession`] instead: it memoizes the target-side generation, so each
-/// module is invoked once per value offset rather than once per pair.
+/// [`MatchSession`] instead: its invocation cache invokes each distinct
+/// input vector once per session rather than once per pair.
 pub fn compare_modules(
     target: &dyn BlackBox,
     candidate: &dyn BlackBox,
@@ -518,8 +517,8 @@ impl PartitionFingerprint {
 pub struct BlockingStats {
     /// Ordered module pairs in the sweep (`n·(n−1)`).
     pub pairs_total: usize,
-    /// Pairs whose fingerprints were compatible — the full memoized
-    /// aligned-example comparison ran on exactly these.
+    /// Pairs whose fingerprints were compatible — the full aligned-example
+    /// comparison ran on exactly these.
     pub pairs_compared: usize,
     /// Pairs proven incomparable by fingerprints alone (no invocation).
     pub pairs_pruned: usize,
@@ -709,8 +708,8 @@ impl FingerprintIndex {
     /// This is the worklist order the batched executor wants: with
     /// bucket-major order, one oversized bucket (the 25k sweep has a
     /// 391-module bucket, ~152k consecutive pairs) occupies a long run of
-    /// consecutive chunks whose claims all replay the same few memoized
-    /// targets, while interleaving spreads every bucket's pairs evenly
+    /// consecutive chunks whose claims all replay the same few targets'
+    /// reports, while interleaving spreads every bucket's pairs evenly
     /// across the sweep.
     pub fn comparable_pairs_interleaved(&self) -> Vec<(usize, usize)> {
         let buckets = self.ordered_buckets();
@@ -777,44 +776,13 @@ impl Iterator for PairIter<'_> {
     }
 }
 
-/// A memoized generation result, shared between all readers of a session.
-/// Public so executors can resolve a target's report once and hand it to
-/// [`MatchSession::compare_report`] for every candidate, keeping the
-/// per-pair hot path free of the session's memo lock.
+/// One target's generation result behind an `Arc`. An all-pairs sweep
+/// resolves each target's report once and hands it to
+/// [`MatchSession::compare_report`] for every candidate, across threads.
 pub type CachedGeneration = Arc<Result<GenerationReport, GenerationError>>;
 
-/// A snapshot of a [`MatchSession`]'s memoization behavior — the cache used
-/// to be a mutex-guarded black box; this is its flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// `report_at` calls answered from the cache.
-    pub hits: u64,
-    /// `report_at` calls that had to generate.
-    pub misses: u64,
-    /// Memoized `(module, value_offset)` entries currently held.
-    pub entries: usize,
-    /// Rough heap footprint of the memoized reports, bytes (value payloads
-    /// and concept names; allocator overhead not modeled).
-    pub memoized_bytes_estimate: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; `0.0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Rough heap bytes of one memoized generation result.
 /// Matching telemetry counters, interned once per process.
 struct MatchCounters {
-    hits: dex_telemetry::Counter,
-    misses: dex_telemetry::Counter,
     pairs: dex_telemetry::Counter,
     equivalent: dex_telemetry::Counter,
     overlapping: dex_telemetry::Counter,
@@ -825,8 +793,6 @@ struct MatchCounters {
 fn match_counters() -> &'static MatchCounters {
     static COUNTERS: std::sync::OnceLock<MatchCounters> = std::sync::OnceLock::new();
     COUNTERS.get_or_init(|| MatchCounters {
-        hits: dex_telemetry::counter("dex.match.cache_hits"),
-        misses: dex_telemetry::counter("dex.match.cache_misses"),
         pairs: dex_telemetry::counter("dex.match.pairs"),
         equivalent: dex_telemetry::counter("dex.match.verdict.equivalent"),
         overlapping: dex_telemetry::counter("dex.match.verdict.overlapping"),
@@ -835,52 +801,25 @@ fn match_counters() -> &'static MatchCounters {
     })
 }
 
-fn approx_cached_bytes(cached: &Result<GenerationReport, GenerationError>) -> u64 {
-    match cached {
-        Ok(report) => {
-            let mut bytes = 0usize;
-            for example in report.examples.iter() {
-                for binding in example.inputs.iter().chain(example.outputs.iter()) {
-                    bytes += binding.parameter.len() + binding.value.approx_heap_bytes();
-                }
-                bytes += example
-                    .input_partitions
-                    .iter()
-                    .map(String::len)
-                    .sum::<usize>();
-            }
-            bytes as u64
-        }
-        Err(e) => e.to_string().len() as u64,
-    }
-}
-
-/// A matching context that memoizes target-side example generation.
+/// A matching context over fixed ontology, pool, and generation config.
 ///
-/// `compare_modules` regenerates the target's data examples on every call, so
-/// matching all pairs of an N-module registry invokes each module O(N) times.
-/// A session caches one [`GenerationReport`] per `(module, value_offset)`
-/// (behind `Arc`, shared with all readers), collapsing that to a single
-/// generation per module per offset. The cache is internally synchronized —
-/// a session can be shared by reference across the threads of a parallel
-/// all-pairs run.
-///
-/// Below the report memo sits a shared [`InvocationCache`]: every generation
-/// and every candidate replay the session performs routes through it, so a
+/// Its one memo is a shared [`InvocationCache`]: every generation and
+/// every candidate replay the session performs routes through it, so a
 /// distinct `(module, input vector)` is invoked at most once per session —
 /// aligned generation at offsets `0..k` shares the vectors the offsets have
-/// in common, and replaying a candidate against an aligned target hits the
-/// vectors its own generation already produced.
+/// in common, regenerating a report re-reads its outcomes instead of
+/// invoking, and replaying a candidate against an aligned target hits the
+/// vectors its own generation already produced. Reports themselves are not
+/// memoized: an all-pairs sweep resolves each target's report once and
+/// hands it to [`compare_report`](MatchSession::compare_report) for every
+/// candidate. The session is internally synchronized, so it can be shared
+/// by reference across the threads of a parallel sweep.
 pub struct MatchSession<'a> {
     ontology: &'a Ontology,
     pool: &'a InstancePool,
     config: GenerationConfig,
-    cache: Mutex<HashMap<(ModuleId, usize), CachedGeneration>>,
     invocations: InvocationCache,
     retrier: Retrier,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    memoized_bytes: AtomicU64,
 }
 
 impl<'a> MatchSession<'a> {
@@ -894,12 +833,8 @@ impl<'a> MatchSession<'a> {
             ontology,
             pool,
             config,
-            cache: Mutex::new(HashMap::new()),
             invocations: InvocationCache::new(),
             retrier,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            memoized_bytes: AtomicU64::new(0),
         }
     }
 
@@ -915,10 +850,8 @@ impl<'a> MatchSession<'a> {
         &self.invocations
     }
 
-    /// Snapshot of the underlying invocation cache: how many *module
-    /// invocations* the session actually performed vs. answered from memory
-    /// (the [`cache_stats`](MatchSession::cache_stats) report memo sits one
-    /// level up and counts whole generations, not invocations).
+    /// Snapshot of the underlying invocation cache: how many module
+    /// invocations the session actually performed vs. answered from memory.
     pub fn invocation_stats(&self) -> InvocationCacheStats {
         self.invocations.stats()
     }
@@ -929,95 +862,41 @@ impl<'a> MatchSession<'a> {
         self.retrier.stats()
     }
 
-    /// Number of memoized `(module, value_offset)` generation results.
-    pub fn cached_reports(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// Snapshot of the session's cache behavior. Counting is per-session,
-    /// always on (plain atomics, no global telemetry required), so the cache
-    /// is inspectable even in otherwise un-instrumented runs.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.cached_reports(),
-            memoized_bytes_estimate: self.memoized_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The memoized generation result for `module` at the session's base
-    /// value offset, generating it on first use.
-    ///
-    /// (Session-level cache counters live on `self`; the process-global
-    /// telemetry counters below are cached handles so the per-pair cost is
-    /// one atomic add each.)
+    /// `module`'s generation result at the session's base value offset.
     pub fn report_for(&self, module: &dyn BlackBox) -> CachedGeneration {
         self.report_at(module, self.config.value_offset)
     }
 
-    /// The memoized generation result for `module` at an explicit value
-    /// offset (ablations vary the offset to probe value sensitivity).
+    /// `module`'s generation result at an explicit value offset (ablations
+    /// vary the offset to probe value sensitivity). Every call generates,
+    /// through the session's invocation cache and retrier, so a repeat
+    /// re-invokes no vector whose outcome the cache holds.
     pub fn report_at(&self, module: &dyn BlackBox, value_offset: usize) -> CachedGeneration {
-        let key = (module.descriptor().id.clone(), value_offset);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            match_counters().hits.add(1);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        match_counters().misses.add(1);
-        // Generate outside the lock: generation invokes the module, which can
-        // be arbitrarily slow, and concurrent misses on *different* modules
-        // must not serialize. A racing duplicate of the same key is harmless
-        // (generation is deterministic) and the second insert wins.
         let config = GenerationConfig {
             value_offset,
             ..self.config.clone()
         };
-        let report = Arc::new(generate_examples_retrying(
+        Arc::new(generate_examples_retrying(
             module,
             self.ontology,
             self.pool,
             &config,
             &self.invocations,
             &self.retrier,
-        ));
-        let bytes = approx_cached_bytes(&report);
-        let displaced = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, Arc::clone(&report));
-        self.memoized_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(prev) = displaced {
-            // A racing duplicate generation: keep the byte estimate honest.
-            self.memoized_bytes
-                .fetch_sub(approx_cached_bytes(&prev), Ordering::Relaxed);
-        }
-        report
+        ))
     }
 
-    /// Compares `candidate` against `target`'s memoized generation `report`
-    /// (from [`report_for`](MatchSession::report_for) or
+    /// Compares `candidate` against `target`'s generation `report` (from
+    /// [`report_for`](MatchSession::report_for) or
     /// [`report_at`](MatchSession::report_at)) by [`pair_outcome`], always
     /// yielding a [`MatchReport`] — incomparability becomes data instead of
     /// an error, which is what an all-pairs sweep wants.
     ///
-    /// Taking the report rather than looking it up keeps the per-pair cost
-    /// at the candidate replay itself: no memo-lock acquisition and no key
-    /// clone, which is what lets an all-pairs executor resolve each target's
-    /// report once and fan candidates out across threads without
-    /// serializing on the session cache. Counts the pair and its verdict in
-    /// the `dex.match.*` telemetry.
+    /// Taking the report rather than generating it keeps the per-pair cost
+    /// at the candidate replay itself, which is what lets an all-pairs
+    /// executor resolve each target's report once and fan candidates out
+    /// across threads. Counts the pair and its verdict in the `dex.match.*`
+    /// telemetry.
     pub fn compare_report(
         &self,
         target: &dyn BlackBox,
@@ -1280,7 +1159,7 @@ mod tests {
     }
 
     /// One session comparison with the target's report resolved through
-    /// the session memo.
+    /// the session.
     fn session_outcome(s: &MatchSession, t: &dyn BlackBox, c: &dyn BlackBox) -> MatchOutcome {
         s.compare_report(t, &s.report_for(t), c).outcome
     }
@@ -1294,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn session_memoizes_target_generation() {
+    fn repeated_target_generation_invokes_each_vector_once() {
         let (onto, pool) = fixture();
         let (target, invocations) = counted_echo("t", "BiologicalSequence");
         let candidates: Vec<FnModule> = (0..4)
@@ -1311,12 +1190,9 @@ mod tests {
         for c in &candidates {
             session_verdict(&session, &target, c);
         }
-        // One generation pass for four comparisons: 4 partitions invoked once.
+        // Four generations for four comparisons, but the 4 partition vectors
+        // are each invoked once: the repeats read the invocation cache.
         assert_eq!(invocations.load(std::sync::atomic::Ordering::Relaxed), 4);
-        assert_eq!(session.cached_reports(), 1);
-        // A different offset is a different cache entry.
-        assert!(session.report_at(&target, 1).is_ok());
-        assert_eq!(session.cached_reports(), 2);
     }
 
     /// Replaying a candidate against an aligned target hits the invocation
@@ -1356,46 +1232,6 @@ mod tests {
             target_count.load(std::sync::atomic::Ordering::Relaxed),
             gen_t
         );
-    }
-
-    #[test]
-    fn cache_stats_track_hits_misses_and_bytes() {
-        let (onto, pool) = fixture();
-        let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
-        let fresh = session.cache_stats();
-        assert_eq!((fresh.hits, fresh.misses, fresh.entries), (0, 0, 0));
-        assert_eq!(fresh.memoized_bytes_estimate, 0);
-        assert_eq!(fresh.hit_rate(), 0.0);
-
-        let target = seq_echo("t", "BiologicalSequence", "BiologicalSequence", false);
-        let candidates: Vec<FnModule> = (0..3)
-            .map(|i| {
-                seq_echo(
-                    &format!("c{i}"),
-                    "BiologicalSequence",
-                    "BiologicalSequence",
-                    false,
-                )
-            })
-            .collect();
-        for c in &candidates {
-            session_verdict(&session, &target, c);
-        }
-        let stats = session.cache_stats();
-        assert_eq!(stats.misses, 1, "one generation for three comparisons");
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.entries, 1);
-        assert!(
-            stats.memoized_bytes_estimate > 0,
-            "memoized examples occupy heap"
-        );
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-
-        // A different module is a fresh entry and a fresh miss.
-        let ghost = seq_echo("g", "BiologicalSequence", "BiologicalSequence", false);
-        let _ = session.report_at(&ghost, 0);
-        assert_eq!(session.cache_stats().entries, 2);
-        assert_eq!(session.cache_stats().misses, 2);
     }
 
     #[test]

@@ -245,30 +245,6 @@ proptest! {
         .unwrap();
         assert_reports_identical("faults-disabled", &inert, &oracle);
     }
-
-    /// The planner never performs *more* real invocations than the report
-    /// claims, and a bounded cache (evictions!) still yields the exact
-    /// report — capacity pressure may cost re-invocations, never wrong data.
-    #[test]
-    fn bounded_cache_stays_correct_under_eviction(
-        salt in any::<u64>(),
-        reject_pct in 0u64..101,
-        capacity in 1usize..9,
-    ) {
-        let ontology = mygrid::ontology();
-        let pool = build_synthetic_pool(&ontology, 3, 99);
-        let module = arb_module(&[0, 4], salt, reject_pct);
-        let config = GenerationConfig::default();
-        let oracle = generate_examples(&module, &ontology, &pool, &config).unwrap();
-        let cache = InvocationCache::with_capacity(capacity);
-        let retrier = Retrier::new(config.retry);
-        for round in 0..3 {
-            let report =
-                generate_examples_retrying(&module, &ontology, &pool, &config, &cache, &retrier)
-                    .unwrap();
-            assert_reports_identical(&format!("bounded round {round}"), &report, &oracle);
-        }
-    }
 }
 
 /// [`arb_module`]'s digest behavior under an explicit module id, so a target

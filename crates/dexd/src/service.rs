@@ -24,7 +24,7 @@
 //! Requests pass an admission gate (a counter capped at the configured
 //! queue capacity) before entering the bounded queue; past the cap the
 //! caller gets [`Response::Busy`] immediately — memory is bounded by
-//! construction, never by luck. Each admitted request carries a [`Ticket`]
+//! construction, never by luck. Each admitted request carries a `Ticket`
 //! whose `Drop` releases the slot, so a worker panic or a vanished client
 //! cannot leak admission capacity. Worker threads drain the queue;
 //! a `FindSubstitutes` at the head pulls every other queued substitute
@@ -240,6 +240,12 @@ impl Dexd {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = lock_mutex(&self.queue);
+            // Re-checked under the queue lock, where `shutdown` sets the
+            // flag: a job pushed after the workers drained the queue and
+            // exited would never be answered.
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Response::ShuttingDown;
+            }
             q.push_back(Job {
                 req,
                 reply: tx,
@@ -264,7 +270,13 @@ impl Dexd {
 
     /// Programmatic shutdown (the `Shutdown` request does the same).
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Set under the queue lock: a worker checks the flag and starts
+            // waiting inside one critical section, so the store cannot fall
+            // between the two and the wakeup below cannot be lost.
+            let _queue = lock_mutex(&self.queue);
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
         self.work_ready.notify_all();
     }
 

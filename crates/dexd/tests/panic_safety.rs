@@ -9,6 +9,7 @@
 use dex_core::delta::Delta;
 use dexd::{proto, serve_unix, Client, Dexd, Request, Response, ServiceConfig, SocketClient};
 use std::os::unix::net::UnixStream;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -262,4 +263,55 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
         .expect("serve_unix result");
     svc.join();
     assert!(!path.exists(), "socket file must be removed on exit");
+}
+
+/// Shutdown rounds raced against callers. Each round takes milliseconds;
+/// with either bug below present, a round hangs within the first few dozen.
+const SHUTDOWN_RACE_ROUNDS: u64 = 200;
+
+/// Callers racing `shutdown()` always get an answer, and `join()` always
+/// returns. A caller that passed the entry check must not push its job
+/// after the workers drained the queue and exited, and a worker between
+/// its flag check and its wait must not miss the shutdown wakeup. Either
+/// bug hangs the round past its deadline.
+#[test]
+fn calls_racing_shutdown_are_answered_and_workers_join() {
+    for round in 0..SHUTDOWN_RACE_ROUNDS {
+        let (done, finished) = std::sync::mpsc::channel();
+        let round_thread = std::thread::spawn(move || {
+            let svc = Dexd::launch(&ServiceConfig {
+                scale: 24,
+                seed: 9,
+                pool_depth: 1,
+                workers: 2,
+                queue_capacity: 8,
+                ..ServiceConfig::default()
+            });
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    let client = Client::new(Arc::clone(&svc));
+                    std::thread::spawn(move || loop {
+                        match client.call(Request::Stats) {
+                            Response::ShuttingDown => break,
+                            Response::Stats(_) | Response::Busy => {}
+                            other => panic!("a racing call answered {other:?}"),
+                        }
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_micros(round % 9 * 100));
+            svc.shutdown();
+            svc.join();
+            for caller in callers {
+                caller.join().expect("caller panicked");
+            }
+            let _ = done.send(());
+        });
+        // A hung round is left detached; a finished or panicked one is
+        // joined so its panic surfaces here.
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(10)) {
+            panic!("shutdown race round {round} hung past its deadline");
+        }
+        round_thread.join().expect("shutdown race round panicked");
+    }
 }

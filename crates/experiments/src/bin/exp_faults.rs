@@ -19,8 +19,8 @@ use dex_modules::RetryPolicy;
 use dex_repair::RepositoryPlan;
 
 /// One run of the comparison slice: Table 1 (generation behavior), the
-/// matching summary (replay + session cache), and the small-scale decay
-/// pipeline (corpus, Figure 8, repair).
+/// matching summary (replay through the invocation cache), and the
+/// small-scale decay pipeline (corpus, Figure 8, repair).
 fn digest(faults: &FaultConfig) -> (String, Context) {
     let ctx = Context::build_with(faults);
     let mut out = String::new();

@@ -238,13 +238,13 @@ pub fn figure5(ctx: &Context) -> String {
     out
 }
 
-/// All-pairs matching over a thinned module sample, exercising the shared
-/// [`dex_core::MatchSession`] memoization that the full §6 study relies on.
+/// All-pairs matching over a thinned module sample through one
+/// [`dex_core::MatchSession`], the dense sweep the full §6 study relies on.
 ///
 /// Not a paper table — this is the observability showcase: it renders the
-/// verdict distribution next to the session's cache statistics, and (when
-/// telemetry is on) leaves nonzero `dex.match.cache_hits`/`cache_misses`
-/// counters in `TELEMETRY.json`.
+/// verdict distribution, and (when telemetry is on) leaves the
+/// `dex.match.*` pair and verdict counters and the `dex.invoke.cache.*`
+/// invocation-cache counters in `TELEMETRY.json`.
 pub fn matching_summary(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.matching_summary");
     let ids: Vec<_> = ctx

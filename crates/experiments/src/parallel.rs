@@ -332,11 +332,10 @@ fn unavailable_report(universe: &Universe, ids: &[ModuleId], t: usize, c: usize)
 }
 
 /// Per-id state resolved once per sweep: each id's catalog handle, and a
-/// `OnceLock` cell parking each target's memoized report. After a cell's
-/// first touch the per-pair hot path takes no lock, looks up no catalog
-/// entry and clones no key — workers read a shared `&CachedGeneration` and
-/// run only the candidate replay instead of serializing on the session's
-/// memo mutex.
+/// `OnceLock` cell parking each target's report. Each target is generated
+/// once per sweep; after a cell's first touch the per-pair hot path takes
+/// no lock, looks up no catalog entry and clones no key — workers read a
+/// shared `&CachedGeneration` and run only the candidate replay.
 struct PreparedIds<'u> {
     handles: Vec<Option<&'u SharedModule>>,
     reports: Vec<OnceLock<CachedGeneration>>,
@@ -356,8 +355,8 @@ impl<'u> PreparedIds<'u> {
         self.handles[i].expect("planned pair available")
     }
 
-    /// The target's memoized report, generated on first touch (through the
-    /// session memo, so it still lands in — or comes from — the shared
+    /// The target's report, generated on first touch (through the session,
+    /// so its invocations land in — or come from — the shared invocation
     /// cache) and lock-free afterwards.
     fn target_report(&self, session: &MatchSession, t: usize) -> &CachedGeneration {
         self.reports[t].get_or_init(|| session.report_for(self.handle(t).as_ref()))
@@ -365,8 +364,9 @@ impl<'u> PreparedIds<'u> {
 }
 
 /// Blocked all-pairs matching over every ordered pair of distinct modules
-/// in `ids`, through `session`: a warm session reuses every memoized
-/// report, a cold caller passes a fresh one.
+/// in `ids`, through `session`: a warm session answers every invocation it
+/// has seen from its invocation cache, a cold caller passes a fresh one.
+/// Each target's report is generated once per sweep.
 ///
 /// Fingerprint blocking prunes provably incomparable pairs without
 /// invocation; the surviving pairs run [`MatchSession::compare_report`] on
@@ -460,12 +460,6 @@ pub fn match_pairs(
         dex_telemetry::counter_add("dex.match.pairs", skipped as u64);
         dex_telemetry::counter_add("dex.match.verdict.incomparable", skipped as u64);
         dex_telemetry::counter_add("dex.match.pairs_pruned", stats.pairs_pruned as u64);
-        let cache = session.cache_stats();
-        dex_telemetry::gauge_set("dex.match.cache_entries", cache.entries as i64);
-        dex_telemetry::gauge_set(
-            "dex.match.cache_bytes",
-            cache.memoized_bytes_estimate as i64,
-        );
         // Invocation-level cache effectiveness (hits/misses/entries) for the
         // whole all-pairs run — the matrix shares one memo across threads.
         session.invocation_cache().publish_telemetry();
@@ -485,7 +479,8 @@ fn verdict_slot(outcome: &MatchOutcome) -> usize {
 /// The exhaustive all-pairs oracle: every ordered pair runs the full
 /// comparison serially through `session`, no blocking, no batching. This
 /// is the semantics [`match_pairs`] must reproduce byte-for-byte; the
-/// equivalence proptests in `tests/properties.rs` hold it to it.
+/// equivalence proptests in `tests/properties.rs` hold it to it. Each
+/// available target's report is generated once, in the outer loop.
 pub fn match_pairs_exhaustive(
     session: &MatchSession,
     universe: &Universe,
@@ -493,16 +488,16 @@ pub fn match_pairs_exhaustive(
 ) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
     let mut reports = BTreeMap::new();
     for t in 0..ids.len() {
+        let target = universe.catalog.get(&ids[t]);
+        let generation = target.map(|target| session.report_for(target.as_ref()));
         for c in 0..ids.len() {
             if t == c {
                 continue;
             }
-            let report = match (universe.catalog.get(&ids[t]), universe.catalog.get(&ids[c])) {
-                (Some(target), Some(candidate)) => session.compare_report(
-                    target.as_ref(),
-                    &session.report_for(target.as_ref()),
-                    candidate.as_ref(),
-                ),
+            let report = match (target, &generation, universe.catalog.get(&ids[c])) {
+                (Some(target), Some(generation), Some(candidate)) => {
+                    session.compare_report(target.as_ref(), generation, candidate.as_ref())
+                }
                 _ => unavailable_report(universe, ids, t, c),
             };
             reports.insert((ids[t].clone(), ids[c].clone()), report);

@@ -20,9 +20,6 @@
 //! * `--flight-out=PATH` / `DEX_FLIGHT_OUT` — where flight-recorder
 //!   post-mortems land (`FLIGHT.json` by default whenever telemetry is on).
 //!
-//! `DEX_LOG=<error|warn|info|debug|trace>` sets the event verbosity and
-//! echoes events to stderr as they happen.
-//!
 //! While telemetry is active a panic hook captures the flight-recorder
 //! window to the flight path before unwinding continues, so a crashed
 //! seeded-fault run leaves a post-mortem instead of a mystery.
@@ -146,15 +143,6 @@ impl TelemetryRun {
     pub fn from_env() -> TelemetryRun {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let options = RunOptions::parse(&args, &|name| std::env::var(name).ok());
-        if let Some(level) = std::env::var("DEX_LOG")
-            .ok()
-            .and_then(|v| dex_telemetry::Level::parse(&v))
-        {
-            dex_telemetry::set_verbosity(level);
-            dex_telemetry::set_stderr_echo(true);
-            // Events need the subscriber on to be recorded at all.
-            dex_telemetry::enable();
-        }
         if options.is_active() {
             dex_telemetry::enable();
             let flight = options
@@ -191,11 +179,10 @@ impl TelemetryRun {
                         eprintln!("telemetry: cannot write {}: {e}", path.display());
                     } else {
                         eprintln!(
-                            "telemetry: wrote {} ({} spans, {} counters, {} events)",
+                            "telemetry: wrote {} ({} spans, {} counters)",
                             path.display(),
                             report.span_count(),
-                            report.counters.len(),
-                            report.events.len()
+                            report.counters.len()
                         );
                     }
                 }
@@ -285,7 +272,6 @@ mod tests {
         if std::env::var("DEX_TELEMETRY").is_ok()
             || std::env::var("DEX_TELEMETRY_OUT").is_ok()
             || std::env::var("DEX_TRACE_OUT").is_ok()
-            || std::env::var("DEX_LOG").is_ok()
         {
             return;
         }

@@ -25,7 +25,7 @@ use dex_values::Value;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -37,7 +37,7 @@ pub type InvocationOutcome = Result<Vec<Value>, InvocationError>;
 /// Cache key: module identity plus the exact input value vector. The hash is
 /// precomputed once (vectors can hold large flat-file texts) and reused by
 /// both shard selection and the shard's `HashMap`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CacheKey {
     module: ModuleId,
     inputs: Vec<Value>,
@@ -137,20 +137,12 @@ impl Eq for CacheKey {}
 /// a duplicate.
 type CacheCell = Arc<OnceLock<Arc<InvocationOutcome>>>;
 
-/// One lock-sharded slice of the key space. FIFO insertion order is kept per
-/// shard only when a capacity bound is set, so the bound can evict the
-/// oldest entries; an unbounded cache leaves `fifo` empty.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<CacheKey, CacheCell>,
-    fifo: VecDeque<CacheKey>,
-}
+/// One lock-sharded slice of the key space.
+type Shard = HashMap<CacheKey, CacheCell>;
 
 /// Locks a shard, riding through poisoning. Module invocations, the code
-/// that can panic, run outside the lock, and every step of an update under
-/// it leaves the shard valid: the worst a panic between steps leaves is a
-/// FIFO key without an entry (eviction skips those) or an entry the FIFO
-/// no longer names (it is never evicted).
+/// that can panic, run outside the lock, and every update under it is a
+/// single map insert or remove, so a poisoned shard is still a valid map.
 fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -167,8 +159,6 @@ pub struct InvocationCacheStats {
     pub hits: u64,
     /// Lookups that created a fresh entry and invoked the module.
     pub misses: u64,
-    /// Entries dropped by the capacity bound.
-    pub evictions: u64,
     /// Transient outcomes handed through (and immediately forgotten) instead
     /// of being memoized.
     pub transients: u64,
@@ -198,10 +188,8 @@ fn cache_counters() -> &'static (
     dex_telemetry::Counter,
     dex_telemetry::Counter,
     dex_telemetry::Counter,
-    dex_telemetry::Counter,
 ) {
     static COUNTERS: OnceLock<(
-        dex_telemetry::Counter,
         dex_telemetry::Counter,
         dex_telemetry::Counter,
         dex_telemetry::Counter,
@@ -210,7 +198,6 @@ fn cache_counters() -> &'static (
         (
             dex_telemetry::counter("dex.invoke.cache.hits"),
             dex_telemetry::counter("dex.invoke.cache.misses"),
-            dex_telemetry::counter("dex.invoke.cache.evictions"),
             dex_telemetry::counter("dex.invoke.cache.transients"),
         )
     })
@@ -225,8 +212,6 @@ fn cache_counters() -> &'static (
 ///   missing key, one invokes and N−1 block on the cell, so a vector is
 ///   never invoked twice (see the `tests/invocation_cache.rs` concurrency
 ///   suite).
-/// * **Bounded (optionally)**: `with_capacity` caps the total entry count;
-///   the oldest entries of the fullest shard are evicted FIFO.
 /// * **Transient-aware**: outcomes whose error
 ///   [`InvocationError::is_transient`] holds are handed through to the
 ///   racing callers and then *forgotten* — only successes and permanent
@@ -235,11 +220,8 @@ fn cache_counters() -> &'static (
 ///   telemetry counters when the global subscriber is on.
 pub struct InvocationCache {
     shards: Box<[Mutex<Shard>]>,
-    /// Max entries per shard (`None` = unbounded).
-    per_shard_capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     transients: AtomicU64,
 }
 
@@ -253,26 +235,14 @@ impl InvocationCache {
     /// Number of lock shards (power of two; shard = hash low bits).
     pub const SHARDS: usize = 16;
 
-    /// An unbounded cache.
+    /// An empty cache.
     pub fn new() -> InvocationCache {
-        InvocationCache::build(None)
-    }
-
-    /// A cache holding at most `capacity` entries (rounded up to a multiple
-    /// of the shard count); the oldest entries are evicted first.
-    pub fn with_capacity(capacity: usize) -> InvocationCache {
-        InvocationCache::build(Some(capacity.div_ceil(Self::SHARDS).max(1)))
-    }
-
-    fn build(per_shard_capacity: Option<usize>) -> InvocationCache {
         let mut shards = Vec::with_capacity(Self::SHARDS);
         shards.resize_with(Self::SHARDS, || Mutex::new(Shard::default()));
         InvocationCache {
             shards: shards.into_boxed_slice(),
-            per_shard_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             transients: AtomicU64::new(0),
         }
     }
@@ -295,55 +265,11 @@ impl InvocationCache {
         let telemetry_on = dex_telemetry::is_enabled();
         let (cell, fresh) = {
             let mut shard = lock(self.shard(&key));
-            match shard.map.get(&key as &dyn KeyView) {
+            match shard.get(&key as &dyn KeyView) {
                 Some(cell) => (Arc::clone(cell), false),
                 None => {
                     let cell: CacheCell = Arc::new(OnceLock::new());
-                    let owned = key.to_key();
-                    if self.per_shard_capacity.is_some() {
-                        shard.fifo.push_back(owned.clone());
-                    }
-                    shard.map.insert(owned, Arc::clone(&cell));
-                    if let Some(cap) = self.per_shard_capacity {
-                        // One pass over the FIFO at most: entries whose
-                        // invocation is still in flight are rotated to the
-                        // back instead of evicted — dropping an uninitialized
-                        // cell would let a later lookup re-invoke the same
-                        // vector concurrently, breaking exactly-once. The
-                        // bound can be exceeded transiently while every
-                        // entry is in flight.
-                        let mut attempts = shard.fifo.len();
-                        while shard.fifo.len() > cap && attempts > 0 {
-                            attempts -= 1;
-                            let Some(old) = shard.fifo.pop_front() else {
-                                break;
-                            };
-                            match shard.map.get(&old) {
-                                Some(cell) if cell.get().is_none() => {
-                                    shard.fifo.push_back(old);
-                                }
-                                Some(_) => {
-                                    shard.map.remove(&old);
-                                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                                    if telemetry_on {
-                                        cache_counters().2.add(1);
-                                    }
-                                    if dex_telemetry::flight_on() {
-                                        dex_telemetry::flight(
-                                            dex_telemetry::FlightKind::CacheEviction,
-                                            old.module.as_str(),
-                                            "fifo eviction".to_string(),
-                                            shard.map.len() as u64,
-                                        );
-                                    }
-                                }
-                                // The FIFO can hold keys whose entry a
-                                // transient forget already removed — dropping
-                                // the stale key is not an eviction.
-                                None => {}
-                            }
-                        }
-                    }
+                    shard.insert(key.to_key(), Arc::clone(&cell));
                     (cell, true)
                 }
             }
@@ -384,7 +310,7 @@ impl InvocationCache {
         if transient {
             self.transients.fetch_add(1, Ordering::Relaxed);
             if telemetry_on {
-                cache_counters().3.add(1);
+                cache_counters().2.add(1);
             }
         }
         if !fresh {
@@ -405,18 +331,16 @@ impl InvocationCache {
     }
 
     /// Removes the entry for `key` if it still holds `cell` — a newer cell
-    /// (inserted after an earlier forget, or after eviction) must not be
+    /// (inserted after an earlier forget, or after `clear`) must not be
     /// clobbered by a stale transient outcome.
     fn forget_transient(&self, key: &BorrowedKey<'_>, cell: &CacheCell) {
         let view = key as &dyn KeyView;
         let mut shard = lock(self.shard(key));
         if shard
-            .map
             .get(view)
             .is_some_and(|current| Arc::ptr_eq(current, cell))
         {
-            shard.map.remove(view);
-            shard.fifo.retain(|k| k as &dyn KeyView != view);
+            shard.remove(view);
         }
     }
 
@@ -426,14 +350,13 @@ impl InvocationCache {
         let key = BorrowedKey::new(module, inputs);
         let shard = lock(self.shard(&key));
         shard
-            .map
             .get(&key as &dyn KeyView)
             .and_then(|cell| cell.get().cloned())
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -444,19 +367,16 @@ impl InvocationCache {
     /// Drops every entry; counters are kept (they describe lifetime traffic).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut shard = lock(shard);
-            shard.map.clear();
-            shard.fifo.clear();
+            lock(shard).clear();
         }
     }
 
     /// Snapshot of the cache's lifetime behavior: the counters plus one
-    /// `map.len()` per shard, so its cost does not grow with the entries.
+    /// `len()` per shard, so its cost does not grow with the entries.
     pub fn stats(&self) -> InvocationCacheStats {
         InvocationCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             transients: self.transients.load(Ordering::Relaxed),
             entries: self.len(),
         }
@@ -473,7 +393,6 @@ impl InvocationCache {
             .iter()
             .map(|shard| {
                 lock(shard)
-                    .map
                     .values()
                     .filter(|cell| {
                         matches!(cell.get().map(|o| o.as_ref()), Some(Err(e)) if e.is_transient())
@@ -582,21 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_oldest() {
-        // Capacity rounds up to one entry per shard; 40 distinct keys over 16
-        // shards must evict at least one entry somewhere.
-        let cache = InvocationCache::with_capacity(16);
-        let (module, _) = counted_upper();
-        for i in 0..40 {
-            cache.invoke(&module, &[Value::text(format!("v{i}"))]);
-        }
-        let stats = cache.stats();
-        assert!(stats.evictions > 0, "evictions occurred");
-        assert!(stats.entries <= 16, "bounded: {} entries", stats.entries);
-        assert_eq!(stats.misses, 40);
-    }
-
-    #[test]
     fn clear_keeps_counters() {
         let cache = InvocationCache::new();
         let (module, _) = counted_upper();
@@ -684,45 +588,6 @@ mod tests {
         let _ = cache.invoke(&module, &[Value::text("k")]);
         assert_eq!(invoked.load(Ordering::Relaxed), 2, "outage + one success");
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn only_a_bounded_cache_keeps_a_fifo() {
-        let (module, _) = counted_upper();
-        let unbounded = InvocationCache::new();
-        for i in 0..40 {
-            unbounded.invoke(&module, &[Value::text(format!("v{i}"))]);
-        }
-        assert_eq!(unbounded.len(), 40);
-        assert!(unbounded.shards.iter().all(|s| lock(s).fifo.is_empty()));
-
-        // One entry per shard: the second key landing in a shard evicts the
-        // first, which the FIFO names, while the newest key stays.
-        let bounded = InvocationCache::with_capacity(InvocationCache::SHARDS);
-        let keys: Vec<Vec<Value>> = (0..40)
-            .map(|i| vec![Value::text(format!("v{i}"))])
-            .collect();
-        for key in &keys {
-            bounded.invoke(&module, key);
-        }
-        let stats = bounded.stats();
-        assert_eq!(stats.evictions as usize, 40 - stats.entries);
-        for shard in bounded.shards.iter() {
-            let shard = lock(shard);
-            assert_eq!(shard.fifo.len(), shard.map.len());
-            assert!(shard.fifo.iter().all(|k| shard.map.contains_key(k)));
-        }
-        let id = &module.descriptor().id;
-        let mut newest_per_shard = std::collections::HashMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            let shard =
-                BorrowedKey::new(id, key).precomputed_hash as usize & (InvocationCache::SHARDS - 1);
-            newest_per_shard.insert(shard, i);
-        }
-        for (i, key) in keys.iter().enumerate() {
-            let newest = newest_per_shard.values().any(|&n| n == i);
-            assert_eq!(bounded.peek(id, key).is_some(), newest, "key {i}");
-        }
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl ModuleCatalog {
     /// clears its withdrawn flag (a provider re-publishing a service).
     pub fn register(&mut self, module: SharedModule) {
         let id = module.descriptor().id.clone();
-        dex_telemetry::event!(
-            dex_telemetry::Level::Debug,
-            "catalog",
-            "registered module `{id}`"
-        );
         self.withdrawn.remove(&id);
         self.modules.insert(id, module);
     }
@@ -55,11 +50,6 @@ impl ModuleCatalog {
     /// id is unknown.
     pub fn withdraw(&mut self, id: &ModuleId) -> bool {
         if self.modules.contains_key(id) {
-            dex_telemetry::event!(
-                dex_telemetry::Level::Info,
-                "catalog",
-                "module `{id}` withdrawn by its provider"
-            );
             self.withdrawn.insert(id.clone());
             true
         } else {
@@ -69,15 +59,7 @@ impl ModuleCatalog {
 
     /// Restores a withdrawn module (provider resumed supply).
     pub fn restore(&mut self, id: &ModuleId) -> bool {
-        let restored = self.withdrawn.remove(id);
-        if restored {
-            dex_telemetry::event!(
-                dex_telemetry::Level::Info,
-                "catalog",
-                "module `{id}` supply restored"
-            );
-        }
-        restored
+        self.withdrawn.remove(id)
     }
 
     /// Whether the module exists and is currently supplied.

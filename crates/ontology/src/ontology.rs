@@ -2,7 +2,7 @@
 
 use crate::concept::{Concept, ConceptId};
 use crate::error::OntologyError;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A domain ontology: a forest of named concepts related by subsumption.
@@ -24,7 +24,12 @@ use std::collections::HashMap;
 ///   insertion order (deterministic partition enumeration depends on this).
 /// * A concept marked *abstract* (its domain is fully covered by its
 ///   sub-concepts' domains, so no instance can realize it) is never a leaf.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserialization rejects stored tables that disagree with the concepts'
+/// parent links and rebuilds the name index and interval labels, so a
+/// deserialized ontology answers every query exactly as the one that was
+/// serialized.
+#[derive(Debug, Clone, Serialize)]
 pub struct Ontology {
     name: String,
     concepts: Vec<Concept>,
@@ -38,8 +43,7 @@ pub struct Ontology {
     /// Together with [`last`], this labels every concept with the interval
     /// `entry[c]..=last[c]` covering exactly its subtree, so subsumption is
     /// an O(1) interval containment test instead of a parent walk. Derived
-    /// state: skipped by serde and rebuilt by
-    /// [`rebuild_index`](Ontology::rebuild_index).
+    /// state: skipped by serde and rebuilt on deserialization.
     #[serde(skip)]
     entry: Vec<u32>,
     /// Largest DFS entry time within each concept's subtree.
@@ -156,45 +160,16 @@ impl Ontology {
         }
     }
 
-    /// Whether the DFS interval labels cover the current arena (they are
-    /// derived state, absent between deserialization and
-    /// [`rebuild_index`](Ontology::rebuild_index)).
-    #[inline]
-    fn intervals_ready(&self) -> bool {
-        self.entry.len() == self.concepts.len()
-    }
-
     /// Non-strict subsumption: does `general` subsume `specific`
     /// (`specific <= general`)?
     ///
     /// Runs in O(1) via DFS interval containment: `general`'s subtree is
     /// exactly the entry-time interval `entry[general]..=last[general]`, so
-    /// membership is two integer comparisons. Falls back to the O(depth)
-    /// parent walk only when the labels have not been (re)built yet.
+    /// membership is two integer comparisons.
     #[inline]
     pub fn subsumes(&self, general: ConceptId, specific: ConceptId) -> bool {
-        if self.intervals_ready() {
-            let e = self.entry[specific.index()];
-            self.entry[general.index()] <= e && e <= self.last[general.index()]
-        } else {
-            self.subsumes_walk(general, specific)
-        }
-    }
-
-    /// Walk-based reference implementation of [`subsumes`](Ontology::subsumes):
-    /// O(depth) along parent pointers. Kept private as the fallback before
-    /// interval labels exist and as the oracle for equivalence tests.
-    fn subsumes_walk(&self, general: ConceptId, specific: ConceptId) -> bool {
-        let dg = self.depths[general.index()];
-        let mut cur = specific;
-        while self.depths[cur.index()] > dg {
-            // Depth strictly decreases along parent edges, so this terminates.
-            cur = match self.concepts[cur.index()].parent {
-                Some(p) => p,
-                None => return false,
-            };
-        }
-        cur == general
+        let e = self.entry[specific.index()];
+        self.entry[general.index()] <= e && e <= self.last[general.index()]
     }
 
     /// Strict subsumption: `specific < general`.
@@ -206,34 +181,13 @@ impl Ontology {
     /// All concepts subsumed by `root` (including `root` itself), in
     /// deterministic pre-order.
     ///
-    /// With interval labels this is a copy of the contiguous pre-order
-    /// slice covering `root`'s subtree — O(k) for k descendants, no stack
-    /// and no per-node child iteration.
+    /// This is a copy of the contiguous pre-order slice covering `root`'s
+    /// subtree — O(k) for k descendants, no stack and no per-node child
+    /// iteration.
     pub fn descendants(&self, root: ConceptId) -> Vec<ConceptId> {
-        if self.intervals_ready() {
-            let lo = self.entry[root.index()] as usize;
-            let hi = self.last[root.index()] as usize;
-            self.preorder[lo..=hi].to_vec()
-        } else {
-            self.descendants_walk(root)
-        }
-    }
-
-    /// Walk-based reference implementation of
-    /// [`descendants`](Ontology::descendants): explicit-stack DFS. Kept
-    /// private as the fallback before interval labels exist and as the
-    /// oracle for equivalence tests.
-    fn descendants_walk(&self, root: ConceptId) -> Vec<ConceptId> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(c) = stack.pop() {
-            out.push(c);
-            // Push children reversed so pre-order matches insertion order.
-            for &child in self.children[c.index()].iter().rev() {
-                stack.push(child);
-            }
-        }
-        out
+        let lo = self.entry[root.index()] as usize;
+        let hi = self.last[root.index()] as usize;
+        self.preorder[lo..=hi].to_vec()
     }
 
     /// The sub-domain partitions of the domain of a parameter annotated with
@@ -253,36 +207,15 @@ impl Ontology {
     /// Lowest common ancestor of two concepts, or `None` when they live in
     /// different trees of the forest.
     ///
-    /// Fast path: when one argument subsumes the other (an O(1) interval
-    /// test) the subsumer is the LCA. Otherwise the answer is the first
-    /// ancestor of the shallower-after-leveling argument whose interval
-    /// contains the other — one O(1) test per climbed edge instead of the
-    /// dual-pointer lock-step walk.
+    /// The answer is the first concept on `a`'s root-ward ancestor chain
+    /// (`a` itself included) whose interval contains `b` — one O(1) test per
+    /// climbed edge.
     pub fn lca(&self, a: ConceptId, b: ConceptId) -> Option<ConceptId> {
-        if self.intervals_ready() {
-            if self.subsumes(a, b) {
-                return Some(a);
-            }
-            let mut cur = a;
-            loop {
-                cur = self.concepts[cur.index()].parent?;
-                if self.subsumes(cur, b) {
-                    return Some(cur);
-                }
-            }
+        let mut cur = a;
+        while !self.subsumes(cur, b) {
+            cur = self.concepts[cur.index()].parent?;
         }
-        let (mut a, mut b) = (a, b);
-        while self.depths[a.index()] > self.depths[b.index()] {
-            a = self.concepts[a.index()].parent?;
-        }
-        while self.depths[b.index()] > self.depths[a.index()] {
-            b = self.concepts[b.index()].parent?;
-        }
-        while a != b {
-            a = self.concepts[a.index()].parent?;
-            b = self.concepts[b.index()].parent?;
-        }
-        Some(a)
+        Some(cur)
     }
 
     /// Semantic distance: number of subsumption edges on the path between two
@@ -303,8 +236,8 @@ impl Ontology {
 
     /// Rebuilds the derived state skipped by serde: the name index and the
     /// DFS interval labels backing the O(1) subsumption / O(k) descendants
-    /// fast paths. Needed after deserialization.
-    pub fn rebuild_index(&mut self) {
+    /// queries.
+    fn rebuild_index(&mut self) {
         self.by_name = self
             .concepts
             .iter()
@@ -341,6 +274,81 @@ impl Ontology {
         self.rebuild_index();
         Ok(id)
     }
+}
+
+/// The stored fields of an [`Ontology`], as serialized.
+#[derive(Deserialize)]
+struct StoredOntology {
+    name: String,
+    concepts: Vec<Concept>,
+    children: Vec<Vec<ConceptId>>,
+    abstract_flags: Vec<bool>,
+    depths: Vec<u32>,
+}
+
+/// Rejects the stored tables a query could panic or loop on — a table whose
+/// length differs from the concept arena, a parent that does not precede
+/// its child, child lists or depths that disagree with the parent links —
+/// and rebuilds the derived indexes.
+impl Deserialize for Ontology {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let stored = StoredOntology::from_content(content)?;
+        let malformed =
+            |what: String| DeError::custom(format!("ontology `{}`: {what}", stored.name));
+        let n = stored.concepts.len();
+        for (table, len) in [
+            ("children", stored.children.len()),
+            ("abstract_flags", stored.abstract_flags.len()),
+            ("depths", stored.depths.len()),
+        ] {
+            if len != n {
+                return Err(malformed(format!(
+                    "{table} has {len} rows for {n} concepts"
+                )));
+            }
+        }
+        // A parent preceding its child in the arena rules out cycles.
+        for (i, concept) in stored.concepts.iter().enumerate() {
+            if let Some(parent) = concept.parent.filter(|p| p.index() >= i) {
+                return Err(malformed(format!(
+                    "concept {i} names parent {parent}, which does not precede it"
+                )));
+            }
+        }
+        let (children, depths) = parent_links(&stored.concepts);
+        if children != stored.children || depths != stored.depths {
+            return Err(malformed(
+                "children or depths disagree with the parent links".to_string(),
+            ));
+        }
+        let mut ontology = Ontology {
+            name: stored.name,
+            concepts: stored.concepts,
+            children,
+            abstract_flags: stored.abstract_flags,
+            depths,
+            entry: Vec::new(),
+            last: Vec::new(),
+            preorder: Vec::new(),
+            by_name: HashMap::new(),
+        };
+        ontology.rebuild_index();
+        Ok(ontology)
+    }
+}
+
+/// The child lists (in arena order) and depths the concepts' parent links
+/// imply. Parents precede their children in the arena, so one pass suffices.
+fn parent_links(concepts: &[Concept]) -> (Vec<Vec<ConceptId>>, Vec<u32>) {
+    let mut children: Vec<Vec<ConceptId>> = vec![Vec::new(); concepts.len()];
+    let mut depths = vec![0u32; concepts.len()];
+    for (i, c) in concepts.iter().enumerate() {
+        if let Some(p) = c.parent {
+            children[p.index()].push(ConceptId::from_index(i));
+            depths[i] = depths[p.index()] + 1;
+        }
+    }
+    (children, depths)
 }
 
 /// Labels every concept with its DFS entry time and the largest entry time in
@@ -487,16 +495,7 @@ impl OntologyBuilder {
     /// Fails if any abstract concept ended up a leaf (an abstract leaf would
     /// denote an empty domain, which the paper's model has no use for).
     pub fn build(self) -> Result<Ontology, OntologyError> {
-        let n = self.concepts.len();
-        let mut children: Vec<Vec<ConceptId>> = vec![Vec::new(); n];
-        let mut depths = vec![0u32; n];
-        for (i, c) in self.concepts.iter().enumerate() {
-            if let Some(p) = c.parent {
-                children[p.index()].push(ConceptId::from_index(i));
-                // Parents precede children in the arena, so depths[p] is final.
-                depths[i] = depths[p.index()] + 1;
-            }
-        }
+        let (children, depths) = parent_links(&self.concepts);
         for (i, &is_abstract) in self.abstract_flags.iter().enumerate() {
             if is_abstract && children[i].is_empty() {
                 return Err(OntologyError::UnknownConcept(format!(
@@ -740,8 +739,7 @@ mod tests {
     fn serde_round_trip_preserves_queries_after_reindex() {
         let o = sample();
         let json = serde_json::to_string(&o).unwrap();
-        let mut back: Ontology = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let back: Ontology = serde_json::from_str(&json).unwrap();
         let bio = back.id("BiologicalSequence").unwrap();
         let dna = back.id("DNASequence").unwrap();
         assert!(back.subsumes(bio, dna));
@@ -749,46 +747,21 @@ mod tests {
     }
 
     #[test]
-    fn interval_labels_agree_with_walks_on_sample() {
-        let o = sample();
-        assert!(o.intervals_ready());
-        for a in o.iter() {
-            assert_eq!(o.descendants(a), o.descendants_walk(a), "descendants");
-            for b in o.iter() {
-                assert_eq!(
-                    o.subsumes(a, b),
-                    o.subsumes_walk(a, b),
-                    "subsumes({}, {})",
-                    o.concept_name(a),
-                    o.concept_name(b)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn deserialized_ontology_answers_before_and_after_reindex() {
-        // Queries must be correct in the walk-fallback window between
-        // deserialization and rebuild_index, and identical afterwards.
-        let o = sample();
-        let json = serde_json::to_string(&o).unwrap();
-        let mut back: Ontology = serde_json::from_str(&json).unwrap();
-        assert!(!back.intervals_ready());
-        let answers_before: Vec<bool> = o
-            .iter()
-            .flat_map(|a| o.iter().map(move |b| (a, b)))
-            .map(|(a, b)| back.subsumes(a, b))
-            .collect();
-        back.rebuild_index();
-        assert!(back.intervals_ready());
-        let answers_after: Vec<bool> = o
-            .iter()
-            .flat_map(|a| o.iter().map(move |b| (a, b)))
-            .map(|(a, b)| back.subsumes(a, b))
-            .collect();
-        assert_eq!(answers_before, answers_after);
-        for id in o.iter() {
-            assert_eq!(back.descendants(id), o.descendants(id));
+    fn malformed_tables_fail_to_deserialize() {
+        let mut b = Ontology::builder("pair");
+        b.root("A").unwrap();
+        b.child("B", "A").unwrap();
+        let json = serde_json::to_string(&b.build().unwrap()).unwrap();
+        for (good, bad) in [
+            ("\"depths\":[0,1]", "\"depths\":[0]"),
+            ("\"children\":[[1],[]]", "\"children\":[[999],[]]"),
+        ] {
+            assert!(json.contains(good), "{json}");
+            let broken = json.replace(good, bad);
+            assert!(
+                serde_json::from_str::<Ontology>(&broken).is_err(),
+                "{broken}"
+            );
         }
     }
 

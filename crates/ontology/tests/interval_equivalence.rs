@@ -1,7 +1,6 @@
 //! Property test: the interval-labelled fast paths (`subsumes`,
 //! `descendants`, `lca`, `distance`) agree with naive public-API oracles on
-//! random forests, both freshly built and after a serde round trip +
-//! `rebuild_index`.
+//! random forests, both freshly built and after a serde round trip.
 
 use dex_ontology::{ConceptId, Ontology, OntologyBuilder};
 use proptest::prelude::*;
@@ -89,8 +88,7 @@ proptest! {
         prop_assume!(forest[0].is_none());
         let ontology = build(&forest);
         let json = serde_json::to_string(&ontology).unwrap();
-        let mut back: Ontology = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let back: Ontology = serde_json::from_str(&json).unwrap();
         for a in ontology.iter() {
             prop_assert_eq!(back.descendants(a), ontology.descendants(a));
             for b in ontology.iter() {

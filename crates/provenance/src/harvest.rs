@@ -115,15 +115,6 @@ impl<'c> HarvestSink<'c> {
             );
             dex_telemetry::counter_add("dex.provenance.values_skipped", self.skipped);
             dex_telemetry::counter_add("dex.provenance.duplicates_collapsed", self.duplicates);
-            dex_telemetry::event!(
-                dex_telemetry::Level::Info,
-                "provenance",
-                "harvested {} instances from {} values ({} duplicates, {} skipped)",
-                self.pool.len(),
-                self.values_seen,
-                self.duplicates,
-                self.skipped
-            );
         }
         self.pool
     }

@@ -28,7 +28,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Ring capacity. 1024 events cover the recent-history window that makes a
 /// seeded-fault post-mortem readable (at the pipeline's observed event
-/// rates, several full retry storms plus the deltas and evictions around
+/// rates, several full retry storms plus the deltas and withdrawals around
 /// them) while bounding worst-case memory to ~100 KiB of boxed events.
 pub const FLIGHT_CAPACITY: usize = 1024;
 
@@ -42,8 +42,6 @@ pub enum FlightKind {
     Retry,
     /// Retries gave up: policy or budget exhausted on a transient failure.
     RetryExhausted,
-    /// The invocation cache evicted a completed entry (`value` = live size).
-    CacheEviction,
     /// The fault injector fired (`detail` says what it injected).
     FaultInjected,
     /// Graceful degradation withdrew a module from the run.

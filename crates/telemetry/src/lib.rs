@@ -1,8 +1,8 @@
 //! # dex-telemetry
 //!
 //! Observability substrate for the data-examples pipeline: lightweight
-//! spans, a process-global metrics registry, structured events behind a
-//! verbosity level, and a JSON-exportable [`RunReport`].
+//! spans, a process-global metrics registry, a flight recorder, and a
+//! JSON-exportable [`RunReport`].
 //!
 //! The whole crate is gated on one process-global `enabled` flag. When
 //! telemetry is **off** (the default) every instrumentation call reduces to
@@ -16,7 +16,7 @@
 //!   [`current_context`] and hand it to workers so their spans stitch under
 //!   the spawning span instead of becoming orphan roots.
 //! * [`flight`] records structured moments (invocation outcomes, retries,
-//!   evictions, fault injections, deltas) into a fixed-capacity lock-free
+//!   fault injections, withdrawals, deltas) into a fixed-capacity lock-free
 //!   ring; [`dump_flight`] writes the recent window to `FLIGHT.json` as a
 //!   post-mortem on panic or module withdrawal.
 //! * [`trace::chrome_trace_json`] exports the stitched span forest as
@@ -25,8 +25,6 @@
 //! * [`counter_add`] / [`gauge_set`] / [`observe_ns`] update atomics inside
 //!   a read-mostly registry, so concurrent increments from scoped threads
 //!   never lose updates.
-//! * [`event!`] records a structured message when its level is within the
-//!   configured verbosity, optionally echoing to stderr.
 //!
 //! [`collect`] snapshots everything into a serde-serializable [`RunReport`];
 //! the experiment binaries write it to `TELEMETRY.json`.
@@ -34,16 +32,12 @@
 //! Zero external dependencies beyond the workspace's serde/serde_json shims,
 //! matching the offline build constraint.
 
-mod event;
 mod flight;
 mod metrics;
 mod report;
 mod span;
 pub mod trace;
 
-pub use event::{
-    emit, event_enabled, set_stderr_echo, set_verbosity, verbosity, EventRecord, Level,
-};
 pub use flight::{
     dump_flight, dump_flight_fallback, flight, flight_on, flight_snapshot, flight_total,
     set_flight_enabled, set_flight_path, FlightDump, FlightEvent, FlightKind, FLIGHT_CAPACITY,
@@ -87,12 +81,11 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Clears every metric, span, and event, and restarts the wall clock.
-/// The enabled flag and verbosity are left as-is.
+/// Clears every metric, span, and flight event, and restarts the wall
+/// clock. The enabled flag is left as-is.
 pub fn reset() {
     metrics::reset();
     span::reset();
-    event::reset();
     flight::reset();
     *lock(&STARTED_AT) = Some(Instant::now());
 }
@@ -148,7 +141,6 @@ mod tests {
         counter_add("lib.reset.c", 3);
         gauge_set("lib.reset.g", -2);
         observe_ns("lib.reset.h", 500);
-        emit(Level::Error, "lib.reset", "boom".into());
         {
             let _s = span("lib.reset.span");
         }
@@ -160,7 +152,6 @@ mod tests {
         assert!(report.gauges.is_empty());
         assert!(report.histograms.is_empty());
         assert!(report.spans.is_empty());
-        assert!(report.events.is_empty());
         disable();
     }
 }

@@ -1,13 +1,12 @@
 //! The per-run telemetry artifact.
 
-use crate::event::{dropped_events, snapshot_events, EventRecord};
 use crate::metrics::{snapshot_counters, snapshot_gauges, snapshot_histograms, HistogramSnapshot};
 use crate::span::{snapshot_roots, SpanRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Everything one run recorded: a span forest, metric snapshots, events,
-/// and wall-clock totals. Serialized to `TELEMETRY.json` by the experiment
+/// Everything one run recorded: a span forest, metric snapshots, and
+/// wall-clock totals. Serialized to `TELEMETRY.json` by the experiment
 /// binaries (analogous to `BENCH_matching.json` for the perf trajectory).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
@@ -28,10 +27,6 @@ pub struct RunReport {
     /// Flamegraph folded stacks over `spans`:
     /// `"root;child;leaf" -> exclusive nanoseconds`.
     pub folded: BTreeMap<String, u64>,
-    /// Recorded events in emission order.
-    pub events: Vec<EventRecord>,
-    /// Events discarded after the buffer cap was hit.
-    pub events_dropped: u64,
 }
 
 impl RunReport {
@@ -64,8 +59,6 @@ pub fn collect(label: &str) -> RunReport {
         histograms: snapshot_histograms(),
         spans,
         folded,
-        events: snapshot_events(),
-        events_dropped: dropped_events(),
     }
 }
 
@@ -73,7 +66,6 @@ pub fn collect(label: &str) -> RunReport {
 mod tests {
     use super::*;
     use crate::testing;
-    use crate::Level;
 
     #[test]
     fn run_report_round_trips_through_json() {
@@ -84,7 +76,6 @@ mod tests {
         crate::gauge_set("r.test.threads", 8);
         crate::observe_ns("r.test.pair_ns", 1_500);
         crate::observe_ns("r.test.pair_ns", 900_000);
-        crate::emit(Level::Info, "r.test", "hello".into());
         {
             let _outer = crate::span("r.outer");
             let _inner = crate::span("r.inner");

@@ -2318,14 +2318,6 @@ pub fn build() -> Universe {
     add_data_analyses(&mut b);
     add_legacy(&mut b);
     b.legacy.sort();
-    dex_telemetry::event!(
-        dex_telemetry::Level::Info,
-        "universe",
-        "built {} modern + {} legacy modules over {} ontology concepts",
-        b.modern_count,
-        b.legacy.len(),
-        ontology.len()
-    );
 
     assert_eq!(b.modern_count, 252, "modern census drifted");
     assert_eq!(b.legacy.len(), 72, "legacy census drifted");

@@ -107,19 +107,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Rough heap footprint of this value in bytes: the enum itself plus
-    /// owned text bytes and list spines. Used by cache-size telemetry
-    /// (`MatchSession` memoized-report accounting), where an estimate is
-    /// enough — exact allocator overhead is not modeled.
-    pub fn approx_heap_bytes(&self) -> usize {
-        let own = std::mem::size_of::<Value>();
-        match self {
-            Value::Text(s) => own + s.capacity(),
-            Value::List(items) => own + items.iter().map(Value::approx_heap_bytes).sum::<usize>(),
-            _ => own,
-        }
-    }
-
     /// Borrows the inner text of a `Text` value.
     pub fn as_text(&self) -> Option<&str> {
         match self {
@@ -343,15 +330,6 @@ mod tests {
     fn payload_bytes_sums_lists() {
         let v = Value::List(vec![Value::text("abcd"), Value::Integer(1)]);
         assert_eq!(v.payload_bytes(), 12);
-    }
-
-    #[test]
-    fn approx_heap_bytes_counts_text_and_nesting() {
-        let enum_size = std::mem::size_of::<Value>();
-        assert_eq!(Value::Integer(1).approx_heap_bytes(), enum_size);
-        assert!(Value::text("abcd").approx_heap_bytes() >= enum_size + 4);
-        let list = Value::List(vec![Value::text("abcd"), Value::Integer(1)]);
-        assert!(list.approx_heap_bytes() >= 3 * enum_size + 4);
     }
 
     #[test]

@@ -114,14 +114,8 @@ fn enact_with(
             Ok(trace) => {
                 dex_telemetry::counter_add("dex.workflow.steps_executed", trace.steps.len() as u64);
             }
-            Err(error) => {
+            Err(_) => {
                 dex_telemetry::counter_add("dex.workflow.enact_failures", 1);
-                dex_telemetry::event!(
-                    dex_telemetry::Level::Debug,
-                    "workflow",
-                    "enactment of `{}` failed: {error}",
-                    workflow.id
-                );
             }
         }
     }

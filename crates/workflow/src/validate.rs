@@ -74,13 +74,6 @@ pub fn validate(
         dex_telemetry::counter_add("dex.workflow.validations", 1);
         if let Err(errors) = &result {
             dex_telemetry::counter_add("dex.workflow.validation_errors", errors.len() as u64);
-            dex_telemetry::event!(
-                dex_telemetry::Level::Debug,
-                "workflow",
-                "workflow `{}` failed validation with {} error(s)",
-                workflow.id,
-                errors.len()
-            );
         }
     }
     result

@@ -1,6 +1,6 @@
 //! Offline shim for the `rand` crate (the subset this workspace uses).
 //!
-//! Provides a deterministic [`StdRng`] built on xoshiro256++ (seeded through
+//! Provides a deterministic [`rngs::StdRng`] built on xoshiro256++ (seeded through
 //! SplitMix64), the [`SeedableRng`] seeding entry point, and the [`Rng`]
 //! extension trait with `gen` / `gen_range` over integer and float ranges.
 //!
