@@ -1,6 +1,6 @@
 //! Emits a machine-readable `BENCH_matching.json` summary of the
-//! performance-pass hot paths, so successive PRs can track the trajectory
-//! without parsing criterion output.
+//! performance-pass hot paths, so successive changes can track their
+//! trajectory.
 //!
 //! Usage: `cargo run --release -p dex-bench --bin bench_matching [OUT.json]`
 //! (default output path: `BENCH_matching.json` in the working directory).

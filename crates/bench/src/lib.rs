@@ -1,5 +1,4 @@
-//! Criterion benchmark support crate (benches live in `benches/`) plus
-//! helpers shared by the `bench_*` report binaries.
+//! Helpers shared by the `bench_*` report binaries.
 
 use dex_core::FingerprintIndex;
 use dex_modules::{FnModule, ModuleCatalog, ModuleId, SharedModule};

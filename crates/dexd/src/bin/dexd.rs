@@ -11,7 +11,7 @@
 //! many modules. The telemetry flags are shared with the experiment bins:
 //! `--trace-out` exports a Chrome trace of every request span on exit.
 //!
-//! Talk to it with `dexd_bench --smoke` or any client that frames JSON as
+//! Talk to it with `dexd::SocketClient` or any client that frames JSON as
 //! `proto` documents (length-prefixed, little-endian `u32`).
 
 use dex_experiments::telemetry::TelemetryRun;

@@ -179,10 +179,10 @@ pub struct StatsReply {
     pub queue_capacity: usize,
     /// Requests admitted and not yet answered.
     pub in_flight: usize,
-    /// Fingerprint-bucket groups the substitute-lookup batcher answered.
+    /// Substitute-lookup batches answered, one read acquisition each.
     pub batch_passes: u64,
-    /// Substitute lookups batched behind an earlier lookup of the same
-    /// fingerprint bucket (each still runs its own row scan).
+    /// Substitute lookups after the first of their batch: they shared its
+    /// read acquisition (each still runs its own row scan).
     pub coalesced_lookups: u64,
     /// `ApplyDelta` batches absorbed.
     pub deltas_applied: u64,

@@ -28,10 +28,10 @@
 //! whose `Drop` releases the slot, so a worker panic or a vanished client
 //! cannot leak admission capacity. Worker threads drain the queue;
 //! a `FindSubstitutes` at the head pulls every other queued substitute
-//! lookup into one batch answered under a single read acquisition. The
-//! batch is grouped by fingerprint bucket for the `batch_passes` /
-//! `coalesced_lookups` accounting only: each lookup still scans its own
-//! verdict row.
+//! lookup into one batch answered in queue order under a single read
+//! acquisition. Each lookup still scans its own verdict row; the
+//! acquisition is all a batch shares (`batch_passes` counts batches,
+//! `coalesced_lookups` the lookups after the first of each).
 //!
 //! Handlers run inside `catch_unwind`: a panic becomes a
 //! [`Response::Error`] (counted in [`StatsReply::handler_panics`]), the
@@ -48,7 +48,7 @@ use dex_pool::{build_synthetic_pool, build_text_pool, InstancePool};
 use dex_universe::scale::{build_scaled, ScalePlan};
 use dex_universe::Universe;
 use dex_workflow::Workflow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -388,30 +388,21 @@ impl Dexd {
         }
     }
 
-    /// Answers a batch of substitute lookups under one read acquisition,
-    /// grouped by fingerprint bucket. Each lookup runs its own row scan;
-    /// a group counts as one batch pass and its other lookups as coalesced.
+    /// Answers a batch of substitute lookups in queue order under one read
+    /// acquisition. Each lookup scans its own verdict row; the acquisition
+    /// is all the batch shares, so every lookup after the first counts as
+    /// coalesced.
     fn handle_substitutes_batch(&self, batch: Vec<Job>) {
         let _span = dex_telemetry::span("dexd.substitutes_batch");
         let pipeline = self.read_pipeline();
-        let mut groups: BTreeMap<Option<u64>, Vec<Job>> = BTreeMap::new();
+        self.counters.batch_passes.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .coalesced
+            .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
+        dex_telemetry::counter_add("dex.dexd.batch_passes", 1);
         for job in batch {
-            let key = match &job.req {
-                Request::FindSubstitutes { id } => pipeline.bucket_key(&ModuleId(id.clone())),
-                _ => None,
-            };
-            groups.entry(key).or_default().push(job);
-        }
-        for jobs in groups.into_values() {
-            self.counters.batch_passes.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .coalesced
-                .fetch_add(jobs.len().saturating_sub(1) as u64, Ordering::Relaxed);
-            dex_telemetry::counter_add("dex.dexd.batch_passes", 1);
-            for job in jobs {
-                let resp = self.run_handler(|| substitutes_reply(&pipeline, &job.req));
-                self.finish(job, resp);
-            }
+            let resp = self.run_handler(|| substitutes_reply(&pipeline, &job.req));
+            self.finish(job, resp);
         }
     }
 

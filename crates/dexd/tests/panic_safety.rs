@@ -254,6 +254,24 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
         matches!(resp, Response::Substitutes(_)),
         "polite request answered {resp:?}"
     );
+    // A write over the socket is applied and counted, and the daemon
+    // answers from the cache its bootstrap warmed.
+    let resp = polite
+        .call(&Request::ApplyDelta {
+            deltas: vec![Delta::ModuleWithdraw { id: ids[1].clone() }],
+        })
+        .expect("delta call");
+    assert!(
+        matches!(resp, Response::DeltaApplied(_)),
+        "delta answered {resp:?}"
+    );
+    match polite.call(&Request::Stats).expect("stats call") {
+        Response::Stats(s) => {
+            assert_eq!(s.deltas_applied, 1, "{s:?}");
+            assert!(s.cache_hits > 0, "{s:?}");
+        }
+        other => panic!("stats answered {other:?}"),
+    }
     assert_drains(&svc);
     let resp = polite.call(&Request::Shutdown).expect("shutdown call");
     assert!(matches!(resp, Response::ShuttingDown));

@@ -1,7 +1,7 @@
 //! The service's correctness contract (ISSUE 10): any interleaving of
 //! concurrent dexd requests yields responses **byte-identical** to what a
 //! sequential batch pipeline over the same state answers — admission
-//! control, queue reordering, substitute-lookup coalescing, and worker
+//! control, queue reordering, substitute-lookup batching, and worker
 //! scheduling must all be invisible in the payloads. A second property
 //! pins the same contract with seeded transient faults injected into every
 //! module, and with a lock-poisoning `Chaos` panic thrown mid-run.
@@ -81,7 +81,7 @@ fn mini_module(slot: usize, inputs: &[usize], salt: u64, reject_pct: u64) -> FnM
 }
 
 /// Input shape of slot `i`: three shape classes so fingerprint buckets
-/// collide (and the coalescing path actually groups lookups).
+/// collide and substitute lookups rank real verdicts.
 fn shape_for(slot: usize, shape_salt: u64) -> Vec<usize> {
     let class = slot % 3;
     let pick = |k: u32| ((shape_salt >> (8 * k)) as usize) % CONCEPTS.len();

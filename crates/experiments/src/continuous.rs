@@ -20,14 +20,14 @@
 //!    once a viable substitute (re)appears; such recoveries are reported as
 //!    [`WaveReport::re_repaired`].
 //!
-//! Per-workflow repair latency is recorded into the
-//! `dex.repair.workflow_ns` histogram with per-wave p50/p95/p99 +
-//! repairs/s derived from the same log-bucketed [`HistogramSnapshot`]
-//! scheme the rest of the telemetry uses.
+//! Per-workflow repair latency is recorded into the global
+//! `dex.repair.workflow_ns` histogram and into a per-wave and a per-run
+//! [`Histogram`] of the caller's own, so the reported p50/p95/p99 need no
+//! enabled subscriber.
 //!
-//! `exp_repair --scale N --waves W` and `bench_repair` are thin front-ends
-//! over [`run_continuous`], which drives seeded decay waves over one
-//! prepared state.
+//! `exp_repair --scale N --waves W` is a thin front-end over
+//! [`run_continuous`], which drives seeded decay waves over one prepared
+//! state.
 
 use crate::incremental::IncrementalPipeline;
 use dex_core::delta::{Delta, DeltaReport};
@@ -36,7 +36,7 @@ use dex_modules::{ModuleId, Retrier, RetryPolicy};
 use dex_pool::build_text_pool;
 use dex_provenance::{HarvestSink, ProvenanceCorpus};
 use dex_repair::{generate_repository, repair_repository_with, RepositoryPlan, WorkflowRepository};
-use dex_telemetry::{HistogramSnapshot, BUCKET_BOUNDS_NS};
+use dex_telemetry::{Histogram, HistogramSnapshot};
 use dex_universe::scale::{build_scaled, FamilyInfo, ScalePlan};
 use dex_values::classify::classify_concept;
 use dex_workflow::{enact_retrying, EnactmentTrace};
@@ -158,60 +158,6 @@ impl ContinuousReport {
     pub fn total_re_repaired(&self) -> usize {
         self.waves.iter().map(|w| w.re_repaired).sum()
     }
-
-    /// Minimum per-wave repair throughput, substitutions per second.
-    pub fn min_repairs_per_sec(&self) -> f64 {
-        self.waves
-            .iter()
-            .map(|w| w.repairs_per_sec)
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// Local latency accumulator using the telemetry bucket scheme, so per-wave
-/// percentiles come from the same [`HistogramSnapshot::percentile`] estimator
-/// as every other latency in the system — without needing the global
-/// subscriber enabled.
-#[derive(Default)]
-pub(crate) struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u64,
-}
-
-impl LatencyHistogram {
-    pub(crate) fn new() -> LatencyHistogram {
-        LatencyHistogram {
-            buckets: vec![0; BUCKET_BOUNDS_NS.len() + 1],
-            count: 0,
-            sum_ns: 0,
-        }
-    }
-
-    pub(crate) fn record(&mut self, ns: u64) {
-        let idx = BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&bound| ns <= bound)
-            .unwrap_or(BUCKET_BOUNDS_NS.len());
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot {
-            count: self.count,
-            sum_ns: self.sum_ns,
-            buckets: self.buckets.clone(),
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
-        };
-        snap.p50_ns = snap.percentile(0.50).round() as u64;
-        snap.p95_ns = snap.percentile(0.95).round() as u64;
-        snap.p99_ns = snap.percentile(0.99).round() as u64;
-        snap
-    }
 }
 
 /// Live state of a continuous decay-and-repair workload: the prepared
@@ -228,7 +174,7 @@ pub struct ContinuousState {
     /// the carryover each wave's repair pass must retry.
     broken: BTreeSet<usize>,
     prepare: PrepareStats,
-    overall: LatencyHistogram,
+    overall: Histogram,
     rng: StdRng,
     waves: Vec<WaveReport>,
 }
@@ -316,7 +262,7 @@ impl ContinuousState {
             families,
             broken: BTreeSet::new(),
             prepare,
-            overall: LatencyHistogram::new(),
+            overall: Histogram::default(),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xDECA_F000_0000_0001),
             waves: Vec::new(),
         }
@@ -409,7 +355,7 @@ impl ContinuousState {
             .map(|(i, _)| i)
             .collect();
 
-        let mut wave_hist = LatencyHistogram::new();
+        let wave_hist = Histogram::default();
         let mut fully = 0usize;
         let mut partially = 0usize;
         let mut unrepaired = 0usize;

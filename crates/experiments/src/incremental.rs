@@ -582,19 +582,6 @@ impl IncrementalPipeline {
         Some((self.available[i], &*self.reports[i]))
     }
 
-    /// The fingerprint bucket key of an available tracked module — the key
-    /// `dexd` groups a batch of substitute lookups under. Each lookup in a
-    /// group still scans its own verdict row; the group shares only the
-    /// batch's single read-lock acquisition. `None` for withdrawn or
-    /// untracked modules.
-    pub fn bucket_key(&self, id: &ModuleId) -> Option<u64> {
-        let &i = self.slot_of.get(id)?;
-        if !self.available[i] {
-            return None;
-        }
-        self.index.fingerprint(i).map(|fp| fp.stable_hash())
-    }
-
     /// Ranks the current substitutes for a tracked module, best first,
     /// using the §6 study's ordering ([`pick_better_substitute`]).
     /// Available modules are answered from their live row verdicts;

@@ -6,7 +6,7 @@
 //! property pins the same equivalence with seeded transient faults
 //! injected into every module, riding on the retry layer to converge.
 
-use dex_core::{GenerationConfig, MatchReport, MatchSession};
+use dex_core::{GenerationConfig, MatchReport, MatchSession, PartitionFingerprint};
 use dex_experiments::parallel::{generate_fleet, match_pairs, BatchConfig, PairOutput};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
@@ -187,9 +187,10 @@ fn replay_cold(universe: &mut Universe, pool: &mut InstancePool, deltas: &[Delta
     }
 }
 
-/// What the brute-force pair accounting reads of one tracked slot, through
-/// the engine's public API: availability, fingerprint bucket key (`None`
-/// while withdrawn), and the generation outcome a verdict can read.
+/// What the brute-force pair accounting reads of one tracked slot:
+/// availability, fingerprint bucket key (`None` while withdrawn, computed
+/// from the descriptor under the current ontology), and the generation
+/// outcome a verdict can read.
 struct SlotView {
     available: bool,
     bucket: Option<u64>,
@@ -202,9 +203,15 @@ fn snapshot(engine: &IncrementalPipeline) -> BTreeMap<ModuleId, SlotView> {
         .iter()
         .map(|id| {
             let (available, outcome) = engine.annotation(id).expect("tracked");
+            let universe = engine.universe();
+            let bucket = universe
+                .catalog
+                .descriptor(id)
+                .filter(|_| available)
+                .map(|d| PartitionFingerprint::of(d, &universe.ontology).stable_hash());
             let view = SlotView {
                 available,
-                bucket: engine.bucket_key(id),
+                bucket,
                 outcome: match outcome {
                     Ok(report) => Ok(format!("{:?}", report.examples)),
                     Err(e) => Err(e.to_string()),
@@ -336,6 +343,25 @@ fn check_equivalence(
             assert!(v.is_usable());
         }
     }
+}
+
+/// A pool insert appended behind every dependent module's candidate-probe
+/// window (base pick plus retry skips, at pool depth 6) changes no
+/// generation signature: the engine checks the concept's dependents and
+/// regenerates, recomputes and drops nothing.
+#[test]
+fn single_pool_insert_behind_the_probe_window_dirties_nothing() {
+    let universe = dex_universe::build();
+    let pool = build_synthetic_pool(&universe.ontology, 6, 42);
+    let mut engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    let report = engine.apply(&[Delta::PoolInsert {
+        instance: AnnotatedInstance::synthetic(Value::text("GATTACA-delta-0"), "DNASequence"),
+    }]);
+    assert!(report.dirty_candidates > 0, "{report:?}");
+    assert_eq!(report.regenerated_modules, 0, "{report:?}");
+    assert_eq!(report.cells_dirty, 0, "{report:?}");
+    assert_eq!(report.recomputed_pairs, 0, "{report:?}");
+    assert_eq!(report.dropped_pairs, 0, "{report:?}");
 }
 
 proptest! {

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod synthetic;
 
 pub use instance::{AnnotatedInstance, InstanceSource};
-pub use pool::{ConceptIndex, InstancePool};
+pub use pool::InstancePool;
 pub use stats::PoolStats;
 pub use synthetic::{build_synthetic_pool, build_text_pool, text_instance};
 

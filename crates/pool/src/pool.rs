@@ -3,7 +3,7 @@
 use crate::instance::AnnotatedInstance;
 use dex_ontology::{ConceptId, Ontology};
 use dex_values::{StructuralType, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Structural conformance of one pool instance, precomputed at index time.
@@ -85,8 +85,8 @@ struct Bucket {
     entries: Vec<(usize, CachedShape)>,
 }
 
-/// Derived lookup structures, skipped by serde and rebuilt by
-/// [`InstancePool::rebuild_index`].
+/// Derived lookup structures, skipped by serde and rebuilt when a pool is
+/// deserialized.
 #[derive(Debug, Clone, Default)]
 struct PoolIndex {
     /// concept name → slot in `buckets`.
@@ -123,7 +123,7 @@ impl PoolIndex {
 /// Instances are kept in insertion order; all lookups return instances in
 /// that order, so a fixed pool gives fully deterministic data-example
 /// generation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct InstancePool {
     name: String,
     instances: Vec<AnnotatedInstance>,
@@ -249,19 +249,6 @@ impl InstancePool {
         indices
     }
 
-    /// Resolves this pool's buckets against an ontology once, yielding a
-    /// [`ConceptIndex`] whose lookups are keyed by [`ConceptId`] — no name
-    /// hashing on any subsequent query.
-    pub fn bind<'p>(&'p self, ontology: &Ontology) -> ConceptIndex<'p> {
-        let mut slots = vec![None; ontology.len()];
-        for (name, &slot) in &self.index.slot_by_name {
-            if let Some(id) = ontology.id(name) {
-                slots[id.index()] = Some(slot);
-            }
-        }
-        ConceptIndex { pool: self, slots }
-    }
-
     /// Concepts that have at least one realization in the pool, sorted.
     pub fn covered_concepts(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self
@@ -275,8 +262,8 @@ impl InstancePool {
         names
     }
 
-    /// Rebuilds the concept index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
+    /// Rebuilds the concept index from the instance list.
+    fn rebuild_index(&mut self) {
         self.index = PoolIndex::default();
         for (idx, inst) in self.instances.iter().enumerate() {
             self.index.add(idx, inst);
@@ -288,11 +275,9 @@ impl InstancePool {
         serde_json::to_string(self)
     }
 
-    /// Loads a pool from JSON, rebuilding the concept index.
+    /// Loads a pool from JSON.
     pub fn from_json(json: &str) -> serde_json::Result<InstancePool> {
-        let mut pool: InstancePool = serde_json::from_str(json)?;
-        pool.rebuild_index();
-        Ok(pool)
+        serde_json::from_str(json)
     }
 
     /// Retains only instances satisfying the predicate (used by pool-size
@@ -336,86 +321,24 @@ impl InstancePool {
     }
 }
 
-/// An ontology-bound view of an [`InstancePool`]: every lookup is keyed by
-/// [`ConceptId`], with the concept-name → bucket resolution done once in
-/// [`InstancePool::bind`]. Build it outside a matching loop and reuse it for
-/// every query against the same ontology.
-#[derive(Debug, Clone)]
-pub struct ConceptIndex<'p> {
-    pool: &'p InstancePool,
-    /// `ConceptId` index → bucket slot in the pool's index (`None` when the
-    /// pool holds no realization of that concept).
-    slots: Vec<Option<usize>>,
+/// The stored fields of an [`InstancePool`], as serialized.
+#[derive(Deserialize)]
+struct StoredPool {
+    name: String,
+    instances: Vec<AnnotatedInstance>,
 }
 
-impl<'p> ConceptIndex<'p> {
-    /// The pool this index resolves into.
-    pub fn pool(&self) -> &'p InstancePool {
-        self.pool
-    }
-
-    fn bucket(&self, concept: ConceptId) -> &'p [(usize, CachedShape)] {
-        self.slots
-            .get(concept.index())
-            .copied()
-            .flatten()
-            .map(|slot| self.pool.index.buckets[slot].entries.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Instances realizing exactly `concept`, in insertion order.
-    pub fn realizations_of(
-        &self,
-        concept: ConceptId,
-    ) -> impl Iterator<Item = &'p AnnotatedInstance> {
-        self.bucket(concept)
-            .iter()
-            .map(|&(i, _)| &self.pool.instances[i])
-    }
-
-    /// [`InstancePool::get_instance`] keyed by concept id.
-    pub fn get_instance(
-        &self,
-        concept: ConceptId,
-        structural: &StructuralType,
-        skip: usize,
-    ) -> Option<&'p AnnotatedInstance> {
-        pool_counters().0.add(1);
-        let mut remaining = skip;
-        for (i, shape) in self.bucket(concept) {
-            let conforms = match shape {
-                CachedShape::Any => true,
-                CachedShape::Exact(actual) => structural.accepts(actual),
-                CachedShape::Opaque => self.pool.instances[*i].value.conforms_to(structural),
-            };
-            if conforms {
-                if remaining == 0 {
-                    return Some(&self.pool.instances[*i]);
-                }
-                remaining -= 1;
-            }
-        }
-        pool_counters().1.add(1);
-        None
-    }
-
-    /// [`InstancePool::instances_of`] keyed by concept id: merges the
-    /// realization buckets of the concept's descendant slice.
-    pub fn instances_of(
-        &self,
-        concept: ConceptId,
-        ontology: &Ontology,
-    ) -> Vec<&'p AnnotatedInstance> {
-        pool_counters().2.add(1);
-        let mut indices: Vec<usize> = Vec::new();
-        for c in ontology.descendants(concept) {
-            indices.extend(self.bucket(c).iter().map(|&(i, _)| i));
-        }
-        indices.sort_unstable();
-        indices
-            .into_iter()
-            .map(|i| &self.pool.instances[i])
-            .collect()
+/// Rebuilds the concept index, so a deserialized pool answers lookups.
+impl Deserialize for InstancePool {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let stored = StoredPool::from_content(content)?;
+        let mut pool = InstancePool {
+            name: stored.name,
+            instances: stored.instances,
+            index: PoolIndex::default(),
+        };
+        pool.rebuild_index();
+        Ok(pool)
     }
 }
 
@@ -530,46 +453,25 @@ mod tests {
     #[test]
     fn serde_round_trip_with_reindex() {
         let p = pool();
-        let json = p.to_json().unwrap();
-        let back = InstancePool::from_json(&json).unwrap();
+        // Plain serde, not `from_json`: deserializing must rebuild the index.
+        let back: InstancePool = serde_json::from_str(&p.to_json().unwrap()).unwrap();
         assert_eq!(back.len(), p.len());
-        assert_eq!(back.realizations_of("DNA").count(), 2);
-        assert!(back
-            .get_instance("Protein", &StructuralType::Text, 0)
-            .is_some());
-    }
-
-    #[test]
-    fn bound_index_agrees_with_name_keyed_lookups() {
-        let p = pool();
-        let o = sample_ontology();
-        let idx = p.bind(&o);
+        assert_eq!(back.covered_concepts(), p.covered_concepts());
+        let values = |pool: &InstancePool, name: &str| -> Vec<Value> {
+            pool.realizations_of(name)
+                .map(|i| i.value.clone())
+                .collect()
+        };
         for name in ["BioData", "Sequence", "DNA", "Protein", "Accession"] {
-            let id = o.id(name).unwrap();
-            let by_name: Vec<&AnnotatedInstance> = p.realizations_of(name).collect();
-            let by_id: Vec<&AnnotatedInstance> = idx.realizations_of(id).collect();
-            assert_eq!(by_id.len(), by_name.len(), "{name}");
-            for (a, b) in by_id.iter().zip(&by_name) {
-                assert_eq!(a.value, b.value);
-            }
-            let of_name: Vec<String> = p
-                .instances_of(name, &o)
-                .map(|i| i.value.to_string())
-                .collect();
-            let of_id: Vec<String> = idx
-                .instances_of(id, &o)
-                .into_iter()
-                .map(|i| i.value.to_string())
-                .collect();
-            assert_eq!(of_id, of_name, "{name}");
-            for skip in 0..3 {
-                assert_eq!(
-                    idx.get_instance(id, &StructuralType::Text, skip)
-                        .map(|i| &i.value),
-                    p.get_instance(name, &StructuralType::Text, skip)
-                        .map(|i| &i.value),
-                    "{name} skip {skip}"
-                );
+            assert_eq!(values(&back, name), values(&p, name), "{name}");
+            for structural in [StructuralType::Text, StructuralType::Integer] {
+                for skip in 0..3 {
+                    assert_eq!(
+                        back.get_instance(name, &structural, skip).map(|i| &i.value),
+                        p.get_instance(name, &structural, skip).map(|i| &i.value),
+                        "{name} {structural:?} skip {skip}"
+                    );
+                }
             }
         }
     }

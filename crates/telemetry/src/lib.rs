@@ -44,7 +44,7 @@ pub use flight::{
 };
 pub use metrics::{
     counter, counter_add, counter_value, gauge_set, gauge_value, histogram, observe_ns, timed,
-    Counter, Histo, HistogramSnapshot, TimedGuard, BUCKET_BOUNDS_NS,
+    Counter, Histo, Histogram, HistogramSnapshot, TimedGuard,
 };
 pub use report::{collect, RunReport};
 pub use span::{current_context, span, thread_track, SpanGuard, SpanRecord, TraceContext};

@@ -32,16 +32,19 @@ pub const BUCKET_BOUNDS_NS: [u64; 12] = [
     1_000_000_000,
 ];
 
-/// A fixed-bucket duration histogram.
+/// A fixed-bucket duration histogram. The registry keeps one per name;
+/// a caller that wants percentiles without the global subscriber records
+/// into its own.
 #[derive(Debug, Default)]
-struct Histogram {
+pub struct Histogram {
     count: AtomicU64,
     sum_ns: AtomicU64,
     buckets: [AtomicU64; BUCKET_BOUNDS_NS.len() + 1],
 }
 
 impl Histogram {
-    fn record(&self, ns: u64) {
+    /// Records one observation, in nanoseconds.
+    pub fn record(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         let idx = BUCKET_BOUNDS_NS
@@ -51,7 +54,8 @@ impl Histogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> HistogramSnapshot {
+    /// The counts so far, with rounded p50 / p95 / p99 estimates.
+    pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
