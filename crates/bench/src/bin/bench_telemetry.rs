@@ -1,6 +1,12 @@
-//! Measures the overhead of the `dex-telemetry` subscriber on the two
-//! parallel hot paths — plus per-call microcosts of the span guard and the
-//! flight recorder — and emits a machine-readable `BENCH_telemetry.json`.
+//! Measures the overhead of the `dex-telemetry` subscriber on two
+//! instrumented workloads — plus per-call microcosts of the span guard and
+//! the flight recorder — and emits a machine-readable `BENCH_telemetry.json`.
+//!
+//! The workloads are `generate_fleet` over the 252-module universe, fanned
+//! out over the host's threads, and a dense `match_pairs` over every 11th
+//! module. That 23-module slice compares 0 of its 506 ordered pairs —
+//! fingerprint blocking prunes all of them — so the second section times
+//! the blocking plan and pruned-pair materialization, not example replay.
 //!
 //! Usage: `cargo run --release -p dex-bench --bin bench_telemetry [OUT.json]`
 //! (default output path: `BENCH_telemetry.json` in the working directory).
@@ -15,7 +21,7 @@
 
 use dex_core::{GenerationConfig, MatchSession};
 use dex_experiments::parallel::{generate_fleet, match_pairs};
-use dex_experiments::{BatchConfig, PairOutput};
+use dex_experiments::PairOutput;
 use dex_modules::{ModuleId, Retrier};
 use dex_pool::build_synthetic_pool;
 use std::fmt::Write as _;
@@ -122,7 +128,6 @@ fn main() {
                 &universe,
                 &match_ids,
                 PairOutput::Dense,
-                &BatchConfig::with_threads(threads),
             ));
         }),
     );

@@ -511,8 +511,8 @@ impl PartitionFingerprint {
     }
 }
 
-/// Aggregate accounting of one blocked all-pairs run, serialized into
-/// `BENCH_blocking.json` and telemetry.
+/// Aggregate accounting of one blocked all-pairs run: how many pairs it
+/// compared, pruned and skipped as unavailable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockingStats {
     /// Ordered module pairs in the sweep (`n·(n−1)`).
@@ -698,40 +698,6 @@ impl FingerprintIndex {
         pairs
     }
 
-    /// [`comparable_pairs`](FingerprintIndex::comparable_pairs) interleaved
-    /// round-robin across buckets: consecutive pairs come from *different*
-    /// buckets wherever possible, so a fixed-size chunk of the worklist
-    /// spans many buckets instead of sitting inside one giant one. The pair
-    /// *set* is identical to `comparable_pairs` — only the order differs —
-    /// and the order is deterministic.
-    ///
-    /// This is the worklist order the batched executor wants: with
-    /// bucket-major order, one oversized bucket (the 25k sweep has a
-    /// 391-module bucket, ~152k consecutive pairs) occupies a long run of
-    /// consecutive chunks whose claims all replay the same few targets'
-    /// reports, while interleaving spreads every bucket's pairs evenly
-    /// across the sweep.
-    pub fn comparable_pairs_interleaved(&self) -> Vec<(usize, usize)> {
-        let buckets = self.ordered_buckets();
-        let mut per_bucket: Vec<std::iter::Peekable<PairIter>> = buckets
-            .iter()
-            .map(|b| PairIter::new(b).peekable())
-            .collect();
-        let total: usize = buckets
-            .iter()
-            .map(|b| b.len() * b.len().saturating_sub(1))
-            .sum();
-        let mut pairs = Vec::with_capacity(total);
-        while pairs.len() < total {
-            for it in &mut per_bucket {
-                if let Some(pair) = it.next() {
-                    pairs.push(pair);
-                }
-            }
-        }
-        pairs
-    }
-
     /// Whether the ordered pair `(t, c)` survives blocking (both modules
     /// present and fingerprint-compatible).
     pub fn is_comparable(&self, t: usize, c: usize) -> bool {
@@ -742,43 +708,9 @@ impl FingerprintIndex {
     }
 }
 
-/// Ordered `(t, c)` pairs of one bucket, `t ≠ c`, in the same nested order
-/// `comparable_pairs` emits them.
-struct PairIter<'b> {
-    bucket: &'b [usize],
-    t: usize,
-    c: usize,
-}
-
-impl<'b> PairIter<'b> {
-    fn new(bucket: &'b [usize]) -> PairIter<'b> {
-        PairIter { bucket, t: 0, c: 0 }
-    }
-}
-
-impl Iterator for PairIter<'_> {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        while self.t < self.bucket.len() {
-            if self.c >= self.bucket.len() {
-                self.t += 1;
-                self.c = 0;
-                continue;
-            }
-            let (t, c) = (self.bucket[self.t], self.bucket[self.c]);
-            self.c += 1;
-            if t != c {
-                return Some((t, c));
-            }
-        }
-        None
-    }
-}
-
 /// One target's generation result behind an `Arc`. An all-pairs sweep
 /// resolves each target's report once and hands it to
-/// [`MatchSession::compare_report`] for every candidate, across threads.
+/// [`MatchSession::compare_report`] for every candidate.
 pub type CachedGeneration = Arc<Result<GenerationReport, GenerationError>>;
 
 /// Matching telemetry counters, interned once per process.
@@ -813,7 +745,7 @@ fn match_counters() -> &'static MatchCounters {
 /// memoized: an all-pairs sweep resolves each target's report once and
 /// hands it to [`compare_report`](MatchSession::compare_report) for every
 /// candidate. The session is internally synchronized, so it can be shared
-/// by reference across the threads of a parallel sweep.
+/// by reference across threads.
 pub struct MatchSession<'a> {
     ontology: &'a Ontology,
     pool: &'a InstancePool,
@@ -894,8 +826,8 @@ impl<'a> MatchSession<'a> {
     ///
     /// Taking the report rather than generating it keeps the per-pair cost
     /// at the candidate replay itself, which is what lets an all-pairs
-    /// executor resolve each target's report once and fan candidates out
-    /// across threads. Counts the pair and its verdict in the `dex.match.*`
+    /// sweep resolve each target's report once and replay every candidate
+    /// against it. Counts the pair and its verdict in the `dex.match.*`
     /// telemetry.
     pub fn compare_report(
         &self,

@@ -3,7 +3,7 @@
 
 use crate::format::{heading, table};
 use crate::parallel::match_pairs;
-use crate::{BatchConfig, Context, FaultConfig, PairOutput};
+use crate::{Context, FaultConfig, PairOutput};
 use dex_core::coverage::measure_coverage;
 use dex_core::metrics::score;
 use dex_core::MatchSession;
@@ -255,8 +255,7 @@ pub fn matching_summary(ctx: &Context) -> String {
         .collect();
     let mut verdicts: BTreeMap<String, usize> = BTreeMap::new();
     let session = MatchSession::new(&ctx.universe.ontology, &ctx.pool, ctx.config.clone());
-    let batch = BatchConfig::default();
-    let matrix = match_pairs(&session, &ctx.universe, &ids, PairOutput::Dense, &batch).reports;
+    let matrix = match_pairs(&session, &ctx.universe, &ids, PairOutput::Dense).reports;
     for report in matrix.values() {
         let label = match &report.outcome {
             dex_core::MatchOutcome::Verdict(v) => format!("{v:?}").to_lowercase(),

@@ -1,22 +1,24 @@
-//! Parallel data-example generation and all-pairs matching.
+//! Parallel data-example generation and the blocked all-pairs matching
+//! sweep.
 //!
-//! Both workloads are embarrassingly parallel — modules are `Send + Sync`
-//! black boxes and the pool/ontology are shared read-only — so the experiment
-//! harness fans out over `std::thread::scope` without extra dependencies.
-//! Results are returned in deterministic (sorted key) order regardless of
-//! scheduling.
+//! Generation is embarrassingly parallel — modules are `Send + Sync` black
+//! boxes and the pool/ontology are shared read-only — so [`generate_fleet`]
+//! fans out over `std::thread::scope` without extra dependencies, and
+//! returns its reports in module-id order regardless of scheduling.
+//! [`match_pairs`] is one serial loop: fingerprint blocking leaves it few
+//! pairs to replay (490 of the 63,252 ordered pairs of the paper's 252
+//! modules).
 
 use dex_core::matching::pair_outcome;
 use dex_core::{
-    generate_examples_retrying, BlockingStats, CachedGeneration, FingerprintIndex,
-    GenerationConfig, GenerationReport, MatchOutcome, MatchReport, MatchSession, MatchVerdict,
+    generate_examples_retrying, BlockingStats, FingerprintIndex, GenerationConfig,
+    GenerationReport, MatchOutcome, MatchReport, MatchSession, MatchVerdict,
 };
 use dex_modules::{InvocationCache, ModuleId, Retrier, SharedModule};
 use dex_pool::InstancePool;
 use dex_universe::Universe;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// The outcome of a degradation-tolerant fleet generation: per-module
 /// reports for everything that generated, failure records for everything
@@ -128,54 +130,6 @@ pub fn generate_fleet(
     fleet
 }
 
-/// Tuning for the batched blocked matching executor.
-///
-/// At or below [`BatchConfig::SERIAL_CUTOFF_PAIRS`] compared pairs the
-/// executor runs on the calling thread; above it, workers claim
-/// [`BatchConfig::CHUNK_PAIRS`] pairs per atomic `fetch_add` and buffer
-/// results in worker-local vectors (no channel, no per-pair
-/// synchronization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Worker threads for the batched phase (values below 1 clamp to 1).
-    pub threads: usize,
-    /// Compared-pair count at or below which the executor stays serial.
-    pub serial_cutoff: usize,
-    /// Pairs claimed per atomic fetch — coarse enough to amortize the
-    /// claim, fine enough to balance uneven buckets across workers.
-    pub chunk: usize,
-}
-
-impl BatchConfig {
-    /// Compared-pair count at or below which the sweep stays on the calling
-    /// thread. On a 1-core host batched never beat serial at any swept size
-    /// up to 8,448 compared pairs. No multi-core crossover has been
-    /// measured either: on a shared 2-vCPU host the two stay within 1% of
-    /// each other from 768 to 3,584 pairs, and serial wins again at 8,448.
-    /// `bench_blocking` records the first swept size where batched wins as
-    /// `measured_crossover_pairs` (`null` when none does).
-    pub const SERIAL_CUTOFF_PAIRS: usize = 512;
-    /// Claim granularity: 64 pairs ≈ tens of microseconds of warm-cache
-    /// work per claim, three orders of magnitude over the atomic itself.
-    pub const CHUNK_PAIRS: usize = 64;
-
-    /// The measured defaults with an explicit thread count.
-    pub fn with_threads(threads: usize) -> BatchConfig {
-        BatchConfig {
-            threads,
-            serial_cutoff: Self::SERIAL_CUTOFF_PAIRS,
-            chunk: Self::CHUNK_PAIRS,
-        }
-    }
-}
-
-impl Default for BatchConfig {
-    fn default() -> BatchConfig {
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        BatchConfig::with_threads(threads)
-    }
-}
-
 /// What an all-pairs sweep materializes besides its tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairOutput {
@@ -212,6 +166,15 @@ pub struct BlockedMatch {
 }
 
 impl BlockedMatch {
+    fn count(&mut self, outcome: &MatchOutcome) {
+        match outcome {
+            MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => self.equivalent += 1,
+            MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => self.overlapping += 1,
+            MatchOutcome::Verdict(MatchVerdict::Disjoint { .. }) => self.disjoint += 1,
+            MatchOutcome::Incomparable(_) => self.incomparable += 1,
+        }
+    }
+
     /// `(equivalent, overlapping, disjoint, incomparable)` as one tuple.
     pub fn tallies(&self) -> (usize, usize, usize, usize) {
         (
@@ -223,34 +186,27 @@ impl BlockedMatch {
     }
 }
 
-/// Builds the blocking plan for `ids`: fingerprint index, the compared-pair
-/// worklist, and the stats ledger. Withdrawn ids get no fingerprint and
-/// land in the `pairs_unavailable` bucket.
-///
-/// The worklist is interleaved round-robin across buckets (same pair set,
-/// bucket-aware order): a `CHUNK_PAIRS` claim spans many buckets instead of
-/// sitting inside one oversized bucket — at 25k modules the largest bucket
-/// holds 391 descriptors (~152k consecutive bucket-major pairs, ~2.4k
-/// consecutive chunks of near-identical work), and interleaving spreads
-/// that bucket evenly across the sweep so chunk runtimes stay uniform.
-fn blocked_plan(
-    universe: &Universe,
-    ids: &[ModuleId],
-) -> (FingerprintIndex, Vec<(usize, usize)>, BlockingStats) {
+/// Builds the blocking plan for `ids`: the fingerprint index and the stats
+/// ledger. Withdrawn ids get no fingerprint and land in the
+/// `pairs_unavailable` bucket.
+fn blocked_plan(universe: &Universe, ids: &[ModuleId]) -> (FingerprintIndex, BlockingStats) {
     let index = FingerprintIndex::build(
         ids.iter()
             .map(|id| universe.catalog.get(id).map(|m| m.descriptor())),
         &universe.ontology,
     );
-    let pairs = index.comparable_pairs_interleaved();
+    let pairs_compared = index
+        .buckets()
+        .map(|b| b.len() * b.len().saturating_sub(1))
+        .sum();
     let n = ids.len();
     let available = (0..n).filter(|&i| index.fingerprint(i).is_some()).count();
     let pairs_total = n * n.saturating_sub(1);
     let both_available = available * available.saturating_sub(1);
     let stats = BlockingStats {
         pairs_total,
-        pairs_compared: pairs.len(),
-        pairs_pruned: both_available - pairs.len(),
+        pairs_compared,
+        pairs_pruned: both_available - pairs_compared,
         pairs_unavailable: pairs_total - both_available,
         buckets: index.bucket_count(),
         largest_bucket: index.largest_bucket(),
@@ -259,61 +215,7 @@ fn blocked_plan(
         dex_telemetry::gauge_set("dex.match.buckets", stats.buckets as i64);
         dex_telemetry::gauge_set("dex.match.bucket_max", stats.largest_bucket as i64);
     }
-    (index, pairs, stats)
-}
-
-/// The batched chunk executor: runs `step` over every index of `pairs`,
-/// serially when the worklist is at or below the crossover, otherwise on
-/// `batch.threads` workers claiming `batch.chunk` indices per atomic fetch.
-/// Returns one accumulator per worker (exactly one on the serial path).
-fn run_batched<R, F, G>(pairs: &[(usize, usize)], batch: &BatchConfig, make: F, step: G) -> Vec<R>
-where
-    R: Send,
-    F: Fn() -> R + Sync,
-    G: Fn(&mut R, usize, (usize, usize)) + Sync,
-{
-    let threads = batch.threads.max(1);
-    if threads == 1 || pairs.len() <= batch.serial_cutoff {
-        dex_telemetry::gauge_set("dex.parallel.threads", 1);
-        let mut acc = make();
-        for (i, &pair) in pairs.iter().enumerate() {
-            step(&mut acc, i, pair);
-        }
-        return vec![acc];
-    }
-    let chunk = batch.chunk.max(1);
-    let workers = threads.min(pairs.len().div_ceil(chunk));
-    dex_telemetry::gauge_set("dex.parallel.threads", workers as i64);
-    let cursor = AtomicUsize::new(0);
-    let ctx = dex_telemetry::current_context();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let make = &make;
-                let step = &step;
-                scope.spawn(move || {
-                    let _worker = ctx.span("parallel.match_worker");
-                    let mut acc = make();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= pairs.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(pairs.len());
-                        for (i, &pair) in pairs[start..end].iter().enumerate() {
-                            step(&mut acc, start + i, pair);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("matching worker panicked"))
-            .collect()
-    })
+    (index, stats)
 }
 
 fn unavailable_report(universe: &Universe, ids: &[ModuleId], t: usize, c: usize) -> MatchReport {
@@ -331,129 +233,86 @@ fn unavailable_report(universe: &Universe, ids: &[ModuleId], t: usize, c: usize)
     }
 }
 
-/// Per-id state resolved once per sweep: each id's catalog handle, and a
-/// `OnceLock` cell parking each target's report. Each target is generated
-/// once per sweep; after a cell's first touch the per-pair hot path takes
-/// no lock, looks up no catalog entry and clones no key — workers read a
-/// shared `&CachedGeneration` and run only the candidate replay.
-struct PreparedIds<'u> {
-    handles: Vec<Option<&'u SharedModule>>,
-    reports: Vec<OnceLock<CachedGeneration>>,
-}
-
-impl<'u> PreparedIds<'u> {
-    fn resolve(universe: &'u Universe, ids: &[ModuleId]) -> Self {
-        let handles: Vec<Option<&'u SharedModule>> =
-            ids.iter().map(|id| universe.catalog.get(id)).collect();
-        let mut reports = Vec::with_capacity(ids.len());
-        reports.resize_with(ids.len(), OnceLock::new);
-        PreparedIds { handles, reports }
-    }
-
-    /// The catalog handle for a planned (therefore available) pair member.
-    fn handle(&self, i: usize) -> &'u SharedModule {
-        self.handles[i].expect("planned pair available")
-    }
-
-    /// The target's report, generated on first touch (through the session,
-    /// so its invocations land in — or come from — the shared invocation
-    /// cache) and lock-free afterwards.
-    fn target_report(&self, session: &MatchSession, t: usize) -> &CachedGeneration {
-        self.reports[t].get_or_init(|| session.report_for(self.handle(t).as_ref()))
-    }
-}
-
 /// Blocked all-pairs matching over every ordered pair of distinct modules
 /// in `ids`, through `session`: a warm session answers every invocation it
 /// has seen from its invocation cache, a cold caller passes a fresh one.
-/// Each target's report is generated once per sweep.
 ///
-/// Fingerprint blocking prunes provably incomparable pairs without
-/// invocation; the surviving pairs run [`MatchSession::compare_report`] on
-/// the batched chunk executor (on the calling thread at or below
-/// `batch.serial_cutoff`). Pruned and unavailable pairs are incomparable by
-/// construction, so both outputs tally them — and count them in the
-/// `dex.match.*` telemetry — arithmetically: `dex.match.pairs` grows by
-/// `stats.pairs_total` either way. [`PairOutput::Dense`] also materializes
-/// them, pruned pairs through [`pair_outcome`] (invocation-free: their
-/// strict mapping fails first), so the matrix is byte-identical to
-/// [`match_pairs_exhaustive`]'s.
+/// One serial loop over targets. Fingerprint blocking prunes provably
+/// incomparable pairs without invocation; each target runs
+/// [`MatchSession::compare_report`] against its bucket peers only, with its
+/// report generated once, on first use — so under [`PairOutput::Summary`] a
+/// target with no peer generates nothing. Pruned and unavailable pairs are
+/// incomparable by construction, so both outputs tally them — and count
+/// them in the `dex.match.*` telemetry — arithmetically: `dex.match.pairs`
+/// grows by `stats.pairs_total` either way. [`PairOutput::Dense`] also
+/// materializes them, pruned pairs through [`pair_outcome`]
+/// (invocation-free: their strict mapping fails first), so the matrix is
+/// byte-identical to [`match_pairs_exhaustive`]'s.
 pub fn match_pairs(
     session: &MatchSession,
     universe: &Universe,
     ids: &[ModuleId],
     output: PairOutput,
-    batch: &BatchConfig,
 ) -> BlockedMatch {
     let _span = dex_telemetry::span("parallel.match_pairs");
-    let (index, pairs, stats) = blocked_plan(universe, ids);
-    let prepared = PreparedIds::resolve(universe, ids);
+    let (index, stats) = blocked_plan(universe, ids);
+    let handles: Vec<Option<&SharedModule>> =
+        ids.iter().map(|id| universe.catalog.get(id)).collect();
     let dense = output == PairOutput::Dense;
-    let partials = run_batched(
-        &pairs,
-        batch,
-        <([usize; 4], Vec<(usize, MatchReport)>)>::default,
-        |(tally, reports), i, (t, c)| {
-            let report = session.compare_report(
-                prepared.handle(t).as_ref(),
-                prepared.target_report(session, t),
-                prepared.handle(c).as_ref(),
-            );
-            tally[verdict_slot(&report.outcome)] += 1;
-            if dense {
-                reports.push((i, report));
-            }
-        },
-    );
+    let retrier = Retrier::new(session.config().retry);
     let skipped = stats.pairs_pruned + stats.pairs_unavailable;
     let mut out = BlockedMatch {
         incomparable: skipped,
         stats,
         ..BlockedMatch::default()
     };
-    for ([eq, ov, dj, inc], reports) in partials {
-        out.equivalent += eq;
-        out.overlapping += ov;
-        out.disjoint += dj;
-        out.incomparable += inc;
-        for (i, report) in reports {
-            let (t, c) = pairs[i];
-            out.reports.insert((ids[t].clone(), ids[c].clone()), report);
-        }
-    }
-    if dense {
-        // Pruned and unavailable pairs carry no invocation work, so they are
-        // materialized on the calling thread.
-        let retrier = Retrier::new(session.config().retry);
-        for t in 0..ids.len() {
-            for c in 0..ids.len() {
-                if t == c || index.is_comparable(t, c) {
-                    continue;
+    for (t, &handle) in handles.iter().enumerate() {
+        let Some(target) = handle else {
+            if dense {
+                for c in (0..ids.len()).filter(|&c| c != t) {
+                    let report = unavailable_report(universe, ids, t, c);
+                    out.reports.insert((ids[t].clone(), ids[c].clone()), report);
                 }
-                let report = match (prepared.handles[t], prepared.handles[c]) {
-                    (Some(target), Some(candidate)) => {
-                        let generation = prepared.target_report(session, t);
-                        MatchReport {
-                            target: ids[t].clone(),
-                            candidate: ids[c].clone(),
-                            outcome: pair_outcome(
-                                target.descriptor(),
-                                generation,
-                                candidate.as_ref(),
-                                &universe.ontology,
-                                session.invocation_cache(),
-                                &retrier,
-                            ),
-                            examples: match generation.as_ref() {
-                                Ok(report) => report.examples.len(),
-                                Err(_) => 0,
-                            },
-                        }
-                    }
-                    _ => unavailable_report(universe, ids, t, c),
-                };
+            }
+            continue;
+        };
+        let generation = OnceCell::new();
+        let generation = || generation.get_or_init(|| session.report_for(target.as_ref()));
+        for &c in index.peers(t).iter().filter(|&&c| c != t) {
+            let candidate = handles[c].expect("bucketed ids are available");
+            let report = session.compare_report(target.as_ref(), generation(), candidate.as_ref());
+            out.count(&report.outcome);
+            if dense {
                 out.reports.insert((ids[t].clone(), ids[c].clone()), report);
             }
+        }
+        if !dense {
+            continue;
+        }
+        for (c, &candidate) in handles.iter().enumerate() {
+            if t == c || index.is_comparable(t, c) {
+                continue;
+            }
+            let report = match candidate {
+                Some(candidate) => MatchReport {
+                    target: ids[t].clone(),
+                    candidate: ids[c].clone(),
+                    outcome: pair_outcome(
+                        target.descriptor(),
+                        generation(),
+                        candidate.as_ref(),
+                        &universe.ontology,
+                        session.invocation_cache(),
+                        &retrier,
+                    ),
+                    examples: match generation().as_ref() {
+                        Ok(report) => report.examples.len(),
+                        Err(_) => 0,
+                    },
+                },
+                None => unavailable_report(universe, ids, t, c),
+            };
+            out.reports.insert((ids[t].clone(), ids[c].clone()), report);
         }
     }
     if dex_telemetry::is_enabled() {
@@ -461,23 +320,14 @@ pub fn match_pairs(
         dex_telemetry::counter_add("dex.match.verdict.incomparable", skipped as u64);
         dex_telemetry::counter_add("dex.match.pairs_pruned", stats.pairs_pruned as u64);
         // Invocation-level cache effectiveness (hits/misses/entries) for the
-        // whole all-pairs run — the matrix shares one memo across threads.
+        // whole all-pairs run.
         session.invocation_cache().publish_telemetry();
     }
     out
 }
 
-fn verdict_slot(outcome: &MatchOutcome) -> usize {
-    match outcome {
-        MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => 0,
-        MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => 1,
-        MatchOutcome::Verdict(MatchVerdict::Disjoint { .. }) => 2,
-        MatchOutcome::Incomparable(_) => 3,
-    }
-}
-
 /// The exhaustive all-pairs oracle: every ordered pair runs the full
-/// comparison serially through `session`, no blocking, no batching. This
+/// comparison through `session`, no blocking. This
 /// is the semantics [`match_pairs`] must reproduce byte-for-byte; the
 /// equivalence proptests in `tests/properties.rs` hold it to it. Each
 /// available target's report is generated once, in the outer loop.
@@ -536,10 +386,9 @@ mod tests {
         ids: &[ModuleId],
         pool: &InstancePool,
         output: PairOutput,
-        batch: &BatchConfig,
     ) -> BlockedMatch {
         let session = MatchSession::new(&universe.ontology, pool, GenerationConfig::default());
-        match_pairs(&session, universe, ids, output, batch)
+        match_pairs(&session, universe, ids, output)
     }
 
     #[test]
@@ -591,8 +440,7 @@ mod tests {
         // The matching sweep likewise records the withdrawn module as
         // incomparable instead of panicking.
         let ids = vec![victim.clone(), fleet.reports.keys().next().unwrap().clone()];
-        let batch = BatchConfig::with_threads(2);
-        let matrix = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch).reports;
+        let matrix = sweep(&universe, &ids, &pool, PairOutput::Dense).reports;
         assert_eq!(matrix.len(), 2);
         for report in matrix.values() {
             match &report.outcome {
@@ -613,8 +461,7 @@ mod tests {
         // still crosses all five categories.
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(11).collect();
 
-        let batch = BatchConfig::with_threads(8);
-        let matrix = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch).reports;
+        let matrix = sweep(&universe, &ids, &pool, PairOutput::Dense).reports;
         assert_eq!(matrix.len(), ids.len() * (ids.len() - 1));
 
         for ((t, c), report) in &matrix {
@@ -639,36 +486,6 @@ mod tests {
         }
     }
 
-    /// The crossover regression (ISSUE 6 satellite): the batched executor
-    /// must produce matrices identical to the serial path at catalog sizes
-    /// straddling the serial cutoff — forced onto each side of the
-    /// threshold explicitly, so the test exercises both code paths no
-    /// matter where the measured constant lands.
-    #[test]
-    fn batched_executor_identical_to_serial_across_the_cutoff() {
-        let universe = dex_universe::build();
-        let pool = build_synthetic_pool(&universe.ontology, 3, 19);
-        // Two catalog sizes: one whose compared-pair count sits below any
-        // plausible cutoff, one above the claim chunk size.
-        for step in [31usize, 7] {
-            let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(step).collect();
-            let forced_serial = BatchConfig {
-                threads: 8,
-                serial_cutoff: usize::MAX,
-                chunk: BatchConfig::CHUNK_PAIRS,
-            };
-            let forced_batched = BatchConfig {
-                threads: 8,
-                serial_cutoff: 0,
-                chunk: 3, // tiny chunk: maximum claim churn
-            };
-            let serial = sweep(&universe, &ids, &pool, PairOutput::Dense, &forced_serial);
-            let batched = sweep(&universe, &ids, &pool, PairOutput::Dense, &forced_batched);
-            assert_eq!(serial.reports, batched.reports, "step {step}");
-            assert_eq!(serial.stats, batched.stats, "step {step}");
-        }
-    }
-
     #[test]
     fn blocked_matrix_is_byte_identical_to_exhaustive_oracle() {
         let universe = dex_universe::build();
@@ -677,8 +494,7 @@ mod tests {
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(13).collect();
         let session = MatchSession::new(&universe.ontology, &pool, config);
         let oracle = match_pairs_exhaustive(&session, &universe, &ids);
-        let batch = BatchConfig::with_threads(4);
-        let blocked = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch);
+        let blocked = sweep(&universe, &ids, &pool, PairOutput::Dense);
         assert_eq!(oracle, blocked.reports);
         let s = blocked.stats;
         assert_eq!(s.pairs_total, ids.len() * (ids.len() - 1));
@@ -698,9 +514,8 @@ mod tests {
         let pool = build_synthetic_pool(&universe.ontology, 3, 11);
         let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(17).collect();
         universe.catalog.withdraw(&ids[0]);
-        let batch = BatchConfig::with_threads(4);
-        let dense = sweep(&universe, &ids, &pool, PairOutput::Dense, &batch);
-        let summary = sweep(&universe, &ids, &pool, PairOutput::Summary, &batch);
+        let dense = sweep(&universe, &ids, &pool, PairOutput::Dense);
+        let summary = sweep(&universe, &ids, &pool, PairOutput::Summary);
         let mut want = (0usize, 0usize, 0usize, 0usize);
         for report in dense.reports.values() {
             match &report.outcome {
@@ -715,17 +530,5 @@ mod tests {
         assert_eq!(summary.stats, dense.stats);
         assert_eq!(summary.stats.pairs_unavailable, 2 * (ids.len() - 1));
         assert!(summary.reports.is_empty());
-    }
-
-    #[test]
-    fn all_pairs_is_deterministic_across_thread_counts() {
-        let universe = dex_universe::build();
-        let pool = build_synthetic_pool(&universe.ontology, 3, 7);
-        let ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(23).collect();
-        let dense = |threads| {
-            let batch = BatchConfig::with_threads(threads);
-            sweep(&universe, &ids, &pool, PairOutput::Dense, &batch)
-        };
-        assert_eq!(dense(1), dense(8));
     }
 }

@@ -5,7 +5,7 @@
 //! `DEX_TELEMETRY` environment variable), the global `dex-telemetry`
 //! subscriber is enabled and [`TelemetryRun::finish`] writes the collected
 //! [`dex_telemetry::RunReport`] as pretty-printed JSON — `TELEMETRY.json`
-//! by default, analogous to `BENCH_matching.json` for the perf trajectory.
+//! by default.
 //! Without the flag everything stays disabled and the binaries behave
 //! exactly as before.
 //!

@@ -1,12 +1,15 @@
-//! Cross-thread causal tracing through the real batched matching executor:
-//! worker spans opened on scoped threads must stitch under the spawning
-//! sweep span — across chunk boundaries — instead of dangling as orphan
-//! roots.
+//! Cross-thread causal tracing through the generation fleet: worker spans
+//! opened on scoped threads must stitch under the spawning
+//! `parallel.generate_all` span instead of dangling as orphan roots.
 
-use dex_core::{GenerationConfig, MatchSession};
-use dex_experiments::parallel::{match_pairs, BatchConfig, PairOutput};
+use dex_core::GenerationConfig;
+use dex_experiments::parallel::generate_fleet;
+use dex_modules::Retrier;
 use dex_pool::build_synthetic_pool;
 use dex_telemetry::SpanRecord;
+
+/// Fleet workers: fewer than the 252 modules, so every thread gets a chunk.
+const THREADS: usize = 3;
 
 fn find<'a>(spans: &'a [SpanRecord], name: &str) -> Option<&'a SpanRecord> {
     for span in spans {
@@ -20,82 +23,64 @@ fn find<'a>(spans: &'a [SpanRecord], name: &str) -> Option<&'a SpanRecord> {
     None
 }
 
-fn any_named(spans: &[SpanRecord], name: &str) -> bool {
-    find(spans, name).is_some()
-}
-
 // The single test in this binary owns the process-global subscriber; no
 // serialization lock is needed.
 #[test]
-fn worker_spans_attach_under_sweep_across_chunk_boundaries() {
+fn worker_spans_attach_under_the_fleet_span() {
     dex_telemetry::enable();
     dex_telemetry::reset();
 
     let universe = dex_universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 3, 42);
     let config = GenerationConfig::default();
-    let ids = universe.available_ids();
-
-    // Force the batched path regardless of worklist size, with a chunk of 1
-    // so every worker crosses many chunk claim boundaries.
-    let batch = BatchConfig {
-        threads: 3,
-        serial_cutoff: 0,
-        chunk: 1,
+    let retrier = Retrier::new(config.retry);
+    let fleet = {
+        let _root = dex_telemetry::span("test.fleet");
+        generate_fleet(&universe, &pool, &config, THREADS, &retrier, true)
     };
-    let session = MatchSession::new(&universe.ontology, &pool, config);
-    let matrix = {
-        let _sweep = dex_telemetry::span("test.sweep");
-        match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch)
-    };
-    assert!(
-        matrix.stats.pairs_compared > batch.threads,
-        "need more compared pairs ({}) than workers so chunk boundaries are \
-         actually crossed",
-        matrix.stats.pairs_compared
-    );
+    assert_eq!(fleet.reports.len(), universe.available_ids().len());
 
     let report = dex_telemetry::collect("causal_tracing");
     dex_telemetry::disable();
 
-    // The sweep span is a root holding the matching span.
-    let sweep = find(&report.spans, "test.sweep").expect("sweep span recorded");
-    assert_eq!(sweep.parent_id, 0, "sweep is a root");
-    let matching = find(std::slice::from_ref(sweep), "parallel.match_pairs")
-        .expect("matching span nests under the sweep");
+    // The test span is a root holding the fleet span.
+    let root = find(&report.spans, "test.fleet").expect("test span recorded");
+    assert_eq!(root.parent_id, 0, "test span is a root");
+    let fleet_span = find(std::slice::from_ref(root), "parallel.generate_all")
+        .expect("fleet span nests under the test span");
 
-    // Every worker span stitched under the matching span — none leaked to
-    // the top level as an orphan root.
-    let workers: Vec<&SpanRecord> = matching
+    // Every worker span stitched under the fleet span — one per thread,
+    // none leaked to the top level as an orphan root.
+    let workers: Vec<&SpanRecord> = fleet_span
         .children
         .iter()
-        .filter(|c| c.name == "parallel.match_worker")
+        .filter(|c| c.name == "parallel.generate_worker")
         .collect();
-    assert!(
-        workers.len() >= 2,
-        "expected at least two worker spans under the matching span, got {}",
-        workers.len()
+    assert_eq!(
+        workers.len(),
+        THREADS,
+        "expected one worker span per thread under the fleet span"
     );
     assert!(
         !report
             .spans
             .iter()
-            .any(|root| root.name == "parallel.match_worker"),
+            .any(|root| root.name == "parallel.generate_worker"),
         "no worker span may remain an orphan root"
     );
 
     for worker in &workers {
-        assert_eq!(worker.parent_id, matching.id, "worker parents the sweep");
+        assert_eq!(worker.parent_id, fleet_span.id, "worker parents the fleet");
         assert!(
-            worker.id > matching.id,
+            worker.id > fleet_span.id,
             "span ids are monotonic in open order"
         );
         assert!(
-            worker.start_ns >= matching.start_ns,
+            worker.start_ns >= fleet_span.start_ns,
             "worker cannot start before its spawner"
         );
         assert_ne!(
-            worker.thread, matching.thread,
+            worker.thread, fleet_span.thread,
             "workers run on their own thread tracks"
         );
     }
@@ -109,5 +94,4 @@ fn worker_spans_attach_under_sweep_across_chunk_boundaries() {
     let events = dex_telemetry::chrome_trace(&report);
     let defects = dex_telemetry::validate_chrome_trace(&events);
     assert!(defects.is_empty(), "trace defects: {defects:?}");
-    assert!(any_named(&report.spans, "parallel.match_pairs"));
 }

@@ -7,7 +7,7 @@
 //! injected into every module, riding on the retry layer to converge.
 
 use dex_core::{GenerationConfig, MatchReport, MatchSession, PartitionFingerprint};
-use dex_experiments::parallel::{generate_fleet, match_pairs, BatchConfig, PairOutput};
+use dex_experiments::parallel::{generate_fleet, match_pairs, PairOutput};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
     FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind,
@@ -325,9 +325,8 @@ fn check_equivalence(
 
         let ids = cold_u.available_ids();
         let session = MatchSession::new(&cold_u.ontology, &cold_p, config.clone());
-        let batch = BatchConfig::default();
         let cold: BTreeMap<_, MatchReport> =
-            match_pairs(&session, &cold_u, &ids, PairOutput::Dense, &batch).reports;
+            match_pairs(&session, &cold_u, &ids, PairOutput::Dense).reports;
         assert_eq!(
             engine.matrix(),
             cold,

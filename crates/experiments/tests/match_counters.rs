@@ -6,7 +6,7 @@
 //! generate every available id exactly once, however many pairs it heads.
 
 use dex_core::{GenerationConfig, MatchSession};
-use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive, BatchConfig, PairOutput};
+use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive, PairOutput};
 use dex_modules::ModuleId;
 use dex_pool::build_synthetic_pool;
 
@@ -48,13 +48,7 @@ fn dense_and_summary_sweeps_count_every_pair_once() {
         let sweep = |output| {
             let before = COUNTERS.map(dex_telemetry::counter_value);
             let generated = dex_telemetry::counter_value(GENERATED);
-            let run = match_pairs(
-                &session(),
-                &universe,
-                ids,
-                output,
-                &BatchConfig::with_threads(2),
-            );
+            let run = match_pairs(&session(), &universe, ids, output);
             let after = COUNTERS.map(dex_telemetry::counter_value);
             let delta: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
             let generated = dex_telemetry::counter_value(GENERATED) - generated;

@@ -148,7 +148,7 @@ fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
 }
 
 /// Snapshot of an [`InvocationCache`]'s behavior, serializable into run
-/// reports (`TELEMETRY.json`, `BENCH_invocation.json`).
+/// reports (`TELEMETRY.json`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InvocationCacheStats {
     /// Lookups answered by an existing entry (including entries still being
@@ -318,8 +318,7 @@ impl InvocationCache {
             // waiter that raced onto a cell which resolves transient did
             // not durably save an invocation (the entry is forgotten and
             // the next lookup re-invokes), so counting it as a hit would
-            // inflate `hit_rate` under exactly the contention the batched
-            // executor produces.
+            // inflate `hit_rate` under contention.
             if !transient {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if telemetry_on {

@@ -118,11 +118,11 @@ fn racing_readers_share_the_winners_outcome() {
     }
 }
 
-/// The batched blocked executor's access pattern (ISSUE 6): workers claim
-/// *chunks* of a worklist off an atomic cursor, keys repeat across chunks,
-/// and every key faults transiently on its first attempt. While the run is
-/// in flight, a sampler thread sweeps `memoized_transients()` continuously —
-/// the `memoized_transients() == 0` invariant must hold at every instant, not
+/// Chunked concurrent access: workers claim *chunks* of a worklist off an
+/// atomic cursor, keys repeat across chunks, and every key faults
+/// transiently on its first attempt. While the run is in flight, a sampler
+/// thread sweeps `memoized_transients()` continuously — the
+/// `memoized_transients() == 0` invariant must hold at every instant, not
 /// just at quiescence (transient entries are forgotten *before* their cell
 /// publishes), and the hit/miss/transient ledger must balance exactly.
 #[test]
@@ -155,8 +155,8 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
         },
     );
 
-    // A worklist like the executor's comparable-pair list: every key appears
-    // many times, interleaved so consecutive chunks collide on keys.
+    // Every key appears many times, interleaved so consecutive chunks
+    // collide on keys.
     let worklist: Vec<Vec<Value>> = (0..KEYS * 10)
         .map(|i| vec![Value::text(format!("k{}", i % KEYS))])
         .collect();

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Everything one run recorded: a span forest, metric snapshots, and
 /// wall-clock totals. Serialized to `TELEMETRY.json` by the experiment
-/// binaries (analogous to `BENCH_matching.json` for the perf trajectory).
+/// binaries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Caller-chosen run label (usually the binary name).

@@ -1,6 +1,6 @@
 //! Concurrency guarantees of the metrics registry: counters hammered from
-//! scoped threads (the same parallelism shape as `match_pairs` and
-//! `generate_fleet`) must not lose a single increment, and first-touch
+//! scoped threads (the same parallelism shape as `generate_fleet`) must
+//! not lose a single increment, and first-touch
 //! interning races must resolve to one shared atomic per name.
 
 use std::sync::Mutex;

@@ -101,10 +101,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked-matching equivalence suite (ISSUE 6): the fingerprint-blocked,
-// batch-parallel matcher must produce a verdict matrix byte-identical to the
-// exhaustive all-pairs oracle under every configuration — serial, parallel,
-// cold cache, warm cache, withdrawn modules, and seeded fault injection.
+// Blocked-matching equivalence suite: the fingerprint-blocked matcher must
+// produce a verdict matrix byte-identical to the exhaustive all-pairs oracle
+// under every configuration — cold cache, warm cache, withdrawn modules, and
+// seeded fault injection.
 // ---------------------------------------------------------------------------
 
 mod blocked_matching {
@@ -113,27 +113,24 @@ mod blocked_matching {
     use data_examples::modules::ModuleId;
     use data_examples::pool::build_synthetic_pool;
     use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive};
-    use dex_experiments::{BatchConfig, FaultConfig, PairOutput};
+    use dex_experiments::{FaultConfig, PairOutput};
     use proptest::prelude::*;
 
     proptest! {
-        /// The headline property: for randomized pools, catalog slices,
-        /// thread counts, chunk sizes, and run configurations, the blocked
-        /// matcher's full `n·(n−1)` report matrix equals the exhaustive
-        /// oracle's exactly — same keys, same outcomes, same rendered error
-        /// strings, same example counts. Each case exercises one of four
-        /// configurations: blocked-serial, blocked-parallel, warm-cache
-        /// (same session swept twice), or fault-injected parallel.
+        /// The headline property: for randomized pools, catalog slices and
+        /// run configurations, the blocked matcher's full `n·(n−1)` report
+        /// matrix equals the exhaustive oracle's exactly — same keys, same
+        /// outcomes, same rendered error strings, same example counts. Each
+        /// case exercises one of three configurations: cold cache, warm
+        /// cache (same session swept twice), or fault-injected.
         #[test]
         fn blocked_matrix_is_byte_identical_to_exhaustive_oracle(
             pool_seed in 1u64..10_000,
             pool_per in 2usize..5,
             step in 16usize..45,
             offset in 0usize..7,
-            threads in 2usize..9,
-            chunk in 1usize..9,
             withdraw in any::<bool>(),
-            mode in 0usize..4,
+            mode in 0usize..3,
         ) {
             let mut universe = data_examples::universe::build();
             let ids: Vec<ModuleId> = universe
@@ -150,7 +147,7 @@ mod blocked_matching {
             }
             let pool = build_synthetic_pool(&universe.ontology, pool_per, pool_seed);
             let mut config = GenerationConfig::default();
-            if mode == 3 {
+            if mode == 2 {
                 // Seeded transient faults on ~1–10% of vectors, with the
                 // paired retry policy that provably rides out every burst
                 // (bursts are a pure key hash bounded at 2; retries allow
@@ -161,24 +158,17 @@ mod blocked_matching {
             }
             let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
             let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
-            let batch = BatchConfig {
-                threads: if mode == 0 { 1 } else { threads },
-                // Forced past the crossover guard so every case exercises
-                // the claimed executor path, not just the serial fallback.
-                serial_cutoff: 0,
-                chunk,
-            };
-            if mode == 2 {
+            if mode == 1 {
                 // Warm cache: one session swept twice; both sweeps must
                 // reproduce the oracle (the second entirely from memo).
                 let session = session();
-                let cold = match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch);
-                let warm = match_pairs(&session, &universe, &ids, PairOutput::Dense, &batch);
+                let cold = match_pairs(&session, &universe, &ids, PairOutput::Dense);
+                let warm = match_pairs(&session, &universe, &ids, PairOutput::Dense);
                 prop_assert_eq!(&oracle, &cold.reports);
                 prop_assert_eq!(&oracle, &warm.reports);
                 prop_assert_eq!(cold.stats, warm.stats);
             } else {
-                let blocked = match_pairs(&session(), &universe, &ids, PairOutput::Dense, &batch);
+                let blocked = match_pairs(&session(), &universe, &ids, PairOutput::Dense);
                 prop_assert_eq!(&oracle, &blocked.reports);
                 let s = blocked.stats;
                 prop_assert_eq!(s.pairs_total, ids.len() * (ids.len() - 1));
@@ -199,7 +189,6 @@ mod blocked_matching {
         fn summary_tallies_match_the_oracle_matrix(
             pool_seed in 1u64..10_000,
             step in 16usize..40,
-            threads in 1usize..9,
         ) {
             use data_examples::core::{MatchOutcome, MatchVerdict};
             let universe = data_examples::universe::build();
@@ -209,13 +198,7 @@ mod blocked_matching {
             let config = GenerationConfig::default();
             let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
             let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
-            let summary = match_pairs(
-                &session(),
-                &universe,
-                &ids,
-                PairOutput::Summary,
-                &BatchConfig { threads, serial_cutoff: 64, chunk: 8 },
-            );
+            let summary = match_pairs(&session(), &universe, &ids, PairOutput::Summary);
             let mut want = (0usize, 0usize, 0usize, 0usize);
             for report in oracle.values() {
                 match &report.outcome {
