@@ -3,13 +3,14 @@
 //!
 //! Usage:
 //!   cargo run --release -p dexd --bin dexd -- \
-//!     [--socket PATH] [--scale N] [--seed N] [--workers N] [--queue N] \
-//!     [--pool-depth N] [--telemetry[=OUT]] [--trace-out PATH] [--flight-out PATH]
+//!     [--socket PATH] [--scale N] [--seed N] [--queue N] [--pool-depth N] \
+//!     [--telemetry[=OUT]] [--trace-out PATH] [--flight-out PATH]
 //!
 //! `--scale 0` (the default) serves the paper's byte-frozen 252-module
 //! profile; any other value builds a heavy-tailed scaled universe of that
 //! many modules. The telemetry flags are shared with the experiment bins:
-//! `--trace-out` exports a Chrome trace of every request span on exit.
+//! `--trace-out` exports a Chrome trace of the launch and delta spans on
+//! exit; per-request latency is in the `dex.dexd.<endpoint>_ns` histograms.
 //!
 //! Talk to it with `dexd::SocketClient` or any client that frames JSON as
 //! `proto` documents (length-prefixed, little-endian `u32`).
@@ -53,7 +54,6 @@ fn main() {
             "--socket" => socket = PathBuf::from(take(&mut i)),
             "--scale" => cfg.scale = take(&mut i).parse().expect("--scale: integer"),
             "--seed" => cfg.seed = take(&mut i).parse().expect("--seed: integer"),
-            "--workers" => cfg.workers = take(&mut i).parse().expect("--workers: integer"),
             "--queue" => cfg.queue_capacity = take(&mut i).parse().expect("--queue: integer"),
             "--pool-depth" => cfg.pool_depth = take(&mut i).parse().expect("--pool-depth: integer"),
             other if is_telemetry_flag(other) => {
@@ -78,10 +78,9 @@ fn main() {
     );
     let svc = Dexd::launch(&cfg);
     eprintln!(
-        "dexd: serving {} modules on {} ({} workers, queue {}, bootstrap {:.0} ms)",
+        "dexd: serving {} modules on {} (queue {}, bootstrap {:.0} ms)",
         svc.tracked_ids().len(),
         socket.display(),
-        cfg.workers,
         cfg.queue_capacity,
         svc.bootstrap_ms()
     );

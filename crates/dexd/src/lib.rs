@@ -14,9 +14,9 @@
 //!
 //! - [`proto`] — the wire protocol: [`Request`]/[`Response`] enums framed
 //!   as length-prefixed JSON.
-//! - [`service`] — the core: admission control, the bounded queue, worker
-//!   threads with substitute-lookup batching, panic containment, and the
-//!   readers/writer pipeline lock. [`Client`] drives it in-process.
+//! - [`service`] — the core: admission control, panic containment, and
+//!   the readers/writer pipeline lock. A request is answered on the thread
+//!   that sends it; [`Client`] drives it in-process.
 //! - [`server`] — the Unix-socket front end ([`serve_unix`]) and the
 //!   matching [`SocketClient`].
 //!
@@ -42,4 +42,4 @@ pub use proto::{
     Response, StatsReply, SubstitutesReply, ValidationReply, MAX_FRAME,
 };
 pub use server::{serve_unix, SocketClient};
-pub use service::{Client, Dexd, ServiceConfig, ServiceState};
+pub use service::{Client, Dexd, ServiceConfig};

@@ -49,13 +49,13 @@ pub enum Request {
         /// The batch, applied atomically with respect to readers.
         deltas: Vec<Delta>,
     },
-    /// Service counters: queue, admission, cache, uptime.
+    /// Service counters: admission, cache, uptime.
     Stats,
     /// Asks the service to stop accepting work and wind down.
     Shutdown,
     /// Test-only fault injection: the handler panics while holding the
     /// pipeline lock (read side, or write side when `hold_write`), proving
-    /// a worker panic can neither poison shared state nor leak admission
+    /// a handler panic can neither poison shared state nor leak admission
     /// tickets. Answered with an `Error` response, never a crash.
     Chaos {
         /// Panic under the write lock instead of the read lock.
@@ -92,7 +92,7 @@ pub enum Response {
     /// Answer to [`Request::Stats`].
     Stats(StatsReply),
     /// Backpressure: the admission limit is reached; retry later. The
-    /// request was **not** queued.
+    /// request was **not** served.
     Busy,
     /// The service is winding down; no further requests will be served.
     ShuttingDown,
@@ -173,16 +173,13 @@ pub struct StatsReply {
     pub requests_served: u64,
     /// Requests rejected with `Busy` at admission.
     pub busy_rejections: u64,
-    /// Requests currently queued.
-    pub queue_depth: usize,
-    /// Admission limit (queued + in service).
+    /// Admission limit: requests in flight before `Busy`.
     pub queue_capacity: usize,
-    /// Requests admitted and not yet answered.
+    /// Requests admitted and not yet answered, this `Stats` included.
     pub in_flight: usize,
-    /// Substitute-lookup batches answered, one read acquisition each.
+    /// Always 0: the service no longer batches substitute lookups.
     pub batch_passes: u64,
-    /// Substitute lookups after the first of their batch: they shared its
-    /// read acquisition (each still runs its own row scan).
+    /// Always 0: the service no longer batches substitute lookups.
     pub coalesced_lookups: u64,
     /// `ApplyDelta` batches absorbed.
     pub deltas_applied: u64,
@@ -235,8 +232,12 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, value: &T) -> io::Result<
 
 /// Reads one frame and parses it as `T`.
 pub fn read_message<T: serde::Deserialize>(r: &mut impl Read) -> io::Result<T> {
-    let payload = read_frame(r)?;
-    let text = std::str::from_utf8(&payload)
+    decode(&read_frame(r)?)
+}
+
+/// Parses one frame's payload as `T`; any failure is `InvalidData`.
+pub(crate) fn decode<T: serde::Deserialize>(payload: &[u8]) -> io::Result<T> {
+    let text = std::str::from_utf8(payload)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     serde_json::from_str(text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))

@@ -1,5 +1,6 @@
 //! Unix-socket front end: one listener, one thread per connection, frames
-//! decoded into [`Request`]s and pushed through [`Dexd::call`].
+//! decoded into [`Request`]s and answered by [`Dexd::call`] on that
+//! connection's thread.
 //!
 //! The accept loop polls with a short timeout so it notices shutdown (set
 //! by a `Shutdown` request on any connection, or programmatically) without
@@ -7,7 +8,7 @@
 //! the payload is undecodable, or a closed socket when the framing itself
 //! is broken — either way the daemon keeps serving everyone else.
 
-use crate::proto::{read_message, write_message, Request, Response};
+use crate::proto::{decode, read_frame, read_message, write_message, Request, Response};
 use crate::service::Dexd;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -16,9 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Binds `path` and serves until the service shuts down. Removes a stale
-/// socket file at `path` first, and removes it again on exit. Returns when
-/// shutdown completes (worker threads are *not* joined here — the caller
-/// owns that via [`Dexd::join`]).
+/// socket file at `path` first, and removes it again on exit. Returns once
+/// every connection thread has ended; requests sent in process are the
+/// caller's to wait for, via [`Dexd::join`].
 pub fn serve_unix(svc: Arc<Dexd>, path: &Path) -> io::Result<()> {
     // A previous daemon that died uncleanly leaves its socket file behind;
     // binding over it requires removing it first.
@@ -71,22 +72,17 @@ fn serve_connection(svc: Arc<Dexd>, stream: UnixStream) {
     };
     let mut writer = stream;
     loop {
-        let req: Request = match read_message(&mut reader) {
-            Ok(req) => req,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return, // peer closed
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Framing survived but the payload is not a request.
-                let _ = write_message(
-                    &mut writer,
-                    &Response::Error {
-                        message: format!("malformed request: {e}"),
-                    },
-                );
-                continue;
-            }
-            Err(_) => return,
+        // The peer closed, or the framing broke: past a bad length prefix
+        // there is no next frame boundary to resynchronize on.
+        let Ok(payload) = read_frame(&mut reader) else {
+            return;
         };
-        let resp = svc.call(req);
+        let resp = match decode::<Request>(&payload) {
+            Ok(req) => svc.call(req),
+            Err(e) => Response::Error {
+                message: format!("malformed request: {e}"),
+            },
+        };
         let done = matches!(resp, Response::ShuttingDown);
         if write_message(&mut writer, &resp).is_err() {
             // Peer vanished mid-reply; the service already did the work and

@@ -10,32 +10,36 @@
 //!
 //! # Concurrency model
 //!
-//! The pipeline sits behind one [`RwLock`] ([`ServiceState`]): read
-//! endpoints (`AnnotateModule`, `FindSubstitutes`, `ValidateWorkflow`,
-//! `Stats`) share the read side; `ApplyDelta` takes the write side, so
-//! readers already holding the lock keep serving the previous snapshot
-//! while the writer waits, and new readers see the mutated state only once
-//! the batch is fully absorbed. Lock acquisition always rides through
-//! poisoning (`PoisonError::into_inner`): a contained handler panic can
-//! never brick the service.
+//! The service spawns no thread of its own: [`Dexd::call`] answers a
+//! request on the thread that sends it — a socket connection thread, or the
+//! caller of the in-process [`Client`]. The pipeline sits behind one
+//! [`RwLock`]: read endpoints (`AnnotateModule`, `FindSubstitutes`,
+//! `ValidateWorkflow`, `Stats`) share the read side; `ApplyDelta` takes the
+//! write side, so readers already holding the lock keep serving the
+//! previous snapshot while the writer waits, and new readers see the
+//! mutated state only once the batch is fully absorbed. Lock acquisition
+//! always rides through poisoning (`PoisonError::into_inner`): a contained
+//! handler panic can never brick the service.
 //!
-//! # Admission control and batching
+//! # Admission control
 //!
-//! Requests pass an admission gate (a counter capped at the configured
-//! queue capacity) before entering the bounded queue; past the cap the
-//! caller gets [`Response::Busy`] immediately — memory is bounded by
-//! construction, never by luck. Each admitted request carries a `Ticket`
-//! whose `Drop` releases the slot, so a worker panic or a vanished client
-//! cannot leak admission capacity. Worker threads drain the queue;
-//! a `FindSubstitutes` at the head pulls every other queued substitute
-//! lookup into one batch answered in queue order under a single read
-//! acquisition. Each lookup still scans its own verdict row; the
-//! acquisition is all a batch shares (`batch_passes` counts batches,
-//! `coalesced_lookups` the lookups after the first of each).
+//! A request first takes an admission ticket from a counter capped at the
+//! configured queue capacity; past the cap the caller gets
+//! [`Response::Busy`] immediately, so the requests in flight — and the
+//! memory they hold — are bounded by construction, never by luck. The
+//! ticket's `Drop` releases the slot before `call` returns, on every path.
 //!
 //! Handlers run inside `catch_unwind`: a panic becomes a
 //! [`Response::Error`] (counted in [`StatsReply::handler_panics`]), the
 //! ticket is released, and the next request proceeds.
+//!
+//! # Shutdown
+//!
+//! [`Dexd::shutdown`] only sets a flag. `call` takes its ticket before it
+//! reads the flag, and [`Dexd::join`] waits until no ticket is held; both
+//! sides use `SeqCst`, so a caller racing shutdown either sees the flag
+//! (and gets [`Response::ShuttingDown`]) or is counted in flight (and gets
+//! a full answer before `join` returns).
 
 use crate::proto::{
     AnnotationReply, BrokenStep, Request, Response, StatsReply, SubstitutesReply, ValidationReply,
@@ -48,15 +52,9 @@ use dex_pool::{build_synthetic_pool, build_text_pool, InstancePool};
 use dex_universe::scale::{build_scaled, ScalePlan};
 use dex_universe::Universe;
 use dex_workflow::Workflow;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
-
-/// Most substitute lookups one batch may coalesce (the head request plus
-/// queued peers). Bounds the time a single read acquisition is held.
-const MAX_BATCH: usize = 64;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 /// Knobs of one service instance.
 #[derive(Debug, Clone)]
@@ -68,9 +66,10 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Per-concept instances in the backing pool.
     pub pool_depth: usize,
-    /// Worker threads draining the request queue.
+    /// Ignored: requests are answered on the thread that sends them, so the
+    /// service has no worker threads to size.
     pub workers: usize,
-    /// Admission limit: requests queued or in service before `Busy`.
+    /// Admission limit: requests in flight before `Busy`.
     pub queue_capacity: usize,
     /// Generation knobs (retry policy included) for the pipeline.
     pub generation: GenerationConfig,
@@ -82,7 +81,7 @@ impl Default for ServiceConfig {
             scale: 0,
             seed: 42,
             pool_depth: 4,
-            workers: 4,
+            workers: 0,
             queue_capacity: 64,
             generation: GenerationConfig::default(),
         }
@@ -100,58 +99,33 @@ impl ServiceConfig {
     }
 }
 
-/// The operating state built once at launch: the live pipeline behind the
-/// readers/writer lock, plus build metadata.
-pub struct ServiceState {
-    pipeline: RwLock<IncrementalPipeline>,
-    /// Wall time of the one-off pipeline bootstrap, milliseconds — the cost
-    /// every cold batch run pays and the resident service amortizes away.
-    pub bootstrap_ms: f64,
-    started: Instant,
-}
+/// Admission slot, held while one request is answered. Its `Drop` releases
+/// the slot on every path out of [`Dexd::call`].
+struct Ticket<'a>(&'a AtomicUsize);
 
-/// Admission slot, held from enqueue to response. Dropping it — normally,
-/// on a worker panic, or when a disconnected client's job is abandoned —
-/// releases the slot, so the admission counter can never leak.
-struct Ticket(Arc<AtomicUsize>);
-
-impl Drop for Ticket {
+impl Drop for Ticket<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-/// One queued request with its reply channel and admission slot.
-struct Job {
-    req: Request,
-    reply: mpsc::Sender<Response>,
-    /// Held for its `Drop`: releases the admission slot when the job is
-    /// answered or abandoned.
-    #[allow(dead_code)]
-    ticket: Ticket,
-    enqueued: Instant,
 }
 
 #[derive(Default)]
 struct Counters {
     served: AtomicU64,
     busy: AtomicU64,
-    batch_passes: AtomicU64,
-    coalesced: AtomicU64,
     deltas: AtomicU64,
     panics: AtomicU64,
 }
 
 /// The resident annotation service.
 pub struct Dexd {
-    state: ServiceState,
-    queue: Mutex<VecDeque<Job>>,
-    work_ready: Condvar,
-    active: Arc<AtomicUsize>,
+    pipeline: RwLock<IncrementalPipeline>,
+    bootstrap_ms: f64,
+    started: Instant,
+    active: AtomicUsize,
     capacity: usize,
     shutdown: AtomicBool,
     counters: Counters,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 /// Builds the world the config describes (scaled or paper profile).
@@ -165,12 +139,6 @@ fn build_world(cfg: &ServiceConfig) -> (Universe, InstancePool) {
         let pool = build_text_pool(&world.universe.ontology, cfg.pool_depth.max(1), cfg.seed);
         (world.universe, pool)
     }
-}
-
-/// Rides a mutex through poisoning: state guarded here is kept consistent
-/// by construction, not by the poison flag.
-fn lock_mutex<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Best-effort rendering of a panic payload.
@@ -196,71 +164,37 @@ impl Dexd {
         let _span = dex_telemetry::span("dexd.launch");
         let t = Instant::now();
         let pipeline = IncrementalPipeline::bootstrap(universe, pool, cfg.generation.clone());
-        let bootstrap_ms = t.elapsed().as_secs_f64() * 1000.0;
-
-        let svc = Arc::new(Dexd {
-            state: ServiceState {
-                pipeline: RwLock::new(pipeline),
-                bootstrap_ms,
-                started: Instant::now(),
-            },
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            active: Arc::new(AtomicUsize::new(0)),
+        Arc::new(Dexd {
+            pipeline: RwLock::new(pipeline),
+            bootstrap_ms: t.elapsed().as_secs_f64() * 1000.0,
+            started: Instant::now(),
+            active: AtomicUsize::new(0),
             capacity: cfg.queue_capacity.max(1),
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
-            workers: Mutex::new(Vec::new()),
-        });
-        let handles: Vec<_> = (0..cfg.workers.max(1))
-            .map(|w| {
-                let svc = Arc::clone(&svc);
-                std::thread::Builder::new()
-                    .name(format!("dexd-worker-{w}"))
-                    .spawn(move || svc.worker_loop())
-                    .expect("spawn dexd worker")
-            })
-            .collect();
-        *lock_mutex(&svc.workers) = handles;
-        svc
+        })
     }
 
-    /// Submits one request and blocks until its response. This is the
-    /// in-process path; the socket server calls it per decoded frame, and
+    /// Answers one request on the calling thread. This is the in-process
+    /// path; the socket server calls it per decoded frame, and
     /// [`crate::Client`] wraps it for tests and embedding.
     pub fn call(&self, req: Request) -> Response {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Response::ShuttingDown;
-        }
-        let Some(ticket) = self.try_admit() else {
+        let Some(_ticket) = self.try_admit() else {
             self.counters.busy.fetch_add(1, Ordering::Relaxed);
             dex_telemetry::counter_add("dex.dexd.busy", 1);
             return Response::Busy;
         };
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = lock_mutex(&self.queue);
-            // Re-checked under the queue lock, where `shutdown` sets the
-            // flag: a job pushed after the workers drained the queue and
-            // exited would never be answered.
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Response::ShuttingDown;
-            }
-            q.push_back(Job {
-                req,
-                reply: tx,
-                ticket,
-                enqueued: Instant::now(),
-            });
-            dex_telemetry::gauge_set("dex.dexd.queue_depth", q.len() as i64);
+        // Read only once the ticket is held: `join` then either waits for
+        // this request or this read sees the flag.
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Response::ShuttingDown;
         }
-        self.work_ready.notify_one();
-        match rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => Response::Error {
-                message: "the service dropped the request during shutdown".to_string(),
-            },
-        }
+        let admitted = Instant::now();
+        let resp = self.handle(&req);
+        dex_telemetry::observe_ns(endpoint_metric(&req), admitted.elapsed().as_nanos() as u64);
+        self.counters.served.fetch_add(1, Ordering::Relaxed);
+        dex_telemetry::counter_add("dex.dexd.requests", 1);
+        resp
     }
 
     /// Whether the service has begun winding down.
@@ -268,34 +202,29 @@ impl Dexd {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Programmatic shutdown (the `Shutdown` request does the same).
+    /// Programmatic shutdown (the `Shutdown` request does the same): later
+    /// calls are answered `ShuttingDown`.
     pub fn shutdown(&self) {
-        {
-            // Set under the queue lock: a worker checks the flag and starts
-            // waiting inside one critical section, so the store cannot fall
-            // between the two and the wakeup below cannot be lost.
-            let _queue = lock_mutex(&self.queue);
-            self.shutdown.store(true, Ordering::SeqCst);
-        }
-        self.work_ready.notify_all();
+        self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Joins the worker threads. Call after [`Dexd::shutdown`].
+    /// Waits until no admitted request is in flight. Call after
+    /// [`Dexd::shutdown`]; from then on no handler runs.
     pub fn join(&self) {
-        let handles = std::mem::take(&mut *lock_mutex(&self.workers));
-        for h in handles {
-            let _ = h.join();
+        while self.in_flight() != 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
-    /// Wall time the one-off bootstrap took, milliseconds.
+    /// Wall time the one-off bootstrap took, milliseconds — the cost every
+    /// cold batch run pays and the resident service amortizes away.
     pub fn bootstrap_ms(&self) -> f64 {
-        self.state.bootstrap_ms
+        self.bootstrap_ms
     }
 
     /// Requests admitted and not yet answered.
     pub fn in_flight(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        self.active.load(Ordering::SeqCst)
     }
 
     /// Snapshot of every tracked module id (clients use it to aim queries).
@@ -303,7 +232,7 @@ impl Dexd {
         self.read_pipeline().tracked_ids().to_vec()
     }
 
-    fn try_admit(&self) -> Option<Ticket> {
+    fn try_admit(&self) -> Option<Ticket<'_>> {
         let mut cur = self.active.load(Ordering::Relaxed);
         loop {
             if cur >= self.capacity {
@@ -312,108 +241,34 @@ impl Dexd {
             match self.active.compare_exchange_weak(
                 cur,
                 cur + 1,
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Some(Ticket(Arc::clone(&self.active))),
+                Ok(_) => return Some(Ticket(&self.active)),
                 Err(now) => cur = now,
             }
         }
     }
 
     fn read_pipeline(&self) -> RwLockReadGuard<'_, IncrementalPipeline> {
-        self.state
-            .pipeline
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.pipeline.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn write_pipeline(&self) -> RwLockWriteGuard<'_, IncrementalPipeline> {
-        self.state
-            .pipeline
+        self.pipeline
             .write()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn worker_loop(&self) {
-        loop {
-            let batch = {
-                let mut q = lock_mutex(&self.queue);
-                loop {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Answer stragglers instead of stranding them.
-                        while let Some(job) = q.pop_front() {
-                            let _ = job.reply.send(Response::ShuttingDown);
-                        }
-                        return;
-                    }
-                    if let Some(first) = q.pop_front() {
-                        break Self::drain_batch(&mut q, first);
-                    }
-                    q = self
-                        .work_ready
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            self.handle_batch(batch);
-        }
-    }
-
-    /// Pulls every queued substitute lookup behind a substitute-lookup head
-    /// into one batch (other request kinds keep their queue position).
-    fn drain_batch(q: &mut VecDeque<Job>, first: Job) -> Vec<Job> {
-        let mut batch = vec![first];
-        if matches!(batch[0].req, Request::FindSubstitutes { .. }) {
-            let mut i = 0;
-            while i < q.len() && batch.len() < MAX_BATCH {
-                if matches!(q[i].req, Request::FindSubstitutes { .. }) {
-                    batch.push(q.remove(i).expect("index bounded by len"));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        dex_telemetry::gauge_set("dex.dexd.queue_depth", q.len() as i64);
-        batch
-    }
-
-    fn handle_batch(&self, batch: Vec<Job>) {
-        if matches!(batch[0].req, Request::FindSubstitutes { .. }) {
-            self.handle_substitutes_batch(batch);
-        } else {
-            for job in batch {
-                self.handle_one(job);
-            }
-        }
-    }
-
-    /// Answers a batch of substitute lookups in queue order under one read
-    /// acquisition. Each lookup scans its own verdict row; the acquisition
-    /// is all the batch shares, so every lookup after the first counts as
-    /// coalesced.
-    fn handle_substitutes_batch(&self, batch: Vec<Job>) {
-        let _span = dex_telemetry::span("dexd.substitutes_batch");
-        let pipeline = self.read_pipeline();
-        self.counters.batch_passes.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .coalesced
-            .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-        dex_telemetry::counter_add("dex.dexd.batch_passes", 1);
-        for job in batch {
-            let resp = self.run_handler(|| substitutes_reply(&pipeline, &job.req));
-            self.finish(job, resp);
-        }
-    }
-
-    fn handle_one(&self, job: Job) {
-        let resp = match &job.req {
+    fn handle(&self, req: &Request) -> Response {
+        match req {
             Request::AnnotateModule { id } => {
                 let p = self.read_pipeline();
                 self.run_handler(|| annotation_reply(&p, id))
             }
-            Request::FindSubstitutes { .. } => {
-                unreachable!("substitute lookups route through the batch path")
+            Request::FindSubstitutes { id } => {
+                let p = self.read_pipeline();
+                self.run_handler(|| substitutes_reply(&p, id))
             }
             Request::ValidateWorkflow { workflow } => {
                 let p = self.read_pipeline();
@@ -429,8 +284,7 @@ impl Dexd {
                 Response::ShuttingDown
             }
             Request::Chaos { hold_write } => self.chaos(*hold_write),
-        };
-        self.finish(job, resp);
+        }
     }
 
     /// The write path: deltas precondition-checked under the read lock
@@ -481,8 +335,7 @@ impl Dexd {
     }
 
     /// Runs one handler with panic containment: a panic becomes an `Error`
-    /// response instead of killing the worker (and the admission ticket
-    /// still releases via `Drop`).
+    /// response instead of unwinding into the caller's thread.
     fn run_handler(&self, f: impl FnOnce() -> Response) -> Response {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
             Ok(resp) => resp,
@@ -498,34 +351,22 @@ impl Dexd {
 
     fn stats_reply(&self, p: &IncrementalPipeline) -> Response {
         let cache = p.invocation_cache().stats();
-        let queue_depth = lock_mutex(&self.queue).len();
         Response::Stats(StatsReply {
-            uptime_ms: self.state.started.elapsed().as_millis() as u64,
+            uptime_ms: self.started.elapsed().as_millis() as u64,
             modules_tracked: p.tracked_ids().len(),
             modules_available: p.available_count(),
             requests_served: self.counters.served.load(Ordering::Relaxed),
             busy_rejections: self.counters.busy.load(Ordering::Relaxed),
-            queue_depth,
             queue_capacity: self.capacity,
-            in_flight: self.active.load(Ordering::Acquire),
-            batch_passes: self.counters.batch_passes.load(Ordering::Relaxed),
-            coalesced_lookups: self.counters.coalesced.load(Ordering::Relaxed),
+            in_flight: self.in_flight(),
+            batch_passes: 0,
+            coalesced_lookups: 0,
             deltas_applied: self.counters.deltas.load(Ordering::Relaxed),
             handler_panics: self.counters.panics.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_hit_rate: cache.hit_rate(),
         })
-    }
-
-    fn finish(&self, job: Job, resp: Response) {
-        let ns = job.enqueued.elapsed().as_nanos() as u64;
-        dex_telemetry::observe_ns(endpoint_metric(&job.req), ns);
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        dex_telemetry::counter_add("dex.dexd.requests", 1);
-        // A vanished client (dropped receiver) is not an error: the ticket
-        // still releases when `job` drops.
-        let _ = job.reply.send(resp);
     }
 }
 
@@ -559,17 +400,14 @@ fn annotation_reply(p: &IncrementalPipeline, id: &str) -> Response {
     }
 }
 
-fn substitutes_reply(p: &IncrementalPipeline, req: &Request) -> Response {
-    let Request::FindSubstitutes { id } = req else {
-        unreachable!("batch path only carries substitute lookups");
-    };
-    let mid = ModuleId(id.clone());
+fn substitutes_reply(p: &IncrementalPipeline, id: &str) -> Response {
+    let mid = ModuleId(id.to_string());
     match p.substitutes(&mid) {
         None => Response::Error {
             message: format!("module `{id}` is not tracked by this registry"),
         },
         Some(answer) => Response::Substitutes(SubstitutesReply {
-            id: id.clone(),
+            id: id.to_string(),
             available: answer.available,
             candidates_compared: answer.candidates_compared,
             ranked: answer.ranked.into_iter().map(|(m, v)| (m.0, v)).collect(),
@@ -606,8 +444,9 @@ fn validation_reply(p: &IncrementalPipeline, workflow: &Workflow) -> Response {
     })
 }
 
-/// Thin in-process client over a launched service — same admission, queue,
-/// and worker path as the socket server, minus the socket.
+/// Thin in-process client over a launched service — the same admission
+/// and handler path as the socket server, minus the socket: the handler
+/// runs on the thread that calls [`Client::call`].
 #[derive(Clone)]
 pub struct Client {
     svc: Arc<Dexd>,
@@ -619,7 +458,7 @@ impl Client {
         Client { svc }
     }
 
-    /// Submits one request and blocks for the response.
+    /// Answers one request on the calling thread.
     pub fn call(&self, req: Request) -> Response {
         self.svc.call(req)
     }
@@ -627,5 +466,50 @@ impl Client {
     /// The wrapped service.
     pub fn service(&self) -> &Arc<Dexd> {
         &self.svc
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Admission at the cap, pinned without racing threads: tickets taken
+    /// directly stand in for requests in flight.
+    #[test]
+    fn admission_refuses_at_the_cap_and_each_released_ticket_frees_a_slot() {
+        let svc = Dexd::launch(&ServiceConfig {
+            scale: 24,
+            seed: 9,
+            pool_depth: 1,
+            queue_capacity: 2,
+            ..ServiceConfig::default()
+        });
+        let first = svc.try_admit().expect("first slot");
+        let second = svc.try_admit().expect("second slot");
+        let resp = svc.call(Request::Stats);
+        assert!(matches!(resp, Response::Busy), "at the cap: {resp:?}");
+        assert_eq!(svc.counters.busy.load(Ordering::Relaxed), 1);
+
+        drop(first);
+        match svc.call(Request::Stats) {
+            Response::Stats(s) => {
+                assert_eq!(s.in_flight, 2, "the held ticket plus the Stats call: {s:?}")
+            }
+            other => panic!("a freed slot answered {other:?}"),
+        }
+
+        // `join` waits for the ticket still held, and returns once it drops.
+        svc.shutdown();
+        std::thread::scope(|scope| {
+            let joiner = scope.spawn(|| svc.join());
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                !joiner.is_finished(),
+                "join returned while a ticket was held"
+            );
+            drop(second);
+            joiner.join().expect("join returns");
+        });
+        assert_eq!(svc.in_flight(), 0);
     }
 }

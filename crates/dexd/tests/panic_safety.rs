@@ -8,6 +8,7 @@
 
 use dex_core::delta::Delta;
 use dexd::{proto, serve_unix, Client, Dexd, Request, Response, ServiceConfig, SocketClient};
+use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
@@ -18,14 +19,14 @@ fn small_service(queue_capacity: usize) -> Arc<Dexd> {
         scale: 120,
         seed: 9,
         pool_depth: 2,
-        workers: 2,
         queue_capacity,
         ..ServiceConfig::default()
     })
 }
 
-/// Tickets release on `Drop`, not synchronously with the reply, so give
-/// the counter a moment to settle before asserting it drained.
+/// A socket connection thread may still be answering a client that already
+/// hung up, so give the counter a moment to settle before asserting it
+/// drained.
 fn assert_drains(svc: &Dexd) {
     let start = Instant::now();
     while svc.in_flight() != 0 {
@@ -38,9 +39,10 @@ fn assert_drains(svc: &Dexd) {
     }
 }
 
-/// Calls through transient `Busy` answers: a ticket releases on `Drop`
-/// just *after* its reply lands, so even a sequential caller can hit the
-/// admission cap for an instant when the capacity is this small.
+/// Calls through `Busy` answers. A ticket is released before `call`
+/// returns, so a sequential caller never meets one
+/// (`a_sequential_caller_is_never_refused`); the retry keeps the
+/// assertions below about answers, not admission.
 fn call_retry(client: &Client, req: Request) -> Response {
     loop {
         match client.call(req.clone()) {
@@ -166,16 +168,7 @@ fn injected_panics_and_busy_storm_leave_state_unpoisoned() {
 
     let s = stats(&client);
     assert_eq!(s.handler_panics, 2, "both chaos panics must be counted");
-    assert_eq!(s.queue_depth, 0);
-    assert!(
-        s.in_flight >= 1 && s.in_flight <= 2,
-        "stats saw {} in flight (itself plus at most one draining ticket)",
-        s.in_flight
-    );
-    assert!(
-        s.busy_rejections > 0,
-        "eight callers against capacity 2 must have seen Busy"
-    );
+    assert_eq!(s.in_flight, 1, "stats must see only itself in flight");
 
     // The baseline answer survived everything above.
     assert_eq!(
@@ -194,6 +187,23 @@ fn injected_panics_and_busy_storm_leave_state_unpoisoned() {
     );
     svc.join();
     assert_drains(&svc);
+}
+
+/// The handler runs on the caller's thread and the ticket is released
+/// before `call` returns, so back-to-back calls never meet the cap, even at
+/// capacity 1.
+#[test]
+fn a_sequential_caller_is_never_refused() {
+    let svc = small_service(1);
+    let client = Client::new(Arc::clone(&svc));
+    for i in 0..2_000 {
+        let resp = client.call(Request::Stats);
+        assert!(
+            matches!(resp, Response::Stats(_)),
+            "call {i} answered {resp:?}"
+        );
+        assert_eq!(svc.in_flight(), 0, "call {i} returned holding its ticket");
+    }
 }
 
 #[test]
@@ -224,8 +234,8 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
     };
 
     // Rude client: send a valid request frame, vanish without reading the
-    // reply. The worker still runs the job; the reply send fails silently;
-    // the ticket releases on drop.
+    // reply. The connection thread still answers; the reply write fails
+    // silently; the ticket was already released.
     for id in ids.iter().take(3) {
         let mut rude = connect("rude client");
         proto::write_message(&mut rude, &Request::FindSubstitutes { id: id.0.clone() })
@@ -283,17 +293,14 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
     assert!(!path.exists(), "socket file must be removed on exit");
 }
 
-/// Shutdown rounds raced against callers. Each round takes milliseconds;
-/// with either bug below present, a round hangs within the first few dozen.
+/// Shutdown rounds raced against callers. Each round takes milliseconds.
 const SHUTDOWN_RACE_ROUNDS: u64 = 200;
 
-/// Callers racing `shutdown()` always get an answer, and `join()` always
-/// returns. A caller that passed the entry check must not push its job
-/// after the workers drained the queue and exited, and a worker between
-/// its flag check and its wait must not miss the shutdown wakeup. Either
-/// bug hangs the round past its deadline.
+/// Callers racing `shutdown()` always get an answer, `join()` returns, and
+/// no admission ticket outlives the round. A ticket leaked on any path
+/// hangs `join` past the round's deadline.
 #[test]
-fn calls_racing_shutdown_are_answered_and_workers_join() {
+fn calls_racing_shutdown_are_answered_and_leave_nothing_in_flight() {
     for round in 0..SHUTDOWN_RACE_ROUNDS {
         let (done, finished) = std::sync::mpsc::channel();
         let round_thread = std::thread::spawn(move || {
@@ -301,7 +308,6 @@ fn calls_racing_shutdown_are_answered_and_workers_join() {
                 scale: 24,
                 seed: 9,
                 pool_depth: 1,
-                workers: 2,
                 queue_capacity: 8,
                 ..ServiceConfig::default()
             });
@@ -323,6 +329,9 @@ fn calls_racing_shutdown_are_answered_and_workers_join() {
             for caller in callers {
                 caller.join().expect("caller panicked");
             }
+            // Checked once the callers are gone: each may still take a
+            // ticket for the call that is answered `ShuttingDown`.
+            assert_eq!(svc.in_flight(), 0, "a ticket outlived the race");
             let _ = done.send(());
         });
         // A hung round is left detached; a finished or panicked one is
@@ -332,4 +341,59 @@ fn calls_racing_shutdown_are_answered_and_workers_join() {
         }
         round_thread.join().expect("shutdown race round panicked");
     }
+}
+
+/// A length prefix past `MAX_FRAME` leaves no frame boundary to resume
+/// from: the connection is closed without a reply, and the daemon keeps
+/// serving new connections.
+#[test]
+fn broken_framing_closes_only_that_connection() {
+    let svc = small_service(8);
+    let path = std::env::temp_dir().join(format!("dexd-framing-{}.sock", std::process::id()));
+    let server = {
+        let svc = Arc::clone(&svc);
+        let path = path.clone();
+        std::thread::spawn(move || serve_unix(svc, &path))
+    };
+    let start = Instant::now();
+    let mut broken = loop {
+        match UnixStream::connect(&path) {
+            Ok(s) => break s,
+            Err(e) => {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "never bound: {e}"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    };
+    // Bounds the read below if the daemon neither replies nor closes.
+    broken
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut frame = ((proto::MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&[0u8; 64]);
+    broken.write_all(&frame).expect("broken frame write");
+    let mut reply = [0u8; 1];
+    match broken.read(&mut reply) {
+        // EOF, or a reset: the daemon closed with our unread bytes queued.
+        Ok(0) => {}
+        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+        other => panic!("a broken frame must close the connection unanswered: {other:?}"),
+    }
+
+    let mut polite = SocketClient::connect(&path).expect("polite connect");
+    let resp = polite.call(&Request::Stats).expect("stats call");
+    assert!(
+        matches!(resp, Response::Stats(_)),
+        "stats answered {resp:?}"
+    );
+    let resp = polite.call(&Request::Shutdown).expect("shutdown call");
+    assert!(matches!(resp, Response::ShuttingDown));
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve_unix result");
+    svc.join();
 }

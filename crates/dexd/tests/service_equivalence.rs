@@ -1,8 +1,8 @@
 //! The service's correctness contract (ISSUE 10): any interleaving of
 //! concurrent dexd requests yields responses **byte-identical** to what a
 //! sequential batch pipeline over the same state answers — admission
-//! control, queue reordering, substitute-lookup batching, and worker
-//! scheduling must all be invisible in the payloads. A second property
+//! control and the scheduling of concurrent callers must be invisible in
+//! the payloads. A second property
 //! pins the same contract with seeded transient faults injected into every
 //! module, and with a lock-poisoning `Chaos` panic thrown mid-run.
 //!
@@ -244,7 +244,6 @@ fn check_service_equivalence(
         ..GenerationConfig::default()
     };
     let cfg = ServiceConfig {
-        workers: 2,
         queue_capacity: 64,
         generation: config.clone(),
         ..ServiceConfig::default()
