@@ -133,8 +133,8 @@ fn main() {
     );
 
     // Microcosts. Disabled sites must be inert: the span guard is a relaxed
-    // load + None, the flight gate a pair of relaxed loads — no clock read,
-    // no allocation, no formatting (call sites gate on `flight_on()` before
+    // load + None, the flight gate one relaxed load — no clock read, no
+    // allocation, no formatting (call sites gate on `is_enabled()` before
     // building the detail string).
     let micro_calls = if cfg!(debug_assertions) {
         10_000
@@ -142,13 +142,13 @@ fn main() {
         1_000_000
     };
     dex_telemetry::disable();
-    let span_off_ns = ns_per_call(reps, micro_calls, || {
+    let span_disabled_ns = ns_per_call(reps, micro_calls, || {
         drop(std::hint::black_box(dex_telemetry::span("bench.micro")));
     });
-    let flight_off_ns = ns_per_call(reps, micro_calls, || {
-        if std::hint::black_box(dex_telemetry::flight_on()) {
+    let flight_disabled_ns = ns_per_call(reps, micro_calls, || {
+        if std::hint::black_box(dex_telemetry::is_enabled()) {
             dex_telemetry::flight(
-                dex_telemetry::FlightKind::Invocation,
+                dex_telemetry::FlightKind::Retry,
                 "bench.micro",
                 "never reached while disabled".to_string(),
                 0,
@@ -156,21 +156,21 @@ fn main() {
         }
     });
     dex_telemetry::enable();
-    // Enabled spans fold into the root list; keep batches modest and reset
-    // between them so the forest doesn't grow monotonically.
+    // Enabled spans accumulate in the closed-span list until a reset; keep
+    // batches modest and reset after them.
     let span_calls = micro_calls / 10;
-    let span_on_ns = ns_per_call(reps, span_calls.max(1), || {
+    let span_enabled_ns = ns_per_call(reps, span_calls.max(1), || {
         drop(std::hint::black_box(dex_telemetry::span("bench.micro")));
     });
     dex_telemetry::reset();
-    // The flight ring overwrites in place, so volume is free; each recorded
-    // event costs one format + one boxed slot swap.
-    let flight_on_ns = ns_per_call(reps, span_calls.max(1), || {
-        if dex_telemetry::flight_on() {
+    // The flight ring displaces its oldest event, so volume is free; each
+    // recorded event costs one format plus a push under the ring's lock.
+    let flight_enabled_ns = ns_per_call(reps, span_calls.max(1), || {
+        if dex_telemetry::is_enabled() {
             dex_telemetry::flight(
-                dex_telemetry::FlightKind::Invocation,
+                dex_telemetry::FlightKind::Retry,
                 "bench.micro",
-                "ok (1 outputs)".to_string(),
+                "backoff 1 tick".to_string(),
                 1,
             );
         }
@@ -178,8 +178,8 @@ fn main() {
     dex_telemetry::disable();
     dex_telemetry::reset();
     eprintln!(
-        "span: disabled {span_off_ns:.1} ns/call, enabled {span_on_ns:.1} ns/call; \
-         flight: disabled {flight_off_ns:.1} ns/call, enabled {flight_on_ns:.1} ns/call"
+        "span: disabled {span_disabled_ns:.1} ns/call, enabled {span_enabled_ns:.1} ns/call; \
+         flight: disabled {flight_disabled_ns:.1} ns/call, enabled {flight_enabled_ns:.1} ns/call"
     );
 
     let pct = |off: f64, on: f64| (on - off) / off * 100.0;
@@ -200,14 +200,14 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "  \"span_call\": {{\"disabled_ns\": {span_off_ns:.1}, \"enabled_ns\": {span_on_ns:.1}, \
+        "  \"span_call\": {{\"disabled_ns\": {span_disabled_ns:.1}, \"enabled_ns\": {span_enabled_ns:.1}, \
          \"disabled_budget_ns\": {DISABLED_SPAN_BUDGET_NS}}},"
     )
     .unwrap();
     writeln!(
         json,
-        "  \"flight_event\": {{\"disabled_ns\": {flight_off_ns:.1}, \
-         \"enabled_ns\": {flight_on_ns:.1}}},"
+        "  \"flight_event\": {{\"disabled_ns\": {flight_disabled_ns:.1}, \
+         \"enabled_ns\": {flight_enabled_ns:.1}}},"
     )
     .unwrap();
 
@@ -225,14 +225,14 @@ fn main() {
                 "match_pairs enabled overhead {match_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
             ));
         }
-        if span_off_ns > DISABLED_SPAN_BUDGET_NS {
+        if span_disabled_ns > DISABLED_SPAN_BUDGET_NS {
             violations.push(format!(
-                "disabled span site costs {span_off_ns:.1} ns/call > {DISABLED_SPAN_BUDGET_NS} ns"
+                "disabled span site costs {span_disabled_ns:.1} ns/call > {DISABLED_SPAN_BUDGET_NS} ns"
             ));
         }
-        if flight_off_ns > DISABLED_SPAN_BUDGET_NS {
+        if flight_disabled_ns > DISABLED_SPAN_BUDGET_NS {
             violations.push(format!(
-                "disabled flight site costs {flight_off_ns:.1} ns/call > \
+                "disabled flight site costs {flight_disabled_ns:.1} ns/call > \
                  {DISABLED_SPAN_BUDGET_NS} ns"
             ));
         }

@@ -11,6 +11,7 @@
 //! many modules. The telemetry flags are shared with the experiment bins:
 //! `--trace-out` exports a Chrome trace of the launch and delta spans on
 //! exit; per-request latency is in the `dex.dexd.<endpoint>_ns` histograms.
+//! `--telemetry` takes its path only as `--telemetry=OUT`.
 //!
 //! Talk to it with `dexd::SocketClient` or any client that frames JSON as
 //! `proto` documents (length-prefixed, little-endian `u32`).
@@ -19,58 +20,48 @@ use dex_experiments::telemetry::TelemetryRun;
 use dexd::{serve_unix, Dexd, ServiceConfig};
 use std::path::PathBuf;
 
-/// Options `TelemetryRun::from_env` owns; the daemon parser skips them
-/// (and their space-separated values).
-fn is_telemetry_flag(arg: &str) -> bool {
-    [
-        "--telemetry",
-        "--telemetry-out",
-        "--trace-out",
-        "--flight-out",
-    ]
-    .iter()
-    .any(|f| arg == *f || arg.starts_with(&format!("{f}=")))
+/// Parses the daemon's own options into the socket path and service
+/// configuration. The telemetry options belong to `TelemetryRun::from_env`
+/// and are skipped here, together with the separate path that only
+/// `--trace-out` and `--flight-out` accept.
+fn parse_args(args: &[String]) -> Result<(PathBuf, ServiceConfig), String> {
+    let mut socket = PathBuf::from("/tmp/dexd.sock");
+    let mut cfg = ServiceConfig::default();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--socket" => socket = PathBuf::from(value()?),
+            "--scale" => cfg.scale = number(arg, value()?)?,
+            "--seed" => cfg.seed = number(arg, value()?)?,
+            "--queue" => cfg.queue_capacity = number(arg, value()?)?,
+            "--pool-depth" => cfg.pool_depth = number(arg, value()?)?,
+            "--trace-out" | "--flight-out" => {
+                args.next_if(|next| !next.starts_with("--"));
+            }
+            "--telemetry" => {}
+            other
+                if ["--telemetry=", "--trace-out=", "--flight-out="]
+                    .iter()
+                    .any(|prefix| other.starts_with(prefix)) => {}
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok((socket, cfg))
+}
+
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag}: `{text}` is not an integer"))
 }
 
 fn main() {
     let run = TelemetryRun::from_env();
-
-    let mut socket = PathBuf::from("/tmp/dexd.sock");
-    let mut cfg = ServiceConfig::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| {
-                    eprintln!("dexd: {arg} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match arg.as_str() {
-            "--socket" => socket = PathBuf::from(take(&mut i)),
-            "--scale" => cfg.scale = take(&mut i).parse().expect("--scale: integer"),
-            "--seed" => cfg.seed = take(&mut i).parse().expect("--seed: integer"),
-            "--queue" => cfg.queue_capacity = take(&mut i).parse().expect("--queue: integer"),
-            "--pool-depth" => cfg.pool_depth = take(&mut i).parse().expect("--pool-depth: integer"),
-            other if is_telemetry_flag(other) => {
-                // Skip a space-separated value too.
-                if !other.contains('=')
-                    && args.get(i + 1).is_some_and(|next| !next.starts_with("--"))
-                {
-                    i += 1;
-                }
-            }
-            other => {
-                eprintln!("dexd: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let (socket, cfg) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("dexd: {e}");
+        std::process::exit(2);
+    });
 
     eprintln!(
         "dexd: building operating state (scale {}, seed {})...",
@@ -91,4 +82,39 @@ fn main() {
     svc.join();
     eprintln!("dexd: stopped");
     run.finish("dexd");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn bare_telemetry_takes_no_separate_path() {
+        let err = parse_args(&args(&["--telemetry", "out.json"])).unwrap_err();
+        assert_eq!(err, "unknown argument `out.json`");
+    }
+
+    #[test]
+    fn telemetry_options_are_skipped_with_their_paths() {
+        let (socket, cfg) = parse_args(&args(&[
+            "--trace-out",
+            "t.json",
+            "--flight-out",
+            "f.json",
+            "--telemetry=r.json",
+            "--scale",
+            "100",
+            "--socket",
+            "d.sock",
+        ]))
+        .unwrap();
+        assert_eq!(cfg.scale, 100);
+        assert_eq!(socket, PathBuf::from("d.sock"));
+        assert!(parse_args(&args(&["--seed", "x"])).is_err());
+        assert!(parse_args(&args(&["--queue"])).is_err());
+    }
 }

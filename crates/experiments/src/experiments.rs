@@ -319,7 +319,7 @@ pub fn decay_experiments_with(plan: &RepositoryPlan, faults: &FaultConfig) -> De
         );
     }
     universe.decay();
-    if dex_telemetry::flight_on() {
+    if dex_telemetry::is_enabled() {
         // The decay wave is the run's mass withdrawal: capture the flight
         // window (injected faults, retries, exhaustion leading up to it)
         // as the post-mortem artifact.

@@ -6,12 +6,10 @@
 //! uses to ride the injected transients out, and whether residual failures
 //! should abort the run (`fail_fast`) or degrade it gracefully.
 //!
-//! Like telemetry, faults are parsed from the process arguments and
-//! environment: `--fault-rate=PCT` (and optional `--fault-seed=SEED`,
-//! `--fail-fast`) or the `DEX_FAULT_RATE` / `DEX_FAULT_SEED` /
-//! `DEX_FAIL_FAST` variables. Without a rate, [`FaultConfig::from_env`]
-//! returns the inert [`FaultConfig::none`] and the binaries behave exactly
-//! as before.
+//! Like telemetry, faults are parsed from the command line only:
+//! `--fault-rate=PCT` (and optional `--fault-seed=SEED`, `--fail-fast`).
+//! Without a rate, [`FaultConfig::from_env`] returns the inert
+//! [`FaultConfig::none`] and the binaries behave exactly as before.
 
 use dex_modules::{FaultInjector, FaultPlan, FaultStats, ModuleCatalog, RetryPolicy};
 
@@ -53,8 +51,7 @@ impl FaultConfig {
     }
 
     /// Parses `--fault-rate=PCT`, `--fault-seed=SEED`, `--fail-fast` from
-    /// the process arguments, falling back to the `DEX_FAULT_RATE`,
-    /// `DEX_FAULT_SEED`, and `DEX_FAIL_FAST` environment variables.
+    /// the process arguments.
     pub fn from_env() -> FaultConfig {
         let mut rate: Option<u32> = None;
         let mut seed: Option<u64> = None;
@@ -67,19 +64,6 @@ impl FaultConfig {
             } else if arg == "--fail-fast" {
                 fail_fast = true;
             }
-        }
-        if rate.is_none() {
-            rate = std::env::var("DEX_FAULT_RATE")
-                .ok()
-                .and_then(|v| v.parse().ok());
-        }
-        if seed.is_none() {
-            seed = std::env::var("DEX_FAULT_SEED")
-                .ok()
-                .and_then(|v| v.parse().ok());
-        }
-        if !fail_fast {
-            fail_fast = std::env::var("DEX_FAIL_FAST").is_ok_and(|v| !v.is_empty() && v != "0");
         }
         let mut config = match rate {
             Some(rate) if rate > 0 => {

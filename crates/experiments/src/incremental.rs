@@ -176,7 +176,7 @@ impl IncrementalPipeline {
         let mut dirty_candidates: BTreeSet<usize> = BTreeSet::new();
         let mut plan_dirty: BTreeSet<usize> = BTreeSet::new();
         for delta in deltas {
-            if dex_telemetry::flight_on() {
+            if dex_telemetry::is_enabled() {
                 let (target, detail) = match delta {
                     Delta::PoolInsert { instance } => {
                         (instance.concept.as_str(), "pool insert".to_string())

@@ -109,8 +109,6 @@ pub fn generate_fleet(
             Err(error) => {
                 if dex_telemetry::is_enabled() {
                     dex_telemetry::counter_add("dex.parallel.generation_failures", 1);
-                }
-                if dex_telemetry::flight_on() {
                     dex_telemetry::flight(
                         dex_telemetry::FlightKind::ModuleWithdrawn,
                         id.as_str(),

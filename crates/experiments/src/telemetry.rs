@@ -1,28 +1,28 @@
 //! Opt-in telemetry for the experiment binaries.
 //!
 //! Every binary calls [`TelemetryRun::from_env`] first thing in `main`.
-//! When the run was started with `--telemetry[=PATH]` (or the
-//! `DEX_TELEMETRY` environment variable), the global `dex-telemetry`
-//! subscriber is enabled and [`TelemetryRun::finish`] writes the collected
-//! [`dex_telemetry::RunReport`] as pretty-printed JSON — `TELEMETRY.json`
-//! by default.
+//! When the run was started with `--telemetry[=PATH]`, the global
+//! `dex-telemetry` subscriber is enabled and [`TelemetryRun::finish`]
+//! writes the collected [`dex_telemetry::RunReport`] as pretty-printed JSON
+//! — `TELEMETRY.json` by default.
 //! Without the flag everything stays disabled and the binaries behave
-//! exactly as before.
+//! exactly as before. Options are read from the command line only.
 //!
-//! Switches (each also accepts `--flag PATH` as two arguments):
+//! Switches:
 //!
-//! * `--telemetry[=PATH]` / `DEX_TELEMETRY` — enable, write the run report.
-//! * `--telemetry-out=PATH` / `DEX_TELEMETRY_OUT` — override the report
-//!   path (implies `--telemetry`), so concurrent CI jobs and bench runs
-//!   don't clobber each other's `TELEMETRY.json`.
-//! * `--trace-out=PATH` / `DEX_TRACE_OUT` — also export the span forest as
-//!   Perfetto-loadable Chrome trace JSON (implies enabling telemetry).
-//! * `--flight-out=PATH` / `DEX_FLIGHT_OUT` — where flight-recorder
-//!   post-mortems land (`FLIGHT.json` by default whenever telemetry is on).
+//! * `--telemetry[=PATH]` — enable, write the run report.
+//! * `--trace-out=PATH` — also export the span forest as Perfetto-loadable
+//!   Chrome trace JSON (implies enabling telemetry).
+//! * `--flight-out=PATH` — where flight-recorder post-mortems land
+//!   (`FLIGHT.json` by default whenever telemetry is on).
+//!
+//! `--trace-out` and `--flight-out` also accept their path as the next
+//! argument; `--telemetry` takes one only after `=`.
 //!
 //! While telemetry is active a panic hook captures the flight-recorder
 //! window to the flight path before unwinding continues, so a crashed
-//! seeded-fault run leaves a post-mortem instead of a mystery.
+//! seeded-fault run leaves a post-mortem instead of a mystery. A run that
+//! records no incident writes no post-mortem.
 
 use std::path::PathBuf;
 
@@ -51,12 +51,10 @@ impl RunOptions {
         self.telemetry.is_some() || self.trace.is_some()
     }
 
-    /// Parses the recognized switches out of `args` (`--flag=value` and
-    /// `--flag value` forms both accepted), falling back to the environment
-    /// via `env` for unset options.
-    pub fn parse(args: &[String], env: &dyn Fn(&str) -> Option<String>) -> RunOptions {
+    /// Parses the recognized switches out of `args`; other arguments are
+    /// ignored.
+    pub fn parse(args: &[String]) -> RunOptions {
         let mut options = RunOptions::default();
-        let mut out_override: Option<PathBuf> = None;
         let mut i = 0;
         // `--flag value`: consume the next argument when it isn't a switch.
         let value_after = |args: &[String], i: usize| -> Option<(PathBuf, usize)> {
@@ -71,13 +69,6 @@ impl RunOptions {
                 options.telemetry = Some(PathBuf::from(DEFAULT_PATH));
             } else if let Some(p) = arg.strip_prefix("--telemetry=") {
                 options.telemetry = Some(PathBuf::from(p));
-            } else if let Some(p) = arg.strip_prefix("--telemetry-out=") {
-                out_override = Some(PathBuf::from(p));
-            } else if arg == "--telemetry-out" {
-                if let Some((p, next)) = value_after(args, i) {
-                    out_override = Some(p);
-                    i = next;
-                }
             } else if let Some(p) = arg.strip_prefix("--trace-out=") {
                 options.trace = Some(PathBuf::from(p));
             } else if arg == "--trace-out" {
@@ -95,36 +86,6 @@ impl RunOptions {
             }
             i += 1;
         }
-        if options.telemetry.is_none() {
-            if let Some(v) = env("DEX_TELEMETRY") {
-                if !v.is_empty() && v != "0" {
-                    options.telemetry = Some(if v == "1" {
-                        PathBuf::from(DEFAULT_PATH)
-                    } else {
-                        PathBuf::from(v)
-                    });
-                }
-            }
-        }
-        if out_override.is_none() {
-            out_override = env("DEX_TELEMETRY_OUT")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from);
-        }
-        if let Some(out) = out_override {
-            // An explicit output path is a request for the report.
-            options.telemetry = Some(out);
-        }
-        if options.trace.is_none() {
-            options.trace = env("DEX_TRACE_OUT")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from);
-        }
-        if options.flight.is_none() {
-            options.flight = env("DEX_FLIGHT_OUT")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from);
-        }
         options
     }
 }
@@ -138,11 +99,11 @@ pub struct TelemetryRun {
 }
 
 impl TelemetryRun {
-    /// Parses the process arguments and environment, enabling telemetry
-    /// (and the flight-recorder dump path + panic hook) if requested.
+    /// Parses the process arguments, enabling telemetry (and the
+    /// flight-recorder dump path + panic hook) if requested.
     pub fn from_env() -> TelemetryRun {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let options = RunOptions::parse(&args, &|name| std::env::var(name).ok());
+        let options = RunOptions::parse(&args);
         if options.is_active() {
             dex_telemetry::enable();
             let flight = options
@@ -233,7 +194,7 @@ pub fn install_flight_panic_hook() {
             }
             let first_entry = IN_HOOK.with(|in_hook| !in_hook.replace(true));
             if first_entry {
-                if dex_telemetry::flight_on() {
+                if dex_telemetry::is_enabled() {
                     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         dex_telemetry::flight(
                             dex_telemetry::FlightKind::Panic,
@@ -255,26 +216,15 @@ pub fn install_flight_panic_hook() {
 mod tests {
     use super::*;
 
-    fn no_env(_: &str) -> Option<String> {
-        None
-    }
-
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
     fn inactive_without_flag_or_env() {
-        let options = RunOptions::parse(&args(&["--fault-rate=10"]), &no_env);
+        let options = RunOptions::parse(&args(&["--fault-rate=10"]));
         assert!(!options.is_active());
-        // The process-level wrapper is equally inert (guard against ambient
-        // env from the caller's shell).
-        if std::env::var("DEX_TELEMETRY").is_ok()
-            || std::env::var("DEX_TELEMETRY_OUT").is_ok()
-            || std::env::var("DEX_TRACE_OUT").is_ok()
-        {
-            return;
-        }
+        // The process-level wrapper is equally inert.
         let run = TelemetryRun::from_env();
         assert!(!run.is_active());
         run.finish("noop"); // must be a no-op without the flag
@@ -282,50 +232,22 @@ mod tests {
 
     #[test]
     fn telemetry_flag_forms() {
-        let options = RunOptions::parse(&args(&["--telemetry"]), &no_env);
+        let options = RunOptions::parse(&args(&["--telemetry"]));
         assert_eq!(options.telemetry, Some(PathBuf::from(DEFAULT_PATH)));
-        let options = RunOptions::parse(&args(&["--telemetry=custom.json"]), &no_env);
+        let options = RunOptions::parse(&args(&["--telemetry=custom.json"]));
         assert_eq!(options.telemetry, Some(PathBuf::from("custom.json")));
     }
 
     #[test]
-    fn telemetry_out_overrides_and_implies_telemetry() {
-        let options = RunOptions::parse(&args(&["--telemetry-out", "job7.json"]), &no_env);
-        assert_eq!(options.telemetry, Some(PathBuf::from("job7.json")));
-        assert!(options.is_active());
-        let options = RunOptions::parse(
-            &args(&["--telemetry", "--telemetry-out=job8.json"]),
-            &no_env,
-        );
-        assert_eq!(options.telemetry, Some(PathBuf::from("job8.json")));
-        // Env fallback.
-        let env = |name: &str| (name == "DEX_TELEMETRY_OUT").then(|| "env.json".to_string());
-        let options = RunOptions::parse(&[], &env);
-        assert_eq!(options.telemetry, Some(PathBuf::from("env.json")));
-    }
-
-    #[test]
     fn trace_and_flight_paths_parse_in_both_forms() {
-        let options = RunOptions::parse(
-            &args(&["--trace-out", "t.json", "--flight-out=f.json"]),
-            &no_env,
-        );
+        let options = RunOptions::parse(&args(&["--trace-out", "t.json", "--flight-out=f.json"]));
         assert_eq!(options.trace, Some(PathBuf::from("t.json")));
         assert_eq!(options.flight, Some(PathBuf::from("f.json")));
         assert!(options.is_active(), "trace export implies telemetry");
         assert!(options.telemetry.is_none(), "but not the report artifact");
         // A dangling `--trace-out` followed by another switch takes nothing.
-        let options = RunOptions::parse(&args(&["--trace-out", "--telemetry"]), &no_env);
+        let options = RunOptions::parse(&args(&["--trace-out", "--telemetry"]));
         assert!(options.trace.is_none());
         assert!(options.telemetry.is_some());
-        // Env fallbacks.
-        let env = |name: &str| match name {
-            "DEX_TRACE_OUT" => Some("env-trace.json".to_string()),
-            "DEX_FLIGHT_OUT" => Some("env-flight.json".to_string()),
-            _ => None,
-        };
-        let options = RunOptions::parse(&[], &env);
-        assert_eq!(options.trace, Some(PathBuf::from("env-trace.json")));
-        assert_eq!(options.flight, Some(PathBuf::from("env-flight.json")));
     }
 }

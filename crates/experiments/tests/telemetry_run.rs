@@ -41,6 +41,8 @@ fn pipeline_slice_populates_run_report() {
     }
 
     let report = dex_telemetry::collect("telemetry_run");
+    // A healthy run is not an incident: the flight recorder stays empty.
+    assert_eq!(dex_telemetry::flight_total(), 0);
     dex_telemetry::disable();
 
     // Invocations happened and were split by outcome.

@@ -284,18 +284,6 @@ impl InvocationCache {
         // readers block here until the winner's outcome is published.
         let outcome = Arc::clone(cell.get_or_init(|| {
             let outcome = Arc::new(module.invoke(inputs));
-            if dex_telemetry::flight_on() {
-                let detail = match outcome.as_ref() {
-                    Ok(values) => format!("ok ({} outputs)", values.len()),
-                    Err(error) => format!("{error:?}"),
-                };
-                dex_telemetry::flight(
-                    dex_telemetry::FlightKind::Invocation,
-                    module.descriptor().id.as_str(),
-                    detail,
-                    0,
-                );
-            }
             if matches!(outcome.as_ref(), Err(e) if e.is_transient()) {
                 // State-dependent failure: forget the entry *before* the
                 // cell is published, so no concurrent `stats()` can ever

@@ -264,8 +264,6 @@ impl BlackBox for FaultyModule {
                 .fetch_add(1, Ordering::Relaxed);
             if dex_telemetry::is_enabled() {
                 fault_counters().1.add(1);
-            }
-            if dex_telemetry::flight_on() {
                 dex_telemetry::flight(
                     dex_telemetry::FlightKind::FaultInjected,
                     self.inner.descriptor().id.as_str(),
@@ -287,8 +285,6 @@ impl BlackBox for FaultyModule {
                 self.stats.injected_faults.fetch_add(1, Ordering::Relaxed);
                 if dex_telemetry::is_enabled() {
                     fault_counters().0.add(1);
-                }
-                if dex_telemetry::flight_on() {
                     dex_telemetry::flight(
                         dex_telemetry::FlightKind::FaultInjected,
                         self.inner.descriptor().id.as_str(),

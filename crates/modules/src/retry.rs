@@ -253,21 +253,19 @@ impl Retrier {
         if invoke_span.is_none() {
             *invoke_span = Some(dex_telemetry::span("invoke.retrying"));
         }
-        if dex_telemetry::flight_on() {
-            dex_telemetry::flight(
-                dex_telemetry::FlightKind::Retry,
-                module.descriptor().id.as_str(),
-                format!("transient failure; backing off {ticks} ticks"),
-                (retry_idx + 1) as u64,
-            );
-        }
+        dex_telemetry::flight(
+            dex_telemetry::FlightKind::Retry,
+            module.descriptor().id.as_str(),
+            format!("transient failure; backing off {ticks} ticks"),
+            (retry_idx + 1) as u64,
+        );
     }
 
     /// Records the flight post-mortem entry for a transient error that
     /// survived every attempt (or was denied by the budget).
     fn note_exhausted(&self, module: &dyn BlackBox, outcome: &InvocationOutcome) {
         let Err(error) = outcome else { return };
-        if error.is_transient() && dex_telemetry::flight_on() {
+        if error.is_transient() && dex_telemetry::is_enabled() {
             dex_telemetry::flight(
                 dex_telemetry::FlightKind::RetryExhausted,
                 module.descriptor().id.as_str(),

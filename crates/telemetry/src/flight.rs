@@ -1,43 +1,38 @@
-//! Flight recorder: a fixed-capacity lock-free ring of recent structured
-//! events, kept cheap enough to leave on during fault-injected runs and
-//! dumped as a post-mortem (`FLIGHT.json`) when something goes wrong — a
-//! panic, or graceful degradation withdrawing a module.
+//! Flight recorder: a fixed-capacity ring of recent incidents, dumped as a
+//! post-mortem (`FLIGHT.json`) when something goes wrong — a panic, or
+//! graceful degradation withdrawing a module.
 //!
-//! The ring is a slot array of `AtomicPtr<FlightEvent>`. A writer claims a
-//! ticket from a shared cursor with one `fetch_add`, boxes its event, and
-//! `swap`s it into `slot[ticket % capacity]`, dropping whatever older event
-//! it displaced — wait-free, no locks, and safe for the `String`-carrying
-//! payloads a seqlock could not hold. A snapshot swaps each slot out,
-//! clones the event, and CAS-restores the pointer; if a writer raced in
-//! meanwhile the older event is simply dropped (its clone survives in the
-//! snapshot). Under concurrency a snapshot is best-effort: an event whose
-//! ticket was claimed but not yet published can be missed while later
-//! tickets are present.
+//! Only incidents are recorded: retries, exhausted retries, injected
+//! faults, withdrawals, applied deltas and panics. A healthy invocation is
+//! counted by the `dex.invoke.*` counters, not recorded here, so a
+//! fault-free run leaves the ring empty and writes no post-mortem.
 //!
-//! Recording is gated on the global telemetry flag *and* a recorder flag
-//! ([`set_flight_enabled`], default on): when either is off, [`flight_on`]
-//! is false and call sites skip even the `String` formatting, so disabled
-//! runs stay allocation-free.
+//! The ring is one `Mutex` around a `VecDeque` capped at
+//! [`FLIGHT_CAPACITY`], plus the running total. [`flight`] builds the event
+//! before taking the lock and drops a displaced event after releasing it,
+//! so nothing inside the critical section can panic: the panic hook's
+//! [`dump_flight`] never finds the lock held by its own thread. A snapshot
+//! clones the deque, which is already in `seq` order.
+//!
+//! Recording is gated on the global telemetry flag: while it is off, call
+//! sites check [`crate::is_enabled`] and skip even the `String` formatting,
+//! so disabled runs stay allocation-free.
 
 use crate::{is_enabled, lock};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Ring capacity. 1024 events cover the recent-history window that makes a
-/// seeded-fault post-mortem readable (at the pipeline's observed event
-/// rates, several full retry storms plus the deltas and withdrawals around
-/// them) while bounding worst-case memory to ~100 KiB of boxed events.
+/// seeded-fault post-mortem readable (several full retry storms plus the
+/// deltas and withdrawals around them) while bounding memory to ~100 KiB.
 pub const FLIGHT_CAPACITY: usize = 1024;
 
-/// What kind of moment the recorder captured.
+/// What kind of incident the recorder captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlightKind {
-    /// A module invocation completed (the miss path of the cache; `detail`
-    /// carries the outcome).
-    Invocation,
     /// A retry was scheduled after a transient failure (`value` = attempt).
     Retry,
     /// Retries gave up: policy or budget exhausted on a transient failure.
@@ -55,15 +50,15 @@ pub enum FlightKind {
 /// One recorded moment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlightEvent {
-    /// Ring ticket: process-wide claim order across threads.
+    /// Process-wide record order across threads.
     pub seq: u64,
     /// Event category.
     pub kind: FlightKind,
     /// The entity involved, usually a module id.
     pub target: String,
-    /// Free-form context (outcome, injected error, delta description…).
+    /// Free-form context (injected error, delta description…).
     pub detail: String,
-    /// Kind-specific magnitude (attempt number, tick, cache size…).
+    /// Kind-specific magnitude (attempt number, tick…).
     pub value: u64,
 }
 
@@ -91,82 +86,56 @@ impl FlightDump {
     }
 }
 
-static FLIGHT_ENABLED: AtomicBool = AtomicBool::new(true);
-static CURSOR: AtomicU64 = AtomicU64::new(0);
+/// The newest [`FLIGHT_CAPACITY`] events and the count of all ever recorded.
+#[derive(Default)]
+struct Ring {
+    events: VecDeque<FlightEvent>,
+    total: u64,
+}
+
+static RING: Mutex<Ring> = Mutex::new(Ring {
+    events: VecDeque::new(),
+    total: 0,
+});
 static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 static DUMPED: AtomicBool = AtomicBool::new(false);
 
-fn slots() -> &'static [AtomicPtr<FlightEvent>] {
-    static SLOTS: OnceLock<Vec<AtomicPtr<FlightEvent>>> = OnceLock::new();
-    SLOTS.get_or_init(|| (0..FLIGHT_CAPACITY).map(|_| AtomicPtr::default()).collect())
-}
-
-/// Toggles the recorder independently of the main telemetry flag (both must
-/// be on for [`flight`] to record).
-pub fn set_flight_enabled(on: bool) {
-    FLIGHT_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether a [`flight`] call would record right now. Call sites that must
-/// format a `detail` string check this first so disabled runs skip the
-/// allocation entirely.
-#[inline]
-pub fn flight_on() -> bool {
-    is_enabled() && FLIGHT_ENABLED.load(Ordering::Relaxed)
-}
-
 /// Records one event into the ring, displacing the oldest once the ring is
-/// full. Wait-free; no-op unless [`flight_on`].
+/// full. No-op while telemetry is disabled.
 pub fn flight(kind: FlightKind, target: &str, detail: String, value: u64) {
-    if !flight_on() {
+    if !is_enabled() {
         return;
     }
-    let seq = CURSOR.fetch_add(1, Ordering::Relaxed);
-    let fresh = Box::into_raw(Box::new(FlightEvent {
-        seq,
+    let mut event = FlightEvent {
+        seq: 0,
         kind,
         target: target.to_string(),
         detail,
         value,
-    }));
-    let old = slots()[seq as usize % FLIGHT_CAPACITY].swap(fresh, Ordering::AcqRel);
-    if !old.is_null() {
-        // SAFETY: the swap transferred exclusive ownership of `old` to us;
-        // no other thread can reach it again.
-        drop(unsafe { Box::from_raw(old) });
-    }
+    };
+    let displaced = {
+        let mut ring = lock(&RING);
+        event.seq = ring.total;
+        ring.total += 1;
+        let displaced = if ring.events.len() == FLIGHT_CAPACITY {
+            ring.events.pop_front()
+        } else {
+            None
+        };
+        ring.events.push_back(event);
+        displaced
+    };
+    drop(displaced);
 }
 
 /// Total events ever recorded (including overwritten ones).
 pub fn flight_total() -> u64 {
-    CURSOR.load(Ordering::Relaxed)
+    lock(&RING).total
 }
 
-/// Clones the surviving window in `seq` order. Non-destructive and safe to
-/// run concurrently with writers (see the module docs for the race window).
+/// Clones the surviving window, in `seq` order.
 pub fn flight_snapshot() -> Vec<FlightEvent> {
-    let mut events = Vec::new();
-    for slot in slots() {
-        let taken = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-        if taken.is_null() {
-            continue;
-        }
-        // SAFETY: we own `taken` exclusively between the swap and either
-        // the CAS-restore or the drop below; events are never mutated
-        // after publication.
-        events.push(unsafe { (*taken).clone() });
-        if slot
-            .compare_exchange(ptr::null_mut(), taken, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            // A writer published a newer event while we held this one; the
-            // older event leaves the ring but lives on in the snapshot.
-            // SAFETY: the failed CAS means we still own `taken`.
-            drop(unsafe { Box::from_raw(taken) });
-        }
-    }
-    events.sort_by_key(|e| e.seq);
-    events
+    lock(&RING).events.iter().cloned().collect()
 }
 
 /// Sets (or clears) the file the next [`dump_flight`] writes to.
@@ -237,14 +206,9 @@ pub fn dump_flight_fallback(reason: &str) -> bool {
 }
 
 pub(crate) fn reset() {
-    for slot in slots() {
-        let taken = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-        if !taken.is_null() {
-            // SAFETY: swap transferred ownership.
-            drop(unsafe { Box::from_raw(taken) });
-        }
-    }
-    CURSOR.store(0, Ordering::Relaxed);
+    // Taken under the lock, dropped after it is released.
+    let cleared = std::mem::take(&mut *lock(&RING));
+    drop(cleared);
     DUMPED.store(false, Ordering::Relaxed);
 }
 
@@ -258,9 +222,8 @@ mod tests {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
-        set_flight_enabled(true);
         for i in 0..5 {
-            flight(FlightKind::Invocation, "m1", format!("ok {i}"), i);
+            flight(FlightKind::Retry, "m1", format!("ok {i}"), i);
         }
         let first = flight_snapshot();
         assert_eq!(first.len(), 5);
@@ -278,7 +241,6 @@ mod tests {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
-        set_flight_enabled(true);
         let extra = 7u64;
         for i in 0..(FLIGHT_CAPACITY as u64 + extra) {
             flight(FlightKind::Retry, "m", String::new(), i);
@@ -295,14 +257,10 @@ mod tests {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
-        set_flight_enabled(false);
-        assert!(!flight_on());
+        crate::disable();
         flight(FlightKind::Panic, "x", "dropped".into(), 0);
         assert!(flight_snapshot().is_empty());
         assert_eq!(flight_total(), 0);
-        set_flight_enabled(true);
-        crate::disable();
-        assert!(!flight_on(), "telemetry off also gates the recorder");
     }
 
     #[test]
@@ -310,14 +268,13 @@ mod tests {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
-        set_flight_enabled(true);
         let threads = 8;
         let per_thread = 100; // total 800 < capacity: nothing displaced
         std::thread::scope(|scope| {
             for t in 0..threads {
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        flight(FlightKind::Invocation, "t", String::new(), t * 1000 + i);
+                        flight(FlightKind::Retry, "t", String::new(), t * 1000 + i);
                     }
                 });
             }
@@ -334,7 +291,6 @@ mod tests {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
-        set_flight_enabled(true);
         let path = std::env::temp_dir().join("dex_flight_test.json");
         set_flight_path(Some(path.clone()));
         assert!(!dump_flight("empty"), "no events, no dump");
@@ -357,7 +313,6 @@ mod tests {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
-        set_flight_enabled(true);
         flight(FlightKind::Panic, "m", "incident".into(), 0);
         // Point the dump at a directory that does not exist: the write must
         // fail, be reported, and leave the sticky dump flag unset so a

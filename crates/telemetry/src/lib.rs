@@ -9,16 +9,18 @@
 //! a single relaxed atomic load and an early return, so instrumented hot
 //! paths pay effectively nothing. When it is **on**:
 //!
-//! * [`span`] pushes onto a thread-local span stack and, on RAII-guard drop,
-//!   folds the timed [`SpanRecord`] into its parent (or the global root list
-//!   when the stack empties). Spans carry stable ids, parent ids, and
-//!   monotonic start offsets; spawn sites capture a [`TraceContext`] with
-//!   [`current_context`] and hand it to workers so their spans stitch under
-//!   the spawning span instead of becoming orphan roots.
-//! * [`flight`] records structured moments (invocation outcomes, retries,
-//!   fault injections, withdrawals, deltas) into a fixed-capacity lock-free
-//!   ring; [`dump_flight`] writes the recent window to `FLIGHT.json` as a
-//!   post-mortem on panic or module withdrawal.
+//! * [`span`] pushes a fixed-size entry onto a thread-local span stack; on
+//!   RAII-guard drop the span closes into a flat per-thread buffer, which
+//!   joins one global list when the thread's outermost span closes. Spans
+//!   carry process-unique ids, parent ids, and monotonic start offsets;
+//!   spawn sites capture a [`TraceContext`] with [`current_context`] and
+//!   hand it to workers. [`collect`] rebuilds the [`SpanRecord`] forest by
+//!   parent id, so worker spans stitch under the spawning span instead of
+//!   becoming orphan roots.
+//! * [`flight`] records incidents (retries, fault injections, withdrawals,
+//!   deltas, panics) into a fixed-capacity ring behind a plain lock;
+//!   [`dump_flight`] writes the recent window to `FLIGHT.json` as a
+//!   post-mortem on panic or module withdrawal. A healthy run records none.
 //! * [`trace::chrome_trace_json`] exports the stitched span forest as
 //!   Perfetto-loadable Chrome trace JSON; [`RunReport`] additionally carries
 //!   flamegraph folded stacks and p50/p95/p99 histogram percentiles.
@@ -39,15 +41,15 @@ mod span;
 pub mod trace;
 
 pub use flight::{
-    dump_flight, dump_flight_fallback, flight, flight_on, flight_snapshot, flight_total,
-    set_flight_enabled, set_flight_path, FlightDump, FlightEvent, FlightKind, FLIGHT_CAPACITY,
+    dump_flight, dump_flight_fallback, flight, flight_snapshot, flight_total, set_flight_path,
+    FlightDump, FlightEvent, FlightKind, FLIGHT_CAPACITY,
 };
 pub use metrics::{
-    counter, counter_add, counter_value, gauge_set, gauge_value, histogram, observe_ns, timed,
-    Counter, Histo, Histogram, HistogramSnapshot, TimedGuard,
+    counter, counter_add, counter_value, gauge_set, gauge_value, histogram, observe_ns, Counter,
+    Histo, Histogram, HistogramSnapshot, TimedGuard,
 };
 pub use report::{collect, RunReport};
-pub use span::{current_context, span, thread_track, SpanGuard, SpanRecord, TraceContext};
+pub use span::{current_context, span, SpanGuard, SpanRecord, TraceContext};
 pub use trace::{chrome_trace, chrome_trace_from_json, chrome_trace_json, validate_chrome_trace};
 
 use std::sync::atomic::{AtomicBool, Ordering};

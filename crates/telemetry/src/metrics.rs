@@ -271,18 +271,11 @@ impl Histo {
         }
     }
 
-    /// Starts a [`TimedGuard`] recording into this histogram on drop,
-    /// without the per-call name allocation of [`timed`].
+    /// Starts a [`TimedGuard`] recording the guarded scope's duration into
+    /// this histogram on drop.
     pub fn start(&self) -> TimedGuard {
-        if !is_enabled() {
-            return TimedGuard {
-                target: None,
-                start: None,
-            };
-        }
         TimedGuard {
-            target: Some(TimerTarget::Handle(Arc::clone(&self.cell))),
-            start: Some(Instant::now()),
+            armed: is_enabled().then(|| (Arc::clone(&self.cell), Instant::now())),
         }
     }
 }
@@ -337,44 +330,20 @@ pub fn observe_ns(name: &str, ns: u64) {
     registry().histograms.get(name).record(ns);
 }
 
-enum TimerTarget {
-    Named(String),
-    Handle(Arc<Histogram>),
-}
-
-/// RAII timer: records the guarded scope's duration into the named
-/// histogram on drop. Inert (never calls `Instant::now`) while disabled.
+/// RAII timer from [`Histo::start`]: records the guarded scope's duration
+/// on drop. Inert (never calls `Instant::now`) while disabled.
 #[must_use = "the timer records on drop"]
 pub struct TimedGuard {
-    target: Option<TimerTarget>,
-    start: Option<Instant>,
+    armed: Option<(Arc<Histogram>, Instant)>,
 }
 
 impl Drop for TimedGuard {
     fn drop(&mut self) {
-        if let (Some(target), Some(start)) = (self.target.take(), self.start) {
-            // Record even if telemetry was disabled mid-scope: the
-            // observation was armed while enabled.
-            let ns = start.elapsed().as_nanos() as u64;
-            match target {
-                TimerTarget::Named(name) => registry().histograms.get(&name).record(ns),
-                TimerTarget::Handle(hist) => hist.record(ns),
-            }
+        // Record even if telemetry was disabled mid-scope: the observation
+        // was armed while enabled.
+        if let Some((hist, start)) = &self.armed {
+            hist.record(start.elapsed().as_nanos() as u64);
         }
-    }
-}
-
-/// Starts a [`TimedGuard`] over the named histogram.
-pub fn timed(name: &str) -> TimedGuard {
-    if !is_enabled() {
-        return TimedGuard {
-            target: None,
-            start: None,
-        };
-    }
-    TimedGuard {
-        target: Some(TimerTarget::Named(name.to_string())),
-        start: Some(Instant::now()),
     }
 }
 
@@ -542,19 +511,19 @@ mod tests {
     }
 
     #[test]
-    fn timed_guard_records_scope_duration() {
+    fn histogram_timer_records_scope_duration() {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
         {
-            let _t = timed("m.test.timer");
+            let _t = histogram("m.test.timer").start();
             std::hint::black_box(1 + 1);
         }
         let snap = snapshot_histograms().remove("m.test.timer").unwrap();
         assert_eq!(snap.count, 1);
         crate::disable();
         {
-            let _t = timed("m.test.timer");
+            let _t = histogram("m.test.timer").start();
         }
         let snap = snapshot_histograms().remove("m.test.timer").unwrap();
         assert_eq!(snap.count, 1, "disabled timer is inert");

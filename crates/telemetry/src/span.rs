@@ -3,19 +3,25 @@
 //! [`span`] opens a span and returns an RAII [`SpanGuard`]; dropping the
 //! guard closes the span. Every span carries a process-unique id, its
 //! parent's id, a monotonic start offset from the process trace origin, and
-//! the id of the thread that opened it. The guard remembers the stack depth
-//! it opened at, so spans close correctly even when a panic unwinds through
-//! several guards or an inner guard is leaked with `mem::forget` —
-//! descendants still on the stack above the closing guard are folded in as
-//! its children.
+//! the id of the thread that opened it. The clock is read once when a span
+//! opens and once when it closes.
 //!
-//! Each thread owns its own stack. Spans opened on a worker thread become
-//! independent roots *unless* the spawn site hands the worker a
-//! [`TraceContext`] captured with [`current_context`]: a context remembers
-//! the spawning span's id, and [`TraceContext::span`] opens the worker's
-//! outermost span with that id as its parent. Completed cross-thread
-//! subtrees are stitched under their remote parents at snapshot time, so
-//! the exported forest shows worker spans nested under the sweep span that
+//! Recording is flat. The thread-local stack holds fixed-size `Copy`
+//! entries; a closing span becomes one flat entry in the thread's buffer,
+//! and when the thread's outermost span closes the buffer is appended to one
+//! global list under a single lock. The guard remembers the stack depth it
+//! opened at, so spans close correctly even when a panic unwinds through
+//! several guards or an inner guard is leaked with `mem::forget`: any
+//! descendants still open above the closing guard close at the same
+//! instant.
+//!
+//! Nesting is rebuilt only by [`crate::collect`]. Each entry hangs under the
+//! entry its `parent_id` names, and entries whose parent never closed stay
+//! roots. That one rule covers local nesting and cross-thread stitching:
+//! a spawn site captures a [`TraceContext`] with [`current_context`] and
+//! hands it to workers, and [`TraceContext::span`] opens the worker's
+//! outermost span with the spawning span's id as its parent, so the
+//! exported forest shows worker spans nested under the sweep span that
 //! spawned them instead of as orphan roots.
 
 use crate::{is_enabled, lock};
@@ -58,63 +64,56 @@ impl SpanRecord {
     }
 }
 
-/// The instant all `start_ns` offsets are measured from. Process-wide and
-/// never rebased: offsets stay mutually comparable across [`crate::reset`]
-/// (the exporter normalizes to the earliest span when writing a trace).
-fn origin() -> Instant {
+/// Nanoseconds since the process trace origin, which is fixed at the first
+/// call and never rebased: offsets stay mutually comparable across
+/// [`crate::reset`] (the exporter normalizes to the earliest span when
+/// writing a trace).
+fn clock_ns() -> u64 {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    *ORIGIN.get_or_init(Instant::now)
+    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-fn origin_ns() -> u64 {
-    origin().elapsed().as_nanos() as u64
-}
-
-/// Span ids start at 1; 0 is the "no parent" sentinel.
+/// Span ids start at 1; 0 is the "no parent" sentinel. Never restarted, so
+/// a stale [`TraceContext`] cannot name a span opened after a reset.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 
-thread_local! {
-    static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Dense per-thread id used as the trace track. Stable for the thread's
-/// lifetime; scoped worker threads each get a fresh one.
-pub fn thread_track() -> u64 {
-    THREAD_ID.with(|t| *t)
-}
-
-struct OpenSpan {
+/// A span on the thread-local stack.
+#[derive(Clone, Copy)]
+struct Open {
     id: u64,
     parent_id: u64,
-    name: String,
-    start: Instant,
+    name: &'static str,
     start_ns: u64,
-    children: Vec<SpanRecord>,
 }
 
-impl OpenSpan {
-    fn finish(self) -> SpanRecord {
-        SpanRecord {
-            id: self.id,
-            parent_id: self.parent_id,
-            name: self.name,
-            start_ns: self.start_ns,
-            duration_ns: self.start.elapsed().as_nanos() as u64,
-            thread: thread_track(),
-            children: self.children,
-        }
-    }
+/// A closed span, waiting for [`snapshot_roots`] to place it in the forest.
+#[derive(Clone, Copy)]
+struct Closed {
+    open: Open,
+    duration_ns: u64,
+    thread: u64,
+}
+
+struct Local {
+    /// Dense per-thread id used as the trace track.
+    track: u64,
+    open: Vec<Open>,
+    /// Spans closed under the thread's outermost open span.
+    closed: Vec<Closed>,
 }
 
 thread_local! {
-    static STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
+    static LOCAL: RefCell<Local> = RefCell::new(Local {
+        track: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
+        open: Vec::new(),
+        closed: Vec::new(),
+    });
 }
 
-/// Completed thread-root subtrees, possibly carrying a remote `parent_id`;
-/// stitched into a single forest by [`snapshot_roots`].
-static ROOTS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+/// Every span closed under a finished thread root, in no particular order.
+static CLOSED: Mutex<Vec<Closed>> = Mutex::new(Vec::new());
 
 /// Closes the span opened by the matching [`span`] call when dropped.
 #[must_use = "dropping the guard immediately closes the span"]
@@ -122,15 +121,6 @@ pub struct SpanGuard {
     /// Stack index this guard's span occupies; `None` for the inert guard
     /// handed out while telemetry is disabled.
     depth: Option<usize>,
-}
-
-impl SpanGuard {
-    /// The id of this guard's span, `0` for an inert guard.
-    pub fn id(&self) -> u64 {
-        self.depth
-            .map(|depth| STACK.with(|stack| stack.borrow()[depth].id))
-            .unwrap_or(0)
-    }
 }
 
 /// A cheap `Copy` handle carrying the id of the span that was open when the
@@ -150,22 +140,11 @@ impl TraceContext {
         TraceContext { parent: 0 }
     }
 
-    /// A context adopting an explicit parent span id — for callers that
-    /// carry ids across process boundaries (e.g. a request id minted by a
-    /// service front-end) rather than capturing a live span.
-    pub const fn with_parent(parent: u64) -> TraceContext {
-        TraceContext { parent }
-    }
-
-    /// The captured parent span id (`0` when none).
-    pub fn parent_id(&self) -> u64 {
-        self.parent
-    }
-
     /// Opens a span parented under this context when the calling thread has
     /// no span of its own open; nested calls parent locally as usual.
     /// Returns an inert guard while telemetry is disabled.
-    pub fn span(&self, name: impl Into<String>) -> SpanGuard {
+    #[inline]
+    pub fn span(&self, name: &'static str) -> SpanGuard {
         open_span(name, self.parent)
     }
 }
@@ -176,31 +155,31 @@ pub fn current_context() -> TraceContext {
     if !is_enabled() {
         return TraceContext::none();
     }
-    let parent = STACK.with(|stack| stack.borrow().last().map(|s| s.id).unwrap_or(0));
+    let parent = LOCAL.with(|local| local.borrow().open.last().map_or(0, |s| s.id));
     TraceContext { parent }
 }
 
 /// Opens a span. Returns an inert guard while telemetry is disabled.
-pub fn span(name: impl Into<String>) -> SpanGuard {
+#[inline]
+pub fn span(name: &'static str) -> SpanGuard {
     open_span(name, 0)
 }
 
-fn open_span(name: impl Into<String>, remote_parent: u64) -> SpanGuard {
+#[inline]
+fn open_span(name: &'static str, remote_parent: u64) -> SpanGuard {
     if !is_enabled() {
         return SpanGuard { depth: None };
     }
-    let depth = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let parent_id = stack.last().map(|s| s.id).unwrap_or(remote_parent);
-        stack.push(OpenSpan {
+    let depth = LOCAL.with(|local| {
+        let open = &mut local.borrow_mut().open;
+        let parent_id = open.last().map_or(remote_parent, |s| s.id);
+        open.push(Open {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             parent_id,
-            name: name.into(),
-            start: Instant::now(),
-            start_ns: origin_ns(),
-            children: Vec::new(),
+            name,
+            start_ns: clock_ns(),
         });
-        stack.len() - 1
+        open.len() - 1
     });
     SpanGuard { depth: Some(depth) }
 }
@@ -208,81 +187,78 @@ fn open_span(name: impl Into<String>, remote_parent: u64) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(depth) = self.depth else { return };
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Fold any still-open descendants (leaked guards) into their
-            // parents, innermost first, until this guard's span is on top.
-            while stack.len() > depth + 1 {
-                let leaked = stack.pop().expect("len checked").finish();
-                stack
-                    .last_mut()
-                    .expect("depth+1 remains")
-                    .children
-                    .push(leaked);
+        LOCAL.with(|local| {
+            let local = &mut *local.borrow_mut();
+            // A shorter stack means an outer guard already closed this span.
+            if local.open.len() <= depth {
+                return;
             }
-            if stack.len() == depth + 1 {
-                let record = stack.pop().expect("len checked").finish();
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(record),
-                    None => lock(&ROOTS).push(record),
-                }
+            // This span and any still-open descendants (leaked guards)
+            // close at the same instant.
+            let end_ns = clock_ns();
+            for open in local.open.drain(depth..).rev() {
+                local.closed.push(Closed {
+                    open,
+                    duration_ns: end_ns.saturating_sub(open.start_ns),
+                    thread: local.track,
+                });
             }
-            // stack.len() <= depth means an outer guard already folded this
-            // span away — nothing left to do.
+            if local.open.is_empty() {
+                lock(&CLOSED).append(&mut local.closed);
+            }
         });
     }
 }
 
-/// Depth-first search for the node with `id` across a forest.
-fn find_mut(forest: &mut [SpanRecord], id: u64) -> Option<&mut SpanRecord> {
-    for tree in forest {
-        if tree.id == id {
-            return Some(tree);
-        }
-        if let Some(found) = find_mut(&mut tree.children, id) {
-            return Some(found);
-        }
-    }
-    None
-}
-
-fn sort_children_by_id(forest: &mut [SpanRecord]) {
-    for tree in forest {
-        tree.children.sort_by_key(|c| c.id);
-        sort_children_by_id(&mut tree.children);
-    }
-}
-
-/// Clones the completed root subtrees recorded so far and stitches
-/// cross-thread parents: a subtree whose root carries a remote `parent_id`
-/// is attached under that node when it exists in the forest (ids are
-/// monotonic, so sorting roots by id places every parent before its remote
-/// children). Subtrees whose parent never completed stay roots. Children
-/// end up in id (= open) order, which for same-thread siblings coincides
-/// with the old completion order.
+/// Builds the completed span forest: entries sorted by id, each attached
+/// under the entry its `parent_id` names. Entries whose parent never closed
+/// (a true root, a context captured before a reset, or a spawning span
+/// still open) stay roots. Ids are allocated in open order and a parent
+/// always opens before its children, so children and roots come out in
+/// open order.
 pub(crate) fn snapshot_roots() -> Vec<SpanRecord> {
-    let mut pending = lock(&ROOTS).clone();
-    pending.sort_by_key(|r| r.id);
-    let mut forest: Vec<SpanRecord> = Vec::new();
-    for tree in pending {
-        if tree.parent_id != 0 {
-            if let Some(parent) = find_mut(&mut forest, tree.parent_id) {
-                parent.children.push(tree);
-                continue;
-            }
+    let mut entries = lock(&CLOSED).clone();
+    entries.sort_unstable_by_key(|e| e.open.id);
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
+    let mut roots = Vec::new();
+    for (i, entry) in entries.iter().enumerate() {
+        match entries.binary_search_by_key(&entry.open.parent_id, |e| e.open.id) {
+            Ok(parent) => children[parent].push(i),
+            Err(_) => roots.push(i),
         }
-        forest.push(tree);
     }
-    sort_children_by_id(&mut forest);
-    forest
+    fn record(i: usize, entries: &[Closed], children: &[Vec<usize>]) -> SpanRecord {
+        let Closed {
+            open,
+            duration_ns,
+            thread,
+        } = entries[i];
+        SpanRecord {
+            id: open.id,
+            parent_id: open.parent_id,
+            name: open.name.to_string(),
+            start_ns: open.start_ns,
+            duration_ns,
+            thread,
+            children: children[i]
+                .iter()
+                .map(|&child| record(child, entries, children))
+                .collect(),
+        }
+    }
+    roots
+        .into_iter()
+        .map(|i| record(i, &entries, &children))
+        .collect()
 }
 
 pub(crate) fn reset() {
-    lock(&ROOTS).clear();
-    STACK.with(|stack| stack.borrow_mut().clear());
-    // Restart ids for readable traces. Spans still open across a reset
-    // would alias new ids; the experiment harness resets only between runs.
-    NEXT_ID.store(1, Ordering::Relaxed);
+    lock(&CLOSED).clear();
+    LOCAL.with(|local| {
+        let mut local = local.borrow_mut();
+        local.open.clear();
+        local.closed.clear();
+    });
 }
 
 #[cfg(test)]
@@ -474,8 +450,11 @@ mod tests {
         assert_eq!(roots[0].children[0].name, "late-worker");
         // A context whose parent was never recorded (e.g. pruned by reset)
         // leaves the child a root instead of losing it.
+        let stale = {
+            let _pruned = span("pruned");
+            current_context()
+        };
         crate::reset();
-        let stale = TraceContext::with_parent(987_654);
         {
             let _orphan = stale.span("orphan");
         }

@@ -323,12 +323,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character.
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -433,6 +438,13 @@ mod tests {
         let json = to_string(&s.to_string()).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, s);
+        // Long ASCII runs that run into multibyte characters and end at
+        // escapes.
+        let ascii = "x".repeat(1000);
+        let long = format!("{ascii}é{ascii}\u{1F600}\n{ascii}\"{ascii}\\ü");
+        let json = to_string(&long).unwrap();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, long);
     }
 
     #[test]
