@@ -56,6 +56,19 @@ pub enum MatchVerdict {
 }
 
 impl MatchVerdict {
+    /// The verdict for `agreeing` of `compared` replayed examples (at least
+    /// one): all agreeing is Equivalent, none Disjoint, anything else
+    /// Overlapping.
+    pub fn from_counts(agreeing: usize, compared: usize) -> MatchVerdict {
+        if agreeing == compared {
+            MatchVerdict::Equivalent { compared }
+        } else if agreeing == 0 {
+            MatchVerdict::Disjoint { compared }
+        } else {
+            MatchVerdict::Overlapping { agreeing, compared }
+        }
+    }
+
     /// Whether the verdict suggests the candidate can replace the target in
     /// at least part of the target's domain.
     pub fn is_usable(&self) -> bool {
@@ -272,13 +285,7 @@ fn match_with(
             agreeing += 1;
         }
     }
-    Ok(if agreeing == compared {
-        MatchVerdict::Equivalent { compared }
-    } else if agreeing == 0 {
-        MatchVerdict::Disjoint { compared }
-    } else {
-        MatchVerdict::Overlapping { agreeing, compared }
-    })
+    Ok(MatchVerdict::from_counts(agreeing, compared))
 }
 
 /// Compares two live modules by generating *aligned* data examples for the

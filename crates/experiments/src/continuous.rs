@@ -373,7 +373,7 @@ impl ContinuousState {
             let (outcomes, summary) = repair_repository_with(
                 &single,
                 &self.pipeline.universe().catalog,
-                &study,
+                study,
                 &mini_corpus,
                 &self.pipeline.universe().ontology,
                 self.cfg.retry,

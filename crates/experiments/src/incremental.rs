@@ -16,7 +16,8 @@
 //! 2. **Blocking** — an incrementally maintained [`FingerprintIndex`]
 //!    (single-slot `insert`/`remove`, no rebuilds).
 //! 3. **Verdicts** — the sparse matrix of compared pairs, one row per
-//!    tracked slot holding `(candidate, outcome)` sorted by candidate. A
+//!    tracked slot holding 12-byte cells (candidate slot, agreeing and
+//!    compared counts) sorted by candidate. A
 //!    regenerated module whose examples changed re-matches its *row* only
 //!    (`(m, peer)`): under strict mapping a verdict reads the target's
 //!    examples and the candidate's behavior, never the candidate's own
@@ -68,18 +69,18 @@ pub struct IncrementalPipeline {
     /// `gen_sigs[i]` equals the signature recomputed against present state.
     gen_sigs: Vec<u64>,
     /// Stored outcomes of every comparable ordered pair among available
-    /// slots: `verdicts[t]` is target `t`'s row of `(candidate, outcome)`,
-    /// sorted by candidate. Comparability is symmetric, so `c` is in row
-    /// `t` exactly when `t` is in row `c`. The `MatchReport` wrapper is
-    /// reconstructed on demand: target and candidate ids are the key, and
-    /// the `examples` count is derived from the target's current report,
-    /// which by construction matches the report in force when the outcome
-    /// was computed.
-    verdicts: Vec<Vec<(usize, MatchOutcome)>>,
+    /// slots: `verdicts[t]` is target `t`'s row of [`Cell`]s, sorted by
+    /// candidate. Comparability is symmetric, so `c` is in row `t` exactly
+    /// when `t` is in row `c`. The `MatchReport` wrapper is reconstructed
+    /// on demand: target and candidate ids are the key, and the `examples`
+    /// count is derived from the target's current report, which by
+    /// construction matches the report in force when the outcome was
+    /// computed.
+    verdicts: Vec<Vec<Cell>>,
     cache: InvocationCache,
     /// Carried-forward substitute per withdrawn module, captured from its
     /// last-known row verdicts at withdrawal time.
-    substitutes: BTreeMap<ModuleId, LegacyMatch>,
+    substitutes: MatchingStudy,
 }
 
 impl IncrementalPipeline {
@@ -141,7 +142,7 @@ impl IncrementalPipeline {
             gen_sigs,
             verdicts: Vec::with_capacity(ids_len),
             cache,
-            substitutes: BTreeMap::new(),
+            substitutes: MatchingStudy::default(),
         };
         // Bucket member lists are kept ascending, so each row is born sorted
         // and allocated at its exact size.
@@ -149,7 +150,7 @@ impl IncrementalPipeline {
             let peers = engine.index.peers(t);
             let mut row = Vec::with_capacity(peers.len().saturating_sub(1));
             for &c in peers.iter().filter(|&&c| c != t) {
-                row.push((c, engine.pair_outcome(t, c, &retrier)));
+                row.push(Cell::new(c, &engine.pair_outcome(t, c, &retrier)));
             }
             engine.verdicts.push(row);
         }
@@ -362,9 +363,9 @@ impl IncrementalPipeline {
         for &i in to_withdrawn.iter().chain(&fp_changed) {
             let row = std::mem::take(&mut self.verdicts[i]);
             stats.dropped_pairs += row.len();
-            for (c, _) in row {
-                let peer_row = &mut self.verdicts[c];
-                if let Ok(pos) = peer_row.binary_search_by_key(&i, |&(p, _)| p) {
+            for cell in row {
+                let peer_row = &mut self.verdicts[cell.slot()];
+                if let Ok(pos) = peer_row.binary_search_by_key(&i, Cell::slot) {
                     peer_row.remove(pos);
                     stats.dropped_pairs += 1;
                 }
@@ -388,15 +389,15 @@ impl IncrementalPipeline {
                 }
             }
         }
-        let computed: Vec<((usize, usize), MatchOutcome)> = pairs
+        let computed: Vec<(usize, Cell)> = pairs
             .iter()
-            .map(|&(t, c)| ((t, c), self.pair_outcome(t, c, &retrier)))
+            .map(|&(t, c)| (t, Cell::new(c, &self.pair_outcome(t, c, &retrier))))
             .collect();
-        for ((t, c), outcome) in computed {
+        for (t, cell) in computed {
             let row = &mut self.verdicts[t];
-            match row.binary_search_by_key(&c, |&(p, _)| p) {
-                Ok(pos) => row[pos].1 = outcome,
-                Err(pos) => row.insert(pos, (c, outcome)),
+            match row.binary_search_by_key(&cell.slot(), Cell::slot) {
+                Ok(pos) => row[pos] = cell,
+                Err(pos) => row.insert(pos, cell),
             }
         }
 
@@ -449,17 +450,15 @@ impl IncrementalPipeline {
         let id = self.ids[i].clone();
         let mut best: Option<(ModuleId, MatchVerdict)> = None;
         let mut compared = 0usize;
-        for (c, outcome) in &self.verdicts[i] {
-            if let MatchOutcome::Verdict(v) = outcome {
-                compared += 1;
-                best = pick_better_substitute(best, (self.ids[*c].clone(), *v));
-            }
+        for (c, v) in self.verdicts[i].iter().filter_map(Cell::slot_verdict) {
+            compared += 1;
+            best = pick_better_substitute(best, (self.ids[c].clone(), v));
         }
         let examples = match self.reports[i].as_ref() {
             Ok(report) => report.examples.len(),
             Err(_) => 0,
         };
-        self.substitutes.insert(
+        self.substitutes.matches.insert(
             id.clone(),
             LegacyMatch {
                 module: id,
@@ -502,9 +501,11 @@ impl IncrementalPipeline {
 
     /// Materializes the dense matching matrix over the currently available
     /// modules — byte-identical to a dense `match_pairs` over the present
-    /// state. Compared pairs come from the maintained verdict store;
-    /// fingerprint-pruned pairs go through [`pair_outcome`], which fails
-    /// their strict mapping before invoking anything.
+    /// state. Verdicts come from the maintained verdict store. Every other
+    /// pair goes through [`pair_outcome`], which reaches its reason before
+    /// invoking anything: fingerprint-pruned pairs fail their strict
+    /// mapping, and a stored incomparable cell failed on the target's
+    /// generation error, its strict mapping or an empty example set.
     pub fn matrix(&self) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
         let slots: Vec<usize> = (0..self.ids.len()).filter(|&i| self.available[i]).collect();
         let retrier = Retrier::new(self.config.retry);
@@ -518,14 +519,18 @@ impl IncrementalPipeline {
                 if t == c {
                     continue;
                 }
-                let outcome = if self.index.is_comparable(t, c) {
+                let stored = if self.index.is_comparable(t, c) {
                     let row = &self.verdicts[t];
                     let pos = row
-                        .binary_search_by_key(&c, |&(p, _)| p)
+                        .binary_search_by_key(&c, Cell::slot)
                         .expect("comparable pairs are maintained");
-                    row[pos].1.clone()
+                    row[pos].verdict()
                 } else {
-                    self.pair_outcome(t, c, &retrier)
+                    None
+                };
+                let outcome = match stored {
+                    Some(verdict) => MatchOutcome::Verdict(verdict),
+                    None => self.pair_outcome(t, c, &retrier),
                 };
                 out.insert(
                     (self.ids[t].clone(), self.ids[c].clone()),
@@ -544,14 +549,14 @@ impl IncrementalPipeline {
     /// The carried-forward substitute for a withdrawn tracked module, if
     /// its last-known row held a usable verdict.
     pub fn substitute_for(&self, id: &ModuleId) -> Option<&(ModuleId, MatchVerdict)> {
-        self.substitutes.get(id).and_then(|m| m.best.as_ref())
+        self.substitutes.substitute_for(id)
     }
 
     /// The repair-layer view of every withdrawal seen so far: a
-    /// [`MatchingStudy`] assembled from carried-forward verdicts, zero
-    /// replay invocations.
-    pub fn matching_study(&self) -> MatchingStudy {
-        MatchingStudy::from_carried(self.substitutes.values().cloned())
+    /// [`MatchingStudy`] of carried-forward verdicts, zero replay
+    /// invocations.
+    pub fn matching_study(&self) -> &MatchingStudy {
+        &self.substitutes
     }
 
     /// The engine's warm invocation cache (shared across bootstrap and
@@ -590,7 +595,7 @@ impl IncrementalPipeline {
     pub fn substitutes(&self, id: &ModuleId) -> Option<SubstituteAnswer> {
         let &i = self.slot_of.get(id)?;
         if !self.available[i] {
-            let carried = self.substitutes.get(id)?;
+            let carried = self.substitutes.matches.get(id)?;
             return Some(SubstituteAnswer {
                 module: id.clone(),
                 available: false,
@@ -600,12 +605,10 @@ impl IncrementalPipeline {
         }
         let mut compared = 0usize;
         let mut ranked: Vec<(ModuleId, MatchVerdict)> = Vec::new();
-        for (c, outcome) in &self.verdicts[i] {
-            if let MatchOutcome::Verdict(v) = outcome {
-                compared += 1;
-                if v.is_usable() {
-                    ranked.push((self.ids[*c].clone(), *v));
-                }
+        for (c, v) in self.verdicts[i].iter().filter_map(Cell::slot_verdict) {
+            compared += 1;
+            if v.is_usable() {
+                ranked.push((self.ids[c].clone(), v));
             }
         }
         // Descending study rank; ties break toward the smaller id, which is
@@ -623,6 +626,53 @@ impl IncrementalPipeline {
             candidates_compared: compared,
             ranked,
         })
+    }
+}
+
+/// One stored pair of a verdict row: the candidate's slot and the
+/// verdict's two counts, from which [`MatchVerdict::from_counts`] recovers
+/// the kind. `compared == 0` marks an incomparable pair; such a pair failed
+/// before any invocation, so its reason is recomputed on demand rather
+/// than stored.
+#[derive(Clone, Copy)]
+struct Cell {
+    slot: u32,
+    agreeing: u32,
+    compared: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Cell>() <= 12);
+
+impl Cell {
+    fn new(slot: usize, outcome: &MatchOutcome) -> Cell {
+        let (agreeing, compared) = match outcome {
+            MatchOutcome::Verdict(MatchVerdict::Equivalent { compared }) => (*compared, *compared),
+            MatchOutcome::Verdict(MatchVerdict::Overlapping { agreeing, compared }) => {
+                (*agreeing, *compared)
+            }
+            MatchOutcome::Verdict(MatchVerdict::Disjoint { compared }) => (0, *compared),
+            MatchOutcome::Incomparable(_) => (0, 0),
+        };
+        let count = |n: usize| u32::try_from(n).expect("example counts fit in u32");
+        Cell {
+            slot: u32::try_from(slot).expect("tracked slots fit in u32"),
+            agreeing: count(agreeing),
+            compared: count(compared),
+        }
+    }
+
+    fn slot(&self) -> usize {
+        self.slot as usize
+    }
+
+    /// The stored verdict, or `None` for an incomparable pair.
+    fn verdict(&self) -> Option<MatchVerdict> {
+        (self.compared > 0)
+            .then(|| MatchVerdict::from_counts(self.agreeing as usize, self.compared as usize))
+    }
+
+    fn slot_verdict(&self) -> Option<(usize, MatchVerdict)> {
+        Some((self.slot(), self.verdict()?))
     }
 }
 

@@ -6,7 +6,7 @@
 //! property pins the same equivalence with seeded transient faults
 //! injected into every module, riding on the retry layer to converge.
 
-use dex_core::{GenerationConfig, MatchReport, MatchSession, PartitionFingerprint};
+use dex_core::{GenerationConfig, MatchOutcome, MatchReport, MatchSession, PartitionFingerprint};
 use dex_experiments::parallel::{generate_fleet, match_pairs, PairOutput};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
@@ -93,9 +93,7 @@ fn mini_world(
     reject_pct: u64,
     faults: Option<(u64, u32)>,
 ) -> (Universe, InstancePool) {
-    let ontology = dex_ontology::mygrid::ontology();
-    let mut catalog = dex_modules::ModuleCatalog::new();
-    for slot in 0..MODULES {
+    world_of((0..MODULES).map(|slot| {
         let inputs = shape_for(slot, shape_salt);
         let module = mini_module(
             slot,
@@ -116,7 +114,16 @@ fn mini_world(
                 },
             )),
         };
-        catalog.register(shared);
+        shared
+    }))
+}
+
+/// `modules` over the mygrid ontology, plus a depth-3 synthetic pool.
+fn world_of(modules: impl Iterator<Item = SharedModule>) -> (Universe, InstancePool) {
+    let ontology = dex_ontology::mygrid::ontology();
+    let mut catalog = dex_modules::ModuleCatalog::new();
+    for module in modules {
+        catalog.register(module);
     }
     let pool = build_synthetic_pool(&ontology, 3, 7);
     let universe = Universe {
@@ -342,6 +349,63 @@ fn check_equivalence(
             assert!(v.is_usable());
         }
     }
+}
+
+/// Stored incomparable cells whose reason is the target's generation error.
+/// Slots 0–2 share one interface, `BiologicalSequence × AlgorithmName`,
+/// whose partition product exceeds a cap of one combination, so each of
+/// their pairs is stored without a verdict; slots 3 and 4 take a leaf
+/// concept and compare. The batch grows a partition under the shared input
+/// (so the error string itself changes) and withdraws slot 1.
+#[test]
+fn stored_generation_errors_render_as_in_a_cold_run() {
+    let config = GenerationConfig {
+        max_combinations: 1,
+        ..GenerationConfig::default()
+    };
+    let shapes: [&[usize]; 5] = [&[0, 4], &[0, 4], &[0, 4], &[1], &[1]];
+    let world = || {
+        world_of(shapes.iter().enumerate().map(|(slot, inputs)| {
+            Arc::new(mini_module(slot, inputs, slot as u64, 0)) as SharedModule
+        }))
+    };
+    let (universe, pool) = world();
+    let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
+    let id = |slot: usize| ModuleId::from(format!("inc:m{slot}"));
+    let reason = |matrix: &BTreeMap<(ModuleId, ModuleId), MatchReport>| match &matrix
+        [&(id(0), id(2))]
+        .outcome
+    {
+        MatchOutcome::Incomparable(reason) => reason.clone(),
+        other => panic!("expected a generation error, got {other:?}"),
+    };
+    let before = reason(&engine.matrix());
+    assert!(before.contains("above the cap of 1"), "{before}");
+
+    let batch = [
+        Delta::OntologyEdgeAdd {
+            parent: "BiologicalSequence".to_string(),
+            child: "GrownSequence".to_string(),
+        },
+        Delta::ModuleWithdraw { id: id(1) },
+    ];
+    engine.apply(&batch);
+    let (mut cold_u, mut cold_p) = world();
+    replay_cold(&mut cold_u, &mut cold_p, &batch);
+    let session = MatchSession::new(&cold_u.ontology, &cold_p, config.clone());
+    let ids = cold_u.available_ids();
+    let cold = match_pairs(&session, &cold_u, &ids, PairOutput::Dense).reports;
+    let matrix = engine.matrix();
+    assert_eq!(matrix, cold);
+    assert_ne!(reason(&matrix), before, "the batch must change the error");
+
+    for slot in [0, 2] {
+        let answer = engine.substitutes(&id(slot)).expect("tracked");
+        assert_eq!(answer.candidates_compared, 0, "slot {slot}");
+        assert!(answer.ranked.is_empty(), "slot {slot}");
+    }
+    let leaf = engine.substitutes(&id(3)).expect("tracked");
+    assert_eq!(leaf.candidates_compared, 1);
 }
 
 /// A pool insert appended behind every dependent module's candidate-probe

@@ -70,18 +70,6 @@ impl MatchingStudy {
     pub fn substitute_for(&self, legacy: &ModuleId) -> Option<&(ModuleId, MatchVerdict)> {
         self.matches.get(legacy).and_then(|m| m.best.as_ref())
     }
-
-    /// Assembles a study from per-legacy outcomes computed elsewhere —
-    /// the incremental layer feeds this with verdicts *carried forward*
-    /// from its maintained matching matrix at withdrawal time, so the
-    /// substitute search costs zero replay invocations. Retry accounting
-    /// stays zero: no invocations happened on this path.
-    pub fn from_carried(matches: impl IntoIterator<Item = LegacyMatch>) -> MatchingStudy {
-        MatchingStudy {
-            matches: matches.into_iter().map(|m| (m.module.clone(), m)).collect(),
-            retry: RetryStats::default(),
-        }
-    }
 }
 
 /// Runs the study: for every withdrawn module of `catalog`, reconstruct its

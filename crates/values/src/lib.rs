@@ -10,7 +10,8 @@
 //!
 //! * [`StructuralType`] — the grounding of a parameter.
 //! * [`Value`] — a concrete instance flowing through modules, workflows,
-//!   provenance traces, instance pools and data examples.
+//!   provenance traces, instance pools and data examples. Text is
+//!   reference-counted, so a clone shares its bytes instead of copying them.
 //! * [`formats`] — parsers/printers/validators for the life-science text
 //!   formats the simulated modules exchange. Shim modules (format
 //!   transformation, the paper's biggest category) are literally format

@@ -3,6 +3,7 @@
 use crate::structural::StructuralType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A concrete data value: the `ins` of the paper's `⟨i, insᵢ⟩` pairs.
 ///
@@ -12,13 +13,17 @@ use std::fmt;
 /// (two NaNs with the same bits are equal), which gives us a lawful `Eq`
 /// without banning floats — module output comparison in the matcher (§6)
 /// relies on this.
+///
+/// Text is reference-counted: a clone shares its bytes with the original,
+/// so the data examples, invocation-cache keys and aligned replays that
+/// reuse one pool value each hold a pointer to it, not a copy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// Absent / optional value ("some of the input parameters may be
     /// associated with null (or default) values", §2).
     Null,
     /// UTF-8 text, including every flat-file format.
-    Text(String),
+    Text(Arc<str>),
     Integer(i64),
     Float(f64),
     Boolean(bool),
@@ -64,7 +69,7 @@ impl std::hash::Hash for Value {
 
 impl Value {
     /// Builds a text value.
-    pub fn text(s: impl Into<String>) -> Self {
+    pub fn text(s: impl Into<Arc<str>>) -> Self {
         Value::Text(s.into())
     }
 
@@ -207,13 +212,13 @@ impl fmt::Display for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Text(s.to_string())
+        Value::Text(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Text(s)
+        Value::Text(s.into())
     }
 }
 
@@ -258,6 +263,31 @@ mod tests {
         assert_ne!(Value::Integer(1), Value::Float(1.0));
         assert_ne!(Value::Text("1".into()), Value::Integer(1));
         assert_eq!(Value::Null, Value::Null);
+    }
+
+    #[test]
+    fn cloned_text_shares_its_bytes() {
+        let v = Value::text("MKVLAAGIVALLLA");
+        let copy = v.clone();
+        assert_eq!(
+            v.as_text().map(str::as_ptr),
+            copy.as_text().map(str::as_ptr)
+        );
+        // A text value is a 16-byte `Arc<str>`, so the enum fits beside the
+        // list variant's 24 bytes.
+        assert!(std::mem::size_of::<Value>() <= 24);
+    }
+
+    /// `FaultPlan` decisions are keyed on value hashes, so a text value
+    /// hashes exactly as its discriminant followed by the `String` did.
+    #[test]
+    fn text_hash_is_discriminant_then_string() {
+        for s in ["", "P12345", "ACGT\nTTGA", "é\u{1F600}"] {
+            let mut h = DefaultHasher::new();
+            core::mem::discriminant(&Value::text(s)).hash(&mut h);
+            String::from(s).hash(&mut h);
+            assert_eq!(hash_of(&Value::text(s)), h.finish(), "{s:?}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! are re-exported from the `serde_derive` shim and target these traits.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -229,6 +230,20 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_content(&self) -> Content {
         Content::Str(self.to_string())
+    }
+}
+
+impl Serialize for Arc<str> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        c.as_str()
+            .map(Arc::from)
+            .ok_or_else(|| DeError::custom(format!("expected string, got {}", c.kind())))
     }
 }
 

@@ -448,6 +448,16 @@ mod tests {
     }
 
     #[test]
+    fn shared_str_round_trips() {
+        let s: std::sync::Arc<str> = "a\"b\\c\nd\té\u{1F600}\u{7}ü".into();
+        let json = to_string(&s).unwrap();
+        assert_eq!(json, to_string(&s.to_string()).unwrap());
+        let back: std::sync::Arc<str> = from_str(&json).unwrap();
+        assert_eq!(back, s);
+        assert!(from_str::<std::sync::Arc<str>>("1").is_err());
+    }
+
+    #[test]
     fn surrogate_pair_escape_parses() {
         let back: String = from_str(r#""😀""#).unwrap();
         assert_eq!(back, "\u{1F600}");
