@@ -193,24 +193,25 @@ fn resolve_candidates<'p>(
 /// every delta touching a referenced concept does. Total: planning errors
 /// are folded into the digest rather than returned, so the signature is
 /// defined for every module.
+///
+/// Each pick is folded as an explicit byte encoding, with no formatting
+/// and no allocation: a tag byte (`0` for no pick, then one per [`Value`]
+/// variant: `1` null, `2` text, `3` integer, `4` float, `5` boolean, `6`
+/// list), then the payload. Text is its byte length as a little-endian
+/// `u64`, then its UTF-8 bytes; integers and float bit patterns are eight
+/// little-endian bytes; a boolean is one byte; a list is its length, then
+/// each element encoded the same way. Every item is either fixed-width or
+/// length-framed, so the encoding is prefix-free and two different pick
+/// sequences never fold the same bytes. It is spelled out here rather than
+/// taken from `Value`'s `Hash`, which hashes `mem::discriminant` and
+/// whatever `Hasher` it is given, so a signature stays the same across
+/// builds and can be persisted.
 pub fn generation_signature(
     descriptor: &dex_modules::ModuleDescriptor,
     ontology: &Ontology,
     pool: &InstancePool,
     config: &GenerationConfig,
 ) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    fn fold(hash: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        // Length-prefix framing so concatenations cannot collide.
-        *hash ^= bytes.len() as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-
     let mut hash = FNV_OFFSET;
     let plan = match input_partition_plan(descriptor, ontology) {
         Ok(plan) => plan,
@@ -235,8 +236,8 @@ pub fn generation_signature(
             fold(&mut hash, partition.concept.as_bytes());
             for pick in &partition.picks {
                 match pick {
-                    Some(value) => fold(&mut hash, format!("{value:?}").as_bytes()),
-                    None => fold(&mut hash, b"\0none"),
+                    Some(value) => mix_value(&mut hash, value),
+                    None => mix(&mut hash, &[0]),
                 }
             }
         }
@@ -247,6 +248,52 @@ pub fn generation_signature(
         fold(&mut hash, concept.as_bytes());
     }
     hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// FNV-1a over `bytes`.
+fn mix(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// `mix`, then the length, so concatenations cannot collide.
+fn fold(hash: &mut u64, bytes: &[u8]) {
+    mix(hash, bytes);
+    *hash ^= bytes.len() as u64;
+    *hash = hash.wrapping_mul(FNV_PRIME);
+}
+
+/// Mixes one pool pick in the encoding `generation_signature` documents.
+fn mix_value(hash: &mut u64, value: &Value) {
+    match value {
+        Value::Null => mix(hash, &[1]),
+        Value::Text(s) => {
+            mix(hash, &[2]);
+            mix(hash, &(s.len() as u64).to_le_bytes());
+            mix(hash, s.as_bytes());
+        }
+        Value::Integer(i) => {
+            mix(hash, &[3]);
+            mix(hash, &i.to_le_bytes());
+        }
+        Value::Float(f) => {
+            mix(hash, &[4]);
+            mix(hash, &f.to_bits().to_le_bytes());
+        }
+        Value::Boolean(b) => mix(hash, &[5, u8::from(*b)]),
+        Value::List(items) => {
+            mix(hash, &[6]);
+            mix(hash, &(items.len() as u64).to_le_bytes());
+            for item in items {
+                mix_value(hash, item);
+            }
+        }
+    }
 }
 
 /// One combination's planned invocations: which attempts actually need an
@@ -813,5 +860,48 @@ mod tests {
             generate_examples(&m, &onto, &pool, &GenerationConfig::default()),
             Err(GenerationError::UnknownConcept { .. })
         ));
+    }
+
+    /// The pick encoding is pinned, so a persisted signature reads the same
+    /// in a later build; the expected digests were computed apart from this
+    /// code, from the encoding `generation_signature` documents. The same
+    /// payload under different variants folds differently, and so do a text
+    /// and its split, or a list and its elements.
+    #[test]
+    fn pick_encoding_is_pinned_and_prefix_free() {
+        let digest = |values: &[Value]| {
+            let mut hash = FNV_OFFSET;
+            for value in values {
+                mix_value(&mut hash, value);
+            }
+            hash
+        };
+        let singles = [
+            Value::Null,
+            Value::text("1"),
+            Value::Integer(1),
+            Value::Float(1.0),
+            Value::Boolean(true),
+            Value::List(vec![Value::text("1")]),
+        ];
+        let digests: Vec<u64> = singles
+            .iter()
+            .map(|v| digest(std::slice::from_ref(v)))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0xaf63_bc4c_8601_b62c,
+                0x07b3_2575_92fc_914f,
+                0x9869_9ea0_c41a_69f3,
+                0x9a44_69c3_d3c3_dd0a,
+                0x0821_8b07_b4dd_01d3,
+                0xc5e3_105e_db90_7afa,
+            ]
+        );
+        let (a, b) = (Value::text("a"), Value::text("b"));
+        let split = digest(&[a.clone(), b.clone()]);
+        assert_ne!(digest(&[Value::text("ab")]), split);
+        assert_ne!(digest(&[Value::List(vec![a, b])]), split);
     }
 }

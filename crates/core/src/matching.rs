@@ -1,7 +1,7 @@
 //! Comparing module behavior through aligned data examples (paper §6).
 
 use crate::error::GenerationError;
-use crate::example::ExampleSet;
+use crate::example::{DataExample, ExampleSet};
 use crate::generate::{
     generate_examples, generate_examples_retrying, GenerationConfig, GenerationReport,
 };
@@ -208,6 +208,7 @@ pub fn match_against_examples(
         target,
         examples,
         candidate,
+        None,
         ontology,
         mode,
         None,
@@ -224,6 +225,11 @@ pub fn match_against_examples(
 /// behavioral disagreement — a flaky candidate must not look behaviorally
 /// different from a healthy one. Permanent errors still count as
 /// disagreements immediately; pass [`Retrier::none`] for no retries.
+///
+/// Every example is replayed through the cache here, aligned or not. The
+/// incremental engine instead answers an aligned replay from the
+/// candidate's own example on the same inputs, without a lookup (see
+/// [`pair_outcome`]).
 pub fn match_against_examples_retrying(
     target: &ModuleDescriptor,
     examples: &ExampleSet,
@@ -237,6 +243,7 @@ pub fn match_against_examples_retrying(
         target,
         examples,
         candidate,
+        None,
         ontology,
         mode,
         Some(cache),
@@ -244,10 +251,16 @@ pub fn match_against_examples_retrying(
     )
 }
 
+/// Replays `examples` against `candidate`. With `own`, the candidate's own
+/// examples, a target example whose mapped inputs equal those of one of
+/// `own` is decided by that example's outputs instead of by a replay (the
+/// §6 join); see [`pair_outcome`] for when that is sound.
+#[allow(clippy::too_many_arguments)]
 fn match_with(
     target: &ModuleDescriptor,
     examples: &ExampleSet,
     candidate: &dyn BlackBox,
+    own: Option<&ExampleSet>,
     ontology: &Ontology,
     mode: MappingMode,
     cache: Option<&InvocationCache>,
@@ -263,29 +276,49 @@ fn match_with(
     let mut agreeing = 0usize;
     for example in examples.iter() {
         compared += 1;
-        // Build the candidate's input vector.
-        let mut inputs: Vec<Value> = vec![Value::Null; candidate.descriptor().inputs.len()];
-        for (t_idx, &c_idx) in mapping.inputs.iter().enumerate() {
-            inputs[c_idx] = example.inputs[t_idx].value.clone();
-        }
-        let all_equal = |outputs: &[Value]| {
+        // The §6 join: the candidate's own example on exactly these inputs.
+        let aligned = own.into_iter().flat_map(ExampleSet::iter).find(|mine| {
             mapping
-                .outputs
+                .inputs
                 .iter()
                 .enumerate()
-                .all(|(t_idx, &c_idx)| outputs[c_idx] == example.outputs[t_idx].value)
+                .all(|(t_idx, &c_idx)| mine.inputs[c_idx].value == example.inputs[t_idx].value)
+        });
+        let agreed = match aligned {
+            Some(mine) => outputs_agree(&mapping, example, |c_idx| &mine.outputs[c_idx].value),
+            None => {
+                // Build the candidate's input vector.
+                let mut inputs: Vec<Value> = vec![Value::Null; candidate.descriptor().inputs.len()];
+                for (t_idx, &c_idx) in mapping.inputs.iter().enumerate() {
+                    inputs[c_idx] = example.inputs[t_idx].value.clone();
+                }
+                // A failed invocation on inputs the target handled is a
+                // behavioral disagreement on that example.
+                matches!(
+                    retrier.invoke(candidate, &inputs, cache).as_ref(),
+                    Ok(outputs) if outputs_agree(&mapping, example, |c_idx| &outputs[c_idx])
+                )
+            }
         };
-        // A failed invocation on inputs the target handled is a behavioral
-        // disagreement on that example.
-        let agreed = matches!(
-            retrier.invoke(candidate, &inputs, cache).as_ref(),
-            Ok(outputs) if all_equal(outputs)
-        );
         if agreed {
             agreeing += 1;
         }
     }
     Ok(MatchVerdict::from_counts(agreeing, compared))
+}
+
+/// Whether the candidate's outputs, `output(c_idx)` for its output `c_idx`,
+/// equal the target `example`'s recorded outputs at every mapped position.
+fn outputs_agree<'v>(
+    mapping: &ParamMapping,
+    example: &DataExample,
+    output: impl Fn(usize) -> &'v Value,
+) -> bool {
+    mapping
+        .outputs
+        .iter()
+        .enumerate()
+        .all(|(t_idx, &c_idx)| *output(c_idx) == example.outputs[t_idx].value)
 }
 
 /// Compares two live modules by generating *aligned* data examples for the
@@ -342,23 +375,38 @@ impl From<Result<MatchVerdict, GenerationError>> for MatchOutcome {
 /// [`PartitionFingerprint`]s are incompatible costs no invocation here —
 /// which is what lets blocking materialize pruned pairs through this same
 /// function. Records no telemetry.
+///
+/// `own` is the candidate's own example set, or `None` to replay every
+/// target example. With it, a target example whose mapped input values
+/// equal those of one of the candidate's examples is decided by that
+/// example's outputs, compared at the mapped output positions, and only the
+/// others are replayed through `cache` (the §6 join of aligned examples).
+///
+/// **Precondition:** `own` must have been generated through this same
+/// `cache`. The cache memoizes every success and never evicts, so an
+/// aligned example's outputs are exactly what a replay would read back as
+/// a hit: the join skips only lookups that would have hit, never a miss.
+/// The verdict, the module invocations, the retries and any fault-injection
+/// ticks are the same as with `None`; only the cache's hit count falls.
 pub fn pair_outcome(
     target: &ModuleDescriptor,
     generation: &Result<GenerationReport, GenerationError>,
     candidate: &dyn BlackBox,
+    own: Option<&ExampleSet>,
     ontology: &Ontology,
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> MatchOutcome {
     match generation {
         Err(e) => MatchOutcome::Incomparable(e.to_string()),
-        Ok(report) => match_against_examples_retrying(
+        Ok(report) => match_with(
             target,
             &report.examples,
             candidate,
+            own,
             ontology,
             MappingMode::Strict,
-            cache,
+            Some(cache),
             retrier,
         )
         .into(),
@@ -852,6 +900,7 @@ impl<'a> MatchSession<'a> {
             target.descriptor(),
             report,
             candidate,
+            None,
             self.ontology,
             &self.invocations,
             &self.retrier,

@@ -17,13 +17,19 @@
 //!    (single-slot `insert`/`remove`, no rebuilds).
 //! 3. **Verdicts** — the sparse matrix of compared pairs, one row per
 //!    tracked slot holding 12-byte cells (candidate slot, agreeing and
-//!    compared counts) sorted by candidate. A
-//!    regenerated module whose examples changed re-matches its *row* only
-//!    (`(m, peer)`): under strict mapping a verdict reads the target's
-//!    examples and the candidate's behavior, never the candidate's own
-//!    examples, so columns `(peer, m)` carry forward untouched. A module
-//!    whose *fingerprint* changed migrates buckets: its old pairs are
-//!    dropped and its new bucket's rows and columns are computed fresh.
+//!    compared counts) sorted by candidate. Each pair goes through
+//!    [`pair_outcome`] with the candidate's stored examples: a target
+//!    example on the same inputs as one of them is decided by that
+//!    example's outputs, and only the rest are replayed through the warm
+//!    cache. A candidate's example is read only as a record of its
+//!    deterministic behavior on those exact inputs, which is what a replay
+//!    would read back from the cache, so a verdict still depends on the
+//!    target's examples and the candidate's behavior alone. A regenerated
+//!    module whose examples changed therefore re-matches its *row* only
+//!    (`(m, peer)`), and columns `(peer, m)` carry forward untouched. A
+//!    module whose *fingerprint* changed migrates buckets: its old pairs
+//!    are dropped and its new bucket's rows and columns are computed
+//!    fresh.
 //!
 //! Withdrawn modules are left stale on purpose: their reports and
 //! signatures are frozen at withdrawal (the catalog keeps descriptors but
@@ -42,7 +48,7 @@ use dex_core::{
     generate_examples_retrying, generation_signature, CachedGeneration, FingerprintIndex,
     GenerationConfig, GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
-use dex_modules::{InvocationCache, ModuleId, Retrier};
+use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, SharedModule};
 use dex_pool::InstancePool;
 use dex_repair::{pick_better_substitute, LegacyMatch, MatchingStudy};
 use dex_universe::Universe;
@@ -55,10 +61,9 @@ pub struct IncrementalPipeline {
     pool: InstancePool,
     config: GenerationConfig,
     /// The modules tracked by this engine: the universe's available modern
-    /// modules at bootstrap, in sorted id order. Deltas may only reference
-    /// these.
+    /// modules at bootstrap, in sorted id order, so a module's slot is its
+    /// `binary_search` position. Deltas may only reference these.
     ids: Vec<ModuleId>,
-    slot_of: BTreeMap<ModuleId, usize>,
     /// Current availability per slot (kept in sync with the catalog).
     available: Vec<bool>,
     deps: DependencyIndex,
@@ -94,18 +99,17 @@ impl IncrementalPipeline {
     ) -> IncrementalPipeline {
         let _span = dex_telemetry::span("incremental.bootstrap");
         let ids = universe.available_ids();
-        let slot_of: BTreeMap<ModuleId, usize> = ids
+        // Each slot's handle, resolved once for generation and the fill.
+        let modules: Vec<SharedModule> = ids
             .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), i))
+            .map(|id| Arc::clone(universe.catalog.get(id).expect("bootstrap id is available")))
             .collect();
         let cache = InvocationCache::new();
         let retrier = Retrier::new(config.retry);
         let mut deps = DependencyIndex::new();
         let mut reports = Vec::with_capacity(ids.len());
         let mut gen_sigs = Vec::with_capacity(ids.len());
-        for (i, id) in ids.iter().enumerate() {
-            let module = universe.catalog.get(id).expect("bootstrap id is available");
+        for (i, module) in modules.iter().enumerate() {
             deps.set_module(i, module.descriptor(), &universe.ontology);
             gen_sigs.push(generation_signature(
                 module.descriptor(),
@@ -123,8 +127,7 @@ impl IncrementalPipeline {
             )));
         }
         let index = FingerprintIndex::build(
-            ids.iter()
-                .map(|id| universe.catalog.get(id).map(|m| m.descriptor())),
+            modules.iter().map(|m| Some(m.descriptor())),
             &universe.ontology,
         );
         let ids_len = ids.len();
@@ -134,7 +137,6 @@ impl IncrementalPipeline {
             pool,
             config,
             ids,
-            slot_of,
             available,
             deps,
             index,
@@ -150,7 +152,8 @@ impl IncrementalPipeline {
             let peers = engine.index.peers(t);
             let mut row = Vec::with_capacity(peers.len().saturating_sub(1));
             for &c in peers.iter().filter(|&&c| c != t) {
-                row.push(Cell::new(c, &engine.pair_outcome(t, c, &retrier)));
+                let outcome = engine.outcome(t, &*modules[t], c, &*modules[c], &retrier);
+                row.push(Cell::new(c, &outcome));
             }
             engine.verdicts.push(row);
         }
@@ -296,7 +299,8 @@ impl IncrementalPipeline {
         // whose frozen reports may have gone stale while withdrawn) are
         // regenerated only if their signature really changed.
         dirty_candidates.extend(plan_dirty.iter().copied());
-        let mut regen: BTreeSet<usize> = BTreeSet::new();
+        // Slot → its new signature, for each slot to regenerate.
+        let mut regen: BTreeMap<usize, u64> = BTreeMap::new();
         for &i in dirty_candidates.iter().chain(to_restored.iter()) {
             if !self.available[i] {
                 continue;
@@ -314,23 +318,17 @@ impl IncrementalPipeline {
                 &self.config,
             );
             if sig != self.gen_sigs[i] {
-                regen.insert(i);
+                regen.insert(i, sig);
             }
         }
         let regenerated: Vec<(usize, u64, CachedGeneration)> = regen
             .iter()
-            .map(|&i| {
+            .map(|(&i, &sig)| {
                 let module = self
                     .universe
                     .catalog
                     .get(&self.ids[i])
                     .expect("regeneration targets available modules");
-                let sig = generation_signature(
-                    module.descriptor(),
-                    &self.universe.ontology,
-                    &self.pool,
-                    &self.config,
-                );
                 let report = Arc::new(generate_examples_retrying(
                     module.as_ref(),
                     &self.universe.ontology,
@@ -355,11 +353,11 @@ impl IncrementalPipeline {
         // (withdrawn, or migrated to a different fingerprint) lose every
         // stored pair; migrated and restored slots then recompute rows and
         // columns against their current bucket, while examples-changed
-        // slots recompute rows only (strict-mapping verdicts never read the
-        // candidate's examples). A vacated slot's row names every peer
-        // whose row holds it, so the drop touches only those rows; when two
-        // vacated slots share a bucket, the second finds the first's row
-        // already empty and the pair is counted once.
+        // slots recompute rows only (a verdict reads the candidate's
+        // examples only as a record of its behavior). A vacated slot's row
+        // names every peer whose row holds it, so the drop touches only
+        // those rows; when two vacated slots share a bucket, the second
+        // finds the first's row already empty and the pair is counted once.
         for &i in to_withdrawn.iter().chain(&fp_changed) {
             let row = std::mem::take(&mut self.verdicts[i]);
             stats.dropped_pairs += row.len();
@@ -411,22 +409,26 @@ impl IncrementalPipeline {
                 stats.cells_total += self.deps.cells(i);
             }
         }
-        for &i in &regen {
+        for &i in regen.keys() {
             stats.cells_dirty += self.deps.cells(i);
         }
         stats.publish_telemetry();
         stats
     }
 
+    /// The slot of a tracked module.
+    fn slot(&self, id: &ModuleId) -> Option<usize> {
+        self.ids.binary_search(id).ok()
+    }
+
     fn require_tracked(&self, id: &ModuleId) {
         assert!(
-            self.slot_of.contains_key(id),
+            self.slot(id).is_some(),
             "delta references `{id}`, which was not tracked at bootstrap"
         );
     }
 
-    /// One pair's outcome by [`pair_outcome`], over the engine's stored
-    /// target report and warm invocation cache.
+    /// One pair's outcome, resolving both slots' handles in the catalog.
     fn pair_outcome(&self, t: usize, c: usize, retrier: &Retrier) -> MatchOutcome {
         let module = |i: usize| {
             self.universe
@@ -434,10 +436,31 @@ impl IncrementalPipeline {
                 .get(&self.ids[i])
                 .expect("matched pairs are available")
         };
+        self.outcome(t, module(t).as_ref(), c, module(c).as_ref(), retrier)
+    }
+
+    /// One pair's outcome by [`pair_outcome`], over the engine's stored
+    /// reports and warm invocation cache. The candidate's stored examples
+    /// answer the target examples aligned with them; the engine generated
+    /// every report through `self.cache`, which is the precondition
+    /// [`pair_outcome`] states for that.
+    fn outcome(
+        &self,
+        t: usize,
+        target: &dyn BlackBox,
+        c: usize,
+        candidate: &dyn BlackBox,
+        retrier: &Retrier,
+    ) -> MatchOutcome {
+        let own = match self.reports[c].as_ref() {
+            Ok(report) => Some(&report.examples),
+            Err(_) => None,
+        };
         pair_outcome(
-            module(t).descriptor(),
+            target.descriptor(),
             &self.reports[t],
-            module(c).as_ref(),
+            candidate,
+            own,
             &self.universe.ontology,
             &self.cache,
             retrier,
@@ -568,7 +591,7 @@ impl IncrementalPipeline {
     /// Whether `id` is tracked, and if so whether it is currently
     /// available.
     pub fn availability(&self, id: &ModuleId) -> Option<bool> {
-        self.slot_of.get(id).map(|&i| self.available[i])
+        self.slot(id).map(|i| self.available[i])
     }
 
     /// Tracked modules currently available.
@@ -583,7 +606,7 @@ impl IncrementalPipeline {
         &self,
         id: &ModuleId,
     ) -> Option<(bool, &Result<GenerationReport, GenerationError>)> {
-        let &i = self.slot_of.get(id)?;
+        let i = self.slot(id)?;
         Some((self.available[i], &*self.reports[i]))
     }
 
@@ -593,7 +616,7 @@ impl IncrementalPipeline {
     /// withdrawn modules return their carried-forward capture (best only —
     /// that is all that is kept at withdrawal).
     pub fn substitutes(&self, id: &ModuleId) -> Option<SubstituteAnswer> {
-        let &i = self.slot_of.get(id)?;
+        let i = self.slot(id)?;
         if !self.available[i] {
             let carried = self.substitutes.matches.get(id)?;
             return Some(SubstituteAnswer {

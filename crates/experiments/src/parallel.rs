@@ -299,6 +299,7 @@ pub fn match_pairs(
                         target.descriptor(),
                         generation(),
                         candidate.as_ref(),
+                        None,
                         &universe.ontology,
                         session.invocation_cache(),
                         &retrier,

@@ -6,7 +6,9 @@
 //! property pins the same equivalence with seeded transient faults
 //! injected into every module, riding on the retry layer to converge.
 
-use dex_core::{GenerationConfig, MatchOutcome, MatchReport, MatchSession, PartitionFingerprint};
+use dex_core::{
+    GenerationConfig, MatchOutcome, MatchReport, MatchSession, MatchVerdict, PartitionFingerprint,
+};
 use dex_experiments::parallel::{generate_fleet, match_pairs, PairOutput};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
@@ -18,6 +20,7 @@ use dex_universe::Universe;
 use dex_values::{StructuralType, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dex_core::delta::{Delta, DeltaReport};
@@ -406,6 +409,99 @@ fn stored_generation_errors_render_as_in_a_cold_run() {
     }
     let leaf = engine.substitutes(&id(3)).expect("tracked");
     assert_eq!(leaf.candidates_compared, 1);
+}
+
+/// A same-behavior echo over one `DNASequence` input that rejects `reject`
+/// and counts its invocations in `calls`.
+fn echo(id: &str, reject: Option<Value>, calls: Arc<AtomicUsize>) -> SharedModule {
+    Arc::new(FnModule::new(
+        ModuleDescriptor::new(
+            id,
+            id,
+            ModuleKind::RestService,
+            vec![Parameter::required(
+                "seq",
+                StructuralType::Text,
+                "DNASequence",
+            )],
+            vec![Parameter::required("out", StructuralType::Text, "Document")],
+        ),
+        move |values| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if reject.as_ref() == Some(&values[0]) {
+                return Err(InvocationError::rejected("first realization"));
+            }
+            let seq = values[0].as_text().expect("text input");
+            Ok(vec![Value::text(format!("echo:{seq}"))])
+        },
+    ))
+}
+
+/// A target example with no aligned candidate example is replayed for real.
+/// Two echoes compute the same function of a leaf-concept input. The target
+/// rejects the partition's first realization, so its one example holds
+/// attempt 1's pick; the candidate accepts every value, so its example
+/// holds pick 0. `(target, candidate)` finds no candidate example on the
+/// target's inputs, invokes the candidate on them and agrees;
+/// `(candidate, target)` replays the rejected pick on the target and
+/// disagrees. Scoring an unaligned example as a disagreement, or skipping
+/// its replay, breaks both the verdict and the equality with a cold sweep.
+#[test]
+fn an_unaligned_example_is_replayed_against_the_candidate() {
+    let first = build_synthetic_pool(&dex_ontology::mygrid::ontology(), 3, 7)
+        .get_instance("DNASequence", &StructuralType::Text, 0)
+        .expect("the pool realizes DNASequence")
+        .value
+        .clone();
+    let world = |candidate_calls: Arc<AtomicUsize>| {
+        world_of(
+            [
+                echo("fb:target", Some(first.clone()), Arc::default()),
+                echo("fb:candidate", None, candidate_calls),
+            ]
+            .into_iter(),
+        )
+    };
+    let candidate_calls = Arc::new(AtomicUsize::new(0));
+    let (universe, pool) = world(Arc::clone(&candidate_calls));
+    let engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    let target = ModuleId::from("fb:target");
+    let candidate = ModuleId::from("fb:candidate");
+    let examples = |id: &ModuleId| match engine.annotation(id).expect("tracked").1 {
+        Ok(report) => report.examples.clone(),
+        Err(e) => panic!("{id} failed to generate: {e}"),
+    };
+    let (target_examples, candidate_examples) = (examples(&target), examples(&candidate));
+    assert_eq!(target_examples.len(), 1);
+    assert_eq!(candidate_examples.len(), 1);
+    let target_input = &target_examples.iter().next().unwrap().inputs[0].value;
+    let candidate_input = &candidate_examples.iter().next().unwrap().inputs[0].value;
+    assert_eq!(
+        candidate_input, &first,
+        "the candidate's example holds pick 0"
+    );
+    assert_ne!(
+        target_input, &first,
+        "the target's example holds attempt 1's pick"
+    );
+
+    let (cold_u, cold_p) = world(Arc::default());
+    let session = MatchSession::new(&cold_u.ontology, &cold_p, GenerationConfig::default());
+    let ids = cold_u.available_ids();
+    let cold = match_pairs(&session, &cold_u, &ids, PairOutput::Dense).reports;
+    let matrix = engine.matrix();
+    assert_eq!(matrix, cold);
+    assert_eq!(
+        matrix[&(target.clone(), candidate.clone())].outcome,
+        MatchOutcome::Verdict(MatchVerdict::Equivalent { compared: 1 })
+    );
+    // The candidate ran once to generate and once to replay the target's
+    // unaligned example.
+    assert_eq!(candidate_calls.load(Ordering::Relaxed), 2);
+    assert_eq!(
+        matrix[&(candidate, target)].outcome,
+        MatchOutcome::Verdict(MatchVerdict::Disjoint { compared: 1 })
+    );
 }
 
 /// A pool insert appended behind every dependent module's candidate-probe
