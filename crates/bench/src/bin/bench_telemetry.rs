@@ -3,10 +3,10 @@
 //! the flight recorder — and emits a machine-readable `BENCH_telemetry.json`.
 //!
 //! The workloads are `generate_fleet` over the 252-module universe, fanned
-//! out over the host's threads, and a dense `match_pairs` over every 11th
-//! module. That 23-module slice compares 0 of its 506 ordered pairs —
-//! fingerprint blocking prunes all of them — so the second section times
-//! the blocking plan and pruned-pair materialization, not example replay.
+//! out over the host's threads, and an `IncrementalPipeline::bootstrap`
+//! over the same 252 modules from a clone of the universe and pool: one
+//! serial generation per module, the fingerprint index, and the aligned
+//! comparison of every same-bucket pair.
 //!
 //! Usage: `cargo run --release -p dex-bench --bin bench_telemetry [OUT.json]`
 //! (default output path: `BENCH_telemetry.json` in the working directory).
@@ -19,10 +19,10 @@
 //! stay under [`DISABLED_SPAN_BUDGET_NS`] per call. Breaching either budget
 //! exits nonzero so CI treats instrumentation creep as a regression.
 
-use dex_core::{GenerationConfig, MatchSession};
-use dex_experiments::parallel::{generate_fleet, match_pairs};
-use dex_experiments::PairOutput;
-use dex_modules::{ModuleId, Retrier};
+use dex_core::GenerationConfig;
+use dex_experiments::parallel::generate_fleet;
+use dex_experiments::IncrementalPipeline;
+use dex_modules::Retrier;
 use dex_pool::build_synthetic_pool;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -84,7 +84,7 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4);
-    let match_ids: Vec<ModuleId> = universe.available_ids().into_iter().step_by(11).collect();
+    let modules = universe.available_ids().len();
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
@@ -119,15 +119,13 @@ fn main() {
             ));
         }),
     );
-    let (match_off, match_on) = section(
-        "match_pairs",
+    let (boot_off, boot_on) = section(
+        "incremental_bootstrap",
         Box::new(|| {
-            let session = MatchSession::new(&universe.ontology, &pool, config.clone());
-            std::hint::black_box(match_pairs(
-                &session,
-                &universe,
-                &match_ids,
-                PairOutput::Dense,
+            std::hint::black_box(IncrementalPipeline::bootstrap(
+                universe.clone(),
+                pool.clone(),
+                config.clone(),
             ));
         }),
     );
@@ -184,7 +182,7 @@ fn main() {
 
     let pct = |off: f64, on: f64| (on - off) / off * 100.0;
     let gen_pct = pct(gen_off, gen_on);
-    let match_pct = pct(match_off, match_on);
+    let boot_pct = pct(boot_off, boot_on);
     writeln!(
         json,
         "  \"generate_all\": {{\"off_ms\": {gen_off:.2}, \"on_ms\": {gen_on:.2}, \
@@ -193,9 +191,8 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "  \"match_pairs\": {{\"modules\": {}, \"off_ms\": {match_off:.2}, \
-         \"on_ms\": {match_on:.2}, \"overhead_pct\": {match_pct:.2}}},",
-        match_ids.len(),
+        "  \"incremental_bootstrap\": {{\"modules\": {modules}, \"off_ms\": {boot_off:.2}, \
+         \"on_ms\": {boot_on:.2}, \"overhead_pct\": {boot_pct:.2}}},",
     )
     .unwrap();
     writeln!(
@@ -220,9 +217,9 @@ fn main() {
                 "generate_all enabled overhead {gen_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
             ));
         }
-        if match_pct > OVERHEAD_BUDGET_PCT {
+        if boot_pct > OVERHEAD_BUDGET_PCT {
             violations.push(format!(
-                "match_pairs enabled overhead {match_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
+                "incremental_bootstrap enabled overhead {boot_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
             ));
         }
         if span_disabled_ns > DISABLED_SPAN_BUDGET_NS {

@@ -386,8 +386,8 @@ pub fn generate_examples(
 /// module invocations drops. Every transient invocation failure is
 /// re-attempted under the retrier's policy (and against its run-wide
 /// budget) before an attempt is recorded as failed. Callers that share one
-/// retrier across many generations — the experiment fleet, a
-/// `MatchSession` — get run-global retry accounting; a caller with no
+/// retrier across many generations — the experiment fleet, the
+/// incremental engine — get run-global retry accounting; a caller with no
 /// retrier of its own passes `Retrier::new(config.retry)`.
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,

@@ -2,13 +2,8 @@
 
 use crate::error::GenerationError;
 use crate::example::{DataExample, ExampleSet};
-use crate::generate::{
-    generate_examples, generate_examples_retrying, GenerationConfig, GenerationReport,
-};
-use dex_modules::{
-    BlackBox, InvocationCache, InvocationCacheStats, ModuleDescriptor, ModuleId, Retrier,
-    RetryStats,
-};
+use crate::generate::{generate_examples, GenerationConfig, GenerationReport};
+use dex_modules::{BlackBox, InvocationCache, ModuleDescriptor, ModuleId, Retrier};
 use dex_ontology::Ontology;
 use dex_pool::InstancePool;
 use dex_values::Value;
@@ -323,11 +318,8 @@ fn outputs_agree<'v>(
 
 /// Compares two live modules by generating *aligned* data examples for the
 /// target (same pool, same value offsets — §6 requires "the same values for
-/// both i and i′") and replaying them against the candidate.
-///
-/// For repeated comparisons over the same ontology/pool/config, build one
-/// [`MatchSession`] instead: its invocation cache invokes each distinct
-/// input vector once per session rather than once per pair.
+/// both i and i′") and replaying them against the candidate, without a
+/// cache: every call generates and invokes afresh.
 pub fn compare_modules(
     target: &dyn BlackBox,
     candidate: &dyn BlackBox,
@@ -366,10 +358,11 @@ impl From<Result<MatchVerdict, GenerationError>> for MatchOutcome {
     }
 }
 
-/// The outcome of one ordered pair: the single rule every all-pairs path
-/// (session sweeps, fingerprint-pruned pairs, the incremental engine)
-/// reduces a pair to. The target's generation error comes first, then the
-/// strict parameter-mapping error, then the aligned replay verdict.
+/// The outcome of one ordered pair: the single rule the incremental engine
+/// (stored pairs and the fingerprint-pruned pairs its matrix fills in) and
+/// the test-only exhaustive oracle reduce a pair to. The target's
+/// generation error comes first, then the strict parameter-mapping error,
+/// then the aligned replay verdict.
 ///
 /// The mapping is checked before any candidate invocation, so a pair whose
 /// [`PartitionFingerprint`]s are incompatible costs no invocation here —
@@ -566,36 +559,6 @@ impl PartitionFingerprint {
     }
 }
 
-/// Aggregate accounting of one blocked all-pairs run: how many pairs it
-/// compared, pruned and skipped as unavailable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockingStats {
-    /// Ordered module pairs in the sweep (`n·(n−1)`).
-    pub pairs_total: usize,
-    /// Pairs whose fingerprints were compatible — the full aligned-example
-    /// comparison ran on exactly these.
-    pub pairs_compared: usize,
-    /// Pairs proven incomparable by fingerprints alone (no invocation).
-    pub pairs_pruned: usize,
-    /// Pairs skipped because a module was unavailable (withdrawn ids).
-    pub pairs_unavailable: usize,
-    /// Distinct fingerprint buckets among the available modules.
-    pub buckets: usize,
-    /// Largest bucket's module count (the worst-case comparison hotspot).
-    pub largest_bucket: usize,
-}
-
-impl BlockingStats {
-    /// Fraction of pairs pruned without comparison, in `[0, 1]`.
-    pub fn prune_ratio(&self) -> f64 {
-        if self.pairs_total == 0 {
-            0.0
-        } else {
-            (self.pairs_total - self.pairs_compared) as f64 / self.pairs_total as f64
-        }
-    }
-}
-
 /// Fingerprint buckets over a module list: index `i` of the constructed
 /// slice corresponds to the `i`-th descriptor handed to [`build`].
 ///
@@ -763,171 +726,10 @@ impl FingerprintIndex {
     }
 }
 
-/// One target's generation result behind an `Arc`. An all-pairs sweep
-/// resolves each target's report once and hands it to
-/// [`MatchSession::compare_report`] for every candidate.
+/// One target's generation result behind an `Arc`, as the incremental
+/// engine stores it per tracked module and hands it to [`pair_outcome`]
+/// for every candidate.
 pub type CachedGeneration = Arc<Result<GenerationReport, GenerationError>>;
-
-/// Matching telemetry counters, interned once per process.
-struct MatchCounters {
-    pairs: dex_telemetry::Counter,
-    equivalent: dex_telemetry::Counter,
-    overlapping: dex_telemetry::Counter,
-    disjoint: dex_telemetry::Counter,
-    incomparable: dex_telemetry::Counter,
-}
-
-fn match_counters() -> &'static MatchCounters {
-    static COUNTERS: std::sync::OnceLock<MatchCounters> = std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| MatchCounters {
-        pairs: dex_telemetry::counter("dex.match.pairs"),
-        equivalent: dex_telemetry::counter("dex.match.verdict.equivalent"),
-        overlapping: dex_telemetry::counter("dex.match.verdict.overlapping"),
-        disjoint: dex_telemetry::counter("dex.match.verdict.disjoint"),
-        incomparable: dex_telemetry::counter("dex.match.verdict.incomparable"),
-    })
-}
-
-/// A matching context over fixed ontology, pool, and generation config.
-///
-/// Its one memo is a shared [`InvocationCache`]: every generation and
-/// every candidate replay the session performs routes through it, so a
-/// distinct `(module, input vector)` is invoked at most once per session —
-/// aligned generation at offsets `0..k` shares the vectors the offsets have
-/// in common, regenerating a report re-reads its outcomes instead of
-/// invoking, and replaying a candidate against an aligned target hits the
-/// vectors its own generation already produced. Reports themselves are not
-/// memoized: an all-pairs sweep resolves each target's report once and
-/// hands it to [`compare_report`](MatchSession::compare_report) for every
-/// candidate. The session is internally synchronized, so it can be shared
-/// by reference across threads.
-pub struct MatchSession<'a> {
-    ontology: &'a Ontology,
-    pool: &'a InstancePool,
-    config: GenerationConfig,
-    invocations: InvocationCache,
-    retrier: Retrier,
-}
-
-impl<'a> MatchSession<'a> {
-    /// Creates a session over fixed ontology, pool, and generation config.
-    /// The session owns one [`Retrier`] built from the config's
-    /// [`retry`](GenerationConfig::retry) policy, shared by every generation
-    /// and replay it performs — so the retry budget is session-wide.
-    pub fn new(ontology: &'a Ontology, pool: &'a InstancePool, config: GenerationConfig) -> Self {
-        let retrier = Retrier::new(config.retry);
-        MatchSession {
-            ontology,
-            pool,
-            config,
-            invocations: InvocationCache::new(),
-            retrier,
-        }
-    }
-
-    /// The generation config this session aligns examples with.
-    pub fn config(&self) -> &GenerationConfig {
-        &self.config
-    }
-
-    /// The session-wide invocation memo. Exposed so callers that mix session
-    /// comparisons with their own invocations (repair verification, ad-hoc
-    /// replays) can share the same memo.
-    pub fn invocation_cache(&self) -> &InvocationCache {
-        &self.invocations
-    }
-
-    /// Snapshot of the underlying invocation cache: how many module
-    /// invocations the session actually performed vs. answered from memory.
-    pub fn invocation_stats(&self) -> InvocationCacheStats {
-        self.invocations.stats()
-    }
-
-    /// Snapshot of the session's transient-retry accounting (zero everywhere
-    /// unless the config enabled a retry policy and transients occurred).
-    pub fn retry_stats(&self) -> RetryStats {
-        self.retrier.stats()
-    }
-
-    /// `module`'s generation result at the session's base value offset.
-    pub fn report_for(&self, module: &dyn BlackBox) -> CachedGeneration {
-        self.report_at(module, self.config.value_offset)
-    }
-
-    /// `module`'s generation result at an explicit value offset (ablations
-    /// vary the offset to probe value sensitivity). Every call generates,
-    /// through the session's invocation cache and retrier, so a repeat
-    /// re-invokes no vector whose outcome the cache holds.
-    pub fn report_at(&self, module: &dyn BlackBox, value_offset: usize) -> CachedGeneration {
-        let config = GenerationConfig {
-            value_offset,
-            ..self.config.clone()
-        };
-        Arc::new(generate_examples_retrying(
-            module,
-            self.ontology,
-            self.pool,
-            &config,
-            &self.invocations,
-            &self.retrier,
-        ))
-    }
-
-    /// Compares `candidate` against `target`'s generation `report` (from
-    /// [`report_for`](MatchSession::report_for) or
-    /// [`report_at`](MatchSession::report_at)) by [`pair_outcome`], always
-    /// yielding a [`MatchReport`] — incomparability becomes data instead of
-    /// an error, which is what an all-pairs sweep wants.
-    ///
-    /// Taking the report rather than generating it keeps the per-pair cost
-    /// at the candidate replay itself, which is what lets an all-pairs
-    /// sweep resolve each target's report once and replay every candidate
-    /// against it. Counts the pair and its verdict in the `dex.match.*`
-    /// telemetry.
-    pub fn compare_report(
-        &self,
-        target: &dyn BlackBox,
-        report: &CachedGeneration,
-        candidate: &dyn BlackBox,
-    ) -> MatchReport {
-        let _timer = {
-            static PAIR_NS: std::sync::OnceLock<dex_telemetry::Histo> = std::sync::OnceLock::new();
-            PAIR_NS
-                .get_or_init(|| dex_telemetry::histogram("dex.match.pair_ns"))
-                .start()
-        };
-        let outcome = pair_outcome(
-            target.descriptor(),
-            report,
-            candidate,
-            None,
-            self.ontology,
-            &self.invocations,
-            &self.retrier,
-        );
-        let examples = match report.as_ref() {
-            Ok(report) => report.examples.len(),
-            Err(_) => 0,
-        };
-        if dex_telemetry::is_enabled() {
-            let counters = match_counters();
-            counters.pairs.add(1);
-            let verdict = match &outcome {
-                MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => &counters.equivalent,
-                MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => &counters.overlapping,
-                MatchOutcome::Verdict(MatchVerdict::Disjoint { .. }) => &counters.disjoint,
-                MatchOutcome::Incomparable(_) => &counters.incomparable,
-            };
-            verdict.add(1);
-        }
-        MatchReport {
-            target: target.descriptor().id.clone(),
-            candidate: candidate.descriptor().id.clone(),
-            outcome,
-            examples,
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1144,126 +946,6 @@ mod tests {
             },
         );
         (module, count)
-    }
-
-    /// One session comparison with the target's report resolved through
-    /// the session.
-    fn session_outcome(s: &MatchSession, t: &dyn BlackBox, c: &dyn BlackBox) -> MatchOutcome {
-        s.compare_report(t, &s.report_for(t), c).outcome
-    }
-
-    /// [`session_outcome`] for a pair that must be comparable.
-    fn session_verdict(s: &MatchSession, t: &dyn BlackBox, c: &dyn BlackBox) -> MatchVerdict {
-        match session_outcome(s, t, c) {
-            MatchOutcome::Verdict(v) => v,
-            MatchOutcome::Incomparable(e) => panic!("incomparable: {e}"),
-        }
-    }
-
-    #[test]
-    fn repeated_target_generation_invokes_each_vector_once() {
-        let (onto, pool) = fixture();
-        let (target, invocations) = counted_echo("t", "BiologicalSequence");
-        let candidates: Vec<FnModule> = (0..4)
-            .map(|i| {
-                seq_echo(
-                    &format!("c{i}"),
-                    "BiologicalSequence",
-                    "BiologicalSequence",
-                    i % 2 == 0,
-                )
-            })
-            .collect();
-        let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
-        for c in &candidates {
-            session_verdict(&session, &target, c);
-        }
-        // Four generations for four comparisons, but the 4 partition vectors
-        // are each invoked once: the repeats read the invocation cache.
-        assert_eq!(invocations.load(std::sync::atomic::Ordering::Relaxed), 4);
-    }
-
-    /// Replaying a candidate against an aligned target hits the invocation
-    /// cache: generation already fed the candidate the exact same vectors.
-    #[test]
-    fn session_shares_invocations_between_generation_and_replay() {
-        let (onto, pool) = fixture();
-        let (target, target_count) = counted_echo("t", "BiologicalSequence");
-        let (candidate, candidate_count) = counted_echo("c", "BiologicalSequence");
-        let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
-
-        // Generate both sides (as an all-pairs sweep would), then replay.
-        session.report_for(&target);
-        session.report_for(&candidate);
-        let gen_t = target_count.load(std::sync::atomic::Ordering::Relaxed);
-        let gen_c = candidate_count.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!((gen_t, gen_c), (4, 4));
-
-        let v = session_verdict(&session, &target, &candidate);
-        assert_eq!(v, MatchVerdict::Equivalent { compared: 4 });
-        // The replay performed zero fresh invocations: all four vectors were
-        // already in the session's invocation cache.
-        assert_eq!(
-            candidate_count.load(std::sync::atomic::Ordering::Relaxed),
-            gen_c
-        );
-        let stats = session.invocation_stats();
-        assert_eq!(stats.misses, 8, "two generations of four vectors");
-        assert!(stats.hits >= 4, "replay answered from the memo");
-        // Repeating the comparison costs nothing at all.
-        assert_eq!(session_verdict(&session, &target, &candidate), v);
-        assert_eq!(
-            candidate_count.load(std::sync::atomic::Ordering::Relaxed),
-            gen_c
-        );
-        assert_eq!(
-            target_count.load(std::sync::atomic::Ordering::Relaxed),
-            gen_t
-        );
-    }
-
-    #[test]
-    fn session_compare_agrees_with_compare_modules() {
-        let (onto, pool) = fixture();
-        let config = GenerationConfig::default();
-        let session = MatchSession::new(&onto, &pool, config.clone());
-        let modules = [
-            seq_echo("a", "BiologicalSequence", "BiologicalSequence", false),
-            seq_echo("b", "BiologicalSequence", "BiologicalSequence", true),
-            seq_echo("c", "ProteinSequence", "ProteinSequence", false),
-        ];
-        for t in &modules {
-            for c in &modules {
-                let direct = compare_modules(t, c, &onto, &pool, &config);
-                let cached = session_outcome(&session, t, c);
-                assert_eq!(
-                    MatchOutcome::from(direct),
-                    cached,
-                    "{:?} vs {:?}",
-                    t.descriptor().id,
-                    c.descriptor().id
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compare_report_surfaces_incomparability_as_data() {
-        let (onto, pool) = fixture();
-        let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
-        let a = seq_echo("a", "BiologicalSequence", "BiologicalSequence", false);
-        let b = seq_echo("b", "ProteinSequence", "ProteinSequence", false);
-        let a_report = session.report_for(&a);
-        let report = session.compare_report(&a, &a_report, &b);
-        assert_eq!(report.target, dex_modules::ModuleId::from("a"));
-        assert_eq!(report.candidate, dex_modules::ModuleId::from("b"));
-        assert!(matches!(report.outcome, MatchOutcome::Incomparable(_)));
-        assert_eq!(report.examples, 4);
-        let same = session.compare_report(&a, &a_report, &a);
-        assert!(matches!(
-            same.outcome,
-            MatchOutcome::Verdict(MatchVerdict::Equivalent { compared: 4 })
-        ));
     }
 
     fn descriptor_with(
@@ -1539,7 +1221,7 @@ mod tests {
         assert!(!index.is_comparable(0, 2), "no descriptor, no comparison");
     }
 
-    /// Blocking's invariant: `compare_report` on a fingerprint-incompatible
+    /// Blocking's invariant: `pair_outcome` on a fingerprint-incompatible
     /// pair fails the strict mapping before replaying anything, so it never
     /// invokes the candidate — which is what lets pruned pairs be
     /// materialized through the same `pair_outcome` as compared ones.
@@ -1549,17 +1231,18 @@ mod tests {
         let a = seq_echo("a", "BiologicalSequence", "BiologicalSequence", false);
         let b = seq_echo("b", "ProteinSequence", "ProteinSequence", false);
         let (c, c_count) = counted_echo("c", "DNASequence");
-        let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
+        let config = GenerationConfig::default();
         let modules: [&dyn BlackBox; 3] = [&a, &b, &c];
         // Generate every target up front, so only replays could move the
         // count below.
-        for m in modules {
-            session.report_for(m);
-        }
+        let reports: Vec<_> = modules
+            .iter()
+            .map(|m| generate_examples(*m, &onto, &pool, &config))
+            .collect();
         let generated = c_count.load(std::sync::atomic::Ordering::Relaxed);
+        let cache = InvocationCache::new();
         let mut incompatible = 0;
-        for t in modules {
-            let report = session.report_for(t);
+        for (t, report) in modules.iter().zip(&reports) {
             for cand in modules {
                 let ft = PartitionFingerprint::of(t.descriptor(), &onto);
                 let fc = PartitionFingerprint::of(cand.descriptor(), &onto);
@@ -1567,7 +1250,15 @@ mod tests {
                     continue;
                 }
                 incompatible += 1;
-                let outcome = session.compare_report(t, &report, cand).outcome;
+                let outcome = pair_outcome(
+                    t.descriptor(),
+                    report,
+                    cand,
+                    None,
+                    &onto,
+                    &cache,
+                    &Retrier::none(),
+                );
                 assert!(
                     matches!(outcome, MatchOutcome::Incomparable(_)),
                     "{outcome:?}"
@@ -1580,20 +1271,6 @@ mod tests {
             generated,
             "an incompatible pair invoked the candidate"
         );
-    }
-
-    #[test]
-    fn blocking_stats_prune_ratio() {
-        let stats = BlockingStats {
-            pairs_total: 100,
-            pairs_compared: 25,
-            pairs_pruned: 70,
-            pairs_unavailable: 5,
-            buckets: 4,
-            largest_bucket: 5,
-        };
-        assert!((stats.prune_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(BlockingStats::default().prune_ratio(), 0.0);
     }
 
     #[test]

@@ -289,7 +289,8 @@ fn digest_module(id: &str, salt: u64, reject_pct: u64) -> FnModule {
 /// cache holds zero memoized transient outcomes.
 #[test]
 fn flap_schedule_converges_to_the_fault_free_reports() {
-    use dex_core::{compare_modules, MatchOutcome, MatchSession};
+    use dex_core::{compare_modules, MatchOutcome};
+    use dex_oracle::MatchSession;
 
     let ontology = mygrid::ontology();
     let pool = build_synthetic_pool(&ontology, 3, 42);

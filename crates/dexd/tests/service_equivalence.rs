@@ -7,166 +7,25 @@
 //! module, and with a lock-poisoning `Chaos` panic thrown mid-run.
 //!
 //! Shape of each case: one `Dexd` service and one bare
-//! [`IncrementalPipeline`] oracle are built over identical mini worlds.
+//! [`IncrementalPipeline`] oracle are built over identical mini worlds
+//! (`dex_oracle::fixture`, shared with the engine's equivalence suite).
 //! Seeded delta batches go to both (sequentially); between batches a burst
 //! of read requests hits the service from several client threads at once,
 //! and every response is compared — as serialized JSON bytes — against the
 //! reply the oracle's accessors dictate.
 
-use dex_core::delta::Delta;
 use dex_core::GenerationConfig;
 use dex_experiments::IncrementalPipeline;
-use dex_modules::{
-    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleKind, Parameter,
-    RetryPolicy, SharedModule,
-};
-use dex_pool::{build_synthetic_pool, AnnotatedInstance, InstancePool};
-use dex_universe::Universe;
-use dex_values::{StructuralType, Value};
+use dex_modules::RetryPolicy;
+use dex_oracle::fixture::{decode_delta, mini_world, module_id, MODULES};
 use dexd::{AnnotationReply, Client, Dexd, Request, Response, ServiceConfig, SubstitutesReply};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-const CONCEPTS: &[&str] = &[
-    "BiologicalSequence",
-    "DNASequence",
-    "RNASequence",
-    "ProteinSequence",
-    "AlgorithmName",
-];
-
-const MODULES: usize = 8;
 
 /// Client threads per read burst.
 const BURST_THREADS: usize = 3;
 /// Requests per client thread per burst.
 const BURST_LEN: usize = 4;
-
-/// Deterministic black-box behavior, scrambled by `salt` (same digest
-/// construction as the incremental equivalence suite).
-fn mini_module(slot: usize, inputs: &[usize], salt: u64, reject_pct: u64) -> FnModule {
-    let params: Vec<Parameter> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| Parameter::required(format!("in{i}"), StructuralType::Text, CONCEPTS[c]))
-        .collect();
-    FnModule::new(
-        ModuleDescriptor::new(
-            format!("svc:m{slot}"),
-            format!("SvcModule{slot}"),
-            ModuleKind::RestService,
-            params,
-            vec![Parameter::required(
-                "digest",
-                StructuralType::Text,
-                "Document",
-            )],
-        ),
-        move |values| {
-            let mut acc = salt;
-            for v in values {
-                if let Some(t) = v.as_text() {
-                    for b in t.bytes() {
-                        acc = acc.wrapping_mul(1099511628211).wrapping_add(u64::from(b));
-                    }
-                }
-            }
-            if acc % 100 < reject_pct {
-                return Err(InvocationError::rejected("salted rejection"));
-            }
-            Ok(vec![Value::text(format!("{acc:016x}"))])
-        },
-    )
-}
-
-/// Input shape of slot `i`: three shape classes so fingerprint buckets
-/// collide and substitute lookups rank real verdicts.
-fn shape_for(slot: usize, shape_salt: u64) -> Vec<usize> {
-    let class = slot % 3;
-    let pick = |k: u32| ((shape_salt >> (8 * k)) as usize) % CONCEPTS.len();
-    match class {
-        0 => vec![pick(0)],
-        1 => vec![pick(1), pick(2)],
-        _ => vec![pick(3)],
-    }
-}
-
-/// Builds the mini world — called once for the service and once,
-/// identically, for the sequential oracle.
-fn mini_world(
-    shape_salt: u64,
-    behavior_salt: u64,
-    reject_pct: u64,
-    faults: Option<(u64, u32)>,
-) -> (Universe, InstancePool) {
-    let ontology = dex_ontology::mygrid::ontology();
-    let mut catalog = dex_modules::ModuleCatalog::new();
-    for slot in 0..MODULES {
-        let inputs = shape_for(slot, shape_salt);
-        let module = mini_module(
-            slot,
-            &inputs,
-            behavior_salt ^ (slot as u64).wrapping_mul(0x9e37_79b9),
-            reject_pct,
-        );
-        let shared: SharedModule = match faults {
-            None => Arc::new(module),
-            Some((fault_seed, fault_rate_pct)) => Arc::new(FaultyModule::new(
-                Arc::new(module) as SharedModule,
-                FaultPlan {
-                    seed: fault_seed ^ slot as u64,
-                    fault_rate_millis: fault_rate_pct * 10,
-                    max_consecutive: 2,
-                    latency_ticks: 1,
-                    flaps: Vec::new(),
-                },
-            )),
-        };
-        catalog.register(shared);
-    }
-    let pool = build_synthetic_pool(&ontology, 3, 7);
-    let universe = Universe {
-        catalog,
-        ontology,
-        categories: BTreeMap::new(),
-        specs: BTreeMap::new(),
-        legacy: Vec::new(),
-        expected_match: BTreeMap::new(),
-        popular: BTreeSet::new(),
-        unfamiliar_output: BTreeSet::new(),
-        partial_output: BTreeSet::new(),
-    };
-    (universe, pool)
-}
-
-/// Decodes one op word into a delta (mirrors the incremental suite; all
-/// module ids are tracked, so the service never rejects a batch).
-fn decode_delta(i: usize, word: u64) -> Delta {
-    let concept = CONCEPTS[(word >> 8) as usize % CONCEPTS.len()];
-    match word % 5 {
-        0 => Delta::PoolInsert {
-            instance: AnnotatedInstance::synthetic(
-                Value::text(format!("ZX{:04x}", word >> 16 & 0xffff)),
-                concept,
-            ),
-        },
-        1 => Delta::PoolRemove {
-            concept: concept.to_string(),
-            occurrence: (word >> 16) as usize % 4,
-        },
-        2 => Delta::ModuleWithdraw {
-            id: format!("svc:m{}", (word >> 16) as usize % MODULES).into(),
-        },
-        3 => Delta::ModuleRestore {
-            id: format!("svc:m{}", (word >> 16) as usize % MODULES).into(),
-        },
-        _ => Delta::OntologyEdgeAdd {
-            parent: concept.to_string(),
-            child: format!("GrownConcept{i}"),
-        },
-    }
-}
 
 /// Decodes the read burst one op word dictates: a deterministic list of
 /// annotation and substitute lookups aimed at seeded slots.
@@ -176,7 +35,7 @@ fn decode_burst(word: u64) -> Vec<Request> {
             let bits = word
                 .wrapping_mul(0x2545_F491_4F6C_DD1D)
                 .wrapping_add(k as u64 * 0x9e37_79b9);
-            let id = format!("svc:m{}", (bits >> 3) as usize % MODULES);
+            let id = module_id((bits >> 3) as usize % MODULES).0;
             if bits.is_multiple_of(2) {
                 Request::FindSubstitutes { id }
             } else {

@@ -2,11 +2,9 @@
 //! one table/figure, paper numbers alongside measured ones.
 
 use crate::format::{heading, table};
-use crate::parallel::match_pairs;
-use crate::{Context, FaultConfig, PairOutput};
+use crate::{Context, FaultConfig, IncrementalPipeline};
 use dex_core::coverage::measure_coverage;
 use dex_core::metrics::score;
-use dex_core::MatchSession;
 use dex_pool::build_synthetic_pool;
 use dex_repair::{
     build_corpus_with, generate_repository, repair_repository_with, run_matching_study_with,
@@ -238,24 +236,19 @@ pub fn figure5(ctx: &Context) -> String {
     out
 }
 
-/// All-pairs matching over a thinned module sample through one
-/// [`dex_core::MatchSession`], the dense sweep the full §6 study relies on.
+/// The verdict distribution over every ordered pair of the available
+/// modules, from the incremental engine bootstrapped over the context's
+/// universe (its module handles, fault injectors included), pool and
+/// config.
 ///
-/// Not a paper table — this is the observability showcase: it renders the
-/// verdict distribution, and (when telemetry is on) leaves the
-/// `dex.match.*` pair and verdict counters and the `dex.invoke.cache.*`
-/// invocation-cache counters in `TELEMETRY.json`.
+/// Not a paper table: it shows the §6 classification the engine serves
+/// (`dexd`, continuous repair) over the paper's 252 modules.
 pub fn matching_summary(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.matching_summary");
-    let ids: Vec<_> = ctx
-        .universe
-        .available_ids()
-        .into_iter()
-        .step_by(16)
-        .collect();
+    let engine =
+        IncrementalPipeline::bootstrap(ctx.universe.clone(), ctx.pool.clone(), ctx.config.clone());
+    let matrix = engine.matrix();
     let mut verdicts: BTreeMap<String, usize> = BTreeMap::new();
-    let session = MatchSession::new(&ctx.universe.ontology, &ctx.pool, ctx.config.clone());
-    let matrix = match_pairs(&session, &ctx.universe, &ids, PairOutput::Dense).reports;
     for report in matrix.values() {
         let label = match &report.outcome {
             dex_core::MatchOutcome::Verdict(v) => format!("{v:?}").to_lowercase(),
@@ -270,7 +263,7 @@ pub fn matching_summary(ctx: &Context) -> String {
         .collect();
     let mut out = heading(&format!(
         "Matching summary: {} modules, {} ordered pairs",
-        ids.len(),
+        engine.available_count(),
         matrix.len()
     ));
     out.push_str(&table(&["verdict", "#pairs"], &rows));

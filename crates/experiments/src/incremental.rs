@@ -523,12 +523,14 @@ impl IncrementalPipeline {
     }
 
     /// Materializes the dense matching matrix over the currently available
-    /// modules — byte-identical to a dense `match_pairs` over the present
-    /// state. Verdicts come from the maintained verdict store. Every other
-    /// pair goes through [`pair_outcome`], which reaches its reason before
-    /// invoking anything: fingerprint-pruned pairs fail their strict
-    /// mapping, and a stored incomparable cell failed on the target's
-    /// generation error, its strict mapping or an empty example set.
+    /// modules — byte-identical to the matrix of the test-only exhaustive
+    /// oracle in `dex-oracle`, which replays every example of every ordered
+    /// pair, over the present state. Verdicts come from the maintained
+    /// verdict store. Every other pair goes through [`pair_outcome`], which
+    /// reaches its reason before invoking anything: fingerprint-pruned pairs
+    /// fail their strict mapping, and a stored incomparable cell failed on
+    /// the target's generation error, its strict mapping or an empty example
+    /// set.
     pub fn matrix(&self) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
         let slots: Vec<usize> = (0..self.ids.len()).filter(|&i| self.available[i]).collect();
         let retrier = Retrier::new(self.config.retry);

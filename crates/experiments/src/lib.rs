@@ -38,7 +38,6 @@ pub use continuous::{
 };
 pub use faults::FaultConfig;
 pub use incremental::IncrementalPipeline;
-pub use parallel::{BlockedMatch, PairOutput};
 pub use telemetry::TelemetryRun;
 
 /// Seed of the synthetic curator pool used by the evaluation.

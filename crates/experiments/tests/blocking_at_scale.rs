@@ -1,21 +1,27 @@
-//! Fingerprint blocking at catalog scale: the blocked summary sweep tallies
+//! Fingerprint blocking at catalog scale: the incremental engine tallies
 //! exactly the verdicts of an exhaustive all-pairs sweep, over the paper's
-//! 252 modules and over a 2.5k-module scaled catalog, and compares under
-//! half of the ordered pairs.
+//! 252 modules and over a 2.5k-module scaled catalog, and blocking compares
+//! under half of the ordered pairs.
 //!
-//! The exhaustive side tallies without materializing its matrix — at 2.5k
-//! modules that matrix would hold 6.25M reports.
+//! Neither side materializes a matrix — at 2.5k modules it would hold 6.25M
+//! reports. The engine's tallies come from its substitute answers: a
+//! module's `candidates_compared` counts its verdict-bearing comparisons and
+//! `ranked` the usable ones among them; every other ordered pair is
+//! incomparable.
 
-use dex_core::{GenerationConfig, MatchOutcome, MatchSession, MatchVerdict};
-use dex_experiments::parallel::match_pairs;
-use dex_experiments::PairOutput;
+use dex_core::{FingerprintIndex, GenerationConfig, MatchOutcome, MatchVerdict};
+use dex_experiments::IncrementalPipeline;
+use dex_oracle::MatchSession;
 use dex_pool::{build_synthetic_pool, build_text_pool, InstancePool};
 use dex_universe::scale::{build_scaled, ScalePlan};
 use dex_universe::Universe;
 
-/// `(equivalent, overlapping, disjoint, incomparable)` over every ordered
-/// pair of distinct available modules, each compared in full: no blocking.
-fn exhaustive_tally(universe: &Universe, pool: &InstancePool) -> (usize, usize, usize, usize) {
+/// `(equivalent, overlapping, disjoint, incomparable)`.
+type Tally = (usize, usize, usize, usize);
+
+/// The tally over every ordered pair of distinct available modules, each
+/// compared in full: no blocking.
+fn exhaustive_tally(universe: &Universe, pool: &InstancePool) -> Tally {
     let session = MatchSession::new(&universe.ontology, pool, GenerationConfig::default());
     let modules: Vec<_> = universe
         .available_ids()
@@ -43,8 +49,29 @@ fn exhaustive_tally(universe: &Universe, pool: &InstancePool) -> (usize, usize, 
     tally
 }
 
+/// The same tally from an engine bootstrapped over the universe.
+fn engine_tally(universe: &Universe, pool: &InstancePool) -> Tally {
+    let engine =
+        IncrementalPipeline::bootstrap(universe.clone(), pool.clone(), GenerationConfig::default());
+    let n = engine.tracked_ids().len();
+    let mut tally = (0, 0, 0, n * (n - 1));
+    for id in engine.tracked_ids() {
+        let answer = engine.substitutes(id).expect("tracked");
+        tally.2 += answer.candidates_compared - answer.ranked.len();
+        tally.3 -= answer.candidates_compared;
+        for (_, verdict) in &answer.ranked {
+            match verdict {
+                MatchVerdict::Equivalent { .. } => tally.0 += 1,
+                MatchVerdict::Overlapping { .. } => tally.1 += 1,
+                MatchVerdict::Disjoint { .. } => panic!("{id}: a ranked verdict is usable"),
+            }
+        }
+    }
+    tally
+}
+
 #[test]
-fn blocked_summary_equals_the_exhaustive_tally_at_252_and_2500_modules() {
+fn engine_tallies_equal_the_exhaustive_tally_at_252_and_2500_modules() {
     let paper = dex_universe::build();
     let paper_pool = build_synthetic_pool(&paper.ontology, 3, 42);
     let scaled = build_scaled(&ScalePlan::new(2_500, 42)).universe;
@@ -53,26 +80,23 @@ fn blocked_summary_equals_the_exhaustive_tally_at_252_and_2500_modules() {
     for (universe, pool) in [(&paper, &paper_pool), (&scaled, &scaled_pool)] {
         let ids = universe.available_ids();
         let n = ids.len();
-        let session = MatchSession::new(&universe.ontology, pool, GenerationConfig::default());
-        let summary = match_pairs(&session, universe, &ids, PairOutput::Summary);
-        let stats = summary.stats;
-        eprintln!(
-            "{n} modules: tallies {:?}, {} of {} pairs compared",
-            summary.tallies(),
-            stats.pairs_compared,
-            stats.pairs_total
-        );
-        assert_eq!(stats.pairs_total, n * (n - 1));
+        let pairs = n * (n - 1);
+        let compared = FingerprintIndex::build(
+            ids.iter().map(|id| universe.catalog.descriptor(id)),
+            &universe.ontology,
+        )
+        .comparable_pairs()
+        .len();
+        let tally = engine_tally(universe, pool);
+        eprintln!("{n} modules: tallies {tally:?}, {compared} of {pairs} pairs compared");
         assert_eq!(
-            summary.tallies(),
+            tally,
             exhaustive_tally(universe, pool),
-            "blocked summary diverged from the exhaustive sweep at {n} modules"
+            "engine tallies diverged from the exhaustive sweep at {n} modules"
         );
         assert!(
-            stats.pairs_compared * 2 < stats.pairs_total,
-            "blocking compared {} of {} pairs at {n} modules",
-            stats.pairs_compared,
-            stats.pairs_total
+            compared * 2 < pairs,
+            "blocking compared {compared} of {pairs} pairs at {n} modules"
         );
     }
 }

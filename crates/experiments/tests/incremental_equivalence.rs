@@ -1,175 +1,40 @@
-//! The incremental engine's correctness contract (ISSUE 7): after *any*
-//! seeded sequence of deltas — pool inserts/removals, module
+//! The incremental engine's correctness contract: after *any* seeded
+//! sequence of deltas — pool inserts/removals, module
 //! withdrawals/restorations, ontology edge additions, in any batching —
-//! the maintained generation reports and matching matrix are byte-identical
-//! to a cold full pipeline run over the same final state. A second
-//! property pins the same equivalence with seeded transient faults
-//! injected into every module, riding on the retry layer to converge.
+//! the maintained generation reports equal a cold `generate_fleet`, and the
+//! matching matrix equals the exhaustive oracle's, over the same final
+//! state. A second property pins the same equivalence with seeded transient
+//! faults injected into every module, riding on the retry layer to
+//! converge. The mini worlds come from `dex_oracle::fixture`, whose
+//! behaviour classes give the matrix Equivalent and Overlapping pairs as
+//! well as Disjoint and incomparable ones.
 
-use dex_core::{
-    GenerationConfig, MatchOutcome, MatchReport, MatchSession, MatchVerdict, PartitionFingerprint,
-};
-use dex_experiments::parallel::{generate_fleet, match_pairs, PairOutput};
+use dex_core::delta::{Delta, DeltaReport};
+use dex_core::{GenerationConfig, MatchOutcome, MatchReport, MatchVerdict, PartitionFingerprint};
+use dex_experiments::parallel::generate_fleet;
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
-    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind,
-    Parameter, Retrier, RetryPolicy, SharedModule,
+    FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind, Parameter, Retrier,
+    RetryPolicy, SharedModule,
 };
+use dex_oracle::fixture::{decode_delta, mini_module, mini_world, module_id, world_of};
+use dex_oracle::{match_pairs_exhaustive, MatchSession};
 use dex_pool::{build_synthetic_pool, AnnotatedInstance, InstancePool};
 use dex_universe::Universe;
 use dex_values::{StructuralType, Value};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dex_core::delta::{Delta, DeltaReport};
-
-/// Text-valued concepts the synthetic pool realizes; inputs and deltas are
-/// drawn from these.
-const CONCEPTS: &[&str] = &[
-    "BiologicalSequence",
-    "DNASequence",
-    "RNASequence",
-    "ProteinSequence",
-    "AlgorithmName",
-];
-
-const MODULES: usize = 8;
-
-/// Deterministic black-box behavior, scrambled by `salt` (same digest
-/// construction as the generation-equivalence suite).
-fn mini_module(slot: usize, inputs: &[usize], salt: u64, reject_pct: u64) -> FnModule {
-    let params: Vec<Parameter> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| Parameter::required(format!("in{i}"), StructuralType::Text, CONCEPTS[c]))
-        .collect();
-    FnModule::new(
-        ModuleDescriptor::new(
-            format!("inc:m{slot}"),
-            format!("IncModule{slot}"),
-            ModuleKind::RestService,
-            params,
-            vec![Parameter::required(
-                "digest",
-                StructuralType::Text,
-                "Document",
-            )],
-        ),
-        move |values| {
-            let mut acc = salt;
-            for v in values {
-                if let Some(t) = v.as_text() {
-                    for b in t.bytes() {
-                        acc = acc.wrapping_mul(1099511628211).wrapping_add(u64::from(b));
-                    }
-                }
-            }
-            if acc % 100 < reject_pct {
-                return Err(InvocationError::rejected("salted rejection"));
-            }
-            Ok(vec![Value::text(format!("{acc:016x}"))])
-        },
-    )
-}
-
-/// Input shape of slot `i`: three shape classes so fingerprint buckets
-/// collide, with per-class concepts decoded from `shape_salt`.
-fn shape_for(slot: usize, shape_salt: u64) -> Vec<usize> {
-    let class = slot % 3;
-    let pick = |k: u32| ((shape_salt >> (8 * k)) as usize) % CONCEPTS.len();
-    match class {
-        0 => vec![pick(0)],
-        1 => vec![pick(1), pick(2)],
-        _ => vec![pick(3)],
-    }
-}
-
-/// Builds the mini world: `MODULES` deterministic modules over the mygrid
-/// ontology (optionally wrapped in seeded fault injection) plus a depth-3
-/// synthetic pool. Called once for the live engine and once, identically,
-/// for the cold oracle.
-fn mini_world(
-    shape_salt: u64,
-    behavior_salt: u64,
-    reject_pct: u64,
-    faults: Option<(u64, u32)>,
-) -> (Universe, InstancePool) {
-    world_of((0..MODULES).map(|slot| {
-        let inputs = shape_for(slot, shape_salt);
-        let module = mini_module(
-            slot,
-            &inputs,
-            behavior_salt ^ (slot as u64).wrapping_mul(0x9e37_79b9),
-            reject_pct,
-        );
-        let shared: SharedModule = match faults {
-            None => Arc::new(module),
-            Some((fault_seed, fault_rate_pct)) => Arc::new(FaultyModule::new(
-                Arc::new(module) as SharedModule,
-                FaultPlan {
-                    seed: fault_seed ^ slot as u64,
-                    fault_rate_millis: fault_rate_pct * 10,
-                    max_consecutive: 2,
-                    latency_ticks: 1,
-                    flaps: Vec::new(),
-                },
-            )),
-        };
-        shared
-    }))
-}
-
-/// `modules` over the mygrid ontology, plus a depth-3 synthetic pool.
-fn world_of(modules: impl Iterator<Item = SharedModule>) -> (Universe, InstancePool) {
-    let ontology = dex_ontology::mygrid::ontology();
-    let mut catalog = dex_modules::ModuleCatalog::new();
-    for module in modules {
-        catalog.register(module);
-    }
-    let pool = build_synthetic_pool(&ontology, 3, 7);
-    let universe = Universe {
-        catalog,
-        ontology,
-        categories: BTreeMap::new(),
-        specs: BTreeMap::new(),
-        legacy: Vec::new(),
-        expected_match: BTreeMap::new(),
-        popular: BTreeSet::new(),
-        unfamiliar_output: BTreeSet::new(),
-        partial_output: BTreeSet::new(),
-    };
-    (universe, pool)
-}
-
-/// Decodes one op word into a delta. Ops may be no-ops at apply time
-/// (removing a missing realization, withdrawing an already-withdrawn
-/// module) — the engine and the cold replay must agree on those too.
-fn decode_delta(i: usize, word: u64) -> Delta {
-    let concept = CONCEPTS[(word >> 8) as usize % CONCEPTS.len()];
-    match word % 5 {
-        0 => Delta::PoolInsert {
-            instance: AnnotatedInstance::synthetic(
-                Value::text(format!("ZX{:04x}", word >> 16 & 0xffff)),
-                concept,
-            ),
-        },
-        1 => Delta::PoolRemove {
-            concept: concept.to_string(),
-            occurrence: (word >> 16) as usize % 4,
-        },
-        2 => Delta::ModuleWithdraw {
-            id: format!("inc:m{}", (word >> 16) as usize % MODULES).into(),
-        },
-        3 => Delta::ModuleRestore {
-            id: format!("inc:m{}", (word >> 16) as usize % MODULES).into(),
-        },
-        _ => Delta::OntologyEdgeAdd {
-            parent: concept.to_string(),
-            child: format!("GrownConcept{i}"),
-        },
-    }
+/// The exhaustive oracle's matrix over a cold universe and pool.
+fn oracle_matrix(
+    universe: &Universe,
+    pool: &InstancePool,
+    config: &GenerationConfig,
+) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
+    let session = MatchSession::new(&universe.ontology, pool, config.clone());
+    match_pairs_exhaustive(&session, universe)
 }
 
 /// Replays the same deltas onto a cold universe/pool by direct mutation —
@@ -333,13 +198,9 @@ fn check_equivalence(
             "incremental reports diverged from cold run after {applied} deltas"
         );
 
-        let ids = cold_u.available_ids();
-        let session = MatchSession::new(&cold_u.ontology, &cold_p, config.clone());
-        let cold: BTreeMap<_, MatchReport> =
-            match_pairs(&session, &cold_u, &ids, PairOutput::Dense).reports;
         assert_eq!(
             engine.matrix(),
-            cold,
+            oracle_matrix(&cold_u, &cold_p, &config),
             "incremental matrix diverged from cold run after {applied} deltas"
         );
     }
@@ -374,9 +235,8 @@ fn stored_generation_errors_render_as_in_a_cold_run() {
     };
     let (universe, pool) = world();
     let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
-    let id = |slot: usize| ModuleId::from(format!("inc:m{slot}"));
     let reason = |matrix: &BTreeMap<(ModuleId, ModuleId), MatchReport>| match &matrix
-        [&(id(0), id(2))]
+        [&(module_id(0), module_id(2))]
         .outcome
     {
         MatchOutcome::Incomparable(reason) => reason.clone(),
@@ -390,24 +250,21 @@ fn stored_generation_errors_render_as_in_a_cold_run() {
             parent: "BiologicalSequence".to_string(),
             child: "GrownSequence".to_string(),
         },
-        Delta::ModuleWithdraw { id: id(1) },
+        Delta::ModuleWithdraw { id: module_id(1) },
     ];
     engine.apply(&batch);
     let (mut cold_u, mut cold_p) = world();
     replay_cold(&mut cold_u, &mut cold_p, &batch);
-    let session = MatchSession::new(&cold_u.ontology, &cold_p, config.clone());
-    let ids = cold_u.available_ids();
-    let cold = match_pairs(&session, &cold_u, &ids, PairOutput::Dense).reports;
     let matrix = engine.matrix();
-    assert_eq!(matrix, cold);
+    assert_eq!(matrix, oracle_matrix(&cold_u, &cold_p, &config));
     assert_ne!(reason(&matrix), before, "the batch must change the error");
 
     for slot in [0, 2] {
-        let answer = engine.substitutes(&id(slot)).expect("tracked");
+        let answer = engine.substitutes(&module_id(slot)).expect("tracked");
         assert_eq!(answer.candidates_compared, 0, "slot {slot}");
         assert!(answer.ranked.is_empty(), "slot {slot}");
     }
-    let leaf = engine.substitutes(&id(3)).expect("tracked");
+    let leaf = engine.substitutes(&module_id(3)).expect("tracked");
     assert_eq!(leaf.candidates_compared, 1);
 }
 
@@ -445,7 +302,7 @@ fn echo(id: &str, reject: Option<Value>, calls: Arc<AtomicUsize>) -> SharedModul
 /// target's inputs, invokes the candidate on them and agrees;
 /// `(candidate, target)` replays the rejected pick on the target and
 /// disagrees. Scoring an unaligned example as a disagreement, or skipping
-/// its replay, breaks both the verdict and the equality with a cold sweep.
+/// its replay, breaks both the verdict and the equality with the oracle.
 #[test]
 fn an_unaligned_example_is_replayed_against_the_candidate() {
     let first = build_synthetic_pool(&dex_ontology::mygrid::ontology(), 3, 7)
@@ -486,11 +343,11 @@ fn an_unaligned_example_is_replayed_against_the_candidate() {
     );
 
     let (cold_u, cold_p) = world(Arc::default());
-    let session = MatchSession::new(&cold_u.ontology, &cold_p, GenerationConfig::default());
-    let ids = cold_u.available_ids();
-    let cold = match_pairs(&session, &cold_u, &ids, PairOutput::Dense).reports;
     let matrix = engine.matrix();
-    assert_eq!(matrix, cold);
+    assert_eq!(
+        matrix,
+        oracle_matrix(&cold_u, &cold_p, &GenerationConfig::default())
+    );
     assert_eq!(
         matrix[&(target.clone(), candidate.clone())].outcome,
         MatchOutcome::Verdict(MatchVerdict::Equivalent { compared: 1 })
@@ -521,6 +378,39 @@ fn single_pool_insert_behind_the_probe_window_dirties_nothing() {
     assert_eq!(report.cells_dirty, 0, "{report:?}");
     assert_eq!(report.recomputed_pairs, 0, "{report:?}");
     assert_eq!(report.dropped_pairs, 0, "{report:?}");
+}
+
+/// The fixture's worlds hold agreeing pairs, so the proptests below can see
+/// a wrong agreement count: over 40 salts at reject rates of 0, 10 and 30%,
+/// the engine's matrix holds Equivalent and Overlapping pairs beside the
+/// Disjoint and incomparable ones.
+#[test]
+fn fixture_worlds_hold_equivalent_and_overlapping_pairs() {
+    let mut tally = [0usize; 4];
+    for salt in 0..40u64 {
+        for reject_pct in [0, 10, 30] {
+            let (universe, pool) = mini_world(
+                salt.wrapping_mul(0x2545_f491_4f6c_dd1d),
+                salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                reject_pct,
+                None,
+            );
+            let engine =
+                IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+            for report in engine.matrix().values() {
+                let kind = match report.outcome {
+                    MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => 0,
+                    MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => 1,
+                    MatchOutcome::Verdict(MatchVerdict::Disjoint { .. }) => 2,
+                    MatchOutcome::Incomparable(_) => 3,
+                };
+                tally[kind] += 1;
+            }
+        }
+    }
+    eprintln!("equivalent / overlapping / disjoint / incomparable: {tally:?}");
+    assert!(tally[0] > 0, "no Equivalent pair: {tally:?}");
+    assert!(tally[1] > 0, "no Overlapping pair: {tally:?}");
 }
 
 proptest! {

@@ -8,11 +8,10 @@
 //! generations (`report_at`) and replays (`compare_report`) share one
 //! invocation cache. Modules are deterministic, so every count is exact.
 
-use dex_core::{
-    generate_examples, match_against_examples, GenerationConfig, MappingMode, MatchSession,
-};
+use dex_core::{generate_examples, match_against_examples, GenerationConfig, MappingMode};
 use dex_experiments::{POOL_PER_CONCEPT, POOL_SEED};
 use dex_modules::{BlackBox, InvocationError, ModuleDescriptor, ModuleId, SharedModule};
+use dex_oracle::MatchSession;
 use dex_pool::build_synthetic_pool;
 use dex_values::Value;
 use std::collections::BTreeMap;

@@ -15,8 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// even though the descriptor may still be known from old registries.
 ///
 /// A `BTreeMap` keeps iteration deterministic, which the experiment harness
-/// relies on for reproducible tables.
-#[derive(Default)]
+/// relies on for reproducible tables. A clone shares the module handles
+/// (they are `Arc`s), so wrappers such as fault injectors carry over.
+#[derive(Clone, Default)]
 pub struct ModuleCatalog {
     modules: BTreeMap<ModuleId, SharedModule>,
     withdrawn: BTreeSet<ModuleId>,

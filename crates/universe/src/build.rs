@@ -37,6 +37,8 @@ pub enum ExpectedMatch {
 }
 
 /// The full simulated world: catalog, ontology, and ground-truth metadata.
+/// A clone shares the catalog's module handles.
+#[derive(Clone)]
 pub struct Universe {
     /// Every module, modern and legacy alike.
     pub catalog: ModuleCatalog,

@@ -369,7 +369,7 @@ pub fn build_scaled(plan: &ScalePlan) -> ScaledWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_core::{GenerationConfig, MatchOutcome, MatchSession, MatchVerdict};
+    use dex_core::{compare_modules, GenerationConfig, MatchVerdict};
     use dex_pool::build_text_pool;
 
     fn small_plan() -> ScalePlan {
@@ -500,8 +500,6 @@ mod tests {
         };
         let world = build_scaled(&plan);
         let pool = build_text_pool(&world.universe.ontology, 6, plan.seed);
-        let session =
-            MatchSession::new(&world.universe.ontology, &pool, GenerationConfig::default());
         let fam = world
             .families
             .iter()
@@ -518,14 +516,15 @@ mod tests {
         );
         let module = |i: usize| world.universe.catalog.get(&fam.members[i]).unwrap();
         let anchor = module(0);
-        let anchor_report = session.report_for(anchor.as_ref());
-        assert!(anchor_report.is_ok(), "generation succeeds on text pool");
-        let verdict = |candidate: usize| match session
-            .compare_report(anchor.as_ref(), &anchor_report, module(candidate).as_ref())
-            .outcome
-        {
-            MatchOutcome::Verdict(v) => v,
-            MatchOutcome::Incomparable(e) => panic!("role members are comparable: {e}"),
+        let verdict = |candidate: usize| {
+            compare_modules(
+                anchor.as_ref(),
+                module(candidate).as_ref(),
+                &world.universe.ontology,
+                &pool,
+                &GenerationConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("role members are comparable: {e}"))
         };
         assert!(matches!(verdict(1), MatchVerdict::Equivalent { .. }));
         assert!(matches!(verdict(2), MatchVerdict::Overlapping { .. }));

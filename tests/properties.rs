@@ -101,28 +101,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked-matching equivalence suite: the fingerprint-blocked matcher must
-// produce a verdict matrix byte-identical to the exhaustive all-pairs oracle
-// under every configuration — cold cache, warm cache, withdrawn modules, and
-// seeded fault injection.
+// Blocked-matching equivalence suite: the incremental engine, the one
+// fingerprint-blocked matcher, must produce a verdict matrix byte-identical
+// to the exhaustive all-pairs oracle over random slices, withdrawn modules,
+// and seeded fault injection.
 // ---------------------------------------------------------------------------
 
 mod blocked_matching {
-    use data_examples::core::matching::MatchSession;
+    use data_examples::core::delta::Delta;
     use data_examples::core::GenerationConfig;
     use data_examples::modules::ModuleId;
     use data_examples::pool::build_synthetic_pool;
-    use dex_experiments::parallel::{match_pairs, match_pairs_exhaustive};
-    use dex_experiments::{FaultConfig, PairOutput};
+    use dex_experiments::{FaultConfig, IncrementalPipeline};
+    use dex_oracle::{match_pairs_exhaustive, MatchSession};
     use proptest::prelude::*;
 
     proptest! {
         /// The headline property: for randomized pools, catalog slices and
-        /// run configurations, the blocked matcher's full `n·(n−1)` report
-        /// matrix equals the exhaustive oracle's exactly — same keys, same
-        /// outcomes, same rendered error strings, same example counts. Each
-        /// case exercises one of three configurations: cold cache, warm
-        /// cache (same session swept twice), or fault-injected.
+        /// run configurations, the incremental engine's fingerprint-blocked
+        /// `matrix()` equals the exhaustive oracle's exactly — same keys,
+        /// same outcomes, same rendered error strings, same example counts.
+        /// A slice is what stays available at bootstrap (every module
+        /// outside it is withdrawn first); a withdrawn module leaves the
+        /// slice after bootstrap, through a delta. About half the cases
+        /// inject seeded transient faults.
         #[test]
         fn blocked_matrix_is_byte_identical_to_exhaustive_oracle(
             pool_seed in 1u64..10_000,
@@ -130,24 +132,18 @@ mod blocked_matching {
             step in 16usize..45,
             offset in 0usize..7,
             withdraw in any::<bool>(),
-            mode in 0usize..3,
+            faulted in any::<bool>(),
         ) {
             let mut universe = data_examples::universe::build();
-            let ids: Vec<ModuleId> = universe
-                .available_ids()
-                .into_iter()
-                .skip(offset)
-                .step_by(step)
-                .collect();
+            let all = universe.available_ids();
+            let ids: Vec<ModuleId> = all.iter().skip(offset).step_by(step).cloned().collect();
             prop_assert!(ids.len() >= 3);
-            if withdraw {
-                // A module withdrawn after id listing: both sides must
-                // classify its pairs "unavailable" identically.
-                universe.catalog.withdraw(&ids[0]);
+            for id in all.iter().filter(|id| !ids.contains(id)) {
+                universe.catalog.withdraw(id);
             }
             let pool = build_synthetic_pool(&universe.ontology, pool_per, pool_seed);
             let mut config = GenerationConfig::default();
-            if mode == 2 {
+            if faulted {
                 // Seeded transient faults on ~1–10% of vectors, with the
                 // paired retry policy that provably rides out every burst
                 // (bursts are a pure key hash bounded at 2; retries allow
@@ -156,66 +152,14 @@ mod blocked_matching {
                 fault.apply(&mut universe.catalog);
                 config.retry = fault.retry;
             }
-            let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
-            let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
-            if mode == 1 {
-                // Warm cache: one session swept twice; both sweeps must
-                // reproduce the oracle (the second entirely from memo).
-                let session = session();
-                let cold = match_pairs(&session, &universe, &ids, PairOutput::Dense);
-                let warm = match_pairs(&session, &universe, &ids, PairOutput::Dense);
-                prop_assert_eq!(&oracle, &cold.reports);
-                prop_assert_eq!(&oracle, &warm.reports);
-                prop_assert_eq!(cold.stats, warm.stats);
-            } else {
-                let blocked = match_pairs(&session(), &universe, &ids, PairOutput::Dense);
-                prop_assert_eq!(&oracle, &blocked.reports);
-                let s = blocked.stats;
-                prop_assert_eq!(s.pairs_total, ids.len() * (ids.len() - 1));
-                prop_assert_eq!(
-                    s.pairs_compared + s.pairs_pruned + s.pairs_unavailable,
-                    s.pairs_total
-                );
-                if withdraw {
-                    prop_assert_eq!(s.pairs_unavailable, 2 * (ids.len() - 1));
-                }
+            let mut engine =
+                IncrementalPipeline::bootstrap(universe.clone(), pool.clone(), config.clone());
+            if withdraw {
+                engine.apply(&[Delta::ModuleWithdraw { id: ids[0].clone() }]);
+                universe.catalog.withdraw(&ids[0]);
             }
-        }
-
-        /// The summary path counts exactly what the dense matrix holds:
-        /// equivalent/overlapping/disjoint/incomparable tallies sum to the
-        /// pair total and match a tally of the oracle's matrix.
-        #[test]
-        fn summary_tallies_match_the_oracle_matrix(
-            pool_seed in 1u64..10_000,
-            step in 16usize..40,
-        ) {
-            use data_examples::core::{MatchOutcome, MatchVerdict};
-            let universe = data_examples::universe::build();
-            let ids: Vec<ModuleId> =
-                universe.available_ids().into_iter().step_by(step).collect();
-            let pool = build_synthetic_pool(&universe.ontology, 3, pool_seed);
-            let config = GenerationConfig::default();
-            let session = || MatchSession::new(&universe.ontology, &pool, config.clone());
-            let oracle = match_pairs_exhaustive(&session(), &universe, &ids);
-            let summary = match_pairs(&session(), &universe, &ids, PairOutput::Summary);
-            let mut want = (0usize, 0usize, 0usize, 0usize);
-            for report in oracle.values() {
-                match &report.outcome {
-                    MatchOutcome::Verdict(MatchVerdict::Equivalent { .. }) => want.0 += 1,
-                    MatchOutcome::Verdict(MatchVerdict::Overlapping { .. }) => want.1 += 1,
-                    MatchOutcome::Verdict(MatchVerdict::Disjoint { .. }) => want.2 += 1,
-                    MatchOutcome::Incomparable(_) => want.3 += 1,
-                }
-            }
-            prop_assert_eq!(summary.tallies(), want);
-            prop_assert_eq!(
-                summary.equivalent
-                    + summary.overlapping
-                    + summary.disjoint
-                    + summary.incomparable,
-                summary.stats.pairs_total
-            );
+            let session = MatchSession::new(&universe.ontology, &pool, config);
+            prop_assert_eq!(engine.matrix(), match_pairs_exhaustive(&session, &universe));
         }
     }
 }
