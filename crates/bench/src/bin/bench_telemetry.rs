@@ -2,11 +2,13 @@
 //! instrumented workloads — plus per-call microcosts of the span guard and
 //! the flight recorder — and emits a machine-readable `BENCH_telemetry.json`.
 //!
-//! The workloads are `generate_fleet` over the 252-module universe, fanned
-//! out over the host's threads, and an `IncrementalPipeline::bootstrap`
-//! over the same 252 modules from a clone of the universe and pool: one
-//! serial generation per module, the fingerprint index, and the aligned
-//! comparison of every same-bucket pair.
+//! The workloads are `Context::build_with(&FaultConfig::none())`, the
+//! experiments' whole set-up (the 252-module universe, the seed-42 curator
+//! pool and the engine's bootstrap over them), and an
+//! `IncrementalPipeline::bootstrap` over the same 252 modules from a clone
+//! of the universe and a 4-per-concept pool: one serial generation per
+//! module, the fingerprint index, and the aligned comparison of every
+//! same-bucket pair.
 //!
 //! Usage: `cargo run --release -p dex-bench --bin bench_telemetry [OUT.json]`
 //! (default output path: `BENCH_telemetry.json` in the working directory).
@@ -20,9 +22,7 @@
 //! exits nonzero so CI treats instrumentation creep as a regression.
 
 use dex_core::GenerationConfig;
-use dex_experiments::parallel::generate_fleet;
-use dex_experiments::IncrementalPipeline;
-use dex_modules::Retrier;
+use dex_experiments::{Context, FaultConfig, IncrementalPipeline};
 use dex_pool::build_synthetic_pool;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -81,14 +81,10 @@ fn main() {
     let universe = dex_universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 4, 42);
     let config = GenerationConfig::default();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
     let modules = universe.available_ids().len();
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"profile\": \"{profile}\",").unwrap();
-    writeln!(json, "  \"threads\": {threads},").unwrap();
     writeln!(json, "  \"overhead_budget_pct\": {OVERHEAD_BUDGET_PCT},").unwrap();
 
     // Off and on batches alternate so slow machine drift (frequency
@@ -110,13 +106,10 @@ fn main() {
         (off_ms, on_ms)
     };
 
-    let (gen_off, gen_on) = section(
-        "generate_fleet",
+    let (ctx_off, ctx_on) = section(
+        "context_build",
         Box::new(|| {
-            let retrier = Retrier::new(config.retry);
-            std::hint::black_box(generate_fleet(
-                &universe, &pool, &config, threads, &retrier, true,
-            ));
+            std::hint::black_box(Context::build_with(&FaultConfig::none()));
         }),
     );
     let (boot_off, boot_on) = section(
@@ -181,12 +174,12 @@ fn main() {
     );
 
     let pct = |off: f64, on: f64| (on - off) / off * 100.0;
-    let gen_pct = pct(gen_off, gen_on);
+    let ctx_pct = pct(ctx_off, ctx_on);
     let boot_pct = pct(boot_off, boot_on);
     writeln!(
         json,
-        "  \"generate_all\": {{\"off_ms\": {gen_off:.2}, \"on_ms\": {gen_on:.2}, \
-         \"overhead_pct\": {gen_pct:.2}}},",
+        "  \"context_build\": {{\"off_ms\": {ctx_off:.2}, \"on_ms\": {ctx_on:.2}, \
+         \"overhead_pct\": {ctx_pct:.2}}},",
     )
     .unwrap();
     writeln!(
@@ -212,9 +205,9 @@ fn main() {
     // not the instrumentation.
     let mut violations: Vec<String> = Vec::new();
     if !cfg!(debug_assertions) {
-        if gen_pct > OVERHEAD_BUDGET_PCT {
+        if ctx_pct > OVERHEAD_BUDGET_PCT {
             violations.push(format!(
-                "generate_all enabled overhead {gen_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
+                "context_build enabled overhead {ctx_pct:.2}% > {OVERHEAD_BUDGET_PCT}%"
             ));
         }
         if boot_pct > OVERHEAD_BUDGET_PCT {

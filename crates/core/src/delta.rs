@@ -9,8 +9,8 @@
 //! `(input, partition)` cells it can possibly dirty, and the accounting
 //! ([`DeltaReport`], `dex.delta.*` telemetry) that makes the savings
 //! auditable. The engine that applies deltas to live pipeline state lives
-//! in `dex-experiments::incremental`, next to the generation fleet and
-//! matching sweep its equivalence tests compare it against.
+//! in `dex-experiments::incremental`; its equivalence tests compare it
+//! against a cold serial generation and the test-only exhaustive matcher.
 //!
 //! Dirty-set derivation is two-staged and *sound per stage*:
 //!

@@ -385,10 +385,10 @@ pub fn generate_examples(
 /// is byte-identical to the uncached path, only the number of *actual*
 /// module invocations drops. Every transient invocation failure is
 /// re-attempted under the retrier's policy (and against its run-wide
-/// budget) before an attempt is recorded as failed. Callers that share one
-/// retrier across many generations — the experiment fleet, the
-/// incremental engine — get run-global retry accounting; a caller with no
-/// retrier of its own passes `Retrier::new(config.retry)`.
+/// budget) before an attempt is recorded as failed. A caller that shares
+/// one retrier across many generations, as the incremental engine does,
+/// gets run-global retry accounting; a caller with no retrier of its own
+/// passes `Retrier::new(config.retry)`.
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,
     ontology: &Ontology,

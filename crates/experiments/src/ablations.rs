@@ -30,18 +30,19 @@ pub fn partitioning_vs_random(ctx: &Context) -> String {
     let mut rand_completeness = 0.0;
     let mut rand_conciseness = 0.0;
     let n = ctx.reports.len() as f64;
+    let universe = ctx.universe();
 
     for (id, report) in &ctx.reports {
-        let oracle = SpecOracle::new(&ctx.universe.specs[id]);
+        let oracle = SpecOracle::new(&universe.specs[id]);
         let s = score(&report.examples, &oracle);
         part_completeness += s.completeness;
         part_conciseness += s.conciseness;
 
-        let module = ctx.universe.catalog.get(id).expect("available");
+        let module = universe.catalog.get(id).expect("available");
         let random = generate_random_examples(
             module.as_ref(),
-            &ctx.universe.ontology,
-            &ctx.pool,
+            &universe.ontology,
+            ctx.pool(),
             report.examples.len().max(1),
             0xab1a,
         )
@@ -74,19 +75,19 @@ pub fn partitioning_vs_random(ctx: &Context) -> String {
 
 /// Ablation B: pool-size sweep.
 pub fn pool_size_sweep(ctx: &Context) -> String {
+    let universe = ctx.universe();
     let mut rows = Vec::new();
     for per_concept in [1usize, 2, 4, 8] {
-        let pool = build_synthetic_pool(&ctx.universe.ontology, per_concept, crate::POOL_SEED);
+        let pool = build_synthetic_pool(&universe.ontology, per_concept, crate::POOL_SEED);
         let mut coverage_sum = 0.0;
         let mut completeness_sum = 0.0;
         let mut n = 0.0;
-        for id in ctx.universe.available_ids() {
-            let module = ctx.universe.catalog.get(&id).expect("available");
-            let report =
-                generate_examples(module.as_ref(), &ctx.universe.ontology, &pool, &ctx.config)
-                    .expect("generation");
-            coverage_sum += report.input_partition_coverage(&ctx.universe.ontology);
-            let oracle = SpecOracle::new(&ctx.universe.specs[&id]);
+        for id in universe.available_ids() {
+            let module = universe.catalog.get(&id).expect("available");
+            let report = generate_examples(module.as_ref(), &universe.ontology, &pool, &ctx.config)
+                .expect("generation");
+            coverage_sum += report.input_partition_coverage(&universe.ontology);
+            let oracle = SpecOracle::new(&universe.specs[&id]);
             completeness_sum += score(&report.examples, &oracle).completeness;
             n += 1.0;
         }
@@ -114,9 +115,10 @@ pub fn annotation_specificity(ctx: &Context) -> String {
     // Coarsen: every instance re-annotated with its concept's parent (when
     // one exists) — the level a parameter-declaration-driven harvest would
     // record for sub-typed values.
-    let ontology = &ctx.universe.ontology;
+    let universe = ctx.universe();
+    let ontology = &universe.ontology;
     let mut coarse = InstancePool::new("coarse");
-    for inst in ctx.pool.iter() {
+    for inst in ctx.pool().iter() {
         let concept = ontology
             .id(&inst.concept)
             .and_then(|c| ontology.parent(c))
@@ -127,14 +129,14 @@ pub fn annotation_specificity(ctx: &Context) -> String {
 
     let mut rows = Vec::new();
     for (label, pool) in [
-        ("most-specific (ours)", &ctx.pool),
+        ("most-specific (ours)", ctx.pool()),
         ("declared-level (coarse)", &coarse),
     ] {
         let mut coverage_sum = 0.0;
         let mut produced = 0usize;
         let mut n = 0.0;
-        for id in ctx.universe.available_ids() {
-            let module = ctx.universe.catalog.get(&id).expect("available");
+        for id in universe.available_ids() {
+            let module = universe.catalog.get(&id).expect("available");
             let report = generate_examples(module.as_ref(), ontology, pool, &ctx.config)
                 .expect("generation");
             coverage_sum += report.input_partition_coverage(ontology);

@@ -19,10 +19,10 @@ use dex_modules::RetryPolicy;
 use dex_repair::RepositoryPlan;
 
 /// One run of the comparison slice: Table 1 (generation behavior), the
-/// matching summary (the incremental engine generates every module again
-/// through its own invocation cache and compares every same-bucket pair,
-/// replaying each target example no candidate example is aligned with),
-/// and the small-scale decay pipeline (corpus, Figure 8, repair).
+/// matching summary (counted from the verdict rows the context's engine
+/// filled at bootstrap, where it compared every same-bucket pair and
+/// replayed each target example no candidate example is aligned with), and
+/// the small-scale decay pipeline (corpus, Figure 8, repair).
 fn digest(faults: &FaultConfig) -> (String, Context) {
     let ctx = Context::build_with(faults);
     let mut out = String::new();
@@ -66,6 +66,7 @@ fn main() {
     let (shaken, ctx) = digest(&faulted);
 
     let fault_stats = faulted.stats();
+    let retry = ctx.engine.retry_stats();
     let mut failed = false;
     if baseline != shaken {
         eprintln!("FAIL: faulted reports diverge from the fault-free baseline");
@@ -88,19 +89,19 @@ fn main() {
             fault_stats.injected_faults, fault_stats.injected_unavailable, fault_stats.invocations
         );
     }
-    if ctx.retry.retries == 0 {
+    if retry.retries == 0 {
         eprintln!("FAIL: faults were injected but generation never retried");
         failed = true;
     } else {
         println!(
             "retries: {} (of {} attempts), {} backoff ticks",
-            ctx.retry.retries, ctx.retry.attempts, ctx.retry.backoff_ticks
+            retry.retries, retry.attempts, retry.backoff_ticks
         );
     }
-    if ctx.retry.budget_denied > 0 {
+    if retry.budget_denied > 0 {
         eprintln!(
             "FAIL: retry budget exhausted ({} denials) — raise the budget or lower the rate",
-            ctx.retry.budget_denied
+            retry.budget_denied
         );
         failed = true;
     }

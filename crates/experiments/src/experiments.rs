@@ -2,7 +2,7 @@
 //! one table/figure, paper numbers alongside measured ones.
 
 use crate::format::{heading, table};
-use crate::{Context, FaultConfig, IncrementalPipeline};
+use crate::{Context, FaultConfig};
 use dex_core::coverage::measure_coverage;
 use dex_core::metrics::score;
 use dex_pool::build_synthetic_pool;
@@ -29,7 +29,7 @@ pub fn table1(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.table1");
     let buckets = bucketize(
         ctx.reports.iter().map(|(id, report)| {
-            let oracle = SpecOracle::new(&ctx.universe.specs[id]);
+            let oracle = SpecOracle::new(&ctx.universe().specs[id]);
             score(&report.examples, &oracle).completeness
         }),
         3,
@@ -74,7 +74,7 @@ pub fn table2(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.table2");
     let buckets = bucketize(
         ctx.reports.iter().map(|(id, report)| {
-            let oracle = SpecOracle::new(&ctx.universe.specs[id]);
+            let oracle = SpecOracle::new(&ctx.universe().specs[id]);
             score(&report.examples, &oracle).conciseness
         }),
         2,
@@ -118,7 +118,7 @@ pub fn table2(ctx: &Context) -> String {
 pub fn table3(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.table3");
     let mut counts: BTreeMap<Category, usize> = BTreeMap::new();
-    for category in ctx.universe.categories.values() {
+    for category in ctx.universe().categories.values() {
         *counts.entry(*category).or_default() += 1;
     }
     let rows: Vec<Vec<String>> = Category::ALL
@@ -144,18 +144,19 @@ pub fn table3(ctx: &Context) -> String {
 /// for all but 19 modules.
 pub fn coverage(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.coverage");
+    let universe = ctx.universe();
     let mut inputs_fully = 0usize;
     let mut outputs_fully = 0usize;
     let mut exceptions: Vec<String> = Vec::new();
     for (id, report) in &ctx.reports {
-        if report.input_partition_coverage(&ctx.universe.ontology) >= 1.0 {
+        if report.input_partition_coverage(&universe.ontology) >= 1.0 {
             inputs_fully += 1;
         }
-        let descriptor = ctx.universe.catalog.descriptor(id).expect("registered");
+        let descriptor = universe.catalog.descriptor(id).expect("registered");
         let cov = measure_coverage(
             descriptor,
             &report.examples,
-            &ctx.universe.ontology,
+            &universe.ontology,
             classify_concept,
         )
         .expect("known concepts");
@@ -194,7 +195,7 @@ pub fn coverage(ctx: &Context) -> String {
 /// examples, plus the per-category breakdown of §5.
 pub fn figure5(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.figure5");
-    let outcome = run_user_study(&ctx.universe, &ctx.example_sets());
+    let outcome = run_user_study(ctx.universe(), &ctx.example_sets());
     let mut rows: Vec<Vec<String>> = Vec::new();
     let paper = [
         ("user1", 47usize, 169usize),
@@ -237,24 +238,29 @@ pub fn figure5(ctx: &Context) -> String {
 }
 
 /// The verdict distribution over every ordered pair of the available
-/// modules, from the incremental engine bootstrapped over the context's
-/// universe (its module handles, fault injectors included), pool and
-/// config.
+/// modules, counted from the context engine's stored verdict rows. A pair
+/// with no stored verdict (fingerprint-pruned, or failed before any
+/// replay) is incomparable.
 ///
 /// Not a paper table: it shows the §6 classification the engine serves
 /// (`dexd`, continuous repair) over the paper's 252 modules.
 pub fn matching_summary(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.matching_summary");
-    let engine =
-        IncrementalPipeline::bootstrap(ctx.universe.clone(), ctx.pool.clone(), ctx.config.clone());
-    let matrix = engine.matrix();
+    let engine = &ctx.engine;
     let mut verdicts: BTreeMap<String, usize> = BTreeMap::new();
-    for report in matrix.values() {
-        let label = match &report.outcome {
-            dex_core::MatchOutcome::Verdict(v) => format!("{v:?}").to_lowercase(),
-            dex_core::MatchOutcome::Incomparable(_) => "incomparable".to_string(),
-        };
-        *verdicts.entry(label).or_default() += 1;
+    let mut stored = 0usize;
+    for id in engine.tracked_ids() {
+        for (_, verdict) in engine.verdicts(id).into_iter().flatten() {
+            *verdicts
+                .entry(format!("{verdict:?}").to_lowercase())
+                .or_default() += 1;
+            stored += 1;
+        }
+    }
+    let modules = engine.available_count();
+    let pairs = modules * modules.saturating_sub(1);
+    if pairs > stored {
+        verdicts.insert("incomparable".to_string(), pairs - stored);
     }
 
     let rows: Vec<Vec<String>> = verdicts
@@ -262,9 +268,7 @@ pub fn matching_summary(ctx: &Context) -> String {
         .map(|(v, n)| vec![v.clone(), n.to_string()])
         .collect();
     let mut out = heading(&format!(
-        "Matching summary: {} modules, {} ordered pairs",
-        engine.available_count(),
-        matrix.len()
+        "Matching summary: {modules} modules, {pairs} ordered pairs"
     ));
     out.push_str(&table(&["verdict", "#pairs"], &rows));
     out.push('\n');

@@ -25,7 +25,9 @@ pub struct FaultConfig {
     /// Retry policy threaded through generation, matching, and enactment.
     pub retry: RetryPolicy,
     /// Abort on the first residual (post-retry) failure instead of
-    /// degrading gracefully.
+    /// degrading gracefully: [`crate::Context`] panics on the first module,
+    /// in id order, whose generation failed in the engine's bootstrap, and
+    /// the corpus build on its first failure.
     pub fail_fast: bool,
 }
 

@@ -38,7 +38,7 @@
 //!
 //! At withdrawal the engine also feeds the repair layer: the module's
 //! last-known row verdicts are ranked with the §6 study's own ordering
-//! ([`pick_better_substitute`]) into a carried-forward substitute, exposed
+//! ([`substitute_rank`]) into a carried-forward substitute, exposed
 //! via [`IncrementalPipeline::matching_study`] — the repair engine's
 //! substitute search answered with zero replay invocations.
 
@@ -48,9 +48,9 @@ use dex_core::{
     generate_examples_retrying, generation_signature, CachedGeneration, FingerprintIndex,
     GenerationConfig, GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
-use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, SharedModule};
+use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, RetryStats, SharedModule};
 use dex_pool::InstancePool;
-use dex_repair::{pick_better_substitute, LegacyMatch, MatchingStudy};
+use dex_repair::{substitute_rank, LegacyMatch, MatchingStudy};
 use dex_universe::Universe;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -83,6 +83,9 @@ pub struct IncrementalPipeline {
     /// computed.
     verdicts: Vec<Vec<Cell>>,
     cache: InvocationCache,
+    /// The one retrier of the engine's life: bootstrap, every apply and
+    /// [`matrix`](IncrementalPipeline::matrix) spend the same retry budget.
+    retrier: Retrier,
     /// Carried-forward substitute per withdrawn module, captured from its
     /// last-known row verdicts at withdrawal time.
     substitutes: MatchingStudy,
@@ -144,6 +147,7 @@ impl IncrementalPipeline {
             gen_sigs,
             verdicts: Vec::with_capacity(ids_len),
             cache,
+            retrier,
             substitutes: MatchingStudy::default(),
         };
         // Bucket member lists are kept ascending, so each row is born sorted
@@ -152,7 +156,7 @@ impl IncrementalPipeline {
             let peers = engine.index.peers(t);
             let mut row = Vec::with_capacity(peers.len().saturating_sub(1));
             for &c in peers.iter().filter(|&&c| c != t) {
-                let outcome = engine.outcome(t, &*modules[t], c, &*modules[c], &retrier);
+                let outcome = engine.outcome(t, &*modules[t], c, &*modules[c]);
                 row.push(Cell::new(c, &outcome));
             }
             engine.verdicts.push(row);
@@ -169,7 +173,6 @@ impl IncrementalPipeline {
     /// this, with and without fault injection).
     pub fn apply(&mut self, deltas: &[Delta]) -> DeltaReport {
         let _span = dex_telemetry::span("incremental.apply");
-        let retrier = Retrier::new(self.config.retry);
         let mut stats = DeltaReport {
             events: deltas.len(),
             ..DeltaReport::default()
@@ -335,7 +338,7 @@ impl IncrementalPipeline {
                     &self.pool,
                     &self.config,
                     &self.cache,
-                    &retrier,
+                    &self.retrier,
                 ));
                 (i, sig, report)
             })
@@ -389,7 +392,7 @@ impl IncrementalPipeline {
         }
         let computed: Vec<(usize, Cell)> = pairs
             .iter()
-            .map(|&(t, c)| (t, Cell::new(c, &self.pair_outcome(t, c, &retrier))))
+            .map(|&(t, c)| (t, Cell::new(c, &self.pair_outcome(t, c))))
             .collect();
         for (t, cell) in computed {
             let row = &mut self.verdicts[t];
@@ -429,14 +432,14 @@ impl IncrementalPipeline {
     }
 
     /// One pair's outcome, resolving both slots' handles in the catalog.
-    fn pair_outcome(&self, t: usize, c: usize, retrier: &Retrier) -> MatchOutcome {
+    fn pair_outcome(&self, t: usize, c: usize) -> MatchOutcome {
         let module = |i: usize| {
             self.universe
                 .catalog
                 .get(&self.ids[i])
                 .expect("matched pairs are available")
         };
-        self.outcome(t, module(t).as_ref(), c, module(c).as_ref(), retrier)
+        self.outcome(t, module(t).as_ref(), c, module(c).as_ref())
     }
 
     /// One pair's outcome by [`pair_outcome`], over the engine's stored
@@ -450,7 +453,6 @@ impl IncrementalPipeline {
         target: &dyn BlackBox,
         c: usize,
         candidate: &dyn BlackBox,
-        retrier: &Retrier,
     ) -> MatchOutcome {
         let own = match self.reports[c].as_ref() {
             Ok(report) => Some(&report.examples),
@@ -463,20 +465,46 @@ impl IncrementalPipeline {
             own,
             &self.universe.ontology,
             &self.cache,
-            retrier,
+            &self.retrier,
         )
     }
 
-    /// Ranks slot `i`'s current row verdicts into a carried-forward
-    /// substitute, using the §6 study's own ordering.
+    /// Slot `i`'s stored cells that carry a verdict, in ascending slot
+    /// order.
+    fn row_verdicts(&self, i: usize) -> impl Iterator<Item = (&ModuleId, MatchVerdict)> {
+        self.verdicts[i]
+            .iter()
+            .filter_map(Cell::slot_verdict)
+            .map(|(c, v)| (&self.ids[c], v))
+    }
+
+    /// Slot `i`'s verdict-bearing comparisons and its usable candidates,
+    /// best first by [`substitute_rank`]; equal ranks keep ascending id
+    /// order, so the first entry is the candidate the §6 study's
+    /// first-found-wins scan would keep.
+    fn ranked_row(&self, i: usize) -> (usize, Vec<(ModuleId, MatchVerdict)>) {
+        let mut compared = 0usize;
+        let mut ranked: Vec<(ModuleId, MatchVerdict)> = Vec::new();
+        for (c, v) in self.row_verdicts(i) {
+            compared += 1;
+            if v.is_usable() {
+                ranked.push((c.clone(), v));
+            }
+        }
+        ranked.sort_by(|a, b| {
+            substitute_rank(&b.1)
+                .partial_cmp(&substitute_rank(&a.1))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        (compared, ranked)
+    }
+
+    /// Keeps slot `i`'s best current substitute as its carried-forward
+    /// capture.
     fn capture_substitute(&mut self, i: usize) {
         let id = self.ids[i].clone();
-        let mut best: Option<(ModuleId, MatchVerdict)> = None;
-        let mut compared = 0usize;
-        for (c, v) in self.verdicts[i].iter().filter_map(Cell::slot_verdict) {
-            compared += 1;
-            best = pick_better_substitute(best, (self.ids[c].clone(), v));
-        }
+        let (compared, ranked) = self.ranked_row(i);
         let examples = match self.reports[i].as_ref() {
             Ok(report) => report.examples.len(),
             Err(_) => 0,
@@ -487,7 +515,7 @@ impl IncrementalPipeline {
                 module: id,
                 reconstructed_examples: examples,
                 candidates_compared: compared,
-                best: best.filter(|(_, v)| v.is_usable()),
+                best: ranked.into_iter().next(),
             },
         );
     }
@@ -508,7 +536,8 @@ impl IncrementalPipeline {
     }
 
     /// Successful generation reports of the currently available modules —
-    /// the same map a cold `generate_fleet` over the present state returns.
+    /// the same map a cold serial `generate_examples` over the present
+    /// state returns.
     pub fn reports(&self) -> BTreeMap<ModuleId, GenerationReport> {
         let mut out = BTreeMap::new();
         for (i, id) in self.ids.iter().enumerate() {
@@ -533,7 +562,6 @@ impl IncrementalPipeline {
     /// set.
     pub fn matrix(&self) -> BTreeMap<(ModuleId, ModuleId), MatchReport> {
         let slots: Vec<usize> = (0..self.ids.len()).filter(|&i| self.available[i]).collect();
-        let retrier = Retrier::new(self.config.retry);
         let mut out = BTreeMap::new();
         for &t in &slots {
             let examples = match self.reports[t].as_ref() {
@@ -555,7 +583,7 @@ impl IncrementalPipeline {
                 };
                 let outcome = match stored {
                     Some(verdict) => MatchOutcome::Verdict(verdict),
-                    None => self.pair_outcome(t, c, &retrier),
+                    None => self.pair_outcome(t, c),
                 };
                 out.insert(
                     (self.ids[t].clone(), self.ids[c].clone()),
@@ -590,6 +618,24 @@ impl IncrementalPipeline {
         &self.cache
     }
 
+    /// Retry accounting over the engine's life: bootstrap, every apply and
+    /// every [`matrix`](IncrementalPipeline::matrix).
+    pub fn retry_stats(&self) -> RetryStats {
+        self.retrier.stats()
+    }
+
+    /// The stored cells of an available module's row that carry a verdict,
+    /// in ascending slot order; `None` for a withdrawn or untracked id.
+    /// Every ordered pair of available modules that yields nothing here,
+    /// from either end, is incomparable.
+    pub fn verdicts(
+        &self,
+        id: &ModuleId,
+    ) -> Option<impl Iterator<Item = (&ModuleId, MatchVerdict)>> {
+        let i = self.slot(id).filter(|&i| self.available[i])?;
+        Some(self.row_verdicts(i))
+    }
+
     /// Whether `id` is tracked, and if so whether it is currently
     /// available.
     pub fn availability(&self, id: &ModuleId) -> Option<bool> {
@@ -613,7 +659,7 @@ impl IncrementalPipeline {
     }
 
     /// Ranks the current substitutes for a tracked module, best first,
-    /// using the §6 study's ordering ([`pick_better_substitute`]).
+    /// using the §6 study's ordering ([`substitute_rank`]).
     /// Available modules are answered from their live row verdicts;
     /// withdrawn modules return their carried-forward capture (best only —
     /// that is all that is kept at withdrawal).
@@ -628,23 +674,7 @@ impl IncrementalPipeline {
                 ranked: carried.best.clone().into_iter().collect(),
             });
         }
-        let mut compared = 0usize;
-        let mut ranked: Vec<(ModuleId, MatchVerdict)> = Vec::new();
-        for (c, v) in self.verdicts[i].iter().filter_map(Cell::slot_verdict) {
-            compared += 1;
-            if v.is_usable() {
-                ranked.push((self.ids[c].clone(), v));
-            }
-        }
-        // Descending study rank; ties break toward the smaller id, which is
-        // exactly what the incumbent-wins fold over ascending slot order
-        // produces, so `ranked.first()` agrees with `pick_better_substitute`.
-        ranked.sort_by(|a, b| {
-            substitute_rank(&b.1)
-                .partial_cmp(&substitute_rank(&a.1))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        let (compared, ranked) = self.ranked_row(i);
         Some(SubstituteAnswer {
             module: id.clone(),
             available: true,
@@ -698,18 +728,6 @@ impl Cell {
 
     fn slot_verdict(&self) -> Option<(usize, MatchVerdict)> {
         Some((self.slot(), self.verdict()?))
-    }
-}
-
-/// The §6 study's candidate ordering as a sort key (see
-/// [`pick_better_substitute`]).
-fn substitute_rank(v: &MatchVerdict) -> (u8, f64) {
-    match v {
-        MatchVerdict::Equivalent { .. } => (2, 1.0),
-        MatchVerdict::Overlapping { agreeing, compared } => {
-            (1, *agreeing as f64 / *compared as f64)
-        }
-        MatchVerdict::Disjoint { .. } => (0, 0.0),
     }
 }
 

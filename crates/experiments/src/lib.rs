@@ -19,7 +19,7 @@
 //! every run regenerates identical tables.
 
 use dex_core::{ExampleSet, GenerationConfig, GenerationReport};
-use dex_modules::{ModuleId, Retrier, RetryStats};
+use dex_modules::ModuleId;
 use dex_pool::{build_synthetic_pool, InstancePool};
 use dex_universe::Universe;
 use std::collections::BTreeMap;
@@ -30,7 +30,6 @@ pub mod experiments;
 pub mod faults;
 pub mod format;
 pub mod incremental;
-pub mod parallel;
 pub mod telemetry;
 
 pub use continuous::{
@@ -47,10 +46,11 @@ pub const POOL_PER_CONCEPT: usize = 6;
 
 /// Everything the experiments need, built once.
 pub struct Context {
-    /// The (pre-decay) universe.
-    pub universe: Universe,
-    /// The curator pool (§4.1's annotated-instance pool, synthetic flavor).
-    pub pool: InstancePool,
+    /// The incremental engine over the (pre-decay) paper universe and the
+    /// curator pool (§4.1's annotated-instance pool, synthetic flavor): it
+    /// generated every module's data examples once and holds the verdict
+    /// rows of every same-bucket pair.
+    pub engine: IncrementalPipeline,
     /// Generator configuration.
     pub config: GenerationConfig,
     /// Per-module generation reports for the 252 available modules.
@@ -58,8 +58,6 @@ pub struct Context {
     /// Modules whose generation failed even after retries — empty on a
     /// healthy run; populated (instead of panicking) on a degraded one.
     pub generation_failures: Vec<(ModuleId, String)>,
-    /// Retry accounting for the generation phase.
-    pub retry: RetryStats,
 }
 
 impl Context {
@@ -72,10 +70,10 @@ impl Context {
     }
 
     /// [`Context::build`] under an explicit [`FaultConfig`]: the catalog is
-    /// wrapped in the injector (if any) before generation, generation rides
-    /// transients out under the config's retry policy, and residual
-    /// failures degrade the context instead of aborting it (unless
-    /// `fail_fast`).
+    /// wrapped in the injector (if any) before the engine's bootstrap
+    /// generates every module, generation rides transients out under the
+    /// config's retry policy, and residual failures degrade the context
+    /// instead of aborting it (unless `fail_fast`).
     pub fn build_with(faults: &FaultConfig) -> Context {
         let _span = dex_telemetry::span("context.build");
         let mut universe = dex_universe::build();
@@ -88,26 +86,48 @@ impl Context {
             retry: faults.retry,
             ..GenerationConfig::default()
         };
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        let retrier = Retrier::new(config.retry);
-        let fleet = parallel::generate_fleet(
-            &universe,
-            &pool,
-            &config,
-            threads,
-            &retrier,
-            faults.fail_fast,
-        );
-        Context {
-            universe,
-            pool,
-            config,
-            reports: fleet.reports,
-            generation_failures: fleet.failures,
-            retry: retrier.stats(),
+        let engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
+        let mut generation_failures = Vec::new();
+        for id in engine.tracked_ids() {
+            let Some((_, Err(error))) = engine.annotation(id) else {
+                continue;
+            };
+            if faults.fail_fast {
+                panic!("{id}: {error}");
+            }
+            let error = error.to_string();
+            if dex_telemetry::is_enabled() {
+                dex_telemetry::flight(
+                    dex_telemetry::FlightKind::ModuleWithdrawn,
+                    id.as_str(),
+                    error.clone(),
+                    0,
+                );
+            }
+            generation_failures.push((id.clone(), error));
         }
+        if !generation_failures.is_empty() {
+            // Graceful degradation just withdrew module(s): capture the
+            // flight window (fault injections, retries, exhaustion) as a
+            // post-mortem.
+            dex_telemetry::dump_flight("module withdrawn");
+        }
+        Context {
+            reports: engine.reports(),
+            engine,
+            config,
+            generation_failures,
+        }
+    }
+
+    /// The (pre-decay) universe.
+    pub fn universe(&self) -> &Universe {
+        self.engine.universe()
+    }
+
+    /// The curator pool.
+    pub fn pool(&self) -> &InstancePool {
+        self.engine.pool()
     }
 
     /// The generated example sets, keyed by module.

@@ -1,7 +1,7 @@
 //! The incremental engine's correctness contract: after *any* seeded
 //! sequence of deltas — pool inserts/removals, module
 //! withdrawals/restorations, ontology edge additions, in any batching —
-//! the maintained generation reports equal a cold `generate_fleet`, and the
+//! the maintained generation reports equal a cold serial generation, and the
 //! matching matrix equals the exhaustive oracle's, over the same final
 //! state. A second property pins the same equivalence with seeded transient
 //! faults injected into every module, riding on the retry layer to
@@ -10,12 +10,14 @@
 //! well as Disjoint and incomparable ones.
 
 use dex_core::delta::{Delta, DeltaReport};
-use dex_core::{GenerationConfig, MatchOutcome, MatchReport, MatchVerdict, PartitionFingerprint};
-use dex_experiments::parallel::generate_fleet;
+use dex_core::{
+    generate_examples, GenerationConfig, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
+    PartitionFingerprint,
+};
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
-    FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind, Parameter, Retrier,
-    RetryPolicy, SharedModule,
+    FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind, Parameter, RetryPolicy,
+    SharedModule,
 };
 use dex_oracle::fixture::{decode_delta, mini_module, mini_world, module_id, world_of};
 use dex_oracle::{match_pairs_exhaustive, MatchSession};
@@ -185,16 +187,19 @@ fn check_equivalence(
         let (mut cold_u, mut cold_p) = mini_world(shape_salt, behavior_salt, reject_pct, faults);
         replay_cold(&mut cold_u, &mut cold_p, &deltas[..applied]);
 
-        let retrier = Retrier::new(config.retry);
-        let fleet = generate_fleet(&cold_u, &cold_p, &config, 1, &retrier, false);
-        assert!(
-            fleet.failures.is_empty(),
-            "cold oracle must generate cleanly: {:?}",
-            fleet.failures
-        );
+        let cold: BTreeMap<ModuleId, GenerationReport> = cold_u
+            .available_ids()
+            .into_iter()
+            .map(|id| {
+                let module = cold_u.catalog.get(&id).expect("available");
+                let report = generate_examples(module.as_ref(), &cold_u.ontology, &cold_p, &config)
+                    .unwrap_or_else(|e| panic!("cold oracle must generate {id}: {e}"));
+                (id, report)
+            })
+            .collect();
         assert_eq!(
             engine.reports(),
-            fleet.reports,
+            cold,
             "incremental reports diverged from cold run after {applied} deltas"
         );
 

@@ -388,21 +388,6 @@ impl InvocationCache {
             })
             .sum()
     }
-
-    /// Publishes this cache's stats as `dex.invoke.cache.*` gauges so they
-    /// appear in `TELEMETRY.json` (no-op while telemetry is disabled —
-    /// gauges are point-in-time, unlike the live hit/miss counters).
-    pub fn publish_telemetry(&self) {
-        if !dex_telemetry::is_enabled() {
-            return;
-        }
-        let stats = self.stats();
-        dex_telemetry::gauge_set("dex.invoke.cache.entries", stats.entries as i64);
-        dex_telemetry::gauge_set(
-            "dex.invoke.cache.hit_rate_pct",
-            (stats.hit_rate() * 100.0) as i64,
-        );
-    }
 }
 
 #[cfg(test)]

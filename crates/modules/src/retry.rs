@@ -121,8 +121,8 @@ fn retry_counters() -> &'static (
 }
 
 /// Executes invocations under a [`RetryPolicy`], with thread-safe lifetime
-/// accounting. One retrier is typically shared by a whole run (generation
-/// fleet, match session, corpus build) so the retry budget is global to it.
+/// accounting. One retrier is typically shared by a whole run (incremental
+/// engine, corpus build, repair pass) so the retry budget is global to it.
 #[derive(Debug, Default)]
 pub struct Retrier {
     policy: RetryPolicy,

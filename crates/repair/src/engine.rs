@@ -197,7 +197,6 @@ pub fn repair_repository_with(
         });
     }
 
-    invocations.publish_telemetry();
     (outcomes, summary)
 }
 

@@ -193,34 +193,38 @@ pub fn run_matching_study_with(
             },
         );
     }
-    invocations.publish_telemetry();
     study.retry = retrier.stats();
     study
 }
 
-/// The study's candidate ranking, exposed for callers that rank verdicts
-/// they already hold (the incremental layer's carried-forward substitute
-/// capture): an `Equivalent` verdict wins outright, then the `Overlapping`
-/// candidate with the highest agreement ratio; `Disjoint` never wins, and
-/// on equal rank the incumbent is kept (first-found wins, matching the
-/// study's early-exit scan order).
-pub fn pick_better_substitute(
+/// The study's candidate ranking as a sort key, higher is better: an
+/// `Equivalent` verdict outranks every other, then `Overlapping` by its
+/// agreement ratio, and `Disjoint` ranks last. Callers that rank verdicts
+/// they already hold (the incremental engine's substitute answers and
+/// carried-forward captures) sort by it.
+pub fn substitute_rank(v: &MatchVerdict) -> (u8, f64) {
+    match v {
+        MatchVerdict::Equivalent { .. } => (2, 1.0),
+        MatchVerdict::Overlapping { agreeing, compared } => {
+            (1, *agreeing as f64 / *compared as f64)
+        }
+        MatchVerdict::Disjoint { .. } => (0, 0.0),
+    }
+}
+
+/// The study's fold over [`substitute_rank`]: the challenger replaces the
+/// incumbent only when it ranks strictly higher, so on equal rank the
+/// first-found candidate wins, matching the study's early-exit scan order.
+/// `Disjoint` can be kept here; the study drops unusable verdicts after the
+/// fold.
+fn pick_better_substitute(
     current: Option<(ModuleId, MatchVerdict)>,
     challenger: (ModuleId, MatchVerdict),
 ) -> Option<(ModuleId, MatchVerdict)> {
-    fn rank(v: &MatchVerdict) -> (u8, f64) {
-        match v {
-            MatchVerdict::Equivalent { .. } => (2, 1.0),
-            MatchVerdict::Overlapping { agreeing, compared } => {
-                (1, *agreeing as f64 / *compared as f64)
-            }
-            MatchVerdict::Disjoint { .. } => (0, 0.0),
-        }
-    }
     match current {
         None => Some(challenger),
         Some(current) => {
-            if rank(&challenger.1) > rank(&current.1) {
+            if substitute_rank(&challenger.1) > substitute_rank(&current.1) {
                 Some(challenger)
             } else {
                 Some(current)

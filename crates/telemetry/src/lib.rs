@@ -12,11 +12,9 @@
 //! * [`span`] pushes a fixed-size entry onto a thread-local span stack; on
 //!   RAII-guard drop the span closes into a flat per-thread buffer, which
 //!   joins one global list when the thread's outermost span closes. Spans
-//!   carry process-unique ids, parent ids, and monotonic start offsets;
-//!   spawn sites capture a [`TraceContext`] with [`current_context`] and
-//!   hand it to workers. [`collect`] rebuilds the [`SpanRecord`] forest by
-//!   parent id, so worker spans stitch under the spawning span instead of
-//!   becoming orphan roots.
+//!   carry process-unique ids, parent ids, and monotonic start offsets; a
+//!   span's parent is the innermost span open on its own thread.
+//!   [`collect`] rebuilds the [`SpanRecord`] forest by parent id.
 //! * [`flight`] records incidents (retries, fault injections, withdrawals,
 //!   deltas, panics) into a fixed-capacity ring behind a plain lock;
 //!   [`dump_flight`] writes the recent window to `FLIGHT.json` as a
@@ -49,7 +47,7 @@ pub use metrics::{
     Histo, Histogram, HistogramSnapshot, TimedGuard,
 };
 pub use report::{collect, RunReport};
-pub use span::{current_context, span, SpanGuard, SpanRecord, TraceContext};
+pub use span::{span, SpanGuard, SpanRecord};
 pub use trace::{chrome_trace, chrome_trace_from_json, chrome_trace_json, validate_chrome_trace};
 
 use std::sync::atomic::{AtomicBool, Ordering};

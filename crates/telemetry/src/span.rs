@@ -17,12 +17,10 @@
 //!
 //! Nesting is rebuilt only by [`crate::collect`]. Each entry hangs under the
 //! entry its `parent_id` names, and entries whose parent never closed stay
-//! roots. That one rule covers local nesting and cross-thread stitching:
-//! a spawn site captures a [`TraceContext`] with [`current_context`] and
-//! hands it to workers, and [`TraceContext::span`] opens the worker's
-//! outermost span with the spawning span's id as its parent, so the
-//! exported forest shows worker spans nested under the sweep span that
-//! spawned them instead of as orphan roots.
+//! roots. A span's parent is the innermost span open on its own thread, so
+//! a thread's outermost span is a root: every traced operation (an
+//! experiment phase, a `dexd` request) runs start to finish on the thread
+//! that opened it.
 
 use crate::{is_enabled, lock};
 use serde::{Deserialize, Serialize};
@@ -38,8 +36,7 @@ pub struct SpanRecord {
     /// counter (so `id` order is open order, and a parent's id is always
     /// smaller than any descendant's).
     pub id: u64,
-    /// Id of the enclosing span (local stack parent, or the remote parent
-    /// captured in a [`TraceContext`]); `0` for a true root.
+    /// Id of the enclosing span on the same thread; `0` for a root.
     pub parent_id: u64,
     /// The name given to [`span`].
     pub name: String,
@@ -74,7 +71,8 @@ fn clock_ns() -> u64 {
 }
 
 /// Span ids start at 1; 0 is the "no parent" sentinel. Never restarted, so
-/// a stale [`TraceContext`] cannot name a span opened after a reset.
+/// a span still open across a reset cannot share an id with one opened
+/// after it.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
@@ -123,56 +121,17 @@ pub struct SpanGuard {
     depth: Option<usize>,
 }
 
-/// A cheap `Copy` handle carrying the id of the span that was open when the
-/// context was captured. Spawn sites capture one with [`current_context`]
-/// and hand it to workers; [`TraceContext::span`] then parents the worker's
-/// outermost span under the spawning span instead of leaving it an orphan
-/// root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    parent: u64,
-}
-
-impl TraceContext {
-    /// A context with no parent: spans opened through it behave exactly
-    /// like plain [`span`] calls.
-    pub const fn none() -> TraceContext {
-        TraceContext { parent: 0 }
-    }
-
-    /// Opens a span parented under this context when the calling thread has
-    /// no span of its own open; nested calls parent locally as usual.
-    /// Returns an inert guard while telemetry is disabled.
-    #[inline]
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        open_span(name, self.parent)
-    }
-}
-
-/// Captures the innermost open span on this thread as a [`TraceContext`]
-/// to hand to spawned workers. Cheap (one relaxed load) while disabled.
-pub fn current_context() -> TraceContext {
-    if !is_enabled() {
-        return TraceContext::none();
-    }
-    let parent = LOCAL.with(|local| local.borrow().open.last().map_or(0, |s| s.id));
-    TraceContext { parent }
-}
-
-/// Opens a span. Returns an inert guard while telemetry is disabled.
+/// Opens a span under the innermost span open on this thread, or as a root
+/// (parent 0) when none is. Returns an inert guard while telemetry is
+/// disabled.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    open_span(name, 0)
-}
-
-#[inline]
-fn open_span(name: &'static str, remote_parent: u64) -> SpanGuard {
     if !is_enabled() {
         return SpanGuard { depth: None };
     }
     let depth = LOCAL.with(|local| {
         let open = &mut local.borrow_mut().open;
-        let parent_id = open.last().map_or(remote_parent, |s| s.id);
+        let parent_id = open.last().map_or(0, |s| s.id);
         open.push(Open {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             parent_id,
@@ -211,11 +170,10 @@ impl Drop for SpanGuard {
 }
 
 /// Builds the completed span forest: entries sorted by id, each attached
-/// under the entry its `parent_id` names. Entries whose parent never closed
-/// (a true root, a context captured before a reset, or a spawning span
-/// still open) stay roots. Ids are allocated in open order and a parent
-/// always opens before its children, so children and roots come out in
-/// open order.
+/// under the entry its `parent_id` names. Entries whose parent was never
+/// recorded (a true root, or a span whose parent was cleared by a reset)
+/// stay roots. Ids are allocated in open order and a parent always opens
+/// before its children, so children and roots come out in open order.
 pub(crate) fn snapshot_roots() -> Vec<SpanRecord> {
     let mut entries = lock(&CLOSED).clone();
     entries.sort_unstable_by_key(|e| e.open.id);
@@ -375,7 +333,6 @@ mod tests {
             let _s = span("never-recorded");
         }
         assert!(snapshot_roots().is_empty());
-        assert_eq!(current_context(), TraceContext::none());
     }
 
     #[test]
@@ -394,73 +351,6 @@ mod tests {
         let mut names: Vec<String> = snapshot_roots().into_iter().map(|r| r.name).collect();
         names.sort();
         assert_eq!(names, ["main-span", "worker-span"]);
-        crate::disable();
-    }
-
-    #[test]
-    fn trace_context_parents_worker_spans_under_spawner() {
-        let _g = testing::guard();
-        crate::enable();
-        crate::reset();
-        {
-            let _sweep = span("sweep");
-            let ctx = current_context();
-            std::thread::scope(|scope| {
-                for _ in 0..2 {
-                    scope.spawn(move || {
-                        let _w = ctx.span("worker");
-                        let _inner = span("worker-inner");
-                    });
-                }
-            });
-        }
-        let roots = snapshot_roots();
-        assert_eq!(roots.len(), 1, "workers stitched under sweep: {roots:?}");
-        let sweep = &roots[0];
-        assert_eq!(sweep.name, "sweep");
-        assert_eq!(sweep.children.len(), 2);
-        for worker in &sweep.children {
-            assert_eq!(worker.name, "worker");
-            assert_eq!(worker.parent_id, sweep.id);
-            assert_ne!(worker.thread, sweep.thread);
-            assert_eq!(worker.children[0].name, "worker-inner");
-            assert_eq!(worker.children[0].parent_id, worker.id);
-        }
-        // Children are stitched in open order.
-        assert!(sweep.children[0].id < sweep.children[1].id);
-        crate::disable();
-    }
-
-    #[test]
-    fn orphaned_context_child_stays_a_root() {
-        let _g = testing::guard();
-        crate::enable();
-        crate::reset();
-        let ctx = {
-            let _parent = span("short-lived");
-            current_context()
-        };
-        // Parent already closed and its subtree is in the forest; a late
-        // worker still stitches under it.
-        {
-            let _late = ctx.span("late-worker");
-        }
-        let roots = snapshot_roots();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].children[0].name, "late-worker");
-        // A context whose parent was never recorded (e.g. pruned by reset)
-        // leaves the child a root instead of losing it.
-        let stale = {
-            let _pruned = span("pruned");
-            current_context()
-        };
-        crate::reset();
-        {
-            let _orphan = stale.span("orphan");
-        }
-        let roots = snapshot_roots();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name, "orphan");
         crate::disable();
     }
 }

@@ -1,7 +1,7 @@
 //! Concurrency guarantees of the metrics registry: counters hammered from
-//! scoped threads (the same parallelism shape as `generate_fleet`) must
-//! not lose a single increment, and first-touch
-//! interning races must resolve to one shared atomic per name.
+//! scoped threads (as `dexd`'s callers hit them, each request on its own
+//! thread) must not lose a single increment, and first-touch interning
+//! races must resolve to one shared atomic per name.
 
 use std::sync::Mutex;
 
