@@ -12,11 +12,12 @@
 //!    attempts whose value vector is identical to an earlier attempt of the
 //!    same combination (shallow pools used to make retries re-invoke the
 //!    exact same inputs — pure waste);
-//! 3. executes the plan combination by combination, each attempt through
-//!    [`Retrier::invoke`] — directly, or through a shared
-//!    [`InvocationCache`] ([`generate_examples_retrying`]) — and keeps the
-//!    first attempt that terminates normally. The report is the same with
-//!    or without a cache, and whatever the cache already holds.
+//! 3. executes the plan combination by combination and keeps the first
+//!    attempt that terminates normally. An attempt goes through
+//!    [`Retrier::invoke`], directly or through a shared [`InvocationCache`]
+//!    ([`generate_examples_retrying`]), unless the module's previous example
+//!    set already records it ([`generate_examples_memoized`]). The report is
+//!    the same with or without a memo, and whatever the memo holds.
 
 use crate::error::GenerationError;
 use crate::example::{Binding, DataExample, ExampleSet};
@@ -78,9 +79,11 @@ pub struct GenerationReport {
     pub failed_combinations: Vec<Vec<String>>,
     /// Planned invocation attempts consumed (duplicate retry vectors are
     /// skipped, not counted — they cannot change a deterministic module's
-    /// answer). When a shared [`InvocationCache`] is in play the number of
-    /// *actual* module invocations can be lower still; see the cache's
-    /// [`stats`](InvocationCache::stats).
+    /// answer). An attempt answered by a memo counts too, so the number is
+    /// the same with or without one: a shared [`InvocationCache`] (see its
+    /// [`stats`](InvocationCache::stats)) or the module's previous examples
+    /// ([`generate_examples_memoized`]) can only lower the number of
+    /// *actual* module invocations.
     pub invocations: usize,
     /// Attempts whose outcome was still a *transient* error after the retry
     /// policy gave up — state-dependent failures the run degraded through
@@ -366,16 +369,46 @@ fn plan_invocations<'p>(
 /// 4. keep combinations that terminate normally as data examples.
 ///
 /// Deterministic: same module, ontology, pool and config always produce the
-/// same report. This uncached path is also the reference the cached path
-/// ([`generate_examples_retrying`]) is property-tested against.
+/// same report. This unmemoized path is also the reference the memoized
+/// ones ([`generate_examples_retrying`], [`generate_examples_memoized`]) are
+/// property-tested against.
 pub fn generate_examples(
     module: &dyn BlackBox,
     ontology: &Ontology,
     pool: &InstancePool,
     config: &GenerationConfig,
 ) -> Result<GenerationReport, GenerationError> {
-    let retrier = Retrier::new(config.retry);
-    generate_with(module, ontology, pool, config, None, &retrier)
+    generate_examples_memoized(
+        module,
+        ontology,
+        pool,
+        config,
+        None,
+        &Retrier::new(config.retry),
+    )
+}
+
+/// [`generate_examples`] with the module's previous example set as its
+/// memo. A data example records one invocation, and modules are
+/// deterministic (paper §2), so an attempt whose input vector equals a
+/// previous example's inputs takes that example's outputs without invoking
+/// the module. Every other attempt is invoked through `retrier`, with no
+/// cache. The report is byte-identical to [`generate_examples`]'s, whatever
+/// `memo` holds; only the module invocations fall. `None` invokes every
+/// attempt.
+///
+/// The incremental engine regenerates a module from its own previous
+/// report, so a pool change that moves one pick re-invokes only the
+/// attempts that read it.
+pub fn generate_examples_memoized(
+    module: &dyn BlackBox,
+    ontology: &Ontology,
+    pool: &InstancePool,
+    config: &GenerationConfig,
+    memo: Option<&ExampleSet>,
+    retrier: &Retrier,
+) -> Result<GenerationReport, GenerationError> {
+    generate_with(module, ontology, pool, config, None, memo, retrier)
 }
 
 /// [`generate_examples`] through a shared [`InvocationCache`] and
@@ -386,9 +419,10 @@ pub fn generate_examples(
 /// module invocations drops. Every transient invocation failure is
 /// re-attempted under the retrier's policy (and against its run-wide
 /// budget) before an attempt is recorded as failed. A caller that shares
-/// one retrier across many generations, as the incremental engine does,
-/// gets run-global retry accounting; a caller with no retrier of its own
-/// passes `Retrier::new(config.retry)`.
+/// one retrier across many generations, as the test-only exhaustive oracle
+/// does, gets run-global retry accounting; a caller with no retrier of its
+/// own passes `Retrier::new(config.retry)`. The incremental engine keeps no
+/// such cache: it regenerates through [`generate_examples_memoized`].
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,
     ontology: &Ontology,
@@ -397,15 +431,19 @@ pub fn generate_examples_retrying(
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> Result<GenerationReport, GenerationError> {
-    generate_with(module, ontology, pool, config, Some(cache), retrier)
+    generate_with(module, ontology, pool, config, Some(cache), None, retrier)
 }
 
+/// The one generation loop. An attempt recorded in `memo` takes the
+/// recorded outputs; any other goes through `retrier`, and through `cache`
+/// when one is given.
 fn generate_with(
     module: &dyn BlackBox,
     ontology: &Ontology,
     pool: &InstancePool,
     config: &GenerationConfig,
     cache: Option<&InvocationCache>,
+    memo: Option<&ExampleSet>,
     retrier: &Retrier,
 ) -> Result<GenerationReport, GenerationError> {
     let _timer = {
@@ -452,16 +490,40 @@ fn generate_with(
     let mut transient_failures = 0usize;
     'combos: for combo in planned {
         for picks in &combo.attempts {
-            let values: Vec<Value> = picks.iter().map(|&v| v.clone()).collect();
             invocations += 1;
-            let outcome = retrier.invoke(module, &values, cache);
-            let outputs = match outcome.as_ref() {
-                Ok(outputs) => outputs,
-                Err(e) => {
-                    if e.is_transient() {
-                        transient_failures += 1;
-                    }
-                    continue;
+            let recorded = memo.and_then(|memo| {
+                memo.iter().find(|e| {
+                    e.inputs.len() == picks.len()
+                        && e.inputs.iter().zip(picks).all(|(b, &v)| b.value == *v)
+                })
+            });
+            let (inputs, outputs) = match recorded {
+                Some(previous) => (previous.inputs.clone(), previous.outputs.clone()),
+                None => {
+                    let values: Vec<Value> = picks.iter().map(|&v| v.clone()).collect();
+                    let outcome = retrier.invoke(module, &values, cache);
+                    let outputs = match outcome.as_ref() {
+                        Ok(outputs) => outputs,
+                        Err(e) => {
+                            if e.is_transient() {
+                                transient_failures += 1;
+                            }
+                            continue;
+                        }
+                    };
+                    let inputs = descriptor
+                        .inputs
+                        .iter()
+                        .zip(values)
+                        .map(|(p, v)| Binding::new(p.name.clone(), v))
+                        .collect();
+                    let outputs = descriptor
+                        .outputs
+                        .iter()
+                        .zip(outputs)
+                        .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
+                        .collect();
+                    (inputs, outputs)
                 }
             };
             if telemetry_on {
@@ -469,18 +531,6 @@ fn generate_with(
                     covered_flags[input_offsets[i] + pi] = true;
                 }
             }
-            let inputs = descriptor
-                .inputs
-                .iter()
-                .zip(values)
-                .map(|(p, v)| Binding::new(p.name.clone(), v))
-                .collect();
-            let outputs = descriptor
-                .outputs
-                .iter()
-                .zip(outputs)
-                .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
-                .collect();
             examples
                 .examples
                 .push(DataExample::new(inputs, outputs, combo.concept_names));

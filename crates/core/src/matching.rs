@@ -375,12 +375,11 @@ impl From<Result<MatchVerdict, GenerationError>> for MatchOutcome {
 /// example's outputs, compared at the mapped output positions, and only the
 /// others are replayed through `cache` (the §6 join of aligned examples).
 ///
-/// **Precondition:** `own` must have been generated through this same
-/// `cache`. The cache memoizes every success and never evicts, so an
-/// aligned example's outputs are exactly what a replay would read back as
-/// a hit: the join skips only lookups that would have hit, never a miss.
-/// The verdict, the module invocations, the retries and any fault-injection
-/// ticks are the same as with `None`; only the cache's hit count falls.
+/// **Precondition:** `own` must be examples of `candidate` itself, as
+/// generated. Modules are deterministic (paper §2), so an example records
+/// the outcome of its inputs: an aligned example's outputs are exactly
+/// what a replay would return. The verdict is the same as with `None`;
+/// only the replays, and so the module invocations, fall.
 pub fn pair_outcome(
     target: &ModuleDescriptor,
     generation: &Result<GenerationReport, GenerationError>,

@@ -1,12 +1,16 @@
-//! Property tests: the cached generation path produces reports identical to
-//! the uncached one (`generate_examples`, the oracle) across random module
-//! behaviors, pool depths/seeds, value offsets, and retry budgets.
+//! Property tests: the cached generation path, and regeneration from a
+//! module's previous examples, produce reports identical to the unmemoized
+//! one (`generate_examples`, the oracle) across random module behaviors,
+//! pool depths/seeds, value offsets, and retry budgets.
 //!
-//! This is the determinism contract of the invocation planner: caching may
+//! This is the determinism contract of the invocation planner: a memo may
 //! only change *how many times* a module is actually invoked, never what the
 //! generation report says.
 
-use dex_core::{generate_examples, generate_examples_retrying, GenerationConfig, GenerationReport};
+use dex_core::{
+    generate_examples, generate_examples_memoized, generate_examples_retrying, GenerationConfig,
+    GenerationReport,
+};
 use dex_modules::{
     BlackBox, FaultPlan, FaultyModule, FnModule, InvocationCache, InvocationError,
     ModuleDescriptor, ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
@@ -180,6 +184,54 @@ proptest! {
             generate_examples_retrying(&module, &ontology, &pool, &shifted, &cache, &retrier)
                 .unwrap();
         assert_reports_identical("cached/shifted", &shifted_cached, &shifted_oracle);
+    }
+
+    /// Regenerating from the module's previous examples. With its own
+    /// report as the memo, every successful attempt is answered from an
+    /// example and only the rejected ones reach the module; with a report
+    /// of another pool, the examples on vectors both pools share are
+    /// reused. The report equals the oracle's either way.
+    #[test]
+    fn memoized_regeneration_matches_the_unmemoized_oracle(
+        inputs in proptest::collection::vec(0usize..CONCEPTS.len(), 1..3),
+        salt in any::<u64>(),
+        reject_pct in 0u64..101,
+        depth in 1usize..7,
+        pool_seed in 0u64..1025,
+        value_offset in 0usize..5,
+        retries in 0usize..5,
+    ) {
+        let ontology = mygrid::ontology();
+        let pool = build_synthetic_pool(&ontology, depth, pool_seed);
+        let module = Counted::new(arb_module(&inputs, salt, reject_pct));
+        let config = GenerationConfig {
+            value_offset,
+            retries_per_combination: retries,
+            ..GenerationConfig::default()
+        };
+        let retrier = Retrier::new(config.retry);
+        let oracle = generate_examples(&module, &ontology, &pool, &config).unwrap();
+        module.take();
+
+        let again = generate_examples_memoized(
+            &module, &ontology, &pool, &config, Some(&oracle.examples), &retrier,
+        )
+        .unwrap();
+        assert_reports_identical("memo/own", &again, &oracle);
+        prop_assert_eq!(
+            module.take(), (oracle.invocations - oracle.examples.len()) as u64,
+            "only the attempts no example records reach the module"
+        );
+
+        let other_pool = build_synthetic_pool(&ontology, depth + 1, pool_seed);
+        let previous = generate_examples(&module, &ontology, &other_pool, &config).unwrap();
+        module.take();
+        let moved = generate_examples_memoized(
+            &module, &ontology, &pool, &config, Some(&previous.examples), &retrier,
+        )
+        .unwrap();
+        assert_reports_identical("memo/other-pool", &moved, &oracle);
+        prop_assert!(module.take() <= oracle.invocations as u64);
     }
 
     /// Fault tolerance contract: a module population injected with bounded

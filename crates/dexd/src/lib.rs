@@ -7,8 +7,10 @@
 //! matching every pair, §4–§6 of the paper) is the same work every time.
 //! `dexd` pays that cost once: [`Dexd::launch`] bootstraps the full
 //! operating state — catalog, ontology interval index, concept-indexed
-//! pool, fingerprint index, warm invocation cache, live incremental
-//! pipeline — and then answers requests from it until told to stop.
+//! pool, fingerprint index, live incremental pipeline with every module's
+//! data examples — and then answers requests from it until told to stop.
+//! The examples are the only record of past invocations it keeps: a write
+//! regenerates a module from its own previous examples.
 //!
 //! Three layers:
 //!

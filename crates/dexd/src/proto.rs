@@ -49,7 +49,7 @@ pub enum Request {
         /// The batch, applied atomically with respect to readers.
         deltas: Vec<Delta>,
     },
-    /// Service counters: admission, cache, uptime.
+    /// Service counters: admission, deltas, panics, uptime.
     Stats,
     /// Asks the service to stop accepting work and wind down.
     Shutdown,
@@ -185,12 +185,6 @@ pub struct StatsReply {
     pub deltas_applied: u64,
     /// Handler panics contained (each answered with an `Error` response).
     pub handler_panics: u64,
-    /// Invocation-cache hits since bootstrap.
-    pub cache_hits: u64,
-    /// Invocation-cache misses since bootstrap.
-    pub cache_misses: u64,
-    /// Hit fraction in `[0, 1]`.
-    pub cache_hit_rate: f64,
 }
 
 /// Writes one length-prefixed frame.

@@ -2,11 +2,11 @@
 //! times.
 //!
 //! [`Dexd::launch`] constructs everything a registry query needs — catalog,
-//! ontology interval index, concept-indexed pool, fingerprint index, warm
-//! [`dex_modules::InvocationCache`], live
-//! [`IncrementalPipeline`] — exactly once, then answers requests from that
-//! state. Per-request cost drops from "rebuild the pipeline" to
-//! "cache-mostly lookup".
+//! ontology interval index, concept-indexed pool, fingerprint index, and a
+//! live [`IncrementalPipeline`] holding every module's data examples and
+//! verdict row — exactly once, then answers requests from that state.
+//! Per-request cost drops from "rebuild the pipeline" to a lookup in the
+//! maintained state; a read invokes no module.
 //!
 //! # Concurrency model
 //!
@@ -350,7 +350,6 @@ impl Dexd {
     }
 
     fn stats_reply(&self, p: &IncrementalPipeline) -> Response {
-        let cache = p.invocation_cache().stats();
         Response::Stats(StatsReply {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             modules_tracked: p.tracked_ids().len(),
@@ -363,9 +362,6 @@ impl Dexd {
             coalesced_lookups: 0,
             deltas_applied: self.counters.deltas.load(Ordering::Relaxed),
             handler_panics: self.counters.panics.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_hit_rate: cache.hit_rate(),
         })
     }
 }

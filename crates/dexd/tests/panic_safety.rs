@@ -264,10 +264,7 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
         matches!(resp, Response::Substitutes(_)),
         "polite request answered {resp:?}"
     );
-    // A write over the socket is applied and counted. The bootstrap's
-    // generations warmed the cache (misses), and every replay of its fill
-    // was answered from the candidate's own aligned example, so none
-    // needed a lookup (no hits).
+    // A write over the socket is applied and counted.
     let resp = polite
         .call(&Request::ApplyDelta {
             deltas: vec![Delta::ModuleWithdraw { id: ids[1].clone() }],
@@ -280,8 +277,6 @@ fn socket_client_disconnecting_mid_request_does_not_wedge_the_daemon() {
     match polite.call(&Request::Stats).expect("stats call") {
         Response::Stats(s) => {
             assert_eq!(s.deltas_applied, 1, "{s:?}");
-            assert!(s.cache_misses > 0, "{s:?}");
-            assert_eq!(s.cache_hits, 0, "{s:?}");
         }
         other => panic!("stats answered {other:?}"),
     }

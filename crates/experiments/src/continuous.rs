@@ -4,9 +4,10 @@
 //! [`ContinuousState::prepare`] stands up a scaled world
 //! ([`dex_universe::scale::build_scaled`]), bootstraps the incremental
 //! pipeline over it, and streams the repository's pre-decay provenance
-//! through a [`HarvestSink`] (sharing the pipeline's warm invocation
-//! cache). Each subsequent wave ([`ContinuousState::decay_wave`], or
-//! [`ContinuousState::apply_wave`] for a caller-chosen delta schedule):
+//! through a [`HarvestSink`] (through an invocation cache of the harvest's
+//! own, dropped when the harvest ends). Each subsequent wave
+//! ([`ContinuousState::decay_wave`], or [`ContinuousState::apply_wave`] for
+//! a caller-chosen delta schedule):
 //!
 //! 1. routes its withdrawals/restores through [`Delta`] events so the
 //!    incremental engine absorbs them — **zero** cold regenerations per
@@ -32,7 +33,7 @@
 use crate::incremental::IncrementalPipeline;
 use dex_core::delta::{Delta, DeltaReport};
 use dex_core::GenerationConfig;
-use dex_modules::{ModuleId, Retrier, RetryPolicy};
+use dex_modules::{InvocationCache, ModuleId, Retrier, RetryPolicy};
 use dex_pool::build_text_pool;
 use dex_provenance::{HarvestSink, ProvenanceCorpus};
 use dex_repair::{generate_repository, repair_repository_with, RepositoryPlan, WorkflowRepository};
@@ -208,31 +209,34 @@ impl ContinuousState {
         let repo = generate_repository(&world.universe, &pool, &plan);
         let build_ms = t.elapsed().as_secs_f64() * 1000.0;
 
-        // ---- Bootstrap the incremental pipeline (warm cache starts here).
+        // ---- Bootstrap the incremental pipeline. ----------------------------
         let t = Instant::now();
         let pipeline =
             IncrementalPipeline::bootstrap(world.universe, pool, GenerationConfig::default());
         let bootstrap_ms = t.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Streaming harvest of the pre-decay provenance. --------------
-        // Each workflow is enacted once against the pipeline's warm
-        // invocation cache and its trace goes straight into the sink — no
-        // corpus is ever materialized for the harvest. The per-workflow
-        // trace is archived (that's the provenance store repair verifies
-        // against), but harvest memory is bounded by distinct data, not
-        // enactment volume.
+        // Each workflow is enacted once and its trace goes straight into the
+        // sink — no corpus is ever materialized for the harvest. Enactment
+        // goes through a cache of the harvest's own, so a step two
+        // workflows share is invoked once; the cache is dropped with the
+        // harvest, and the engine keeps no record of these invocations. The
+        // per-workflow trace is archived (that's the provenance store repair
+        // verifies against), but harvest memory is bounded by distinct data,
+        // not enactment volume.
         let t = Instant::now();
         let mut archive: BTreeMap<String, EnactmentTrace> = BTreeMap::new();
         let harvested = {
             let catalog = &pipeline.universe().catalog;
             let mut sink = HarvestSink::new("scaled-harvest", catalog, classify_concept);
+            let invocations = InvocationCache::new();
             let no_retries = Retrier::none();
             for stored in &repo.workflows {
                 let trace = enact_retrying(
                     &stored.workflow,
                     catalog,
                     &stored.sample_inputs,
-                    pipeline.invocation_cache(),
+                    &invocations,
                     &no_retries,
                 )
                 .unwrap_or_else(|e| panic!("pre-decay enactment of {}: {e}", stored.workflow.id));

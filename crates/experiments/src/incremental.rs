@@ -10,9 +10,12 @@
 //!    module's [`generation_signature`] at the time it was generated. A
 //!    delta dirties a module only if the candidate stage
 //!    ([`DependencyIndex`]) flags it *and* its signature actually changed;
-//!    only then is it regenerated, through the engine's warm
-//!    [`InvocationCache`], so unchanged `(module, inputs)` invocations are
-//!    answered from memory even inside a regeneration.
+//!    only then is it regenerated ([`generate_examples_memoized`]), with its
+//!    own previous examples as the memo: a data example is a recorded
+//!    invocation, so an attempt on inputs the module already has an
+//!    example for is answered from that example, and only the attempts
+//!    whose picks moved invoke the module. The reports are the engine's
+//!    only record of past invocations.
 //! 2. **Blocking** — an incrementally maintained [`FingerprintIndex`]
 //!    (single-slot `insert`/`remove`, no rebuilds).
 //! 3. **Verdicts** — the sparse matrix of compared pairs, one row per
@@ -20,10 +23,11 @@
 //!    compared counts) sorted by candidate. Each pair goes through
 //!    [`pair_outcome`] with the candidate's stored examples: a target
 //!    example on the same inputs as one of them is decided by that
-//!    example's outputs, and only the rest are replayed through the warm
-//!    cache. A candidate's example is read only as a record of its
-//!    deterministic behavior on those exact inputs, which is what a replay
-//!    would read back from the cache, so a verdict still depends on the
+//!    example's outputs, and only the rest are replayed, through an
+//!    [`InvocationCache`] that lives for one bootstrap or one batch and is
+//!    emptied before either returns. A candidate's example is read only as
+//!    a record of its deterministic behavior on those exact inputs, which
+//!    is what a replay would return, so a verdict still depends on the
 //!    target's examples and the candidate's behavior alone. A regenerated
 //!    module whose examples changed therefore re-matches its *row* only
 //!    (`(m, peer)`), and columns `(peer, m)` carry forward untouched. A
@@ -40,12 +44,18 @@
 //! last-known row verdicts are ranked with the §6 study's own ordering
 //! ([`substitute_rank`]) into a carried-forward substitute, exposed
 //! via [`IncrementalPipeline::matching_study`] — the repair engine's
-//! substitute search answered with zero replay invocations.
+//! substitute search answered with zero replay invocations. A restore
+//! drops the capture: an available module is answered from its live row.
+//!
+//! No store grows with history: after any sequence of batches the reports,
+//! signatures, verdict rows, fingerprint index and carried substitutes
+//! have the sizes a cold bootstrap over the final state gives them, and
+//! the replay cache is empty (`tests/history_independence.rs`).
 
 use dex_core::delta::{Delta, DeltaReport, DependencyIndex};
 use dex_core::matching::pair_outcome;
 use dex_core::{
-    generate_examples_retrying, generation_signature, CachedGeneration, FingerprintIndex,
+    generate_examples_memoized, generation_signature, CachedGeneration, FingerprintIndex,
     GenerationConfig, GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
 use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, RetryStats, SharedModule};
@@ -82,19 +92,22 @@ pub struct IncrementalPipeline {
     /// construction matches the report in force when the outcome was
     /// computed.
     verdicts: Vec<Vec<Cell>>,
+    /// Replays of target examples that no candidate example answers, shared
+    /// within one bootstrap or one batch and emptied before either returns.
     cache: InvocationCache,
     /// The one retrier of the engine's life: bootstrap, every apply and
     /// [`matrix`](IncrementalPipeline::matrix) spend the same retry budget.
     retrier: Retrier,
-    /// Carried-forward substitute per withdrawn module, captured from its
-    /// last-known row verdicts at withdrawal time.
+    /// Carried-forward substitute per currently withdrawn module, captured
+    /// from its last-known row verdicts at withdrawal time and dropped when
+    /// the module is restored.
     substitutes: MatchingStudy,
 }
 
 impl IncrementalPipeline {
     /// Cold-bootstraps the engine: generates examples for every available
-    /// modern module, builds the fingerprint index and dependency graph,
-    /// and fills the full comparable-pair verdict matrix.
+    /// modern module with no memo, builds the fingerprint index and
+    /// dependency graph, and fills the full comparable-pair verdict matrix.
     pub fn bootstrap(
         universe: Universe,
         pool: InstancePool,
@@ -120,12 +133,12 @@ impl IncrementalPipeline {
                 &pool,
                 &config,
             ));
-            reports.push(Arc::new(generate_examples_retrying(
+            reports.push(Arc::new(generate_examples_memoized(
                 module.as_ref(),
                 &universe.ontology,
                 &pool,
                 &config,
-                &cache,
+                None,
                 &retrier,
             )));
         }
@@ -161,10 +174,13 @@ impl IncrementalPipeline {
             }
             engine.verdicts.push(row);
         }
+        engine.cache.clear();
         engine
     }
 
     /// Applies one batch of deltas and returns the batch's accounting.
+    /// Each regenerated module reads its own previous report as its memo,
+    /// and the batch's replay cache is emptied before this returns.
     ///
     /// After this returns, [`reports`](IncrementalPipeline::reports) and
     /// [`matrix`](IncrementalPipeline::matrix) are byte-identical to what a
@@ -290,6 +306,7 @@ impl IncrementalPipeline {
             }
         }
         for &i in &to_restored {
+            self.substitutes.matches.remove(&self.ids[i]);
             let descriptor = self
                 .universe
                 .catalog
@@ -332,12 +349,13 @@ impl IncrementalPipeline {
                     .catalog
                     .get(&self.ids[i])
                     .expect("regeneration targets available modules");
-                let report = Arc::new(generate_examples_retrying(
+                let previous = self.reports[i].as_ref().as_ref().ok();
+                let report = Arc::new(generate_examples_memoized(
                     module.as_ref(),
                     &self.universe.ontology,
                     &self.pool,
                     &self.config,
-                    &self.cache,
+                    previous.map(|report| &report.examples),
                     &self.retrier,
                 ));
                 (i, sig, report)
@@ -415,6 +433,7 @@ impl IncrementalPipeline {
         for &i in regen.keys() {
             stats.cells_dirty += self.deps.cells(i);
         }
+        self.cache.clear();
         stats.publish_telemetry();
         stats
     }
@@ -443,10 +462,10 @@ impl IncrementalPipeline {
     }
 
     /// One pair's outcome by [`pair_outcome`], over the engine's stored
-    /// reports and warm invocation cache. The candidate's stored examples
-    /// answer the target examples aligned with them; the engine generated
-    /// every report through `self.cache`, which is the precondition
-    /// [`pair_outcome`] states for that.
+    /// reports. The candidate's stored examples answer the target examples
+    /// aligned with them: each records the candidate's outcome on its
+    /// inputs, which is the precondition [`pair_outcome`] states. The
+    /// other target examples are replayed through the batch's cache.
     fn outcome(
         &self,
         t: usize,
@@ -605,15 +624,22 @@ impl IncrementalPipeline {
         self.substitutes.substitute_for(id)
     }
 
-    /// The repair-layer view of every withdrawal seen so far: a
+    /// The repair-layer view of the modules withdrawn now: a
     /// [`MatchingStudy`] of carried-forward verdicts, zero replay
-    /// invocations.
+    /// invocations. It holds one entry per currently withdrawn tracked
+    /// module.
     pub fn matching_study(&self) -> &MatchingStudy {
         &self.substitutes
     }
 
-    /// The engine's warm invocation cache (shared across bootstrap and
-    /// every apply).
+    /// The cache the engine's replays go through. It is reached only by
+    /// target examples that no candidate example answers, and it is emptied
+    /// before [`bootstrap`](IncrementalPipeline::bootstrap) and every
+    /// [`apply`](IncrementalPipeline::apply) return, so between calls it
+    /// holds no entries; its counters describe the engine's whole life.
+    /// Nothing in the workspace reads it. It stays public because
+    /// `dexbench`'s stats probes (`src/churn.rs`, `src/serve.rs`) call it;
+    /// ROADMAP item 4(d) moves them off it, and then it can go.
     pub fn invocation_cache(&self) -> &InvocationCache {
         &self.cache
     }

@@ -210,8 +210,9 @@ fn check_equivalence(
         );
     }
 
-    // The carried-forward study covers every withdrawal seen, and only
-    // usable verdicts become substitutes.
+    // The carried-forward study holds a capture for each module withdrawn
+    // now (a restore drops its module's), and only usable verdicts become
+    // substitutes.
     let study = engine.matching_study();
     for m in study.matches.values() {
         if let Some((_, v)) = &m.best {
@@ -326,7 +327,7 @@ fn an_unaligned_example_is_replayed_against_the_candidate() {
     };
     let candidate_calls = Arc::new(AtomicUsize::new(0));
     let (universe, pool) = world(Arc::clone(&candidate_calls));
-    let engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    let mut engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
     let target = ModuleId::from("fb:target");
     let candidate = ModuleId::from("fb:candidate");
     let examples = |id: &ModuleId| match engine.annotation(id).expect("tracked").1 {
@@ -361,9 +362,86 @@ fn an_unaligned_example_is_replayed_against_the_candidate() {
     // unaligned example.
     assert_eq!(candidate_calls.load(Ordering::Relaxed), 2);
     assert_eq!(
-        matrix[&(candidate, target)].outcome,
+        matrix[&(candidate.clone(), target)].outcome,
         MatchOutcome::Verdict(MatchVerdict::Disjoint { compared: 1 })
     );
+
+    // The replay cache lives for one call. A withdraw and a restore
+    // re-match the pair without regenerating the candidate (nothing it
+    // reads moved), so the target's example is replayed once more, and
+    // each call leaves the cache empty.
+    assert_eq!(engine.invocation_cache().stats().entries, 0, "bootstrap");
+    engine.apply(&[Delta::ModuleWithdraw {
+        id: candidate.clone(),
+    }]);
+    let restore = engine.apply(&[Delta::ModuleRestore { id: candidate }]);
+    assert_eq!(restore.regenerated_modules, 0, "{restore:?}");
+    assert_eq!(candidate_calls.load(Ordering::Relaxed), 3);
+    assert_eq!(engine.invocation_cache().stats().entries, 0, "restore");
+}
+
+/// A regenerated module reads its own previous examples as its memo: after
+/// one partition's first realization is replaced, only the attempts whose
+/// inputs no previous example records reach the module, and the report
+/// still equals a cold generation over the new pool.
+#[test]
+fn a_regeneration_invokes_only_what_its_examples_do_not_record() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    let module: SharedModule = Arc::new(FnModule::new(
+        ModuleDescriptor::new(
+            "memo:len",
+            "SequenceLength",
+            ModuleKind::LocalProgram,
+            vec![Parameter::required(
+                "seq",
+                StructuralType::Text,
+                "BiologicalSequence",
+            )],
+            vec![Parameter::required("len", StructuralType::Text, "Document")],
+        ),
+        move |values| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            let seq = values[0].as_text().expect("text input");
+            Ok(vec![Value::text(seq.len().to_string())])
+        },
+    ));
+    let (universe, pool) = world_of(std::iter::once(Arc::clone(&module)));
+    let config = GenerationConfig::default();
+    let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
+    let id = ModuleId::from("memo:len");
+    let before = engine.reports()[&id].examples.clone();
+    assert_eq!(calls.load(Ordering::Relaxed), before.len());
+
+    let batch = engine.apply(&[Delta::PoolRemove {
+        concept: "DNASequence".to_string(),
+        occurrence: 0,
+    }]);
+    assert_eq!(batch.regenerated_modules, 1, "{batch:?}");
+    let after = engine.reports()[&id].clone();
+    let moved = after
+        .examples
+        .iter()
+        .filter(|e| !before.iter().any(|b| b.inputs == e.inputs))
+        .count();
+    assert!(
+        moved > 0 && moved < after.examples.len(),
+        "{moved} of {} examples moved",
+        after.examples.len()
+    );
+    assert_eq!(
+        calls.load(Ordering::Relaxed),
+        before.len() + moved,
+        "only the moved attempts were invoked"
+    );
+    let cold = generate_examples(
+        module.as_ref(),
+        &engine.universe().ontology,
+        engine.pool(),
+        &config,
+    )
+    .expect("cold generation");
+    assert_eq!(after, cold);
 }
 
 /// A pool insert appended behind every dependent module's candidate-probe
