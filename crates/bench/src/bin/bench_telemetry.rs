@@ -2,7 +2,7 @@
 //! instrumented workloads — plus per-call microcosts of the span guard and
 //! the flight recorder — and emits a machine-readable `BENCH_telemetry.json`.
 //!
-//! The workloads are `Context::build_with(&FaultConfig::none())`, the
+//! The workloads are `Context::build(&FaultConfig::none())`, the
 //! experiments' whole set-up (the 252-module universe, the seed-42 curator
 //! pool and the engine's bootstrap over them), and an
 //! `IncrementalPipeline::bootstrap` over the same 252 modules from a clone
@@ -109,7 +109,7 @@ fn main() {
     let (ctx_off, ctx_on) = section(
         "context_build",
         Box::new(|| {
-            std::hint::black_box(Context::build_with(&FaultConfig::none()));
+            std::hint::black_box(Context::build(&FaultConfig::none()));
         }),
     );
     let (boot_off, boot_on) = section(

@@ -95,8 +95,8 @@ pub use generate::{
 };
 pub use inverse::{cover_output_partitions, InverseCoverageReport};
 pub use matching::{
-    compare_modules, match_against_examples, match_against_examples_retrying, CachedGeneration,
-    FingerprintIndex, MappingMode, MatchOutcome, MatchReport, MatchVerdict, PartitionFingerprint,
+    compare_modules, match_against_examples, match_against_examples_retrying, FingerprintIndex,
+    MappingMode, MatchOutcome, MatchReport, MatchVerdict, PartitionFingerprint,
 };
 pub use metrics::{completeness, conciseness, BehaviorOracle, ModuleScore};
 pub use partition::{input_partition_plan, partitions_for, PartitionPlan};

@@ -10,7 +10,6 @@ use dex_values::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// How strictly parameters must correspond for two modules to be compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -724,11 +723,6 @@ impl FingerprintIndex {
         }
     }
 }
-
-/// One target's generation result behind an `Arc`, as the incremental
-/// engine stores it per tracked module and hands it to [`pair_outcome`]
-/// for every candidate.
-pub type CachedGeneration = Arc<Result<GenerationReport, GenerationError>>;
 
 #[cfg(test)]
 mod tests {

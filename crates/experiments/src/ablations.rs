@@ -18,6 +18,7 @@ use crate::Context;
 use dex_core::baseline::{generate_random_examples, trace_similarity};
 use dex_core::metrics::score;
 use dex_core::{generate_examples, GenerationConfig};
+use dex_modules::RetryPolicy;
 use dex_pool::{build_synthetic_pool, AnnotatedInstance, InstancePool};
 use dex_repair::{build_corpus, generate_repository, run_matching_study, RepositoryPlan};
 use dex_universe::{ExpectedMatch, SpecOracle};
@@ -167,7 +168,7 @@ pub fn matching_method(plan: &RepositoryPlan) -> String {
     let mut universe = dex_universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 40, 77);
     let repository = generate_repository(&universe, &pool, plan);
-    let corpus = build_corpus(&universe, &repository, &pool);
+    let (corpus, _) = build_corpus(&universe, &repository, &pool, RetryPolicy::none(), true);
     universe.decay();
 
     // Ground truth: a legacy module is substitutable iff an equivalent or
@@ -180,7 +181,12 @@ pub fn matching_method(plan: &RepositoryPlan) -> String {
         .collect();
 
     // Method 1: the paper's aligned matcher.
-    let study = run_matching_study(&universe.catalog, &corpus, &universe.ontology);
+    let study = run_matching_study(
+        &universe.catalog,
+        &corpus,
+        &universe.ontology,
+        RetryPolicy::none(),
+    );
     let (mut tp, mut fp, mut fnr) = (0usize, 0usize, 0usize);
     for (id, m) in &study.matches {
         let predicted = m.best.is_some();
@@ -262,7 +268,7 @@ mod tests {
 
     #[test]
     fn partitioning_beats_random_on_completeness() {
-        let ctx = Context::build();
+        let ctx = Context::build(&crate::FaultConfig::none());
         let text = partitioning_vs_random(&ctx);
         // Extract the two completeness numbers from the rendered table.
         let numbers: Vec<f64> = text

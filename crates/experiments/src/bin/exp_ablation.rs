@@ -4,7 +4,7 @@ use dex_experiments::ablations;
 use dex_repair::RepositoryPlan;
 fn main() {
     let telemetry = dex_experiments::TelemetryRun::from_env();
-    let ctx = dex_experiments::Context::build();
+    let ctx = dex_experiments::Context::build(&dex_experiments::FaultConfig::from_env());
     print!("{}", ablations::partitioning_vs_random(&ctx));
     print!("{}", ablations::pool_size_sweep(&ctx));
     print!("{}", ablations::annotation_specificity(&ctx));

@@ -1,7 +1,7 @@
 //! Regenerates the §4.3 coverage result.
 fn main() {
     let telemetry = dex_experiments::TelemetryRun::from_env();
-    let ctx = dex_experiments::Context::build();
+    let ctx = dex_experiments::Context::build(&dex_experiments::FaultConfig::from_env());
     print!("{}", dex_experiments::experiments::coverage(&ctx));
     telemetry.finish("exp_coverage");
 }

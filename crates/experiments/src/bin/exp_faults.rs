@@ -24,11 +24,11 @@ use dex_repair::RepositoryPlan;
 /// replayed each target example no candidate example is aligned with), and
 /// the small-scale decay pipeline (corpus, Figure 8, repair).
 fn digest(faults: &FaultConfig) -> (String, Context) {
-    let ctx = Context::build_with(faults);
+    let ctx = Context::build(faults);
     let mut out = String::new();
     out.push_str(&experiments::table1(&ctx));
     out.push_str(&experiments::matching_summary(&ctx));
-    let decay = experiments::decay_experiments_with(&RepositoryPlan::small(2), faults);
+    let decay = experiments::decay_experiments(&RepositoryPlan::small(2), faults);
     out.push_str(&decay.figure8);
     out.push_str(&decay.repair);
     (out, ctx)
@@ -37,7 +37,7 @@ fn digest(faults: &FaultConfig) -> (String, Context) {
 /// Total examples generated across all modules under `faults` — the yield
 /// the degradation table tracks.
 fn yield_under(faults: &FaultConfig) -> (usize, usize) {
-    let ctx = Context::build_with(faults);
+    let ctx = Context::build(faults);
     let examples = ctx.reports.values().map(|r| r.examples.len()).sum();
     let transients = ctx
         .reports

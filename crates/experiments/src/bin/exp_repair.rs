@@ -7,13 +7,19 @@
 //!            [--workflows N] [--fault-rate PCT] [--seed S]
 //! ```
 //!
-//! In `--scale` mode each wave withdraws `--fault-rate`% of the available
-//! modules through the incremental delta pipeline (no cold re-runs), repairs
-//! every currently broken workflow — the wave's own victims plus the
-//! carried-forward broken set from earlier waves — and prints throughput
-//! (repairs/s), re-repair counts, and p50/p95/p99 per-workflow latency.
+//! In the paper profile, `--fault-rate=PCT` (with `--fault-seed=SEED`,
+//! `--fail-fast`) arms the fault injector, as on every experiment binary;
+//! the table must not change.
+//!
+//! In `--scale` mode `--fault-rate` means something else: the percentage of
+//! the available modules each wave withdraws (default 10). No fault is
+//! injected. Each wave withdraws its share through the incremental delta
+//! pipeline (no cold re-runs), repairs every currently broken workflow — the
+//! wave's own victims plus the carried-forward broken set from earlier
+//! waves — and prints throughput (repairs/s), re-repair counts, and
+//! p50/p95/p99 per-workflow latency.
 
-use dex_experiments::{run_continuous, ContinuousConfig};
+use dex_experiments::{run_continuous, ContinuousConfig, FaultConfig};
 use dex_repair::RepositoryPlan;
 
 fn arg_value(args: &[String], flag: &str) -> Option<u64> {
@@ -35,8 +41,10 @@ fn main() {
 
     match arg_value(&args, "--scale") {
         None => {
-            let results =
-                dex_experiments::experiments::decay_experiments(&RepositoryPlan::default());
+            let results = dex_experiments::experiments::decay_experiments(
+                &RepositoryPlan::default(),
+                &FaultConfig::from_env(),
+            );
             print!("{}", results.repair);
         }
         Some(scale) => {

@@ -1,7 +1,7 @@
 //! Regenerates Table 1 (completeness distribution).
 fn main() {
     let telemetry = dex_experiments::TelemetryRun::from_env();
-    let ctx = dex_experiments::Context::build();
+    let ctx = dex_experiments::Context::build(&dex_experiments::FaultConfig::from_env());
     print!("{}", dex_experiments::experiments::table1(&ctx));
     telemetry.finish("exp_table1");
 }

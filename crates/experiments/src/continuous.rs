@@ -3,9 +3,9 @@
 //!
 //! [`ContinuousState::prepare`] stands up a scaled world
 //! ([`dex_universe::scale::build_scaled`]), bootstraps the incremental
-//! pipeline over it, and streams the repository's pre-decay provenance
-//! through a [`HarvestSink`] (through an invocation cache of the harvest's
-//! own, dropped when the harvest ends). Each subsequent wave
+//! pipeline over it, and records the repository's pre-decay provenance with
+//! the corpus walk ([`enact_repository`]), streaming each trace into a
+//! [`HarvestSink`] and archiving it for repair. Each subsequent wave
 //! ([`ContinuousState::decay_wave`], or [`ContinuousState::apply_wave`] for
 //! a caller-chosen delta schedule):
 //!
@@ -16,7 +16,8 @@
 //!    ranked verdicts captured at withdrawal time) proposes substitutes;
 //! 3. every *currently broken* workflow — hit by this wave **or carried
 //!    over from an earlier one** — is repaired by trace-replay-verified
-//!    substitution and healed in place. Carrying the broken set forward is
+//!    substitution ([`repair_workflow`] against its archived trace) and
+//!    healed in place. Carrying the broken set forward is
 //!    what lets a workflow left unrepaired in wave N succeed in wave N+1
 //!    once a viable substitute (re)appears; such recoveries are reported as
 //!    [`WaveReport::re_repaired`].
@@ -35,12 +36,15 @@ use dex_core::delta::{Delta, DeltaReport};
 use dex_core::GenerationConfig;
 use dex_modules::{InvocationCache, ModuleId, Retrier, RetryPolicy};
 use dex_pool::build_text_pool;
-use dex_provenance::{HarvestSink, ProvenanceCorpus};
-use dex_repair::{generate_repository, repair_repository_with, RepositoryPlan, WorkflowRepository};
+use dex_provenance::HarvestSink;
+use dex_repair::{
+    enact_repository, generate_repository, repair_workflow, RepairSummary, RepositoryPlan,
+    WorkflowRepository,
+};
 use dex_telemetry::{Histogram, HistogramSnapshot};
 use dex_universe::scale::{build_scaled, FamilyInfo, ScalePlan};
 use dex_values::classify::classify_concept;
-use dex_workflow::{enact_retrying, EnactmentTrace};
+use dex_workflow::EnactmentTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,8 +66,6 @@ pub struct ContinuousConfig {
     pub seed: u64,
     /// Per-concept instances in the backing text pool.
     pub pool_depth: usize,
-    /// Retry policy for repair verification replays.
-    pub retry: RetryPolicy,
 }
 
 impl ContinuousConfig {
@@ -77,7 +79,6 @@ impl ContinuousConfig {
             fault_pct: 10,
             seed,
             pool_depth: 4,
-            retry: RetryPolicy::none(),
         }
     }
 }
@@ -216,35 +217,33 @@ impl ContinuousState {
         let bootstrap_ms = t.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Streaming harvest of the pre-decay provenance. --------------
-        // Each workflow is enacted once and its trace goes straight into the
-        // sink — no corpus is ever materialized for the harvest. Enactment
-        // goes through a cache of the harvest's own, so a step two
-        // workflows share is invoked once; the cache is dropped with the
-        // harvest, and the engine keeps no record of these invocations. The
-        // per-workflow trace is archived (that's the provenance store repair
-        // verifies against), but harvest memory is bounded by distinct data,
-        // not enactment volume.
+        // The corpus walk enacts each workflow once, through an invocation
+        // cache of its own that it drops when it returns, and hands each
+        // trace to the sink: no corpus is ever materialized for the harvest,
+        // and the engine keeps no record of these invocations. The scaled
+        // world has no legacy modules, so the walk records no archive
+        // invocations. The per-workflow trace is archived (that's the
+        // provenance store repair verifies against), but harvest memory is
+        // bounded by distinct data, not enactment volume.
         let t = Instant::now();
         let mut archive: BTreeMap<String, EnactmentTrace> = BTreeMap::new();
-        let harvested = {
-            let catalog = &pipeline.universe().catalog;
-            let mut sink = HarvestSink::new("scaled-harvest", catalog, classify_concept);
-            let invocations = InvocationCache::new();
-            let no_retries = Retrier::none();
-            for stored in &repo.workflows {
-                let trace = enact_retrying(
-                    &stored.workflow,
-                    catalog,
-                    &stored.sample_inputs,
-                    &invocations,
-                    &no_retries,
-                )
-                .unwrap_or_else(|e| panic!("pre-decay enactment of {}: {e}", stored.workflow.id));
+        let mut sink = HarvestSink::new(
+            "scaled-harvest",
+            &pipeline.universe().catalog,
+            classify_concept,
+        );
+        enact_repository(
+            pipeline.universe(),
+            &repo,
+            pipeline.pool(),
+            RetryPolicy::none(),
+            true,
+            |trace| {
                 sink.absorb(&trace);
-                archive.insert(stored.workflow.id.clone(), trace);
-            }
-            sink.finish()
-        };
+                archive.insert(trace.workflow.clone(), trace);
+            },
+        );
+        let harvested = sink.finish();
         let harvest_ms = t.elapsed().as_secs_f64() * 1000.0;
 
         let prepare = PrepareStats {
@@ -360,43 +359,37 @@ impl ContinuousState {
             .collect();
 
         let wave_hist = Histogram::default();
-        let mut fully = 0usize;
-        let mut partially = 0usize;
-        let mut unrepaired = 0usize;
+        let mut summary = RepairSummary::default();
         let mut substitutions = 0usize;
+        // One memo for the wave's replays, dropped when the wave ends.
+        let invocations = InvocationCache::new();
+        let no_retries = Retrier::none();
         let repair_t = Instant::now();
-        for i in &attempts {
-            let single = WorkflowRepository {
-                workflows: vec![self.repo.workflows[*i].clone()],
-            };
-            let mut mini_corpus = ProvenanceCorpus::new("wave");
-            if let Some(trace) = self.archive.get(&single.workflows[0].workflow.id) {
-                mini_corpus.add(trace.clone());
-            }
+        for &i in &attempts {
+            let workflow = &self.repo.workflows[i].workflow;
+            let trace = self.archive.get(&workflow.id);
             let t = Instant::now();
-            let (outcomes, summary) = repair_repository_with(
-                &single,
+            let outcome = repair_workflow(
+                workflow,
+                trace.as_slice(),
                 &self.pipeline.universe().catalog,
                 study,
-                &mini_corpus,
                 &self.pipeline.universe().ontology,
-                self.cfg.retry,
+                &invocations,
+                &no_retries,
             );
             let ns = t.elapsed().as_nanos() as u64;
             wave_hist.record(ns);
             self.overall.record(ns);
             dex_telemetry::observe_ns("dex.repair.workflow_ns", ns);
 
-            fully += summary.fully_repaired;
-            partially += summary.partially_repaired;
-            unrepaired += summary.unrepaired;
-            let outcome = &outcomes[0];
+            summary.record(&outcome);
             substitutions += outcome.substitutions.len();
             // Heal in place: the archived trace keeps the pre-decay outputs,
             // which verified substitutes reproduce byte-for-byte, so it
             // stays the valid reference for future waves.
             for s in &outcome.substitutions {
-                self.repo.workflows[*i].workflow.steps[s.step].module = s.to.clone();
+                self.repo.workflows[i].workflow.steps[s.step].module = s.to.clone();
             }
         }
         let repair_secs = repair_t.elapsed().as_secs_f64();
@@ -429,9 +422,9 @@ impl ContinuousState {
             affected_workflows: attempts.len(),
             carried_broken: carried.len(),
             re_repaired,
-            fully_repaired: fully,
-            partially_repaired: partially,
-            unrepaired,
+            fully_repaired: summary.fully_repaired,
+            partially_repaired: summary.partially_repaired,
+            unrepaired: summary.unrepaired,
             substitutions,
             broken_after,
             repair_ms: repair_secs * 1000.0,
@@ -512,19 +505,44 @@ mod tests {
             fault_pct: 10,
             seed: 5,
             pool_depth: 4,
-            retry: RetryPolicy::none(),
         };
         let report = run_continuous(&cfg);
         assert_eq!(report.prepare.modules, 300);
         assert_eq!(report.prepare.workflows, 120);
-        assert!(report.prepare.harvested_instances > 0);
+        assert_eq!(report.prepare.harvested_instances, 115);
         assert_eq!(report.waves.len(), 3);
         for wave in &report.waves {
             // Withdraw-only waves never cold-regenerate (also asserted
             // inside the driver against the dex.delta counters).
             assert_eq!(wave.delta.regenerated_modules, 0);
-            assert!(wave.withdrawals > 0);
         }
+        // The run is deterministic, so its counts are pinned: withdrawn,
+        // affected, carried, re-repaired, full, partial, none and
+        // substitutions per wave.
+        let counts: Vec<[usize; 8]> = report
+            .waves
+            .iter()
+            .map(|w| {
+                [
+                    w.withdrawals,
+                    w.affected_workflows,
+                    w.carried_broken,
+                    w.re_repaired,
+                    w.fully_repaired,
+                    w.partially_repaired,
+                    w.unrepaired,
+                    w.substitutions,
+                ]
+            })
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                [30, 11, 0, 0, 4, 0, 7, 4],
+                [27, 16, 7, 0, 9, 0, 7, 9],
+                [24, 14, 7, 0, 1, 0, 13, 1],
+            ]
+        );
         // Families guarantee equivalent twins, so decay at 10% must yield
         // some verified substitutions across three waves.
         assert!(
@@ -551,7 +569,6 @@ mod tests {
             fault_pct: 15,
             seed: 9,
             pool_depth: 4,
-            retry: RetryPolicy::none(),
         };
         let report = run_continuous(&cfg);
         for wave in &report.waves {
@@ -586,7 +603,6 @@ mod tests {
             fault_pct: 10,
             seed: 11,
             pool_depth: 4,
-            retry: RetryPolicy::none(),
         };
         let mut state = ContinuousState::prepare(&cfg);
 

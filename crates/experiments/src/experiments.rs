@@ -7,8 +7,7 @@ use dex_core::coverage::measure_coverage;
 use dex_core::metrics::score;
 use dex_pool::build_synthetic_pool;
 use dex_repair::{
-    build_corpus_with, generate_repository, repair_repository_with, run_matching_study_with,
-    RepositoryPlan,
+    build_corpus, generate_repository, repair_repository, run_matching_study, RepositoryPlan,
 };
 use dex_study::run_user_study;
 use dex_universe::{Category, SpecOracle};
@@ -286,22 +285,19 @@ pub struct DecayResults {
 
 /// Runs the §6 pipeline: generate repository, record corpus, decay, match,
 /// repair. `plan` defaults to the paper-scale population.
-pub fn decay_experiments(plan: &RepositoryPlan) -> DecayResults {
-    decay_experiments_with(plan, &FaultConfig::none())
-}
-
-/// [`decay_experiments`] under an explicit [`FaultConfig`]: every catalog
-/// module is wrapped in the injector (if any) before the corpus is recorded,
-/// and the corpus build, matching study, and repair verification all retry
-/// transients under the config's policy. Residual corpus failures degrade
-/// the run instead of aborting it unless `fail_fast` is set.
-pub fn decay_experiments_with(plan: &RepositoryPlan, faults: &FaultConfig) -> DecayResults {
+///
+/// Every catalog module is wrapped in the `faults` injector (if any) before
+/// the corpus is recorded, and the corpus build, matching study, and repair
+/// verification all retry transients under the config's policy. Residual
+/// corpus failures degrade the run instead of aborting it unless
+/// `fail_fast` is set.
+pub fn decay_experiments(plan: &RepositoryPlan, faults: &FaultConfig) -> DecayResults {
     let _span = dex_telemetry::span("exp.decay");
     let mut universe = dex_universe::build();
     faults.apply(&mut universe.catalog);
     let pool = build_synthetic_pool(&universe.ontology, 40, 77);
     let repository = generate_repository(&universe, &pool, plan);
-    let (corpus, corpus_report) = build_corpus_with(
+    let (corpus, corpus_report) = build_corpus(
         &universe,
         &repository,
         &pool,
@@ -330,8 +326,7 @@ pub fn decay_experiments_with(plan: &RepositoryPlan, faults: &FaultConfig) -> De
         }
         dex_telemetry::dump_flight("module withdrawn");
     }
-    let study =
-        run_matching_study_with(&universe.catalog, &corpus, &universe.ontology, faults.retry);
+    let study = run_matching_study(&universe.catalog, &corpus, &universe.ontology, faults.retry);
     let (eq, ov, none) = study.counts();
 
     let with_examples = study
@@ -361,7 +356,7 @@ pub fn decay_experiments_with(plan: &RepositoryPlan, faults: &FaultConfig) -> De
     figure8.push_str(&table(&["measure", "paper", "measured"], &rows));
     figure8.push('\n');
 
-    let (_, summary) = repair_repository_with(
+    let (_, summary) = repair_repository(
         &repository,
         &universe.catalog,
         &study,
@@ -420,7 +415,7 @@ mod tests {
 
     #[test]
     fn small_decay_run_produces_figure8_headline() {
-        let results = decay_experiments(&RepositoryPlan::small(3));
+        let results = decay_experiments(&RepositoryPlan::small(3), &FaultConfig::none());
         assert!(results.figure8.contains("16"));
         assert!(results.figure8.contains("23"));
         assert!(results.figure8.contains("33"));

@@ -55,8 +55,8 @@
 use dex_core::delta::{Delta, DeltaReport, DependencyIndex};
 use dex_core::matching::pair_outcome;
 use dex_core::{
-    generate_examples_memoized, generation_signature, CachedGeneration, FingerprintIndex,
-    GenerationConfig, GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
+    generate_examples_memoized, generation_signature, FingerprintIndex, GenerationConfig,
+    GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
 use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, RetryStats, SharedModule};
 use dex_pool::InstancePool;
@@ -78,7 +78,7 @@ pub struct IncrementalPipeline {
     available: Vec<bool>,
     deps: DependencyIndex,
     index: FingerprintIndex,
-    reports: Vec<CachedGeneration>,
+    reports: Vec<Result<GenerationReport, GenerationError>>,
     /// Invariant: `gen_sigs[i]` is the generation signature at the moment
     /// `reports[i]` was generated — so `reports[i]` is current exactly when
     /// `gen_sigs[i]` equals the signature recomputed against present state.
@@ -133,14 +133,14 @@ impl IncrementalPipeline {
                 &pool,
                 &config,
             ));
-            reports.push(Arc::new(generate_examples_memoized(
+            reports.push(generate_examples_memoized(
                 module.as_ref(),
                 &universe.ontology,
                 &pool,
                 &config,
                 None,
                 &retrier,
-            )));
+            ));
         }
         let index = FingerprintIndex::build(
             modules.iter().map(|m| Some(m.descriptor())),
@@ -341,7 +341,7 @@ impl IncrementalPipeline {
                 regen.insert(i, sig);
             }
         }
-        let regenerated: Vec<(usize, u64, CachedGeneration)> = regen
+        let regenerated: Vec<(usize, u64, Result<GenerationReport, GenerationError>)> = regen
             .iter()
             .map(|(&i, &sig)| {
                 let module = self
@@ -349,15 +349,15 @@ impl IncrementalPipeline {
                     .catalog
                     .get(&self.ids[i])
                     .expect("regeneration targets available modules");
-                let previous = self.reports[i].as_ref().as_ref().ok();
-                let report = Arc::new(generate_examples_memoized(
+                let previous = self.reports[i].as_ref().ok();
+                let report = generate_examples_memoized(
                     module.as_ref(),
                     &self.universe.ontology,
                     &self.pool,
                     &self.config,
                     previous.map(|report| &report.examples),
                     &self.retrier,
-                ));
+                );
                 (i, sig, report)
             })
             .collect();
@@ -681,7 +681,7 @@ impl IncrementalPipeline {
         id: &ModuleId,
     ) -> Option<(bool, &Result<GenerationReport, GenerationError>)> {
         let i = self.slot(id)?;
-        Some((self.available[i], &*self.reports[i]))
+        Some((self.available[i], &self.reports[i]))
     }
 
     /// Ranks the current substitutes for a tracked module, best first,
@@ -781,8 +781,11 @@ impl SubstituteAnswer {
 
 /// Whether two generation outcomes differ in anything a strict-mapping
 /// verdict can read: the example set, or the rendered generation error.
-fn generation_outcome_differs(old: &CachedGeneration, new: &CachedGeneration) -> bool {
-    match (old.as_ref(), new.as_ref()) {
+fn generation_outcome_differs(
+    old: &Result<GenerationReport, GenerationError>,
+    new: &Result<GenerationReport, GenerationError>,
+) -> bool {
+    match (old, new) {
         (Ok(a), Ok(b)) => a.examples != b.examples,
         (Err(a), Err(b)) => a.to_string() != b.to_string(),
         _ => true,

@@ -62,19 +62,13 @@ pub struct Context {
 
 impl Context {
     /// Builds the shared experimental context: universe + pool + data
-    /// examples for all 252 available modules. Honors the process-level
-    /// fault configuration ([`FaultConfig::from_env`]); call
-    /// [`Context::build_with`] to pin one explicitly.
-    pub fn build() -> Context {
-        Context::build_with(&FaultConfig::from_env())
-    }
-
-    /// [`Context::build`] under an explicit [`FaultConfig`]: the catalog is
-    /// wrapped in the injector (if any) before the engine's bootstrap
+    /// examples for all 252 available modules, under `faults`. The catalog
+    /// is wrapped in the injector (if any) before the engine's bootstrap
     /// generates every module, generation rides transients out under the
     /// config's retry policy, and residual failures degrade the context
-    /// instead of aborting it (unless `fail_fast`).
-    pub fn build_with(faults: &FaultConfig) -> Context {
+    /// instead of aborting it (unless `fail_fast`). The binaries pass
+    /// [`FaultConfig::from_env`]; tests pin one explicitly.
+    pub fn build(faults: &FaultConfig) -> Context {
         let _span = dex_telemetry::span("context.build");
         let mut universe = dex_universe::build();
         faults.apply(&mut universe.catalog);

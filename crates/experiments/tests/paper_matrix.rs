@@ -28,7 +28,7 @@ fn engine_matrix_equals_the_oracle_over_the_paper_modules() {
         FaultConfig::none(),
         FaultConfig::injected(10, DEFAULT_FAULT_SEED),
     ] {
-        let ctx = Context::build_with(&faults);
+        let ctx = Context::build(&faults);
         let injecting = faults.is_injecting();
         let universe = ctx.universe();
         assert!(ctx.generation_failures.is_empty(), "faults: {injecting}");

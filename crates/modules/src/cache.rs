@@ -176,11 +176,6 @@ impl InvocationCacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Invocations avoided by the cache — one per hit.
-    pub fn invocations_saved(&self) -> u64 {
-        self.hits
-    }
 }
 
 /// Process-global telemetry counters for cache traffic, interned once.
@@ -438,7 +433,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.hit_rate(), 0.5);
-        assert_eq!(stats.invocations_saved(), 1);
     }
 
     #[test]

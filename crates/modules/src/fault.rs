@@ -220,11 +220,6 @@ impl FaultyModule {
         self.stats.snapshot()
     }
 
-    /// Current value of the simulated module clock.
-    pub fn clock_ticks(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
-    }
-
     /// Pure per-key decision hash: seed × module id × inputs.
     fn fault_key(&self, inputs: &[Value]) -> u64 {
         let mut hasher = DefaultHasher::new();

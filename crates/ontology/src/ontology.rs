@@ -117,11 +117,6 @@ impl Ontology {
         &self.children[id.index()]
     }
 
-    /// Whether the concept has no sub-concepts.
-    pub fn is_leaf(&self, id: ConceptId) -> bool {
-        self.children[id.index()].is_empty()
-    }
-
     /// Whether instances can *realize* this concept — i.e. be an instance of
     /// it without being an instance of any strict sub-concept.
     ///

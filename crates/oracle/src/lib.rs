@@ -15,13 +15,14 @@
 pub mod fixture;
 
 use dex_core::matching::pair_outcome;
-use dex_core::{generate_examples_retrying, CachedGeneration, GenerationConfig, MatchReport};
+use dex_core::{
+    generate_examples_retrying, GenerationConfig, GenerationError, GenerationReport, MatchReport,
+};
 use dex_modules::{BlackBox, InvocationCache, InvocationCacheStats, ModuleId, Retrier};
 use dex_ontology::Ontology;
 use dex_pool::InstancePool;
 use dex_universe::Universe;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A matching context over fixed ontology, pool, and generation config.
 ///
@@ -71,26 +72,30 @@ impl<'a> MatchSession<'a> {
     }
 
     /// `module`'s generation result at the session's base value offset.
-    pub fn report_for(&self, module: &dyn BlackBox) -> CachedGeneration {
+    pub fn report_for(&self, module: &dyn BlackBox) -> Result<GenerationReport, GenerationError> {
         self.report_at(module, self.config.value_offset)
     }
 
     /// `module`'s generation result at an explicit value offset. Every call
     /// generates, through the session's invocation cache and retrier, so a
     /// repeat re-invokes no vector whose outcome the cache holds.
-    pub fn report_at(&self, module: &dyn BlackBox, value_offset: usize) -> CachedGeneration {
+    pub fn report_at(
+        &self,
+        module: &dyn BlackBox,
+        value_offset: usize,
+    ) -> Result<GenerationReport, GenerationError> {
         let config = GenerationConfig {
             value_offset,
             ..self.config.clone()
         };
-        Arc::new(generate_examples_retrying(
+        generate_examples_retrying(
             module,
             self.ontology,
             self.pool,
             &config,
             &self.invocations,
             &self.retrier,
-        ))
+        )
     }
 
     /// Compares `candidate` against `target`'s generation `report` (from
@@ -102,7 +107,7 @@ impl<'a> MatchSession<'a> {
     pub fn compare_report(
         &self,
         target: &dyn BlackBox,
-        report: &CachedGeneration,
+        report: &Result<GenerationReport, GenerationError>,
         candidate: &dyn BlackBox,
     ) -> MatchReport {
         let outcome = pair_outcome(
@@ -114,10 +119,7 @@ impl<'a> MatchSession<'a> {
             &self.invocations,
             &self.retrier,
         );
-        let examples = match report.as_ref() {
-            Ok(report) => report.examples.len(),
-            Err(_) => 0,
-        };
+        let examples = report.as_ref().map_or(0, |report| report.examples.len());
         MatchReport {
             target: target.descriptor().id.clone(),
             candidate: candidate.descriptor().id.clone(),
@@ -164,6 +166,7 @@ mod tests {
     use dex_values::formats::sequence::{classify, SequenceKind};
     use dex_values::{StructuralType, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn seq_echo(id: &str, semantic_in: &str, semantic_out: &str, upper_dna: bool) -> FnModule {
         FnModule::new(
@@ -273,8 +276,8 @@ mod tests {
         let session = MatchSession::new(&onto, &pool, GenerationConfig::default());
 
         // Generate both sides (as an all-pairs sweep would), then replay.
-        session.report_for(&target);
-        session.report_for(&candidate);
+        let _ = session.report_for(&target);
+        let _ = session.report_for(&candidate);
         let gen_t = target_count.load(Ordering::Relaxed);
         let gen_c = candidate_count.load(Ordering::Relaxed);
         assert_eq!((gen_t, gen_c), (4, 4));

@@ -15,8 +15,7 @@ use std::collections::HashSet;
 /// pipelines rely on.
 ///
 /// [`harvest_pool`] is implemented on top of this sink, so the streaming and
-/// materialized paths produce byte-identical pools by construction (pinned
-/// by property tests in `dex-repair`).
+/// materialized paths produce byte-identical pools by construction.
 pub struct HarvestSink<'c> {
     pool: InstancePool,
     seen: HashSet<(Value, String)>,

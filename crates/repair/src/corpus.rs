@@ -1,13 +1,12 @@
 //! Provenance corpus construction: repository enactments + archive traces.
 
 use crate::repository::WorkflowRepository;
-use dex_core::ValueClassifier;
 use dex_modules::{InvocationCache, ModuleId, Retrier, RetryPolicy, RetryStats};
 use dex_pool::InstancePool;
-use dex_provenance::{HarvestSink, ProvenanceCorpus};
+use dex_provenance::ProvenanceCorpus;
 use dex_universe::Universe;
 use dex_values::Value;
-use dex_workflow::{enact_retrying, EnactmentTrace, StepRecord};
+use dex_workflow::{enact, EnactmentTrace, StepRecord};
 
 /// Failure accounting for a tolerant corpus build: which enactments and
 /// archive invocations were skipped, and what the retrier spent getting the
@@ -30,37 +29,15 @@ impl CorpusBuildReport {
     }
 }
 
-/// Builds the provenance corpus the §6 study trawls.
+/// Builds the provenance corpus the §6 study trawls: every trace
+/// [`enact_repository`] records, in walk order.
 ///
-/// Two sources, mirroring the paper:
-///
-/// 1. every repository workflow is enacted once with its published sample
-///    inputs, **before** decay (all modules still supplied);
-/// 2. "previous eScience project" archives (the paper's iSpider traces): a
-///    handful of direct invocations per legacy module, with diverse inputs
-///    drawn from the pool — these give every withdrawn module reconstruction
-///    coverage beyond whatever the repository happened to exercise.
-///
-/// Must be called on a pre-decay universe; enactment failures are a bug in
-/// the repository generator and panic. For fault-tolerant builds (injected
-/// faults, flaky services) use [`build_corpus_with`], which retries
-/// transients and records rather than panics on residual failures.
+/// Transiently failing enactments and archive invocations are retried under
+/// `retry`; anything that still fails is *skipped and accounted* in the
+/// returned [`CorpusBuildReport`] instead of aborting the build, unless
+/// `fail_fast` is set, which panics on the first failed enactment for
+/// callers that treat one as a bug (a pre-decay universe with no faults).
 pub fn build_corpus(
-    universe: &Universe,
-    repository: &WorkflowRepository,
-    pool: &InstancePool,
-) -> ProvenanceCorpus {
-    let (corpus, report) = build_corpus_with(universe, repository, pool, RetryPolicy::none(), true);
-    debug_assert!(report.is_clean());
-    corpus
-}
-
-/// [`build_corpus`] with fault tolerance: transiently failing enactments and
-/// archive invocations are retried under `retry`; anything that still fails
-/// is *skipped and accounted* in the returned [`CorpusBuildReport`] instead
-/// of aborting the build — unless `fail_fast` is set, which restores the
-/// panic-on-failure contract for callers that treat any failure as a bug.
-pub fn build_corpus_with(
     universe: &Universe,
     repository: &WorkflowRepository,
     pool: &InstancePool,
@@ -68,80 +45,49 @@ pub fn build_corpus_with(
     fail_fast: bool,
 ) -> (ProvenanceCorpus, CorpusBuildReport) {
     let mut corpus = ProvenanceCorpus::new("simulated-taverna");
-    // Repository workflows are stamped out from shared templates over shared
-    // pool values, so their step invocations repeat heavily; one memo across
-    // all enactments skips the duplicates without changing any trace.
-    let invocations = InvocationCache::new();
-    let report = walk_corpus(
-        universe,
-        repository,
-        pool,
-        retry,
-        &invocations,
-        fail_fast,
-        |trace| corpus.add(trace),
-    );
+    let report = enact_repository(universe, repository, pool, retry, fail_fast, |trace| {
+        corpus.add(trace)
+    });
     (corpus, report)
 }
 
-/// Streams the corpus build straight into a harvested pool: every workflow
-/// is enacted and its trace absorbed into a [`HarvestSink`] immediately, so
-/// at no point does more than the one in-flight trace exist. Memory is
-/// bounded by distinct harvested data, not by enactment volume — this is
-/// what lets a 100k-module repository build its pool without materializing
-/// a [`ProvenanceCorpus`] first.
+/// Records the repository's pre-decay provenance, handing each trace to
+/// `sink` as it lands, so no more than the one in-flight trace need exist.
 ///
-/// The trace *sources* are exactly those of [`build_corpus_with`] in the
-/// tolerant (non-`fail_fast`) mode — the two share one walk — and the
-/// annotation rules are those of [`dex_provenance::harvest_pool`], so the
-/// resulting pool is byte-identical to
-/// `harvest_pool(&build_corpus_with(..).0, ..)` (pinned by
-/// `tests/streaming_harvest.rs`). `invocations` is caller-owned so a warm
-/// cache can be shared across the build and everything downstream of it.
-pub fn stream_harvested_pool(
-    universe: &Universe,
-    repository: &WorkflowRepository,
-    pool: &InstancePool,
-    classifier: ValueClassifier,
-    retry: RetryPolicy,
-    invocations: &InvocationCache,
-) -> (InstancePool, CorpusBuildReport) {
-    let _span = dex_telemetry::span("corpus.stream_harvest");
-    let mut sink = HarvestSink::new("harvest-simulated-taverna", &universe.catalog, classifier);
-    let report = walk_corpus(
-        universe,
-        repository,
-        pool,
-        retry,
-        invocations,
-        false,
-        |trace| sink.absorb(&trace),
-    );
-    (sink.finish(), report)
-}
-
-/// The one corpus walk: repository enactments first (through `invocations`),
-/// then the legacy archive invocations, each trace handed to `sink` as it
-/// lands. Failures that survive the retrier are skipped and accounted, or
-/// panic under `fail_fast`.
-fn walk_corpus(
+/// Two sources, mirroring the paper:
+///
+/// 1. every repository workflow is enacted once with its published sample
+///    inputs, **before** decay (all modules still supplied);
+/// 2. "previous eScience project" archives (the paper's iSpider traces): a
+///    handful of direct invocations per legacy module, with diverse inputs
+///    drawn from the pool. These give every withdrawn module reconstruction
+///    coverage beyond whatever the repository happened to exercise. A
+///    universe with no legacy modules (a scaled world) has none.
+///
+/// Repository workflows are stamped out from shared templates over shared
+/// pool values, so their step invocations repeat heavily: the walk enacts
+/// them through one [`InvocationCache`] of its own, dropped when it returns,
+/// which skips the duplicates without changing any trace. Failures that
+/// survive the retrier are skipped and accounted; under `fail_fast` a
+/// failed enactment panics instead.
+pub fn enact_repository(
     universe: &Universe,
     repository: &WorkflowRepository,
     pool: &InstancePool,
     retry: RetryPolicy,
-    invocations: &InvocationCache,
     fail_fast: bool,
     mut sink: impl FnMut(EnactmentTrace),
 ) -> CorpusBuildReport {
     let mut report = CorpusBuildReport::default();
+    let invocations = InvocationCache::new();
     let retrier = Retrier::new(retry);
 
     for stored in &repository.workflows {
-        match enact_retrying(
+        match enact(
             &stored.workflow,
             &universe.catalog,
             &stored.sample_inputs,
-            invocations,
+            Some(&invocations),
             &retrier,
         ) {
             Ok(trace) => sink(trace),
@@ -258,7 +204,7 @@ mod tests {
         let u = build();
         let pool = build_synthetic_pool(&u.ontology, 40, 77);
         let repo = generate_repository(&u, &pool, &RepositoryPlan::small(1));
-        let corpus = build_corpus(&u, &repo, &pool);
+        let (corpus, _) = build_corpus(&u, &repo, &pool, RetryPolicy::none(), true);
         assert!(corpus.len() >= repo.len());
 
         for (legacy, expected) in &u.expected_match {
@@ -291,9 +237,8 @@ mod tests {
         let u = build();
         let pool = build_synthetic_pool(&u.ontology, 40, 77);
         let repo = generate_repository(&u, &pool, &RepositoryPlan::small(1));
-        let strict = build_corpus(&u, &repo, &pool);
-        let (tolerant, report) =
-            build_corpus_with(&u, &repo, &pool, RetryPolicy::transient(3), false);
+        let (strict, _) = build_corpus(&u, &repo, &pool, RetryPolicy::none(), true);
+        let (tolerant, report) = build_corpus(&u, &repo, &pool, RetryPolicy::transient(3), false);
         assert!(report.is_clean());
         assert_eq!(report.retry.retries, 0, "no faults, no retries");
         assert_eq!(strict.len(), tolerant.len());
@@ -309,8 +254,7 @@ mod tests {
         // on with the rest instead of panicking.
         let victim = repo.workflows[0].workflow.steps[0].module.clone();
         u.catalog.withdraw(&victim);
-        let (corpus, report) =
-            build_corpus_with(&u, &repo, &pool, RetryPolicy::transient(2), false);
+        let (corpus, report) = build_corpus(&u, &repo, &pool, RetryPolicy::transient(2), false);
         assert!(!report.is_clean());
         assert!(report
             .failed_enactments

@@ -10,6 +10,8 @@ use dex_modules::{InvocationCache, ModuleCatalog, ModuleId, Retrier, RetryPolicy
 use dex_ontology::Ontology;
 use dex_provenance::ProvenanceCorpus;
 use dex_values::Value;
+use dex_workflow::{EnactmentTrace, Workflow};
+use std::collections::HashMap;
 
 /// One accepted substitution inside a workflow.
 #[derive(Debug, Clone)]
@@ -70,39 +72,43 @@ impl RepairSummary {
     pub fn repaired(&self) -> usize {
         self.fully_repaired + self.partially_repaired
     }
+
+    /// Tallies one workflow's outcome.
+    pub fn record(&mut self, outcome: &RepairOutcome) {
+        match outcome.status {
+            RepairStatus::Healthy => self.healthy += 1,
+            RepairStatus::FullyRepaired => self.fully_repaired += 1,
+            RepairStatus::PartiallyRepaired => self.partially_repaired += 1,
+            RepairStatus::Unrepaired => self.unrepaired += 1,
+        }
+        if matches!(
+            outcome.status,
+            RepairStatus::FullyRepaired | RepairStatus::PartiallyRepaired
+        ) {
+            let any_overlap = outcome
+                .substitutions
+                .iter()
+                .any(|s| matches!(s.verdict, MatchVerdict::Overlapping { .. }));
+            if any_overlap {
+                self.via_overlapping += 1;
+            } else {
+                self.via_equivalent += 1;
+            }
+        }
+    }
 }
 
-/// Repairs every workflow of a repository against a post-decay catalog.
+/// Repairs every workflow of a repository against a post-decay catalog:
+/// [`repair_workflow`] on each, with the workflow's traces from `corpus`.
 ///
-/// For each step whose module is withdrawn, the precomputed matching study
-/// proposes a substitute. Each proposal is **verified by replay**: the
-/// substitute is invoked on the exact inputs the original module received
-/// in this workflow's own provenance trace, and its outputs must match the
-/// recorded ones. This is what separates "an overlapping module exists"
-/// from "the overlapping module plays the same role *in this workflow*"
-/// (the paper found that held for only 13 workflows).
+/// Verification replays go through one pass-wide [`Retrier`] built from
+/// `retry`, so a flapping candidate is re-attempted instead of being
+/// rejected as a substitute on the strength of a momentary outage, and
+/// through one pass-wide invocation memo: the same few candidates are
+/// proposed for many workflows, and trace records frequently repeat input
+/// vectors (same pool values feed many workflows), so replays overlap
+/// heavily across outcomes.
 pub fn repair_repository(
-    repository: &WorkflowRepository,
-    catalog: &ModuleCatalog,
-    study: &MatchingStudy,
-    corpus: &ProvenanceCorpus,
-    ontology: &Ontology,
-) -> (Vec<RepairOutcome>, RepairSummary) {
-    repair_repository_with(
-        repository,
-        catalog,
-        study,
-        corpus,
-        ontology,
-        RetryPolicy::none(),
-    )
-}
-
-/// [`repair_repository`] with transient-fault tolerance: verification
-/// replays go through one pass-wide [`Retrier`] built from `retry`, so a
-/// flapping candidate is re-attempted instead of being rejected as a
-/// substitute on the strength of a momentary outage.
-pub fn repair_repository_with(
     repository: &WorkflowRepository,
     catalog: &ModuleCatalog,
     study: &MatchingStudy,
@@ -110,108 +116,108 @@ pub fn repair_repository_with(
     ontology: &Ontology,
     retry: RetryPolicy,
 ) -> (Vec<RepairOutcome>, RepairSummary) {
-    let mut outcomes = Vec::with_capacity(repository.len());
-    let mut summary = RepairSummary::default();
-    // One invocation memo for the whole repair pass: the same few candidates
-    // are proposed for many workflows, and trace records frequently repeat
-    // input vectors (same pool values feed many workflows), so verification
-    // replays overlap heavily across outcomes.
+    let mut traces: HashMap<&str, Vec<&EnactmentTrace>> = HashMap::new();
+    for trace in corpus.traces() {
+        traces.entry(&trace.workflow).or_default().push(trace);
+    }
     let invocations = InvocationCache::new();
     let retrier = Retrier::new(retry);
+    let mut summary = RepairSummary::default();
+    let outcomes = repository
+        .workflows
+        .iter()
+        .map(|stored| {
+            let workflow = &stored.workflow;
+            let outcome = repair_workflow(
+                workflow,
+                traces.get(workflow.id.as_str()).map_or(&[], Vec::as_slice),
+                catalog,
+                study,
+                ontology,
+                &invocations,
+                &retrier,
+            );
+            summary.record(&outcome);
+            outcome
+        })
+        .collect();
+    (outcomes, summary)
+}
 
-    for stored in &repository.workflows {
-        let workflow = &stored.workflow;
-        let broken: Vec<(usize, ModuleId)> = workflow
-            .steps
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !catalog.is_available(&s.module))
-            .map(|(i, s)| (i, s.module.clone()))
-            .collect();
-
-        if broken.is_empty() {
-            summary.healthy += 1;
-            outcomes.push(RepairOutcome {
-                workflow_id: workflow.id.clone(),
-                substitutions: Vec::new(),
-                unfixed_steps: Vec::new(),
-                status: RepairStatus::Healthy,
-            });
+/// Repairs one workflow against a post-decay catalog; `traces` are its own
+/// recorded enactments.
+///
+/// For each step whose module is withdrawn, the matching study proposes a
+/// substitute. Each proposal is **verified by replay**: the substitute is
+/// invoked on the exact inputs the original module received in the
+/// workflow's traces, and its outputs must match the recorded ones. This is
+/// what separates "an overlapping module exists" from "the overlapping
+/// module plays the same role *in this workflow*" (the paper found that held
+/// for only 13 workflows). Replays go through `invocations` and `retrier`.
+pub fn repair_workflow(
+    workflow: &Workflow,
+    traces: &[&EnactmentTrace],
+    catalog: &ModuleCatalog,
+    study: &MatchingStudy,
+    ontology: &Ontology,
+    invocations: &InvocationCache,
+    retrier: &Retrier,
+) -> RepairOutcome {
+    let mut substitutions = Vec::new();
+    let mut unfixed = Vec::new();
+    for (step, s) in workflow.steps.iter().enumerate() {
+        if catalog.is_available(&s.module) {
             continue;
         }
-
-        let mut substitutions = Vec::new();
-        let mut unfixed = Vec::new();
-        for (step, module) in broken {
-            match study.substitute_for(&module) {
-                Some((candidate, verdict))
-                    if verify_substitution(
-                        workflow,
-                        step,
-                        &module,
-                        candidate,
-                        catalog,
-                        corpus,
-                        ontology,
-                        &invocations,
-                        &retrier,
-                    ) =>
-                {
-                    substitutions.push(Substitution {
-                        step,
-                        from: module,
-                        to: candidate.clone(),
-                        verdict: *verdict,
-                    });
-                }
-                _ => unfixed.push((step, module)),
+        let module = s.module.clone();
+        match study.substitute_for(&module) {
+            Some((candidate, verdict))
+                if verify_substitution(
+                    traces,
+                    step,
+                    &module,
+                    candidate,
+                    catalog,
+                    ontology,
+                    invocations,
+                    retrier,
+                ) =>
+            {
+                substitutions.push(Substitution {
+                    step,
+                    from: module,
+                    to: candidate.clone(),
+                    verdict: *verdict,
+                });
             }
+            _ => unfixed.push((step, module)),
         }
-
-        let status = match (substitutions.is_empty(), unfixed.is_empty()) {
-            (false, true) => RepairStatus::FullyRepaired,
-            (false, false) => RepairStatus::PartiallyRepaired,
-            (true, _) => RepairStatus::Unrepaired,
-        };
-        match status {
-            RepairStatus::FullyRepaired => summary.fully_repaired += 1,
-            RepairStatus::PartiallyRepaired => summary.partially_repaired += 1,
-            RepairStatus::Unrepaired => summary.unrepaired += 1,
-            RepairStatus::Healthy => unreachable!("broken set was non-empty"),
-        }
-        if status != RepairStatus::Unrepaired {
-            let any_overlap = substitutions
-                .iter()
-                .any(|s| matches!(s.verdict, MatchVerdict::Overlapping { .. }));
-            if any_overlap {
-                summary.via_overlapping += 1;
-            } else {
-                summary.via_equivalent += 1;
-            }
-        }
-        outcomes.push(RepairOutcome {
-            workflow_id: workflow.id.clone(),
-            substitutions,
-            unfixed_steps: unfixed,
-            status,
-        });
     }
-
-    (outcomes, summary)
+    let status = match (substitutions.is_empty(), unfixed.is_empty()) {
+        (true, true) => RepairStatus::Healthy,
+        (false, true) => RepairStatus::FullyRepaired,
+        (false, false) => RepairStatus::PartiallyRepaired,
+        (true, false) => RepairStatus::Unrepaired,
+    };
+    RepairOutcome {
+        workflow_id: workflow.id.clone(),
+        substitutions,
+        unfixed_steps: unfixed,
+        status,
+    }
 }
 
 /// Replays the workflow's own recorded invocations of `step` against the
 /// candidate; accepts only exact output agreement. Invocations route through
-/// the repair pass's shared memo, so a candidate is fed each distinct trace
-/// vector at most once across all workflows.
+/// the caller's memo, so a candidate is fed each distinct trace vector at
+/// most once across the workflows that share it.
 #[allow(clippy::too_many_arguments)]
 fn verify_substitution(
-    workflow: &dex_workflow::Workflow,
+    traces: &[&EnactmentTrace],
     step: usize,
     from: &ModuleId,
     candidate_id: &ModuleId,
     catalog: &ModuleCatalog,
-    corpus: &ProvenanceCorpus,
     ontology: &Ontology,
     invocations: &InvocationCache,
     retrier: &Retrier,
@@ -240,7 +246,7 @@ fn verify_substitution(
     };
 
     let mut replayed = 0usize;
-    for trace in corpus.traces_of(&workflow.id) {
+    for trace in traces {
         for record in trace.steps.iter().filter(|r| r.step == step) {
             let mut inputs: Vec<Value> = vec![Value::Null; candidate.descriptor().inputs.len()];
             for (t_idx, &c_idx) in mapping.inputs.iter().enumerate() {
@@ -283,11 +289,17 @@ mod tests {
         let pool = build_synthetic_pool(&u.ontology, 40, 77);
         let plan = RepositoryPlan::small(9);
         let repo = generate_repository(&u, &pool, &plan);
-        let corpus = build_corpus(&u, &repo, &pool);
+        let (corpus, _) = build_corpus(&u, &repo, &pool, RetryPolicy::none(), true);
         u.decay();
-        let study = run_matching_study(&u.catalog, &corpus, &u.ontology);
-        let (outcomes, summary) =
-            repair_repository(&repo, &u.catalog, &study, &corpus, &u.ontology);
+        let study = run_matching_study(&u.catalog, &corpus, &u.ontology, RetryPolicy::none());
+        let (outcomes, summary) = repair_repository(
+            &repo,
+            &u.catalog,
+            &study,
+            &corpus,
+            &u.ontology,
+            RetryPolicy::none(),
+        );
 
         assert_eq!(outcomes.len(), plan.total());
         for (stored, outcome) in repo.workflows.iter().zip(&outcomes) {
@@ -338,10 +350,17 @@ mod tests {
         let pool = build_synthetic_pool(&u.ontology, 40, 77);
         let plan = RepositoryPlan::small(11);
         let repo = generate_repository(&u, &pool, &plan);
-        let corpus = build_corpus(&u, &repo, &pool);
+        let (corpus, _) = build_corpus(&u, &repo, &pool, RetryPolicy::none(), true);
         u.decay();
-        let study = run_matching_study(&u.catalog, &corpus, &u.ontology);
-        let (outcomes, _) = repair_repository(&repo, &u.catalog, &study, &corpus, &u.ontology);
+        let study = run_matching_study(&u.catalog, &corpus, &u.ontology, RetryPolicy::none());
+        let (outcomes, _) = repair_repository(
+            &repo,
+            &u.catalog,
+            &study,
+            &corpus,
+            &u.ontology,
+            RetryPolicy::none(),
+        );
 
         for (stored, outcome) in repo.workflows.iter().zip(&outcomes) {
             if outcome.status != RepairStatus::FullyRepaired {
@@ -351,8 +370,14 @@ mod tests {
             for s in &outcome.substitutions {
                 repaired.steps[s.step].module = s.to.clone();
             }
-            let trace = dex_workflow::enact(&repaired, &u.catalog, &stored.sample_inputs)
-                .unwrap_or_else(|e| panic!("{}: {e}", stored.workflow.id));
+            let trace = dex_workflow::enact(
+                &repaired,
+                &u.catalog,
+                &stored.sample_inputs,
+                None,
+                &Retrier::none(),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", stored.workflow.id));
             // The repaired workflow must deliver the pre-decay results.
             let original = corpus.traces_of(&stored.workflow.id).next().unwrap();
             assert_eq!(

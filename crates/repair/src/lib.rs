@@ -21,11 +21,7 @@ pub mod keys;
 pub mod matching;
 pub mod repository;
 
-pub use corpus::{build_corpus, build_corpus_with, stream_harvested_pool, CorpusBuildReport};
-pub use engine::{
-    repair_repository, repair_repository_with, RepairOutcome, RepairStatus, RepairSummary,
-};
-pub use matching::{
-    run_matching_study, run_matching_study_with, substitute_rank, LegacyMatch, MatchingStudy,
-};
+pub use corpus::{build_corpus, enact_repository, CorpusBuildReport};
+pub use engine::{repair_repository, repair_workflow, RepairOutcome, RepairStatus, RepairSummary};
+pub use matching::{run_matching_study, substitute_rank, LegacyMatch, MatchingStudy};
 pub use repository::{generate_repository, RepositoryPlan, StoredWorkflow, WorkflowRepository};

@@ -80,20 +80,13 @@ impl MatchingStudy {
 /// Candidate ranking: an `Equivalent` verdict wins outright; otherwise the
 /// `Overlapping` candidate with the highest agreement ratio wins; `Disjoint`
 /// candidates never count as substitutes.
-pub fn run_matching_study(
-    catalog: &ModuleCatalog,
-    corpus: &ProvenanceCorpus,
-    ontology: &Ontology,
-) -> MatchingStudy {
-    run_matching_study_with(catalog, corpus, ontology, RetryPolicy::none())
-}
-
-/// [`run_matching_study`] with transient-fault tolerance: every candidate
-/// replay invocation goes through one study-wide [`Retrier`] built from
-/// `retry`, so a momentarily flapping candidate is re-attempted instead of
-/// silently classified from a failed replay. The per-run accounting lands in
+///
+/// Every candidate replay invocation goes through one study-wide
+/// [`Retrier`] built from `retry`, so a momentarily flapping candidate is
+/// re-attempted instead of silently classified from a failed replay; pass
+/// [`RetryPolicy::none`] for no retries. The per-run accounting lands in
 /// [`MatchingStudy::retry`].
-pub fn run_matching_study_with(
+pub fn run_matching_study(
     catalog: &ModuleCatalog,
     corpus: &ProvenanceCorpus,
     ontology: &Ontology,
@@ -249,9 +242,9 @@ mod tests {
         let mut u = build();
         let pool = build_synthetic_pool(&u.ontology, 40, 77);
         let repo = generate_repository(&u, &pool, &RepositoryPlan::small(1));
-        let corpus = build_corpus(&u, &repo, &pool);
+        let (corpus, _) = build_corpus(&u, &repo, &pool, RetryPolicy::none(), true);
         u.decay();
-        let study = run_matching_study(&u.catalog, &corpus, &u.ontology);
+        let study = run_matching_study(&u.catalog, &corpus, &u.ontology, RetryPolicy::none());
         assert_eq!(study.matches.len(), 72);
 
         // Per-module agreement with the planted ground truth.

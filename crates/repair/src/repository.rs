@@ -484,8 +484,14 @@ mod tests {
         for stored in &repo.workflows {
             validate(&stored.workflow, &u.catalog, &u.ontology)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", stored.workflow.id));
-            dex_workflow::enact(&stored.workflow, &u.catalog, &stored.sample_inputs)
-                .unwrap_or_else(|e| panic!("{}: {e}", stored.workflow.id));
+            dex_workflow::enact(
+                &stored.workflow,
+                &u.catalog,
+                &stored.sample_inputs,
+                None,
+                &dex_modules::Retrier::none(),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", stored.workflow.id));
         }
     }
 

@@ -22,9 +22,9 @@
 //! * [`trace::chrome_trace_json`] exports the stitched span forest as
 //!   Perfetto-loadable Chrome trace JSON; [`RunReport`] additionally carries
 //!   flamegraph folded stacks and p50/p95/p99 histogram percentiles.
-//! * [`counter_add`] / [`gauge_set`] / [`observe_ns`] update atomics inside
-//!   a read-mostly registry, so concurrent increments from scoped threads
-//!   never lose updates.
+//! * [`counter_add`] / [`observe_ns`] update atomics inside a read-mostly
+//!   registry, so concurrent increments (`dexd`'s connection threads) never
+//!   lose updates.
 //!
 //! [`collect`] snapshots everything into a serde-serializable [`RunReport`];
 //! the experiment binaries write it to `TELEMETRY.json`.
@@ -43,8 +43,8 @@ pub use flight::{
     FlightDump, FlightEvent, FlightKind, FLIGHT_CAPACITY,
 };
 pub use metrics::{
-    counter, counter_add, counter_value, gauge_set, gauge_value, histogram, observe_ns, Counter,
-    Histo, Histogram, HistogramSnapshot, TimedGuard,
+    counter, counter_add, counter_value, histogram, observe_ns, Counter, Histo, Histogram,
+    HistogramSnapshot, TimedGuard,
 };
 pub use report::{collect, RunReport};
 pub use span::{span, SpanGuard, SpanRecord};
@@ -139,7 +139,6 @@ mod tests {
         enable();
         reset();
         counter_add("lib.reset.c", 3);
-        gauge_set("lib.reset.g", -2);
         observe_ns("lib.reset.h", 500);
         {
             let _s = span("lib.reset.span");
@@ -149,7 +148,6 @@ mod tests {
         reset();
         let report = collect("after-reset");
         assert!(report.counters.is_empty());
-        assert!(report.gauges.is_empty());
         assert!(report.histograms.is_empty());
         assert!(report.spans.is_empty());
         disable();

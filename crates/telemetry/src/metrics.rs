@@ -1,16 +1,16 @@
-//! Process-global metrics registry: atomic counters, gauges, and
-//! fixed-bucket histograms.
+//! Process-global metrics registry: atomic counters and fixed-bucket
+//! histograms.
 //!
 //! The registry is read-mostly: the first touch of a name takes a write
 //! lock to intern the metric, every subsequent update takes a read lock and
-//! a relaxed atomic op. Updates therefore never lose increments under the
-//! scoped-thread parallelism used by the experiment harness, and never
-//! block each other once a metric exists.
+//! a relaxed atomic op. Updates from concurrent writers (`dexd`'s
+//! connection threads) therefore never lose increments, and never block
+//! each other once a metric exists.
 
 use crate::is_enabled;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -181,13 +181,6 @@ impl<T: Default> Shard<T> {
         )
     }
 
-    fn clear(&self) {
-        self.map
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-    }
-
     fn for_each(&self, f: impl Fn(&T)) {
         for v in self
             .map
@@ -211,7 +204,6 @@ impl<T: Default> Shard<T> {
 
 struct Registry {
     counters: Shard<AtomicU64>,
-    gauges: Shard<AtomicI64>,
     histograms: Shard<Histogram>,
 }
 
@@ -219,7 +211,6 @@ fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
         counters: Shard::new(),
-        gauges: Shard::new(),
         histograms: Shard::new(),
     })
 }
@@ -306,20 +297,6 @@ pub fn counter_value(name: &str) -> u64 {
     registry().counters.get(name).load(Ordering::Relaxed)
 }
 
-/// Sets the named gauge to an absolute value. No-op while disabled.
-#[inline]
-pub fn gauge_set(name: &str, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    registry().gauges.get(name).store(value, Ordering::Relaxed);
-}
-
-/// Current value of a gauge (0 if never set).
-pub fn gauge_value(name: &str) -> i64 {
-    registry().gauges.get(name).load(Ordering::Relaxed)
-}
-
 /// Records one duration observation into the named histogram. No-op while
 /// disabled.
 #[inline]
@@ -357,12 +334,6 @@ pub(crate) fn snapshot_counters() -> std::collections::BTreeMap<String, u64> {
     counters
 }
 
-pub(crate) fn snapshot_gauges() -> std::collections::BTreeMap<String, i64> {
-    registry()
-        .gauges
-        .snapshot_with(|g| g.load(Ordering::Relaxed))
-}
-
 pub(crate) fn snapshot_histograms() -> std::collections::BTreeMap<String, HistogramSnapshot> {
     let mut histograms = registry().histograms.snapshot_with(Histogram::snapshot);
     histograms.retain(|_, v| v.count != 0);
@@ -372,10 +343,9 @@ pub(crate) fn snapshot_histograms() -> std::collections::BTreeMap<String, Histog
 pub(crate) fn reset() {
     let r = registry();
     // Counters and histograms are zeroed in place so cached [`Counter`]
-    // handles stay attached; gauges have no handle API and are dropped.
+    // handles stay attached.
     r.counters.for_each(|c| c.store(0, Ordering::Relaxed));
     r.histograms.for_each(Histogram::zero);
-    r.gauges.clear();
 }
 
 #[cfg(test)]
@@ -384,20 +354,16 @@ mod tests {
     use crate::testing;
 
     #[test]
-    fn counters_and_gauges_record_when_enabled_only() {
+    fn counters_record_when_enabled_only() {
         let _g = testing::guard();
         crate::enable();
         crate::reset();
         counter_add("m.test.counter", 2);
         counter_add("m.test.counter", 3);
-        gauge_set("m.test.gauge", -7);
         assert_eq!(counter_value("m.test.counter"), 5);
-        assert_eq!(gauge_value("m.test.gauge"), -7);
         crate::disable();
         counter_add("m.test.counter", 100);
-        gauge_set("m.test.gauge", 100);
         assert_eq!(counter_value("m.test.counter"), 5, "disabled adds ignored");
-        assert_eq!(gauge_value("m.test.gauge"), -7);
     }
 
     #[test]

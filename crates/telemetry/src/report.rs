@@ -1,6 +1,6 @@
 //! The per-run telemetry artifact.
 
-use crate::metrics::{snapshot_counters, snapshot_gauges, snapshot_histograms, HistogramSnapshot};
+use crate::metrics::{snapshot_counters, snapshot_histograms, HistogramSnapshot};
 use crate::span::{snapshot_roots, SpanRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -17,12 +17,11 @@ pub struct RunReport {
     pub wall_ms: f64,
     /// Monotonic counters, name → value.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges, name → last set value.
-    pub gauges: BTreeMap<String, i64>,
     /// Fixed-bucket histograms, name → snapshot.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Completed root spans across all threads, each with nested children;
-    /// cross-thread subtrees are stitched under their spawning span.
+    /// Completed root spans across all threads, each with nested children.
+    /// A span's parent is the innermost span open on its own thread, so
+    /// each thread's spans form trees of their own.
     pub spans: Vec<SpanRecord>,
     /// Flamegraph folded stacks over `spans`:
     /// `"root;child;leaf" -> exclusive nanoseconds`.
@@ -55,7 +54,6 @@ pub fn collect(label: &str) -> RunReport {
         label: label.to_string(),
         wall_ms: crate::wall_ms(),
         counters: snapshot_counters(),
-        gauges: snapshot_gauges(),
         histograms: snapshot_histograms(),
         spans,
         folded,
@@ -73,7 +71,6 @@ mod tests {
         crate::enable();
         crate::reset();
         crate::counter_add("r.test.invocations", 42);
-        crate::gauge_set("r.test.threads", 8);
         crate::observe_ns("r.test.pair_ns", 1_500);
         crate::observe_ns("r.test.pair_ns", 900_000);
         {
@@ -84,7 +81,6 @@ mod tests {
         assert_eq!(report.label, "round-trip");
         assert!(report.wall_ms >= 0.0);
         assert_eq!(report.counters["r.test.invocations"], 42);
-        assert_eq!(report.gauges["r.test.threads"], 8);
         assert_eq!(report.histograms["r.test.pair_ns"].count, 2);
         assert_eq!(report.span_count(), 2);
         assert!(report.folded.contains_key("r.outer;r.inner"));

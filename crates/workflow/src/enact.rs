@@ -70,36 +70,19 @@ pub struct EnactmentTrace {
 
 /// Enacts a workflow: executes steps in order, feeding each input from its
 /// link (or `Null` for unfed optional inputs) and capturing a full trace.
+///
+/// Every step invocation goes through `retrier` and, when given, `cache`. A
+/// step whose `(module, input vector)` the cache already holds (from an
+/// earlier enactment sharing it, or from example generation) is answered
+/// from the memo, so bulk enactment over a repository whose workflows share
+/// modules and pool values skips the repeated work; the trace is identical
+/// to an uncached enactment. A step invocation that fails *transiently* is
+/// re-attempted under the retrier's policy before the enactment is
+/// abandoned. Pass `None, &Retrier::none()` for neither. The availability
+/// gate always applies: a step whose module the catalog reports withdrawn
+/// fails [`EnactError::ModuleUnavailable`] without an invocation, cached or
+/// not.
 pub fn enact(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    inputs: &[Value],
-) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, None, &Retrier::none())
-}
-
-/// [`enact`] through a shared [`InvocationCache`] and [`Retrier`]. Step
-/// invocations whose `(module, input vector)` was already executed — by an
-/// earlier enactment sharing the cache, or by example generation — are
-/// answered from the memo, so bulk re-enactment (e.g. building a provenance
-/// corpus over a repository whose workflows share modules and pool values)
-/// skips the repeated work; the trace is identical to an uncached
-/// enactment. A step invocation that fails *transiently* is re-attempted
-/// under the retrier's policy before the enactment is abandoned; pass
-/// [`Retrier::none`] for no retries. The availability gate still applies —
-/// a step whose module the catalog reports withdrawn fails
-/// [`EnactError::ModuleUnavailable`] without an invocation, cached or not.
-pub fn enact_retrying(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    inputs: &[Value],
-    cache: &InvocationCache,
-    retrier: &Retrier,
-) -> Result<EnactmentTrace, EnactError> {
-    enact_with(workflow, catalog, inputs, Some(cache), retrier)
-}
-
-fn enact_with(
     workflow: &Workflow,
     catalog: &ModuleCatalog,
     inputs: &[Value],
@@ -273,7 +256,14 @@ mod tests {
 
     #[test]
     fn enactment_runs_and_traces() {
-        let trace = enact(&pipeline(), &catalog(), &[Value::text("ab")]).unwrap();
+        let trace = enact(
+            &pipeline(),
+            &catalog(),
+            &[Value::text("ab")],
+            None,
+            &Retrier::none(),
+        )
+        .unwrap();
         assert_eq!(trace.outputs, vec![Value::text("abab!")]);
         assert_eq!(trace.steps.len(), 2);
         assert_eq!(trace.steps[0].outputs, vec![Value::text("abab")]);
@@ -286,7 +276,7 @@ mod tests {
     fn unavailable_module_fails_enactment() {
         let mut c = catalog();
         c.withdraw(&"double".into());
-        let err = enact(&pipeline(), &c, &[Value::text("x")]).unwrap_err();
+        let err = enact(&pipeline(), &c, &[Value::text("x")], None, &Retrier::none()).unwrap_err();
         assert_eq!(
             err,
             EnactError::ModuleUnavailable {
@@ -310,7 +300,7 @@ mod tests {
             |_| Err(InvocationError::rejected("nope")),
         ));
         c.register(catalog().get(&"suffix".into()).unwrap().clone());
-        let err = enact(&pipeline(), &c, &[Value::text("x")]).unwrap_err();
+        let err = enact(&pipeline(), &c, &[Value::text("x")], None, &Retrier::none()).unwrap_err();
         assert!(matches!(err, EnactError::Invocation { step: 0, .. }));
     }
 
@@ -323,12 +313,12 @@ mod tests {
         let cache = InvocationCache::default();
         let none = Retrier::none();
         let wf = pipeline();
-        let ok = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &none).unwrap();
+        let ok = enact(&wf, &c, &[Value::text("ab")], Some(&cache), &none).unwrap();
         assert_eq!(ok.outputs, vec![Value::text("abab!")]);
         assert!(cache.stats().entries > 0, "first enactment seeds the cache");
 
         c.withdraw(&"double".into());
-        let err = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &none).unwrap_err();
+        let err = enact(&wf, &c, &[Value::text("ab")], Some(&cache), &none).unwrap_err();
         assert_eq!(
             err,
             EnactError::ModuleUnavailable {
@@ -338,7 +328,7 @@ mod tests {
         );
 
         c.restore(&"double".into());
-        let again = enact_retrying(&wf, &c, &[Value::text("ab")], &cache, &none).unwrap();
+        let again = enact(&wf, &c, &[Value::text("ab")], Some(&cache), &none).unwrap();
         assert_eq!(again, ok, "restoration re-enables the memoized trace");
     }
 
@@ -377,8 +367,14 @@ mod tests {
 
         let cache = InvocationCache::default();
         let retrier = Retrier::new(RetryPolicy::transient(4));
-        let trace =
-            enact_retrying(&pipeline(), &c, &[Value::text("ab")], &cache, &retrier).unwrap();
+        let trace = enact(
+            &pipeline(),
+            &c,
+            &[Value::text("ab")],
+            Some(&cache),
+            &retrier,
+        )
+        .unwrap();
         assert_eq!(trace.outputs, vec![Value::text("abab!")]);
         let stats = retrier.stats();
         assert!(stats.retries >= 2, "both injected faults were retried");
@@ -391,7 +387,7 @@ mod tests {
 
     #[test]
     fn wrong_input_arity_is_structural() {
-        let err = enact(&pipeline(), &catalog(), &[]).unwrap_err();
+        let err = enact(&pipeline(), &catalog(), &[], None, &Retrier::none()).unwrap_err();
         assert!(matches!(err, EnactError::Structure(_)));
     }
 
@@ -402,7 +398,7 @@ mod tests {
         b.step("Double", "double");
         // No link feeds step 0.
         let wf = b.build();
-        let err = enact(&wf, &catalog(), &[Value::text("x")]).unwrap_err();
+        let err = enact(&wf, &catalog(), &[Value::text("x")], None, &Retrier::none()).unwrap_err();
         assert!(matches!(err, EnactError::Invocation { .. }));
     }
 }

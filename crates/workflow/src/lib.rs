@@ -24,7 +24,7 @@ pub mod model;
 pub mod render;
 pub mod validate;
 
-pub use enact::{enact, enact_retrying, EnactError, EnactmentTrace, StepRecord};
+pub use enact::{enact, EnactError, EnactmentTrace, StepRecord};
 pub use model::{Link, OutputBinding, Source, Step, Workflow};
 pub use render::render;
-pub use validate::{validate, validate_with_enactment, DynamicValidationError, ValidationError};
+pub use validate::{validate, ValidationError};

@@ -1,10 +1,8 @@
 //! Workflow well-formedness and link-compatibility checking.
 
-use crate::enact::{enact_retrying, EnactError, EnactmentTrace};
 use crate::model::{Source, Workflow};
-use dex_modules::{InvocationCache, ModuleCatalog, Retrier};
+use dex_modules::ModuleCatalog;
 use dex_ontology::Ontology;
-use dex_values::Value;
 use std::fmt;
 
 /// Why a workflow is not well-formed.
@@ -77,50 +75,6 @@ pub fn validate(
         }
     }
     result
-}
-
-/// Why a dynamic (enactment-backed) validation failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DynamicValidationError {
-    /// Static validation failed; the workflow was not enacted.
-    Static(Vec<ValidationError>),
-    /// The workflow is well-formed but its dry-run enactment failed.
-    Enactment(EnactError),
-}
-
-impl fmt::Display for DynamicValidationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DynamicValidationError::Static(errors) => {
-                write!(f, "static validation failed with {} error(s)", errors.len())
-            }
-            DynamicValidationError::Enactment(e) => write!(f, "dry-run enactment failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DynamicValidationError {}
-
-/// [`validate`], then prove the workflow *enactable* by dry-running it on
-/// `sample_inputs` — the strongest validation short of production use.
-///
-/// Dry runs used to be priced out: every validation re-invoked every step.
-/// Routing the enactment through a shared [`InvocationCache`] makes repeated
-/// validation of a repository (where workflows are stamped from shared
-/// templates over shared pool values) pay for each distinct
-/// `(module, input vector)` once, so enactment-backed validation is cheap
-/// enough to run on every workflow. The successful trace is returned for
-/// callers that also want the provenance.
-pub fn validate_with_enactment(
-    workflow: &Workflow,
-    catalog: &ModuleCatalog,
-    ontology: &Ontology,
-    sample_inputs: &[Value],
-    cache: &InvocationCache,
-) -> Result<EnactmentTrace, DynamicValidationError> {
-    validate(workflow, catalog, ontology).map_err(DynamicValidationError::Static)?;
-    enact_retrying(workflow, catalog, sample_inputs, cache, &Retrier::none())
-        .map_err(DynamicValidationError::Enactment)
 }
 
 fn validate_inner(
@@ -411,34 +365,6 @@ mod tests {
         assert!(errors
             .iter()
             .any(|e| matches!(e, ValidationError::DanglingLink { .. })));
-    }
-
-    #[test]
-    fn dynamic_validation_dry_runs_through_the_cache() {
-        let onto = mygrid::ontology();
-        let c = catalog();
-        let cache = InvocationCache::new();
-        let trace =
-            validate_with_enactment(&wf(), &c, &onto, &[Value::text("MKVL")], &cache).unwrap();
-        assert_eq!(trace.steps.len(), 2);
-        assert_eq!(cache.stats().misses, 2, "both steps invoked once");
-        // Re-validating the same workflow is answered from the memo.
-        let again =
-            validate_with_enactment(&wf(), &c, &onto, &[Value::text("MKVL")], &cache).unwrap();
-        assert_eq!(again, trace);
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.stats().hits, 2);
-        // A statically broken workflow is rejected before any invocation.
-        let mut broken = wf();
-        broken.steps[0].module = "ghost".into();
-        let err = validate_with_enactment(&broken, &c, &onto, &[Value::text("MKVL")], &cache)
-            .unwrap_err();
-        assert!(matches!(err, DynamicValidationError::Static(_)));
-        assert_eq!(
-            cache.stats().misses,
-            2,
-            "no invocation for invalid workflow"
-        );
     }
 
     #[test]

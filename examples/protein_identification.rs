@@ -8,7 +8,7 @@
 //! cargo run --example protein_identification
 //! ```
 
-use data_examples::modules::Parameter;
+use data_examples::modules::{Parameter, Retrier};
 use data_examples::pool::build_synthetic_pool;
 use data_examples::values::{StructuralType, Value};
 use data_examples::workflow::{enact, validate, Source, Workflow};
@@ -102,7 +102,14 @@ fn main() {
     }
 
     // Enact and show the full provenance trace.
-    let trace = enact(&workflow, &universe.catalog, &inputs).expect("enactment succeeds");
+    let trace = enact(
+        &workflow,
+        &universe.catalog,
+        &inputs,
+        None,
+        &Retrier::none(),
+    )
+    .expect("enactment succeeds");
     println!("\nprovenance trace:");
     for record in &trace.steps {
         println!(

@@ -13,7 +13,7 @@
 //! ```
 
 use data_examples::core::matching::{match_against_examples, MappingMode};
-use data_examples::modules::Parameter;
+use data_examples::modules::{Parameter, Retrier};
 use data_examples::pool::build_synthetic_pool;
 use data_examples::provenance::{reconstruct_examples, ProvenanceCorpus};
 use data_examples::values::StructuralType;
@@ -57,14 +57,27 @@ fn main() {
         .expect("realization")
         .value
         .clone()];
-    let original = enact(&workflow, &universe.catalog, &sample).expect("pre-decay run");
+    let original = enact(
+        &workflow,
+        &universe.catalog,
+        &sample,
+        None,
+        &Retrier::none(),
+    )
+    .expect("pre-decay run");
     let mut corpus = ProvenanceCorpus::new("lab-archive");
     corpus.add(original.clone());
     println!("pre-decay output: {}", original.outputs[0].preview(60));
 
     // The provider withdraws GetProteinSequence: the workflow decays.
     universe.decay();
-    let broken = enact(&workflow, &universe.catalog, &sample);
+    let broken = enact(
+        &workflow,
+        &universe.catalog,
+        &sample,
+        None,
+        &Retrier::none(),
+    );
     assert!(matches!(broken, Err(EnactError::ModuleUnavailable { .. })));
     println!("\nafter decay: {}", broken.unwrap_err());
 
@@ -104,7 +117,14 @@ fn main() {
         // pre-decay results (§6's verification).
         let mut repaired = workflow.clone();
         repaired.substitute_module(&legacy_id, &candidate_id.into());
-        let rerun = enact(&repaired, &universe.catalog, &sample).expect("repaired run");
+        let rerun = enact(
+            &repaired,
+            &universe.catalog,
+            &sample,
+            None,
+            &Retrier::none(),
+        )
+        .expect("repaired run");
         assert_eq!(rerun.outputs, original.outputs, "verification");
         println!("  repaired workflow re-enacts with identical outputs ✓");
     }

@@ -5,6 +5,7 @@ use data_examples::core::matching::MappingMode;
 use data_examples::core::{
     compare_modules, generate_examples, match_against_examples, GenerationConfig, MatchVerdict,
 };
+use data_examples::modules::RetryPolicy;
 use data_examples::pool::build_synthetic_pool;
 use data_examples::provenance::{harvest_pool, reconstruct_examples};
 use data_examples::registry::{annotate_catalog, SearchQuery};
@@ -68,7 +69,7 @@ fn provenance_harvested_pool_supports_generation() {
     let universe = data_examples::universe::build();
     let synthetic = build_synthetic_pool(&universe.ontology, 8, 5);
     let repo = generate_repository(&universe, &synthetic, &RepositoryPlan::small(2));
-    let corpus = build_corpus(&universe, &repo, &synthetic);
+    let (corpus, _) = build_corpus(&universe, &repo, &synthetic, RetryPolicy::none(), true);
     let harvested = harvest_pool(&corpus, &universe.catalog, classify_concept);
     assert!(harvested.len() > 100, "harvest yielded {}", harvested.len());
 
@@ -136,10 +137,15 @@ fn full_decay_pipeline_small_scale() {
     let pool = build_synthetic_pool(&universe.ontology, 40, 77);
     let plan = RepositoryPlan::small(21);
     let repo = generate_repository(&universe, &pool, &plan);
-    let corpus = build_corpus(&universe, &repo, &pool);
+    let (corpus, _) = build_corpus(&universe, &repo, &pool, RetryPolicy::none(), true);
     universe.decay();
 
-    let study = run_matching_study(&universe.catalog, &corpus, &universe.ontology);
+    let study = run_matching_study(
+        &universe.catalog,
+        &corpus,
+        &universe.ontology,
+        RetryPolicy::none(),
+    );
     assert_eq!(study.counts(), (16, 23, 33));
 
     let (outcomes, summary) = repair_repository(
@@ -148,6 +154,7 @@ fn full_decay_pipeline_small_scale() {
         &study,
         &corpus,
         &universe.ontology,
+        RetryPolicy::none(),
     );
     assert_eq!(outcomes.len(), plan.total());
     assert_eq!(summary.healthy, plan.healthy);
@@ -165,7 +172,7 @@ fn reconstructed_examples_match_registry_annotations() {
     let universe = data_examples::universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 8, 5);
     let repo = generate_repository(&universe, &pool, &RepositoryPlan::small(4));
-    let corpus = build_corpus(&universe, &repo, &pool);
+    let (corpus, _) = build_corpus(&universe, &repo, &pool, RetryPolicy::none(), true);
     let id = universe.legacy[0].clone();
     let descriptor = universe.catalog.descriptor(&id).unwrap().clone();
     let examples = reconstruct_examples(&corpus, &id, &descriptor);
