@@ -18,28 +18,40 @@
 //! wave's own victims plus the carried-forward broken set from earlier
 //! waves — and prints throughput (repairs/s), re-repair counts, and
 //! p50/p95/p99 per-workflow latency.
+//!
+//! Every valued flag takes `--flag=V` or `--flag V`; a missing or
+//! unparseable value stops the binary with status 2.
 
+use dex_experiments::flags::flag_value;
 use dex_experiments::{run_continuous, ContinuousConfig, FaultConfig};
 use dex_repair::RepositoryPlan;
 
-fn arg_value(args: &[String], flag: &str) -> Option<u64> {
-    let eq = format!("{flag}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&eq) {
-            return v.parse().ok();
-        }
-        if a == flag {
-            return args.get(i + 1).and_then(|v| v.parse().ok());
-        }
+/// The continuous workload's configuration, or `None` without `--scale`.
+fn scale_config(args: &[String]) -> Result<Option<ContinuousConfig>, String> {
+    let Some(scale) = flag_value(args, "--scale")? else {
+        return Ok(None);
+    };
+    let waves = flag_value(args, "--waves")?.unwrap_or(3);
+    let seed = flag_value(args, "--seed")?.unwrap_or(42);
+    let mut cfg = ContinuousConfig::at_scale(scale, waves, seed);
+    if let Some(workflows) = flag_value(args, "--workflows")? {
+        cfg.workflows = workflows;
     }
-    None
+    if let Some(pct) = flag_value(args, "--fault-rate")? {
+        cfg.fault_pct = pct;
+    }
+    Ok(Some(cfg))
 }
 
 fn main() {
     let telemetry = dex_experiments::TelemetryRun::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = scale_config(&args).unwrap_or_else(|error| {
+        eprintln!("error: {error}");
+        std::process::exit(2)
+    });
 
-    match arg_value(&args, "--scale") {
+    match scale {
         None => {
             let results = dex_experiments::experiments::decay_experiments(
                 &RepositoryPlan::default(),
@@ -47,16 +59,7 @@ fn main() {
             );
             print!("{}", results.repair);
         }
-        Some(scale) => {
-            let waves = arg_value(&args, "--waves").unwrap_or(3) as usize;
-            let seed = arg_value(&args, "--seed").unwrap_or(42);
-            let mut cfg = ContinuousConfig::at_scale(scale as usize, waves, seed);
-            if let Some(w) = arg_value(&args, "--workflows") {
-                cfg.workflows = w as usize;
-            }
-            if let Some(r) = arg_value(&args, "--fault-rate") {
-                cfg.fault_pct = r as u32;
-            }
+        Some(cfg) => {
             let report = run_continuous(&cfg);
 
             let p = &report.prepare;

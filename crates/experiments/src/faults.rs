@@ -9,8 +9,11 @@
 //! Like telemetry, faults are parsed from the command line only:
 //! `--fault-rate=PCT` (and optional `--fault-seed=SEED`, `--fail-fast`).
 //! Without a rate, [`FaultConfig::from_env`] returns the inert
-//! [`FaultConfig::none`] and the binaries behave exactly as before.
+//! [`FaultConfig::none`] and the binaries behave exactly as before. A rate
+//! or seed that does not parse stops the binary instead of running it
+//! fault-free.
 
+use crate::flags::flag_value;
 use dex_modules::{FaultInjector, FaultPlan, FaultStats, ModuleCatalog, RetryPolicy};
 
 /// Default seed for injected faults when only a rate is given.
@@ -52,29 +55,31 @@ impl FaultConfig {
         }
     }
 
-    /// Parses `--fault-rate=PCT`, `--fault-seed=SEED`, `--fail-fast` from
-    /// the process arguments.
-    pub fn from_env() -> FaultConfig {
-        let mut rate: Option<u32> = None;
-        let mut seed: Option<u64> = None;
-        let mut fail_fast = false;
-        for arg in std::env::args().skip(1) {
-            if let Some(v) = arg.strip_prefix("--fault-rate=") {
-                rate = v.parse().ok();
-            } else if let Some(v) = arg.strip_prefix("--fault-seed=") {
-                seed = v.parse().ok();
-            } else if arg == "--fail-fast" {
-                fail_fast = true;
-            }
-        }
+    /// Parses `--fault-rate=PCT`, `--fault-seed=SEED` (each also as
+    /// `--flag V`) and `--fail-fast` out of `args`; other arguments are
+    /// ignored. No rate, or a rate of 0, injects nothing. Errs, naming the
+    /// flag and the value, when a rate or seed is missing or does not parse.
+    pub fn parse(args: &[String]) -> Result<FaultConfig, String> {
+        let rate: Option<u32> = flag_value(args, "--fault-rate")?;
+        let seed: Option<u64> = flag_value(args, "--fault-seed")?;
         let mut config = match rate {
             Some(rate) if rate > 0 => {
                 FaultConfig::injected(rate, seed.unwrap_or(DEFAULT_FAULT_SEED))
             }
             _ => FaultConfig::none(),
         };
-        config.fail_fast = fail_fast;
-        config
+        config.fail_fast = args.iter().any(|arg| arg == "--fail-fast");
+        Ok(config)
+    }
+
+    /// [`FaultConfig::parse`] over the process arguments. A parse error is
+    /// printed and the process exits with status 2.
+    pub fn from_env() -> FaultConfig {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        FaultConfig::parse(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}");
+            std::process::exit(2)
+        })
     }
 
     /// Whether any faults will actually be injected.
@@ -122,5 +127,55 @@ mod tests {
         // the retry budget per invocation, or a faulted run could diverge
         // from the fault-free baseline.
         assert!(plan.max_consecutive < f.retry.max_attempts);
+    }
+
+    fn parse(list: &[&str]) -> Result<FaultConfig, String> {
+        let args: Vec<String> = list.iter().map(|a| a.to_string()).collect();
+        FaultConfig::parse(&args)
+    }
+
+    #[test]
+    fn parse_reads_both_flag_forms() {
+        for list in [
+            &["--fault-rate=10", "--fault-seed=7"][..],
+            &["--fault-rate", "10", "--fault-seed", "7"][..],
+        ] {
+            let f = parse(list).unwrap();
+            let plan = f.injector.as_ref().unwrap().plan();
+            assert_eq!((plan.fault_rate_millis, plan.seed), (100, 7), "{list:?}");
+            assert!(!f.fail_fast);
+        }
+        let f = parse(&["--telemetry", "--fault-rate=5", "--fail-fast"]).unwrap();
+        assert_eq!(f.injector.as_ref().unwrap().plan().seed, DEFAULT_FAULT_SEED);
+        assert!(f.fail_fast);
+    }
+
+    #[test]
+    fn parse_without_a_rate_injects_nothing() {
+        for list in [&[][..], &["--fault-rate=0"][..], &["--fault-seed=7"][..]] {
+            let f = parse(list).unwrap();
+            assert!(!f.is_injecting(), "{list:?}");
+            assert!(!f.retry.retries_enabled(), "{list:?}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_or_unparseable_value() {
+        for (list, message) in [
+            (
+                &["--fault-rate=ten"][..],
+                "invalid value `ten` for --fault-rate",
+            ),
+            (
+                &["--fault-rate", "ten"][..],
+                "invalid value `ten` for --fault-rate",
+            ),
+            (
+                &["--fault-seed", "--fail-fast"][..],
+                "--fault-seed needs a value",
+            ),
+        ] {
+            assert_eq!(parse(list).err().as_deref(), Some(message), "{list:?}");
+        }
     }
 }

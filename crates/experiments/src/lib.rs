@@ -28,6 +28,7 @@ pub mod ablations;
 pub mod continuous;
 pub mod experiments;
 pub mod faults;
+pub mod flags;
 pub mod format;
 pub mod incremental;
 pub mod telemetry;

@@ -1,8 +1,8 @@
 //! Concurrency contract of the shared [`InvocationCache`]: under scoped
 //! threads hammering the same key set, every distinct input vector is
-//! invoked **exactly once** — racing readers block on the winner's cell
-//! instead of invoking a duplicate — and every reader observes the same
-//! memoized outcome.
+//! invoked **exactly once** — racing readers wait for the cache's lock and
+//! then hit the winner's entry instead of invoking a duplicate — and every
+//! reader observes the same memoized outcome.
 
 use dex_modules::{
     BlackBox, FnModule, InvocationCache, InvocationError, ModuleCatalog, ModuleDescriptor,
@@ -123,8 +123,8 @@ fn racing_readers_share_the_winners_outcome() {
 /// transiently on its first attempt. While the run is in flight, a sampler
 /// thread sweeps `memoized_transients()` continuously — the
 /// `memoized_transients() == 0` invariant must hold at every instant, not
-/// just at quiescence (transient entries are forgotten *before* their cell
-/// publishes), and the hit/miss/transient ledger must balance exactly.
+/// just at quiescence (a transient outcome is never stored), and the
+/// hit/miss/transient ledger must balance exactly.
 #[test]
 fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
     const KEYS: usize = 12;
@@ -193,9 +193,8 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
                 }
             });
         }
-        // The sampler: hammers the audit sweep for the whole run, asserting the
-        // invariant the old code violated in the window between cell
-        // publication and the post-hoc forget.
+        // The sampler: hammers the audit sweep for the whole run, so the
+        // invariant is checked between lookups, not only once they end.
         let cache = &cache;
         let done = &done;
         let barrier = &barrier;
@@ -225,7 +224,7 @@ fn bucket_chunked_access_keeps_stats_invariants_mid_run() {
     assert_eq!(attempts.len(), KEYS);
     for (key, count) in attempts.iter() {
         // One cold-start fault plus exactly one memoized success per key:
-        // the success cell is created once and never raced into a duplicate.
+        // the success entry is created once and never raced into a duplicate.
         assert_eq!(*count, 2, "key {key} invoked {count} times");
     }
     let stats = cache.stats();
@@ -355,8 +354,8 @@ fn withdrawn_then_restored_module_recovers_through_the_cache() {
 }
 
 /// Two threads racing on a transiently-failing key must both retry — no
-/// `OnceLock` cell may stay permanently seeded with a transient error — and
-/// the eventual success must still be invoked exactly once.
+/// entry may hold a transient error — and the eventual success must still
+/// be invoked exactly once.
 #[test]
 fn racing_retriers_share_exactly_one_eventual_success() {
     let attempts = Arc::new(AtomicUsize::new(0));

@@ -1,7 +1,7 @@
 //! Provenance corpus construction: repository enactments + archive traces.
 
 use crate::repository::WorkflowRepository;
-use dex_modules::{InvocationCache, ModuleId, Retrier, RetryPolicy, RetryStats};
+use dex_modules::{InvocationCache, ModuleId, Retrier, RetryPolicy};
 use dex_pool::InstancePool;
 use dex_provenance::ProvenanceCorpus;
 use dex_universe::Universe;
@@ -9,8 +9,7 @@ use dex_values::Value;
 use dex_workflow::{enact, EnactmentTrace, StepRecord};
 
 /// Failure accounting for a tolerant corpus build: which enactments and
-/// archive invocations were skipped, and what the retrier spent getting the
-/// rest through.
+/// archive invocations were skipped.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusBuildReport {
     /// Repository workflows whose enactment failed even after retries, with
@@ -18,8 +17,6 @@ pub struct CorpusBuildReport {
     pub failed_enactments: Vec<(String, String)>,
     /// Legacy archive invocations that failed permanently, per module.
     pub failed_archive_invocations: Vec<(ModuleId, String)>,
-    /// Lifetime retry accounting for the build's internal retrier.
-    pub retry: RetryStats,
 }
 
 impl CorpusBuildReport {
@@ -149,7 +146,6 @@ pub fn enact_repository(
         }
     }
 
-    report.retry = retrier.stats();
     report
 }
 
@@ -240,7 +236,6 @@ mod tests {
         let (strict, _) = build_corpus(&u, &repo, &pool, RetryPolicy::none(), true);
         let (tolerant, report) = build_corpus(&u, &repo, &pool, RetryPolicy::transient(3), false);
         assert!(report.is_clean());
-        assert_eq!(report.retry.retries, 0, "no faults, no retries");
         assert_eq!(strict.len(), tolerant.len());
     }
 

@@ -6,7 +6,7 @@ use dex_core::matching::{
     map_parameters, match_against_examples_retrying, MappingMode, MatchVerdict,
     PartitionFingerprint,
 };
-use dex_modules::{InvocationCache, ModuleCatalog, ModuleId, Retrier, RetryPolicy, RetryStats};
+use dex_modules::{InvocationCache, ModuleCatalog, ModuleId, Retrier, RetryPolicy};
 use dex_ontology::Ontology;
 use dex_provenance::{reconstruct_examples, ProvenanceCorpus};
 use std::collections::BTreeMap;
@@ -42,9 +42,6 @@ impl LegacyMatch {
 pub struct MatchingStudy {
     /// Per-legacy outcomes, in module-id order.
     pub matches: BTreeMap<ModuleId, LegacyMatch>,
-    /// Retry accounting for the study's replay invocations — all zeros when
-    /// the study ran with retries disabled (the default).
-    pub retry: RetryStats,
 }
 
 impl MatchingStudy {
@@ -84,8 +81,7 @@ impl MatchingStudy {
 /// Every candidate replay invocation goes through one study-wide
 /// [`Retrier`] built from `retry`, so a momentarily flapping candidate is
 /// re-attempted instead of silently classified from a failed replay; pass
-/// [`RetryPolicy::none`] for no retries. The per-run accounting lands in
-/// [`MatchingStudy::retry`].
+/// [`RetryPolicy::none`] for no retries.
 pub fn run_matching_study(
     catalog: &ModuleCatalog,
     corpus: &ProvenanceCorpus,
@@ -186,7 +182,6 @@ pub fn run_matching_study(
             },
         );
     }
-    study.retry = retrier.stats();
     study
 }
 

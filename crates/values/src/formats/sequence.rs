@@ -46,8 +46,7 @@ impl SequenceKind {
                     let replacement = *b"DEFHILPQV"
                         .get(rng.gen_range(0..9))
                         .expect("non-empty set");
-                    // Safety of byte replacement: the alphabet is ASCII.
-                    unsafe { s.as_bytes_mut()[pos] = replacement };
+                    set_residue(&mut s, pos, replacement);
                 }
                 s
             }
@@ -58,7 +57,7 @@ impl SequenceKind {
                 for _ in 0..n {
                     let pos = rng.gen_range(0..len);
                     let code = AMBIGUITY_CODES[rng.gen_range(0..AMBIGUITY_CODES.len())];
-                    unsafe { s.as_bytes_mut()[pos] = code };
+                    set_residue(&mut s, pos, code);
                 }
                 s
             }
@@ -152,6 +151,12 @@ fn random_from<R: Rng + ?Sized>(rng: &mut R, alphabet: &[u8], len: usize) -> Str
     (0..len)
         .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
         .collect()
+}
+
+/// Overwrites the residue at byte `pos` of an ASCII sequence with the
+/// ASCII `residue`.
+fn set_residue(s: &mut String, pos: usize, residue: u8) {
+    s.replace_range(pos..=pos, char::from(residue).encode_utf8(&mut [0; 4]));
 }
 
 #[cfg(test)]
