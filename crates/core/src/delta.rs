@@ -12,18 +12,18 @@
 //! in `dex-experiments::incremental`; its equivalence tests compare it
 //! against a cold serial generation and the test-only exhaustive matcher.
 //!
-//! Dirty-set derivation is two-staged and *sound per stage*:
-//!
-//! 1. **Candidate stage** (this module): a pool mutation on concept `c` can
-//!    only affect modules with `c` among their planned input partitions
-//!    (the pool is probed per `(input, partition)`, never scanned); an
-//!    ontology leaf added under `p` can only affect modules with an input
-//!    annotated by an ancestor-or-self of `p` (only their partition sets
-//!    can change). Everything else is provably clean without looking at it.
-//! 2. **Confirmation stage** (`generation_signature`): candidates are
-//!    confirmed dirty only if the digest of their plan + resolved pool
-//!    picks actually changed — e.g. an instance appended *behind* every
-//!    probe window dirties nobody, and the signature proves it.
+//! The [`DependencyIndex`] is the *candidate stage*, and it is sound: a
+//! pool mutation on concept `c` can only affect modules with `c` among
+//! their planned input partitions (the pool is probed per `(input,
+//! partition)`, never scanned); an ontology leaf added under `p` can only
+//! affect modules with an input annotated by an ancestor-or-self of `p`
+//! (only their partition sets can change). Everything else is provably
+//! clean without looking at it. The engine regenerates each candidate from
+//! its own previous report, which records the outcome of every attempt but
+//! a transient one, so a candidate whose picks did not move — e.g. one
+//! behind whose probe window an instance was appended — invokes nothing and
+//! regenerates an equal report. The candidates whose report differs are
+//! the stale set.
 
 use crate::partition::input_partition_plan;
 use dex_modules::{ModuleDescriptor, ModuleId};
@@ -80,16 +80,19 @@ pub enum Delta {
 pub struct DeltaReport {
     /// Delta events applied.
     pub events: usize,
-    /// Modules the candidate stage flagged for signature re-checks.
+    /// Available modules the candidate stage flagged, or restored, each
+    /// counted once: every one is regenerated from its own previous report.
     pub dirty_candidates: usize,
-    /// Modules whose examples were actually regenerated (signature or
-    /// availability change confirmed).
+    /// Checked modules whose regenerated report differs from the previous
+    /// one, and so replaced it: the stale set.
     pub regenerated_modules: usize,
     /// Total `(input, partition)` cells across available modules after the
     /// batch.
     pub cells_total: usize,
-    /// Cells belonging to regenerated modules — the dirty fraction a cold
-    /// run would have recomputed anyway, everything else being pure waste.
+    /// Cells belonging to the modules whose report changed
+    /// ([`regenerated_modules`](DeltaReport::regenerated_modules)) — the
+    /// dirty fraction a cold run would have recomputed anyway, everything
+    /// else being pure waste.
     pub cells_dirty: usize,
     /// Regenerated modules whose example set (or generation error) really
     /// differed from the previous state.
@@ -244,13 +247,14 @@ impl DependencyIndex {
 pub struct DeltaCounters {
     /// `dex.delta.events` — delta events applied.
     pub events: dex_telemetry::Counter,
-    /// `dex.delta.dirty_cells` — cells regenerated across all batches.
+    /// `dex.delta.dirty_cells` — cells of changed reports across all
+    /// batches.
     pub dirty_cells: dex_telemetry::Counter,
     /// `dex.delta.carried_forward` — verdicts reused without re-matching.
     pub carried_forward: dex_telemetry::Counter,
     /// `dex.delta.recomputed_pairs` — pairs re-matched.
     pub recomputed_pairs: dex_telemetry::Counter,
-    /// `dex.delta.recomputed_modules` — modules regenerated.
+    /// `dex.delta.recomputed_modules` — modules whose report changed.
     pub recomputed_modules: dex_telemetry::Counter,
 }
 

@@ -15,9 +15,10 @@
 //! 3. executes the plan combination by combination and keeps the first
 //!    attempt that terminates normally. An attempt goes through
 //!    [`Retrier::invoke`], directly or through a shared [`InvocationCache`]
-//!    ([`generate_examples_retrying`]), unless the module's previous example
-//!    set already records it ([`generate_examples_memoized`]). The report is
-//!    the same with or without a memo, and whatever the memo holds.
+//!    ([`generate_examples_retrying`]), unless the module's previous report
+//!    already records its outcome, as an example or as a rejection
+//!    ([`generate_examples_memoized`]). The report is the same with or
+//!    without a memo, and whatever the memo holds.
 
 use crate::error::GenerationError;
 use crate::example::{Binding, DataExample, ExampleSet};
@@ -77,11 +78,18 @@ pub struct GenerationReport {
     /// Partition combinations whose every attempted invocation failed
     /// (concept names per input).
     pub failed_combinations: Vec<Vec<String>>,
+    /// The input vectors of the attempts the module rejected permanently
+    /// (an error that is not [`transient`](dex_modules::InvocationError::is_transient)),
+    /// in attempt order. With the examples they record every attempt's
+    /// outcome except a transient one, which is never recorded, so a
+    /// regeneration from this report invokes only the attempts whose
+    /// vectors moved and those whose outcome was transient.
+    pub rejected: Vec<Vec<Value>>,
     /// Planned invocation attempts consumed (duplicate retry vectors are
     /// skipped, not counted — they cannot change a deterministic module's
     /// answer). An attempt answered by a memo counts too, so the number is
     /// the same with or without one: a shared [`InvocationCache`] (see its
-    /// [`stats`](InvocationCache::stats)) or the module's previous examples
+    /// [`stats`](InvocationCache::stats)) or the module's previous report
     /// ([`generate_examples_memoized`]) can only lower the number of
     /// *actual* module invocations.
     pub invocations: usize,
@@ -182,123 +190,6 @@ fn resolve_candidates<'p>(
     (resolved, unvalued)
 }
 
-/// A stable digest of everything generation reads from the ontology and the
-/// pool for one module: the partition plan (concept names per input, in
-/// plan order) and every resolved pool pick per `(input, partition,
-/// attempt)` — i.e. the full output of `resolve_candidates`, computed by
-/// the very same code path.
-///
-/// Because the report of [`generate_examples`] is a pure function of
-/// (module behavior, plan, resolved picks, config), an unchanged signature
-/// guarantees an unchanged report for an unchanged module — the staleness
-/// check the incremental layer (`crate::delta`) uses to decide whether a
-/// pool or ontology delta actually dirties a module, instead of assuming
-/// every delta touching a referenced concept does. Total: planning errors
-/// are folded into the digest rather than returned, so the signature is
-/// defined for every module.
-///
-/// Each pick is folded as an explicit byte encoding, with no formatting
-/// and no allocation: a tag byte (`0` for no pick, then one per [`Value`]
-/// variant: `1` null, `2` text, `3` integer, `4` float, `5` boolean, `6`
-/// list), then the payload. Text is its byte length as a little-endian
-/// `u64`, then its UTF-8 bytes; integers and float bit patterns are eight
-/// little-endian bytes; a boolean is one byte; a list is its length, then
-/// each element encoded the same way. Every item is either fixed-width or
-/// length-framed, so the encoding is prefix-free and two different pick
-/// sequences never fold the same bytes. It is spelled out here rather than
-/// taken from `Value`'s `Hash`, which hashes `mem::discriminant` and
-/// whatever `Hasher` it is given, so a signature stays the same across
-/// builds and can be persisted.
-pub fn generation_signature(
-    descriptor: &dex_modules::ModuleDescriptor,
-    ontology: &Ontology,
-    pool: &InstancePool,
-    config: &GenerationConfig,
-) -> u64 {
-    let mut hash = FNV_OFFSET;
-    let plan = match input_partition_plan(descriptor, ontology) {
-        Ok(plan) => plan,
-        Err(e) => {
-            fold(&mut hash, b"plan-error");
-            fold(&mut hash, e.to_string().as_bytes());
-            return hash;
-        }
-    };
-    if plan.combination_count() > config.max_combinations {
-        // Generation would abort before touching the pool; the cap and the
-        // combination count are all it depends on.
-        fold(&mut hash, b"too-many-combinations");
-        fold(&mut hash, &plan.combination_count().to_le_bytes());
-        fold(&mut hash, &config.max_combinations.to_le_bytes());
-        return hash;
-    }
-    let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
-    for per_input in &resolved {
-        fold(&mut hash, b"input");
-        for partition in per_input {
-            fold(&mut hash, partition.concept.as_bytes());
-            for pick in &partition.picks {
-                match pick {
-                    Some(value) => mix_value(&mut hash, value),
-                    None => mix(&mut hash, &[0]),
-                }
-            }
-        }
-    }
-    for (input, concept) in &unvalued {
-        fold(&mut hash, b"unvalued");
-        fold(&mut hash, &input.to_le_bytes());
-        fold(&mut hash, concept.as_bytes());
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over `bytes`.
-fn mix(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// `mix`, then the length, so concatenations cannot collide.
-fn fold(hash: &mut u64, bytes: &[u8]) {
-    mix(hash, bytes);
-    *hash ^= bytes.len() as u64;
-    *hash = hash.wrapping_mul(FNV_PRIME);
-}
-
-/// Mixes one pool pick in the encoding `generation_signature` documents.
-fn mix_value(hash: &mut u64, value: &Value) {
-    match value {
-        Value::Null => mix(hash, &[1]),
-        Value::Text(s) => {
-            mix(hash, &[2]);
-            mix(hash, &(s.len() as u64).to_le_bytes());
-            mix(hash, s.as_bytes());
-        }
-        Value::Integer(i) => {
-            mix(hash, &[3]);
-            mix(hash, &i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            mix(hash, &[4]);
-            mix(hash, &f.to_bits().to_le_bytes());
-        }
-        Value::Boolean(b) => mix(hash, &[5, u8::from(*b)]),
-        Value::List(items) => {
-            mix(hash, &[6]);
-            mix(hash, &(items.len() as u64).to_le_bytes());
-            for item in items {
-                mix_value(hash, item);
-            }
-        }
-    }
-}
-
 /// One combination's planned invocations: which attempts actually need an
 /// invocation (duplicate vectors dropped), with borrowed picks per input.
 struct PlannedCombo<'p> {
@@ -388,24 +279,25 @@ pub fn generate_examples(
     )
 }
 
-/// [`generate_examples`] with the module's previous example set as its
-/// memo. A data example records one invocation, and modules are
-/// deterministic (paper §2), so an attempt whose input vector equals a
-/// previous example's inputs takes that example's outputs without invoking
-/// the module. Every other attempt is invoked through `retrier`, with no
-/// cache. The report is byte-identical to [`generate_examples`]'s, whatever
-/// `memo` holds; only the module invocations fall. `None` invokes every
-/// attempt.
+/// [`generate_examples`] with the module's previous report as its memo. A
+/// data example records one invocation, and modules are deterministic
+/// (paper §2), so an attempt whose input vector equals a previous example's
+/// inputs takes that example's outputs, and one whose vector is among the
+/// previous [`rejected`](GenerationReport::rejected) is rejected again,
+/// both without invoking the module. Every other attempt is invoked through
+/// `retrier`, with no cache. The report is byte-identical to
+/// [`generate_examples`]'s, whatever `memo` holds; only the module
+/// invocations fall. `None` invokes every attempt.
 ///
 /// The incremental engine regenerates a module from its own previous
 /// report, so a pool change that moves one pick re-invokes only the
-/// attempts that read it.
+/// attempts that read it, and an unchanged world invokes nothing.
 pub fn generate_examples_memoized(
     module: &dyn BlackBox,
     ontology: &Ontology,
     pool: &InstancePool,
     config: &GenerationConfig,
-    memo: Option<&ExampleSet>,
+    memo: Option<&GenerationReport>,
     retrier: &Retrier,
 ) -> Result<GenerationReport, GenerationError> {
     generate_with(module, ontology, pool, config, None, memo, retrier)
@@ -421,8 +313,10 @@ pub fn generate_examples_memoized(
 /// budget) before an attempt is recorded as failed. A caller that shares
 /// one retrier across many generations, as the test-only exhaustive oracle
 /// does, gets run-global retry accounting; a caller with no retrier of its
-/// own passes `Retrier::new(config.retry)`. The incremental engine keeps no
-/// such cache: it regenerates through [`generate_examples_memoized`].
+/// own passes `Retrier::new(config.retry)`. A permanent error the cache
+/// answers is recorded in [`rejected`](GenerationReport::rejected) as an
+/// invoked one would be. The incremental engine keeps no such cache: it
+/// regenerates through [`generate_examples_memoized`].
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,
     ontology: &Ontology,
@@ -434,16 +328,16 @@ pub fn generate_examples_retrying(
     generate_with(module, ontology, pool, config, Some(cache), None, retrier)
 }
 
-/// The one generation loop. An attempt recorded in `memo` takes the
-/// recorded outputs; any other goes through `retrier`, and through `cache`
-/// when one is given.
+/// The one generation loop. An attempt whose outcome `memo` records takes
+/// the recorded example or rejection; any other goes through `retrier`, and
+/// through `cache` when one is given.
 fn generate_with(
     module: &dyn BlackBox,
     ontology: &Ontology,
     pool: &InstancePool,
     config: &GenerationConfig,
     cache: Option<&InvocationCache>,
-    memo: Option<&ExampleSet>,
+    memo: Option<&GenerationReport>,
     retrier: &Retrier,
 ) -> Result<GenerationReport, GenerationError> {
     let _timer = {
@@ -486,27 +380,35 @@ fn generate_with(
     // terminates normally; a combination with no success is recorded failed.
     let mut examples = ExampleSet::new(descriptor.id.clone());
     let mut failed: Vec<Vec<String>> = Vec::new();
+    let mut rejected: Vec<Vec<Value>> = Vec::new();
     let mut invocations = 0usize;
     let mut transient_failures = 0usize;
     'combos: for combo in planned {
         for picks in &combo.attempts {
             invocations += 1;
             let recorded = memo.and_then(|memo| {
-                memo.iter().find(|e| {
-                    e.inputs.len() == picks.len()
-                        && e.inputs.iter().zip(picks).all(|(b, &v)| b.value == *v)
-                })
+                memo.examples
+                    .iter()
+                    .find(|e| same_vector(e.inputs.iter().map(|b| &b.value), picks))
             });
             let (inputs, outputs) = match recorded {
                 Some(previous) => (previous.inputs.clone(), previous.outputs.clone()),
                 None => {
                     let values: Vec<Value> = picks.iter().map(|&v| v.clone()).collect();
+                    if memo.is_some_and(|memo| {
+                        memo.rejected.iter().any(|r| same_vector(r.iter(), picks))
+                    }) {
+                        rejected.push(values);
+                        continue;
+                    }
                     let outcome = retrier.invoke(module, &values, cache);
                     let outputs = match outcome.as_ref() {
                         Ok(outputs) => outputs,
                         Err(e) => {
                             if e.is_transient() {
                                 transient_failures += 1;
+                            } else {
+                                rejected.push(values);
                             }
                             continue;
                         }
@@ -544,11 +446,17 @@ fn generate_with(
         plan,
         unvalued_partitions: unvalued,
         failed_combinations: failed,
+        rejected,
         invocations,
         transient_failures,
     };
     record_generation_telemetry(&report, telemetry_on, &covered_flags);
     Ok(report)
+}
+
+/// Whether a recorded input vector equals an attempt's picks.
+fn same_vector<'a>(recorded: impl ExactSizeIterator<Item = &'a Value>, picks: &[&Value]) -> bool {
+    recorded.len() == picks.len() && recorded.zip(picks).all(|(r, &p)| r == p)
 }
 
 /// Folds one finished generation into the process-global counters. Gated on
@@ -721,12 +629,30 @@ mod tests {
                 }
             },
         );
-        let report = generate_examples(&m, &onto, &pool, &GenerationConfig::default()).unwrap();
+        let config = GenerationConfig::default();
+        let report = generate_examples(&m, &onto, &pool, &config).unwrap();
         assert_eq!(report.examples.len(), 3);
         assert_eq!(report.failed_combinations.len(), 1);
         assert_eq!(report.failed_combinations[0], vec!["ProteinSequence"]);
         // Retries were attempted for the failing combination.
         assert!(report.invocations > 4);
+        // Every protein vector it tried is recorded as rejected, and so is
+        // every other attempt that made no example.
+        for attempt in 0..=config.retries_per_combination {
+            let protein = pool
+                .get_instance("ProteinSequence", &StructuralType::Text, attempt)
+                .expect("the pool realizes ProteinSequence")
+                .value
+                .clone();
+            assert!(
+                report.rejected.contains(&vec![protein]),
+                "attempt {attempt}"
+            );
+        }
+        assert_eq!(
+            report.rejected.len(),
+            report.invocations - report.examples.len()
+        );
     }
 
     /// Satellite regression: with a depth-1 pool every retry re-selects the
@@ -910,48 +836,5 @@ mod tests {
             generate_examples(&m, &onto, &pool, &GenerationConfig::default()),
             Err(GenerationError::UnknownConcept { .. })
         ));
-    }
-
-    /// The pick encoding is pinned, so a persisted signature reads the same
-    /// in a later build; the expected digests were computed apart from this
-    /// code, from the encoding `generation_signature` documents. The same
-    /// payload under different variants folds differently, and so do a text
-    /// and its split, or a list and its elements.
-    #[test]
-    fn pick_encoding_is_pinned_and_prefix_free() {
-        let digest = |values: &[Value]| {
-            let mut hash = FNV_OFFSET;
-            for value in values {
-                mix_value(&mut hash, value);
-            }
-            hash
-        };
-        let singles = [
-            Value::Null,
-            Value::text("1"),
-            Value::Integer(1),
-            Value::Float(1.0),
-            Value::Boolean(true),
-            Value::List(vec![Value::text("1")]),
-        ];
-        let digests: Vec<u64> = singles
-            .iter()
-            .map(|v| digest(std::slice::from_ref(v)))
-            .collect();
-        assert_eq!(
-            digests,
-            [
-                0xaf63_bc4c_8601_b62c,
-                0x07b3_2575_92fc_914f,
-                0x9869_9ea0_c41a_69f3,
-                0x9a44_69c3_d3c3_dd0a,
-                0x0821_8b07_b4dd_01d3,
-                0xc5e3_105e_db90_7afa,
-            ]
-        );
-        let (a, b) = (Value::text("a"), Value::text("b"));
-        let split = digest(&[a.clone(), b.clone()]);
-        assert_ne!(digest(&[Value::text("ab")]), split);
-        assert_ne!(digest(&[Value::List(vec![a, b])]), split);
     }
 }

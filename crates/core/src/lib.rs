@@ -90,8 +90,8 @@ pub use display::to_markdown;
 pub use error::GenerationError;
 pub use example::{Binding, DataExample, ExampleSet};
 pub use generate::{
-    generate_examples, generate_examples_memoized, generate_examples_retrying,
-    generation_signature, GenerationConfig, GenerationReport,
+    generate_examples, generate_examples_memoized, generate_examples_retrying, GenerationConfig,
+    GenerationReport,
 };
 pub use inverse::{cover_output_partitions, InverseCoverageReport};
 pub use matching::{

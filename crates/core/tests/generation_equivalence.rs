@@ -1,5 +1,5 @@
 //! Property tests: the cached generation path, and regeneration from a
-//! module's previous examples, produce reports identical to the unmemoized
+//! module's previous report, produce reports identical to the unmemoized
 //! one (`generate_examples`, the oracle) across random module behaviors,
 //! pool depths/seeds, value offsets, and retry budgets.
 //!
@@ -112,6 +112,7 @@ fn assert_reports_identical(label: &str, a: &GenerationReport, b: &GenerationRep
         a.unvalued_partitions, b.unvalued_partitions,
         "{label}: unvalued partitions differ"
     );
+    assert_eq!(a.rejected, b.rejected, "{label}: rejected vectors differ");
     assert_eq!(
         a.invocations, b.invocations,
         "{label}: logical invocation counts differ"
@@ -186,11 +187,11 @@ proptest! {
         assert_reports_identical("cached/shifted", &shifted_cached, &shifted_oracle);
     }
 
-    /// Regenerating from the module's previous examples. With its own
-    /// report as the memo, every successful attempt is answered from an
-    /// example and only the rejected ones reach the module; with a report
-    /// of another pool, the examples on vectors both pools share are
-    /// reused. The report equals the oracle's either way.
+    /// Regenerating from the module's previous report. With its own report
+    /// as the memo, every attempt is answered from an example or a recorded
+    /// rejection and none reaches the module; with a report of another
+    /// pool, the outcomes on vectors both pools share are reused. The
+    /// report equals the oracle's either way.
     #[test]
     fn memoized_regeneration_matches_the_unmemoized_oracle(
         inputs in proptest::collection::vec(0usize..CONCEPTS.len(), 1..3),
@@ -214,20 +215,20 @@ proptest! {
         module.take();
 
         let again = generate_examples_memoized(
-            &module, &ontology, &pool, &config, Some(&oracle.examples), &retrier,
+            &module, &ontology, &pool, &config, Some(&oracle), &retrier,
         )
         .unwrap();
         assert_reports_identical("memo/own", &again, &oracle);
         prop_assert_eq!(
-            module.take(), (oracle.invocations - oracle.examples.len()) as u64,
-            "only the attempts no example records reach the module"
+            module.take(), 0,
+            "the module's own report records every attempt"
         );
 
         let other_pool = build_synthetic_pool(&ontology, depth + 1, pool_seed);
         let previous = generate_examples(&module, &ontology, &other_pool, &config).unwrap();
         module.take();
         let moved = generate_examples_memoized(
-            &module, &ontology, &pool, &config, Some(&previous.examples), &retrier,
+            &module, &ontology, &pool, &config, Some(&previous), &retrier,
         )
         .unwrap();
         assert_reports_identical("memo/other-pool", &moved, &oracle);

@@ -9,8 +9,8 @@
 //! operating state — catalog, ontology interval index, concept-indexed
 //! pool, fingerprint index, live incremental pipeline with every module's
 //! data examples — and then answers requests from it until told to stop.
-//! The examples are the only record of past invocations it keeps: a write
-//! regenerates a module from its own previous examples.
+//! The generation reports are the only record of past invocations it
+//! keeps: a write regenerates a module from its own previous report.
 //!
 //! Three layers:
 //!

@@ -58,9 +58,15 @@ impl FaultConfig {
     /// Parses `--fault-rate=PCT`, `--fault-seed=SEED` (each also as
     /// `--flag V`) and `--fail-fast` out of `args`; other arguments are
     /// ignored. No rate, or a rate of 0, injects nothing. Errs, naming the
-    /// flag and the value, when a rate or seed is missing or does not parse.
+    /// flag and the value, when a rate or seed is missing or does not parse,
+    /// or when the rate is above 100.
     pub fn parse(args: &[String]) -> Result<FaultConfig, String> {
         let rate: Option<u32> = flag_value(args, "--fault-rate")?;
+        if let Some(rate) = rate.filter(|&rate| rate > 100) {
+            return Err(format!(
+                "invalid value `{rate}` for --fault-rate (a percentage, at most 100)"
+            ));
+        }
         let seed: Option<u64> = flag_value(args, "--fault-seed")?;
         let mut config = match rate {
             Some(rate) if rate > 0 => {
@@ -173,6 +179,14 @@ mod tests {
             (
                 &["--fault-seed", "--fail-fast"][..],
                 "--fault-seed needs a value",
+            ),
+            (
+                &["--fault-rate=101"][..],
+                "invalid value `101` for --fault-rate (a percentage, at most 100)",
+            ),
+            (
+                &["--fault-rate", "429496730"][..],
+                "invalid value `429496730` for --fault-rate (a percentage, at most 100)",
             ),
         ] {
             assert_eq!(parse(list).err().as_deref(), Some(message), "{list:?}");

@@ -6,16 +6,16 @@
 //! The engine owns the three layers a cold run builds from scratch and
 //! maintains each one incrementally:
 //!
-//! 1. **Examples** — one generation report per tracked module, plus the
-//!    module's [`generation_signature`] at the time it was generated. A
-//!    delta dirties a module only if the candidate stage
-//!    ([`DependencyIndex`]) flags it *and* its signature actually changed;
-//!    only then is it regenerated ([`generate_examples_memoized`]), with its
-//!    own previous examples as the memo: a data example is a recorded
-//!    invocation, so an attempt on inputs the module already has an
-//!    example for is answered from that example, and only the attempts
-//!    whose picks moved invoke the module. The reports are the engine's
-//!    only record of past invocations.
+//! 1. **Examples** — one generation report per tracked module. Each
+//!    module the candidate stage ([`DependencyIndex`]) flags is regenerated
+//!    once ([`generate_examples_memoized`]), with its own previous report
+//!    as the memo: a data example is a recorded invocation, and the report
+//!    also records the input vectors the module rejected, so an attempt on
+//!    inputs the report already answers invokes nothing, and only the
+//!    attempts whose picks moved invoke the module. A regenerated report
+//!    equal to its predecessor is kept, so the reports that differ are the
+//!    batch's stale set, observed rather than predicted. The reports are
+//!    the engine's only record of past invocations.
 //! 2. **Blocking** — an incrementally maintained [`FingerprintIndex`]
 //!    (single-slot `insert`/`remove`, no rebuilds).
 //! 3. **Verdicts** — the sparse matrix of compared pairs, one row per
@@ -35,10 +35,10 @@
 //!    are dropped and its new bucket's rows and columns are computed
 //!    fresh.
 //!
-//! Withdrawn modules are left stale on purpose: their reports and
-//! signatures are frozen at withdrawal (the catalog keeps descriptors but
-//! not invokable handles), and the signature check at restore time decides
-//! whether anything that happened meanwhile requires regeneration.
+//! Withdrawn modules are left stale on purpose: their reports are frozen at
+//! withdrawal (the catalog keeps descriptors but not invokable handles), and
+//! a restore regenerates the module from its frozen report, which invokes
+//! only the attempts whose picks moved while it was gone.
 //!
 //! At withdrawal the engine also feeds the repair layer: the module's
 //! last-known row verdicts are ranked with the §6 study's own ordering
@@ -48,15 +48,15 @@
 //! drops the capture: an available module is answered from its live row.
 //!
 //! No store grows with history: after any sequence of batches the reports,
-//! signatures, verdict rows, fingerprint index and carried substitutes
-//! have the sizes a cold bootstrap over the final state gives them, and
-//! the replay cache is empty (`tests/history_independence.rs`).
+//! verdict rows, fingerprint index and carried substitutes have the sizes
+//! a cold bootstrap over the final state gives them, and the replay cache
+//! is empty (`tests/history_independence.rs`).
 
 use dex_core::delta::{Delta, DeltaReport, DependencyIndex};
 use dex_core::matching::pair_outcome;
 use dex_core::{
-    generate_examples_memoized, generation_signature, FingerprintIndex, GenerationConfig,
-    GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
+    generate_examples_memoized, FingerprintIndex, GenerationConfig, GenerationError,
+    GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
 use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, RetryStats, SharedModule};
 use dex_pool::InstancePool;
@@ -79,10 +79,6 @@ pub struct IncrementalPipeline {
     deps: DependencyIndex,
     index: FingerprintIndex,
     reports: Vec<Result<GenerationReport, GenerationError>>,
-    /// Invariant: `gen_sigs[i]` is the generation signature at the moment
-    /// `reports[i]` was generated — so `reports[i]` is current exactly when
-    /// `gen_sigs[i]` equals the signature recomputed against present state.
-    gen_sigs: Vec<u64>,
     /// Stored outcomes of every comparable ordered pair among available
     /// slots: `verdicts[t]` is target `t`'s row of [`Cell`]s, sorted by
     /// candidate. Comparability is symmetric, so `c` is in row `t` exactly
@@ -124,15 +120,8 @@ impl IncrementalPipeline {
         let retrier = Retrier::new(config.retry);
         let mut deps = DependencyIndex::new();
         let mut reports = Vec::with_capacity(ids.len());
-        let mut gen_sigs = Vec::with_capacity(ids.len());
         for (i, module) in modules.iter().enumerate() {
             deps.set_module(i, module.descriptor(), &universe.ontology);
-            gen_sigs.push(generation_signature(
-                module.descriptor(),
-                &universe.ontology,
-                &pool,
-                &config,
-            ));
             reports.push(generate_examples_memoized(
                 module.as_ref(),
                 &universe.ontology,
@@ -157,7 +146,6 @@ impl IncrementalPipeline {
             deps,
             index,
             reports,
-            gen_sigs,
             verdicts: Vec::with_capacity(ids_len),
             cache,
             retrier,
@@ -195,7 +183,7 @@ impl IncrementalPipeline {
         };
 
         // Phase A — mutate primary state, accumulating the candidate dirty
-        // sets (stage 1 of the dirty-set derivation; see dex_core::delta).
+        // sets (see dex_core::delta).
         let mut dirty_candidates: BTreeSet<usize> = BTreeSet::new();
         let mut plan_dirty: BTreeSet<usize> = BTreeSet::new();
         for delta in deltas {
@@ -315,59 +303,39 @@ impl IncrementalPipeline {
             self.index.insert(i, descriptor, &self.universe.ontology);
         }
 
-        // Phase C — confirmation stage: candidates (and restored modules,
-        // whose frozen reports may have gone stale while withdrawn) are
-        // regenerated only if their signature really changed.
+        // Phase C — regenerate each flagged candidate and each restored
+        // module (whose frozen report may have gone stale while withdrawn)
+        // once, from its own report. The report records every attempt's
+        // outcome but a transient one, so an unchanged world invokes
+        // nothing; a report equal to its predecessor is kept, and the rest
+        // are the batch's stale set.
         dirty_candidates.extend(plan_dirty.iter().copied());
-        // Slot → its new signature, for each slot to regenerate.
-        let mut regen: BTreeMap<usize, u64> = BTreeMap::new();
-        for &i in dirty_candidates.iter().chain(to_restored.iter()) {
-            if !self.available[i] {
-                continue;
-            }
-            stats.dirty_candidates += 1;
-            let descriptor = self
+        dirty_candidates.extend(to_restored.iter().copied());
+        dirty_candidates.retain(|&i| self.available[i]);
+        let mut regenerated: Vec<usize> = Vec::new();
+        let mut examples_changed: BTreeSet<usize> = BTreeSet::new();
+        for &i in &dirty_candidates {
+            let module = self
                 .universe
                 .catalog
-                .descriptor(&self.ids[i])
-                .expect("available module has a descriptor");
-            let sig = generation_signature(
-                descriptor,
+                .get(&self.ids[i])
+                .expect("regeneration targets available modules");
+            let report = generate_examples_memoized(
+                module.as_ref(),
                 &self.universe.ontology,
                 &self.pool,
                 &self.config,
+                self.reports[i].as_ref().ok(),
+                &self.retrier,
             );
-            if sig != self.gen_sigs[i] {
-                regen.insert(i, sig);
+            if report == self.reports[i] {
+                continue;
             }
-        }
-        let regenerated: Vec<(usize, u64, Result<GenerationReport, GenerationError>)> = regen
-            .iter()
-            .map(|(&i, &sig)| {
-                let module = self
-                    .universe
-                    .catalog
-                    .get(&self.ids[i])
-                    .expect("regeneration targets available modules");
-                let previous = self.reports[i].as_ref().ok();
-                let report = generate_examples_memoized(
-                    module.as_ref(),
-                    &self.universe.ontology,
-                    &self.pool,
-                    &self.config,
-                    previous.map(|report| &report.examples),
-                    &self.retrier,
-                );
-                (i, sig, report)
-            })
-            .collect();
-        let mut examples_changed: BTreeSet<usize> = BTreeSet::new();
-        for (i, sig, report) in regenerated {
             if generation_outcome_differs(&self.reports[i], &report) {
                 examples_changed.insert(i);
             }
             self.reports[i] = report;
-            self.gen_sigs[i] = sig;
+            regenerated.push(i);
         }
 
         // Phase D — verdict maintenance. Slots that left their bucket
@@ -420,7 +388,8 @@ impl IncrementalPipeline {
             }
         }
 
-        stats.regenerated_modules = regen.len();
+        stats.dirty_candidates = dirty_candidates.len();
+        stats.regenerated_modules = regenerated.len();
         stats.examples_changed = examples_changed.len();
         stats.fingerprints_changed = fp_changed.len();
         stats.recomputed_pairs = pairs.len();
@@ -430,7 +399,7 @@ impl IncrementalPipeline {
                 stats.cells_total += self.deps.cells(i);
             }
         }
-        for &i in regen.keys() {
+        for &i in &regenerated {
             stats.cells_dirty += self.deps.cells(i);
         }
         self.cache.clear();

@@ -17,13 +17,15 @@
 //!   (`FLIGHT.json` by default whenever telemetry is on).
 //!
 //! `--trace-out` and `--flight-out` also accept their path as the next
-//! argument; `--telemetry` takes one only after `=`.
+//! argument, and a run that names either without a path stops with exit
+//! status 2; `--telemetry` takes one only after `=`.
 //!
 //! While telemetry is active a panic hook captures the flight-recorder
 //! window to the flight path before unwinding continues, so a crashed
 //! seeded-fault run leaves a post-mortem instead of a mystery. A run that
 //! records no incident writes no post-mortem.
 
+use crate::flags::flag_value;
 use std::path::PathBuf;
 
 /// Default run-report artifact path, relative to the working directory.
@@ -52,41 +54,21 @@ impl RunOptions {
     }
 
     /// Parses the recognized switches out of `args`; other arguments are
-    /// ignored.
-    pub fn parse(args: &[String]) -> RunOptions {
-        let mut options = RunOptions::default();
-        let mut i = 0;
-        // `--flag value`: consume the next argument when it isn't a switch.
-        let value_after = |args: &[String], i: usize| -> Option<(PathBuf, usize)> {
-            match args.get(i + 1) {
-                Some(next) if !next.starts_with("--") => Some((PathBuf::from(next), i + 1)),
-                _ => None,
-            }
-        };
-        while i < args.len() {
-            let arg = &args[i];
+    /// ignored. Errs, naming the flag, when `--trace-out` or `--flight-out`
+    /// has no path.
+    pub fn parse(args: &[String]) -> Result<RunOptions, String> {
+        let telemetry = args.iter().rev().find_map(|arg| {
             if arg == "--telemetry" {
-                options.telemetry = Some(PathBuf::from(DEFAULT_PATH));
-            } else if let Some(p) = arg.strip_prefix("--telemetry=") {
-                options.telemetry = Some(PathBuf::from(p));
-            } else if let Some(p) = arg.strip_prefix("--trace-out=") {
-                options.trace = Some(PathBuf::from(p));
-            } else if arg == "--trace-out" {
-                if let Some((p, next)) = value_after(args, i) {
-                    options.trace = Some(p);
-                    i = next;
-                }
-            } else if let Some(p) = arg.strip_prefix("--flight-out=") {
-                options.flight = Some(PathBuf::from(p));
-            } else if arg == "--flight-out" {
-                if let Some((p, next)) = value_after(args, i) {
-                    options.flight = Some(p);
-                    i = next;
-                }
+                Some(PathBuf::from(DEFAULT_PATH))
+            } else {
+                arg.strip_prefix("--telemetry=").map(PathBuf::from)
             }
-            i += 1;
-        }
-        options
+        });
+        Ok(RunOptions {
+            telemetry,
+            trace: flag_value(args, "--trace-out")?,
+            flight: flag_value(args, "--flight-out")?,
+        })
     }
 }
 
@@ -100,10 +82,14 @@ pub struct TelemetryRun {
 
 impl TelemetryRun {
     /// Parses the process arguments, enabling telemetry (and the
-    /// flight-recorder dump path + panic hook) if requested.
+    /// flight-recorder dump path + panic hook) if requested. A parse error
+    /// is printed and the process exits with status 2.
     pub fn from_env() -> TelemetryRun {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let options = RunOptions::parse(&args);
+        let options = RunOptions::parse(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}");
+            std::process::exit(2)
+        });
         if options.is_active() {
             dex_telemetry::enable();
             let flight = options
@@ -222,7 +208,7 @@ mod tests {
 
     #[test]
     fn inactive_without_flag_or_env() {
-        let options = RunOptions::parse(&args(&["--fault-rate=10"]));
+        let options = RunOptions::parse(&args(&["--fault-rate=10"])).unwrap();
         assert!(!options.is_active());
         // The process-level wrapper is equally inert.
         let run = TelemetryRun::from_env();
@@ -232,22 +218,24 @@ mod tests {
 
     #[test]
     fn telemetry_flag_forms() {
-        let options = RunOptions::parse(&args(&["--telemetry"]));
+        let options = RunOptions::parse(&args(&["--telemetry"])).unwrap();
         assert_eq!(options.telemetry, Some(PathBuf::from(DEFAULT_PATH)));
-        let options = RunOptions::parse(&args(&["--telemetry=custom.json"]));
+        let options = RunOptions::parse(&args(&["--telemetry=custom.json"])).unwrap();
         assert_eq!(options.telemetry, Some(PathBuf::from("custom.json")));
     }
 
     #[test]
     fn trace_and_flight_paths_parse_in_both_forms() {
-        let options = RunOptions::parse(&args(&["--trace-out", "t.json", "--flight-out=f.json"]));
+        let options =
+            RunOptions::parse(&args(&["--trace-out", "t.json", "--flight-out=f.json"])).unwrap();
         assert_eq!(options.trace, Some(PathBuf::from("t.json")));
         assert_eq!(options.flight, Some(PathBuf::from("f.json")));
         assert!(options.is_active(), "trace export implies telemetry");
         assert!(options.telemetry.is_none(), "but not the report artifact");
-        // A dangling `--trace-out` followed by another switch takes nothing.
-        let options = RunOptions::parse(&args(&["--trace-out", "--telemetry"]));
-        assert!(options.trace.is_none());
-        assert!(options.telemetry.is_some());
+        // A dangling `--trace-out` followed by another switch is an error.
+        let error = RunOptions::parse(&args(&["--trace-out", "--telemetry"]));
+        assert_eq!(error, Err("--trace-out needs a value".to_string()));
+        let error = RunOptions::parse(&args(&["--telemetry", "--flight-out"]));
+        assert_eq!(error, Err("--flight-out needs a value".to_string()));
     }
 }

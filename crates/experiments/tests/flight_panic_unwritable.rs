@@ -20,7 +20,7 @@ fn panic_with_unwritable_flight_out_unwinds_instead_of_aborting() {
 
     // End-to-end through the same option plumbing the experiment bins use.
     let args = vec![format!("--flight-out={}", bad_path.display())];
-    let options = RunOptions::parse(&args);
+    let options = RunOptions::parse(&args).expect("the flight path parses");
     assert_eq!(options.flight.as_deref(), Some(bad_path.as_path()));
 
     dex_telemetry::enable();

@@ -1,5 +1,5 @@
 //! The incremental engine keeps no history. A data example is a recorded
-//! invocation, so a module's previous examples are the only memo its
+//! invocation, so a module's previous report is the only memo its
 //! regeneration needs, and a restored module's carried substitute is
 //! dropped. After a long run of small churn waves at 2.5k scaled modules,
 //! the engine's replay cache is empty, it carries one substitute per

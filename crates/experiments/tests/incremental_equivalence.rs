@@ -16,8 +16,8 @@ use dex_core::{
 };
 use dex_experiments::IncrementalPipeline;
 use dex_modules::{
-    FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind, Parameter, RetryPolicy,
-    SharedModule,
+    FaultInjector, FaultPlan, FnModule, InvocationError, ModuleDescriptor, ModuleId, ModuleKind,
+    Parameter, RetryPolicy, SharedModule,
 };
 use dex_oracle::fixture::{decode_delta, mini_module, mini_world, module_id, world_of};
 use dex_oracle::{match_pairs_exhaustive, MatchSession};
@@ -380,7 +380,7 @@ fn an_unaligned_example_is_replayed_against_the_candidate() {
     assert_eq!(engine.invocation_cache().stats().entries, 0, "restore");
 }
 
-/// A regenerated module reads its own previous examples as its memo: after
+/// A regenerated module reads its own previous report as its memo: after
 /// one partition's first realization is replaced, only the attempts whose
 /// inputs no previous example records reach the module, and the report
 /// still equals a cold generation over the new pool.
@@ -445,14 +445,36 @@ fn a_regeneration_invokes_only_what_its_examples_do_not_record() {
 }
 
 /// A pool insert appended behind every dependent module's candidate-probe
-/// window (base pick plus retry skips, at pool depth 6) changes no
-/// generation signature: the engine checks the concept's dependents and
-/// regenerates, recomputes and drops nothing.
+/// window (base pick plus retry skips, at pool depth 6) moves no pick: the
+/// engine regenerates the concept's dependents from their own reports,
+/// which answer every attempt, so no module is invoked and nothing is
+/// regenerated, recomputed or dropped. The paper's modules reject nothing
+/// over a synthetic pool, so one more dependent rejects the concept's first
+/// realization; its report answers that attempt from a recorded rejection.
 #[test]
 fn single_pool_insert_behind_the_probe_window_dirties_nothing() {
-    let universe = dex_universe::build();
+    let mut universe = dex_universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 6, 42);
+    let first = pool
+        .get_instance("DNASequence", &StructuralType::Text, 0)
+        .expect("the pool realizes DNASequence")
+        .value
+        .clone();
+    let rejecting = ModuleId::from("probe:rejects-first");
+    universe
+        .catalog
+        .register(echo(rejecting.as_str(), Some(first), Arc::default()));
+    // A 0‰ injector only counts the invocations that reach a module.
+    let injector = FaultInjector::new(FaultPlan::none(42));
+    universe
+        .catalog
+        .wrap_modules(|_, module| injector.wrap(module));
     let mut engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    match engine.annotation(&rejecting).expect("tracked").1 {
+        Ok(report) => assert_eq!(report.rejected.len(), 1, "{report:?}"),
+        Err(e) => panic!("{rejecting} failed to generate: {e}"),
+    }
+    let bootstrap = injector.stats().invocations;
     let report = engine.apply(&[Delta::PoolInsert {
         instance: AnnotatedInstance::synthetic(Value::text("GATTACA-delta-0"), "DNASequence"),
     }]);
@@ -461,6 +483,32 @@ fn single_pool_insert_behind_the_probe_window_dirties_nothing() {
     assert_eq!(report.cells_dirty, 0, "{report:?}");
     assert_eq!(report.recomputed_pairs, 0, "{report:?}");
     assert_eq!(report.dropped_pairs, 0, "{report:?}");
+    assert_eq!(
+        injector.stats().invocations,
+        bootstrap,
+        "the candidates' own reports answer every attempt"
+    );
+}
+
+/// A module restored in the batch that also flags it, here through a pool
+/// insert on a concept it plans, is checked and regenerated once.
+#[test]
+fn a_restored_and_flagged_module_is_checked_once() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let id = ModuleId::from("dc:echo");
+    let (universe, pool) = world_of(std::iter::once(echo(id.as_str(), None, Arc::clone(&calls))));
+    let mut engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    let bootstrap = calls.load(Ordering::Relaxed);
+    engine.apply(&[Delta::ModuleWithdraw { id: id.clone() }]);
+    let report = engine.apply(&[
+        Delta::ModuleRestore { id },
+        Delta::PoolInsert {
+            instance: AnnotatedInstance::synthetic(Value::text("GATTACA"), "DNASequence"),
+        },
+    ]);
+    assert_eq!(report.dirty_candidates, 1, "{report:?}");
+    assert_eq!(report.regenerated_modules, 0, "{report:?}");
+    assert_eq!(calls.load(Ordering::Relaxed), bootstrap, "nothing moved");
 }
 
 /// The fixture's worlds hold agreeing pairs, so the proptests below can see

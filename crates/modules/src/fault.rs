@@ -79,11 +79,12 @@ impl FaultPlan {
     }
 
     /// A plan faulting roughly `rate_pct`% of keys for up to 2 consecutive
-    /// attempts, with one tick of latency per invocation and no flaps.
+    /// attempts, with one tick of latency per invocation and no flaps. A
+    /// rate above 100% saturates at every key.
     pub fn rate_pct(seed: u64, rate_pct: u32) -> FaultPlan {
         FaultPlan {
             seed,
-            fault_rate_millis: (rate_pct * 10).min(1000),
+            fault_rate_millis: rate_pct.min(100) * 10,
             max_consecutive: 2,
             latency_ticks: 1,
             flaps: Vec::new(),
@@ -321,6 +322,19 @@ mod tests {
             ),
             |i| Ok(vec![Value::text(i[0].as_text().unwrap().to_uppercase())]),
         )
+    }
+
+    #[test]
+    fn rate_pct_saturates_instead_of_wrapping() {
+        for (pct, millis) in [(0, 0), (10, 100), (100, 1000), (101, 1000)] {
+            assert_eq!(
+                FaultPlan::rate_pct(1, pct).fault_rate_millis,
+                millis,
+                "{pct}%"
+            );
+        }
+        assert_eq!(FaultPlan::rate_pct(1, 429_496_730).fault_rate_millis, 1000);
+        assert_eq!(FaultPlan::rate_pct(1, u32::MAX).fault_rate_millis, 1000);
     }
 
     #[test]
