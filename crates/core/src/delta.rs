@@ -36,8 +36,8 @@ use std::collections::{BTreeSet, HashMap};
 ///
 /// The variants mirror the three change sources the paper's setting
 /// exhibits: the curated instance pool (§4.1), module availability
-/// (§6's withdrawn services, the fault model's flapping ones), and the
-/// annotation ontology itself.
+/// (§6's withdrawn and restored services), and the annotation ontology
+/// itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Delta {
     /// A curator contributed a new annotated instance to the pool.
@@ -54,8 +54,7 @@ pub enum Delta {
         /// Which of the concept's realizations, in insertion order.
         occurrence: usize,
     },
-    /// A module became unavailable (provider withdrew it, or it flapped
-    /// down).
+    /// A module became unavailable (its provider withdrew it).
     ModuleWithdraw {
         /// The withdrawn module.
         id: ModuleId,

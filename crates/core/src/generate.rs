@@ -309,14 +309,14 @@ pub fn generate_examples_memoized(
 /// repair verification — is invoked at most once process-wide; the report
 /// is byte-identical to the uncached path, only the number of *actual*
 /// module invocations drops. Every transient invocation failure is
-/// re-attempted under the retrier's policy (and against its run-wide
-/// budget) before an attempt is recorded as failed. A caller that shares
-/// one retrier across many generations, as the test-only exhaustive oracle
-/// does, gets run-global retry accounting; a caller with no retrier of its
-/// own passes `Retrier::new(config.retry)`. A permanent error the cache
-/// answers is recorded in [`rejected`](GenerationReport::rejected) as an
-/// invoked one would be. The incremental engine keeps no such cache: it
-/// regenerates through [`generate_examples_memoized`].
+/// re-attempted under the retrier's policy before an attempt is recorded
+/// as failed. A caller that shares one retrier across many generations, as
+/// the test-only exhaustive oracle does, gets run-global retry accounting;
+/// a caller with no retrier of its own passes `Retrier::new(config.retry)`.
+/// A permanent error the cache answers is recorded in
+/// [`rejected`](GenerationReport::rejected) as an invoked one would be. The
+/// incremental engine keeps no such cache: it regenerates through
+/// [`generate_examples_memoized`].
 pub fn generate_examples_retrying(
     module: &dyn BlackBox,
     ontology: &Ontology,

@@ -1,7 +1,7 @@
 //! Property tests: the cached generation path, and regeneration from a
 //! module's previous report, produce reports identical to the unmemoized
 //! one (`generate_examples`, the oracle) across random module behaviors,
-//! pool depths/seeds, value offsets, and retry budgets.
+//! pool depths/seeds, value offsets, and fault plans.
 //!
 //! This is the determinism contract of the invocation planner: a memo may
 //! only change *how many times* a module is actually invoked, never what the
@@ -12,8 +12,8 @@ use dex_core::{
     GenerationReport,
 };
 use dex_modules::{
-    BlackBox, FaultPlan, FaultyModule, FnModule, InvocationCache, InvocationError,
-    ModuleDescriptor, ModuleKind, Parameter, Retrier, RetryPolicy, SharedModule,
+    BlackBox, FaultInjector, FaultPlan, FnModule, InvocationCache, InvocationError,
+    ModuleDescriptor, ModuleKind, Parameter, Retrier, RetryPolicy,
 };
 use dex_ontology::mygrid;
 use dex_pool::build_synthetic_pool;
@@ -260,16 +260,12 @@ proptest! {
         // Same behavior, wrapped in seeded fault injection: bursts of up to
         // 2 consecutive transient faults per key, under a policy granting 3
         // retries — every key converges to its true outcome.
-        let faulty = FaultyModule::new(
-            Arc::new(arb_module(&inputs, salt, reject_pct)) as SharedModule,
-            FaultPlan {
-                seed: fault_seed,
-                fault_rate_millis: fault_rate_pct * 10,
-                max_consecutive: 2,
-                latency_ticks: 1,
-                flaps: Vec::new(),
-            },
-        );
+        let injector = FaultInjector::new(FaultPlan {
+            seed: fault_seed,
+            fault_rate_millis: fault_rate_pct * 10,
+            max_consecutive: 2,
+        });
+        let faulty = injector.wrap(Arc::new(arb_module(&inputs, salt, reject_pct)));
         let retry_config = GenerationConfig {
             retry: RetryPolicy::transient(4),
             ..config.clone()
@@ -277,23 +273,21 @@ proptest! {
         let cache = InvocationCache::new();
         let retrier = Retrier::new(retry_config.retry);
         let report = generate_examples_retrying(
-            &faulty, &ontology, &pool, &retry_config, &cache, &retrier,
+            faulty.as_ref(), &ontology, &pool, &retry_config, &cache, &retrier,
         )
         .unwrap();
         assert_reports_identical("faulted+retried", &report, &oracle);
         prop_assert_eq!(cache.memoized_transients(), 0, "no transient was memoized");
-        if faulty.stats().injected_faults > 0 {
+        if injector.stats().injected_faults > 0 {
             prop_assert!(retrier.stats().retries > 0, "faults imply retries");
         }
 
         // Disabling faults (rate 0) keeps the retried path equal to the
         // oracle too — retry machinery is inert on a healthy module.
-        let healthy = FaultyModule::new(
-            Arc::new(arb_module(&inputs, salt, reject_pct)) as SharedModule,
-            FaultPlan::none(fault_seed),
-        );
+        let healthy = FaultInjector::new(FaultPlan::none(fault_seed))
+            .wrap(Arc::new(arb_module(&inputs, salt, reject_pct)));
         let inert = generate_examples_retrying(
-            &healthy, &ontology, &pool, &retry_config, &InvocationCache::new(), &retrier,
+            healthy.as_ref(), &ontology, &pool, &retry_config, &InvocationCache::new(), &retrier,
         )
         .unwrap();
         assert_reports_identical("faults-disabled", &inert, &oracle);
@@ -306,7 +300,7 @@ fn digest_module(id: &str, salt: u64, reject_pct: u64) -> FnModule {
     FnModule::new(
         ModuleDescriptor::new(
             id,
-            "FlapModule",
+            "BurstModule",
             ModuleKind::SoapService,
             vec![
                 Parameter::required("in0", StructuralType::Text, CONCEPTS[0]),
@@ -335,13 +329,12 @@ fn digest_module(id: &str, salt: u64, reject_pct: u64) -> FnModule {
     )
 }
 
-/// Acceptance scenario for the fault-tolerance subsystem: under a seeded
-/// flap schedule (provider withdraws, then restores — `Unavailable` inside
-/// the window), the cached pipeline's example *and* matching reports are
-/// byte-identical to the fault-free uncached oracle, and the invocation
-/// cache holds zero memoized transient outcomes.
+/// Acceptance scenario for the fault-tolerance subsystem: when every key
+/// faults for up to 3 consecutive attempts, the cached pipeline's example
+/// *and* matching reports are byte-identical to the fault-free uncached
+/// oracle, and the invocation cache holds zero memoized transient outcomes.
 #[test]
-fn flap_schedule_converges_to_the_fault_free_reports() {
+fn fault_bursts_converge_to_the_fault_free_reports() {
     use dex_core::{compare_modules, MatchOutcome};
     use dex_oracle::MatchSession;
 
@@ -349,29 +342,27 @@ fn flap_schedule_converges_to_the_fault_free_reports() {
     let pool = build_synthetic_pool(&ontology, 3, 42);
     let no_retry = GenerationConfig::default();
     let retry_config = GenerationConfig {
-        // Backoff 8 ticks on first retry: longer than the 4-tick flap
-        // window below, so one retry always escapes the outage.
-        retry: RetryPolicy {
-            max_attempts: 4,
-            base_backoff_ticks: 8,
-            max_backoff_ticks: 64,
-            retry_budget: Some(10_000),
-        },
+        // Four attempts outlast the longest burst below.
+        retry: RetryPolicy::transient(4),
         ..GenerationConfig::default()
     };
-    let flap = |seed: u64| FaultPlan::none(seed).with_flap(2, 6);
+    let bursts = |seed: u64| {
+        FaultInjector::new(FaultPlan {
+            seed,
+            fault_rate_millis: 1000,
+            max_consecutive: 3,
+        })
+    };
 
     // --- Generation: faulted target vs fault-free oracle -----------------
-    let target = digest_module("flap:target", 77, 20);
+    let target = digest_module("burst:target", 77, 20);
     let oracle = generate_examples(&target, &ontology, &pool, &no_retry).unwrap();
-    let faulted_target = FaultyModule::new(
-        Arc::new(digest_module("flap:target", 77, 20)) as SharedModule,
-        flap(1),
-    );
+    let target_faults = bursts(1);
+    let faulted_target = target_faults.wrap(Arc::new(digest_module("burst:target", 77, 20)));
     let cache = InvocationCache::new();
     let retrier = Retrier::new(retry_config.retry);
     let report = generate_examples_retrying(
-        &faulted_target,
+        faulted_target.as_ref(),
         &ontology,
         &pool,
         &retry_config,
@@ -379,33 +370,33 @@ fn flap_schedule_converges_to_the_fault_free_reports() {
         &retrier,
     )
     .unwrap();
-    assert_reports_identical("flap/generation", &report, &oracle);
+    assert_reports_identical("bursts/generation", &report, &oracle);
     assert!(
-        faulted_target.stats().injected_unavailable > 0,
-        "the schedule actually flapped"
+        target_faults.stats().injected_faults > 0,
+        "faults were injected"
     );
     assert!(
         retrier.stats().retries > 0,
-        "the outage was retried through"
+        "the bursts were retried through"
     );
-    assert_eq!(retrier.stats().budget_denied, 0, "budget was not exceeded");
     assert_eq!(cache.memoized_transients(), 0);
 
-    // --- Matching: flapping candidate vs fault-free oracle ----------------
-    let candidate = digest_module("flap:candidate", 77, 20);
+    // --- Matching: faulted candidate vs fault-free oracle -----------------
+    let candidate = digest_module("burst:candidate", 77, 20);
     let oracle_verdict = compare_modules(&target, &candidate, &ontology, &pool, &no_retry).unwrap();
-    let faulted_candidate = FaultyModule::new(
-        Arc::new(digest_module("flap:candidate", 77, 20)) as SharedModule,
-        flap(2),
-    );
+    let faulted_candidate = bursts(2).wrap(Arc::new(digest_module("burst:candidate", 77, 20)));
     let session = MatchSession::new(&ontology, &pool, retry_config.clone());
     let verdict = session
-        .compare_report(&target, &session.report_for(&target), &faulted_candidate)
+        .compare_report(
+            &target,
+            &session.report_for(&target),
+            faulted_candidate.as_ref(),
+        )
         .outcome;
     assert_eq!(
         verdict,
         MatchOutcome::Verdict(oracle_verdict),
-        "flap must not change the verdict"
+        "fault bursts must not change the verdict"
     );
     assert_eq!(session.invocation_cache().memoized_transients(), 0);
 }

@@ -92,7 +92,8 @@ pub struct IncrementalPipeline {
     /// within one bootstrap or one batch and emptied before either returns.
     cache: InvocationCache,
     /// The one retrier of the engine's life: bootstrap, every apply and
-    /// [`matrix`](IncrementalPipeline::matrix) spend the same retry budget.
+    /// [`matrix`](IncrementalPipeline::matrix) retry through it, so its
+    /// stats cover them all.
     retrier: Retrier,
     /// Carried-forward substitute per currently withdrawn module, captured
     /// from its last-known row verdicts at withdrawal time and dropped when

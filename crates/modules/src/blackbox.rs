@@ -40,14 +40,6 @@ pub trait BlackBox: Send + Sync {
     /// order. Returns one value per declared output, or the error that
     /// prevented normal termination.
     fn invoke(&self, inputs: &[Value]) -> Result<Vec<Value>, InvocationError>;
-
-    /// Advances the module's *simulated* clock by `ticks`.
-    ///
-    /// The pipeline has no wall clock: retry backoff (see `retry`) announces
-    /// the ticks it would have slept through this hook, and fault wrappers
-    /// (see `fault`) key flap schedules off the accumulated tick count.
-    /// Modules without a notion of time ignore it — the default is a no-op.
-    fn advance_ticks(&self, _ticks: u64) {}
 }
 
 /// Shared ownership handle for heterogeneous module populations.

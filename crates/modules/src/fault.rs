@@ -1,23 +1,20 @@
 //! Deterministic, seeded fault injection around any [`BlackBox`].
 //!
 //! Real BioCatalogue-style services fail transiently all the time; the
-//! pipeline must keep its reports reproducible anyway. A [`FaultyModule`]
-//! wraps a module and injects *transient* errors ([`InvocationError::Fault`]
-//! and, during flap windows, [`InvocationError::Unavailable`]) according to
-//! a [`FaultPlan`]:
+//! pipeline must keep its reports reproducible anyway. A [`FaultInjector`]
+//! wraps modules so that they fail with *transient*
+//! [`InvocationError::Fault`]s according to a [`FaultPlan`]:
 //!
-//! * **No wall clock.** Time is a per-module tick counter advanced by
-//!   simulated invocation latency and by retry backoff (through
-//!   [`BlackBox::advance_ticks`]), so runs are byte-for-byte reproducible.
 //! * **Keyed, not sequenced.** Whether a given `(module, input vector)`
 //!   faults — and how many consecutive attempts fail — is a pure hash of
-//!   the seed, module id and inputs. Injection is therefore independent of
-//!   invocation order, thread interleaving and cache hits, which is what
-//!   lets a faulted run converge to the fault-free reports once every key's
-//!   bounded fault burst is retried through.
-//! * **Flap schedules.** [`FlapWindow`]s model a provider withdrawing and
-//!   restoring a module: any invocation landing on a tick inside a window
-//!   fails `Unavailable`, exactly like catalog withdrawal.
+//!   the seed, module id and inputs; a per-key burst counter lets the truth
+//!   through once that many attempts have failed. Injection is therefore
+//!   independent of invocation order, thread interleaving and cache hits,
+//!   which is what lets a faulted run converge to the fault-free reports
+//!   once every key's bounded fault burst is retried through.
+//! * **No clock.** Nothing here reads time, simulated or real, so runs are
+//!   byte-for-byte reproducible. A provider withdrawing a module is
+//!   modelled once, by the catalog (`InvocationError::Unavailable`).
 
 use crate::blackbox::{BlackBox, SharedModule};
 use crate::invoke::InvocationError;
@@ -29,24 +26,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// A half-open interval `[from_tick, until_tick)` of the wrapped module's
-/// simulated clock during which every invocation fails `Unavailable` — a
-/// scripted withdraw → restore episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlapWindow {
-    /// First unavailable tick.
-    pub from_tick: u64,
-    /// First tick available again.
-    pub until_tick: u64,
-}
-
-impl FlapWindow {
-    /// Whether `tick` falls inside the window.
-    pub fn contains(&self, tick: u64) -> bool {
-        tick >= self.from_tick && tick < self.until_tick
-    }
-}
 
 /// What faults to inject, fully determined by the seed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,10 +39,6 @@ pub struct FaultPlan {
     /// before succeeding. Keep it below a retry policy's `max_attempts` and
     /// every key converges to its true outcome.
     pub max_consecutive: u32,
-    /// Simulated ticks each invocation advances the module clock by.
-    pub latency_ticks: u64,
-    /// Scripted unavailability windows on the module clock.
-    pub flaps: Vec<FlapWindow>,
 }
 
 impl FaultPlan {
@@ -73,31 +48,17 @@ impl FaultPlan {
             seed,
             fault_rate_millis: 0,
             max_consecutive: 0,
-            latency_ticks: 1,
-            flaps: Vec::new(),
         }
     }
 
     /// A plan faulting roughly `rate_pct`% of keys for up to 2 consecutive
-    /// attempts, with one tick of latency per invocation and no flaps. A
-    /// rate above 100% saturates at every key.
+    /// attempts. A rate above 100% saturates at every key.
     pub fn rate_pct(seed: u64, rate_pct: u32) -> FaultPlan {
         FaultPlan {
             seed,
             fault_rate_millis: rate_pct.min(100) * 10,
             max_consecutive: 2,
-            latency_ticks: 1,
-            flaps: Vec::new(),
         }
-    }
-
-    /// This plan with a flap window appended.
-    pub fn with_flap(mut self, from_tick: u64, until_tick: u64) -> FaultPlan {
-        self.flaps.push(FlapWindow {
-            from_tick,
-            until_tick,
-        });
-        self
     }
 }
 
@@ -109,22 +70,12 @@ pub struct FaultStats {
     pub invocations: u64,
     /// Injected `Fault` errors.
     pub injected_faults: u64,
-    /// Injected `Unavailable` errors (flap windows).
-    pub injected_unavailable: u64,
-}
-
-impl FaultStats {
-    /// All injected transient errors.
-    pub fn injected_total(&self) -> u64 {
-        self.injected_faults + self.injected_unavailable
-    }
 }
 
 #[derive(Debug, Default)]
 struct FaultStatsInner {
     invocations: AtomicU64,
     injected_faults: AtomicU64,
-    injected_unavailable: AtomicU64,
 }
 
 impl FaultStatsInner {
@@ -132,20 +83,14 @@ impl FaultStatsInner {
         FaultStats {
             invocations: self.invocations.load(Ordering::Relaxed),
             injected_faults: self.injected_faults.load(Ordering::Relaxed),
-            injected_unavailable: self.injected_unavailable.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Process-global telemetry counters for injected faults, interned once.
-fn fault_counters() -> &'static (dex_telemetry::Counter, dex_telemetry::Counter) {
-    static COUNTERS: OnceLock<(dex_telemetry::Counter, dex_telemetry::Counter)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        (
-            dex_telemetry::counter("dex.fault.injected"),
-            dex_telemetry::counter("dex.fault.unavailable"),
-        )
-    })
+/// Process-global telemetry counter for injected faults, interned once.
+fn fault_counter() -> &'static dex_telemetry::Counter {
+    static COUNTER: OnceLock<dex_telemetry::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| dex_telemetry::counter("dex.fault.injected"))
 }
 
 /// Wraps a whole module population with one [`FaultPlan`], aggregating the
@@ -170,13 +115,13 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Wraps `module` in a [`FaultyModule`] sharing this injector's stats.
+    /// Wraps `module` so that it faults as the plan says, counting into
+    /// this injector's stats.
     pub fn wrap(&self, module: SharedModule) -> SharedModule {
         Arc::new(FaultyModule {
             inner: module,
             plan: self.plan.clone(),
             stats: Arc::clone(&self.stats),
-            clock: AtomicU64::new(0),
             burst: Mutex::new(HashMap::new()),
         })
     }
@@ -192,35 +137,15 @@ impl FaultInjector {
 /// The wrapper is transparent to the rest of the pipeline: it delegates the
 /// descriptor (so cache keys, catalog ids and match verdicts are unchanged)
 /// and only ever *adds* transient errors in front of the inner module.
-pub struct FaultyModule {
+struct FaultyModule {
     inner: SharedModule,
     plan: FaultPlan,
     stats: Arc<FaultStatsInner>,
-    /// Simulated module-local clock: advanced by invocation latency and by
-    /// retry backoff via [`BlackBox::advance_ticks`].
-    clock: AtomicU64,
-    /// Remaining consecutive-fault burst per key hash.
+    /// Faults injected so far per key hash.
     burst: Mutex<HashMap<u64, u32>>,
 }
 
 impl FaultyModule {
-    /// Wraps `module` with its own private stats (see [`FaultInjector`] for
-    /// population-wide aggregation).
-    pub fn new(module: SharedModule, plan: FaultPlan) -> FaultyModule {
-        FaultyModule {
-            inner: module,
-            plan,
-            stats: Arc::default(),
-            clock: AtomicU64::new(0),
-            burst: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// This wrapper's injection accounting.
-    pub fn stats(&self) -> FaultStats {
-        self.stats.snapshot()
-    }
-
     /// Pure per-key decision hash: seed × module id × inputs.
     fn fault_key(&self, inputs: &[Value]) -> u64 {
         let mut hasher = DefaultHasher::new();
@@ -251,24 +176,6 @@ impl BlackBox for FaultyModule {
 
     fn invoke(&self, inputs: &[Value]) -> Result<Vec<Value>, InvocationError> {
         self.stats.invocations.fetch_add(1, Ordering::Relaxed);
-        let tick = self
-            .clock
-            .fetch_add(self.plan.latency_ticks, Ordering::Relaxed);
-        if self.plan.flaps.iter().any(|w| w.contains(tick)) {
-            self.stats
-                .injected_unavailable
-                .fetch_add(1, Ordering::Relaxed);
-            if dex_telemetry::is_enabled() {
-                fault_counters().1.add(1);
-                dex_telemetry::flight(
-                    dex_telemetry::FlightKind::FaultInjected,
-                    self.inner.descriptor().id.as_str(),
-                    "injected unavailable (flap window)".to_string(),
-                    tick,
-                );
-            }
-            return Err(InvocationError::Unavailable);
-        }
         let key = self.fault_key(inputs);
         let planned = self.planned_burst(key);
         if planned > 0 {
@@ -280,12 +187,12 @@ impl BlackBox for FaultyModule {
                 drop(burst);
                 self.stats.injected_faults.fetch_add(1, Ordering::Relaxed);
                 if dex_telemetry::is_enabled() {
-                    fault_counters().0.add(1);
+                    fault_counter().add(1);
                     dex_telemetry::flight(
                         dex_telemetry::FlightKind::FaultInjected,
                         self.inner.descriptor().id.as_str(),
                         format!("injected transient fault ({nth}/{planned})"),
-                        tick,
+                        u64::from(nth),
                     );
                 }
                 return Err(InvocationError::fault(format!(
@@ -295,11 +202,6 @@ impl BlackBox for FaultyModule {
         }
         self.inner.invoke(inputs)
     }
-
-    fn advance_ticks(&self, ticks: u64) {
-        self.clock.fetch_add(ticks, Ordering::Relaxed);
-        self.inner.advance_ticks(ticks);
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +210,6 @@ mod tests {
     use crate::blackbox::FnModule;
     use crate::module::ModuleKind;
     use crate::param::Parameter;
-    use crate::retry::{Retrier, RetryPolicy};
     use dex_values::StructuralType;
 
     fn upper() -> SharedModule {
@@ -345,14 +246,15 @@ mod tests {
             .collect();
 
         let outcomes_of = |order: Vec<usize>| {
-            let faulty = FaultyModule::new(upper(), plan.clone());
+            let injector = FaultInjector::new(plan.clone());
+            let faulty = injector.wrap(upper());
             let mut out = vec![None; inputs.len()];
             for i in order {
                 out[i] = Some(faulty.invoke(&inputs[i]).is_err());
             }
             (
                 out.into_iter().map(Option::unwrap).collect::<Vec<bool>>(),
-                faulty.stats().injected_faults,
+                injector.stats().injected_faults,
             )
         };
 
@@ -372,10 +274,8 @@ mod tests {
             seed: 11,
             fault_rate_millis: 1000, // every key faults
             max_consecutive: 3,
-            latency_ticks: 1,
-            flaps: Vec::new(),
         };
-        let faulty = FaultyModule::new(upper(), plan);
+        let faulty = FaultInjector::new(plan).wrap(upper());
         let input = [Value::text("seq")];
         let mut failures = 0;
         let ok = loop {
@@ -395,44 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn flap_window_fails_unavailable_until_backoff_escapes_it() {
-        let plan = FaultPlan::none(0).with_flap(1, 5);
-        let faulty = FaultyModule::new(upper(), plan);
-        let input = [Value::text("x")];
-        assert!(faulty.invoke(&input).is_ok(), "tick 0 precedes the flap");
-        assert_eq!(
-            faulty.invoke(&input),
-            Err(InvocationError::Unavailable),
-            "tick 1 is inside"
-        );
-        // Retry backoff advances the module clock past the window.
-        faulty.advance_ticks(4);
-        assert!(faulty.invoke(&input).is_ok(), "tick 6 is restored");
-    }
-
-    #[test]
-    fn retrier_rides_out_a_flap_via_backoff() {
-        let plan = FaultPlan::none(0).with_flap(0, 4);
-        let faulty = FaultyModule::new(upper(), plan);
-        let retrier = Retrier::new(RetryPolicy {
-            max_attempts: 4,
-            base_backoff_ticks: 2,
-            max_backoff_ticks: 8,
-            retry_budget: None,
-        });
-        let out = retrier.invoke(&faulty, &[Value::text("x")], None);
-        assert_eq!(out.as_ref(), &Ok(vec![Value::text("X")]));
-        assert!(retrier.stats().retries >= 1);
-    }
-
-    #[test]
     fn zero_rate_plan_is_transparent() {
-        let faulty = FaultyModule::new(upper(), FaultPlan::none(99));
+        let injector = FaultInjector::new(FaultPlan::none(99));
+        let faulty = injector.wrap(upper());
         for i in 0..20 {
             assert!(faulty.invoke(&[Value::text(format!("v{i}"))]).is_ok());
         }
-        let stats = faulty.stats();
-        assert_eq!(stats.injected_total(), 0);
+        let stats = injector.stats();
+        assert_eq!(stats.injected_faults, 0);
         assert_eq!(stats.invocations, 20);
     }
 

@@ -78,12 +78,6 @@ impl InvocationError {
             InvocationError::Unavailable | InvocationError::Fault { .. }
         )
     }
-
-    /// Whether the error is a deterministic function of the inputs — the
-    /// complement of [`InvocationError::is_transient`].
-    pub fn is_permanent(&self) -> bool {
-        !self.is_transient()
-    }
 }
 
 #[cfg(test)]
@@ -117,16 +111,16 @@ mod tests {
     fn taxonomy_splits_state_dependent_from_deterministic() {
         assert!(InvocationError::Unavailable.is_transient());
         assert!(InvocationError::fault("timeout").is_transient());
-        assert!(InvocationError::Arity {
+        assert!(!InvocationError::Arity {
             expected: 1,
             got: 0
         }
-        .is_permanent());
-        assert!(InvocationError::BadInput {
+        .is_transient());
+        assert!(!InvocationError::BadInput {
             parameter: "seq".into(),
             reason: "not text".into()
         }
-        .is_permanent());
-        assert!(InvocationError::rejected("no such accession").is_permanent());
+        .is_transient());
+        assert!(!InvocationError::rejected("no such accession").is_transient());
     }
 }

@@ -47,7 +47,7 @@ pub mod retry;
 pub use blackbox::{BlackBox, FnModule, SharedModule};
 pub use cache::{InvocationCache, InvocationCacheStats, InvocationOutcome};
 pub use catalog::ModuleCatalog;
-pub use fault::{FaultInjector, FaultPlan, FaultStats, FaultyModule, FlapWindow};
+pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use invoke::InvocationError;
 pub use module::{ModuleDescriptor, ModuleId, ModuleKind};
 pub use param::Parameter;

@@ -1,15 +1,14 @@
-//! Retry with simulated-tick backoff for transient invocation failures.
+//! Retry for transient invocation failures.
 //!
 //! Remote services fail transiently all the time; the paper's pipeline only
 //! keeps combinations that "terminate normally", so a transient
 //! `Unavailable`/`Fault` must not be confused with a deterministic rejection.
 //! A [`Retrier`] is the one invocation path (direct or through an
-//! [`InvocationCache`]); it re-attempts *transient* errors only, with
-//! exponential backoff counted in simulated ticks — no wall clock, so
-//! retried runs stay byte-for-byte reproducible. Backoff ticks are delivered
-//! to the module via [`BlackBox::advance_ticks`], which lets deterministic
-//! fault injectors (see [`crate::fault`]) run flap schedules against the
-//! same clock the retrier advances.
+//! [`InvocationCache`]); it re-attempts *transient* errors only, at once, up
+//! to the policy's `max_attempts`. Nothing waits and nothing reads a clock:
+//! an injected fault's fate is a function of its key and of how many
+//! attempts of that key already failed (see [`crate::fault`]), so retried
+//! runs stay byte-for-byte reproducible.
 
 use crate::blackbox::BlackBox;
 use crate::cache::{InvocationCache, InvocationOutcome};
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// How (and how much) to retry transient invocation failures.
+/// How often to attempt an invocation that fails transiently.
 ///
 /// Permanent errors (`Arity`, `BadInput`, `Rejected`) are never retried —
 /// they are deterministic functions of the input vector.
@@ -26,42 +25,20 @@ use std::sync::{Arc, OnceLock};
 pub struct RetryPolicy {
     /// Total attempts per invocation, including the first (`>= 1`).
     pub max_attempts: u32,
-    /// Simulated ticks of backoff before the first retry; doubles per retry.
-    pub base_backoff_ticks: u64,
-    /// Cap on the per-retry backoff.
-    pub max_backoff_ticks: u64,
-    /// Optional cap on the *total* retries a [`Retrier`] may spend across
-    /// its lifetime — the per-run retry budget. `None` is unbounded.
-    pub retry_budget: Option<u64>,
 }
 
 impl RetryPolicy {
-    /// No retries at all: one attempt, zero backoff. Exactly the pipeline's
-    /// pre-retry behavior — this is the default everywhere.
+    /// No retries at all: one attempt. Exactly the pipeline's pre-retry
+    /// behavior — this is the default everywhere.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ticks: 0,
-            max_backoff_ticks: 0,
-            retry_budget: None,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
-    /// Retries transients up to `max_attempts` total attempts with 1→2→4…
-    /// tick exponential backoff (capped at 8 ticks), unbounded budget.
+    /// Retries transients at once, up to `max_attempts` total attempts.
     pub fn transient(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            base_backoff_ticks: 1,
-            max_backoff_ticks: 8,
-            retry_budget: None,
         }
-    }
-
-    /// This policy with a lifetime retry budget.
-    pub fn with_budget(mut self, budget: u64) -> RetryPolicy {
-        self.retry_budget = Some(budget);
-        self
     }
 
     /// Whether this policy can ever retry.
@@ -91,15 +68,10 @@ pub struct RetryStats {
     /// Invocations that returned a transient error after exhausting
     /// `max_attempts`.
     pub exhausted: u64,
-    /// Retries suppressed because the budget was spent.
-    pub budget_denied: u64,
-    /// Total simulated backoff ticks accumulated.
-    pub backoff_ticks: u64,
 }
 
 /// Process-global telemetry counters for retry traffic, interned once.
 fn retry_counters() -> &'static (
-    dex_telemetry::Counter,
     dex_telemetry::Counter,
     dex_telemetry::Counter,
     dex_telemetry::Counter,
@@ -108,21 +80,19 @@ fn retry_counters() -> &'static (
         dex_telemetry::Counter,
         dex_telemetry::Counter,
         dex_telemetry::Counter,
-        dex_telemetry::Counter,
     )> = OnceLock::new();
     COUNTERS.get_or_init(|| {
         (
             dex_telemetry::counter("dex.retry.attempts"),
             dex_telemetry::counter("dex.retry.exhausted"),
-            dex_telemetry::counter("dex.retry.budget_denied"),
-            dex_telemetry::counter("dex.retry.backoff_ticks"),
+            dex_telemetry::counter("dex.retry.retries"),
         )
     })
 }
 
 /// Executes invocations under a [`RetryPolicy`], with thread-safe lifetime
 /// accounting. One retrier is typically shared by a whole run (incremental
-/// engine, corpus build, repair pass) so the retry budget is global to it.
+/// engine, corpus build, repair pass) so its stats cover the run.
 #[derive(Debug, Default)]
 pub struct Retrier {
     policy: RetryPolicy,
@@ -130,8 +100,6 @@ pub struct Retrier {
     retries: AtomicU64,
     transient_failures: AtomicU64,
     exhausted: AtomicU64,
-    budget_denied: AtomicU64,
-    backoff_ticks: AtomicU64,
 }
 
 impl Retrier {
@@ -160,54 +128,13 @@ impl Retrier {
             retries: self.retries.load(Ordering::Relaxed),
             transient_failures: self.transient_failures.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
-            budget_denied: self.budget_denied.load(Ordering::Relaxed),
-            backoff_ticks: self.backoff_ticks.load(Ordering::Relaxed),
         }
     }
 
-    /// Reserves one retry against the budget; returns `false` (and counts a
-    /// denial) when the budget is spent.
-    fn try_reserve_retry(&self) -> bool {
-        match self.policy.retry_budget {
-            None => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(budget) => {
-                // Optimistic reserve: grab a slot, give it back if that
-                // overshot the budget. Concurrent reservers can transiently
-                // overshoot the counter but never the number of granted slots.
-                let prev = self.retries.fetch_add(1, Ordering::Relaxed);
-                if prev >= budget {
-                    self.retries.fetch_sub(1, Ordering::Relaxed);
-                    self.budget_denied.fetch_add(1, Ordering::Relaxed);
-                    if dex_telemetry::is_enabled() {
-                        retry_counters().2.add(1);
-                    }
-                    false
-                } else {
-                    true
-                }
-            }
-        }
-    }
-
-    /// Backoff before retry number `retry` (1-based): exponential in the
-    /// base, capped.
-    fn backoff_for(&self, retry: u32) -> u64 {
-        let base = self.policy.base_backoff_ticks;
-        if base == 0 {
-            return 0;
-        }
-        let doublings = (retry - 1).min(32);
-        let raw = base.saturating_mul(1u64 << doublings);
-        raw.min(self.policy.max_backoff_ticks.max(base))
-    }
-
-    /// Books one attempt and, if `outcome` is a transient error with retries
-    /// (and budget) remaining, books the backoff and returns `Some(ticks)`
-    /// to signal "retry after advancing the module clock by `ticks`".
-    fn plan_retry(&self, outcome: &InvocationOutcome, retry_idx: u32) -> Option<u64> {
+    /// Books one attempt and returns whether `outcome` is a transient error
+    /// with attempts remaining, in which case it also books the retry this
+    /// schedules.
+    fn plan_retry(&self, outcome: &InvocationOutcome, retry_idx: u32) -> bool {
         self.attempts.fetch_add(1, Ordering::Relaxed);
         let telemetry_on = dex_telemetry::is_enabled();
         if telemetry_on {
@@ -215,7 +142,7 @@ impl Retrier {
         }
         let transient = matches!(outcome, Err(e) if e.is_transient());
         if !transient {
-            return None;
+            return false;
         }
         self.transient_failures.fetch_add(1, Ordering::Relaxed);
         if retry_idx + 1 >= self.policy.max_attempts {
@@ -223,17 +150,13 @@ impl Retrier {
             if telemetry_on {
                 retry_counters().1.add(1);
             }
-            return None;
+            return false;
         }
-        if !self.try_reserve_retry() {
-            return None;
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        if telemetry_on {
+            retry_counters().2.add(1);
         }
-        let ticks = self.backoff_for(retry_idx + 1);
-        self.backoff_ticks.fetch_add(ticks, Ordering::Relaxed);
-        if telemetry_on && ticks > 0 {
-            retry_counters().3.add(ticks);
-        }
-        Some(ticks)
+        true
     }
 
     /// Books the causal record of one scheduled retry: lazily opens the
@@ -245,7 +168,6 @@ impl Retrier {
         module: &dyn BlackBox,
         invoke_span: &mut Option<dex_telemetry::SpanGuard>,
         retry_idx: u32,
-        ticks: u64,
     ) {
         if !dex_telemetry::is_enabled() {
             return;
@@ -256,13 +178,13 @@ impl Retrier {
         dex_telemetry::flight(
             dex_telemetry::FlightKind::Retry,
             module.descriptor().id.as_str(),
-            format!("transient failure; backing off {ticks} ticks"),
+            "transient failure; retrying".to_string(),
             (retry_idx + 1) as u64,
         );
     }
 
     /// Records the flight post-mortem entry for a transient error that
-    /// survived every attempt (or was denied by the budget).
+    /// survived every attempt.
     fn note_exhausted(&self, module: &dyn BlackBox, outcome: &InvocationOutcome) {
         let Err(error) = outcome else { return };
         if error.is_transient() && dex_telemetry::is_enabled() {
@@ -303,19 +225,14 @@ impl Retrier {
                     None => Arc::new(module.invoke(inputs)),
                 }
             };
-            match self.plan_retry(&outcome, retry_idx) {
-                Some(ticks) => {
-                    self.note_retry(module, &mut invoke_span, retry_idx, ticks);
-                    module.advance_ticks(ticks);
-                    retry_idx += 1;
+            if !self.plan_retry(&outcome, retry_idx) {
+                if retry_idx > 0 {
+                    self.note_exhausted(module, &outcome);
                 }
-                None => {
-                    if retry_idx > 0 {
-                        self.note_exhausted(module, &outcome);
-                    }
-                    return outcome;
-                }
+                return outcome;
             }
+            self.note_retry(module, &mut invoke_span, retry_idx);
+            retry_idx += 1;
         }
     }
 }
@@ -368,8 +285,6 @@ mod tests {
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.transient_failures, 2);
         assert_eq!(stats.exhausted, 0);
-        // Exponential backoff: 1 + 2 simulated ticks.
-        assert_eq!(stats.backoff_ticks, 3);
     }
 
     #[test]
@@ -412,18 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_caps_total_retries_across_invocations() {
-        let (module, _) = flaky_upper(usize::MAX);
-        let retrier = Retrier::new(RetryPolicy::transient(10).with_budget(3));
-        for i in 0..4 {
-            let _ = retrier.invoke(&module, &[Value::text(format!("v{i}"))], None);
-        }
-        let stats = retrier.stats();
-        assert_eq!(stats.retries, 3, "budget granted exactly 3 retries");
-        assert!(stats.budget_denied >= 1, "{stats:?}");
-    }
-
-    #[test]
     fn none_policy_is_single_attempt() {
         let (module, calls) = flaky_upper(usize::MAX);
         let retrier = Retrier::none();
@@ -431,20 +334,5 @@ mod tests {
         assert!(out.is_err());
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert!(!retrier.policy().retries_enabled());
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let retrier = Retrier::new(RetryPolicy {
-            max_attempts: 10,
-            base_backoff_ticks: 2,
-            max_backoff_ticks: 10,
-            retry_budget: None,
-        });
-        assert_eq!(retrier.backoff_for(1), 2);
-        assert_eq!(retrier.backoff_for(2), 4);
-        assert_eq!(retrier.backoff_for(3), 8);
-        assert_eq!(retrier.backoff_for(4), 10, "capped");
-        assert_eq!(retrier.backoff_for(60), 10, "shift saturates");
     }
 }

@@ -13,7 +13,7 @@
 
 use dex_core::delta::Delta;
 use dex_modules::{
-    FaultPlan, FaultyModule, FnModule, InvocationError, ModuleCatalog, ModuleDescriptor, ModuleId,
+    FaultInjector, FaultPlan, FnModule, InvocationError, ModuleCatalog, ModuleDescriptor, ModuleId,
     ModuleKind, Parameter, SharedModule,
 };
 use dex_pool::{build_synthetic_pool, AnnotatedInstance, InstancePool};
@@ -130,16 +130,12 @@ pub fn mini_world(
         );
         let shared: SharedModule = match faults {
             None => Arc::new(module),
-            Some((fault_seed, fault_rate_pct)) => Arc::new(FaultyModule::new(
-                Arc::new(module) as SharedModule,
-                FaultPlan {
-                    seed: fault_seed ^ slot as u64,
-                    fault_rate_millis: fault_rate_pct * 10,
-                    max_consecutive: 2,
-                    latency_ticks: 1,
-                    flaps: Vec::new(),
-                },
-            )),
+            Some((fault_seed, fault_rate_pct)) => FaultInjector::new(FaultPlan {
+                seed: fault_seed ^ slot as u64,
+                fault_rate_millis: fault_rate_pct * 10,
+                max_consecutive: 2,
+            })
+            .wrap(Arc::new(module)),
         };
         shared
     }))

@@ -48,7 +48,7 @@ impl<'a> MatchSession<'a> {
     /// Creates a session over fixed ontology, pool, and generation config.
     /// The session owns one [`Retrier`] built from the config's
     /// [`retry`](GenerationConfig::retry) policy, shared by every generation
-    /// and replay it performs — so the retry budget is session-wide.
+    /// and replay it performs — so its retry stats are session-wide.
     pub fn new(ontology: &'a Ontology, pool: &'a InstancePool, config: GenerationConfig) -> Self {
         let retrier = Retrier::new(config.retry);
         MatchSession {

@@ -35,7 +35,7 @@ pub const FLIGHT_CAPACITY: usize = 1024;
 pub enum FlightKind {
     /// A retry was scheduled after a transient failure (`value` = attempt).
     Retry,
-    /// Retries gave up: policy or budget exhausted on a transient failure.
+    /// Retries gave up: every attempt the policy grants failed transiently.
     RetryExhausted,
     /// The fault injector fired (`detail` says what it injected).
     FaultInjected,

@@ -188,6 +188,14 @@ fn search(universe: &Universe, flags: &[String]) -> ExitCode {
         }
     }
     let ontology = &universe.ontology;
+    if let Some(unknown) = [&consumes, &produces]
+        .into_iter()
+        .flatten()
+        .find(|concept| ontology.id(concept).is_none())
+    {
+        eprintln!("unknown concept `{unknown}`");
+        return ExitCode::FAILURE;
+    }
     let subsumed = |param: &str, filter: &str| match (ontology.id(filter), ontology.id(param)) {
         (Some(f), Some(p)) => ontology.subsumes(f, p),
         _ => false,

@@ -85,4 +85,13 @@ fn search_combines_filters() {
     ]);
     assert!(ok);
     assert!(stdout.contains("get_protein_sequence"));
+    let (stdout, stderr, ok) = dexctl(&["search", "--consumes", "ProteinSequenc"]);
+    assert!(
+        !ok,
+        "an unknown concept is an error, not a filter: {stdout}"
+    );
+    assert!(
+        stderr.contains("unknown concept `ProteinSequenc`"),
+        "{stderr}"
+    );
 }
