@@ -5,32 +5,33 @@
 //! ontology grows new leaves — and the paper's pipeline answers every such
 //! change with a full re-run. This module provides the *vocabulary* of
 //! incremental recomputation: typed [`Delta`] events, the
-//! [`DependencyIndex`] that maps an event to the set of modules whose
+//! [`DependencyIndex`] that maps a pool event to the set of modules whose
 //! `(input, partition)` cells it can possibly dirty, and the accounting
 //! ([`DeltaReport`], `dex.delta.*` telemetry) that makes the savings
 //! auditable. The engine that applies deltas to live pipeline state lives
 //! in `dex-experiments::incremental`; its equivalence tests compare it
 //! against a cold serial generation and the test-only exhaustive matcher.
 //!
-//! The [`DependencyIndex`] is the *candidate stage*, and it is sound: a
-//! pool mutation on concept `c` can only affect modules with `c` among
-//! their planned input partitions (the pool is probed per `(input,
-//! partition)`, never scanned); an ontology leaf added under `p` can only
-//! affect modules with an input annotated by an ancestor-or-self of `p`
-//! (only their partition sets can change). Everything else is provably
-//! clean without looking at it. The engine regenerates each candidate from
+//! The [`DependencyIndex`] and [`modules_with_input_subsuming`] are the
+//! *candidate stage*, and it is sound: a pool mutation on concept `c` can
+//! only affect modules with `c` among their planned input partitions (the
+//! pool is probed per `(input, partition)`, never scanned), and a concept
+//! the ontology lacks is no module's partition; a new ontology leaf `l` can
+//! only affect modules with an input annotated by an ancestor-or-self of
+//! `l` (only their partition sets can change, and a module annotated `l`
+//! itself becomes plannable). Everything else is provably clean without
+//! looking at it. The engine regenerates each candidate from
 //! its own previous report, which records the outcome of every attempt but
 //! a transient one, so a candidate whose picks did not move — e.g. one
 //! behind whose probe window an instance was appended — invokes nothing and
 //! regenerates an equal report. The candidates whose report differs are
 //! the stale set.
 
-use crate::partition::input_partition_plan;
+use crate::partition::PartitionPlan;
 use dex_modules::{ModuleDescriptor, ModuleId};
-use dex_ontology::Ontology;
+use dex_ontology::{ConceptId, Ontology};
 use dex_pool::AnnotatedInstance;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
 
 /// One registry change, as observed by the incremental layer.
 ///
@@ -135,24 +136,23 @@ impl DeltaReport {
     }
 }
 
-/// The candidate-stage dependency graph: which tracked modules can a delta
-/// on a given concept possibly affect.
+/// The candidate-stage dependency graph: which tracked modules can a pool
+/// delta on a given concept possibly affect.
 ///
-/// Maintained per module (a module's entry is refreshed whenever its plan
-/// may have changed), so ontology deltas cost one plan recomputation per
-/// *affected* module, not a full rebuild.
+/// Keyed by [`ConceptId`] and maintained per slot: a slot is (re)indexed
+/// under the partition plan of its generation report in force, so an
+/// ontology delta costs one re-index per *regenerated* module, not a full
+/// rebuild. The ontology-edge query needs no index: see
+/// [`modules_with_input_subsuming`].
 #[derive(Debug, Clone, Default)]
 pub struct DependencyIndex {
-    /// Partition concept name → tracked module slots planning it.
-    by_partition: HashMap<String, BTreeSet<usize>>,
-    /// Per slot: the partition concept names currently indexed for it
-    /// (needed to unindex before refreshing).
-    planned: Vec<Vec<String>>,
-    /// Per slot: the input annotation concept names of the descriptor.
-    input_concepts: Vec<Vec<String>>,
-    /// Per slot: `(input, partition)` cell count of the current plan (`0`
-    /// when planning fails — a cold run would generate nothing either).
-    cells: Vec<usize>,
+    /// Concept id → the tracked slots whose plan holds it as a partition,
+    /// ascending.
+    by_partition: Vec<Vec<u32>>,
+    /// Per slot: the partition ids of its current plan, input by input
+    /// (needed to unindex before refreshing). Empty when planning fails: a
+    /// cold run would generate nothing either.
+    planned: Vec<Box<[ConceptId]>>,
 }
 
 impl DependencyIndex {
@@ -161,84 +161,73 @@ impl DependencyIndex {
         DependencyIndex::default()
     }
 
-    /// (Re)indexes slot `idx` for `descriptor` under the current ontology,
-    /// growing the index as needed. Call again after any ontology delta
-    /// that may have changed the module's partition sets.
-    pub fn set_module(&mut self, idx: usize, descriptor: &ModuleDescriptor, ontology: &Ontology) {
+    /// (Re)indexes slot `idx` under `plan`, the module's current partition
+    /// plan (`None` when it cannot be planned), growing the index as
+    /// needed. Call again whenever the plan may have changed.
+    pub fn set_module(&mut self, idx: usize, plan: Option<&PartitionPlan>) {
         if idx >= self.planned.len() {
-            self.planned.resize_with(idx + 1, Vec::new);
-            self.input_concepts.resize_with(idx + 1, Vec::new);
-            self.cells.resize(idx + 1, 0);
+            self.planned.resize_with(idx + 1, Box::default);
         }
-        for concept in self.planned[idx].drain(..) {
-            if let Some(slots) = self.by_partition.get_mut(&concept) {
-                slots.remove(&idx);
-                if slots.is_empty() {
-                    self.by_partition.remove(&concept);
-                }
+        let slot = u32::try_from(idx).expect("tracked slots fit in u32");
+        for concept in self.planned[idx].iter() {
+            let slots = &mut self.by_partition[concept.index()];
+            if let Ok(pos) = slots.binary_search(&slot) {
+                slots.remove(pos);
             }
         }
-        self.input_concepts[idx] = descriptor
-            .inputs
-            .iter()
-            .map(|p| p.semantic.clone())
-            .collect();
-        match input_partition_plan(descriptor, ontology) {
-            Ok(plan) => {
-                let mut planned = Vec::new();
-                for parts in &plan.per_input {
-                    for &p in parts {
-                        let name = ontology.concept_name(p).to_string();
-                        self.by_partition
-                            .entry(name.clone())
-                            .or_default()
-                            .insert(idx);
-                        planned.push(name);
-                    }
-                }
-                self.cells[idx] = plan.partition_count();
-                self.planned[idx] = planned;
+        let planned: Box<[ConceptId]> = plan
+            .map(|plan| plan.per_input.iter().flatten().copied().collect())
+            .unwrap_or_default();
+        for concept in planned.iter() {
+            if concept.index() >= self.by_partition.len() {
+                self.by_partition.resize_with(concept.index() + 1, Vec::new);
             }
-            Err(_) => {
-                self.cells[idx] = 0;
+            let slots = &mut self.by_partition[concept.index()];
+            if let Err(pos) = slots.binary_search(&slot) {
+                slots.insert(pos, slot);
             }
         }
+        self.planned[idx] = planned;
     }
 
-    /// Tracked slots whose plan references partition `concept` — the
+    /// Tracked slots whose plan holds partition `concept`, ascending — the
     /// candidate dirty set of a pool delta on that concept.
-    pub fn modules_for_concept(&self, concept: &str) -> Vec<usize> {
+    pub fn modules_for_concept(&self, concept: ConceptId) -> impl Iterator<Item = usize> + '_ {
         self.by_partition
-            .get(concept)
-            .map(|slots| slots.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Tracked slots with an input annotated by an ancestor-or-self of
-    /// `parent` — the candidate dirty set of a new ontology leaf under
-    /// `parent`: only those modules' partition sets can gain the leaf.
-    pub fn modules_with_input_subsuming(&self, parent: &str, ontology: &Ontology) -> Vec<usize> {
-        let Some(parent_id) = ontology.id(parent) else {
-            return Vec::new();
-        };
-        self.input_concepts
-            .iter()
-            .enumerate()
-            .filter(|(_, concepts)| {
-                concepts.iter().any(|c| {
-                    ontology
-                        .id(c)
-                        .is_some_and(|cid| ontology.subsumes(cid, parent_id))
-                })
-            })
-            .map(|(idx, _)| idx)
-            .collect()
+            .get(concept.index())
+            .into_iter()
+            .flatten()
+            .map(|&slot| slot as usize)
     }
 
     /// `(input, partition)` cell count of slot `idx`'s current plan.
     pub fn cells(&self, idx: usize) -> usize {
-        self.cells.get(idx).copied().unwrap_or(0)
+        self.planned.get(idx).map_or(0, |planned| planned.len())
     }
+}
+
+/// The slots, in `descriptors` order, with an input annotated by an
+/// ancestor-or-self of `concept` — the candidate dirty set of `concept`
+/// joining the ontology as a new leaf. Only those modules' partition sets
+/// can gain it, and a module annotated with `concept` itself, unknown until
+/// now, can be planned at all.
+pub fn modules_with_input_subsuming<'d>(
+    descriptors: impl IntoIterator<Item = &'d ModuleDescriptor>,
+    concept: ConceptId,
+    ontology: &Ontology,
+) -> Vec<usize> {
+    descriptors
+        .into_iter()
+        .enumerate()
+        .filter(|(_, descriptor)| {
+            descriptor.inputs.iter().any(|p| {
+                ontology
+                    .id(&p.semantic)
+                    .is_some_and(|annotated| ontology.subsumes(annotated, concept))
+            })
+        })
+        .map(|(idx, _)| idx)
+        .collect()
 }
 
 /// The `dex.delta.*` telemetry counters, interned once per process and
@@ -272,6 +261,7 @@ pub fn delta_counters() -> &'static DeltaCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::input_partition_plan;
     use dex_modules::{ModuleKind, Parameter};
     use dex_ontology::mygrid;
     use dex_values::StructuralType;
@@ -290,40 +280,79 @@ mod tests {
         )
     }
 
+    /// Indexes slot `idx` under `input_concept`'s plan, as the engine does
+    /// for a module whose generation failed.
+    fn index(deps: &mut DependencyIndex, idx: usize, input_concept: &str, onto: &Ontology) {
+        let plan = input_partition_plan(&descriptor("m", input_concept), onto).ok();
+        deps.set_module(idx, plan.as_ref());
+    }
+
+    fn slots(deps: &DependencyIndex, concept: &str, onto: &Ontology) -> Vec<usize> {
+        deps.modules_for_concept(onto.require(concept).unwrap())
+            .collect()
+    }
+
     #[test]
     fn pool_deltas_hit_only_modules_planning_the_concept() {
         let onto = mygrid::ontology();
         let mut deps = DependencyIndex::new();
-        deps.set_module(0, &descriptor("m0", "BiologicalSequence"), &onto);
-        deps.set_module(1, &descriptor("m1", "AlgorithmName"), &onto);
+        index(&mut deps, 0, "BiologicalSequence", &onto);
+        index(&mut deps, 1, "AlgorithmName", &onto);
         // BiologicalSequence partitions into itself + DNA/RNA/Protein.
-        assert_eq!(deps.modules_for_concept("DNASequence"), vec![0]);
-        assert_eq!(deps.modules_for_concept("AlgorithmName"), vec![1]);
-        assert!(deps.modules_for_concept("Document").is_empty());
+        assert_eq!(slots(&deps, "DNASequence", &onto), [0]);
+        assert_eq!(slots(&deps, "AlgorithmName", &onto), [1]);
+        assert!(slots(&deps, "Document", &onto).is_empty());
         assert_eq!(deps.cells(0), 4);
         assert_eq!(deps.cells(1), 1);
+        assert_eq!(deps.cells(2), 0, "an untracked slot has no cells");
     }
 
     #[test]
-    fn ontology_deltas_hit_only_modules_annotated_above_the_parent() {
+    fn slot_lists_stay_ascending_and_an_unplannable_module_plans_nothing() {
         let onto = mygrid::ontology();
         let mut deps = DependencyIndex::new();
-        deps.set_module(0, &descriptor("m0", "BiologicalSequence"), &onto);
-        deps.set_module(1, &descriptor("m1", "AlgorithmName"), &onto);
-        // A new leaf under DNASequence can only change m0's partitions.
-        assert_eq!(deps.modules_with_input_subsuming("DNASequence", &onto), [0]);
-        assert!(deps
-            .modules_with_input_subsuming("AlignmentReport", &onto)
-            .is_empty());
+        index(&mut deps, 2, "DNASequence", &onto);
+        index(&mut deps, 0, "BiologicalSequence", &onto);
+        index(&mut deps, 1, "NotAConcept", &onto);
+        assert_eq!(slots(&deps, "DNASequence", &onto), [0, 2]);
+        assert_eq!(deps.cells(1), 0);
+        // A concept past every indexed id, as a fresh ontology leaf is,
+        // flags nothing.
+        let mut grown = onto.clone();
+        let leaf = grown.add_child("GrownSequence", "DNASequence").unwrap();
+        assert_eq!(deps.modules_for_concept(leaf).count(), 0);
+    }
+
+    #[test]
+    fn ontology_deltas_hit_only_modules_annotated_above_the_leaf() {
+        let mut onto = mygrid::ontology();
+        let descriptors = [
+            descriptor("m0", "BiologicalSequence"),
+            descriptor("m1", "AlgorithmName"),
+            descriptor("m2", "GrownSequence"),
+        ];
+        // A new leaf under DNASequence can only change m0's partitions, and
+        // it makes m2, annotated with the leaf before it existed, plannable.
+        let leaf = onto.add_child("GrownSequence", "DNASequence").unwrap();
+        assert_eq!(
+            modules_with_input_subsuming(&descriptors, leaf, &onto),
+            [0, 2]
+        );
+        let report = onto.require("AlignmentReport").unwrap();
+        assert!(modules_with_input_subsuming(&descriptors, report, &onto).is_empty());
     }
 
     #[test]
     fn reindexing_a_module_unindexes_its_old_plan() {
         let onto = mygrid::ontology();
         let mut deps = DependencyIndex::new();
-        deps.set_module(0, &descriptor("m0", "BiologicalSequence"), &onto);
-        deps.set_module(0, &descriptor("m0", "AlgorithmName"), &onto);
-        assert!(deps.modules_for_concept("DNASequence").is_empty());
-        assert_eq!(deps.modules_for_concept("AlgorithmName"), vec![0]);
+        index(&mut deps, 0, "BiologicalSequence", &onto);
+        index(&mut deps, 0, "AlgorithmName", &onto);
+        assert!(slots(&deps, "DNASequence", &onto).is_empty());
+        assert_eq!(slots(&deps, "AlgorithmName", &onto), [0]);
+        assert_eq!(deps.cells(0), 1);
+        deps.set_module(0, None);
+        assert!(slots(&deps, "AlgorithmName", &onto).is_empty());
+        assert_eq!(deps.cells(0), 0);
     }
 }

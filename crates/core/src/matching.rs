@@ -3,10 +3,10 @@
 use crate::error::GenerationError;
 use crate::example::{DataExample, ExampleSet};
 use crate::generate::{generate_examples, GenerationConfig, GenerationReport};
-use dex_modules::{BlackBox, InvocationCache, ModuleDescriptor, ModuleId, Retrier};
+use dex_modules::{BlackBox, InvocationCache, ModuleDescriptor, ModuleId, Parameter, Retrier};
 use dex_ontology::Ontology;
 use dex_pool::InstancePool;
-use dex_values::Value;
+use dex_values::{StructuralType, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -35,6 +35,155 @@ pub enum MappingMode {
 pub struct ParamMapping {
     pub inputs: Vec<usize>,
     pub outputs: Vec<usize>,
+}
+
+/// Where a 1-to-1 parameter mapping sends each target parameter: all a
+/// replay reads of a mapping. [`ParamMapping`] stores it;
+/// [`ComposedMapping`] computes it from two [`ParamOrder`]s.
+pub trait Correspondence {
+    /// The candidate input that receives target input `t`.
+    fn input(&self, t: usize) -> usize;
+    /// The candidate output compared against target output `t`.
+    fn output(&self, t: usize) -> usize;
+}
+
+impl Correspondence for ParamMapping {
+    fn input(&self, t: usize) -> usize {
+        self.inputs[t]
+    }
+
+    fn output(&self, t: usize) -> usize {
+        self.outputs[t]
+    }
+}
+
+/// One module's parameters in canonical label order: per direction, the
+/// declaration indices stably sorted by `(structural, semantic)` label, so
+/// parameters with equal labels keep their declaration order.
+///
+/// Strict compatibility is label equality, an equivalence, so a
+/// [`MappingMode::Strict`] mapping exists exactly when two modules' sorted
+/// label lists are equal, and [`map_parameters`]' first-fit search then
+/// sends the `k`-th target parameter with a label to the `k`-th candidate
+/// parameter with it: the one at the same canonical position. Computed
+/// once per module, an order is composed per pair by
+/// [`ParamOrder::compose`], which allocates nothing unless it fails.
+#[derive(Debug, Clone, Default)]
+pub struct ParamOrder {
+    /// The input declaration indices in canonical order, then the output
+    /// ones; empty when both directions are declared in canonical order.
+    sorted: Box<[usize]>,
+}
+
+impl ParamOrder {
+    /// The canonical order of `descriptor`'s parameters.
+    pub fn of(descriptor: &ModuleDescriptor) -> ParamOrder {
+        fn label(p: &Parameter) -> (&StructuralType, &str) {
+            (&p.structural, &p.semantic)
+        }
+        let canonical =
+            |params: &[Parameter]| params.windows(2).all(|w| label(&w[0]) <= label(&w[1]));
+        if canonical(&descriptor.inputs) && canonical(&descriptor.outputs) {
+            return ParamOrder::default();
+        }
+        let mut sorted = Vec::with_capacity(descriptor.inputs.len() + descriptor.outputs.len());
+        for params in [&descriptor.inputs, &descriptor.outputs] {
+            let start = sorted.len();
+            sorted.extend(0..params.len());
+            // A stable sort: equal labels keep their declaration order.
+            sorted[start..].sort_by(|&a, &b| label(&params[a]).cmp(&label(&params[b])));
+        }
+        ParamOrder {
+            sorted: sorted.into_boxed_slice(),
+        }
+    }
+
+    /// The input and output halves of the order (both empty when it is the
+    /// declaration order); `inputs` is the module's input count.
+    fn split(&self, inputs: usize) -> (&[usize], &[usize]) {
+        if self.sorted.is_empty() {
+            (&[], &[])
+        } else {
+            self.sorted.split_at(inputs)
+        }
+    }
+
+    /// The strict mapping from `target`, whose order this is, to
+    /// `candidate`, whose order is `candidate_order`: what
+    /// [`map_parameters`] returns in [`MappingMode::Strict`], errors
+    /// included, composed from the two orders.
+    pub fn compose<'a>(
+        &'a self,
+        target: &ModuleDescriptor,
+        candidate_order: &'a ParamOrder,
+        candidate: &ModuleDescriptor,
+    ) -> Result<ComposedMapping<'a>, GenerationError> {
+        if target.inputs.len() != candidate.inputs.len()
+            || target.outputs.len() != candidate.outputs.len()
+        {
+            return Err(GenerationError::Incomparable(format!(
+                "arity mismatch: {}×{} vs {}×{}",
+                target.inputs.len(),
+                target.outputs.len(),
+                candidate.inputs.len(),
+                candidate.outputs.len()
+            )));
+        }
+        let (t_in, t_out) = self.split(target.inputs.len());
+        let (c_in, c_out) = candidate_order.split(candidate.inputs.len());
+        let labels_equal =
+            |t_sorted: &[usize], t: &[Parameter], c_sorted: &[usize], c: &[Parameter]| {
+                (0..t.len()).all(|p| t[at(t_sorted, p)].compatible(&c[at(c_sorted, p)]))
+            };
+        if !labels_equal(t_in, &target.inputs, c_in, &candidate.inputs) {
+            return Err(GenerationError::Incomparable(
+                "no 1-to-1 input parameter mapping".to_string(),
+            ));
+        }
+        if !labels_equal(t_out, &target.outputs, c_out, &candidate.outputs) {
+            return Err(GenerationError::Incomparable(
+                "no 1-to-1 output parameter mapping".to_string(),
+            ));
+        }
+        Ok(ComposedMapping {
+            target: (t_in, t_out),
+            candidate: (c_in, c_out),
+        })
+    }
+}
+
+/// The declaration index at canonical position `p` of one direction's
+/// order (`p` itself when the order is the declaration order).
+fn at(sorted: &[usize], p: usize) -> usize {
+    sorted.get(p).copied().unwrap_or(p)
+}
+
+/// The canonical position of declaration index `i` in one direction's
+/// order (`i` itself when the order is the declaration order).
+fn position(sorted: &[usize], i: usize) -> usize {
+    sorted.iter().position(|&d| d == i).unwrap_or(i)
+}
+
+/// A strict mapping composed from two [`ParamOrder`]s by
+/// [`ParamOrder::compose`]: target parameter `t` goes to the candidate
+/// parameter at `t`'s canonical position. It borrows the orders and owns
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ComposedMapping<'a> {
+    /// The target's input and output orders.
+    target: (&'a [usize], &'a [usize]),
+    /// The candidate's input and output orders.
+    candidate: (&'a [usize], &'a [usize]),
+}
+
+impl Correspondence for ComposedMapping<'_> {
+    fn input(&self, t: usize) -> usize {
+        at(self.candidate.0, position(self.target.0, t))
+    }
+
+    fn output(&self, t: usize) -> usize {
+        at(self.candidate.1, position(self.target.1, t))
+    }
 }
 
 /// The §6 classification of a module pair's behavior.
@@ -198,16 +347,8 @@ pub fn match_against_examples(
     ontology: &Ontology,
     mode: MappingMode,
 ) -> Result<MatchVerdict, GenerationError> {
-    match_with(
-        target,
-        examples,
-        candidate,
-        None,
-        ontology,
-        mode,
-        None,
-        &Retrier::none(),
-    )
+    let mapping = map_parameters(target, candidate.descriptor(), ontology, mode)?;
+    replay(&mapping, examples, candidate, None, None, &Retrier::none())
 }
 
 /// [`match_against_examples`] through a shared [`InvocationCache`] and
@@ -233,34 +374,23 @@ pub fn match_against_examples_retrying(
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> Result<MatchVerdict, GenerationError> {
-    match_with(
-        target,
-        examples,
-        candidate,
-        None,
-        ontology,
-        mode,
-        Some(cache),
-        retrier,
-    )
+    let mapping = map_parameters(target, candidate.descriptor(), ontology, mode)?;
+    replay(&mapping, examples, candidate, None, Some(cache), retrier)
 }
 
-/// Replays `examples` against `candidate`. With `own`, the candidate's own
-/// examples, a target example whose mapped inputs equal those of one of
-/// `own` is decided by that example's outputs instead of by a replay (the
-/// §6 join); see [`pair_outcome`] for when that is sound.
-#[allow(clippy::too_many_arguments)]
-fn match_with(
-    target: &ModuleDescriptor,
+/// Replays `examples` against `candidate` under `mapping`. With `own`, the
+/// candidate's own examples, a target example whose mapped inputs equal
+/// those of one of `own` is decided by that example's outputs instead of
+/// by a replay (the §6 join); see [`pair_outcome`] for when that is sound.
+/// Fails only on an empty example set.
+fn replay(
+    mapping: &impl Correspondence,
     examples: &ExampleSet,
     candidate: &dyn BlackBox,
     own: Option<&ExampleSet>,
-    ontology: &Ontology,
-    mode: MappingMode,
     cache: Option<&InvocationCache>,
     retrier: &Retrier,
 ) -> Result<MatchVerdict, GenerationError> {
-    let mapping = map_parameters(target, candidate.descriptor(), ontology, mode)?;
     if examples.is_empty() {
         return Err(GenerationError::Incomparable(
             "no data examples to compare against".to_string(),
@@ -272,25 +402,22 @@ fn match_with(
         compared += 1;
         // The §6 join: the candidate's own example on exactly these inputs.
         let aligned = own.into_iter().flat_map(ExampleSet::iter).find(|mine| {
-            mapping
-                .inputs
-                .iter()
-                .enumerate()
-                .all(|(t_idx, &c_idx)| mine.inputs[c_idx].value == example.inputs[t_idx].value)
+            (0..example.inputs.len())
+                .all(|t| mine.inputs[mapping.input(t)].value == example.inputs[t].value)
         });
         let agreed = match aligned {
-            Some(mine) => outputs_agree(&mapping, example, |c_idx| &mine.outputs[c_idx].value),
+            Some(mine) => outputs_agree(mapping, example, |c_idx| &mine.outputs[c_idx].value),
             None => {
                 // Build the candidate's input vector.
                 let mut inputs: Vec<Value> = vec![Value::Null; candidate.descriptor().inputs.len()];
-                for (t_idx, &c_idx) in mapping.inputs.iter().enumerate() {
-                    inputs[c_idx] = example.inputs[t_idx].value.clone();
+                for (t, binding) in example.inputs.iter().enumerate() {
+                    inputs[mapping.input(t)] = binding.value.clone();
                 }
                 // A failed invocation on inputs the target handled is a
                 // behavioral disagreement on that example.
                 matches!(
                     retrier.invoke(candidate, &inputs, cache).as_ref(),
-                    Ok(outputs) if outputs_agree(&mapping, example, |c_idx| &outputs[c_idx])
+                    Ok(outputs) if outputs_agree(mapping, example, |c_idx| &outputs[c_idx])
                 )
             }
         };
@@ -304,15 +431,15 @@ fn match_with(
 /// Whether the candidate's outputs, `output(c_idx)` for its output `c_idx`,
 /// equal the target `example`'s recorded outputs at every mapped position.
 fn outputs_agree<'v>(
-    mapping: &ParamMapping,
+    mapping: &impl Correspondence,
     example: &DataExample,
     output: impl Fn(usize) -> &'v Value,
 ) -> bool {
-    mapping
+    example
         .outputs
         .iter()
         .enumerate()
-        .all(|(t_idx, &c_idx)| *output(c_idx) == example.outputs[t_idx].value)
+        .all(|(t, binding)| *output(mapping.output(t)) == binding.value)
 }
 
 /// Compares two live modules by generating *aligned* data examples for the
@@ -363,7 +490,10 @@ impl From<Result<MatchVerdict, GenerationError>> for MatchOutcome {
 /// generation error comes first, then the strict parameter-mapping error,
 /// then the aligned replay verdict.
 ///
-/// The mapping is checked before any candidate invocation, so a pair whose
+/// `mapping` is the pair's [`MappingMode::Strict`] mapping, resolved by the
+/// caller: the oracle searches it with [`map_parameters`], the engine
+/// composes it from the two modules' [`ParamOrder`]s. Either way it fails
+/// before any candidate invocation, so a pair whose
 /// [`PartitionFingerprint`]s are incompatible costs no invocation here —
 /// which is what lets blocking materialize pruned pairs through this same
 /// function. Records no telemetry.
@@ -380,28 +510,30 @@ impl From<Result<MatchVerdict, GenerationError>> for MatchOutcome {
 /// what a replay would return. The verdict is the same as with `None`;
 /// only the replays, and so the module invocations, fall.
 pub fn pair_outcome(
-    target: &ModuleDescriptor,
     generation: &Result<GenerationReport, GenerationError>,
+    mapping: Result<impl Correspondence, GenerationError>,
     candidate: &dyn BlackBox,
     own: Option<&ExampleSet>,
-    ontology: &Ontology,
     cache: &InvocationCache,
     retrier: &Retrier,
 ) -> MatchOutcome {
-    match generation {
-        Err(e) => MatchOutcome::Incomparable(e.to_string()),
-        Ok(report) => match_with(
-            target,
-            &report.examples,
-            candidate,
-            own,
-            ontology,
-            MappingMode::Strict,
-            Some(cache),
-            retrier,
-        )
-        .into(),
-    }
+    let report = match generation {
+        Ok(report) => report,
+        Err(e) => return MatchOutcome::Incomparable(e.to_string()),
+    };
+    let mapping = match mapping {
+        Ok(mapping) => mapping,
+        Err(e) => return MatchOutcome::Incomparable(e.to_string()),
+    };
+    replay(
+        &mapping,
+        &report.examples,
+        candidate,
+        own,
+        Some(cache),
+        retrier,
+    )
+    .into()
 }
 
 /// One entry of an all-pairs matching run.
@@ -1244,11 +1376,15 @@ mod tests {
                 }
                 incompatible += 1;
                 let outcome = pair_outcome(
-                    t.descriptor(),
                     report,
+                    map_parameters(
+                        t.descriptor(),
+                        cand.descriptor(),
+                        &onto,
+                        MappingMode::Strict,
+                    ),
                     cand,
                     None,
-                    &onto,
                     &cache,
                     &Retrier::none(),
                 );

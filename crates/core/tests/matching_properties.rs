@@ -1,6 +1,6 @@
 //! Matching invariants checked across the whole synthetic universe.
 
-use dex_core::matching::{map_parameters, MappingMode};
+use dex_core::matching::{map_parameters, Correspondence, MappingMode, ParamOrder};
 use dex_core::{compare_modules, FingerprintIndex, GenerationConfig, MatchVerdict};
 use dex_modules::{ModuleDescriptor, ModuleKind, Parameter};
 use dex_pool::build_synthetic_pool;
@@ -206,5 +206,107 @@ fn planted_equivalences_hold_pairwise() {
             matches!(verdict, MatchVerdict::Equivalent { .. }),
             "{legacy} vs {target}: {verdict}"
         );
+    }
+}
+
+/// The parameter labels the mapping property draws from: two share a
+/// semantic concept and differ in structure, so both halves of the label
+/// order are exercised, and three labels over 1–4 parameters make repeats
+/// and mismatches common.
+const MAPPING_LABELS: &[(StructuralType, &str)] = &[
+    (StructuralType::Text, "DNASequence"),
+    (StructuralType::Integer, "DNASequence"),
+    (StructuralType::Text, "ProteinSequence"),
+];
+
+/// A descriptor whose inputs and outputs carry the labels `inputs` and
+/// `outputs` index, in that order.
+fn labelled_descriptor(id: &str, inputs: &[usize], outputs: &[usize]) -> ModuleDescriptor {
+    let params = |prefix: &str, labels: &[usize]| -> Vec<Parameter> {
+        labels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| {
+                let (structural, semantic) = &MAPPING_LABELS[l];
+                Parameter::required(format!("{prefix}{i}"), structural.clone(), *semantic)
+            })
+            .collect()
+    };
+    ModuleDescriptor::new(
+        id,
+        id,
+        ModuleKind::RestService,
+        params("in", inputs),
+        params("out", outputs),
+    )
+}
+
+/// `labels` permuted by a seeded Fisher–Yates shuffle.
+fn shuffled(labels: &[usize], mut seed: u64) -> Vec<usize> {
+    let mut out = labels.to_vec();
+    for i in (1..out.len()).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        out.swap(i, (seed >> 33) as usize % (i + 1));
+    }
+    out
+}
+
+/// The composed strict mapping from `t` to `c` equals `map_parameters`'
+/// search: the same candidate index for every target parameter, or the
+/// same error.
+fn composed_matches_search(t: &ModuleDescriptor, c: &ModuleDescriptor) -> Result<(), String> {
+    let ontology = dex_ontology::mygrid::ontology();
+    let (t_order, c_order) = (ParamOrder::of(t), ParamOrder::of(c));
+    match (
+        map_parameters(t, c, &ontology, MappingMode::Strict),
+        t_order.compose(t, &c_order, c),
+    ) {
+        (Ok(searched), Ok(composed)) => {
+            let inputs: Vec<usize> = (0..t.inputs.len()).map(|i| composed.input(i)).collect();
+            let outputs: Vec<usize> = (0..t.outputs.len()).map(|o| composed.output(o)).collect();
+            prop_assert_eq!(searched.inputs, inputs, "{:?} → {:?}", t, c);
+            prop_assert_eq!(searched.outputs, outputs, "{:?} → {:?}", t, c);
+        }
+        (Err(searched), Err(composed)) => {
+            prop_assert_eq!(searched.to_string(), composed.to_string());
+        }
+        (searched, composed) => {
+            return Err(format!(
+                "{t:?} → {c:?}: search gave {searched:?}, composition {composed:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The engine's composed strict mapping reproduces `map_parameters`,
+    /// first-fit tie-breaking and error strings included, in both
+    /// directions. Half the candidates permute the target's labels (one
+    /// label changed in half of those), so most pairs of equal arity are
+    /// mappable or fail on a single label.
+    #[test]
+    fn composed_mapping_matches_map_parameters(
+        t_in in proptest::collection::vec(0usize..3, 1..5),
+        t_out in proptest::collection::vec(0usize..3, 1..5),
+        c_in in proptest::collection::vec(0usize..3, 1..5),
+        c_out in proptest::collection::vec(0usize..3, 1..5),
+        seed in any::<u64>(),
+    ) {
+        let (c_in, c_out) = match seed % 4 {
+            0 | 1 => (c_in, c_out),
+            2 => (shuffled(&t_in, seed), shuffled(&t_out, seed.rotate_left(17))),
+            _ => {
+                let mut c_in = shuffled(&t_in, seed);
+                c_in[0] = (c_in[0] + 1) % MAPPING_LABELS.len();
+                (c_in, shuffled(&t_out, seed.rotate_left(17)))
+            }
+        };
+        let t = labelled_descriptor("t", &t_in, &t_out);
+        let c = labelled_descriptor("c", &c_in, &c_out);
+        composed_matches_search(&t, &c)?;
+        composed_matches_search(&c, &t)?;
     }
 }

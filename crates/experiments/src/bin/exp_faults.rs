@@ -14,7 +14,7 @@
 //! needs faults), `--fault-seed=SEED`, `--telemetry[=PATH]`.
 
 use dex_experiments::flags::flag_value;
-use dex_experiments::{experiments, Context, FaultConfig, TelemetryRun};
+use dex_experiments::{experiments, outln, Context, FaultConfig, TelemetryRun};
 use dex_modules::RetryPolicy;
 use dex_repair::RepositoryPlan;
 
@@ -67,9 +67,11 @@ fn main() {
             std::process::exit(2)
         });
     let plan = faulted.injector.as_ref().expect("injector armed").plan();
-    println!(
+    outln!(
         "fault smoke: rate {}‰, seed {:#x}, retry {} attempts\n",
-        plan.fault_rate_millis, plan.seed, faulted.retry.max_attempts
+        plan.fault_rate_millis,
+        plan.seed,
+        faulted.retry.max_attempts
     );
     let plan_rate = plan.fault_rate_millis;
     let plan_seed = plan.seed;
@@ -90,24 +92,26 @@ fn main() {
         }
         failed = true;
     } else {
-        println!("reports: byte-identical to the fault-free baseline");
+        outln!("reports: byte-identical to the fault-free baseline");
     }
     if fault_stats.injected_faults == 0 {
         eprintln!("FAIL: no faults were injected — the smoke tested nothing");
         failed = true;
     } else {
-        println!(
+        outln!(
             "faults:  {} transient injected over {} invocations",
-            fault_stats.injected_faults, fault_stats.invocations
+            fault_stats.injected_faults,
+            fault_stats.invocations
         );
     }
     if retry.retries == 0 {
         eprintln!("FAIL: faults were injected but generation never retried");
         failed = true;
     } else {
-        println!(
+        outln!(
             "retries: {} (of {} attempts)",
-            retry.retries, retry.attempts
+            retry.retries,
+            retry.attempts
         );
     }
     if !ctx.generation_failures.is_empty() {
@@ -118,9 +122,9 @@ fn main() {
         failed = true;
     }
 
-    println!("\nexample yield under injected fault rates (seed {plan_seed:#x}):");
-    println!("| fault rate | retries | examples | transient failures |");
-    println!("|---|---|---|---|");
+    outln!("\nexample yield under injected fault rates (seed {plan_seed:#x}):");
+    outln!("| fault rate | retries | examples | transient failures |");
+    outln!("|---|---|---|---|");
     for rate in [0u32, 5, 20] {
         for retries_on in [true, false] {
             let mut cfg = FaultConfig::injected(rate, plan_seed);
@@ -128,7 +132,7 @@ fn main() {
                 cfg.retry = RetryPolicy::none();
             }
             let (examples, transients) = yield_under(&cfg);
-            println!(
+            outln!(
                 "| {rate}% | {} | {examples} | {transients} |",
                 if retries_on { "on" } else { "off" }
             );
@@ -140,5 +144,5 @@ fn main() {
         eprintln!("\nfault smoke FAILED (rate {plan_rate}‰, seed {plan_seed:#x})");
         std::process::exit(1);
     }
-    println!("\nfault smoke passed");
+    outln!("\nfault smoke passed");
 }

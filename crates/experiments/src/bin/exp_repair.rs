@@ -23,7 +23,7 @@
 //! unparseable value stops the binary with status 2.
 
 use dex_experiments::flags::flag_value;
-use dex_experiments::{run_continuous, ContinuousConfig, FaultConfig};
+use dex_experiments::{out, outln, run_continuous, ContinuousConfig, FaultConfig};
 use dex_repair::RepositoryPlan;
 
 /// The continuous workload's configuration, or `None` without `--scale`.
@@ -57,21 +57,27 @@ fn main() {
                 &RepositoryPlan::default(),
                 &FaultConfig::from_env(),
             );
-            print!("{}", results.repair);
+            out!("{}", results.repair);
         }
         Some(cfg) => {
             let report = run_continuous(&cfg);
 
             let p = &report.prepare;
-            println!(
+            outln!(
                 "continuous decay-and-repair: {} modules, {} families, {} concepts, {} workflows",
-                p.modules, p.families, p.concepts, p.workflows
+                p.modules,
+                p.families,
+                p.concepts,
+                p.workflows
             );
-            println!(
+            outln!(
                 "  build {:.0} ms | bootstrap {:.0} ms | streaming harvest {:.0} ms ({} instances)",
-                p.build_ms, p.bootstrap_ms, p.harvest_ms, p.harvested_instances
+                p.build_ms,
+                p.bootstrap_ms,
+                p.harvest_ms,
+                p.harvested_instances
             );
-            println!(
+            outln!(
                 "{:<5} {:>9} {:>9} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>10} {:>9} {:>9} {:>9}",
                 "wave",
                 "withdrawn",
@@ -88,7 +94,7 @@ fn main() {
                 "p99 ms"
             );
             for w in &report.waves {
-                println!(
+                outln!(
                     "{:<5} {:>9} {:>9} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>10.1} {:>9.3} {:>9.3} {:>9.3}",
                     w.wave,
                     w.withdrawals,
@@ -105,7 +111,7 @@ fn main() {
                     w.latency.p99_ns as f64 / 1e6,
                 );
             }
-            println!(
+            outln!(
                 "total: {} substitutions, {} re-repaired across {} waves | overall p50 {:.3} ms p95 {:.3} ms p99 {:.3} ms",
                 report.total_substitutions(),
                 report.total_re_repaired(),

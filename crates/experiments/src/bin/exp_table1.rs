@@ -1,7 +1,8 @@
 //! Regenerates Table 1 (completeness distribution).
+use dex_experiments::out;
 fn main() {
     let telemetry = dex_experiments::TelemetryRun::from_env();
     let ctx = dex_experiments::Context::build(&dex_experiments::FaultConfig::from_env());
-    print!("{}", dex_experiments::experiments::table1(&ctx));
+    out!("{}", dex_experiments::experiments::table1(&ctx));
     telemetry.finish("exp_table1");
 }

@@ -52,11 +52,11 @@
 //! a cold bootstrap over the final state gives them, and the replay cache
 //! is empty (`tests/history_independence.rs`).
 
-use dex_core::delta::{Delta, DeltaReport, DependencyIndex};
-use dex_core::matching::pair_outcome;
+use dex_core::delta::{modules_with_input_subsuming, Delta, DeltaReport, DependencyIndex};
+use dex_core::matching::{pair_outcome, ParamOrder};
 use dex_core::{
-    generate_examples_memoized, FingerprintIndex, GenerationConfig, GenerationError,
-    GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
+    generate_examples_memoized, input_partition_plan, FingerprintIndex, GenerationConfig,
+    GenerationError, GenerationReport, MatchOutcome, MatchReport, MatchVerdict,
 };
 use dex_modules::{BlackBox, InvocationCache, ModuleId, Retrier, RetryStats, SharedModule};
 use dex_pool::InstancePool;
@@ -76,8 +76,12 @@ pub struct IncrementalPipeline {
     ids: Vec<ModuleId>,
     /// Current availability per slot (kept in sync with the catalog).
     available: Vec<bool>,
+    /// Each slot indexed under the partition plan of its report in force.
     deps: DependencyIndex,
     index: FingerprintIndex,
+    /// Each slot's canonical parameter order, composed per pair into its
+    /// strict mapping.
+    orders: Vec<ParamOrder>,
     reports: Vec<Result<GenerationReport, GenerationError>>,
     /// Stored outcomes of every comparable ordered pair among available
     /// slots: `verdicts[t]` is target `t`'s row of [`Cell`]s, sorted by
@@ -119,23 +123,27 @@ impl IncrementalPipeline {
             .collect();
         let cache = InvocationCache::new();
         let retrier = Retrier::new(config.retry);
-        let mut deps = DependencyIndex::new();
-        let mut reports = Vec::with_capacity(ids.len());
-        for (i, module) in modules.iter().enumerate() {
-            deps.set_module(i, module.descriptor(), &universe.ontology);
-            reports.push(generate_examples_memoized(
-                module.as_ref(),
-                &universe.ontology,
-                &pool,
-                &config,
-                None,
-                &retrier,
-            ));
-        }
+        let reports: Vec<_> = modules
+            .iter()
+            .map(|module| {
+                generate_examples_memoized(
+                    module.as_ref(),
+                    &universe.ontology,
+                    &pool,
+                    &config,
+                    None,
+                    &retrier,
+                )
+            })
+            .collect();
         let index = FingerprintIndex::build(
             modules.iter().map(|m| Some(m.descriptor())),
             &universe.ontology,
         );
+        let orders = modules
+            .iter()
+            .map(|m| ParamOrder::of(m.descriptor()))
+            .collect();
         let ids_len = ids.len();
         let available = vec![true; ids_len];
         let mut engine = IncrementalPipeline {
@@ -144,14 +152,18 @@ impl IncrementalPipeline {
             config,
             ids,
             available,
-            deps,
+            deps: DependencyIndex::new(),
             index,
+            orders,
             reports,
             verdicts: Vec::with_capacity(ids_len),
             cache,
             retrier,
             substitutes: MatchingStudy::default(),
         };
+        for i in 0..ids_len {
+            engine.index_dependencies(i);
+        }
         // Bucket member lists are kept ascending, so each row is born sorted
         // and allocated at its exact size.
         for t in 0..ids_len {
@@ -184,9 +196,11 @@ impl IncrementalPipeline {
         };
 
         // Phase A — mutate primary state, accumulating the candidate dirty
-        // sets (see dex_core::delta).
+        // sets (see dex_core::delta) and the slots whose availability a
+        // delta names.
         let mut dirty_candidates: BTreeSet<usize> = BTreeSet::new();
         let mut plan_dirty: BTreeSet<usize> = BTreeSet::new();
+        let mut availability_named: BTreeSet<usize> = BTreeSet::new();
         for delta in deltas {
             if dex_telemetry::is_enabled() {
                 let (target, detail) = match delta {
@@ -207,60 +221,51 @@ impl IncrementalPipeline {
             }
             match delta {
                 Delta::PoolInsert { instance } => {
-                    let concept = instance.concept.clone();
+                    dirty_candidates.extend(self.dependents(&instance.concept));
                     self.pool.add(instance.clone());
-                    dirty_candidates.extend(self.deps.modules_for_concept(&concept));
                 }
                 Delta::PoolRemove {
                     concept,
                     occurrence,
                 } => {
                     if self.pool.remove_realization(concept, *occurrence).is_some() {
-                        dirty_candidates.extend(self.deps.modules_for_concept(concept));
+                        dirty_candidates.extend(self.dependents(concept));
                     }
                 }
                 Delta::ModuleWithdraw { id } => {
-                    self.require_tracked(id);
+                    availability_named.insert(self.tracked_slot(id));
                     self.universe.catalog.withdraw(id);
                 }
                 Delta::ModuleRestore { id } => {
-                    self.require_tracked(id);
+                    availability_named.insert(self.tracked_slot(id));
                     self.universe.catalog.restore(id);
                 }
                 Delta::OntologyEdgeAdd { parent, child } => {
-                    // A new leaf under `parent` can only extend the
-                    // partition sets of modules annotated at or above it.
-                    // (Adding a leaf changes no existing ancestor relation,
-                    // so computing the affected set after the mutation is
-                    // equivalent to before.)
-                    if self
-                        .universe
-                        .ontology
-                        .add_child(child.clone(), parent)
-                        .is_ok()
-                    {
-                        plan_dirty.extend(
-                            self.deps
-                                .modules_with_input_subsuming(parent, &self.universe.ontology),
-                        );
+                    // A new leaf can only extend the partition sets of
+                    // modules annotated at or above it, and make a module
+                    // annotated with it plannable.
+                    if let Ok(leaf) = self.universe.ontology.add_child(child.clone(), parent) {
+                        let catalog = &self.universe.catalog;
+                        plan_dirty.extend(modules_with_input_subsuming(
+                            self.ids.iter().map(|id| {
+                                catalog
+                                    .descriptor(id)
+                                    .expect("descriptors survive withdrawal")
+                            }),
+                            leaf,
+                            &self.universe.ontology,
+                        ));
                     }
                 }
             }
         }
 
-        // Phase B — refresh plans for ontology-affected modules, diff
-        // availability, and maintain the fingerprint index incrementally.
-        for &i in &plan_dirty {
-            let descriptor = self
-                .universe
-                .catalog
-                .descriptor(&self.ids[i])
-                .expect("descriptors survive withdrawal");
-            self.deps.set_module(i, descriptor, &self.universe.ontology);
-        }
+        // Phase B — diff the availability of the slots the batch names
+        // (the engine owns its universe, so no other slot's can move), and
+        // maintain the fingerprint index incrementally.
         let mut to_withdrawn: Vec<usize> = Vec::new();
         let mut to_restored: Vec<usize> = Vec::new();
-        for i in 0..self.ids.len() {
+        for &i in &availability_named {
             let now = self.universe.catalog.is_available(&self.ids[i]);
             if now != self.available[i] {
                 self.available[i] = now;
@@ -336,6 +341,7 @@ impl IncrementalPipeline {
                 examples_changed.insert(i);
             }
             self.reports[i] = report;
+            self.index_dependencies(i);
             regenerated.push(i);
         }
 
@@ -413,11 +419,40 @@ impl IncrementalPipeline {
         self.ids.binary_search(id).ok()
     }
 
-    fn require_tracked(&self, id: &ModuleId) {
-        assert!(
-            self.slot(id).is_some(),
-            "delta references `{id}`, which was not tracked at bootstrap"
-        );
+    /// The slot of a module a delta names, which must be tracked.
+    fn tracked_slot(&self, id: &ModuleId) -> usize {
+        self.slot(id).unwrap_or_else(|| {
+            panic!("delta references `{id}`, which was not tracked at bootstrap")
+        })
+    }
+
+    /// The tracked slots planning `concept` as a partition: the candidate
+    /// dirty set of a pool delta on it. The name is resolved once; one the
+    /// ontology lacks is no module's partition.
+    fn dependents(&self, concept: &str) -> impl Iterator<Item = usize> + '_ {
+        self.universe
+            .ontology
+            .id(concept)
+            .into_iter()
+            .flat_map(|concept| self.deps.modules_for_concept(concept))
+    }
+
+    /// Indexes slot `i`'s dependencies under the plan its report was
+    /// generated against. A module whose generation failed is planned
+    /// afresh (it may still have a plan, e.g. one over the combination cap).
+    fn index_dependencies(&mut self, i: usize) {
+        match &self.reports[i] {
+            Ok(report) => self.deps.set_module(i, Some(&report.plan)),
+            Err(_) => {
+                let descriptor = self
+                    .universe
+                    .catalog
+                    .descriptor(&self.ids[i])
+                    .expect("descriptors survive withdrawal");
+                let plan = input_partition_plan(descriptor, &self.universe.ontology).ok();
+                self.deps.set_module(i, plan.as_ref());
+            }
+        }
     }
 
     /// One pair's outcome, resolving both slots' handles in the catalog.
@@ -432,10 +467,12 @@ impl IncrementalPipeline {
     }
 
     /// One pair's outcome by [`pair_outcome`], over the engine's stored
-    /// reports. The candidate's stored examples answer the target examples
-    /// aligned with them: each records the candidate's outcome on its
-    /// inputs, which is the precondition [`pair_outcome`] states. The
-    /// other target examples are replayed through the batch's cache.
+    /// reports and its strict mapping composed from the two slots'
+    /// [`ParamOrder`]s, which allocates nothing for a mappable pair. The
+    /// candidate's stored examples answer the target examples aligned with
+    /// them: each records the candidate's outcome on its inputs, which is
+    /// the precondition [`pair_outcome`] states. The other target examples
+    /// are replayed through the batch's cache.
     fn outcome(
         &self,
         t: usize,
@@ -447,12 +484,13 @@ impl IncrementalPipeline {
             Ok(report) => Some(&report.examples),
             Err(_) => None,
         };
+        let mapping =
+            self.orders[t].compose(target.descriptor(), &self.orders[c], candidate.descriptor());
         pair_outcome(
-            target.descriptor(),
             &self.reports[t],
+            mapping,
             candidate,
             own,
-            &self.universe.ontology,
             &self.cache,
             &self.retrier,
         )

@@ -31,6 +31,7 @@ pub mod faults;
 pub mod flags;
 pub mod format;
 pub mod incremental;
+pub mod output;
 pub mod telemetry;
 
 pub use continuous::{

@@ -7,14 +7,15 @@
 //! - [`match_pairs_exhaustive`] over a [`MatchSession`] is the exhaustive
 //!   all-pairs matcher: every ordered pair of available modules runs the
 //!   full comparison, with no fingerprint blocking and no aligned-example
-//!   join, so every target example is replayed against the candidate. The
+//!   join, so every target example is replayed against the candidate, and
+//!   its parameter mapping comes from `map_parameters`' search. The
 //!   incremental engine's `matrix()` must equal it byte for byte.
 //! - [`fixture`] holds the mini worlds the engine and service equivalence
 //!   proptests drive.
 
 pub mod fixture;
 
-use dex_core::matching::pair_outcome;
+use dex_core::matching::{map_parameters, pair_outcome, MappingMode};
 use dex_core::{
     generate_examples_retrying, GenerationConfig, GenerationError, GenerationReport, MatchReport,
 };
@@ -100,22 +101,27 @@ impl<'a> MatchSession<'a> {
 
     /// Compares `candidate` against `target`'s generation `report` (from
     /// [`report_for`](MatchSession::report_for) or
-    /// [`report_at`](MatchSession::report_at)) by [`pair_outcome`], passing
-    /// no candidate examples, so every target example is replayed. Always
-    /// yields a [`MatchReport`]: incomparability becomes data instead of an
-    /// error.
+    /// [`report_at`](MatchSession::report_at)) by [`pair_outcome`], with the
+    /// strict mapping [`map_parameters`] searches and no candidate examples,
+    /// so every target example is replayed. Always yields a
+    /// [`MatchReport`]: incomparability becomes data instead of an error.
     pub fn compare_report(
         &self,
         target: &dyn BlackBox,
         report: &Result<GenerationReport, GenerationError>,
         candidate: &dyn BlackBox,
     ) -> MatchReport {
-        let outcome = pair_outcome(
+        let mapping = map_parameters(
             target.descriptor(),
+            candidate.descriptor(),
+            self.ontology,
+            MappingMode::Strict,
+        );
+        let outcome = pair_outcome(
             report,
+            mapping,
             candidate,
             None,
-            self.ontology,
             &self.invocations,
             &self.retrier,
         );

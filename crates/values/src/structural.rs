@@ -9,8 +9,9 @@ use std::fmt;
 /// the evaluated corpus additionally exchange floats, booleans and lists
 /// (e.g. a list of peptide masses, a list of homologous accessions). Nested
 /// lists are allowed (`List(List(Float))`) although the generated universe
-/// only uses one level.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// only uses one level. The order is the declaration order of the
+/// variants; it sorts parameter labels canonically.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum StructuralType {
     /// UTF-8 text. All flat-file formats ground to `Text`.
     Text,
