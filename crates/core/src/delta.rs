@@ -97,14 +97,13 @@ pub struct DeltaReport {
     /// Regenerated modules whose example set (or generation error) really
     /// differed from the previous state.
     pub examples_changed: usize,
-    /// Modules whose partition fingerprint changed (bucket migration).
-    pub fingerprints_changed: usize,
     /// Module pairs re-matched this batch.
     pub recomputed_pairs: usize,
     /// Verdicts carried forward unchanged from the previous matrix.
     pub carried_forward: usize,
-    /// Stored verdicts dropped without replacement (withdrawn or migrated
-    /// modules).
+    /// Stored verdicts dropped without replacement: every stored pair of
+    /// a withdrawn module. A fingerprint reads the descriptor alone, so no
+    /// other event moves a module out of its bucket.
     pub dropped_pairs: usize,
 }
 

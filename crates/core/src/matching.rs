@@ -570,10 +570,6 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn fnv1a_u64(state: u64, v: u64) -> u64 {
-    fnv1a(state, &v.to_le_bytes())
-}
-
 /// A structural summary of a module's interface that *provably* decides
 /// strict comparability without invoking anything: two modules admit a
 /// 1-to-1 [`MappingMode::Strict`] parameter mapping **iff** their input
@@ -582,16 +578,18 @@ fn fnv1a_u64(state: u64, v: u64) -> u64 {
 /// in the compatibility bipartite graph exists exactly when every label
 /// class has the same cardinality on both sides.
 ///
-/// The fingerprint hashes, per direction, the sorted label multiset, plus
-/// the multiset of input *partition sets* (the §3.1 sub-domain partitions of
-/// each input's annotation concept) — the partition component is implied by
-/// the semantic labels under a fixed ontology, but keeping it explicit makes
-/// the fingerprint the unit of bucketing for partition-aligned workloads
-/// and catches ontology drift between index build and use.
+/// The fingerprint reads the descriptor alone. Per direction it hashes the
+/// labels in the module's canonical [`ParamOrder`], which lists equal
+/// multisets as equal sequences, through a prefix-free byte encoding: one
+/// tag byte per [`StructuralType`] variant (a `List` followed by its
+/// element type's encoding), then the semantic name, length-prefixed. No
+/// ontology is consulted: the §3.1 partitions of an input follow from its
+/// semantic label under any ontology, so two modules with equal labels have
+/// equal partition sets, and an ontology edit moves no module between
+/// buckets.
 ///
 /// Soundness is one-directional by construction: equal multisets always
-/// produce equal fingerprints (the encoding is canonical — sorted, length
-/// prefixed, separator-delimited), so *unequal* fingerprints prove the
+/// produce equal fingerprints, so *unequal* fingerprints prove the
 /// multisets differ and therefore that `map_parameters` must fail. A hash
 /// collision can only make two differing interfaces look compatible, which
 /// costs a wasted full comparison but never a wrong verdict.
@@ -601,64 +599,49 @@ pub struct PartitionFingerprint {
     pub inputs: usize,
     /// Number of output parameters.
     pub outputs: usize,
-    /// FNV-1a over the sorted input `(structural, semantic)` label multiset.
+    /// FNV-1a over the input labels in canonical order.
     pub inputs_sig: u64,
-    /// FNV-1a over the sorted output `(structural, semantic)` label multiset.
+    /// FNV-1a over the output labels in canonical order.
     pub outputs_sig: u64,
-    /// FNV-1a over the multiset of per-input partition sets.
-    pub partitions_sig: u64,
 }
 
-/// Canonical multiset signature of a parameter list: sort the rendered
-/// labels, then fold them (length-prefixed) into FNV-1a.
-fn param_multiset_sig(params: &[dex_modules::Parameter]) -> u64 {
-    let mut labels: Vec<String> = params
-        .iter()
-        .map(|p| format!("{}\u{1f}{}", p.structural, p.semantic))
-        .collect();
-    labels.sort_unstable();
-    let mut sig = fnv1a_u64(FNV_OFFSET, labels.len() as u64);
-    for label in &labels {
-        sig = fnv1a_u64(sig, label.len() as u64);
-        sig = fnv1a(sig, label.as_bytes());
+/// FNV-1a over one direction's labels, read in canonical order through
+/// `sorted` (that direction's half of a [`ParamOrder`]).
+fn labels_sig(sorted: &[usize], params: &[Parameter]) -> u64 {
+    let mut sig = FNV_OFFSET;
+    for p in 0..params.len() {
+        let param = &params[at(sorted, p)];
+        sig = structural_sig(sig, &param.structural);
+        sig = fnv1a(sig, &(param.semantic.len() as u64).to_le_bytes());
+        sig = fnv1a(sig, param.semantic.as_bytes());
     }
     sig
 }
 
+/// Folds a structural type's prefix-free encoding into `sig`: one tag byte
+/// per variant, a `List`'s tag followed by its element type's encoding.
+fn structural_sig(sig: u64, structural: &StructuralType) -> u64 {
+    let tag = match structural {
+        StructuralType::Text => 0,
+        StructuralType::Integer => 1,
+        StructuralType::Float => 2,
+        StructuralType::Boolean => 3,
+        StructuralType::List(element) => return structural_sig(fnv1a(sig, &[4]), element),
+    };
+    fnv1a(sig, &[tag])
+}
+
 impl PartitionFingerprint {
-    /// Fingerprints a module interface against `ontology`.
-    pub fn of(descriptor: &ModuleDescriptor, ontology: &Ontology) -> PartitionFingerprint {
-        // Per-input partition-set hashes, combined as a sorted multiset so
-        // parameter declaration order is irrelevant (mappings are 1-to-1,
-        // not positional).
-        let mut partition_sets: Vec<u64> = descriptor
-            .inputs
-            .iter()
-            .map(|p| match ontology.id(&p.semantic) {
-                Some(concept) => {
-                    let mut h = fnv1a(FNV_OFFSET, b"partitions");
-                    for part in ontology.partitions_of(concept) {
-                        let name = ontology.concept_name(part);
-                        h = fnv1a_u64(h, name.len() as u64);
-                        h = fnv1a(h, name.as_bytes());
-                    }
-                    h
-                }
-                // Unknown concept: no partitions exist; key by the raw name
-                // so two unknown-but-different annotations stay distinct.
-                None => fnv1a(fnv1a(FNV_OFFSET, b"unknown"), p.semantic.as_bytes()),
-            })
-            .collect();
-        partition_sets.sort_unstable();
-        let partitions_sig = partition_sets
-            .iter()
-            .fold(FNV_OFFSET, |acc, &h| fnv1a_u64(acc, h));
+    /// Fingerprints a module interface. Allocates nothing when both
+    /// directions are declared in canonical order.
+    pub fn of(descriptor: &ModuleDescriptor) -> PartitionFingerprint {
+        let order = ParamOrder::of(descriptor);
+        let (inputs, outputs) = order.split(descriptor.inputs.len());
         PartitionFingerprint {
             inputs: descriptor.inputs.len(),
             outputs: descriptor.outputs.len(),
-            inputs_sig: param_multiset_sig(&descriptor.inputs),
-            outputs_sig: param_multiset_sig(&descriptor.outputs),
-            partitions_sig,
+            inputs_sig: labels_sig(inputs, &descriptor.inputs),
+            outputs_sig: labels_sig(outputs, &descriptor.outputs),
         }
     }
 
@@ -676,16 +659,6 @@ impl PartitionFingerprint {
     /// the correct prefilter where the subsuming relaxation may apply.
     pub fn arity_compatible(&self, other: &PartitionFingerprint) -> bool {
         self.inputs == other.inputs && self.outputs == other.outputs
-    }
-
-    /// A single stable 64-bit digest of the whole fingerprint (for compact
-    /// logging and cross-run comparison).
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = fnv1a_u64(FNV_OFFSET, self.inputs as u64);
-        h = fnv1a_u64(h, self.outputs as u64);
-        h = fnv1a_u64(h, self.inputs_sig);
-        h = fnv1a_u64(h, self.outputs_sig);
-        fnv1a_u64(h, self.partitions_sig)
     }
 }
 
@@ -717,13 +690,17 @@ impl FingerprintIndex {
     /// Builds the index from per-module descriptors (a `None` descriptor —
     /// e.g. a withdrawn module — lands in no bucket and compares with
     /// nothing).
+    ///
+    /// `_ontology` is unused, since a fingerprint reads the descriptor
+    /// alone; the parameter stays only because `dexbench`'s set-up replay
+    /// passes it.
     pub fn build<'d>(
         descriptors: impl IntoIterator<Item = Option<&'d ModuleDescriptor>>,
-        ontology: &Ontology,
+        _ontology: &Ontology,
     ) -> FingerprintIndex {
         let fingerprints: Vec<Option<PartitionFingerprint>> = descriptors
             .into_iter()
-            .map(|d| d.map(|d| PartitionFingerprint::of(d, ontology)))
+            .map(|d| d.map(PartitionFingerprint::of))
             .collect();
         let mut members: HashMap<PartitionFingerprint, Vec<usize>> = HashMap::new();
         for (idx, fp) in fingerprints.iter().enumerate() {
@@ -755,10 +732,10 @@ impl FingerprintIndex {
     /// Sets slot `idx` to `descriptor`'s fingerprint, moving it between
     /// buckets as needed (growing the index when `idx` is past the end).
     /// This is the single-slot analogue of rebuilding with the descriptor
-    /// list changed at `idx` — a provider re-registering a module, or an
-    /// ontology edit changing one module's partition sets.
-    pub fn insert(&mut self, idx: usize, descriptor: &ModuleDescriptor, ontology: &Ontology) {
-        self.set(idx, Some(PartitionFingerprint::of(descriptor, ontology)));
+    /// list changed at `idx`: a restored module rejoining its bucket, or a
+    /// provider re-registering a module.
+    pub fn insert(&mut self, idx: usize, descriptor: &ModuleDescriptor) {
+        self.set(idx, Some(PartitionFingerprint::of(descriptor)));
     }
 
     /// Clears slot `idx` (a withdrawn module): it leaves its bucket and
@@ -1095,7 +1072,6 @@ mod tests {
 
     #[test]
     fn fingerprint_compatibility_is_reflexive_and_symmetric() {
-        let onto = mygrid::ontology();
         let descriptors = [
             descriptor_with(
                 "a",
@@ -1116,10 +1092,7 @@ mod tests {
                 vec![("rec", StructuralType::Text, "UniprotRecord")],
             ),
         ];
-        let fps: Vec<_> = descriptors
-            .iter()
-            .map(|d| PartitionFingerprint::of(d, &onto))
-            .collect();
+        let fps: Vec<_> = descriptors.iter().map(PartitionFingerprint::of).collect();
         for (i, a) in fps.iter().enumerate() {
             assert!(a.compatible(a), "reflexive");
             assert!(a.arity_compatible(a));
@@ -1135,11 +1108,11 @@ mod tests {
         }
     }
 
-    /// The fingerprint digest is pinned to an exact value: the hash is
-    /// hand-rolled FNV-1a precisely so it can never drift with a std
-    /// `DefaultHasher` change, and this test is the tripwire. Computing the
-    /// same descriptor twice (fresh allocations, fresh ontology) must land
-    /// on the same bits every run, on every platform.
+    /// The fingerprint is pinned to an exact value: the hash is hand-rolled
+    /// FNV-1a precisely so it can never drift with a std `DefaultHasher`
+    /// change, and this test is the tripwire. Computing the same descriptor
+    /// twice (fresh allocations) must land on the same bits every run, on
+    /// every platform.
     #[test]
     fn fingerprint_hash_is_stable_across_constructions() {
         let d = || {
@@ -1149,17 +1122,23 @@ mod tests {
                 vec![("out", StructuralType::Text, "ProteinSequence")],
             )
         };
-        let a = PartitionFingerprint::of(&d(), &mygrid::ontology());
-        let b = PartitionFingerprint::of(&d(), &mygrid::ontology());
+        let a = PartitionFingerprint::of(&d());
+        let b = PartitionFingerprint::of(&d());
         assert_eq!(a, b);
-        assert_eq!(a.stable_hash(), b.stable_hash());
-        // Pinned digest: fails loudly if the encoding ever changes. Update
-        // deliberately (it invalidates cross-run fingerprint comparisons).
+        // Pinned fingerprint: fails loudly if the encoding ever changes.
+        // Update deliberately (it invalidates cross-run fingerprint
+        // comparisons).
         assert_eq!(
-            a.stable_hash(),
-            0xe3dc_f42d_716e_5c91,
-            "{:#x}",
-            a.stable_hash()
+            a,
+            PartitionFingerprint {
+                inputs: 1,
+                outputs: 1,
+                inputs_sig: 0xaf7b_5fba_46cb_573e,
+                outputs_sig: 0xaf7b_5fba_46cb_573e,
+            },
+            "{:#x} {:#x}",
+            a.inputs_sig,
+            a.outputs_sig
         );
         // Parameter *names* must not affect the fingerprint (mappings are
         // name-blind), but order-insensitivity must hold too.
@@ -1168,7 +1147,7 @@ mod tests {
             vec![("sequence_in", StructuralType::Text, "ProteinSequence")],
             vec![("result", StructuralType::Text, "ProteinSequence")],
         );
-        assert_eq!(PartitionFingerprint::of(&renamed, &mygrid::ontology()), a);
+        assert_eq!(PartitionFingerprint::of(&renamed), a);
     }
 
     #[test]
@@ -1190,8 +1169,8 @@ mod tests {
             ],
             vec![("o", StructuralType::Text, "BlastReport")],
         );
-        let fa = PartitionFingerprint::of(&ab, &onto);
-        let fb = PartitionFingerprint::of(&ba, &onto);
+        let fa = PartitionFingerprint::of(&ab);
+        let fb = PartitionFingerprint::of(&ba);
         assert!(fa.compatible(&fb), "permuted parameters still map 1-to-1");
         assert!(
             map_parameters(&ab, &ba, &onto, MappingMode::Strict).is_ok(),
@@ -1269,11 +1248,21 @@ mod tests {
                 vec![("s", StructuralType::Text, "NotAConcept")],
                 vec![("o", StructuralType::Text, "ProteinSequence")],
             ),
+            // A list of p1's input type.
+            descriptor_with(
+                "p10",
+                vec![(
+                    "s",
+                    StructuralType::list_of(StructuralType::Text),
+                    "ProteinSequence",
+                )],
+                vec![("o", StructuralType::Text, "ProteinSequence")],
+            ),
         ];
         for t in &adversarial {
             for c in &adversarial {
-                let ft = PartitionFingerprint::of(t, &onto);
-                let fc = PartitionFingerprint::of(c, &onto);
+                let ft = PartitionFingerprint::of(t);
+                let fc = PartitionFingerprint::of(c);
                 if !ft.compatible(&fc) {
                     assert!(
                         map_parameters(t, c, &onto, MappingMode::Strict).is_err(),
@@ -1369,8 +1358,8 @@ mod tests {
         let mut incompatible = 0;
         for (t, report) in modules.iter().zip(&reports) {
             for cand in modules {
-                let ft = PartitionFingerprint::of(t.descriptor(), &onto);
-                let fc = PartitionFingerprint::of(cand.descriptor(), &onto);
+                let ft = PartitionFingerprint::of(t.descriptor());
+                let fc = PartitionFingerprint::of(cand.descriptor());
                 if ft.compatible(&fc) {
                     continue;
                 }

@@ -161,7 +161,7 @@ proptest! {
                 assigned[slot] = None;
             } else {
                 let d = shaped_descriptor(slot, shape);
-                live.insert(slot, &d, &ontology);
+                live.insert(slot, &d);
                 assigned[slot] = Some(d);
             }
 

@@ -17,7 +17,9 @@
 //!    batch's stale set, observed rather than predicted. The reports are
 //!    the engine's only record of past invocations.
 //! 2. **Blocking** — an incrementally maintained [`FingerprintIndex`]
-//!    (single-slot `insert`/`remove`, no rebuilds).
+//!    (single-slot `insert`/`remove`, no rebuilds). A fingerprint reads
+//!    the module's descriptor alone, so no ontology edit moves a slot
+//!    between buckets: only a withdrawal or a restore does.
 //! 3. **Verdicts** — the sparse matrix of compared pairs, one row per
 //!    tracked slot holding 12-byte cells (candidate slot, agreeing and
 //!    compared counts) sorted by candidate. Each pair goes through
@@ -31,9 +33,8 @@
 //!    target's examples and the candidate's behavior alone. A regenerated
 //!    module whose examples changed therefore re-matches its *row* only
 //!    (`(m, peer)`), and columns `(peer, m)` carry forward untouched. A
-//!    module whose *fingerprint* changed migrates buckets: its old pairs
-//!    are dropped and its new bucket's rows and columns are computed
-//!    fresh.
+//!    withdrawn module's pairs are dropped, and a restored module's rows
+//!    and columns are computed fresh.
 //!
 //! Withdrawn modules are left stale on purpose: their reports are frozen at
 //! withdrawal (the catalog keeps descriptors but not invokable handles), and
@@ -199,7 +200,6 @@ impl IncrementalPipeline {
         // sets (see dex_core::delta) and the slots whose availability a
         // delta names.
         let mut dirty_candidates: BTreeSet<usize> = BTreeSet::new();
-        let mut plan_dirty: BTreeSet<usize> = BTreeSet::new();
         let mut availability_named: BTreeSet<usize> = BTreeSet::new();
         for delta in deltas {
             if dex_telemetry::is_enabled() {
@@ -246,7 +246,7 @@ impl IncrementalPipeline {
                     // annotated with it plannable.
                     if let Ok(leaf) = self.universe.ontology.add_child(child.clone(), parent) {
                         let catalog = &self.universe.catalog;
-                        plan_dirty.extend(modules_with_input_subsuming(
+                        dirty_candidates.extend(modules_with_input_subsuming(
                             self.ids.iter().map(|id| {
                                 catalog
                                     .descriptor(id)
@@ -262,7 +262,9 @@ impl IncrementalPipeline {
 
         // Phase B — diff the availability of the slots the batch names
         // (the engine owns its universe, so no other slot's can move), and
-        // maintain the fingerprint index incrementally.
+        // maintain the fingerprint index incrementally. A fingerprint reads
+        // the descriptor alone, so only a withdrawal or a restore moves a
+        // slot's bucket membership.
         let mut to_withdrawn: Vec<usize> = Vec::new();
         let mut to_restored: Vec<usize> = Vec::new();
         for &i in &availability_named {
@@ -281,24 +283,6 @@ impl IncrementalPipeline {
             self.capture_substitute(i);
             self.index.remove(i);
         }
-        let mut fp_changed: BTreeSet<usize> = BTreeSet::new();
-        for &i in &plan_dirty {
-            if !self.available[i] || to_restored.contains(&i) {
-                // Vacant slots stay vacant; restored slots are re-inserted
-                // below with the current ontology either way.
-                continue;
-            }
-            let old = self.index.fingerprint(i).copied();
-            let descriptor = self
-                .universe
-                .catalog
-                .descriptor(&self.ids[i])
-                .expect("available module has a descriptor");
-            self.index.insert(i, descriptor, &self.universe.ontology);
-            if self.index.fingerprint(i).copied() != old {
-                fp_changed.insert(i);
-            }
-        }
         for &i in &to_restored {
             self.substitutes.matches.remove(&self.ids[i]);
             let descriptor = self
@@ -306,7 +290,7 @@ impl IncrementalPipeline {
                 .catalog
                 .descriptor(&self.ids[i])
                 .expect("restored module has a descriptor");
-            self.index.insert(i, descriptor, &self.universe.ontology);
+            self.index.insert(i, descriptor);
         }
 
         // Phase C — regenerate each flagged candidate and each restored
@@ -315,7 +299,6 @@ impl IncrementalPipeline {
         // outcome but a transient one, so an unchanged world invokes
         // nothing; a report equal to its predecessor is kept, and the rest
         // are the batch's stale set.
-        dirty_candidates.extend(plan_dirty.iter().copied());
         dirty_candidates.extend(to_restored.iter().copied());
         dirty_candidates.retain(|&i| self.available[i]);
         let mut regenerated: Vec<usize> = Vec::new();
@@ -345,16 +328,15 @@ impl IncrementalPipeline {
             regenerated.push(i);
         }
 
-        // Phase D — verdict maintenance. Slots that left their bucket
-        // (withdrawn, or migrated to a different fingerprint) lose every
-        // stored pair; migrated and restored slots then recompute rows and
-        // columns against their current bucket, while examples-changed
-        // slots recompute rows only (a verdict reads the candidate's
-        // examples only as a record of its behavior). A vacated slot's row
-        // names every peer whose row holds it, so the drop touches only
-        // those rows; when two vacated slots share a bucket, the second
-        // finds the first's row already empty and the pair is counted once.
-        for &i in to_withdrawn.iter().chain(&fp_changed) {
+        // Phase D — verdict maintenance. Withdrawn slots lose every stored
+        // pair; restored slots then recompute rows and columns against
+        // their bucket, while examples-changed slots recompute rows only (a
+        // verdict reads the candidate's examples only as a record of its
+        // behavior). A withdrawn slot's row names every peer whose row
+        // holds it, so the drop touches only those rows; when two withdrawn
+        // slots share a bucket, the second finds the first's row already
+        // empty and the pair is counted once.
+        for &i in &to_withdrawn {
             let row = std::mem::take(&mut self.verdicts[i]);
             stats.dropped_pairs += row.len();
             for cell in row {
@@ -366,9 +348,7 @@ impl IncrementalPipeline {
             }
         }
         let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut rejoining: BTreeSet<usize> = to_restored.iter().copied().collect();
-        rejoining.extend(fp_changed.iter().copied());
-        for &i in &rejoining {
+        for &i in &to_restored {
             for &p in self.index.peers(i) {
                 if p != i {
                     pairs.insert((i, p));
@@ -398,7 +378,6 @@ impl IncrementalPipeline {
         stats.dirty_candidates = dirty_candidates.len();
         stats.regenerated_modules = regenerated.len();
         stats.examples_changed = examples_changed.len();
-        stats.fingerprints_changed = fp_changed.len();
         stats.recomputed_pairs = pairs.len();
         stats.carried_forward = self.verdicts.iter().map(Vec::len).sum::<usize>() - pairs.len();
         for i in 0..self.ids.len() {

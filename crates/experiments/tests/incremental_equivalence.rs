@@ -66,11 +66,10 @@ fn replay_cold(universe: &mut Universe, pool: &mut InstancePool, deltas: &[Delta
 
 /// What the brute-force pair accounting reads of one tracked slot:
 /// availability, fingerprint bucket key (`None` while withdrawn, computed
-/// from the descriptor under the current ontology), and the generation
-/// outcome a verdict can read.
+/// from the descriptor), and the generation outcome a verdict can read.
 struct SlotView {
     available: bool,
-    bucket: Option<u64>,
+    bucket: Option<PartitionFingerprint>,
     outcome: Result<String, String>,
 }
 
@@ -80,12 +79,12 @@ fn snapshot(engine: &IncrementalPipeline) -> BTreeMap<ModuleId, SlotView> {
         .iter()
         .map(|id| {
             let (available, outcome) = engine.annotation(id).expect("tracked");
-            let universe = engine.universe();
-            let bucket = universe
+            let bucket = engine
+                .universe()
                 .catalog
                 .descriptor(id)
                 .filter(|_| available)
-                .map(|d| PartitionFingerprint::of(d, &universe.ontology).stable_hash());
+                .map(PartitionFingerprint::of);
             let view = SlotView {
                 available,
                 bucket,
@@ -115,8 +114,9 @@ fn stored_pairs(view: &BTreeMap<ModuleId, SlotView>) -> Vec<(&ModuleId, &ModuleI
 
 /// Pins the batch's pair accounting to a brute-force count over the stored
 /// pairs before and after it. A slot is vacated when it leaves its bucket
-/// (withdrawn, or its fingerprint changed) and rejoins when it enters one
-/// (restored, or migrated); a slot whose examples changed recomputes its row.
+/// (withdrawn) and rejoins when it enters one (restored); a slot whose
+/// examples changed recomputes its row. The count compares bucket keys, so
+/// it would also see a slot whose fingerprint changed.
 fn check_pair_accounting(
     report: &DeltaReport,
     before: &BTreeMap<ModuleId, SlotView>,
@@ -522,9 +522,9 @@ fn a_restored_and_flagged_module_is_checked_once() {
 /// uses. `leaf:grown` reads a `GrownSequence` the ontology does not know
 /// yet, so it fails to generate, beside a `DNASequence` echo; the pool
 /// already holds one `GrownSequence` instance. Once the leaf joins under
-/// `DNASequence`, `leaf:grown` must be regenerated (one example) and
-/// re-fingerprinted, as a cold run over the grown ontology sees it; the
-/// echo gains the leaf as a partition.
+/// `DNASequence`, `leaf:grown` must be regenerated (one example), as a cold
+/// run over the grown ontology sees it; the echo gains the leaf as a
+/// partition.
 #[test]
 fn a_leaf_naming_a_used_annotation_regenerates_its_module() {
     let grown: SharedModule = Arc::new(FnModule::new(
@@ -583,6 +583,60 @@ fn a_leaf_naming_a_used_annotation_regenerates_its_module() {
             "modules cannot be compared: no 1-to-1 input parameter mapping".to_string()
         )
     );
+}
+
+/// An ontology edge moves no slot between buckets: a fingerprint reads the
+/// descriptor alone. Two `DNASequence` echoes share one bucket, and a
+/// `GrownSequence` leaf joins under `DNASequence`, which adds a partition
+/// to both. With no pool instance of the leaf their examples do not change,
+/// so both stored pairs carry forward; with one, both examples change, so
+/// the two rows are recomputed and no column is. Either way no pair is
+/// dropped, and the matrix equals a cold run's.
+#[test]
+fn an_ontology_edge_moves_no_slot_between_buckets() {
+    for realized in [false, true] {
+        let world = || {
+            let (universe, mut pool) = world_of(
+                [
+                    echo("edge:a", None, Arc::default()),
+                    echo("edge:b", None, Arc::default()),
+                ]
+                .into_iter(),
+            );
+            if realized {
+                pool.add(AnnotatedInstance::synthetic(
+                    Value::text("GATTACAGROWN"),
+                    "GrownSequence",
+                ));
+            }
+            (universe, pool)
+        };
+        let config = GenerationConfig::default();
+        let (universe, pool) = world();
+        let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
+        let batch = [Delta::OntologyEdgeAdd {
+            parent: "DNASequence".to_string(),
+            child: "GrownSequence".to_string(),
+        }];
+        let report = engine.apply(&batch);
+        assert_eq!(report.dropped_pairs, 0, "realized {realized}: {report:?}");
+        if realized {
+            assert_eq!(report.examples_changed, 2, "{report:?}");
+            assert_eq!(report.recomputed_pairs, 2, "{report:?}");
+            assert_eq!(report.carried_forward, 0, "{report:?}");
+        } else {
+            assert_eq!(report.examples_changed, 0, "{report:?}");
+            assert_eq!(report.recomputed_pairs, 0, "{report:?}");
+            assert_eq!(report.carried_forward, 2, "{report:?}");
+        }
+        let (mut cold_u, mut cold_p) = world();
+        replay_cold(&mut cold_u, &mut cold_p, &batch);
+        assert_eq!(
+            engine.matrix(),
+            oracle_matrix(&cold_u, &cold_p, &config),
+            "realized {realized}"
+        );
+    }
 }
 
 /// A pool delta on a concept the ontology lacks is no module's partition:

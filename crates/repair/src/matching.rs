@@ -99,13 +99,7 @@ pub fn run_matching_study(
     // on interface shape alone, without touching the mapping solver.
     let candidates: Vec<_> = catalog
         .iter_available()
-        .map(|(id, module)| {
-            (
-                id,
-                module,
-                PartitionFingerprint::of(module.descriptor(), ontology),
-            )
-        })
+        .map(|(id, module)| (id, module, PartitionFingerprint::of(module.descriptor())))
         .collect();
 
     for legacy in &withdrawn {
@@ -118,7 +112,7 @@ pub fn run_matching_study(
         let mut compared = 0usize;
 
         if !examples.is_empty() {
-            let legacy_fp = PartitionFingerprint::of(&descriptor, ontology);
+            let legacy_fp = PartitionFingerprint::of(&descriptor);
             for (candidate_id, candidate, candidate_fp) in &candidates {
                 // Fingerprint prefilter: an arity mismatch rules out every
                 // mapping mode outright, and a fingerprint mismatch rules

@@ -10,10 +10,14 @@
 //! case), string patterns support only concatenations of literal characters
 //! and `[class]{m,n}` character classes, and case counts default to 64
 //! (override with `PROPTEST_CASES`). Generation is deterministic per test
-//! name.
+//! name (override the seed with `PROPTEST_SEED`); either variable set to a
+//! value that does not parse stops the run. A failing case, whether it
+//! returns an error or panics, is named by its number.
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::rc::Rc;
+use std::str::FromStr;
 
 // ---------------------------------------------------------------------------
 // Deterministic RNG
@@ -31,11 +35,12 @@ impl TestRng {
 
     /// Deterministic per-test seed derived from the test name (FNV-1a),
     /// optionally overridden by `PROPTEST_SEED`.
+    ///
+    /// # Panics
+    /// When `PROPTEST_SEED` is set to anything but a `u64`.
     pub fn for_test(name: &str) -> Self {
-        if let Ok(s) = std::env::var("PROPTEST_SEED") {
-            if let Ok(seed) = s.parse::<u64>() {
-                return TestRng::new(seed);
-            }
+        if let Some(seed) = env_setting("PROPTEST_SEED") {
+            return TestRng::new(seed);
         }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
@@ -64,11 +69,34 @@ impl TestRng {
 }
 
 /// Number of cases per property (`PROPTEST_CASES`, default 64).
+///
+/// # Panics
+/// When `PROPTEST_CASES` is set to anything but a positive integer.
 pub fn case_count() -> usize {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
+    env_setting::<NonZeroUsize>("PROPTEST_CASES").map_or(64, NonZeroUsize::get)
+}
+
+/// Environment variable `name` parsed as a `T`, or `None` when it is unset.
+fn env_setting<T: FromStr>(name: &str) -> Option<T> {
+    let value = std::env::var_os(name)?;
+    Some(parse_setting(name, &value.to_string_lossy()))
+}
+
+/// `value` of setting `name` parsed as a `T`. A value that does not parse
+/// stops the run: a typo must not silently run the default cases.
+fn parse_setting<T: FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{name}={value:?} does not parse"))
+}
+
+/// The message a panic carried, for naming the case that raised it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(a non-string panic payload)")
 }
 
 /// Sentinel error used by `prop_assume!` to skip a case.
@@ -547,16 +575,25 @@ macro_rules! proptest {
             let mut ran = 0usize;
             for case in 0..cases {
                 $(let $arg = $crate::Strategy::generate(&$strat, &mut rng);)+
-                let outcome: ::std::result::Result<(), ::std::string::String> =
-                    (|| {
-                        $body
-                        ::std::result::Result::Ok(())
-                    })();
+                let outcome: ::std::thread::Result<
+                    ::std::result::Result<(), ::std::string::String>,
+                > = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| {
+                    $body
+                    ::std::result::Result::Ok(())
+                }));
                 match outcome {
-                    ::std::result::Result::Ok(()) => ran += 1,
-                    ::std::result::Result::Err(e) if e == $crate::ASSUME_REJECTED => {}
-                    ::std::result::Result::Err(e) => {
+                    ::std::result::Result::Ok(::std::result::Result::Ok(())) => ran += 1,
+                    ::std::result::Result::Ok(::std::result::Result::Err(e))
+                        if e == $crate::ASSUME_REJECTED => {}
+                    ::std::result::Result::Ok(::std::result::Result::Err(e)) => {
                         panic!("property {} failed on case {case}: {e}", stringify!($name));
+                    }
+                    ::std::result::Result::Err(payload) => {
+                        panic!(
+                            "property {} panicked on case {case}: {}",
+                            stringify!($name),
+                            $crate::panic_message(&*payload)
+                        );
                     }
                 }
             }
@@ -728,5 +765,40 @@ mod tests {
             prop_assert!(x < 9);
             prop_assert_eq!(s.len(), s.chars().count());
         }
+
+        fn body_panics(x in 0usize..10) {
+            assert!(x > 10, "boom");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "property body_panics panicked on case 0: boom")]
+    fn a_panicking_body_names_its_case() {
+        body_panics();
+    }
+
+    #[test]
+    fn settings_parse_as_their_type() {
+        assert_eq!(crate::parse_setting::<u64>("PROPTEST_SEED", "7"), 7);
+        let cases: std::num::NonZeroUsize = crate::parse_setting("PROPTEST_CASES", "512");
+        assert_eq!(cases.get(), 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASES=\"ten\" does not parse")]
+    fn a_case_count_that_does_not_parse_stops_the_run() {
+        crate::parse_setting::<std::num::NonZeroUsize>("PROPTEST_CASES", "ten");
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASES=\"0\" does not parse")]
+    fn a_case_count_of_zero_stops_the_run() {
+        crate::parse_setting::<std::num::NonZeroUsize>("PROPTEST_CASES", "0");
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED=\"-1\" does not parse")]
+    fn a_seed_that_does_not_parse_stops_the_run() {
+        crate::parse_setting::<u64>("PROPTEST_SEED", "-1");
     }
 }
