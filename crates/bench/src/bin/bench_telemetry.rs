@@ -161,7 +161,7 @@ fn main() {
             dex_telemetry::flight(
                 dex_telemetry::FlightKind::Retry,
                 "bench.micro",
-                "backoff 1 tick".to_string(),
+                "transient failure; retrying".to_string(),
                 1,
             );
         }

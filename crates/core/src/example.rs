@@ -66,33 +66,6 @@ impl DataExample {
     pub fn input_values(&self) -> Vec<&Value> {
         self.inputs.iter().map(|b| &b.value).collect()
     }
-
-    /// Output values in declaration order.
-    pub fn output_values(&self) -> Vec<&Value> {
-        self.outputs.iter().map(|b| &b.value).collect()
-    }
-
-    /// Whether both examples have the same input values (ignoring parameter
-    /// names) — the alignment relation `map∆` of §6 uses input-value
-    /// equality.
-    pub fn same_inputs(&self, other: &DataExample) -> bool {
-        self.inputs.len() == other.inputs.len()
-            && self
-                .inputs
-                .iter()
-                .zip(&other.inputs)
-                .all(|(a, b)| a.value == b.value)
-    }
-
-    /// Whether both examples produce the same output values.
-    pub fn same_outputs(&self, other: &DataExample) -> bool {
-        self.outputs.len() == other.outputs.len()
-            && self
-                .outputs
-                .iter()
-                .zip(&other.outputs)
-                .all(|(a, b)| a.value == b.value)
-    }
 }
 
 impl fmt::Display for DataExample {
@@ -162,17 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn alignment_relations() {
-        let a = example("x", "1");
-        let b = example("x", "2");
-        let c = example("y", "1");
-        assert!(a.same_inputs(&b));
-        assert!(!a.same_inputs(&c));
-        assert!(a.same_outputs(&c));
-        assert!(!a.same_outputs(&b));
-    }
-
-    #[test]
     fn display_shows_bindings() {
         let e = example("P12345", "record");
         let s = e.to_string();
@@ -185,7 +147,6 @@ mod tests {
     fn value_accessors() {
         let e = example("a", "b");
         assert_eq!(e.input_values(), vec![&Value::text("a")]);
-        assert_eq!(e.output_values(), vec![&Value::text("b")]);
     }
 
     #[test]

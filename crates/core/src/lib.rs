@@ -27,10 +27,8 @@
 //! ablations: random (non-partitioned) example selection, and the
 //! provenance-trace similarity matching of the author's earlier work.
 //!
-//! Two modules implement the paper's §8 *future work*: [`dedupe`]
-//! (record-linkage-style detection of redundant data examples) and
-//! [`compose`] (data-example-guided module composition); [`inverse`]
-//! implements the §3.3 inverse-module route to output-partition coverage.
+//! [`compose`] implements one piece of the paper's §8 *future work*:
+//! data-example-guided module composition.
 //!
 //! ```
 //! use dex_core::{generate_examples, GenerationConfig};
@@ -71,29 +69,23 @@
 pub mod baseline;
 pub mod compose;
 pub mod coverage;
-pub mod dedupe;
 pub mod delta;
-pub mod display;
 pub mod error;
 pub mod example;
 pub mod generate;
-pub mod inverse;
 pub mod matching;
 pub mod metrics;
 pub mod partition;
 
 pub use compose::{composition_score, suggest_downstream, CompositionScore};
 pub use coverage::{CoverageReport, ValueClassifier};
-pub use dedupe::{detect_redundant, DedupeConfig, DedupeReport};
 pub use delta::{Delta, DeltaReport, DependencyIndex};
-pub use display::to_markdown;
 pub use error::GenerationError;
 pub use example::{Binding, DataExample, ExampleSet};
 pub use generate::{
     generate_examples, generate_examples_memoized, generate_examples_retrying, GenerationConfig,
     GenerationReport,
 };
-pub use inverse::{cover_output_partitions, InverseCoverageReport};
 pub use matching::{
     compare_modules, match_against_examples, match_against_examples_retrying, FingerprintIndex,
     MappingMode, MatchOutcome, MatchReport, MatchVerdict, PartitionFingerprint,

@@ -34,8 +34,8 @@ fn parse_args(args: &[String]) -> Result<(PathBuf, ServiceConfig), String> {
             "--socket" => socket = PathBuf::from(value()?),
             "--scale" => cfg.scale = number(arg, value()?)?,
             "--seed" => cfg.seed = number(arg, value()?)?,
-            "--queue" => cfg.queue_capacity = number(arg, value()?)?,
-            "--pool-depth" => cfg.pool_depth = number(arg, value()?)?,
+            "--queue" => cfg.queue_capacity = positive(arg, value()?)?,
+            "--pool-depth" => cfg.pool_depth = positive(arg, value()?)?,
             "--trace-out" | "--flight-out" => {
                 args.next_if(|next| !next.starts_with("--"));
             }
@@ -53,6 +53,15 @@ fn parse_args(args: &[String]) -> Result<(PathBuf, ServiceConfig), String> {
 fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
     text.parse()
         .map_err(|_| format!("{flag}: `{text}` is not an integer"))
+}
+
+/// A count that must be at least 1: a queue of 0 would refuse every
+/// request, and a pool depth of 0 would leave every partition unrealized.
+fn positive(flag: &str, text: &str) -> Result<usize, String> {
+    match number(flag, text)? {
+        0 => Err(format!("{flag}: `{text}` must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn main() {
@@ -116,5 +125,13 @@ mod tests {
         assert_eq!(socket, PathBuf::from("d.sock"));
         assert!(parse_args(&args(&["--seed", "x"])).is_err());
         assert!(parse_args(&args(&["--queue"])).is_err());
+        assert_eq!(
+            parse_args(&args(&["--queue", "0"])).unwrap_err(),
+            "--queue: `0` must be at least 1"
+        );
+        assert_eq!(
+            parse_args(&args(&["--pool-depth", "0"])).unwrap_err(),
+            "--pool-depth: `0` must be at least 1"
+        );
     }
 }

@@ -132,11 +132,11 @@ pub struct Dexd {
 fn build_world(cfg: &ServiceConfig) -> (Universe, InstancePool) {
     if cfg.scale == 0 {
         let universe = dex_universe::build();
-        let pool = build_synthetic_pool(&universe.ontology, cfg.pool_depth.max(1), cfg.seed);
+        let pool = build_synthetic_pool(&universe.ontology, cfg.pool_depth, cfg.seed);
         (universe, pool)
     } else {
         let world = build_scaled(&ScalePlan::new(cfg.scale, cfg.seed));
-        let pool = build_text_pool(&world.universe.ontology, cfg.pool_depth.max(1), cfg.seed);
+        let pool = build_text_pool(&world.universe.ontology, cfg.pool_depth, cfg.seed);
         (world.universe, pool)
     }
 }
@@ -169,7 +169,7 @@ impl Dexd {
             bootstrap_ms: t.elapsed().as_secs_f64() * 1000.0,
             started: Instant::now(),
             active: AtomicUsize::new(0),
-            capacity: cfg.queue_capacity.max(1),
+            capacity: cfg.queue_capacity,
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
         })

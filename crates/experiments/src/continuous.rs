@@ -453,11 +453,6 @@ impl ContinuousState {
         &self.families
     }
 
-    /// Indices of workflows still referencing an unavailable module.
-    pub fn broken_workflows(&self) -> &BTreeSet<usize> {
-        &self.broken
-    }
-
     /// Setup-phase accounting.
     pub fn prepare_stats(&self) -> &PrepareStats {
         &self.prepare
@@ -647,7 +642,7 @@ mod tests {
         // Find a still-broken workflow whose broken steps all have a
         // captured Equivalent substitute that is itself withdrawn.
         let mut restore: Option<(usize, Vec<ModuleId>)> = None;
-        'workflows: for &i in state.broken_workflows() {
+        'workflows: for &i in &state.broken {
             let mut twins = Vec::new();
             for step in &state.repository().workflows[i].workflow.steps {
                 if state
@@ -694,7 +689,7 @@ mod tests {
             "restoring the twin must re-repair a carried broken workflow: {w1:?}"
         );
         assert!(
-            !state.broken_workflows().contains(&target),
+            !state.broken.contains(&target),
             "the targeted workflow must be healed"
         );
         assert!(w1.broken_after < w0.broken_after);

@@ -3,7 +3,8 @@
 //! 252 modules and over a 2.5k-module scaled catalog, and blocking compares
 //! under half of the ordered pairs. At 10k modules blocking is also checked
 //! against the scaled world's constructed families: it prunes no
-//! same-family pair.
+//! same-family pair, and the engine's verdicts form an exact confusion
+//! matrix against the families' true relations.
 //!
 //! Neither side materializes a matrix — at 2.5k modules it would hold 6.25M
 //! reports. The engine's tallies come from its substitute answers: a
@@ -16,8 +17,9 @@ use dex_experiments::IncrementalPipeline;
 use dex_modules::ModuleId;
 use dex_oracle::MatchSession;
 use dex_pool::{build_synthetic_pool, build_text_pool, InstancePool};
-use dex_universe::scale::{build_scaled, ScalePlan};
+use dex_universe::scale::{build_scaled, MemberRole, ScalePlan, ScaledWorld};
 use dex_universe::Universe;
+use std::collections::HashMap;
 
 /// `(equivalent, overlapping, disjoint, incomparable)`.
 type Tally = (usize, usize, usize, usize);
@@ -156,5 +158,121 @@ fn blocking_keeps_every_same_family_pair_at_10k_modules() {
             "seed {seed}: {same_family} same-family pairs, none pruned; \
              {cross_family} comparable cross-family pairs, all on a shared shape"
         );
+    }
+}
+
+/// Rows and columns of a confusion matrix: equivalent, overlapping,
+/// disjoint, incomparable.
+type Confusion = [[usize; 4]; 4];
+
+/// The true relation of two members of one family, by their roles: Anchor
+/// and Equivalent members are equivalent to each other, a pair with a
+/// Distinct member is disjoint, and any other pair holds an Overlapping
+/// member (each diverges in its own way, so two of them overlap as well).
+fn same_family_truth(a: MemberRole, b: MemberRole) -> usize {
+    if a == MemberRole::Distinct || b == MemberRole::Distinct {
+        2
+    } else if a == MemberRole::Overlapping || b == MemberRole::Overlapping {
+        1
+    } else {
+        0
+    }
+}
+
+/// The confusion matrix, truth by row and engine by column, over every
+/// ordered pair of distinct modules of `world`. A pair across families is
+/// disjoint when both families use one shared interface shape and
+/// incomparable otherwise. The engine's column is the verdict of the stored
+/// cell, or incomparable when the row holds none.
+fn confusion_matrix(world: &ScaledWorld, engine: &IncrementalPipeline) -> Confusion {
+    let mut member: HashMap<&ModuleId, (usize, MemberRole)> = HashMap::new();
+    // Truly comparable pairs by class, so the unstored ones can be counted
+    // without walking all ordered pairs.
+    let mut comparable = [0usize; 3];
+    let mut per_shape: HashMap<usize, (usize, usize)> = HashMap::new();
+    for (f, family) in world.families.iter().enumerate() {
+        for (i, (id, &a)) in family.members.iter().zip(&family.roles).enumerate() {
+            member.insert(id, (f, a));
+            for (j, &b) in family.roles.iter().enumerate() {
+                if i != j {
+                    comparable[same_family_truth(a, b)] += 1;
+                }
+            }
+        }
+        if let Some(shape) = family.shared_shape {
+            let k = family.members.len();
+            let (modules, same_family) = per_shape.entry(shape).or_default();
+            *modules += k;
+            *same_family += k * (k - 1);
+        }
+    }
+    for (modules, same_family) in per_shape.into_values() {
+        comparable[2] += modules * (modules - 1) - same_family;
+    }
+
+    let mut matrix = [[0usize; 4]; 4];
+    for id in engine.tracked_ids() {
+        let (tf, tr) = member[id];
+        for (c, verdict) in engine
+            .verdicts(id)
+            .expect("every scaled module is available")
+        {
+            let (cf, cr) = member[c];
+            let truth = if tf == cf {
+                same_family_truth(tr, cr)
+            } else {
+                let shape = |f: usize| world.families[f].shared_shape;
+                if shape(tf).is_some() && shape(tf) == shape(cf) {
+                    2
+                } else {
+                    3
+                }
+            };
+            let found = match verdict {
+                MatchVerdict::Equivalent { .. } => 0,
+                MatchVerdict::Overlapping { .. } => 1,
+                MatchVerdict::Disjoint { .. } => 2,
+            };
+            matrix[truth][found] += 1;
+        }
+    }
+    for (truth, total) in comparable.into_iter().enumerate() {
+        let stored: usize = matrix[truth][..3].iter().sum();
+        matrix[truth][3] = total - stored;
+    }
+    let n = engine.tracked_ids().len();
+    let counted: usize = matrix.iter().flatten().sum();
+    matrix[3][3] = n * (n - 1) - counted;
+    matrix
+}
+
+/// The engine against the constructed truth at 10k modules (ROADMAP item 1,
+/// after the gold-standard evaluation of García-Jiménez & Wilkinson). The
+/// verdicts are deterministic, so the matrix is exact; an off-diagonal cell
+/// is a pair the engine misjudged, or a truly comparable pair it stored no
+/// verdict for.
+#[test]
+fn engine_verdicts_match_the_constructed_truth_at_10k_modules() {
+    for (seed, equivalent, overlapping, disjoint) in
+        [(7, 29_312, 75_864, 125_930), (42, 34_324, 91_392, 151_366)]
+    {
+        let world = build_scaled(&ScalePlan::new(10_000, seed));
+        let pool = build_text_pool(&world.universe.ontology, 4, seed);
+        let engine = IncrementalPipeline::bootstrap(
+            world.universe.clone(),
+            pool,
+            GenerationConfig::default(),
+        );
+        let n = engine.tracked_ids().len();
+        assert_eq!(n, world.module_count(), "seed {seed}");
+        let comparable = equivalent + overlapping + disjoint;
+        let expected: Confusion = [
+            [equivalent, 0, 0, 0],
+            [0, overlapping, 0, 0],
+            [0, 0, disjoint, 0],
+            [0, 0, 0, n * (n - 1) - comparable],
+        ];
+        assert_eq!(confusion_matrix(&world, &engine), expected, "seed {seed}");
+        eprintln!("seed {seed}: {comparable} comparable pairs, every one judged as constructed");
     }
 }

@@ -13,8 +13,6 @@ pub enum OntologyError {
     Cycle { child: String, ancestor: String },
     /// The text format was malformed at the given 1-based line.
     Parse { line: usize, message: String },
-    /// A concept id from a different (or stale) ontology was used.
-    ForeignId(u32),
 }
 
 impl fmt::Display for OntologyError {
@@ -32,9 +30,6 @@ impl fmt::Display for OntologyError {
             ),
             OntologyError::Parse { line, message } => {
                 write!(f, "ontology text format error at line {line}: {message}")
-            }
-            OntologyError::ForeignId(raw) => {
-                write!(f, "concept id c{raw} does not belong to this ontology")
             }
         }
     }
@@ -60,7 +55,6 @@ mod tests {
             message: "bad".into(),
         };
         assert!(e.to_string().contains("line 3"));
-        assert!(OntologyError::ForeignId(7).to_string().contains("c7"));
         assert!(OntologyError::UnknownConcept("X".into())
             .to_string()
             .contains("not defined"));

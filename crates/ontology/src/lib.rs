@@ -18,7 +18,7 @@
 //!    annotations, data examples and registries can refer to concepts.
 //!
 //! The crate provides an interned, arena-backed [`Ontology`] with cheap
-//! [`ConceptId`] handles, a builder, reachability/LCA queries, a small
+//! [`ConceptId`] handles, a builder, subsumption queries, a small
 //! line-oriented text format ([`text`]), and a generated myGrid-like
 //! life-science ontology ([`mygrid`]).
 //!
@@ -38,7 +38,6 @@
 //! ```
 
 pub mod concept;
-pub mod dot;
 pub mod error;
 pub mod mygrid;
 pub mod ontology;

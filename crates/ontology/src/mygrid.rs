@@ -92,74 +92,6 @@ pub fn ontology() -> Ontology {
     text::parse(MYGRID_TEXT).expect("embedded myGrid ontology must parse")
 }
 
-/// Names of the myGrid-like concepts, for typo-proof reference downstream.
-pub mod names {
-    pub const BIOINFORMATICS_DATA: &str = "BioinformaticsData";
-    pub const BIOLOGICAL_SEQUENCE: &str = "BiologicalSequence";
-    pub const NUCLEOTIDE_SEQUENCE: &str = "NucleotideSequence";
-    pub const DNA_SEQUENCE: &str = "DNASequence";
-    pub const RNA_SEQUENCE: &str = "RNASequence";
-    pub const PROTEIN_SEQUENCE: &str = "ProteinSequence";
-    pub const IDENTIFIER: &str = "Identifier";
-    pub const DATABASE_ACCESSION: &str = "DatabaseAccession";
-    pub const UNIPROT_ACCESSION: &str = "UniprotAccession";
-    pub const PDB_ACCESSION: &str = "PDBAccession";
-    pub const EMBL_ACCESSION: &str = "EMBLAccession";
-    pub const GENBANK_ACCESSION: &str = "GenBankAccession";
-    pub const KEGG_ACCESSION: &str = "KEGGAccession";
-    pub const KEGG_GENE_ID: &str = "KEGGGeneId";
-    pub const KEGG_PATHWAY_ID: &str = "KEGGPathwayId";
-    pub const KEGG_COMPOUND_ID: &str = "KEGGCompoundId";
-    pub const KEGG_ENZYME_ID: &str = "KEGGEnzymeId";
-    pub const GLYCAN_ACCESSION: &str = "GlycanAccession";
-    pub const LIGAND_ACCESSION: &str = "LigandAccession";
-    pub const ONTOLOGY_TERM: &str = "OntologyTerm";
-    pub const GO_TERM: &str = "GOTerm";
-    pub const EC_NUMBER: &str = "ECNumber";
-    pub const GENE_IDENTIFIER: &str = "GeneIdentifier";
-    pub const ENTREZ_GENE_ID: &str = "EntrezGeneId";
-    pub const ENSEMBL_GENE_ID: &str = "EnsemblGeneId";
-    pub const GENE_SYMBOL: &str = "GeneSymbol";
-    pub const BIOLOGICAL_RECORD: &str = "BiologicalRecord";
-    pub const SEQUENCE_RECORD: &str = "SequenceRecord";
-    pub const UNIPROT_RECORD: &str = "UniprotRecord";
-    pub const FASTA_RECORD: &str = "FastaRecord";
-    pub const GENBANK_RECORD: &str = "GenBankRecord";
-    pub const EMBL_RECORD: &str = "EMBLRecord";
-    pub const PDB_RECORD: &str = "PDBRecord";
-    pub const PATHWAY_RECORD: &str = "PathwayRecord";
-    pub const ENZYME_RECORD: &str = "EnzymeRecord";
-    pub const COMPOUND_RECORD: &str = "CompoundRecord";
-    pub const GLYCAN_RECORD: &str = "GlycanRecord";
-    pub const LIGAND_RECORD: &str = "LigandRecord";
-    pub const GENE_RECORD: &str = "GeneRecord";
-    pub const REPORT: &str = "Report";
-    pub const ALIGNMENT_REPORT: &str = "AlignmentReport";
-    pub const BLAST_REPORT: &str = "BlastReport";
-    pub const FASTA_ALIGNMENT_REPORT: &str = "FastaAlignmentReport";
-    pub const IDENTIFICATION_REPORT: &str = "IdentificationReport";
-    pub const PHYLOGENETIC_TREE: &str = "PhylogeneticTree";
-    pub const ANNOTATION_REPORT: &str = "AnnotationReport";
-    pub const DOCUMENT: &str = "Document";
-    pub const LITERATURE_ABSTRACT: &str = "LiteratureAbstract";
-    pub const FULL_TEXT_ARTICLE: &str = "FullTextArticle";
-    pub const ANNOTATION_DATA: &str = "AnnotationData";
-    pub const PATHWAY_CONCEPT: &str = "PathwayConcept";
-    pub const FUNCTIONAL_CATEGORY: &str = "FunctionalCategory";
-    pub const KEYWORD_SET: &str = "KeywordSet";
-    pub const CROSS_REFERENCE_SET: &str = "CrossReferenceSet";
-    pub const SETTING: &str = "Setting";
-    pub const ERROR_TOLERANCE: &str = "ErrorTolerance";
-    pub const ALGORITHM_NAME: &str = "AlgorithmName";
-    pub const DATABASE_NAME: &str = "DatabaseName";
-    pub const SCORE_THRESHOLD: &str = "ScoreThreshold";
-    pub const E_VALUE_CUTOFF: &str = "EValueCutoff";
-    pub const MEASUREMENT_DATA: &str = "MeasurementData";
-    pub const PEPTIDE_MASS_LIST: &str = "PeptideMassList";
-    pub const MASS_SPECTRUM: &str = "MassSpectrum";
-    pub const EXPRESSION_PROFILE: &str = "ExpressionProfile";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,83 +100,8 @@ mod tests {
     fn ontology_parses_and_has_expected_size() {
         let o = ontology();
         assert_eq!(o.name(), "mygrid");
-        assert!(o.len() > 55, "got {} concepts", o.len());
+        assert_eq!(o.len(), 64);
         assert_eq!(o.roots().count(), 1);
-    }
-
-    #[test]
-    fn every_names_constant_resolves() {
-        let o = ontology();
-        let all = [
-            names::BIOINFORMATICS_DATA,
-            names::BIOLOGICAL_SEQUENCE,
-            names::NUCLEOTIDE_SEQUENCE,
-            names::DNA_SEQUENCE,
-            names::RNA_SEQUENCE,
-            names::PROTEIN_SEQUENCE,
-            names::IDENTIFIER,
-            names::DATABASE_ACCESSION,
-            names::UNIPROT_ACCESSION,
-            names::PDB_ACCESSION,
-            names::EMBL_ACCESSION,
-            names::GENBANK_ACCESSION,
-            names::KEGG_ACCESSION,
-            names::KEGG_GENE_ID,
-            names::KEGG_PATHWAY_ID,
-            names::KEGG_COMPOUND_ID,
-            names::KEGG_ENZYME_ID,
-            names::GLYCAN_ACCESSION,
-            names::LIGAND_ACCESSION,
-            names::ONTOLOGY_TERM,
-            names::GO_TERM,
-            names::EC_NUMBER,
-            names::GENE_IDENTIFIER,
-            names::ENTREZ_GENE_ID,
-            names::ENSEMBL_GENE_ID,
-            names::GENE_SYMBOL,
-            names::BIOLOGICAL_RECORD,
-            names::SEQUENCE_RECORD,
-            names::UNIPROT_RECORD,
-            names::FASTA_RECORD,
-            names::GENBANK_RECORD,
-            names::EMBL_RECORD,
-            names::PDB_RECORD,
-            names::PATHWAY_RECORD,
-            names::ENZYME_RECORD,
-            names::COMPOUND_RECORD,
-            names::GLYCAN_RECORD,
-            names::LIGAND_RECORD,
-            names::GENE_RECORD,
-            names::REPORT,
-            names::ALIGNMENT_REPORT,
-            names::BLAST_REPORT,
-            names::FASTA_ALIGNMENT_REPORT,
-            names::IDENTIFICATION_REPORT,
-            names::PHYLOGENETIC_TREE,
-            names::ANNOTATION_REPORT,
-            names::DOCUMENT,
-            names::LITERATURE_ABSTRACT,
-            names::FULL_TEXT_ARTICLE,
-            names::ANNOTATION_DATA,
-            names::PATHWAY_CONCEPT,
-            names::FUNCTIONAL_CATEGORY,
-            names::KEYWORD_SET,
-            names::CROSS_REFERENCE_SET,
-            names::SETTING,
-            names::ERROR_TOLERANCE,
-            names::ALGORITHM_NAME,
-            names::DATABASE_NAME,
-            names::SCORE_THRESHOLD,
-            names::E_VALUE_CUTOFF,
-            names::MEASUREMENT_DATA,
-            names::PEPTIDE_MASS_LIST,
-            names::MASS_SPECTRUM,
-            names::EXPRESSION_PROFILE,
-        ];
-        for name in all {
-            assert!(o.id(name).is_some(), "missing concept {name}");
-        }
-        assert_eq!(all.len(), o.len(), "names module out of sync with text");
     }
 
     #[test]
@@ -254,7 +111,7 @@ mod tests {
         // DNASequence, ProteinSequence — except that our NucleotideSequence is
         // abstract (DNA + RNA cover it), so it contributes no partition.
         let o = ontology();
-        let bio = o.id(names::BIOLOGICAL_SEQUENCE).unwrap();
+        let bio = o.id("BiologicalSequence").unwrap();
         let parts: Vec<&str> = o
             .partitions_of(bio)
             .iter()
@@ -293,7 +150,7 @@ mod tests {
     #[test]
     fn kegg_ids_partition_under_database_accession() {
         let o = ontology();
-        let acc = o.id(names::DATABASE_ACCESSION).unwrap();
+        let acc = o.id("DatabaseAccession").unwrap();
         let parts = o.partitions_of(acc);
         // 1 (itself) + 4 concrete accessions + 4 KEGG kinds + glycan + ligand.
         assert_eq!(parts.len(), 11);

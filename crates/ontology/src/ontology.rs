@@ -167,12 +167,6 @@ impl Ontology {
         self.entry[general.index()] <= e && e <= self.last[general.index()]
     }
 
-    /// Strict subsumption: `specific < general`.
-    #[inline]
-    pub fn strictly_subsumes(&self, general: ConceptId, specific: ConceptId) -> bool {
-        general != specific && self.subsumes(general, specific)
-    }
-
     /// All concepts subsumed by `root` (including `root` itself), in
     /// deterministic pre-order.
     ///
@@ -197,36 +191,6 @@ impl Ontology {
             .into_iter()
             .filter(|&c| self.can_be_realized(c))
             .collect()
-    }
-
-    /// Lowest common ancestor of two concepts, or `None` when they live in
-    /// different trees of the forest.
-    ///
-    /// The answer is the first concept on `a`'s root-ward ancestor chain
-    /// (`a` itself included) whose interval contains `b` — one O(1) test per
-    /// climbed edge.
-    pub fn lca(&self, a: ConceptId, b: ConceptId) -> Option<ConceptId> {
-        let mut cur = a;
-        while !self.subsumes(cur, b) {
-            cur = self.concepts[cur.index()].parent?;
-        }
-        Some(cur)
-    }
-
-    /// Semantic distance: number of subsumption edges on the path between two
-    /// concepts through their LCA, or `None` if they are unrelated.
-    pub fn distance(&self, a: ConceptId, b: ConceptId) -> Option<u32> {
-        let l = self.lca(a, b)?;
-        Some(self.depths[a.index()] + self.depths[b.index()] - 2 * self.depths[l.index()])
-    }
-
-    /// Validates an id against this ontology.
-    pub fn check_id(&self, id: ConceptId) -> Result<ConceptId, OntologyError> {
-        if id.index() < self.concepts.len() {
-            Ok(id)
-        } else {
-            Err(OntologyError::ForeignId(id.0))
-        }
     }
 
     /// Rebuilds the derived state skipped by serde: the name index and the
@@ -553,8 +517,6 @@ mod tests {
         assert!(o.subsumes(bio, dna));
         assert!(!o.subsumes(dna, bio));
         assert!(!o.subsumes(prot, dna));
-        assert!(o.strictly_subsumes(bio, dna));
-        assert!(!o.strictly_subsumes(bio, bio));
     }
 
     #[test]
@@ -658,30 +620,13 @@ mod tests {
     }
 
     #[test]
-    fn lca_and_distance() {
-        let o = sample();
-        let dna = o.id("DNASequence").unwrap();
-        let rna = o.id("RNASequence").unwrap();
-        let prot = o.id("ProteinSequence").unwrap();
-        let acc = o.id("Accession").unwrap();
-        assert_eq!(o.lca(dna, rna), o.id("NucleotideSequence"));
-        assert_eq!(o.lca(dna, prot), o.id("BiologicalSequence"));
-        assert_eq!(o.lca(dna, acc), o.id("BioData"));
-        assert_eq!(o.distance(dna, rna), Some(2));
-        assert_eq!(o.distance(dna, dna), Some(0));
-        assert_eq!(o.distance(dna, prot), Some(3));
-    }
-
-    #[test]
-    fn lca_in_disjoint_trees_is_none() {
+    fn disjoint_trees_are_separate_roots() {
         let mut b = Ontology::builder("forest");
         b.root("A").unwrap();
         b.root("B").unwrap();
         let o = b.build().unwrap();
         let a = o.id("A").unwrap();
         let bb = o.id("B").unwrap();
-        assert_eq!(o.lca(a, bb), None);
-        assert_eq!(o.distance(a, bb), None);
         assert!(!o.subsumes(a, bb));
         assert_eq!(o.roots().count(), 2);
     }
@@ -710,13 +655,6 @@ mod tests {
         let mut b = Ontology::builder("t");
         b.abstract_root("A").unwrap();
         assert!(b.build().is_err());
-    }
-
-    #[test]
-    fn foreign_id_detected() {
-        let o = sample();
-        assert!(o.check_id(ConceptId::from_index(999)).is_err());
-        assert!(o.check_id(ConceptId::from_index(0)).is_ok());
     }
 
     #[test]

@@ -60,19 +60,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn lca_is_a_common_ancestor(forest in arb_forest()) {
-        prop_assume!(forest[0].is_none());
-        let ontology = build(&forest);
-        let ids: Vec<_> = ontology.iter().collect();
-        for &a in ids.iter().take(8) {
-            for &b in ids.iter().take(8) {
-                if let Some(l) = ontology.lca(a, b) {
-                    prop_assert!(ontology.subsumes(l, a));
-                    prop_assert!(ontology.subsumes(l, b));
-                }
-            }
-        }
-    }
 }

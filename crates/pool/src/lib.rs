@@ -31,12 +31,10 @@
 
 pub mod instance;
 pub mod pool;
-pub mod stats;
 pub mod synthetic;
 
 pub use instance::{AnnotatedInstance, InstanceSource};
 pub use pool::InstancePool;
-pub use stats::PoolStats;
 pub use synthetic::{build_synthetic_pool, build_text_pool, text_instance};
 
 pub use dex_values::Value;

@@ -3,7 +3,6 @@
 use dex_modules::ModuleId;
 use dex_workflow::{EnactmentTrace, StepRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A corpus of workflow enactment traces.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -40,19 +39,6 @@ impl ProvenanceCorpus {
     /// Iterates all traces.
     pub fn traces(&self) -> impl Iterator<Item = &EnactmentTrace> {
         self.traces.iter()
-    }
-
-    /// Total step invocations recorded.
-    pub fn invocation_count(&self) -> usize {
-        self.traces.iter().map(|t| t.steps.len()).sum()
-    }
-
-    /// The distinct modules observed across all traces, sorted.
-    pub fn modules_observed(&self) -> BTreeSet<ModuleId> {
-        self.traces
-            .iter()
-            .flat_map(|t| t.steps.iter().map(|s| s.module.clone()))
-            .collect()
     }
 
     /// All recorded invocations of one module, in trace order.
@@ -114,8 +100,6 @@ mod tests {
         c.add(trace("w1", "m2", "c", "d"));
         c.add(trace("w2", "m1", "e", "f"));
         assert_eq!(c.len(), 3);
-        assert_eq!(c.invocation_count(), 3);
-        assert_eq!(c.modules_observed().len(), 2);
         assert_eq!(c.invocations_of(&"m1".into()).count(), 2);
         assert_eq!(c.traces_of("w1").count(), 2);
         assert_eq!(c.traces_of("w3").count(), 0);

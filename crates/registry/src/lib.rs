@@ -12,11 +12,9 @@
 
 pub mod registry;
 pub mod search;
-pub mod stats;
 
 pub use registry::{ModuleRegistry, RegistryEntry};
 pub use search::SearchQuery;
-pub use stats::RegistryStats;
 
 use dex_core::{generate_examples, GenerationConfig, GenerationError};
 use dex_modules::ModuleCatalog;

@@ -73,16 +73,6 @@ impl WorkflowRepository {
     pub fn from_json(json: &str) -> serde_json::Result<WorkflowRepository> {
         serde_json::from_str(json)
     }
-
-    /// Workflows referencing the given module.
-    pub fn using_module<'a>(
-        &'a self,
-        id: &'a ModuleId,
-    ) -> impl Iterator<Item = &'a StoredWorkflow> {
-        self.workflows
-            .iter()
-            .filter(move |w| w.workflow.uses_module(id))
-    }
 }
 
 /// Population sizes for repository generation. The defaults approximate the
@@ -554,11 +544,15 @@ mod tests {
     }
 
     #[test]
-    fn using_module_finds_references() {
+    fn legacy_modules_are_referenced_by_stored_workflows() {
         let (u, pool) = fixture();
         let repo = generate_repository(&u, &pool, &RepositoryPlan::small(5));
         let legacy = &u.legacy[0];
-        let direct = repo.using_module(legacy).count();
+        let direct = repo
+            .workflows
+            .iter()
+            .filter(|w| w.workflow.steps.iter().any(|s| &s.module == legacy))
+            .count();
         assert!(direct > 0, "legacy module {legacy} unused in repository");
     }
 }

@@ -39,12 +39,6 @@ impl Category {
             Category::DataAnalysis => 59,
         }
     }
-
-    /// Whether the paper found data examples make this category's behavior
-    /// easy for humans to identify (§5: shims yes, filtering/analysis no).
-    pub fn human_friendly(self) -> bool {
-        !matches!(self, Category::Filtering | Category::DataAnalysis)
-    }
 }
 
 impl fmt::Display for Category {
@@ -67,15 +61,6 @@ mod tests {
     fn paper_counts_sum_to_252() {
         let total: usize = Category::ALL.iter().map(|c| c.paper_count()).sum();
         assert_eq!(total, 252);
-    }
-
-    #[test]
-    fn friendliness_matches_paper() {
-        assert!(Category::FormatTransformation.human_friendly());
-        assert!(Category::DataRetrieval.human_friendly());
-        assert!(Category::MappingIdentifiers.human_friendly());
-        assert!(!Category::Filtering.human_friendly());
-        assert!(!Category::DataAnalysis.human_friendly());
     }
 
     #[test]

@@ -79,13 +79,6 @@ pub fn record_for(database: &str, accession: &str, format: RecordFormat) -> Stri
     format.render(&seq_entry_for(database, accession, kind))
 }
 
-/// The generic `SEQUENCE-RECORD` rendering (realizes the interior
-/// `SequenceRecord` concept).
-pub fn generic_record_for(database: &str, accession: &str) -> String {
-    let entry = seq_entry_for(database, accession, SequenceKind::Generic);
-    render_generic_record(&entry)
-}
-
 /// Renders a [`SeqEntry`] in the generic `SEQUENCE-RECORD` format.
 pub fn render_generic_record(entry: &SeqEntry) -> String {
     format!(
@@ -273,7 +266,8 @@ mod tests {
 
     #[test]
     fn generic_record_round_trips() {
-        let text = generic_record_for("any", "XDB:000123");
+        let text =
+            render_generic_record(&seq_entry_for("any", "XDB:000123", SequenceKind::Generic));
         let parsed = parse_generic_record(&text).unwrap();
         assert_eq!(parsed.accession, "XDB:000123");
         assert!(!parsed.sequence.is_empty());

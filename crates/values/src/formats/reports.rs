@@ -88,11 +88,6 @@ impl AlignmentReport {
             hits,
         })
     }
-
-    /// Accessions of all hits, in rank order.
-    pub fn hit_accessions(&self) -> Vec<&str> {
-        self.hits.iter().map(|h| h.accession.as_str()).collect()
-    }
 }
 
 /// A protein identification result (what the paper's `Identify` module emits).
@@ -220,7 +215,8 @@ mod tests {
         assert_eq!(back.program, r.program);
         assert_eq!(back.database, r.database);
         assert_eq!(back.hits.len(), 2);
-        assert_eq!(back.hit_accessions(), vec!["Q99999", "O11111"]);
+        assert_eq!(back.hits[0].accession, "Q99999");
+        assert_eq!(back.hits[1].accession, "O11111");
         assert!((back.hits[0].score - 812.5).abs() < 1e-9);
     }
 

@@ -137,14 +137,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Boolean(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrows the elements of a `List` value.
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
@@ -353,7 +345,6 @@ mod tests {
     fn numeric_views_widen() {
         assert_eq!(Value::Integer(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_i64(), None);
-        assert_eq!(Value::Boolean(true).as_bool(), Some(true));
     }
 
     #[test]

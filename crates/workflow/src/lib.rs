@@ -21,10 +21,8 @@
 
 pub mod enact;
 pub mod model;
-pub mod render;
 pub mod validate;
 
 pub use enact::{enact, EnactError, EnactmentTrace, StepRecord};
 pub use model::{Link, OutputBinding, Source, Step, Workflow};
-pub use render::render;
 pub use validate::{validate, ValidationError};

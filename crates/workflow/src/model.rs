@@ -87,11 +87,6 @@ impl Workflow {
         self.steps.iter().map(|s| &s.module).collect()
     }
 
-    /// Whether the workflow references the given module.
-    pub fn uses_module(&self, id: &ModuleId) -> bool {
-        self.steps.iter().any(|s| &s.module == id)
-    }
-
     /// The links feeding a given step, sorted by target input.
     pub fn links_into(&self, step: usize) -> Vec<&Link> {
         let mut links: Vec<&Link> = self
@@ -203,9 +198,10 @@ mod tests {
         assert_eq!(wf.steps.len(), 2);
         assert_eq!(wf.links.len(), 2);
         assert_eq!(wf.outputs.len(), 1);
-        assert_eq!(wf.module_ids().len(), 2);
-        assert!(wf.uses_module(&"dr:get_uniprot_record".into()));
-        assert!(!wf.uses_module(&"nope".into()));
+        let ids = wf.module_ids();
+        assert_eq!(ids.len(), 2);
+        assert!(ids.contains(&&ModuleId::from("dr:get_uniprot_record")));
+        assert!(!ids.contains(&&ModuleId::from("nope")));
     }
 
     #[test]
@@ -231,8 +227,8 @@ mod tests {
         let from = ModuleId::from("dr:get_uniprot_record");
         let to = ModuleId::from("dr:get_uniprot_record_ebi");
         assert_eq!(wf.substitute_module(&from, &to), 1);
-        assert!(!wf.uses_module(&from));
-        assert!(wf.uses_module(&to));
+        assert!(!wf.module_ids().contains(&&from));
+        assert!(wf.module_ids().contains(&&to));
         assert_eq!(wf.substitute_module(&from, &to), 0);
     }
 

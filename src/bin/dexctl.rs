@@ -39,6 +39,18 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    // The most arguments each command takes after its name; `search` checks
+    // its own flags, and an unknown command is reported below.
+    let takes = match command.as_str() {
+        "list" | "show" | "suggest" | "partitions" => 1,
+        "compare" => 2,
+        "ontology" | "help" | "--help" | "-h" => 0,
+        _ => usize::MAX,
+    };
+    if let Some(surplus) = args.get(takes.saturating_add(1)) {
+        eprintln!("unexpected argument `{surplus}`\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
     let universe = data_examples::universe::build();
     match command.as_str() {
         "list" => list(&universe, args.get(1).map(String::as_str)),

@@ -95,3 +95,35 @@ fn search_combines_filters() {
         "{stderr}"
     );
 }
+
+#[test]
+fn surplus_arguments_fail_with_usage() {
+    for args in [
+        &["show", "dr:get_uniprot_record", "dr:get_uniprot_record_ebi"][..],
+        &["list", "ft", "extra"],
+        &["ontology", "extra"],
+        &[
+            "compare",
+            "dr:get_uniprot_record",
+            "dr:get_uniprot_record_ebi",
+            "extra",
+        ],
+        &["suggest", "dr:get_uniprot_record", "extra"],
+        &["partitions", "BiologicalSequence", "extra"],
+        &["help", "extra"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_dexctl"))
+            .args(args)
+            .output()
+            .expect("dexctl runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        let surplus = args[args.len() - 1];
+        assert!(
+            stderr.contains(&format!("unexpected argument `{surplus}`"))
+                && stderr.contains("usage"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
