@@ -27,10 +27,15 @@ use dex_experiments::{out, outln, run_continuous, ContinuousConfig, FaultConfig}
 use dex_repair::RepositoryPlan;
 
 /// The continuous workload's configuration, or `None` without `--scale`.
+/// Errs, naming the flag and the value, on a scale of 0 (a world needs a
+/// module) or a withdrawal rate above 100%.
 fn scale_config(args: &[String]) -> Result<Option<ContinuousConfig>, String> {
     let Some(scale) = flag_value(args, "--scale")? else {
         return Ok(None);
     };
+    if scale == 0 {
+        return Err("invalid value `0` for --scale (a module count, at least 1)".to_string());
+    }
     let waves = flag_value(args, "--waves")?.unwrap_or(3);
     let seed = flag_value(args, "--seed")?.unwrap_or(42);
     let mut cfg = ContinuousConfig::at_scale(scale, waves, seed);
@@ -38,6 +43,11 @@ fn scale_config(args: &[String]) -> Result<Option<ContinuousConfig>, String> {
         cfg.workflows = workflows;
     }
     if let Some(pct) = flag_value(args, "--fault-rate")? {
+        if pct > 100 {
+            return Err(format!(
+                "invalid value `{pct}` for --fault-rate (a percentage, at most 100)"
+            ));
+        }
         cfg.fault_pct = pct;
     }
     Ok(Some(cfg))
@@ -123,4 +133,48 @@ fn main() {
         }
     }
     telemetry.finish("exp_repair");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn out_of_range_scale_values_are_rejected() {
+        for (list, message) in [
+            (
+                &["--scale=0"][..],
+                "invalid value `0` for --scale (a module count, at least 1)",
+            ),
+            (
+                &["--scale", "100", "--fault-rate", "200"][..],
+                "invalid value `200` for --fault-rate (a percentage, at most 100)",
+            ),
+            (
+                &["--scale=100", "--fault-rate=101"][..],
+                "invalid value `101` for --fault-rate (a percentage, at most 100)",
+            ),
+        ] {
+            assert_eq!(
+                scale_config(&args(list)).map(|_| ()),
+                Err(message.to_string()),
+                "{list:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_range_scale_values_configure_the_workload() {
+        assert!(scale_config(&args(&["--fault-rate=200"]))
+            .expect("the paper profile ignores the scale flags")
+            .is_none());
+        let cfg = scale_config(&args(&["--scale=1", "--fault-rate=100", "--waves=2"]))
+            .expect("in range")
+            .expect("scale mode");
+        assert_eq!((cfg.fault_pct, cfg.waves), (100, 2));
+    }
 }

@@ -110,74 +110,134 @@ impl IncrementalPipeline {
     /// Cold-bootstraps the engine: generates examples for every available
     /// modern module with no memo, builds the fingerprint index and
     /// dependency graph, and fills the full comparable-pair verdict matrix.
+    ///
+    /// Generation and the fill run on up to one thread per core and one per
+    /// `MIN_MODULES_PER_THREAD` (2,500) tracked modules; the result is the
+    /// same at every thread count.
     pub fn bootstrap(
         universe: Universe,
         pool: InstancePool,
         config: GenerationConfig,
     ) -> IncrementalPipeline {
+        IncrementalPipeline::bootstrap_on(universe, pool, config, bootstrap_threads)
+    }
+
+    /// [`bootstrap`](IncrementalPipeline::bootstrap) on `threads(tracked
+    /// modules)` threads, the calling thread taking one share.
+    ///
+    /// Generation splits the slots into contiguous ranges: a module's
+    /// generation invokes that module alone. The fill deals whole
+    /// fingerprint buckets (`deal_buckets`): a row holds only its own
+    /// bucket's members, so a candidate is replayed only by targets of its
+    /// bucket, and each share replays them in ascending target order, as
+    /// one thread does. Every `(module, inputs)` key therefore sees the same
+    /// sequence of attempts at any thread count, and so do fault bursts,
+    /// cache hits and misses and retries, under every retry policy. Results
+    /// are placed in slot order.
+    fn bootstrap_on(
+        universe: Universe,
+        pool: InstancePool,
+        config: GenerationConfig,
+        threads: fn(usize) -> usize,
+    ) -> IncrementalPipeline {
         let _span = dex_telemetry::span("incremental.bootstrap");
         let ids = universe.available_ids();
+        let ids_len = ids.len();
+        let threads = threads(ids_len);
         // Each slot's handle, resolved once for generation and the fill.
         let modules: Vec<SharedModule> = ids
             .iter()
             .map(|id| Arc::clone(universe.catalog.get(id).expect("bootstrap id is available")))
             .collect();
-        let cache = InvocationCache::new();
         let retrier = Retrier::new(config.retry);
-        let reports: Vec<_> = modules
-            .iter()
-            .map(|module| {
-                generate_examples_memoized(
-                    module.as_ref(),
-                    &universe.ontology,
-                    &pool,
-                    &config,
-                    None,
-                    &retrier,
-                )
+        let reports: Vec<_> = {
+            let _span = dex_telemetry::span("incremental.bootstrap.generate");
+            let ranges = (0..threads).map(|k| k * ids_len / threads..(k + 1) * ids_len / threads);
+            run_shares(ranges.collect(), |range| {
+                modules[range]
+                    .iter()
+                    .map(|module| {
+                        generate_examples_memoized(
+                            module.as_ref(),
+                            &universe.ontology,
+                            &pool,
+                            &config,
+                            None,
+                            &retrier,
+                        )
+                    })
+                    .collect::<Vec<_>>()
             })
-            .collect();
-        let index = FingerprintIndex::build(
-            modules.iter().map(|m| Some(m.descriptor())),
-            &universe.ontology,
-        );
-        let orders = modules
-            .iter()
-            .map(|m| ParamOrder::of(m.descriptor()))
-            .collect();
-        let ids_len = ids.len();
-        let available = vec![true; ids_len];
+            .into_iter()
+            .flatten()
+            .collect()
+        };
+        let (index, orders) = {
+            let _span = dex_telemetry::span("incremental.bootstrap.fingerprints");
+            let index = FingerprintIndex::build(
+                modules.iter().map(|m| Some(m.descriptor())),
+                &universe.ontology,
+            );
+            let orders = modules
+                .iter()
+                .map(|m| ParamOrder::of(m.descriptor()))
+                .collect();
+            (index, orders)
+        };
         let mut engine = IncrementalPipeline {
             universe,
             pool,
             config,
             ids,
-            available,
+            available: vec![true; ids_len],
             deps: DependencyIndex::new(),
             index,
             orders,
             reports,
-            verdicts: Vec::with_capacity(ids_len),
-            cache,
+            verdicts: Vec::new(),
+            cache: InvocationCache::new(),
             retrier,
             substitutes: MatchingStudy::default(),
         };
-        for i in 0..ids_len {
-            engine.index_dependencies(i);
-        }
-        // Bucket member lists are kept ascending, so each row is born sorted
-        // and allocated at its exact size.
-        for t in 0..ids_len {
-            let peers = engine.index.peers(t);
-            let mut row = Vec::with_capacity(peers.len().saturating_sub(1));
-            for &c in peers.iter().filter(|&&c| c != t) {
-                let outcome = engine.outcome(t, &*modules[t], c, &*modules[c]);
-                row.push(Cell::new(c, &outcome));
+        {
+            let _span = dex_telemetry::span("incremental.bootstrap.dependencies");
+            for i in 0..ids_len {
+                engine.index_dependencies(i);
             }
-            engine.verdicts.push(row);
+        }
+        {
+            let _span = dex_telemetry::span("incremental.bootstrap.fill");
+            engine.verdicts = engine.fill(&modules, threads);
         }
         engine.cache.clear();
         engine
+    }
+
+    /// Every slot's verdict row over the bootstrap's `modules`, with the
+    /// fingerprint buckets dealt to `threads` shares. Bucket member lists
+    /// are kept ascending, so each row is born sorted and allocated at its
+    /// exact size.
+    fn fill(&self, modules: &[SharedModule], threads: usize) -> Vec<Vec<Cell>> {
+        let shares = deal_buckets(self.index.buckets(), threads);
+        let rows_of = |buckets: Vec<&[usize]>| {
+            let mut rows = Vec::new();
+            for bucket in buckets {
+                for &t in bucket {
+                    let mut row = Vec::with_capacity(bucket.len() - 1);
+                    for &c in bucket.iter().filter(|&&c| c != t) {
+                        let outcome = self.outcome(t, &*modules[t], c, &*modules[c]);
+                        row.push(Cell::new(c, &outcome));
+                    }
+                    rows.push((t, row));
+                }
+            }
+            rows
+        };
+        let mut verdicts = vec![Vec::new(); self.ids.len()];
+        for (t, row) in run_shares(shares, rows_of).into_iter().flatten() {
+            verdicts[t] = row;
+        }
+        verdicts
     }
 
     /// Applies one batch of deltas and returns the batch's accounting.
@@ -776,5 +836,215 @@ fn generation_outcome_differs(
         (Ok(a), Ok(b)) => a.examples != b.examples,
         (Err(a), Err(b)) => a.to_string() != b.to_string(),
         _ => true,
+    }
+}
+
+/// Tracked modules per bootstrap thread, so a second thread starts at
+/// 5,000. On a 2-vCPU host (seed 42, medians of 15 bootstraps) two threads
+/// took 252 modules as long as one, 2,500 in 21–23 ms against 27–35 ms and
+/// 10,000 in 88–95 ms against 143–148 ms (EXPERIMENTS.md, "Set-up on both
+/// cores"). Below 5,000 a split saves under 15 ms and costs a second malloc
+/// arena, so those worlds, the paper's 252 modules among them, keep one
+/// thread.
+const MIN_MODULES_PER_THREAD: usize = 2_500;
+
+/// The bootstrap's thread count for `modules` tracked modules: one per
+/// [`MIN_MODULES_PER_THREAD`], at most one per available core, and never
+/// fewer than one. The core count is asked for only when a second thread
+/// is possible.
+fn bootstrap_threads(modules: usize) -> usize {
+    let wanted = modules / MIN_MODULES_PER_THREAD;
+    if wanted < 2 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    wanted.min(cores)
+}
+
+/// Deals whole buckets to `threads` shares, largest first, each to the
+/// share with the fewest ordered pairs so far (the lowest share on a tie).
+fn deal_buckets<'a>(
+    buckets: impl Iterator<Item = &'a [usize]>,
+    threads: usize,
+) -> Vec<Vec<&'a [usize]>> {
+    let mut buckets: Vec<&[usize]> = buckets.collect();
+    buckets.sort_by_key(|bucket| std::cmp::Reverse(bucket.len()));
+    let mut shares = vec![Vec::new(); threads];
+    let mut pairs = vec![0usize; threads];
+    for bucket in buckets {
+        let k = (0..threads)
+            .min_by_key(|&k| pairs[k])
+            .expect("at least one share");
+        pairs[k] += bucket.len() * (bucket.len() - 1);
+        shares[k].push(bucket);
+    }
+    shares
+}
+
+/// Runs `work` on every share, the first on the calling thread and each
+/// other on a scoped thread of its own, and returns the results in share
+/// order. One share spawns nothing. A worker's panic is re-raised with its
+/// payload.
+fn run_shares<S: Send, R: Send>(shares: Vec<S>, work: impl Fn(S) -> R + Sync) -> Vec<R> {
+    let mut shares = shares.into_iter();
+    let first = shares.next();
+    std::thread::scope(|scope| {
+        let work = &work;
+        let workers: Vec<_> = shares
+            .map(|share| scope.spawn(move || work(share)))
+            .collect();
+        let mut results: Vec<R> = first.map(work).into_iter().collect();
+        for worker in workers {
+            let result = worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            results.push(result);
+        }
+        results
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dex_modules::{FaultInjector, FaultPlan, RetryPolicy};
+    use dex_oracle::fixture::{mini_module, world_of};
+
+    /// Input shapes, as indices into the fixture's concept list: four
+    /// fingerprint buckets, dealt unevenly over three threads.
+    const SHAPES: [&[usize]; 4] = [&[0], &[1], &[2, 3], &[4]];
+
+    /// A fixture world of 48 modules, 12 a bucket, that reject 30% of
+    /// input vectors, with every module behind one injector faulting 40% of
+    /// keys. Rejections are salted per slot, so bucket peers pick different
+    /// values and the fill replays target examples through the cache.
+    fn faulty_world() -> (Universe, InstancePool, FaultInjector) {
+        let injector = FaultInjector::new(FaultPlan {
+            seed: 11,
+            fault_rate_millis: 400,
+            max_consecutive: 2,
+        });
+        let (universe, pool) = world_of((0..48).map(|slot| {
+            let module = mini_module(slot, SHAPES[slot % SHAPES.len()], 0x5eed, 30);
+            injector.wrap(Arc::new(module))
+        }));
+        (universe, pool, injector)
+    }
+
+    #[test]
+    fn the_thread_count_changes_no_answer() {
+        for retry in [RetryPolicy::none(), RetryPolicy::transient(4)] {
+            let config = GenerationConfig {
+                retry,
+                ..GenerationConfig::default()
+            };
+            let run = |threads: fn(usize) -> usize| {
+                let (universe, pool, injector) = faulty_world();
+                let engine =
+                    IncrementalPipeline::bootstrap_on(universe, pool, config.clone(), threads);
+                let counts = (
+                    engine.retry_stats(),
+                    engine.invocation_cache().stats(),
+                    injector.stats(),
+                );
+                (counts, engine.reports(), engine.matrix())
+            };
+            let one = run(|_| 1);
+            let ((retries, cache, faults), reports, matrix) = &one;
+            // The world reaches every path the split must keep in order.
+            assert_eq!(reports.len(), 48, "{retry:?}");
+            assert!(
+                cache.misses > 0 && cache.transients > 0,
+                "{retry:?}: {cache:?}"
+            );
+            assert!(faults.injected_faults > 0, "{retry:?}");
+            assert_eq!(retries.retries > 0, retry.retries_enabled(), "{retry:?}");
+            assert!(matrix.values().any(|r| matches!(
+                r.outcome,
+                MatchOutcome::Verdict(MatchVerdict::Equivalent { .. })
+            )));
+            // A split that let two threads replay one candidate would show
+            // only when their shares overlap in time, so each count runs
+            // more than once.
+            for _ in 0..4 {
+                assert_eq!(run(|_| 2), one, "2 threads, {retry:?}");
+                assert_eq!(run(|_| 3), one, "3 threads, {retry:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn dealing_gives_each_bucket_to_one_share() {
+        let (universe, _, _) = faulty_world();
+        let ids = universe.available_ids();
+        let index = FingerprintIndex::build(
+            ids.iter().map(|id| universe.catalog.descriptor(id)),
+            &universe.ontology,
+        );
+        let uneven: Vec<Vec<usize>> = [5, 1, 3, 3, 2, 7, 1]
+            .iter()
+            .scan(0, |next, &len| {
+                *next += len;
+                Some((*next - len..*next).collect())
+            })
+            .collect();
+        for (buckets, slots) in [
+            (index.buckets().collect::<Vec<_>>(), ids.len()),
+            (uneven.iter().map(Vec::as_slice).collect(), 22),
+        ] {
+            for threads in 1..=9 {
+                let shares = deal_buckets(buckets.iter().copied(), threads);
+                assert_eq!(shares.len(), threads);
+                for bucket in &buckets {
+                    let holders = shares.iter().filter(|s| s.contains(bucket)).count();
+                    assert_eq!(holders, 1, "{bucket:?} at {threads} threads");
+                }
+                // One row per member: each slot's row is produced once.
+                let mut rows: Vec<usize> = shares
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .flatten()
+                    .copied()
+                    .collect();
+                rows.sort_unstable();
+                assert_eq!(rows, (0..slots).collect::<Vec<_>>(), "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_share_runs_on_the_caller_and_a_worker_panic_keeps_its_payload() {
+        let caller = std::thread::current().id();
+        let ran = run_shares(vec![0, 1, 2], |k| {
+            (k, std::thread::current().id() == caller)
+        });
+        assert_eq!(ran, vec![(0, true), (1, false), (2, false)]);
+        let panic = std::panic::catch_unwind(|| {
+            run_shares(vec![0, 1], |k| {
+                if k == 1 {
+                    std::panic::panic_any(format!("share {k} failed"));
+                }
+                k
+            })
+        })
+        .expect_err("the worker's panic is re-raised");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("share 1 failed")
+        );
+    }
+
+    #[test]
+    fn small_registries_bootstrap_on_the_calling_thread() {
+        assert_eq!(bootstrap_threads(0), 1);
+        assert_eq!(bootstrap_threads(252), 1);
+        assert_eq!(bootstrap_threads(2 * MIN_MODULES_PER_THREAD - 1), 1);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(bootstrap_threads(2 * MIN_MODULES_PER_THREAD), cores.min(2));
+        assert_eq!(
+            bootstrap_threads(100 * MIN_MODULES_PER_THREAD),
+            cores.min(100)
+        );
     }
 }

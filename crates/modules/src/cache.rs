@@ -90,17 +90,20 @@ struct Memo {
 /// A memo of invocation outcomes keyed by `(module id, input value vector)`.
 ///
 /// * **One lock.** A [`Mutex`] guards the map and its counters, and a miss
-///   invokes the module while holding it. That is sound because no caller
-///   shares a cache across threads, so serializing misses costs nothing,
-///   and because no module re-enters a cache: one that invoked through the
-///   cache it was invoked from would deadlock, but modules are pure
-///   functions of their inputs.
+///   invokes the module while holding it. That is sound because no two
+///   threads ask one cache for the same key, and because no module
+///   re-enters a cache: one that invoked through the cache it was invoked
+///   from would deadlock, but modules are pure functions of their inputs.
+///   The one cache shared across threads is the incremental engine's
+///   during its bootstrap fill, whose threads replay disjoint candidates;
+///   at 10k and 20k modules (seed 42) that fill makes no lookup, so
+///   serializing misses costs nothing there.
 /// * **Exactly-once.** Callers racing on a missing key wait for the lock
 ///   and then hit, so a vector is never invoked twice (see the
 ///   `tests/invocation_cache.rs` concurrency suite). Racers on a key whose
 ///   invocation fails transiently share no observation: each waiter probes
 ///   the key afresh once the lock frees, and invokes again. No production
-///   path races on a cache.
+///   path races on a key.
 /// * **Transient-aware.** Outcomes whose error
 ///   [`InvocationError::is_transient`] holds go back to the caller and are
 ///   never stored — only successes and permanent errors are memoized.

@@ -248,9 +248,9 @@ pub fn generate_repository(
 struct Generator<'a> {
     universe: &'a Universe,
     pool: &'a InstancePool,
-    /// Downstream candidates per module: available modules whose first
-    /// input accepts the module's first output.
-    downstream: std::collections::BTreeMap<ModuleId, Vec<ModuleId>>,
+    /// The available modern modules by their first input's semantic
+    /// concept, each with that input: the candidates `downstream` merges.
+    by_input: std::collections::BTreeMap<ConceptId, Vec<(ModuleId, &'a Parameter)>>,
 }
 
 /// Descriptor lookup with context: generation never *invokes* modules, so a
@@ -266,22 +266,15 @@ fn described(catalog: &ModuleCatalog, id: &ModuleId) -> ModuleDescriptor {
 impl<'a> Generator<'a> {
     fn new(universe: &'a Universe, pool: &'a InstancePool) -> Self {
         let ontology = &universe.ontology;
-        let mut downstream = std::collections::BTreeMap::new();
-        let available = universe.available_ids();
         // Invert the compatibility check: bucket the candidates by their
-        // first input's semantic concept, then for each module walk the
-        // ancestor chain of its output concept and merge the buckets along
-        // it. `t subsumes s` iff `t` is an ancestor-or-self of `s`, so the
-        // walk visits exactly the concepts whose candidates pass the
-        // semantic test — O(modules × depth) instead of the all-pairs scan.
-        // A final sort restores `available` order (BTreeMap keys), keeping
-        // the candidate lists identical to the quadratic formulation.
-        let mut by_input: std::collections::BTreeMap<ConceptId, Vec<(&ModuleId, &Parameter)>> =
+        // first input's semantic concept, so `downstream` walks the ancestor
+        // chain of an output concept and merges the buckets along it.
+        let mut by_input: std::collections::BTreeMap<ConceptId, Vec<(ModuleId, &Parameter)>> =
             std::collections::BTreeMap::new();
-        for cand in &available {
+        for cand in universe.available_ids() {
             let cin = &universe
                 .catalog
-                .descriptor(cand)
+                .descriptor(&cand)
                 .unwrap_or_else(|| {
                     panic!("candidate {cand} vanished from the catalog it came from")
                 })
@@ -292,36 +285,45 @@ impl<'a> Generator<'a> {
                 by_input.entry(t).or_default().push((cand, cin));
             }
         }
-        // Index every module (legacy ones included: their outputs feed
-        // downstream steps too).
-        let all_ids: Vec<ModuleId> = universe.catalog.available_ids().into_iter().collect();
-        for id in &all_ids {
-            // Audit note: descriptor lookups never invoke the module, so
-            // these cannot fail transiently — a miss here is a broken
-            // universe invariant, and the panic message says which module.
-            let out = &universe
-                .catalog
-                .descriptor(id)
-                .unwrap_or_else(|| panic!("module {id} vanished from the catalog it came from"))
-                .outputs[0];
-            let mut compatible = Vec::new();
-            if let Some(s) = ontology.id(&out.semantic) {
-                for t in ontology.ancestors(s) {
-                    for (cand, cin) in by_input.get(&t).into_iter().flatten() {
-                        if *cand != id && cin.structural.accepts(&out.structural) {
-                            compatible.push((*cand).clone());
-                        }
-                    }
-                }
-            }
-            compatible.sort();
-            downstream.insert(id.clone(), compatible);
-        }
         Generator {
             universe,
             pool,
-            downstream,
+            by_input,
         }
+    }
+
+    /// Downstream candidates of `id`, in id order: the other available
+    /// modern modules whose first input accepts `id`'s first output. `t
+    /// subsumes s` iff `t` is an ancestor-or-self of `s`, so the ancestor
+    /// walk visits exactly the concepts whose candidates pass the semantic
+    /// test — O(depth) buckets instead of a scan over every module. A
+    /// module that is not available (legacy ones are: their outputs feed
+    /// downstream steps too) chains nothing.
+    fn downstream(&self, id: &ModuleId) -> Vec<&ModuleId> {
+        let catalog = &self.universe.catalog;
+        let mut compatible = Vec::new();
+        if !catalog.is_available(id) {
+            return compatible;
+        }
+        let ontology = &self.universe.ontology;
+        // Audit note: descriptor lookups never invoke the module, so this
+        // cannot fail transiently — a miss here is a broken universe
+        // invariant, and the panic message says which module.
+        let out = &catalog
+            .descriptor(id)
+            .unwrap_or_else(|| panic!("module {id} vanished from the catalog it came from"))
+            .outputs[0];
+        if let Some(s) = ontology.id(&out.semantic) {
+            for t in ontology.ancestors(s) {
+                for (cand, cin) in self.by_input.get(&t).into_iter().flatten() {
+                    if cand != id && cin.structural.accepts(&out.structural) {
+                        compatible.push(cand);
+                    }
+                }
+            }
+        }
+        compatible.sort();
+        compatible
     }
 
     /// Builds one workflow: `first` as step 0 (all inputs from workflow
@@ -373,13 +375,11 @@ impl<'a> Generator<'a> {
         let mut upstream = (s0, first.clone());
         let chain_len = rng.gen_range(0..=2usize);
         for _ in 0..chain_len {
-            let Some(candidates) = self.downstream.get(&upstream.1) else {
-                break;
-            };
+            let candidates = self.downstream(&upstream.1);
             if candidates.is_empty() {
                 break;
             }
-            let next = &candidates[rng.gen_range(0..candidates.len())];
+            let next = candidates[rng.gen_range(0..candidates.len())];
             let dn = described(catalog, next);
             let sn = builder.step(dn.name.clone(), next.clone());
             builder.link(

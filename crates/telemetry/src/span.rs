@@ -20,7 +20,8 @@
 //! roots. A span's parent is the innermost span open on its own thread, so
 //! a thread's outermost span is a root: every traced operation (an
 //! experiment phase, a `dexd` request) runs start to finish on the thread
-//! that opened it.
+//! that opened it, and the spans of the incremental engine's bootstrap
+//! workers are roots on their own tracks.
 
 use crate::{is_enabled, lock};
 use serde::{Deserialize, Serialize};
