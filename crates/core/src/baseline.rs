@@ -72,13 +72,13 @@ pub fn generate_random_examples(
                 .inputs
                 .iter()
                 .zip(&values)
-                .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
+                .map(|(p, v)| Binding::new(p.name.as_str(), v.clone()))
                 .collect();
             let outputs = descriptor
                 .outputs
                 .iter()
                 .zip(outputs)
-                .map(|(p, v)| Binding::new(p.name.clone(), v))
+                .map(|(p, v)| Binding::new(p.name.as_str(), v))
                 .collect();
             set.examples
                 .push(DataExample::reconstructed(inputs, outputs));

@@ -4,19 +4,21 @@ use dex_modules::ModuleId;
 use dex_values::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One `⟨parameter, value⟩` binding inside a data example.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Binding {
-    /// Parameter name.
-    pub parameter: String,
+    /// Parameter name. Reference-counted: the generator creates it once per
+    /// parameter of a module, and every example of the module shares it.
+    pub parameter: Arc<str>,
     /// Concrete value.
     pub value: Value,
 }
 
 impl Binding {
     /// Creates a binding.
-    pub fn new(parameter: impl Into<String>, value: Value) -> Self {
+    pub fn new(parameter: impl Into<Arc<str>>, value: Value) -> Self {
         Binding {
             parameter: parameter.into(),
             value,
@@ -171,6 +173,11 @@ mod tests {
     fn serde_round_trip() {
         let e = example("in", "out");
         let json = serde_json::to_string(&e).unwrap();
+        // The form stored reports and `AnnotateModule` replies carry.
+        assert_eq!(
+            json,
+            r#"{"inputs":[{"parameter":"in","value":{"Text":"in"}}],"outputs":[{"parameter":"out","value":{"Text":"out"}}],"input_partitions":["SomeConcept"]}"#
+        );
         let back: DataExample = serde_json::from_str(&json).unwrap();
         assert_eq!(e, back);
     }

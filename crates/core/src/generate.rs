@@ -1,5 +1,5 @@
 //! The data-example generation heuristic (paper §3.2): partition → select →
-//! invoke → construct — organized as **resolve, plan, execute**.
+//! invoke → construct — organized as **resolve, then execute**.
 //!
 //! Module invocation is the dominant cost of the paper's setting (remote,
 //! metered SOAP/REST services), so the generator does not interleave pool
@@ -8,17 +8,22 @@
 //! 1. resolves every `(input, partition)`'s candidate values **once**
 //!    (`resolve_candidates` — the pool is probed per partition, not per
 //!    combination per attempt);
-//! 2. plans each combination's attempt vectors up front, dropping retry
-//!    attempts whose value vector is identical to an earlier attempt of the
-//!    same combination (shallow pools used to make retries re-invoke the
-//!    exact same inputs — pure waste);
-//! 3. executes the plan combination by combination and keeps the first
-//!    attempt that terminates normally. An attempt goes through
+//! 2. executes combination by combination and keeps the first attempt that
+//!    terminates normally. An attempt's input vector is built from the
+//!    resolved picks only when the attempt runs, and a retry attempt that
+//!    would feed the same pool instances as an earlier attempt of its
+//!    combination is skipped (shallow pools used to make retries re-invoke
+//!    the exact same inputs — pure waste). An attempt goes through
 //!    [`Retrier::invoke`], directly or through a shared [`InvocationCache`]
 //!    ([`generate_examples_retrying`]), unless the module's previous report
 //!    already records its outcome, as an example or as a rejection
 //!    ([`generate_examples_memoized`]). The report is the same with or
 //!    without a memo, and whatever the memo holds.
+//!
+//! Nothing the report does not keep is copied: partition names stay
+//! borrowed from the ontology until an example or a failed combination
+//! keeps them, and each parameter name is created once per module and
+//! shared by every example's bindings.
 
 use crate::error::GenerationError;
 use crate::example::{Binding, DataExample, ExampleSet};
@@ -27,6 +32,7 @@ use dex_modules::{BlackBox, InvocationCache, Retrier, RetryPolicy};
 use dex_ontology::Ontology;
 use dex_pool::InstancePool;
 use dex_values::Value;
+use std::sync::Arc;
 
 /// Tuning knobs for the generator.
 #[derive(Debug, Clone)]
@@ -46,7 +52,7 @@ pub struct GenerationConfig {
     /// for both i and i′").
     pub value_offset: usize,
     /// How to retry *transient* invocation failures (`Unavailable`/`Fault`)
-    /// within one planned attempt. Distinct from
+    /// within one attempt. Distinct from
     /// [`retries_per_combination`](GenerationConfig::retries_per_combination),
     /// which tries *different value vectors* after a deterministic rejection;
     /// this re-attempts the *same* vector when the failure was
@@ -85,7 +91,7 @@ pub struct GenerationReport {
     /// regeneration from this report invokes only the attempts whose
     /// vectors moved and those whose outcome was transient.
     pub rejected: Vec<Vec<Value>>,
-    /// Planned invocation attempts consumed (duplicate retry vectors are
+    /// Invocation attempts made (duplicate retry vectors are
     /// skipped, not counted — they cannot change a deterministic module's
     /// answer). An attempt answered by a memo counts too, so the number is
     /// the same with or without one: a shared [`InvocationCache`] (see its
@@ -129,8 +135,8 @@ impl GenerationReport {
 /// chain (requested depth → base offset → first pick) — `None` for every
 /// attempt exactly when the pool holds no structurally compatible
 /// realization at all.
-struct ResolvedPartition<'p> {
-    concept: String,
+struct ResolvedPartition<'o, 'p> {
+    concept: &'o str,
     picks: Vec<Option<&'p Value>>,
 }
 
@@ -142,15 +148,16 @@ struct ResolvedPartition<'p> {
 /// `(input, partition)` costs `retries + 2` pool lookups total, shared by
 /// every combination that references it, and the "unvalued" probe is the
 /// same lookup as the attempt-0 fallback.
-fn resolve_candidates<'p>(
+fn resolve_candidates<'o, 'p>(
     plan: &PartitionPlan,
     descriptor: &dex_modules::ModuleDescriptor,
-    ontology: &Ontology,
+    ontology: &'o Ontology,
     pool: &'p InstancePool,
     config: &GenerationConfig,
-) -> (Vec<Vec<ResolvedPartition<'p>>>, Vec<(usize, String)>) {
+) -> (Vec<Vec<ResolvedPartition<'o, 'p>>>, Vec<(usize, String)>) {
     let attempts = config.retries_per_combination + 1;
-    let mut resolved: Vec<Vec<ResolvedPartition<'p>>> = Vec::with_capacity(plan.per_input.len());
+    let mut resolved: Vec<Vec<ResolvedPartition<'o, 'p>>> =
+        Vec::with_capacity(plan.per_input.len());
     let mut unvalued: Vec<(usize, String)> = Vec::new();
     for (i, parts) in plan.per_input.iter().enumerate() {
         let structural = &descriptor.inputs[i].structural;
@@ -180,75 +187,11 @@ fn resolve_candidates<'p>(
                         .or(base)
                 })
                 .collect();
-            per_partition.push(ResolvedPartition {
-                concept: concept.to_string(),
-                picks,
-            });
+            per_partition.push(ResolvedPartition { concept, picks });
         }
         resolved.push(per_partition);
     }
     (resolved, unvalued)
-}
-
-/// One combination's planned invocations: which attempts actually need an
-/// invocation (duplicate vectors dropped), with borrowed picks per input.
-struct PlannedCombo<'p> {
-    /// Partition index per input (combination coordinates).
-    combo: Vec<usize>,
-    /// Concept names per input, in input order.
-    concept_names: Vec<String>,
-    /// Deduplicated attempt vectors, in attempt order. Empty when some input
-    /// partition has no realization (the combination can never be fed).
-    attempts: Vec<Vec<&'p Value>>,
-}
-
-/// The whole generation's invocation plan: every `(combination, attempt)`
-/// candidate vector, enumerated up front.
-fn plan_invocations<'p>(
-    plan: &PartitionPlan,
-    resolved: &'p [Vec<ResolvedPartition<'p>>],
-) -> Vec<PlannedCombo<'p>> {
-    let mut combos = Vec::new();
-    for combo in plan.combinations() {
-        let concept_names: Vec<String> = combo
-            .iter()
-            .enumerate()
-            .map(|(i, &pi)| resolved[i][pi].concept.clone())
-            .collect();
-        let complete = combo
-            .iter()
-            .enumerate()
-            .all(|(i, &pi)| resolved[i][pi].picks[0].is_some());
-        let mut attempts: Vec<Vec<&'p Value>> = Vec::new();
-        if complete {
-            let total = resolved
-                .first()
-                .and_then(|r| r.first())
-                .map_or(1, |r| r.picks.len());
-            for a in 0..total {
-                let vector: Vec<&'p Value> = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &pi)| resolved[i][pi].picks[a].expect("complete combination"))
-                    .collect();
-                // Retry dedup: a vector identical (same pool instances) to an
-                // earlier attempt of this combination is skipped — the module
-                // is deterministic, so re-invoking cannot change the outcome.
-                let duplicate = attempts
-                    .iter()
-                    .any(|prev| prev.iter().zip(&vector).all(|(a, b)| std::ptr::eq(*a, *b)));
-                if !duplicate {
-                    attempts.push(vector);
-                }
-            }
-        }
-        combos.push(PlannedCombo {
-            combo,
-            concept_names,
-            attempts,
-        });
-    }
-    combos
 }
 
 /// Runs the full §3.2 procedure for one module:
@@ -359,7 +302,7 @@ fn generate_with(
     }
 
     let (resolved, unvalued) = resolve_candidates(&plan, descriptor, ontology, pool, config);
-    let planned = plan_invocations(&plan, &resolved);
+    let attempts = config.retries_per_combination + 1;
 
     // Telemetry-only coverage tracking, kept on the combination indices so
     // reporting needs no ontology lookups after the loop. `covered_flags`
@@ -376,27 +319,56 @@ fn generate_with(
         covered_flags = vec![false; offset];
     }
 
-    // Each combination's planned attempts are invoked in order until one
-    // terminates normally; a combination with no success is recorded failed.
+    let names = |params: &[dex_modules::Parameter]| -> Vec<Arc<str>> {
+        params.iter().map(|p| Arc::from(p.name.as_str())).collect()
+    };
+    let (input_names, output_names) = (names(&descriptor.inputs), names(&descriptor.outputs));
+
+    // Each combination's attempts are invoked in order until one terminates
+    // normally; a combination with no success is recorded failed.
     let mut examples = ExampleSet::new(descriptor.id.clone());
     let mut failed: Vec<Vec<String>> = Vec::new();
     let mut rejected: Vec<Vec<Value>> = Vec::new();
     let mut invocations = 0usize;
     let mut transient_failures = 0usize;
-    'combos: for combo in planned {
-        for picks in &combo.attempts {
+    'combos: for combo in plan.combinations() {
+        let parts = || combo.iter().enumerate().map(|(i, &pi)| &resolved[i][pi]);
+        let concept_names = || parts().map(|part| part.concept.to_string()).collect();
+        // Some input partition has no realization: the combination can
+        // never be fed.
+        if parts().any(|part| part.picks[0].is_none()) {
+            failed.push(concept_names());
+            continue;
+        }
+        let picks = |attempt: usize| {
+            parts().map(move |part| part.picks[attempt].expect("every partition is realized"))
+        };
+        for attempt in 0..attempts {
+            // Retry dedup: an attempt feeding the same pool instances as an
+            // earlier attempt of this combination is skipped — the module is
+            // deterministic, so re-invoking cannot change the outcome.
+            let same_instances = |earlier| {
+                picks(attempt)
+                    .zip(picks(earlier))
+                    .all(|(a, b)| std::ptr::eq(a, b))
+            };
+            if (0..attempt).any(same_instances) {
+                continue;
+            }
             invocations += 1;
             let recorded = memo.and_then(|memo| {
                 memo.examples
                     .iter()
-                    .find(|e| same_vector(e.inputs.iter().map(|b| &b.value), picks))
+                    .find(|e| same_vector(e.inputs.iter().map(|b| &b.value), picks(attempt)))
             });
             let (inputs, outputs) = match recorded {
                 Some(previous) => (previous.inputs.clone(), previous.outputs.clone()),
                 None => {
-                    let values: Vec<Value> = picks.iter().map(|&v| v.clone()).collect();
+                    let values: Vec<Value> = picks(attempt).cloned().collect();
                     if memo.is_some_and(|memo| {
-                        memo.rejected.iter().any(|r| same_vector(r.iter(), picks))
+                        memo.rejected
+                            .iter()
+                            .any(|r| same_vector(r.iter(), picks(attempt)))
                     }) {
                         rejected.push(values);
                         continue;
@@ -413,32 +385,30 @@ fn generate_with(
                             continue;
                         }
                     };
-                    let inputs = descriptor
-                        .inputs
+                    let inputs = input_names
                         .iter()
                         .zip(values)
-                        .map(|(p, v)| Binding::new(p.name.clone(), v))
+                        .map(|(name, v)| Binding::new(Arc::clone(name), v))
                         .collect();
-                    let outputs = descriptor
-                        .outputs
+                    let outputs = output_names
                         .iter()
                         .zip(outputs)
-                        .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
+                        .map(|(name, v)| Binding::new(Arc::clone(name), v.clone()))
                         .collect();
                     (inputs, outputs)
                 }
             };
             if telemetry_on {
-                for (i, &pi) in combo.combo.iter().enumerate() {
+                for (i, &pi) in combo.iter().enumerate() {
                     covered_flags[input_offsets[i] + pi] = true;
                 }
             }
             examples
                 .examples
-                .push(DataExample::new(inputs, outputs, combo.concept_names));
+                .push(DataExample::new(inputs, outputs, concept_names()));
             continue 'combos;
         }
-        failed.push(combo.concept_names);
+        failed.push(concept_names());
     }
 
     let report = GenerationReport {
@@ -455,8 +425,11 @@ fn generate_with(
 }
 
 /// Whether a recorded input vector equals an attempt's picks.
-fn same_vector<'a>(recorded: impl ExactSizeIterator<Item = &'a Value>, picks: &[&Value]) -> bool {
-    recorded.len() == picks.len() && recorded.zip(picks).all(|(r, &p)| r == p)
+fn same_vector<'a>(
+    recorded: impl ExactSizeIterator<Item = &'a Value>,
+    picks: impl ExactSizeIterator<Item = &'a Value>,
+) -> bool {
+    recorded.len() == picks.len() && recorded.zip(picks).all(|(r, p)| r == p)
 }
 
 /// Folds one finished generation into the process-global counters. Gated on
@@ -655,17 +628,21 @@ mod tests {
         );
     }
 
-    /// Satellite regression: with a depth-1 pool every retry re-selects the
-    /// same instance, so only the first attempt may be invoked (and counted).
+    /// With a depth-1 pool every retry re-selects the same instance, so only
+    /// the first attempt may be invoked (and counted). Duplicates are found
+    /// by instance, not by value: two distinct instances with equal text are
+    /// two attempts, both invoked, counted and recorded as rejected.
     #[test]
     fn duplicate_retry_vectors_are_skipped_not_reinvoked() {
         let onto = mygrid::ontology();
-        let mut pool = InstancePool::new("depth1");
-        // Exactly one realization for the one partition in play.
-        pool.add(AnnotatedInstance::synthetic(
-            Value::text("not-a-sequence!"),
-            "BiologicalSequence",
-        ));
+        let text = || Value::text("not-a-sequence!");
+        let pool_of = |instances: usize| {
+            let mut pool = InstancePool::new("shallow");
+            for _ in 0..instances {
+                pool.add(AnnotatedInstance::synthetic(text(), "BiologicalSequence"));
+            }
+            pool
+        };
         let invoked = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let seen = std::sync::Arc::clone(&invoked);
         let m = FnModule::new(
@@ -689,20 +666,24 @@ mod tests {
             retries_per_combination: 3,
             ..GenerationConfig::default()
         };
-        // Restrict to the root partition: the synthetic ontology gives
-        // BiologicalSequence four partitions, three of which are unvalued
-        // with this pool.
-        let report = generate_examples(&m, &onto, &pool, &config).unwrap();
-        let valued_combos = 1;
-        assert_eq!(
-            report.invocations, valued_combos,
-            "duplicate retries must not be re-invoked or counted"
-        );
-        assert_eq!(
-            invoked.load(std::sync::atomic::Ordering::Relaxed),
-            valued_combos,
-            "the module saw exactly one invocation"
-        );
+        // The synthetic ontology gives BiologicalSequence four partitions;
+        // only the root one is valued with these pools. One instance: every
+        // attempt feeds it. Two equal-text instances: attempt 1 feeds the
+        // second, attempts 2 and 3 fall back to the first.
+        for (instances, attempts) in [(1, 1), (2, 2)] {
+            invoked.store(0, std::sync::atomic::Ordering::Relaxed);
+            let report = generate_examples(&m, &onto, &pool_of(instances), &config).unwrap();
+            assert_eq!(
+                report.invocations, attempts,
+                "{instances} instance(s): duplicate retries must not be re-invoked or counted"
+            );
+            assert_eq!(
+                invoked.load(std::sync::atomic::Ordering::Relaxed),
+                attempts,
+                "{instances} instance(s): the module saw each distinct attempt once"
+            );
+            assert_eq!(report.rejected, vec![vec![text()]; attempts]);
+        }
     }
 
     #[test]

@@ -52,22 +52,23 @@ impl Iterator for CombinationIter<'_> {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.next.clone()?;
-        // Advance like an odometer, most significant digit first.
-        let mut next = current.clone();
+        let next = self.next.as_mut()?;
+        let current = next.clone();
+        // Advance like an odometer, most significant digit first, in place.
         let mut pos = next.len();
-        loop {
+        let exhausted = loop {
             if pos == 0 {
-                self.next = None;
-                break;
+                break true;
             }
             pos -= 1;
             next[pos] += 1;
             if next[pos] < self.plan.per_input[pos].len() {
-                self.next = Some(next);
-                break;
+                break false;
             }
             next[pos] = 0;
+        };
+        if exhausted {
+            self.next = None;
         }
         Some(current)
     }

@@ -272,7 +272,8 @@ impl ContinuousState {
     }
 
     /// One seeded decay wave: withdraws `fault_pct`% of the still-available
-    /// modules and repairs. `None` once nothing is left to withdraw.
+    /// modules, at least one unless the rate is 0%, and repairs. `None` once
+    /// nothing is left to withdraw.
     pub fn decay_wave(&mut self) -> Option<&WaveReport> {
         let mut alive: Vec<ModuleId> = self
             .pipeline
@@ -284,8 +285,9 @@ impl ContinuousState {
         if alive.is_empty() {
             return None;
         }
+        let floor = usize::from(self.cfg.fault_pct > 0);
         let quota = ((alive.len() * self.cfg.fault_pct as usize) / 100)
-            .max(1)
+            .max(floor)
             .min(alive.len());
         let mut victims = Vec::with_capacity(quota);
         for _ in 0..quota {
@@ -552,6 +554,35 @@ mod tests {
                 .iter()
                 .map(|w| w.affected_workflows as u64)
                 .sum::<u64>()
+        );
+    }
+
+    /// A 0% rate withdraws nothing; a positive rate withdraws at least one
+    /// module where its share of the alive modules rounds down to none.
+    #[test]
+    fn only_a_zero_rate_withdraws_nothing() {
+        let cfg = |fault_pct| ContinuousConfig {
+            scale: 8,
+            workflows: 4,
+            waves: 0,
+            fault_pct,
+            seed: 3,
+            pool_depth: 4,
+        };
+        let mut still = ContinuousState::prepare(&cfg(0));
+        let before = still.pipeline().universe().catalog.available_ids();
+        let wave = still.decay_wave().expect("every module is alive");
+        assert_eq!(wave.withdrawals, 0);
+        assert_eq!(still.pipeline().universe().catalog.available_ids(), before);
+
+        let mut decaying = ContinuousState::prepare(&cfg(10));
+        let alive = decaying.pipeline().universe().catalog.available_ids().len();
+        assert!(alive < 10, "10% of {alive} modules rounds down to none");
+        let wave = decaying.decay_wave().expect("every module is alive");
+        assert_eq!(wave.withdrawals, 1);
+        assert_eq!(
+            decaying.pipeline().universe().catalog.available_ids().len(),
+            alive - 1
         );
     }
 

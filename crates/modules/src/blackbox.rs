@@ -3,6 +3,7 @@
 use crate::invoke::InvocationError;
 use crate::module::ModuleDescriptor;
 use dex_values::Value;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide invocation counters, resolved once.
@@ -95,9 +96,10 @@ impl FnModule {
                 got: inputs.len(),
             });
         }
-        // Validate and apply defaults.
-        let mut effective: Vec<Value> = Vec::with_capacity(inputs.len());
-        for (param, value) in params.iter().zip(inputs) {
+        // Validate and apply defaults; the inputs are copied only when a
+        // `Null` takes its parameter's default.
+        let mut effective = Cow::Borrowed(inputs);
+        for (i, (param, value)) in params.iter().zip(inputs).enumerate() {
             if !param.admits(value) {
                 return Err(InvocationError::BadInput {
                     parameter: param.name.clone(),
@@ -108,11 +110,9 @@ impl FnModule {
                     },
                 });
             }
-            effective.push(if value.is_null() {
-                param.default.clone()
-            } else {
-                value.clone()
-            });
+            if value.is_null() {
+                effective.to_mut()[i] = param.default.clone();
+            }
         }
         let outputs = (self.body)(&effective)?;
         debug_assert_eq!(

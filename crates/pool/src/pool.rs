@@ -134,9 +134,14 @@ pub struct InstancePool {
 impl InstancePool {
     /// An empty pool.
     pub fn new(name: impl Into<String>) -> Self {
+        InstancePool::with_capacity(name, 0)
+    }
+
+    /// An empty pool with room for `instances` instances.
+    pub(crate) fn with_capacity(name: impl Into<String>, instances: usize) -> Self {
         InstancePool {
             name: name.into(),
-            instances: Vec::new(),
+            instances: Vec::with_capacity(instances),
             index: PoolIndex::default(),
         }
     }

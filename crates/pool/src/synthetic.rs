@@ -49,7 +49,36 @@ pub fn text_instance(concept: &str, k: usize, seed: u64) -> dex_values::Value {
         salt ^= u64::from(byte);
         salt = salt.wrapping_mul(0x1000_0000_01b3);
     }
-    dex_values::Value::text(format!("ec:{concept}:{k:04}:{:08x}", salt as u32))
+    // The text is assembled in a stack buffer (a heap one for a name too
+    // long for it) and copied once into the allocation the value keeps.
+    let k_digits = k.checked_ilog10().map_or(1, |d| d as usize + 1).max(4);
+    let k_at = 3 + concept.len() + 1;
+    let salt_at = k_at + k_digits + 1;
+    let len = salt_at + 8;
+    let mut stack = [0u8; 64];
+    let mut heap = Vec::new();
+    let text = if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        &mut heap[..]
+    };
+    text[..3].copy_from_slice(b"ec:");
+    text[3..k_at - 1].copy_from_slice(concept.as_bytes());
+    text[k_at - 1] = b':';
+    write_digits(&mut text[k_at..salt_at - 1], k as u64, 10);
+    text[salt_at - 1] = b':';
+    write_digits(&mut text[salt_at..], u64::from(salt as u32), 16);
+    dex_values::Value::text(std::str::from_utf8(text).expect("ASCII around a UTF-8 concept name"))
+}
+
+/// Writes `n` into `out` in lower-case `radix` digits, right-aligned and
+/// zero-padded to the slice's length.
+fn write_digits(out: &mut [u8], mut n: u64, radix: u64) {
+    for digit in out.iter_mut().rev() {
+        *digit = b"0123456789abcdef"[(n % radix) as usize];
+        n /= radix;
+    }
 }
 
 /// Builds a pool holding `per_concept` deterministic *text* realizations of
@@ -62,11 +91,10 @@ pub fn text_instance(concept: &str, k: usize, seed: u64) -> dex_values::Value {
 /// Deterministic in `seed`; concepts are visited in ontology insertion
 /// order and every realizable concept is covered by construction.
 pub fn build_text_pool(ontology: &Ontology, per_concept: usize, seed: u64) -> InstancePool {
-    let mut pool = InstancePool::new(format!("text-{seed}"));
-    for concept in ontology.iter() {
-        if !ontology.can_be_realized(concept) {
-            continue;
-        }
+    let realizable = || ontology.iter().filter(|&c| ontology.can_be_realized(c));
+    let mut pool =
+        InstancePool::with_capacity(format!("text-{seed}"), realizable().count() * per_concept);
+    for concept in realizable() {
         let name = ontology.concept_name(concept);
         for k in 0..per_concept {
             pool.add(AnnotatedInstance::synthetic(
@@ -152,6 +180,46 @@ mod tests {
             a.iter().map(|i| i.value.clone()).collect::<Vec<_>>(),
             c.iter().map(|i| i.value.clone()).collect::<Vec<_>>()
         );
+    }
+
+    /// The exact texts every stored pool and golden holds: past the
+    /// four-digit pad, at both sides of the 64-byte stack buffer, and for a
+    /// name longer than it.
+    #[test]
+    fn text_instance_writes_the_pinned_texts() {
+        let at_buffer = "x".repeat(47);
+        let past_buffer = "y".repeat(48);
+        let long = "Concept".repeat(20);
+        let cases = [
+            ("Thing", 0, 1, "ec:Thing:0000:01d5454e".to_string()),
+            (
+                "sc.f000012.b",
+                3,
+                42,
+                "ec:sc.f000012.b:0003:47778d85".into(),
+            ),
+            (
+                "UniprotAccession",
+                10_000,
+                7,
+                "ec:UniprotAccession:10000:361fc70e".into(),
+            ),
+            ("", 123_456, 0, "ec::123456:f75aed76".into()),
+            (&at_buffer, 9, 5, format!("ec:{at_buffer}:0009:7a2de993")),
+            (
+                &past_buffer,
+                9,
+                5,
+                format!("ec:{past_buffer}:0009:ced391d9"),
+            ),
+            (&long, 12, 99, format!("ec:{long}:0012:0c80e36a")),
+        ];
+        for (concept, k, seed, text) in cases {
+            assert_eq!(
+                text_instance(concept, k, seed).as_text(),
+                Some(text.as_str())
+            );
+        }
     }
 
     #[test]

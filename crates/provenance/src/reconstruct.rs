@@ -25,13 +25,13 @@ pub fn reconstruct_examples(
             .inputs
             .iter()
             .zip(&record.inputs)
-            .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
+            .map(|(p, v)| Binding::new(p.name.as_str(), v.clone()))
             .collect();
         let outputs: Vec<Binding> = descriptor
             .outputs
             .iter()
             .zip(&record.outputs)
-            .map(|(p, v)| Binding::new(p.name.clone(), v.clone()))
+            .map(|(p, v)| Binding::new(p.name.as_str(), v.clone()))
             .collect();
         let example = DataExample::reconstructed(inputs, outputs);
         if !set.examples.contains(&example) {
@@ -89,8 +89,8 @@ mod tests {
     fn reconstruction_dedupes_identical_invocations() {
         let set = reconstruct_examples(&corpus(), &"m".into(), &descriptor());
         assert_eq!(set.len(), 2, "P11111 recorded twice, kept once");
-        assert_eq!(set.examples[0].inputs[0].parameter, "acc");
-        assert_eq!(set.examples[0].outputs[0].parameter, "record");
+        assert_eq!(&*set.examples[0].inputs[0].parameter, "acc");
+        assert_eq!(&*set.examples[0].outputs[0].parameter, "record");
         assert!(set.examples[0].input_partitions.is_empty());
     }
 

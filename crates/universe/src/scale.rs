@@ -176,6 +176,17 @@ const KINDS: [ModuleKind; 3] = [
     ModuleKind::SoapService,
 ];
 
+/// A behaviour core's output text: `tag` then `hash` as 16 lower-case hex
+/// digits, written without an intermediate `String`.
+fn tagged(tag: &[u8; 4], hash: u64) -> Value {
+    let mut text = [0u8; 20];
+    text[..4].copy_from_slice(tag);
+    for (i, digit) in text[4..].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(hash >> (60 - 4 * i)) as usize & 0xf];
+    }
+    Value::text(std::str::from_utf8(&text).expect("ASCII tag and digits"))
+}
+
 /// Materializes `plan` into a deterministic scaled world.
 ///
 /// # Panics
@@ -267,39 +278,38 @@ pub fn build_scaled(plan: &ScalePlan) -> ScaledWorld {
             )
         };
 
-        let fam_key = format!("sc.f{f:06}");
+        // One family key and one divergence prefix, shared by the members'
+        // behaviour cores.
+        let fam_key: Arc<str> = format!("sc.f{f:06}").into();
+        let mut divergence: Option<Arc<str>> = None;
         let mut members = Vec::with_capacity(size);
         let mut roles = Vec::with_capacity(size);
         for m in 0..size {
             let role = role_for(m);
-            let member_key = format!("{fam_key}.m{m:02}");
+            let member_key = || format!("{fam_key}.m{m:02}");
             let core: Arc<dyn Fn(&str) -> Value + Send + Sync> = match role {
                 MemberRole::Anchor | MemberRole::Equivalent => {
-                    let key = fam_key.clone();
-                    Arc::new(move |s| {
-                        Value::text(format!("out:{:016x}", db::seed_for(&[key.as_str(), s])))
-                    })
+                    let key = Arc::clone(&fam_key);
+                    Arc::new(move |s| tagged(b"out:", db::seed_for(&[&key, s])))
                 }
                 MemberRole::Overlapping => {
-                    let key = fam_key.clone();
-                    let prefix = format!("ec:{}:", concepts.child_b);
+                    let (key, member_key) = (Arc::clone(&fam_key), member_key());
+                    let prefix = Arc::clone(
+                        divergence
+                            .get_or_insert_with(|| format!("ec:{}:", concepts.child_b).into()),
+                    );
                     Arc::new(move |s| {
-                        if s.starts_with(&prefix) {
-                            Value::text(format!(
-                                "odd:{:016x}",
-                                db::seed_for(&[member_key.as_str(), s])
-                            ))
+                        if s.starts_with(&*prefix) {
+                            tagged(b"odd:", db::seed_for(&[&member_key, s]))
                         } else {
-                            Value::text(format!("out:{:016x}", db::seed_for(&[key.as_str(), s])))
+                            tagged(b"out:", db::seed_for(&[&key, s]))
                         }
                     })
                 }
-                MemberRole::Distinct => Arc::new(move |s| {
-                    Value::text(format!(
-                        "own:{:016x}",
-                        db::seed_for(&[member_key.as_str(), s])
-                    ))
-                }),
+                MemberRole::Distinct => {
+                    let member_key = member_key();
+                    Arc::new(move |s| tagged(b"own:", db::seed_for(&[&member_key, s])))
+                }
             };
             let id = ModuleId::new(format!("sc{f:06}.{m:02}"));
             let descriptor = ModuleDescriptor::new(
