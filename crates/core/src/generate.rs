@@ -44,13 +44,12 @@ pub struct GenerationConfig {
     pub max_combinations: usize,
     /// How many alternative value selections to try for a combination whose
     /// invocation is rejected, before recording the combination as failed.
-    /// Each retry advances every input's pool pick by one.
+    /// Attempt `a` feeds every input the `a`-th conforming instance of its
+    /// partition (the first when the partition has fewer), so two modules
+    /// generated from one pool are fed the same values, which is what makes
+    /// their examples *aligned* (§6: "we choose the same values for both i
+    /// and i′").
     pub retries_per_combination: usize,
-    /// Base offset into each partition's realization list. `0` picks the
-    /// first conforming instance; the matcher uses identical offsets for two
-    /// modules to obtain *aligned* examples (§6: "we choose the same values
-    /// for both i and i′").
-    pub value_offset: usize,
     /// How to retry *transient* invocation failures (`Unavailable`/`Fault`)
     /// within one attempt. Distinct from
     /// [`retries_per_combination`](GenerationConfig::retries_per_combination),
@@ -65,7 +64,6 @@ impl Default for GenerationConfig {
         GenerationConfig {
             max_combinations: 4096,
             retries_per_combination: 3,
-            value_offset: 0,
             retry: RetryPolicy::none(),
         }
     }
@@ -131,10 +129,10 @@ impl GenerationReport {
 /// Candidate values for one `(input, partition)` pair, resolved from the
 /// pool exactly once per generation.
 ///
-/// `picks[a]` is the value attempt `a` feeds this input, after the fallback
-/// chain (requested depth → base offset → first pick) — `None` for every
-/// attempt exactly when the pool holds no structurally compatible
-/// realization at all.
+/// `picks[a]` is the value attempt `a` feeds this input: the partition's
+/// `a`-th conforming realization, else its first — `None` for every attempt
+/// exactly when the pool holds no structurally compatible realization at
+/// all.
 struct ResolvedPartition<'o, 'p> {
     concept: &'o str,
     picks: Vec<Option<&'p Value>>,
@@ -145,9 +143,9 @@ struct ResolvedPartition<'o, 'p> {
 /// The legacy generator probed `get_instance` for every partition in phase 2
 /// and then repeated the identical lookups (plus two `or_else` fallbacks per
 /// input per attempt) inside the phase-3 combination loop. Here each
-/// `(input, partition)` costs `retries + 2` pool lookups total, shared by
-/// every combination that references it, and the "unvalued" probe is the
-/// same lookup as the attempt-0 fallback.
+/// `(input, partition)` costs `retries + 1` pool lookups total (one when it
+/// is unvalued), shared by every combination that references it, and the
+/// "unvalued" probe is attempt 0's pick.
 fn resolve_candidates<'o, 'p>(
     plan: &PartitionPlan,
     descriptor: &dex_modules::ModuleDescriptor,
@@ -168,23 +166,15 @@ fn resolve_candidates<'o, 'p>(
             if first.is_none() {
                 unvalued.push((i, concept.to_string()));
             }
-            let base = if config.value_offset == 0 {
-                first
-            } else {
-                pool.get_instance(concept, structural, config.value_offset)
-                    .map(|x| &x.value)
-                    .or(first)
-            };
             let picks = (0..attempts)
                 .map(|attempt| {
                     first?;
                     if attempt == 0 {
-                        // skip == value_offset: exactly the `base` lookup.
-                        return base;
+                        return first;
                     }
-                    pool.get_instance(concept, structural, config.value_offset + attempt)
+                    pool.get_instance(concept, structural, attempt)
                         .map(|x| &x.value)
-                        .or(base)
+                        .or(first)
                 })
                 .collect();
             per_partition.push(ResolvedPartition { concept, picks });
@@ -248,7 +238,7 @@ pub fn generate_examples_memoized(
 
 /// [`generate_examples`] through a shared [`InvocationCache`] and
 /// [`Retrier`]. Every distinct `(module, input vector)` across all callers
-/// of the cache — other generations, other value offsets, matcher replays,
+/// of the cache — other generations, matcher replays,
 /// repair verification — is invoked at most once process-wide; the report
 /// is byte-identical to the uncached path, only the number of *actual*
 /// module invocations drops. Every transient invocation failure is
@@ -710,28 +700,6 @@ mod tests {
         let a = generate_examples(&m, &onto, &pool, &GenerationConfig::default()).unwrap();
         let b = generate_examples(&m, &onto, &pool, &GenerationConfig::default()).unwrap();
         assert_eq!(a.examples, b.examples);
-    }
-
-    #[test]
-    fn value_offset_changes_selected_values() {
-        let (onto, pool) = fixture();
-        let m = seq_kind_module();
-        let a = generate_examples(&m, &onto, &pool, &GenerationConfig::default()).unwrap();
-        let b = generate_examples(
-            &m,
-            &onto,
-            &pool,
-            &GenerationConfig {
-                value_offset: 1,
-                ..GenerationConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(a.examples.len(), b.examples.len());
-        assert_ne!(
-            a.examples.examples[0].inputs[0].value,
-            b.examples.examples[0].inputs[0].value
-        );
     }
 
     #[test]

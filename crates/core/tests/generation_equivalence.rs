@@ -1,7 +1,7 @@
 //! Property tests: the cached generation path, and regeneration from a
 //! module's previous report, produce reports identical to the unmemoized
 //! one (`generate_examples`, the oracle) across random module behaviors,
-//! pool depths/seeds, value offsets, and fault plans.
+//! pool depths/seeds, retry counts, and fault plans.
 //!
 //! This is the determinism contract of the invocation planner: a memo may
 //! only change *how many times* a module is actually invoked, never what the
@@ -131,14 +131,12 @@ proptest! {
         reject_pct in 0u64..101,
         depth in 1usize..7,
         pool_seed in 0u64..1025,
-        value_offset in 0usize..5,
         retries in 0usize..5,
     ) {
         let ontology = mygrid::ontology();
         let pool = build_synthetic_pool(&ontology, depth, pool_seed);
         let module = Counted::new(arb_module(&inputs, salt, reject_pct));
         let config = GenerationConfig {
-            value_offset,
             retries_per_combination: retries,
             ..GenerationConfig::default()
         };
@@ -174,10 +172,10 @@ proptest! {
             "warm regeneration must not invoke the module"
         );
 
-        // Cached at a different offset shares whatever vectors the offsets
-        // have in common and still matches its own oracle.
+        // Cached under one more retry shares the vectors both retry counts
+        // try and still matches its own oracle.
         let shifted = GenerationConfig {
-            value_offset: value_offset + 1,
+            retries_per_combination: retries + 1,
             ..config.clone()
         };
         let shifted_oracle = generate_examples(&module, &ontology, &pool, &shifted).unwrap();
@@ -199,14 +197,12 @@ proptest! {
         reject_pct in 0u64..101,
         depth in 1usize..7,
         pool_seed in 0u64..1025,
-        value_offset in 0usize..5,
         retries in 0usize..5,
     ) {
         let ontology = mygrid::ontology();
         let pool = build_synthetic_pool(&ontology, depth, pool_seed);
         let module = Counted::new(arb_module(&inputs, salt, reject_pct));
         let config = GenerationConfig {
-            value_offset,
             retries_per_combination: retries,
             ..GenerationConfig::default()
         };
@@ -246,14 +242,10 @@ proptest! {
         reject_pct in 0u64..101,
         fault_rate_pct in 0u32..41,
         fault_seed in any::<u64>(),
-        value_offset in 0usize..3,
     ) {
         let ontology = mygrid::ontology();
         let pool = build_synthetic_pool(&ontology, 3, 7);
-        let config = GenerationConfig {
-            value_offset,
-            ..GenerationConfig::default()
-        };
+        let config = GenerationConfig::default();
         let plain = arb_module(&inputs, salt, reject_pct);
         let oracle = generate_examples(&plain, &ontology, &pool, &config).unwrap();
 

@@ -30,10 +30,10 @@ pub fn partitioning_vs_random(ctx: &Context) -> String {
     let mut part_conciseness = 0.0;
     let mut rand_completeness = 0.0;
     let mut rand_conciseness = 0.0;
-    let n = ctx.reports.len() as f64;
+    let n = ctx.engine.reports().count() as f64;
     let universe = ctx.universe();
 
-    for (id, report) in &ctx.reports {
+    for (id, report) in ctx.engine.reports() {
         let oracle = SpecOracle::new(&universe.specs[id]);
         let s = score(&report.examples, &oracle);
         part_completeness += s.completeness;

@@ -38,11 +38,11 @@ fn digest(faults: &FaultConfig) -> (String, Context) {
 /// the degradation table tracks.
 fn yield_under(faults: &FaultConfig) -> (usize, usize) {
     let ctx = Context::build(faults);
-    let examples = ctx.reports.values().map(|r| r.examples.len()).sum();
+    let examples = ctx.engine.reports().map(|(_, r)| r.examples.len()).sum();
     let transients = ctx
-        .reports
-        .values()
-        .map(|r| r.transient_failures)
+        .engine
+        .reports()
+        .map(|(_, r)| r.transient_failures)
         .sum::<usize>()
         + ctx.generation_failures.len();
     (examples, transients)

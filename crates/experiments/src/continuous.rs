@@ -684,7 +684,11 @@ mod tests {
                 {
                     continue;
                 }
-                match state.pipeline().substitute_for(&step.module) {
+                match state
+                    .pipeline()
+                    .matching_study()
+                    .substitute_for(&step.module)
+                {
                     Some((cand, MatchVerdict::Equivalent { .. }))
                         if !state.pipeline().universe().catalog.is_available(cand) =>
                     {

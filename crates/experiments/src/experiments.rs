@@ -27,7 +27,7 @@ fn bucketize(values: impl Iterator<Item = f64>, decimals: usize) -> BTreeMap<Str
 pub fn table1(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.table1");
     let buckets = bucketize(
-        ctx.reports.iter().map(|(id, report)| {
+        ctx.engine.reports().map(|(id, report)| {
             let oracle = SpecOracle::new(&ctx.universe().specs[id]);
             score(&report.examples, &oracle).completeness
         }),
@@ -72,7 +72,7 @@ pub fn table1(ctx: &Context) -> String {
 pub fn table2(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.table2");
     let buckets = bucketize(
-        ctx.reports.iter().map(|(id, report)| {
+        ctx.engine.reports().map(|(id, report)| {
             let oracle = SpecOracle::new(&ctx.universe().specs[id]);
             score(&report.examples, &oracle).conciseness
         }),
@@ -147,7 +147,7 @@ pub fn coverage(ctx: &Context) -> String {
     let mut inputs_fully = 0usize;
     let mut outputs_fully = 0usize;
     let mut exceptions: Vec<String> = Vec::new();
-    for (id, report) in &ctx.reports {
+    for (id, report) in ctx.engine.reports() {
         if report.input_partition_coverage(&universe.ontology) >= 1.0 {
             inputs_fully += 1;
         }
@@ -194,7 +194,12 @@ pub fn coverage(ctx: &Context) -> String {
 /// examples, plus the per-category breakdown of §5.
 pub fn figure5(ctx: &Context) -> String {
     let _span = dex_telemetry::span("exp.figure5");
-    let outcome = run_user_study(ctx.universe(), &ctx.example_sets());
+    let outcome = run_user_study(
+        ctx.universe(),
+        ctx.engine
+            .reports()
+            .map(|(id, report)| (id, &report.examples)),
+    );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let paper = [
         ("user1", 47usize, 169usize),

@@ -153,21 +153,25 @@ impl IncrementalPipeline {
         let reports: Vec<_> = {
             let _span = dex_telemetry::span("incremental.bootstrap.generate");
             let ranges = (0..threads).map(|k| k * ids_len / threads..(k + 1) * ids_len / threads);
-            run_shares(ranges.collect(), |range| {
-                modules[range]
-                    .iter()
-                    .map(|module| {
-                        generate_examples_memoized(
-                            module.as_ref(),
-                            &universe.ontology,
-                            &pool,
-                            &config,
-                            None,
-                            &retrier,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
+            run_shares(
+                "incremental.bootstrap.generate.worker",
+                ranges.collect(),
+                |range| {
+                    modules[range]
+                        .iter()
+                        .map(|module| {
+                            generate_examples_memoized(
+                                module.as_ref(),
+                                &universe.ontology,
+                                &pool,
+                                &config,
+                                None,
+                                &retrier,
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                },
+            )
             .into_iter()
             .flatten()
             .collect()
@@ -234,7 +238,8 @@ impl IncrementalPipeline {
             rows
         };
         let mut verdicts = vec![Vec::new(); self.ids.len()];
-        for (t, row) in run_shares(shares, rows_of).into_iter().flatten() {
+        let rows = run_shares("incremental.bootstrap.fill.worker", shares, rows_of);
+        for (t, row) in rows.into_iter().flatten() {
             verdicts[t] = row;
         }
         verdicts
@@ -601,20 +606,18 @@ impl IncrementalPipeline {
         &self.ids
     }
 
-    /// Successful generation reports of the currently available modules —
-    /// the same map a cold serial `generate_examples` over the present
-    /// state returns.
-    pub fn reports(&self) -> BTreeMap<ModuleId, GenerationReport> {
-        let mut out = BTreeMap::new();
-        for (i, id) in self.ids.iter().enumerate() {
-            if !self.available[i] {
-                continue;
-            }
-            if let Ok(report) = self.reports[i].as_ref() {
-                out.insert(id.clone(), report.clone());
-            }
-        }
-        out
+    /// Successful generation reports of the currently available modules,
+    /// in id order — the reports a cold serial `generate_examples` over the
+    /// present state returns.
+    pub fn reports(&self) -> impl Iterator<Item = (&ModuleId, &GenerationReport)> {
+        self.ids
+            .iter()
+            .zip(&self.reports)
+            .zip(&self.available)
+            .filter_map(|((id, report), &available)| match report {
+                Ok(report) if available => Some((id, report)),
+                _ => None,
+            })
     }
 
     /// Materializes the dense matching matrix over the currently available
@@ -663,12 +666,6 @@ impl IncrementalPipeline {
             }
         }
         out
-    }
-
-    /// The carried-forward substitute for a withdrawn tracked module, if
-    /// its last-known row held a usable verdict.
-    pub fn substitute_for(&self, id: &ModuleId) -> Option<&(ModuleId, MatchVerdict)> {
-        self.substitutes.substitute_for(id)
     }
 
     /// The repair-layer view of the modules withdrawn now: a
@@ -885,13 +882,26 @@ fn deal_buckets<'a>(
 /// other on a scoped thread of its own, and returns the results in share
 /// order. One share spawns nothing. A worker's panic is re-raised with its
 /// payload.
-fn run_shares<S: Send, R: Send>(shares: Vec<S>, work: impl Fn(S) -> R + Sync) -> Vec<R> {
+///
+/// Each worker runs its share under one root span named `worker`, so the
+/// spans its share opens nest under it and reach the global span list in
+/// one append when it closes, rather than one per span.
+fn run_shares<S: Send, R: Send>(
+    worker: &'static str,
+    shares: Vec<S>,
+    work: impl Fn(S) -> R + Sync,
+) -> Vec<R> {
     let mut shares = shares.into_iter();
     let first = shares.next();
     std::thread::scope(|scope| {
         let work = &work;
         let workers: Vec<_> = shares
-            .map(|share| scope.spawn(move || work(share)))
+            .map(|share| {
+                scope.spawn(move || {
+                    let _span = dex_telemetry::span(worker);
+                    work(share)
+                })
+            })
             .collect();
         let mut results: Vec<R> = first.map(work).into_iter().collect();
         for worker in workers {
@@ -947,7 +957,11 @@ mod tests {
                     engine.invocation_cache().stats(),
                     injector.stats(),
                 );
-                (counts, engine.reports(), engine.matrix())
+                let reports: Vec<_> = engine
+                    .reports()
+                    .map(|(id, report)| (id.clone(), report.clone()))
+                    .collect();
+                (counts, reports, engine.matrix())
             };
             let one = run(|_| 1);
             let ((retries, cache, faults), reports, matrix) = &one;
@@ -1016,12 +1030,12 @@ mod tests {
     #[test]
     fn a_share_runs_on_the_caller_and_a_worker_panic_keeps_its_payload() {
         let caller = std::thread::current().id();
-        let ran = run_shares(vec![0, 1, 2], |k| {
+        let ran = run_shares("test.worker", vec![0, 1, 2], |k| {
             (k, std::thread::current().id() == caller)
         });
         assert_eq!(ran, vec![(0, true), (1, false), (2, false)]);
         let panic = std::panic::catch_unwind(|| {
-            run_shares(vec![0, 1], |k| {
+            run_shares("test.worker", vec![0, 1], |k| {
                 if k == 1 {
                     std::panic::panic_any(format!("share {k} failed"));
                 }

@@ -14,15 +14,15 @@
 //! | `exp_repair` | §6 — workflow repair counts |
 //! | `exp_all` | all of the above, in order |
 //!
-//! The heavy artifacts (universe, pool, registry, corpus) are built once
-//! per process via [`Context`]; all binaries use the same fixed seeds, so
-//! every run regenerates identical tables.
+//! The heavy artifacts (universe, pool, and the engine that holds every
+//! module's data examples) are built once per process via [`Context`]; all
+//! binaries use the same fixed seeds, so every run regenerates identical
+//! tables.
 
-use dex_core::{ExampleSet, GenerationConfig, GenerationReport};
+use dex_core::GenerationConfig;
 use dex_modules::ModuleId;
 use dex_pool::{build_synthetic_pool, InstancePool};
 use dex_universe::Universe;
-use std::collections::BTreeMap;
 
 pub mod ablations;
 pub mod continuous;
@@ -55,8 +55,6 @@ pub struct Context {
     pub engine: IncrementalPipeline,
     /// Generator configuration.
     pub config: GenerationConfig,
-    /// Per-module generation reports for the 252 available modules.
-    pub reports: BTreeMap<ModuleId, GenerationReport>,
     /// Modules whose generation failed even after retries — empty on a
     /// healthy run; populated (instead of panicking) on a degraded one.
     pub generation_failures: Vec<(ModuleId, String)>,
@@ -109,7 +107,6 @@ impl Context {
             dex_telemetry::dump_flight("module withdrawn");
         }
         Context {
-            reports: engine.reports(),
             engine,
             config,
             generation_failures,
@@ -124,13 +121,5 @@ impl Context {
     /// The curator pool.
     pub fn pool(&self) -> &InstancePool {
         self.engine.pool()
-    }
-
-    /// The generated example sets, keyed by module.
-    pub fn example_sets(&self) -> BTreeMap<ModuleId, ExampleSet> {
-        self.reports
-            .iter()
-            .map(|(id, r)| (id.clone(), r.examples.clone()))
-            .collect()
     }
 }

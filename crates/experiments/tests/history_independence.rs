@@ -105,7 +105,7 @@ fn churned_engine_equals_a_cold_bootstrap_and_keeps_no_history() {
         IncrementalPipeline::bootstrap(engine.universe().clone(), engine.pool().clone(), config);
     assert_eq!(engine.available_count(), SCALE - WITHDRAW);
     assert_eq!(cold.tracked_ids().len(), engine.available_count());
-    assert!(engine.reports() == cold.reports(), "reports diverged");
+    assert!(engine.reports().eq(cold.reports()), "reports diverged");
     for id in cold.tracked_ids() {
         assert_eq!(row(&engine, id), row(&cold, id), "{id}: verdict row");
         let (live, fresh) = (

@@ -198,8 +198,8 @@ fn check_equivalence(
             })
             .collect();
         assert_eq!(
-            engine.reports(),
-            cold,
+            engine.reports().collect::<Vec<_>>(),
+            cold.iter().collect::<Vec<_>>(),
             "incremental reports diverged from cold run after {applied} deltas"
         );
         // The dependency index holds each available module's current plan,
@@ -417,7 +417,11 @@ fn a_regeneration_invokes_only_what_its_examples_do_not_record() {
     let config = GenerationConfig::default();
     let mut engine = IncrementalPipeline::bootstrap(universe, pool, config.clone());
     let id = ModuleId::from("memo:len");
-    let before = engine.reports()[&id].examples.clone();
+    let report = |engine: &IncrementalPipeline| match engine.annotation(&id) {
+        Some((true, Ok(report))) => report.clone(),
+        other => panic!("{id} is available and annotated: {other:?}"),
+    };
+    let before = report(&engine).examples;
     assert_eq!(calls.load(Ordering::Relaxed), before.len());
 
     let batch = engine.apply(&[Delta::PoolRemove {
@@ -425,7 +429,7 @@ fn a_regeneration_invokes_only_what_its_examples_do_not_record() {
         occurrence: 0,
     }]);
     assert_eq!(batch.regenerated_modules, 1, "{batch:?}");
-    let after = engine.reports()[&id].clone();
+    let after = report(&engine);
     let moved = after
         .examples
         .iter()
@@ -571,7 +575,7 @@ fn a_leaf_naming_a_used_annotation_regenerates_its_module() {
         let module = cold_u.catalog.get(id).expect("available");
         let cold = generate_examples(module.as_ref(), &cold_u.ontology, &cold_p, &config)
             .unwrap_or_else(|e| panic!("cold run must generate {id}: {e}"));
-        assert_eq!(engine.reports().get(id), Some(&cold), "{id}");
+        assert_eq!(engine.annotation(id), Some((true, &Ok(cold))), "{id}");
     }
     let matrix = engine.matrix();
     assert_eq!(matrix, oracle_matrix(&cold_u, &cold_p, &config));

@@ -1,12 +1,12 @@
 //! The invocation cache on the aligned-matching workload of paper §6:
-//! generation at value offsets `0..3` over a sample of lookalike modules,
-//! then every ordered pair's example replay.
+//! generation over a sample of lookalike modules, then every ordered pair's
+//! example replay.
 //!
-//! The uncached side is the pipeline without sharing: `generate_examples`
-//! per offset, and `match_against_examples` invoking the candidate afresh
-//! on every replay. The cached side is one [`MatchSession`], whose
-//! generations (`report_at`) and replays (`compare_report`) share one
-//! invocation cache. Modules are deterministic, so every count is exact.
+//! The uncached side is the pipeline without sharing: `generate_examples`,
+//! and `match_against_examples` invoking the candidate afresh on every
+//! replay. The cached side is one [`MatchSession`], whose generations
+//! (`report_for`) and replays (`compare_report`) share one invocation
+//! cache. Modules are deterministic, so every count is exact.
 
 use dex_core::{generate_examples, match_against_examples, GenerationConfig, MappingMode};
 use dex_experiments::{POOL_PER_CONCEPT, POOL_SEED};
@@ -17,9 +17,6 @@ use dex_values::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Value offsets each module is generated at.
-const OFFSETS: usize = 3;
 
 /// Wraps a catalog module, counting every invocation that reaches the black
 /// box (cache hits never get here).
@@ -81,54 +78,47 @@ fn aligned_matching_invocation_counts() {
     assert_eq!(modules.len(), 16);
 
     // Uncached: every generation and every replay invokes.
-    for offset in 0..OFFSETS {
-        let config = GenerationConfig {
-            value_offset: offset,
-            ..config.clone()
-        };
-        let reports: Vec<_> = modules
-            .iter()
-            .zip(&ids)
-            .map(|(module, id)| {
-                generate_examples(module, &universe.ontology, &pool, &config)
-                    .unwrap_or_else(|e| panic!("{id}: {e}"))
-            })
-            .collect();
-        for (t, target) in modules.iter().enumerate() {
-            for (c, candidate) in modules.iter().enumerate() {
-                if t != c {
-                    let _ = match_against_examples(
-                        target.descriptor(),
-                        &reports[t].examples,
-                        candidate,
-                        &universe.ontology,
-                        MappingMode::Strict,
-                    );
-                }
+    let reports: Vec<_> = modules
+        .iter()
+        .zip(&ids)
+        .map(|(module, id)| {
+            generate_examples(module, &universe.ontology, &pool, &config)
+                .unwrap_or_else(|e| panic!("{id}: {e}"))
+        })
+        .collect();
+    for (t, target) in modules.iter().enumerate() {
+        for (c, candidate) in modules.iter().enumerate() {
+            if t != c {
+                let _ = match_against_examples(
+                    target.descriptor(),
+                    &reports[t].examples,
+                    candidate,
+                    &universe.ontology,
+                    MappingMode::Strict,
+                );
             }
         }
     }
     let uncached = counter.swap(0, Ordering::Relaxed);
 
-    // Cached: one session shares its invocations across offsets and pairs.
+    // Cached: one session shares its invocations across generations and
+    // pairs.
     let session = MatchSession::new(&universe.ontology, &pool, config);
-    for offset in 0..OFFSETS {
-        for (t, target) in modules.iter().enumerate() {
-            let report = session.report_at(target, offset);
-            assert!(report.is_ok(), "{}: generation failed", ids[t]);
-            for (c, candidate) in modules.iter().enumerate() {
-                if t != c {
-                    session.compare_report(target, &report, candidate);
-                }
+    for (t, target) in modules.iter().enumerate() {
+        let report = session.report_for(target);
+        assert!(report.is_ok(), "{}: generation failed", ids[t]);
+        for (c, candidate) in modules.iter().enumerate() {
+            if t != c {
+                session.compare_report(target, &report, candidate);
             }
         }
     }
     let cached = counter.load(Ordering::Relaxed);
     let stats = session.invocation_stats();
 
-    assert_eq!(uncached, 102, "uncached module invocations");
-    assert_eq!(cached, 48, "cached module invocations");
-    assert_eq!(stats.hits, 54, "cache hits");
-    assert_eq!(stats.misses, 48, "cache misses");
-    assert_eq!(stats.entries, 48, "cache entries");
+    assert_eq!(uncached, 34, "uncached module invocations");
+    assert_eq!(cached, 16, "cached module invocations");
+    assert_eq!(stats.hits, 18, "cache hits");
+    assert_eq!(stats.misses, 16, "cache misses");
+    assert_eq!(stats.entries, 16, "cache entries");
 }

@@ -50,7 +50,7 @@ fn engine_matrix_equals_the_oracle_over_the_paper_modules() {
             .collect();
         assert_eq!(cold.len(), 252);
         assert!(
-            ctx.reports == cold,
+            ctx.engine.reports().eq(&cold),
             "reports diverged (faults injected: {injecting})"
         );
 

@@ -4,8 +4,8 @@
 //! In the paper's setting (§3.2) modules are remote, metered SOAP/REST
 //! services, so the invocation is the dominant cost of every downstream
 //! workload. The pipeline re-invokes the same module on the same value
-//! vector many times over — generation retries, the matcher's aligned
-//! generation at multiple value offsets, repair verification, workflow
+//! vector many times over — generation retries, the matcher's replays of
+//! a target's examples on each candidate, repair verification, workflow
 //! re-enactment. An [`InvocationCache`] memoizes the full outcome (outputs
 //! *or* error — modules are deterministic, so a `Rejected` is as cacheable
 //! as a result vector) behind one lock, and guarantees that callers racing

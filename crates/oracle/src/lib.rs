@@ -30,10 +30,9 @@ use std::collections::BTreeMap;
 /// Its one memo is a shared [`InvocationCache`]: every generation and
 /// every candidate replay the session performs routes through it, so a
 /// distinct `(module, input vector)` is invoked at most once per session —
-/// aligned generation at offsets `0..k` shares the vectors the offsets have
-/// in common, regenerating a report re-reads its outcomes instead of
-/// invoking, and replaying a candidate against an aligned target hits the
-/// vectors its own generation already produced. Reports themselves are not
+/// regenerating a report re-reads its outcomes instead of invoking, and
+/// replaying a candidate against an aligned target hits the vectors its own
+/// generation already produced. Reports themselves are not
 /// memoized: [`match_pairs_exhaustive`] resolves each target's report once
 /// and hands it to [`compare_report`](MatchSession::compare_report) for
 /// every candidate.
@@ -72,36 +71,22 @@ impl<'a> MatchSession<'a> {
         self.invocations.stats()
     }
 
-    /// `module`'s generation result at the session's base value offset.
+    /// `module`'s generation result. Every call generates, through the
+    /// session's invocation cache and retrier, so a repeat re-invokes no
+    /// vector whose outcome the cache holds.
     pub fn report_for(&self, module: &dyn BlackBox) -> Result<GenerationReport, GenerationError> {
-        self.report_at(module, self.config.value_offset)
-    }
-
-    /// `module`'s generation result at an explicit value offset. Every call
-    /// generates, through the session's invocation cache and retrier, so a
-    /// repeat re-invokes no vector whose outcome the cache holds.
-    pub fn report_at(
-        &self,
-        module: &dyn BlackBox,
-        value_offset: usize,
-    ) -> Result<GenerationReport, GenerationError> {
-        let config = GenerationConfig {
-            value_offset,
-            ..self.config.clone()
-        };
         generate_examples_retrying(
             module,
             self.ontology,
             self.pool,
-            &config,
+            &self.config,
             &self.invocations,
             &self.retrier,
         )
     }
 
     /// Compares `candidate` against `target`'s generation `report` (from
-    /// [`report_for`](MatchSession::report_for) or
-    /// [`report_at`](MatchSession::report_at)) by [`pair_outcome`], with the
+    /// [`report_for`](MatchSession::report_for)) by [`pair_outcome`], with the
     /// strict mapping [`map_parameters`] searches and no candidate examples,
     /// so every target example is replayed. Always yields a
     /// [`MatchReport`]: incomparability becomes data instead of an error.

@@ -56,12 +56,14 @@ impl StudyOutcome {
 
 /// Runs the two-phase protocol over every available module of the universe.
 ///
-/// `examples` maps module ids to the data examples generated for them (from
-/// the registry); modules without examples convey nothing extra in phase 2.
-pub fn run_user_study(
+/// `examples` pairs module ids with the data examples generated for them,
+/// as the incremental engine's reports lend them; modules without examples
+/// convey nothing extra in phase 2.
+pub fn run_user_study<'a>(
     universe: &Universe,
-    examples: &BTreeMap<ModuleId, ExampleSet>,
+    examples: impl IntoIterator<Item = (&'a ModuleId, &'a ExampleSet)>,
 ) -> StudyOutcome {
+    let examples: BTreeMap<&ModuleId, &ExampleSet> = examples.into_iter().collect();
     let panel = UserModel::panel();
     let empty = |id: &ModuleId| ExampleSet::new(id.clone());
     let mut users = Vec::with_capacity(panel.len());
@@ -87,7 +89,7 @@ pub fn run_user_study(
             }
             let owned;
             let set = match examples.get(id) {
-                Some(set) => set,
+                Some(set) => *set,
                 None => {
                     owned = empty(id);
                     &owned
@@ -122,23 +124,31 @@ pub fn run_user_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_core::GenerationConfig;
+    use dex_core::{generate_examples, GenerationConfig};
     use dex_pool::build_synthetic_pool;
-    use dex_registry::annotate_catalog;
 
+    /// The study over every module shown, each module's examples from its
+    /// own generation.
     fn study() -> StudyOutcome {
         let universe = dex_universe::build();
         let pool = build_synthetic_pool(&universe.ontology, 4, 9);
-        let (registry, failures) = annotate_catalog(
-            &universe.catalog,
-            &universe.ontology,
-            &pool,
-            &GenerationConfig::default(),
-        );
-        assert!(failures.is_empty());
-        let examples: BTreeMap<ModuleId, ExampleSet> = registry
-            .entries()
-            .filter_map(|(id, e)| e.examples.clone().map(|x| (id.clone(), x)))
+        let examples: BTreeMap<ModuleId, ExampleSet> = universe
+            .categories
+            .keys()
+            .map(|id| {
+                let module = universe
+                    .catalog
+                    .get(id)
+                    .expect("shown modules are available");
+                let report = generate_examples(
+                    module.as_ref(),
+                    &universe.ontology,
+                    &pool,
+                    &GenerationConfig::default(),
+                )
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+                (id.clone(), report.examples)
+            })
             .collect();
         run_user_study(&universe, &examples)
     }

@@ -20,8 +20,8 @@
 //! roots. A span's parent is the innermost span open on its own thread, so
 //! a thread's outermost span is a root: every traced operation (an
 //! experiment phase, a `dexd` request) runs start to finish on the thread
-//! that opened it, and the spans of the incremental engine's bootstrap
-//! workers are roots on their own tracks.
+//! that opened it, and each of the incremental engine's bootstrap workers
+//! runs its share under one root span on its own track.
 
 use crate::{is_enabled, lock};
 use serde::{Deserialize, Serialize};

@@ -1,49 +1,51 @@
 //! Exploring and comparing modules through the registry (Figure 3, steps
-//! 3–4): search by consumed/produced concepts, inspect data examples, and
-//! compare candidate modules' behavior.
+//! 3–4): search the catalog by consumed/produced concepts, inspect the data
+//! examples the engine generated, and compare candidate modules' behavior.
 //!
 //! ```sh
 //! cargo run --example module_explorer
 //! ```
 
-use data_examples::core::matching::MappingMode;
 use data_examples::core::{compare_modules, GenerationConfig};
 use data_examples::pool::build_synthetic_pool;
-use data_examples::registry::search::{search, substitution_candidates};
-use data_examples::registry::{annotate_catalog, SearchQuery};
+use data_examples::registry::SearchQuery;
+use dex_experiments::IncrementalPipeline;
 
 fn main() {
     let universe = data_examples::universe::build();
-    let ontology = &universe.ontology;
-    let pool = build_synthetic_pool(ontology, 4, 5);
+    let pool = build_synthetic_pool(&universe.ontology, 4, 5);
 
-    // Run the full annotation pipeline: register interfaces + generate data
-    // examples for every supplied module.
-    let (registry, failures) = annotate_catalog(
-        &universe.catalog,
-        ontology,
-        &pool,
-        &GenerationConfig::default(),
+    // Run the full annotation pipeline: the engine generates data examples
+    // for every supplied module and compares every pair of one interface
+    // shape.
+    let engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    let (universe, pool) = (engine.universe(), engine.pool());
+    let ontology = &universe.ontology;
+    assert_eq!(engine.reports().count(), engine.available_count());
+    println!(
+        "engine holds {} annotated modules",
+        engine.available_count()
     );
-    assert!(failures.is_empty());
-    println!("registry holds {} annotated modules", registry.len());
 
     // An experiment designer looks for something that turns a protein
     // sequence into an alignment report.
-    let query = SearchQuery::any()
+    let hits = SearchQuery::any()
         .consuming("ProteinSequence")
         .producing("AlignmentReport")
-        .available();
-    let hits = search(&registry, &query, ontology);
+        .run(&universe.catalog, ontology)
+        .expect("known concepts");
     println!("\nmodules consuming ProteinSequence and producing an alignment report:");
-    for (id, entry) in &hits {
-        println!("  {id}: {}", entry.descriptor.signature());
+    for d in &hits {
+        println!("  {}: {}", d.id, d.signature());
     }
 
     // Inspect one candidate's data examples to understand its behavior.
-    let (first_id, first) = hits.first().expect("search hit");
-    println!("\ndata examples of {first_id}:");
-    for example in first.examples.as_ref().expect("annotated").iter().take(3) {
+    let first = &hits.first().expect("search hit").id;
+    let Some((true, Ok(report))) = engine.annotation(first) else {
+        panic!("{first} is tracked and annotated");
+    };
+    println!("\ndata examples of {first}:");
+    for example in report.examples.iter().take(3) {
         println!("  {example}");
     }
 
@@ -61,7 +63,7 @@ fn main() {
         a.as_ref(),
         b.as_ref(),
         ontology,
-        &pool,
+        pool,
         &GenerationConfig::default(),
     )
     .expect("comparable");
@@ -77,24 +79,22 @@ fn main() {
         a.as_ref(),
         b.as_ref(),
         ontology,
-        &pool,
+        pool,
         &GenerationConfig::default(),
     )
     .expect("comparable");
     println!("get_gene_record vs get_gene_record_rest: {verdict}");
 
-    // Who could stand in for get_protein_sequence_ebi if it vanished?
-    let target = universe
-        .catalog
-        .descriptor(&"dr:get_protein_sequence_ebi".into())
-        .unwrap();
-    let candidates = substitution_candidates(&registry, target, ontology, MappingMode::Subsuming);
+    // Who could stand in for get_protein_sequence_ebi if it vanished? The
+    // engine ranks the modules whose behavior on its data examples agrees.
+    let target = "dr:get_protein_sequence_ebi".into();
+    let name = &universe.catalog.descriptor(&target).unwrap().name;
+    let substitutes = engine.substitutes(&target).expect("tracked");
     println!(
-        "\ninterface-compatible substitutes for {} ({} found):",
-        target.name,
-        candidates.len()
+        "\nranked substitutes for {name} ({} found):",
+        substitutes.ranked.len()
     );
-    for id in candidates.iter().take(8) {
-        println!("  {id}");
+    for (id, verdict) in substitutes.ranked.iter().take(8) {
+        println!("  {id}: {verdict}");
     }
 }

@@ -6,34 +6,27 @@
 //! cargo run --release --example user_study
 //! ```
 
-use data_examples::core::{ExampleSet, GenerationConfig};
-use data_examples::modules::ModuleId;
+use data_examples::core::GenerationConfig;
 use data_examples::pool::build_synthetic_pool;
-use data_examples::registry::annotate_catalog;
 use data_examples::study::run_user_study;
 use data_examples::universe::Category;
-use std::collections::BTreeMap;
+use dex_experiments::IncrementalPipeline;
 
 fn main() {
     let universe = data_examples::universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 4, 9);
 
     // Step 1–2 of the paper's architecture: annotate parameters (done by
-    // the universe builder) and generate data examples into the registry.
-    let (registry, failures) = annotate_catalog(
-        &universe.catalog,
-        &universe.ontology,
-        &pool,
-        &GenerationConfig::default(),
-    );
-    assert!(failures.is_empty());
-    let examples: BTreeMap<ModuleId, ExampleSet> = registry
-        .entries()
-        .filter_map(|(id, e)| e.examples.clone().map(|x| (id.clone(), x)))
-        .collect();
+    // the universe builder) and generate data examples, which the engine
+    // holds.
+    let engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    assert_eq!(engine.reports().count(), engine.available_count());
 
     // The two-phase protocol.
-    let outcome = run_user_study(&universe, &examples);
+    let outcome = run_user_study(
+        engine.universe(),
+        engine.reports().map(|(id, report)| (id, &report.examples)),
+    );
     println!("modules shown: {}\n", outcome.modules);
     println!(
         "{:<8} {:>18} {:>18}",

@@ -18,6 +18,7 @@ use data_examples::core::{
 };
 use data_examples::ontology::mygrid;
 use data_examples::pool::build_synthetic_pool;
+use data_examples::registry::SearchQuery;
 use data_examples::universe::{Category, Universe};
 use std::process::ExitCode;
 
@@ -177,15 +178,13 @@ fn show(universe: &Universe, id: &str) -> ExitCode {
 }
 
 fn search(universe: &Universe, flags: &[String]) -> ExitCode {
-    let mut consumes = None;
-    let mut produces = None;
-    let mut name = None;
+    let mut query = SearchQuery::any();
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         let target = match flag.as_str() {
-            "--consumes" => &mut consumes,
-            "--produces" => &mut produces,
-            "--name" => &mut name,
+            "--consumes" => &mut query.consumes,
+            "--produces" => &mut query.produces,
+            "--name" => &mut query.name_contains,
             other => {
                 eprintln!("unknown flag `{other}`");
                 return ExitCode::FAILURE;
@@ -199,41 +198,17 @@ fn search(universe: &Universe, flags: &[String]) -> ExitCode {
             }
         }
     }
-    let ontology = &universe.ontology;
-    if let Some(unknown) = [&consumes, &produces]
-        .into_iter()
-        .flatten()
-        .find(|concept| ontology.id(concept).is_none())
-    {
-        eprintln!("unknown concept `{unknown}`");
-        return ExitCode::FAILURE;
-    }
-    let subsumed = |param: &str, filter: &str| match (ontology.id(filter), ontology.id(param)) {
-        (Some(f), Some(p)) => ontology.subsumes(f, p),
-        _ => false,
+    let hits = match query.run(&universe.catalog, &universe.ontology) {
+        Ok(hits) => hits,
+        Err(unknown) => {
+            eprintln!("{unknown}");
+            return ExitCode::FAILURE;
+        }
     };
-    let mut hits = 0;
-    for id in universe.catalog.available_ids() {
-        let d = universe.catalog.descriptor(&id).expect("registered");
-        if let Some(n) = &name {
-            if !d.name.to_lowercase().contains(&n.to_lowercase()) {
-                continue;
-            }
-        }
-        if let Some(c) = &consumes {
-            if !d.inputs.iter().any(|p| subsumed(&p.semantic, c)) {
-                continue;
-            }
-        }
-        if let Some(c) = &produces {
-            if !d.outputs.iter().any(|p| subsumed(&p.semantic, c)) {
-                continue;
-            }
-        }
-        out!("{id:<36} {}", d.signature());
-        hits += 1;
+    for d in &hits {
+        out!("{:<36} {}", d.id, d.signature());
     }
-    out!("\n{hits} modules");
+    out!("\n{} modules", hits.len());
     ExitCode::SUCCESS
 }
 

@@ -97,6 +97,40 @@ fn search_combines_filters() {
 }
 
 #[test]
+fn search_prints_the_pinned_listings() {
+    for (args, golden) in [
+        (
+            &[
+                "--consumes",
+                "UniprotAccession",
+                "--produces",
+                "ProteinSequence",
+            ][..],
+            include_str!("golden/dexctl/search_consumes_produces.stdout"),
+        ),
+        (
+            &["--name", "BLAST"],
+            include_str!("golden/dexctl/search_name.stdout"),
+        ),
+        (
+            &[
+                "--consumes",
+                "Identifier",
+                "--produces",
+                "BiologicalSequence",
+                "--name",
+                "get",
+            ],
+            include_str!("golden/dexctl/search_subsumption_and_name.stdout"),
+        ),
+    ] {
+        let (stdout, stderr, ok) = dexctl(&[&["search"][..], args].concat());
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(stdout, golden, "{args:?}");
+    }
+}
+
+#[test]
 fn surplus_arguments_fail_with_usage() {
     for args in [
         &["show", "dr:get_uniprot_record", "dr:get_uniprot_record_ebi"][..],

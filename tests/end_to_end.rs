@@ -8,12 +8,13 @@ use data_examples::core::{
 use data_examples::modules::RetryPolicy;
 use data_examples::pool::build_synthetic_pool;
 use data_examples::provenance::{harvest_pool, reconstruct_examples};
-use data_examples::registry::{annotate_catalog, SearchQuery};
+use data_examples::registry::SearchQuery;
 use data_examples::repair::{
     build_corpus, generate_repository, repair_repository, run_matching_study, RepositoryPlan,
 };
 use data_examples::universe::SpecOracle;
 use data_examples::values::classify::classify_concept;
+use dex_experiments::IncrementalPipeline;
 
 #[test]
 fn figure2_get_record_example_reads_like_the_paper() {
@@ -186,25 +187,24 @@ fn reconstructed_examples_match_registry_annotations() {
 }
 
 #[test]
-fn registry_round_trips_annotations_through_json() {
+fn engine_annotations_are_searchable() {
+    // Figure 3's registry: the catalog holds the annotated interfaces, the
+    // engine every available module's data examples. A catalog search
+    // finds modules whose examples the engine holds.
     let universe = data_examples::universe::build();
     let pool = build_synthetic_pool(&universe.ontology, 3, 2);
-    let (registry, failures) = annotate_catalog(
-        &universe.catalog,
-        &universe.ontology,
-        &pool,
-        &GenerationConfig::default(),
-    );
-    assert!(failures.is_empty());
-    let json = registry.to_json().unwrap();
-    let back = data_examples::registry::ModuleRegistry::from_json(&json).unwrap();
-    assert_eq!(back.len(), registry.len());
-
-    // Search still works after the round trip.
-    let hits = data_examples::registry::search::search(
-        &back,
-        &SearchQuery::any().consuming("PeptideMassList"),
-        &universe.ontology,
-    );
+    let engine = IncrementalPipeline::bootstrap(universe, pool, GenerationConfig::default());
+    assert_eq!(engine.reports().count(), engine.available_count());
+    let universe = engine.universe();
+    let hits = SearchQuery::any()
+        .consuming("PeptideMassList")
+        .run(&universe.catalog, &universe.ontology)
+        .unwrap();
     assert!(!hits.is_empty());
+    for d in hits {
+        match engine.annotation(&d.id) {
+            Some((true, Ok(report))) => assert!(!report.examples.is_empty(), "{}", d.id),
+            other => panic!("{} is tracked and annotated: {other:?}", d.id),
+        }
+    }
 }
